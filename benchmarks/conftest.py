@@ -7,6 +7,7 @@ be regenerated from measured numbers.
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ from repro.nlp import EntityRecognizer
 from repro.websim.scenario import generate_report_content, make_scenarios
 
 RESULTS_PATH = Path(__file__).parent / "results" / "results.json"
+
+# E22 checks query results against the brute-force evaluator the unit
+# tests use (tests/cypher_oracle.py); it is test code, not a package.
+sys.path.append(str(Path(__file__).parents[1] / "tests"))
 
 
 def record_result(experiment: str, payload: dict) -> None:

@@ -1,8 +1,9 @@
 """Cypher-subset query engine (lexer, parser, planner, executor).
 
-Two execution strategies behind one engine: the eager tree-walking
-evaluator (`run`) and the preemptable physical-operator path
-(`run_paginated` / `task`) built from `planner` + `iterators`.
+One execution path: `planner` lowers every MATCH into the resumable
+operators of `iterators`, and the engine drains that tree -- in one
+slice for `run`, a page at a time for `run_paginated`, a quantum at a
+time for `task`.
 """
 
 from repro.graphdb.cypher.executor import (

@@ -1,33 +1,30 @@
 """Cypher query execution.
 
-Two execution strategies share one semantics:
+One execution model: every MATCH is lowered by
+:mod:`repro.graphdb.cypher.planner` into a tree of resumable iterators
+(:mod:`repro.graphdb.cypher.iterators`) and drained by a
+:class:`QueryTask`.  The tree suspends after a time quantum on the
+injected clock and resumes from a JSON-safe continuation -- the SaGe
+web-preemption model, which is what lets the UI server page results and
+serve many concurrent queries with bounded per-slice latency.  Running
+to completion (:meth:`CypherEngine.run`) is the same drain with no
+quantum: a single slice.  ``PROFILE`` is the same drain again with each
+operator wrapped in a counter.
 
-**Eager** (the default, and the N=1/no-quantum fast path): pattern
-matching runs as a backtracking join: within each path the executor
-seeds the search at the most selective node pattern
-(property-indexed lookup beats label scan beats full scan), expands
-along relationship patterns using adjacency lists, and threads
-variable bindings across paths.  WHERE filters bindings, RETURN
-projects them, aggregates group over the non-aggregated items, then
-DISTINCT / ORDER BY / SKIP / LIMIT apply in the standard order.
+Pattern matching anchors each path at its cheapest node pattern
+(property-indexed lookup beats label scan beats full scan) and expands
+along relationship patterns using adjacency lists; WHERE conjuncts
+filter as early as their variables are bound, RETURN projects,
+aggregates group over the non-aggregated items, then ORDER BY /
+DISTINCT / SKIP / LIMIT apply in that order.
 
-**Preemptable** (:meth:`CypherEngine.run_paginated` /
-:meth:`CypherEngine.task`): the query is lowered by
-:mod:`repro.graphdb.cypher.planner` into a tree of resumable
-iterators (:mod:`repro.graphdb.cypher.iterators`) that suspend after a
-time quantum on the injected clock and resume from a JSON-safe
-continuation -- the SaGe web-preemption model, which is what lets the
-UI server page results and serve many concurrent queries with bounded
-per-slice latency.
-
-The expression evaluator lives in module-level functions shared by
-both strategies, so a sliced run is value-identical to an eager one.
+The expression evaluator lives in module-level functions shared by the
+operators, the sharded gather and the tests' brute-force oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.lexer import CypherSyntaxError
@@ -97,8 +94,8 @@ class QueryProfile:
     the child's cumulative).  ``partitions`` carries per-partition
     operator lists for sharded scatter-gather profiles.
 
-    The profiled execution is the preemptable operator tree run to
-    completion, so ``rows`` is row-identical to the unprofiled query.
+    The profiled execution drains the same plan as the unprofiled
+    query, so ``rows`` is row-identical to it.
     """
 
     rows: list[ResultRow]
@@ -196,9 +193,16 @@ class CypherEngine:
         return the data rows (row-identical to the plain query); reach
         the operator counters through :meth:`profile`.
         """
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
+        return self.execute(self._parse(query, strict))
+
+    def execute(self, parsed: ast.Query) -> list[ResultRow]:
+        """Execute an already-parsed (and already-analyzed) query.
+
+        The scatter-gather engine parses and analyzes once, then runs
+        the same AST against every partition through this entry point.
+        A MATCH is planned and drained as one :class:`QueryTask` slice
+        with no quantum.
+        """
         if isinstance(parsed, ast.CreateQuery):
             self._execute_create(parsed)
             # CREATE changes the schema; drop the cached analyzer view.
@@ -208,14 +212,10 @@ class CypherEngine:
             return self.explain_rows(parsed)
         if parsed.profile:
             return self.profile_parsed(parsed).rows
-        return self._execute_match(parsed)
+        return self._task(parsed).run_to_completion()
 
     def plan(self, parsed: ast.MatchQuery):
         """Lower an analyzed MATCH query into a physical plan."""
-        # Imported lazily: the planner imports iterators, which import
-        # this module's shared evaluator.
-        from repro.graphdb.cypher.planner import build_plan
-
         with self.obs.tracer.span("cypher.plan"):
             return build_plan(parsed, self.graph)
 
@@ -240,9 +240,7 @@ class CypherEngine:
         nonzero timings.  The ``PROFILE`` keyword prefix is optional
         here -- this entry point always profiles.
         """
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
+        parsed = self._parse(query, strict)
         if not isinstance(parsed, ast.MatchQuery):
             raise CypherRuntimeError("PROFILE applies to MATCH queries only")
         return self.profile_parsed(parsed, step_cost=step_cost)
@@ -251,23 +249,18 @@ class CypherEngine:
         self, parsed: ast.MatchQuery, step_cost: float = 0.0
     ) -> QueryProfile:
         """Profile an already-parsed (and already-analyzed) MATCH query."""
-        from repro.graphdb.cypher.iterators import ExecutionContext
-
-        context = ExecutionContext(clock=self.clock, step_cost=step_cost)
-        plan = self.plan(parsed)
+        task = self._task(
+            replace(parsed, profile=True),
+            ExecutionContext(clock=self.clock, step_cost=step_cost),
+        )
         with self.obs.tracer.span("cypher.profile") as span:
-            root, profilers = plan.build_profiled(self.graph, context)
-            context.begin_slice()
-            rows: list[ResultRow] = []
-            while True:
-                row = root.next()
-                if row is None:
-                    break
-                rows.append(ResultRow(row))
-            span.set("operators", len(profilers))
+            rows = task.run_to_completion()
+            span.set("operators", len(task.profilers))
             span.set("rows", len(rows))
         self.obs.metrics.inc("cypher.profiled")
-        return QueryProfile(rows=rows, operators=_operator_stats(profilers))
+        return QueryProfile(
+            rows=rows, operators=_operator_stats(task.profilers)
+        )
 
     def run_paginated(
         self,
@@ -276,30 +269,21 @@ class CypherEngine:
         continuation: dict | None = None,
         strict: bool | None = None,
     ) -> CypherPage:
-        """Execute preemptably, returning at most ``page_size`` rows.
+        """Execute returning at most ``page_size`` rows.
 
         The returned continuation resumes exactly after the last row of
         this page; feeding every page's continuation back in yields the
-        same rows, in the same order, as one eager run of the plan.
+        same rows, in the same order, as :meth:`run`.
         """
         if page_size < 1:
             raise CypherRuntimeError("page_size must be >= 1")
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
-        if isinstance(parsed, ast.CreateQuery):
-            self._execute_create(parsed)
-            self._schema_cache = None
-            return CypherPage(rows=[])
-        if parsed.explain:
-            return CypherPage(rows=self.explain_rows(parsed))
-        if parsed.profile:
-            # like EXPLAIN: one full response, no continuation -- the
-            # counters only mean anything once the query has finished
-            return CypherPage(rows=self.profile_parsed(parsed).rows)
-        from repro.graphdb.cypher.iterators import ExecutionContext
-
-        task = QueryTask(self, parsed, ExecutionContext())
+        parsed = self._parse(query, strict)
+        if not _is_plain_match(parsed):
+            # CREATE / EXPLAIN / PROFILE: one full response, no
+            # continuation -- profile counters only mean anything once
+            # the query has finished
+            return CypherPage(rows=self.execute(parsed))
+        task = self._task(parsed)
         if continuation is not None:
             task.load(continuation)
         rows = task.fetch(page_size)
@@ -318,32 +302,22 @@ class CypherEngine:
         carrying the quantum/clock; each :meth:`QueryTask.step` runs
         one slice and the task suspends when the quantum expires.
         """
-        from repro.graphdb.cypher.iterators import ExecutionContext
-
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
-        if (
-            not isinstance(parsed, ast.MatchQuery)
-            or parsed.explain
-            or parsed.profile
-        ):
+        parsed = self._parse(query, strict)
+        if not _is_plain_match(parsed):
             raise CypherRuntimeError(
                 "only MATCH queries can run as preemptable tasks"
             )
+        return self._task(parsed, context)
+
+    def _parse(self, query: str, strict: bool | None) -> ast.Query:
+        """The entry preamble: parse, then analyze in strict mode."""
+        parsed = parse(query)
+        if self.strict if strict is None else strict:
+            self._check(parsed, query)
+        return parsed
+
+    def _task(self, parsed: ast.MatchQuery, context=None) -> "QueryTask":
         return QueryTask(self, parsed, context or ExecutionContext())
-
-    def execute(self, parsed: ast.Query) -> list[ResultRow]:
-        """Execute an already-parsed (and already-analyzed) query.
-
-        The scatter-gather engine parses and analyzes once, then runs
-        the same AST against every partition through this entry point.
-        """
-        if isinstance(parsed, ast.CreateQuery):
-            self._execute_create(parsed)
-            self._schema_cache = None
-            return []
-        return self._execute_match(parsed)
 
     def analyze(self, query: str | ast.Query, source: str = ""):
         """Diagnostics for a query against this graph's schema."""
@@ -395,275 +369,27 @@ class CypherEngine:
             bound[pattern.variable] = node
         return node
 
-    # -- MATCH ------------------------------------------------------------
 
-    def _execute_match(self, query: ast.MatchQuery) -> list[ResultRow]:
-        bindings_list = [dict()]  # type: list[Bindings]
-        for path in query.paths:
-            extended: list[Bindings] = []
-            for bindings in bindings_list:
-                extended.extend(self._match_path(path, bindings))
-            bindings_list = extended
-            if not bindings_list:
-                break
-
-        if query.where is not None:
-            bindings_list = [
-                b for b in bindings_list if _truthy(self._eval(query.where, b))
-            ]
-
-        has_aggregate = any(_contains_count(item.expr) for item in query.returns)
-        rows = self._project(query, bindings_list)
-        # For non-aggregated queries ORDER BY may reference expressions
-        # that were not projected (m.year when only m.name is returned),
-        # so keep the source bindings alongside each row for sorting.
-        sources: list[Bindings | None]
-        sources = [None] * len(rows) if has_aggregate else list(bindings_list)
-        paired = list(zip(rows, sources))
-
-        for expr, ascending in reversed(query.order_by):
-            paired.sort(
-                key=lambda pair: _sort_key(self._order_value(expr, *pair)),
-                reverse=not ascending,
-            )
-        rows = [row for row, _b in paired]
-        if query.distinct:
-            rows = _distinct(rows)
-        if query.skip:
-            rows = rows[query.skip :]
-        if query.limit is not None:
-            rows = rows[: query.limit]
-        return rows
-
-    def _order_value(
-        self, expr: ast.Expr, row: ResultRow, bindings: Bindings | None
-    ) -> object:
-        try:
-            return self._eval_projected(expr, row)
-        except CypherRuntimeError:
-            if bindings is None:
-                raise
-            return self._eval(expr, bindings)
-
-    # -- path matching ---------------------------------------------------------
-
-    def _match_path(
-        self, path: ast.PathPattern, bindings: Bindings
-    ) -> Iterator[Bindings]:
-        # Choose the most selective anchor among unbound node patterns.
-        anchor = self._anchor_index(path, bindings)
-        anchor_pattern = path.nodes[anchor]
-        for node in self._candidates(anchor_pattern, bindings):
-            start = dict(bindings)
-            if not self._bind_node(anchor_pattern, node, start):
-                continue
-            yield from self._expand(path, anchor, anchor, start, node, node)
-
-    def _expand(
-        self,
-        path: ast.PathPattern,
-        left: int,
-        right: int,
-        bindings: Bindings,
-        left_node: Node,
-        right_node: Node,
-    ) -> Iterator[Bindings]:
-        """Grow the partial match outward from [left, right]."""
-        if left == 0 and right == len(path.nodes) - 1:
-            yield bindings
-            return
-        if right < len(path.nodes) - 1:
-            rel = path.rels[right]
-            target_pattern = path.nodes[right + 1]
-            for edge, neighbor in self._reachable(right_node, rel, forward=True):
-                new_bindings = dict(bindings)
-                if not self._bind_node(target_pattern, neighbor, new_bindings):
-                    continue
-                if edge is not None and not self._bind_rel(rel, edge, new_bindings):
-                    continue
-                yield from self._expand(
-                    path, left, right + 1, new_bindings, left_node, neighbor
-                )
-            return
-        # extend to the left
-        rel = path.rels[left - 1]
-        target_pattern = path.nodes[left - 1]
-        for edge, neighbor in self._reachable(left_node, rel, forward=False):
-            new_bindings = dict(bindings)
-            if not self._bind_node(target_pattern, neighbor, new_bindings):
-                continue
-            if edge is not None and not self._bind_rel(rel, edge, new_bindings):
-                continue
-            yield from self._expand(
-                path, left - 1, right, new_bindings, neighbor, right_node
-            )
-
-    def _reachable(
-        self, node: Node, rel: ast.RelPattern, forward: bool
-    ) -> Iterator[tuple[Edge | None, Node]]:
-        """Pattern-consistent neighbours; multi-hop for ``*m..n``.
-
-        Variable-length expansion walks node-distinct paths (Cypher's
-        uniqueness semantics, approximated at node granularity) and
-        yields each endpoint reachable within the hop range once, with
-        ``None`` in the edge slot (such patterns cannot bind an edge
-        variable).
-        """
-        if not rel.is_variable_length:
-            yield from self._adjacent(node, rel, forward)
-            return
-        seen: set[int] = {node.node_id}
-        frontier: list[Node] = [node]
-        if rel.min_hops == 0:
-            yield None, node
-        for depth in range(1, rel.max_hops + 1):
-            next_frontier: list[Node] = []
-            for current in frontier:
-                for _edge, neighbor in self._adjacent(current, rel, forward):
-                    if neighbor.node_id in seen:
-                        continue
-                    seen.add(neighbor.node_id)
-                    next_frontier.append(neighbor)
-                    if depth >= rel.min_hops:
-                        yield None, neighbor
-            frontier = next_frontier
-            if not frontier:
-                return
-
-    def _adjacent(
-        self, node: Node, rel: ast.RelPattern, forward: bool
-    ) -> Iterator[tuple[Edge, Node]]:
-        """Edges leaving ``node`` consistent with the pattern direction.
-
-        ``forward`` means the pattern is read left-to-right from this
-        node; the rel direction applies relative to the reading order.
-        """
-        direction = rel.direction
-        if not forward:
-            direction = {"out": "in", "in": "out"}.get(direction, "any")
-        if direction in ("out", "any"):
-            for edge in self.graph.out_edges(node.node_id, rel.rel_type):
-                yield edge, self.graph.node(edge.dst)
-        if direction in ("in", "any"):
-            for edge in self.graph.in_edges(node.node_id, rel.rel_type):
-                yield edge, self.graph.node(edge.src)
-
-    def _anchor_index(self, path: ast.PathPattern, bindings: Bindings) -> int:
-        best = 0
-        best_score = -1.0
-        for index, pattern in enumerate(path.nodes):
-            if pattern.variable and pattern.variable in bindings:
-                return index  # already bound: cheapest possible anchor
-            score = 0.0
-            if pattern.properties:
-                score += 2.0
-            if pattern.label:
-                score += 1.0
-            if score > best_score:
-                best, best_score = index, score
-        return best
-
-    def _candidates(
-        self, pattern: ast.NodePattern, bindings: Bindings
-    ) -> Iterator[Node]:
-        if pattern.variable and pattern.variable in bindings:
-            value = bindings[pattern.variable]
-            if isinstance(value, Node):
-                yield value
-            return
-        if pattern.properties:
-            yield from self.graph.find_nodes(
-                pattern.label, **dict(pattern.properties)
-            )
-            return
-        yield from self.graph.nodes(pattern.label)
-
-    def _bind_node(
-        self, pattern: ast.NodePattern, node: Node, bindings: Bindings
-    ) -> bool:
-        return bind_node(pattern, node, bindings)
-
-    def _bind_rel(
-        self, pattern: ast.RelPattern, edge: Edge, bindings: Bindings
-    ) -> bool:
-        return bind_rel(pattern, edge, bindings)
-
-    # -- projection / aggregation -------------------------------------------------
-
-    def _project(
-        self, query: ast.MatchQuery, bindings_list: list[Bindings]
-    ) -> list[ResultRow]:
-        has_aggregate = any(_contains_count(item.expr) for item in query.returns)
-        if not has_aggregate:
-            return [
-                ResultRow(
-                    {
-                        item.alias: self._eval(item.expr, bindings)
-                        for item in query.returns
-                    }
-                )
-                for bindings in bindings_list
-            ]
-
-        group_items = [i for i in query.returns if not _contains_count(i.expr)]
-        agg_items = [i for i in query.returns if _contains_count(i.expr)]
-        if not group_items and not bindings_list:
-            # Global aggregates over an empty match still yield one row
-            # (Cypher semantics: count() of nothing is 0).
-            return [
-                ResultRow(
-                    {item.alias: self._eval_aggregate(item.expr, []) for item in agg_items}
-                )
-            ]
-        groups: dict[tuple, list[Bindings]] = {}
-        for bindings in bindings_list:
-            key = tuple(
-                _hashable(self._eval(item.expr, bindings)) for item in group_items
-            )
-            groups.setdefault(key, []).append(bindings)
-
-        rows: list[ResultRow] = []
-        for key, members in groups.items():
-            values: dict[str, object] = {}
-            for item, key_value in zip(group_items, key):
-                values[item.alias] = _unhash(key_value, self._eval(item.expr, members[0]))
-            for item in agg_items:
-                values[item.alias] = self._eval_aggregate(item.expr, members)
-            rows.append(ResultRow(values))
-        return rows
-
-    def _eval_aggregate(self, expr: ast.Expr, members: list[Bindings]) -> object:
-        if isinstance(expr, ast.Count) and expr.operand is None:
-            return len(members)
-        if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
-            values = [self._eval(expr.operand, b) for b in members]
-            if isinstance(expr, ast.Collect):
-                return reduce_collect(values, expr.distinct)
-            if isinstance(expr, ast.Count):
-                return reduce_count(values, expr.distinct)
-            return reduce_numeric(expr.func, values, expr.distinct)
-        raise CypherRuntimeError(f"unsupported aggregate expression: {expr}")
-
-    # -- expression evaluation ------------------------------------------------------
-
-    def _eval(self, expr: ast.Expr, bindings: Bindings) -> object:
-        return eval_expr(expr, bindings)
-
-    def _eval_compare(self, expr: ast.Compare, bindings: Bindings) -> bool:
-        return eval_compare(expr, bindings)
-
-    def _eval_projected(self, expr: ast.Expr, row: ResultRow) -> object:
-        return eval_projected(expr, row)
+def _is_plain_match(parsed: ast.Query) -> bool:
+    return (
+        isinstance(parsed, ast.MatchQuery)
+        and not parsed.explain
+        and not parsed.profile
+    )
 
 
 class QueryTask:
-    """A preemptable query execution: planned once, run slice by slice.
+    """One query execution: planned once, run slice by slice.
 
-    Each :meth:`step` runs one time slice under the context's quantum
-    and returns the rows produced before suspension.  :meth:`save` /
-    :meth:`load` round-trip the whole execution state as a JSON-safe
-    continuation, so a task can be resumed in a later request (the
-    pagination path) or interleaved with other tasks (the E22 storm).
+    Every MATCH runs through here.  Each :meth:`step` runs one time
+    slice under the context's quantum and returns the rows produced
+    before suspension; with no quantum a single slice drains the query
+    (:meth:`run_to_completion`, the path behind ``CypherEngine.run``).
+    :meth:`save` / :meth:`load` round-trip the whole execution state as
+    a JSON-safe continuation, so a task can be resumed in a later
+    request (the pagination path) or interleaved with other tasks (the
+    E22 storm).  A ``PROFILE`` query builds the same plan with every
+    operator instrumented (:attr:`profilers`, root-first).
     """
 
     def __init__(self, engine: CypherEngine, parsed: ast.MatchQuery, context):
@@ -671,13 +397,17 @@ class QueryTask:
         self.query = parsed
         self.context = context
         self.plan = engine.plan(parsed)
-        self.root = self.plan.build(engine.graph, context)
+        if parsed.profile:
+            self.root, self.profilers = self.plan.build_profiled(
+                engine.graph, context
+            )
+        else:
+            self.root = self.plan.build(engine.graph, context)
+            self.profilers = []
         self.done = False
 
     def step(self, max_rows: int | None = None) -> list[ResultRow]:
         """Run one slice; returns rows produced before the quantum expired."""
-        from repro.graphdb.cypher.iterators import QuantumExhausted
-
         obs = self.engine.obs
         rows: list[ResultRow] = []
         with obs.tracer.span("cypher.slice"):
@@ -729,19 +459,12 @@ class QueryTask:
 
 # -- shared evaluator ---------------------------------------------------------
 #
-# Module-level so the eager engine, the resumable iterator operators
-# and the scatter-gather merge evaluate expressions identically.
+# Module-level so the iterator operators and the scatter-gather merge
+# evaluate expressions identically.
 
 
 def eval_expr(expr: ast.Expr, bindings: Bindings) -> object:
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ListLiteral):
-        return [eval_expr(item, bindings) for item in expr.items]
-    if isinstance(expr, ast.Variable):
-        if expr.name not in bindings:
-            raise CypherRuntimeError(f"unbound variable {expr.name!r}")
-        return bindings[expr.name]
+    # property and variable reads are nearly every evaluation: test first
     if isinstance(expr, ast.Property):
         value = bindings.get(expr.variable)
         if value is None:
@@ -751,6 +474,14 @@ def eval_expr(expr: ast.Expr, bindings: Bindings) -> object:
         raise CypherRuntimeError(
             f"{expr.variable!r} is not a node or relationship"
         )
+    if isinstance(expr, ast.Variable):
+        if expr.name not in bindings:
+            raise CypherRuntimeError(f"unbound variable {expr.name!r}")
+        return bindings[expr.name]
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.ListLiteral):
+        return [eval_expr(item, bindings) for item in expr.items]
     if isinstance(expr, ast.And):
         return _truthy(eval_expr(expr.left, bindings)) and _truthy(
             eval_expr(expr.right, bindings)
@@ -863,8 +594,8 @@ def _truthy(value: object) -> bool:
 
 def reduce_collect(values: list[object], distinct: bool) -> list[object]:
     """collect() over already-evaluated values: None-skipping, optional
-    dedup.  Shared by the eager path, the iterator operators and the
-    scatter-gather merge so all three agree on aggregate semantics."""
+    dedup.  Shared by the iterator operators and the scatter-gather
+    merge so both agree on aggregate semantics."""
     out: list[object] = []
     seen: list[object] = []
     for value in values:
@@ -931,26 +662,18 @@ def _hashable(value: object) -> object:
     return value
 
 
-def _unhash(key: object, original: object) -> object:
-    del key
-    return original
-
-
-def _distinct(rows: list[ResultRow]) -> list[ResultRow]:
-    seen: set = set()
-    out: list[ResultRow] = []
-    for row in rows:
-        key = tuple(sorted((k, _hashable(v)) for k, v in row.values.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
-
-
 def _sort_key(value: object):
     # None sorts first; mixed types sort by type name then value string.
     return (value is not None, type(value).__name__, str(value))
 
+
+# Imported last: the planner imports the iterators, and both import the
+# evaluator above (the package __init__ always loads this module first).
+from repro.graphdb.cypher.iterators import (  # noqa: E402
+    ExecutionContext,
+    QuantumExhausted,
+)
+from repro.graphdb.cypher.planner import build_plan  # noqa: E402
 
 __all__ = [
     "CypherAnalysisError",

@@ -1,4 +1,4 @@
-"""Resumable physical operators for preemptable Cypher execution.
+"""Resumable physical operators: the one way a MATCH executes.
 
 The web-preemption model (SaGe): a query runs as a tree of pull-based
 iterators, each of which can be suspended at any safe point and
@@ -72,11 +72,19 @@ class ExecutionContext:
     step_cost: float = 0.0
     _deadline: float | None = field(default=None, repr=False)
     _steps: int = field(default=0, repr=False)
+    _unbudgeted: bool = field(default=False, repr=False)
 
     def begin_slice(self) -> None:
         self._steps = 0
         self._deadline = (
             None if self.quantum is None else self.clock.now() + self.quantum
+        )
+        # a run to completion ticks once per candidate too: settle here,
+        # once per slice, whether any tick can charge or suspend
+        self._unbudgeted = (
+            self.quantum is None
+            and self.steps_per_slice is None
+            and not self.step_cost
         )
 
     def tick(self) -> None:
@@ -86,6 +94,8 @@ class ExecutionContext:
         the tick that suspends), then raises when the slice budget --
         steps or quantum -- is spent.
         """
+        if self._unbudgeted:
+            return
         self._steps += 1
         if self.step_cost:
             self.clock.sleep(self.step_cost)
@@ -349,7 +359,8 @@ class ExpandOp(PreemptableIterator):
                 out = dict(self._input)
                 if not bind_node(self.target, neighbour, out):
                     continue
-                if not bind_rel(self.rel, edge, out):
+                # _adjacent already filtered on the relationship type
+                if self.rel.variable and not bind_rel(self.rel, edge, out):
                     continue
                 out[self.target_var] = neighbour
                 return out
@@ -490,9 +501,9 @@ class ProjectOp(PreemptableIterator):
     """Non-aggregate RETURN projection, bindings -> row dict.
 
     ORDER BY expressions are evaluated here -- against the projected
-    row first, falling back to the source bindings (eager semantics) --
-    into hidden ``#oN`` keys that :class:`OrderByOp` sorts on and
-    strips.
+    row first (aliases win), falling back to the source bindings so a
+    query can sort on a value it does not return -- into hidden ``#oN``
+    keys that :class:`OrderByOp` sorts on and strips.
     """
 
     def __init__(
@@ -512,12 +523,14 @@ class ProjectOp(PreemptableIterator):
         row = {
             item.alias: eval_expr(item.expr, bindings) for item in self.returns
         }
-        for index, expr in enumerate(self.order_exprs):
-            try:
-                value = eval_projected(expr, ResultRow(row))
-            except CypherRuntimeError:
-                value = eval_expr(expr, bindings)
-            row[f"#o{index}"] = value
+        if self.order_exprs:
+            projected = ResultRow(row)
+            for index, expr in enumerate(self.order_exprs):
+                try:
+                    value = eval_projected(expr, projected)
+                except CypherRuntimeError:
+                    value = eval_expr(expr, bindings)
+                row[f"#o{index}"] = value
         return row
 
     def save(self) -> dict:
@@ -532,9 +545,10 @@ class AggregateOp(PreemptableIterator):
 
     Consume phase drains the child, accumulating per group the
     representative values of the group expressions and the raw operand
-    values of each aggregate (so the shared ``reduce_*`` helpers give
-    results value-identical to the eager path).  A quantum expiring
-    mid-consume propagates from the child with the accumulators intact.
+    values of each aggregate (reduced at emit time by the shared
+    ``reduce_*`` helpers the sharded gather also merges with).  A
+    quantum expiring mid-consume propagates from the child with the
+    accumulators intact.
     Emit phase walks groups in first-seen order.
     """
 
@@ -551,8 +565,16 @@ class AggregateOp(PreemptableIterator):
         self.group_items = group_items
         self.agg_items = agg_items
         self.order_exprs = order_exprs
+        #: (slot, operand) per aggregate that evaluates one; count(*) has none
+        self._operands = [
+            (index, item.expr.operand)
+            for index, item in enumerate(agg_items)
+            if item.expr.operand is not None
+        ]
         self._groups: dict[tuple, dict] = {}
         self._consumed = False
+        #: groups in first-seen order, materialised once the child is drained
+        self._emit_order: list[dict] | None = None
         self._pos = 0
 
     def _accumulate(self, bindings: Bindings) -> None:
@@ -563,10 +585,9 @@ class AggregateOp(PreemptableIterator):
             group = {"reps": reps, "vals": [[] for _ in self.agg_items], "n": 0}
             self._groups[key] = group
         group["n"] += 1
-        for index, item in enumerate(self.agg_items):
-            operand = getattr(item.expr, "operand", None)
-            if operand is not None:
-                group["vals"][index].append(eval_expr(operand, bindings))
+        vals = group["vals"]
+        for index, operand in self._operands:
+            vals[index].append(eval_expr(operand, bindings))
 
     def _emit(self, group: dict) -> dict:
         row: dict[str, object] = {}
@@ -587,8 +608,10 @@ class AggregateOp(PreemptableIterator):
                 row[item.alias] = reduce_numeric(
                     expr.func, values, expr.distinct
                 )
-        for index, expr in enumerate(self.order_exprs):
-            row[f"#o{index}"] = eval_projected(expr, ResultRow(row))
+        if self.order_exprs:
+            projected = ResultRow(row)
+            for index, expr in enumerate(self.order_exprs):
+                row[f"#o{index}"] = eval_projected(expr, projected)
         return row
 
     def next(self) -> dict | None:
@@ -599,11 +622,14 @@ class AggregateOp(PreemptableIterator):
                     break
                 self._accumulate(bindings)
             self._consumed = True
-        groups = list(self._groups.values())
-        if not self.group_items and not groups:
-            # global aggregate over an empty match: one zero/null row
-            groups = [{"reps": [], "vals": [[] for _ in self.agg_items], "n": 0}]
-            self._groups[()] = groups[0]
+        groups = self._emit_order
+        if groups is None:
+            if not self.group_items and not self._groups:
+                # global aggregate over an empty match: one zero/null row
+                self._groups[()] = {
+                    "reps": [], "vals": [[] for _ in self.agg_items], "n": 0,
+                }
+            groups = self._emit_order = list(self._groups.values())
         if self._pos >= len(groups):
             return None
         group = groups[self._pos]
@@ -632,6 +658,7 @@ class AggregateOp(PreemptableIterator):
         self.child.load(state["child"])
         self._consumed = bool(state["consumed"])
         self._pos = state["pos"]
+        self._emit_order = None
         self._groups = {}
         for entry in state["groups"]:
             reps = [decode_value(self.graph, v) for v in entry["reps"]]
@@ -649,8 +676,8 @@ class AggregateOp(PreemptableIterator):
 class OrderByOp(PreemptableIterator):
     """Blocking sort on the hidden ``#oN`` keys, stripped on emit.
 
-    Sorting runs as the same sequence of reversed stable passes as the
-    eager executor, so ties break identically.
+    Sorting runs as reversed stable passes (last key first), so rows
+    that tie on every key keep the order the child produced them in.
     """
 
     def __init__(self, graph: PropertyGraph, child: PreemptableIterator,
@@ -658,13 +685,10 @@ class OrderByOp(PreemptableIterator):
         self.graph = graph
         self.child = child
         self.ascending = ascending
+        self._keys = [f"#o{index}" for index in range(len(ascending))]
         self._rows: list[dict] = []
         self._sorted = False
         self._pos = 0
-
-    @staticmethod
-    def _strip(row: dict) -> dict:
-        return {k: v for k, v in row.items() if not k.startswith("#o")}
 
     def next(self) -> dict | None:
         if not self._sorted:
@@ -673,17 +697,17 @@ class OrderByOp(PreemptableIterator):
                 if row is None:
                     break
                 self._rows.append(row)
-            for index, asc in reversed(list(enumerate(self.ascending))):
+            # reversed stable passes: the last key sorts first
+            for key, asc in zip(reversed(self._keys), reversed(self.ascending)):
                 self._rows.sort(
-                    key=lambda row: _sort_key(row[f"#o{index}"]),
-                    reverse=not asc,
+                    key=lambda row: _sort_key(row[key]), reverse=not asc
                 )
             self._sorted = True
         if self._pos >= len(self._rows):
             return None
         row = self._rows[self._pos]
         self._pos += 1
-        return self._strip(row)
+        return {k: v for k, v in row.items() if k not in self._keys}
 
     def save(self) -> dict:
         return {
@@ -711,7 +735,9 @@ class DistinctOp(PreemptableIterator):
 
     def __init__(self, child: PreemptableIterator):
         self.child = child
-        self._seen: list[tuple] = []
+        #: row keys already emitted; a dict for O(1) membership *and* the
+        #: insertion order save() writes
+        self._seen: dict[tuple, None] = {}
 
     def next(self) -> dict | None:
         while True:
@@ -721,7 +747,7 @@ class DistinctOp(PreemptableIterator):
             key = tuple(sorted((k, _hashable(v)) for k, v in row.items()))
             if key in self._seen:
                 continue
-            self._seen.append(key)
+            self._seen[key] = None
             return row
 
     def save(self) -> dict:
@@ -729,7 +755,7 @@ class DistinctOp(PreemptableIterator):
 
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
-        self._seen = list(_freeze(state["seen"]))
+        self._seen = dict.fromkeys(_freeze(state["seen"]))
 
 
 class SkipOp(PreemptableIterator):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.executor import CypherRuntimeError, _contains_count
@@ -154,15 +155,47 @@ def _conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
 # -- plan nodes --------------------------------------------------------------
 
 
+_SCAN_KINDS = ("IndexScan", "LabelScan", "AllNodesScan")
+
+
 @dataclass
 class PlanNode:
-    """One physical operator: display info plus build parameters."""
+    """One physical operator: build parameters, display info on demand."""
 
     kind: str
-    detail: str
     params: dict
     child: "PlanNode | None" = None
     estimate: float | None = None
+
+    @property
+    def detail(self) -> str:
+        """Source-like operand text, rendered only when something reads
+        it (EXPLAIN, PROFILE, a continuation's plan signature) -- a
+        plain run never does."""
+        kind, p = self.kind, self.params
+        if kind in _SCAN_KINDS:
+            return _render_node(p["pattern"])
+        if kind in ("ExpandEdge", "ExpandVar"):
+            source = p["source_var"]
+            return (
+                f"({'' if source.startswith('#') else source})"
+                f"{_render_rel(p['rel'], p['forward'])}"
+                f"{_render_node(p['target'])}"
+            )
+        if kind == "Filter":
+            return " AND ".join(render_expr(c) for c in p["exprs"])
+        if kind in ("Project", "Aggregate"):
+            return ", ".join(
+                f"{render_expr(i.expr)} AS {i.alias}" for i in p["returns"]
+            )
+        if kind == "OrderBy":
+            return ", ".join(
+                f"{render_expr(expr)} {'ASC' if asc else 'DESC'}"
+                for expr, asc in p["order_by"]
+            )
+        if kind in ("Skip", "Limit"):
+            return str(p["count"])
+        return ""
 
     def line(self, with_estimate: bool = True) -> str:
         text = f"{self.kind} {self.detail}".rstrip()
@@ -204,7 +237,7 @@ class PhysicalPlan:
     def build(
         self, graph: PropertyGraph, context: ExecutionContext
     ) -> PreemptableIterator:
-        return self._build(self.root, graph, context, None)
+        return self._build(graph, context, None)
 
     def build_profiled(
         self, graph: PropertyGraph, context: ExecutionContext
@@ -217,28 +250,23 @@ class PhysicalPlan:
         renderer can zip plan lines with runtime counters.
         """
         profilers: list[ProfiledOp] = []
-        root = self._build(self.root, graph, context, profilers)
+        root = self._build(graph, context, profilers)
         profilers.reverse()  # built child-first; report root-first
         return root, profilers
 
     def _build(
         self,
-        node: PlanNode,
         graph: PropertyGraph,
         context: ExecutionContext,
         profilers: "list[ProfiledOp] | None",
     ) -> PreemptableIterator:
-        child = (
-            self._build(node.child, graph, context, profilers)
-            if node.child is not None
-            else None
-        )
-        op = self._instantiate(node, graph, context, child)
-        if profilers is None:
-            return op
-        wrapped = ProfiledOp(op, context, node.kind, node.detail)
-        profilers.append(wrapped)
-        return wrapped
+        op: PreemptableIterator | None = None
+        for node in reversed(self._nodes()):
+            op = self._instantiate(node, graph, context, op)
+            if profilers is not None:
+                op = ProfiledOp(op, context, node.kind, node.detail)
+                profilers.append(op)
+        return op
 
     def _instantiate(
         self,
@@ -250,7 +278,7 @@ class PhysicalPlan:
         p = node.params
         if node.kind == "Init":
             return SingletonOp()
-        if node.kind in ("IndexScan", "LabelScan", "AllNodesScan"):
+        if node.kind in _SCAN_KINDS:
             return ScanOp(
                 graph, context, child, p["pattern"], p["variable"], p["source"]
             )
@@ -274,7 +302,9 @@ class PhysicalPlan:
                 p["order_exprs"],
             )
         if node.kind == "OrderBy":
-            return OrderByOp(graph, child, p["ascending"])
+            return OrderByOp(
+                graph, child, [asc for _expr, asc in p["order_by"]]
+            )
         if node.kind == "Distinct":
             return DistinctOp(child)
         if node.kind == "Skip":
@@ -336,18 +366,14 @@ def _anchor_cost(
         return 0.0, ("bound",)
     props = list(pattern.properties) + list(extra_props)
     if pattern.label and props:
-        indexed = [
-            (key, value)
+        buckets = [
+            (graph.index_size(pattern.label, key, value), key, value)
             for key, value in props
             if key in INDEXED_PROPERTIES
             and isinstance(value, (str, int, float, bool))
         ]
-        if indexed:
-            key, value = min(
-                indexed,
-                key=lambda kv: graph.index_size(pattern.label, kv[0], kv[1]),
-            )
-            size = graph.index_size(pattern.label, key, value)
+        if buckets:
+            size, key, value = min(buckets, key=itemgetter(0))
             return float(size), ("index", pattern.label, key, value)
         # unindexed property filter still narrows the label scan
         return (
@@ -377,139 +403,102 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
     equalities = _where_equalities(conjuncts)
     placed = [False] * len(conjuncts)
     bound: set[str] = set()
-    chain: list[PlanNode] = [PlanNode("Init", "", {})]
+    chain: list[PlanNode] = [PlanNode("Init", {})]
 
     def flush_filters() -> None:
-        ready = [
-            c
-            for index, (needs, c) in enumerate(conjuncts)
-            if not placed[index] and needs <= bound
-        ]
-        if not ready:
-            return
-        for index, (needs, _c) in enumerate(conjuncts):
+        ready = []
+        for index, (needs, conjunct) in enumerate(conjuncts):
             if not placed[index] and needs <= bound:
                 placed[index] = True
-        detail = " AND ".join(render_expr(c) for c in ready)
-        chain.append(PlanNode("Filter", detail, {"exprs": ready}))
+                ready.append(conjunct)
+        if ready:
+            chain.append(PlanNode("Filter", {"exprs": ready}))
 
-    # join reordering: connected-first, then cheapest anchor
+    # join reordering: connected-first, then the path holding the
+    # cheapest anchor (ties keep query order); the winning anchor's
+    # cost and scan source are reused, so each pattern is costed once
+    # per round
     remaining = list(range(len(query.paths)))
-    order: list[int] = []
     planned_vars: set[str] = set()
     while remaining:
         connected = [
             i for i in remaining
             if planned_vars and _pattern_vars(query.paths[i]) & planned_vars
         ]
-        candidates = connected or remaining
-        best = min(
-            candidates,
-            key=lambda i: (
-                min(
-                    _anchor_cost(
-                        graph,
-                        pattern,
-                        planned_vars,
-                        equalities.get(pattern.variable or "", ()),
-                    )[0]
-                    for pattern in query.paths[i].nodes
-                ),
-                i,
-            ),
-        )
-        order.append(best)
-        remaining.remove(best)
-        planned_vars |= _pattern_vars(query.paths[best])
-
-    for p_index in order:
+        best: tuple | None = None
+        for p_index in connected or remaining:
+            for n_index, pattern in enumerate(query.paths[p_index].nodes):
+                cost, source = _anchor_cost(
+                    graph,
+                    pattern,
+                    bound,
+                    equalities.get(pattern.variable or "", ()),
+                )
+                if best is None or cost < best[0]:
+                    best = (cost, source, p_index, n_index)
+        cost, source, p_index, anchor = best
+        remaining.remove(p_index)
         path = query.paths[p_index]
-        costs = [
-            _anchor_cost(
-                graph,
-                pattern,
-                bound,
-                equalities.get(pattern.variable or "", ()),
-            )
-            for pattern in path.nodes
-        ]
-        anchor = min(range(len(path.nodes)), key=lambda i: (costs[i][0], i))
-        cost, source = costs[anchor]
+        planned_vars |= _pattern_vars(path)
+
         pattern = path.nodes[anchor]
-        variable = names[(p_index, anchor)]
-        kind = {
-            "index": "IndexScan",
-            "label": "LabelScan",
-        }.get(source[0], "AllNodesScan")
         if source[0] == "bound":
-            kind, source = "LabelScan" if pattern.label else "AllNodesScan", (
-                ("label", pattern.label) if pattern.label else ("all",)
-            )
+            # joined from an earlier path: the scan degrades to a check
+            source = ("label", pattern.label) if pattern.label else ("all",)
+        kind = {"index": "IndexScan", "label": "LabelScan"}.get(
+            source[0], "AllNodesScan"
+        )
+        variable = names[(p_index, anchor)]
         chain.append(
             PlanNode(
                 kind,
-                _render_node(pattern),
                 {"pattern": pattern, "variable": variable, "source": source},
                 estimate=cost if cost else None,
             )
         )
         bound.add(variable)
-        if pattern.variable:
-            bound.add(pattern.variable)
         flush_filters()
-
-        def expand_step(src: int, dst: int, rel: ast.RelPattern) -> None:
-            forward = dst > src
-            target = path.nodes[dst]
+        # grow outward from the anchor: rightwards, then leftwards
+        steps = [
+            (index, index + 1, path.rels[index])
+            for index in range(anchor, len(path.nodes) - 1)
+        ] + [
+            (index, index - 1, path.rels[index - 1])
+            for index in range(anchor, 0, -1)
+        ]
+        for src, dst, rel in steps:
             target_var = names[(p_index, dst)]
-            op_kind = "ExpandVar" if rel.is_variable_length else "ExpandEdge"
-            src_name = names[(p_index, src)]
-            detail = (
-                f"({src_name if not src_name.startswith('#') else ''})"
-                f"{_render_rel(rel, forward)}{_render_node(target)}"
-            )
             chain.append(
                 PlanNode(
-                    op_kind,
-                    detail,
+                    "ExpandVar" if rel.is_variable_length else "ExpandEdge",
                     {
-                        "source_var": src_name,
+                        "source_var": names[(p_index, src)],
                         "rel": rel,
-                        "target": target,
+                        "target": path.nodes[dst],
                         "target_var": target_var,
-                        "forward": forward,
+                        "forward": dst > src,
                     },
                 )
             )
             bound.add(target_var)
-            if target.variable:
-                bound.add(target.variable)
             if rel.variable and not rel.is_variable_length:
                 bound.add(rel.variable)
             flush_filters()
 
-        for index in range(anchor, len(path.nodes) - 1):
-            expand_step(index, index + 1, path.rels[index])
-        for index in range(anchor, 0, -1):
-            expand_step(index, index - 1, path.rels[index - 1])
-
     # any conjunct left references unbound variables; evaluating it at
-    # the top surfaces the same "unbound variable" error as eager mode
+    # the top raises "unbound variable" on the first row that reaches it
     residual = [c for index, (_needs, c) in enumerate(conjuncts)
                 if not placed[index]]
     if residual:
-        detail = " AND ".join(render_expr(c) for c in residual)
-        chain.append(PlanNode("Filter", detail, {"exprs": residual}))
+        chain.append(PlanNode("Filter", {"exprs": residual}))
 
     order_exprs = [expr for expr, _asc in query.order_by]
-    has_aggregate = any(
-        _contains_count(item.expr) for item in query.returns
-    )
-    if has_aggregate:
-        group_items = [
-            i for i in query.returns if not _contains_count(i.expr)
-        ]
-        agg_items = [i for i in query.returns if _contains_count(i.expr)]
+    returns = list(query.returns)
+    group_items: list[ast.ReturnItem] = []
+    agg_items: list[ast.ReturnItem] = []
+    for item in returns:
+        (agg_items if _contains_count(item.expr) else group_items).append(item)
+    if agg_items:
         for item in agg_items:
             if not isinstance(
                 item.expr, (ast.Count, ast.Collect, ast.NumAgg)
@@ -517,14 +506,11 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
                 raise CypherRuntimeError(
                     f"unsupported aggregate expression: {item.expr}"
                 )
-        detail = ", ".join(
-            f"{render_expr(i.expr)} AS {i.alias}" for i in query.returns
-        )
         chain.append(
             PlanNode(
                 "Aggregate",
-                detail,
                 {
+                    "returns": returns,
                     "group_items": group_items,
                     "agg_items": agg_items,
                     "order_exprs": order_exprs,
@@ -532,37 +518,20 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
             )
         )
     else:
-        detail = ", ".join(
-            f"{render_expr(i.expr)} AS {i.alias}" for i in query.returns
-        )
         chain.append(
             PlanNode(
-                "Project",
-                detail,
-                {"returns": list(query.returns), "order_exprs": order_exprs},
+                "Project", {"returns": returns, "order_exprs": order_exprs}
             )
         )
 
     if query.order_by:
-        detail = ", ".join(
-            f"{render_expr(expr)} {'ASC' if asc else 'DESC'}"
-            for expr, asc in query.order_by
-        )
-        chain.append(
-            PlanNode(
-                "OrderBy",
-                detail,
-                {"ascending": [asc for _e, asc in query.order_by]},
-            )
-        )
+        chain.append(PlanNode("OrderBy", {"order_by": query.order_by}))
     if query.distinct:
-        chain.append(PlanNode("Distinct", "", {}))
+        chain.append(PlanNode("Distinct", {}))
     if query.skip:
-        chain.append(PlanNode("Skip", str(query.skip), {"count": query.skip}))
+        chain.append(PlanNode("Skip", {"count": query.skip}))
     if query.limit is not None:
-        chain.append(
-            PlanNode("Limit", str(query.limit), {"count": query.limit})
-        )
+        chain.append(PlanNode("Limit", {"count": query.limit}))
 
     # chain is source-first; link into a root-first tree
     root = chain[-1]

@@ -50,9 +50,12 @@ from repro.graphdb.cypher.executor import (
     QueryTask,
     ResultRow,
     _contains_count,
+    _is_plain_match,
     _sort_key,
+    eval_projected,
     reduce_numeric,
 )
+from repro.graphdb.cypher.iterators import ExecutionContext
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.store import Edge, Node
 from repro.sharding.router import ShardRouter
@@ -146,6 +149,10 @@ def _localize_returns(
     return local_items, specs
 
 
+def _execute_local(_index, engine: CypherEngine, local: ast.MatchQuery):
+    return engine.execute(local)
+
+
 class ShardedCypherEngine:
     """The Cypher facade of a sharded deployment.
 
@@ -193,12 +200,19 @@ class ShardedCypherEngine:
     # -- execution -----------------------------------------------------
 
     def run(self, query: str, strict: bool | None = None) -> list[ResultRow]:
+        return self._execute(self._parse(query, strict))
+
+    def _parse(self, query: str, strict: bool | None) -> ast.Query:
+        """The entry preamble: parse, then analyze in strict mode."""
         parsed = parse(query)
         if self.strict if strict is None else strict:
             self._check(parsed, query)
+        return parsed
+
+    def _execute(self, parsed: ast.Query) -> list[ResultRow]:
+        if len(self._engines) == 1:
+            return self._engines[0].execute(parsed)
         if isinstance(parsed, ast.CreateQuery):
-            if len(self._engines) == 1:
-                return self._engines[0].execute(parsed)
             return self._engines[self._create_target(parsed)].execute(parsed)
         if parsed.explain:
             # plan shapes agree across partitions (estimates may not);
@@ -206,8 +220,6 @@ class ShardedCypherEngine:
             return self._engines[0].explain_rows(parsed)
         if parsed.profile:
             return self._profile_parsed(parsed).rows
-        if len(self._engines) == 1:
-            return self._engines[0].execute(parsed)
         return self._scatter_match(parsed)
 
     def profile(
@@ -225,9 +237,7 @@ class ShardedCypherEngine:
         a synthetic ``Gather`` root whose self time is the merge /
         sort / dedup work done here.
         """
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
+        parsed = self._parse(query, strict)
         if not isinstance(parsed, ast.MatchQuery):
             raise CypherRuntimeError("PROFILE applies to MATCH queries only")
         return self._profile_parsed(parsed, step_cost=step_cost)
@@ -281,20 +291,10 @@ class ShardedCypherEngine:
         """
         if page_size < 1:
             raise CypherRuntimeError("page_size must be >= 1")
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
-            self._check(parsed, query)
-        if isinstance(parsed, ast.CreateQuery):
-            if len(self._engines) == 1:
-                self._engines[0].execute(parsed)
-            else:
-                self._engines[self._create_target(parsed)].execute(parsed)
-            return CypherPage(rows=[])
-        if parsed.explain:
-            return CypherPage(rows=self._engines[0].explain_rows(parsed))
-        if parsed.profile:
-            # like EXPLAIN: one full response, no continuation
-            return CypherPage(rows=self._profile_parsed(parsed).rows)
+        parsed = self._parse(query, strict)
+        if not _is_plain_match(parsed):
+            # CREATE / EXPLAIN / PROFILE: one full response, no continuation
+            return CypherPage(rows=self._execute(parsed))
         if len(self._engines) == 1:
             return self._engines[0].run_paginated(
                 query, page_size, continuation=continuation, strict=False
@@ -328,8 +328,6 @@ class ShardedCypherEngine:
     def _paginate_streaming(
         self, parsed: ast.MatchQuery, page_size: int, continuation: dict | None
     ) -> CypherPage:
-        from repro.graphdb.cypher.iterators import ExecutionContext
-
         state = continuation or {
             "mode": "scan", "part": 0, "cont": None, "skipped": 0, "emitted": 0,
         }
@@ -394,18 +392,15 @@ class ShardedCypherEngine:
         return 0
 
     def _scatter_match(
-        self, query: ast.MatchQuery, execute=None
+        self, query: ast.MatchQuery, execute=_execute_local
     ) -> list[ResultRow]:
         """Scatter ``query`` and gather with canonical ordering.
 
         ``execute(index, engine, local)`` runs the localized query on
-        one partition; the default is plain eager execution, and the
-        PROFILE path injects an instrumented executor that also
-        collects per-partition operator counters.
+        one partition and returns its rows; the PROFILE path injects an
+        instrumented executor that also collects per-partition operator
+        counters.
         """
-        if execute is None:
-            def execute(_index, engine, local):
-                return engine.execute(local)
         has_aggregate = any(_contains_count(item.expr) for item in query.returns)
         local_limit = None
         if (
@@ -450,13 +445,11 @@ class ShardedCypherEngine:
 
         for expr, ascending in reversed(query.order_by):
             # gather-side ordering resolves against projected values
-            # only (per-partition bindings are gone); _eval_projected
+            # only (per-partition bindings are gone); eval_projected
             # raises the canonical "must reference returned values"
             # error otherwise
             rows.sort(
-                key=lambda row: _sort_key(
-                    self._engines[0]._eval_projected(expr, row)
-                ),
+                key=lambda row: _sort_key(eval_projected(expr, row)),
                 reverse=not ascending,
             )
         if query.distinct:

@@ -3,20 +3,24 @@
 The core contract under test: a physical plan run slice-by-slice --
 suspended at arbitrary safe points and resumed from its JSON-safe
 continuation -- produces byte-identical rows to the same plan run in
-one uninterrupted pull, which in turn matches the eager tree-walking
-evaluator.
+one uninterrupted pull, which in turn is a correct answer according to
+the brute-force evaluator in ``cypher_oracle`` (an eager nested-loop
+reference that shares nothing with the planner or the operators).
 """
 
 import json
 
+import cypher_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SecurityKG, SystemConfig
 from repro.graphdb import CypherEngine, CypherRuntimeError, PropertyGraph
 from repro.graphdb.cypher.iterators import ExecutionContext
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.cypher.planner import build_plan
+from repro.ui import ExplorerAPI
 
 
 def build_graph() -> PropertyGraph:
@@ -94,13 +98,16 @@ def values(rows):
 
 
 def fingerprint(rows, query):
-    """Canonical result fingerprint for eager-vs-preemptable parity.
+    """Canonical result fingerprint for sliced-vs-unsliced parity.
 
-    With ORDER BY the row sequence is fully determined by the query, so
-    the fingerprint is the exact list.  Without it Cypher leaves row
-    order unspecified and the cost-based planner may legitimately
-    enumerate a join in a different (but set-equal) order than the
-    eager evaluator, so the fingerprint is order-insensitive.
+    Without ORDER BY Cypher leaves row order unspecified, so the
+    fingerprint is order-insensitive.  With it the fingerprint is the
+    exact list -- which is stricter than the language: ORDER BY fixes
+    the sequence only up to rows that tie on every sort key, and among
+    those the order is whatever the plan produced (stable sort).  That
+    is fine here because both sides run the same plan; against an
+    independent reference use ``cypher_oracle.check``, which compares
+    sort keys.
     """
     printable = [repr(sorted(row.values.items())) for row in rows]
     if "ORDER BY" in query.upper():
@@ -140,10 +147,12 @@ class TestSliceParity:
         assert values(sliced) == values(unsliced)
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_preemptable_matches_eager(self, engine, query):
-        eager = engine.run(query)
-        preemptable = engine.task(query).run_to_completion()
-        assert fingerprint(preemptable, query) == fingerprint(eager, query)
+    def test_preemptable_matches_eager(self, engine, graph, query):
+        """Both entry points answer like the eager brute-force oracle."""
+        cypher_oracle.check(engine.run(query), graph, query)
+        cypher_oracle.check(
+            engine.task(query).run_to_completion(), graph, query
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -161,12 +170,11 @@ class TestSliceParity:
             engine.run(query), query
         )
 
-    def test_pagination_matches_eager_at_many_page_sizes(self, engine):
+    def test_pagination_matches_eager_at_many_page_sizes(self, engine, graph):
         query = (
             "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
             "RETURN m.name, a.name ORDER BY m.name"
         )
-        eager = values(engine.run(query))
         for page_size in (1, 2, 3, 7, 100):
             rows = []
             continuation = None
@@ -174,13 +182,13 @@ class TestSliceParity:
                 page = engine.run_paginated(
                     query, page_size, continuation=continuation
                 )
-                rows.extend(values(page.rows))
+                rows.extend(page.rows)
                 continuation = page.continuation
                 if continuation is None:
                     break
                 # the wire format is JSON: round-trip every hop
                 continuation = json.loads(json.dumps(continuation))
-            assert rows == eager, f"page_size={page_size}"
+            cypher_oracle.check(rows, graph, query)
 
     def test_continuation_is_json_safe(self, engine):
         task = engine.task(
@@ -202,6 +210,65 @@ class TestSliceParity:
         other = engine.task("MATCH (a:ThreatActor) RETURN a.name")
         with pytest.raises(CypherRuntimeError, match="does not match"):
             other.load(continuation)
+
+
+def add_tied_comentions(graph: PropertyGraph) -> None:
+    """15 reports, each mentioning one of 5 malware and one of 3 actors:
+    every (malware, actor) pair is co-mentioned exactly once, so an
+    ``ORDER BY n DESC LIMIT k`` over the pairs is decided by tie-break
+    alone -- and there are fewer actors than malware, so the planner
+    anchors on the side the query does not write first."""
+    actors = [
+        graph.create_node("ThreatActor", {"name": f"actor-{i}"})
+        for i in range(3)
+    ]
+    malware = [
+        graph.create_node("Malware", {"name": f"mal-{i}"}) for i in range(5)
+    ]
+    for i in range(15):
+        report = graph.create_node("MalwareReport", {"name": f"report-{i:02d}"})
+        graph.create_edge(report.node_id, "MENTIONS", malware[i % 5].node_id)
+        graph.create_edge(report.node_id, "MENTIONS", actors[i % 3].node_id)
+
+
+class TestOneExecutor:
+    """Every entry point drains the same plan: with all counts tied the
+    top-k is pure tie-break, so any second MATCH path with its own
+    enumeration order shows up as different rows."""
+
+    QUERY = (
+        "MATCH (r)-[:MENTIONS]->(a:Malware), (r)-[:MENTIONS]->(b:ThreatActor) "
+        "RETURN a.name, b.name, count(r) AS n ORDER BY n DESC LIMIT 4"
+    )
+
+    def test_run_equals_task_as_ordered_list_on_ties(self):
+        graph = PropertyGraph()
+        add_tied_comentions(graph)
+        engine = CypherEngine(graph)
+        ran = engine.run(self.QUERY)
+        assert values(ran) == values(
+            engine.task(self.QUERY).run_to_completion()
+        )
+        cypher_oracle.check(ran, graph, self.QUERY)
+
+    def test_api_rows_independent_of_page_size(self):
+        kg = SecurityKG(SystemConfig(scenario_count=2, reports_per_site=1))
+        add_tied_comentions(kg.graph)
+        api = ExplorerAPI(kg)
+        status, whole = api.handle("POST", "/api/cypher", {"query": self.QUERY})
+        assert status == 200 and len(whole["rows"]) == 4
+        rows, cursor = [], None
+        while True:
+            body = {"query": self.QUERY, "page_size": 3}
+            if cursor is not None:
+                body["cursor"] = cursor
+            status, page = api.handle("POST", "/api/cypher", body)
+            assert status == 200
+            rows.extend(page["rows"])
+            cursor = page["cursor"]
+            if cursor is None:
+                break
+        assert rows == whole["rows"]
 
 
 class TestPlanner:
@@ -301,7 +368,6 @@ class TestPlanner:
         query = "MATCH (m:Malware) RETURN count(m) > 5 AS big"
         with pytest.raises(CypherRuntimeError, match="aggregate"):
             engine.task(query, strict=False)
-        # same error surface as the eager evaluator
         with pytest.raises(CypherRuntimeError, match="aggregate"):
             engine.run(query, strict=False)
 
