@@ -51,7 +51,7 @@ from repro.obs.profile import (
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention
 from repro.runtime import clock_from_name
-from repro.sharding import ShardSet, ShardedCypherEngine
+from repro.sharding import ShardSet
 
 BASELINE_PATH = Path(__file__).parent / "results" / "perf_baseline.json"
 #: Stages whose self-time shares the baseline pins.
@@ -155,7 +155,7 @@ def profiled_engine(partitions: int):
     clock = clock_from_name("virtual")
     shards = ShardSet(partitions, obs=make_obs(clock), clock=clock)
     shards.store(_records(24))
-    return shards, ShardedCypherEngine([p.cypher for p in shards.partitions])
+    return shards, shards.cypher
 
 
 def test_bench_profiling(benchmark):

@@ -16,10 +16,10 @@ that gate.  It builds, from the ASTs of every analysed file:
    ``BaseHTTPRequestHandler`` subclass, and -- generalising both --
    every bare function/method reference passed as a call argument
    (``Stage(fn=...)``, ``JobSpec(run=...)``, ``on_finish`` hooks).
+   Reading a ``@property`` is a call of its getter.
 3. Lock identity from :func:`repro.runtime.named_lock` string
    literals, with alias sets for locks shared across components
-   (``CrawlState._lock = engine.lock`` holds both ``crawl.state`` and
-   ``storage.engine``).
+   (``CrawlState._lock = engine.lock`` *is* ``storage.engine``).
 4. Must/may entry lock sets per function (intersection/union over
    call sites, fixpoint), a transitive ``acquires`` set, and from
    these the four rules:
@@ -287,7 +287,7 @@ def _lock_in_field_default(node: ast.expr) -> LockRef | None:
     return None
 
 
-def _is_contextmanager(node: ast.AST) -> bool:
+def _is_decorated(node: ast.AST, names: tuple[str, ...]) -> bool:
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return False
     for dec in node.decorator_list:
@@ -295,9 +295,13 @@ def _is_contextmanager(node: ast.AST) -> bool:
             dec.id if isinstance(dec, ast.Name)
             else dec.attr if isinstance(dec, ast.Attribute) else None
         )
-        if name in ("contextmanager", "asynccontextmanager"):
+        if name in names:
             return True
     return False
+
+
+def _is_contextmanager(node: ast.AST) -> bool:
+    return _is_decorated(node, ("contextmanager", "asynccontextmanager"))
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -1181,6 +1185,15 @@ class _Analyzer:
                 self._record_yield(fn, held)
             if isinstance(sub, ast.Call):
                 self._scan_call(sub, fn, params, held)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                # reading a property runs its getter (and takes its locks)
+                for target in self._resolve_func_ref(sub, fn, params):
+                    if _is_decorated(self.functions[target].node, ("property",)):
+                        self.calls.append(
+                            _CallRec(
+                                fn.key, target, self._flatten(held), sub.lineno
+                            )
+                        )
             stack.extend(ast.iter_child_nodes(sub))
 
     def _record_yield(

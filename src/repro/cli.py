@@ -27,11 +27,14 @@ Drives the whole system from a shell::
     python -m repro config
     python -m repro lint
 
-``--state DIR`` opens one unified :class:`~repro.storage.StorageEngine`
-under DIR: the graph, the search index and the incremental-crawl state
-share a single journal, every stored report is one atomic cross-store
-commit, and a run killed mid-batch resumes exactly where it stopped
-(already-committed reports are skipped, the rest re-ingest).
+``--state DIR`` opens the deployment's storage partitions under DIR
+(``--partitions N``, default 1): within a partition the graph, the
+search index and the incremental-crawl state share a single journal,
+every stored report is one atomic cross-store commit, and a run killed
+mid-batch resumes exactly where it stopped (already-committed reports
+are skipped, the rest re-ingest).  DIR must be reopened with the
+partition count it was written with; a mismatch exits 2 with the count
+found on disk.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from pathlib import Path
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
 from repro.storage.atomic import atomic_write_text
+from repro.storage.engine import StorageError
 from repro.storage.faults import CRASH_POINTS, CrashInjector, InjectedCrash
 
 #: exit code of a ``run`` killed by an injected crash (recovery tests)
@@ -508,9 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--partitions",
             type=int,
             default=1,
-            help="storage shard count: 1 (default) is the classic "
-            "single-engine deployment; N > 1 hash-partitions the "
-            "stores across N engines with scatter-gather queries",
+            help="storage partition count (default 1); N > 1 "
+            "hash-partitions the stores across N engines with "
+            "scatter-gather queries.  A --state directory reopens "
+            "only with the count it was written with",
         )
 
     def obs_flags(p: argparse.ArgumentParser) -> None:
@@ -601,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--by-partition",
         dest="by_partition",
         action="store_true",
-        help="with --from-trace: per-partition drill-down of a "
-        "sharded run (span counts, durations, stored/skipped)",
+        help="with --from-trace: per-partition drill-down of the "
+        "run (span counts, durations, stored/skipped)",
     )
     p.add_argument(
         "--json",
@@ -744,7 +749,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return lint_main(argv[1:], out)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, out)
+    try:
+        return args.func(args, out)
+    except StorageError as error:
+        print(f"storage error: {error}", file=out)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,17 +6,17 @@ report's title, body, source and extracted entity names, so a query
 like "wannacry" surfaces the relevant reports and, through their
 entity fields, the graph nodes to focus.
 
-Attached to a :class:`~repro.storage.StorageEngine`, every document it
-indexes becomes an incremental ``add`` journal op in the engine's
-shared commit -- replacing the old save-the-whole-index-at-exit
-persistence with per-batch durability.
+Every document it indexes is an incremental ``add`` journal op in its
+:class:`~repro.storage.StorageEngine`'s shared commit, so the index is
+durable per batch.  ``SearchConnector()`` without an engine owns a
+private in-memory one.
 """
 
 from __future__ import annotations
 
 from repro.connectors.base import Connector, IngestStats, registry
 from repro.ontology.intermediate import CTIRecord
-from repro.search.index import SearchIndex, SearchIndexParticipant
+from repro.search.index import SearchIndexParticipant
 from repro.storage.engine import StorageEngine
 
 _DEFAULT_BOOSTS = {"title": 3.0, "entities": 2.0, "body": 1.0}
@@ -28,21 +28,13 @@ class SearchConnector(Connector):
 
     name = "search"
 
-    def __init__(
-        self,
-        index: SearchIndex | None = None,
-        engine: StorageEngine | None = None,
-    ):
+    def __init__(self, engine: StorageEngine | None = None):
         super().__init__()
+        if engine is None:
+            engine = StorageEngine(None, [SearchIndexParticipant()])
         self.engine = engine
-        if engine is not None:
-            if index is not None:
-                raise ValueError("pass either index or engine, not both")
-            participant = engine.participant(SearchIndexParticipant.name)
-            self.index = participant.index
-            self.index.field_boosts = dict(_DEFAULT_BOOSTS)
-        else:
-            self.index = index or SearchIndex(field_boosts=_DEFAULT_BOOSTS)
+        self.index = engine.participant(SearchIndexParticipant.name).index
+        self.index.field_boosts = dict(_DEFAULT_BOOSTS)
 
     def ingest(self, records: list[CTIRecord]) -> IngestStats:
         stats = IngestStats(records=len(records))
@@ -62,12 +54,9 @@ class SearchConnector(Connector):
                 "url": record.url,
                 "category": record.report_category,
             }
-            if self.engine is not None:
-                ops.append(
-                    {"op": "add", "doc_id": record.report_id, "fields": fields}
-                )
-            else:
-                self.index.add(record.report_id, fields)
+            ops.append(
+                {"op": "add", "doc_id": record.report_id, "fields": fields}
+            )
             stats.entities_created += 1
         if ops:
             self.engine.log(SearchIndexParticipant.name, ops)

@@ -7,24 +7,22 @@ ontology into three sqlite tables -- ``entities``, ``relations``,
 the graph connector, so the two backends stay row/node-comparable
 (benchmark E14).
 
-Attached to a :class:`~repro.storage.StorageEngine`, the database lives
-in memory and durability comes from the engine's journal: each record's
-ingest is one journal op replayed on recovery, with snapshots carrying
-a full SQL dump.  Standalone, sqlite's own file commits apply as before.
+The database lives in memory as a participant of a
+:class:`~repro.storage.StorageEngine` and durability comes from the
+engine's journal: each record's ingest is one journal op replayed on
+recovery, with snapshots carrying a full SQL dump.  ``SQLConnector()``
+without an engine owns a private in-memory one.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-import threading
-from pathlib import Path
 
 from repro.connectors.base import Connector, IngestStats, registry
 from repro.ontology.entities import Entity, canonical_name, merge_key_for
 from repro.ontology.intermediate import CTIRecord
 from repro.ontology.refactor import refactor_record
-from repro.runtime import named_lock
 from repro.storage.engine import StorageEngine
 
 _SCHEMA = """
@@ -100,7 +98,7 @@ def _merge_entity(
 def _ingest_record(
     cursor: sqlite3.Cursor, record: CTIRecord, stats: IngestStats
 ) -> None:
-    """Merge one record into the three tables (shared with the participant)."""
+    """Merge one record into the three tables."""
     cursor.execute(
         "INSERT OR IGNORE INTO reports "
         "(report_id, source, url, title, category, published) "
@@ -191,42 +189,21 @@ class SQLConnector(Connector):
 
     name = "sql"
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        engine: StorageEngine | None = None,
-    ):
+    def __init__(self, engine: StorageEngine | None = None):
         super().__init__()
+        if engine is None:
+            engine = StorageEngine(None, [SQLParticipant()])
         self.engine = engine
-        if engine is not None:
-            if path is not None:
-                raise ValueError("pass either path or engine, not both")
-            self._participant = engine.participant(SQLParticipant.name)
-            self._lock = engine.lock
-        else:
-            self._participant = None
-            db_path = str(path) if path is not None else ":memory:"
-            self._conn = sqlite3.connect(db_path, check_same_thread=False)
-            self._conn.executescript(_SCHEMA)
-            self._lock = named_lock("connectors.sql")
+        self._participant = engine.participant(SQLParticipant.name)
+        self._lock = engine.lock
 
     @property
     def connection(self) -> sqlite3.Connection:
-        if self._participant is not None:
-            return self._participant.connection
-        return self._conn
+        return self._participant.connection
 
     def ingest(self, records: list[CTIRecord]) -> IngestStats:
-        if self.engine is not None:
-            ops = [{"op": "ingest", "record": r.to_dict()} for r in records]
-            stats = self.engine.log(SQLParticipant.name, ops)
-        else:
-            stats = IngestStats(records=len(records))
-            with self._lock:
-                cursor = self._conn.cursor()
-                for record in records:
-                    _ingest_record(cursor, record, stats)
-                self._conn.commit()
+        ops = [{"op": "ingest", "record": r.to_dict()} for r in records]
+        stats = self.engine.log(SQLParticipant.name, ops)
         self.total += stats
         return stats
 
@@ -258,10 +235,6 @@ class SQLConnector(Connector):
                 (label, canonical_name(name)),
             ).fetchone()
         return (int(row[0]), str(row[1])) if row else None
-
-    def close(self) -> None:
-        if self._participant is None:
-            self._conn.close()
 
 
 __all__ = ["SQLConnector", "SQLParticipant"]

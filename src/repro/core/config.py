@@ -48,25 +48,19 @@ class SystemConfig:
     crf_training_scenarios / crf_max_iterations:
         Training budget when ``recognizer == "crf"``.
     storage_path:
-        Directory for the unified storage engine (``None`` = in-memory).
-        When set, the graph, search index, crawl state and SQL mirror
-        all persist under one crash-consistent journal and
-        ``graph_path`` / ``crawl_state_path`` are ignored.
+        Directory for the storage engines (``None`` = in-memory).  The
+        graph, search index, crawl state and SQL mirror of a partition
+        all persist under that partition's one crash-consistent journal.
     partitions:
-        Number of storage shards.  ``1`` (the default) is the classic
-        single-engine deployment, byte-identical to every release
-        before sharding existed.  With N > 1 the system hash-partitions
-        entities across N independent engines (each with its own
-        journal and checkpoint cycle under
-        ``storage_path/partition-<i>``, or in memory when
-        ``storage_path`` is ``None``), stores with one worker per
-        partition, and serves fusion/Cypher/search as scatter-gather.
-    graph_path:
-        Directory for standalone graph persistence (``None`` = in-memory;
-        superseded by ``storage_path``).
-    crawl_state_path:
-        JSON file for standalone incremental-crawl state (``None`` =
-        in-memory; superseded by ``storage_path``).
+        Number of storage partitions.  The deployment is always a
+        ``ShardSet`` of N >= 1 independent engines, each with its own
+        journal and checkpoint cycle, one store worker per partition
+        and fusion/Cypher/search served over all of them.  ``1`` (the
+        default) is a ``ShardSet`` of one whose engine files sit
+        directly under ``storage_path`` -- the same bytes on disk as
+        every earlier single-engine release; N > 1 hash-partitions
+        entities across ``storage_path/partition-<i>``.  A directory
+        written with one count cannot be opened with another.
     checker_min_chars:
         Minimum rendered-text length accepted by the checker.
     clock:
@@ -111,8 +105,6 @@ class SystemConfig:
     crf_max_iterations: int = 60
     storage_path: str | None = None
     partitions: int = 1
-    graph_path: str | None = None
-    crawl_state_path: str | None = None
     checker_min_chars: int = 120
     max_articles: int | None = None
     clock: str = "real"

@@ -21,10 +21,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.connectors.base import Connector, IngestStats
-from repro.connectors.graph import GraphConnector
-from repro.connectors.searchconn import SearchConnector
-from repro.connectors.sql import SQLConnector, SQLParticipant
+from repro.connectors.base import IngestStats
 from repro.core.checker import Checker, make_min_text_check, default_checks
 from repro.core.config import SystemConfig
 from repro.core.extractor import Extractor
@@ -34,19 +31,16 @@ from repro.core.porter import Porter
 from repro.crawlers.engine import CrawlEngine, CrawlResult
 from repro.crawlers.fetcher import Fetcher
 from repro.crawlers.sources import build_all_crawlers
-from repro.crawlers.state import CrawlParticipant, CrawlState
 from repro.feeds import FeedPublisher
 from repro.fusion.fuse import FusionReport, KnowledgeFusion
-from repro.graphdb.cypher.executor import CypherEngine, ResultRow
-from repro.graphdb.wal import GraphDatabase, GraphParticipant
+from repro.graphdb.cypher.executor import ResultRow
 from repro.nlp.baselines import GazetteerRecognizer, RegexRecognizer
 from repro.obs import NO_OBS, Obs, make_obs
 from repro.obs.health import HealthEngine
 from repro.ontology.intermediate import CTIRecord, ReportRecord
 from repro.runtime import Clock, clock_from_name
-from repro.search.index import SearchHit, SearchIndexParticipant
-from repro.sharding import ShardSet, ShardedCrawlState, ShardedCypherEngine
-from repro.storage.engine import StorageEngine
+from repro.search.index import SearchHit
+from repro.sharding import ShardSet, ShardedCrawlState
 from repro.websim.network import SimulatedTransport
 from repro.websim.scenario import generate_report_content, make_scenarios
 from repro.websim.sites import Web, build_default_web
@@ -167,42 +161,24 @@ class SecurityKG:
             time_scale=self.config.time_scale,
             clock=self.clock,
         )
-        self.shards: ShardSet | None = None
-        if self.config.partitions > 1:
-            # Sharded mode: N independent engines (each a complete
-            # unified-mode vertical slice), one store worker per
-            # partition, scatter-gather for every read path.
-            self.shards = ShardSet(
-                self.config.partitions,
-                root=self.config.storage_path,
-                connectors=self.config.connectors,
-                faults=faults,
-                obs=self.obs,
-                clock=self.clock,
-            )
-            self.engine = None
-            self.state = ShardedCrawlState(self.shards)
-        elif self.config.storage_path is not None:
-            # Unified mode: one engine, one journal, one atomic commit
-            # across the graph, search index, crawl state and SQL mirror.
-            participants = [
-                GraphParticipant(),
-                SearchIndexParticipant(),
-                CrawlParticipant(),
-            ]
-            if "sql" in (self.config.connectors or []):
-                participants.append(SQLParticipant())
-            self.engine = StorageEngine(
-                self.config.storage_path, participants, faults=faults,
-                obs=self.obs,
-            )
-            self.state = CrawlState(engine=self.engine)
-        else:
-            # Standalone mode: stores persist (or not) independently;
-            # an in-memory engine still tracks ingest markers so
-            # re-processed reports are never double-counted in-session.
-            self.engine = StorageEngine(None, [], faults=faults, obs=self.obs)
-            self.state = CrawlState(self.config.crawl_state_path)
+        # The one deployment shape: N >= 1 partitions, each a complete
+        # storage engine (in memory without a storage_path), one store
+        # worker per partition, scatter-gather for every read path.
+        self.shards = ShardSet(
+            self.config.partitions,
+            root=self.config.storage_path,
+            connectors=self.config.connectors,
+            faults=faults,
+            obs=self.obs,
+            clock=self.clock,
+        )
+        self.state = ShardedCrawlState(self.shards)
+        # Partition 0's own objects -- with one partition, the whole
+        # deployment.  Fault injection and feed snapshots live there.
+        first = self.shards.partitions[0]
+        self.engine = first.engine
+        self.database = first.database
+        self.connectors = first.connectors
         self.porter = Porter()
         checks = default_checks()
         checks[1] = make_min_text_check(self.config.checker_min_chars)
@@ -213,35 +189,13 @@ class SecurityKG:
             min_confidence=self.config.recognizer_min_confidence,
             obs=self.obs,
         )
-
-        self.connectors: dict[str, Connector] = {}
-        if self.shards is not None:
-            # each partition owns its connectors; the facade scatters
-            self.database = None
-        else:
-            if self.config.storage_path is not None:
-                self.database = GraphDatabase(engine=self.engine)
-            else:
-                self.database = GraphDatabase(self.config.graph_path)
-            for name in self.config.connectors:
-                connector = self._build_connector(name)
-                connector.obs = self.obs
-                self.connectors[name] = connector
         self.fusion = KnowledgeFusion()
-        if self.shards is not None:
-            self._cypher = ShardedCypherEngine(
-                [partition.cypher for partition in self.shards.partitions]
-            )
-        else:
-            self._cypher = CypherEngine(
-                self.database.graph, obs=self.obs, clock=self.clock
-            )
         # Dissemination: one TLP-tiered feed publisher over the whole
         # graph.  Its change stamp rides the journal seq numbers; its
-        # snapshots ride the checkpoint cycle (partition 0's engine in
-        # sharded mode -- ShardSet.checkpoint visits it first, so a
-        # crash there leaves the remaining partitions untouched,
-        # matching the E21 isolation story).
+        # snapshots ride partition 0's checkpoint cycle
+        # (ShardSet.checkpoint visits it first, so a crash there leaves
+        # the remaining partitions untouched, matching the E21
+        # isolation story).
         feed_path = (
             None
             if self.config.storage_path is None
@@ -249,31 +203,16 @@ class SecurityKG:
         )
         self.feeds = FeedPublisher(
             graph_source=lambda: self.graph,
-            stamp_source=self._feed_stamp,
+            stamp_source=self.shards.feed_stamp,
             keys=self.config.feed_keys,
             path=feed_path,
             history=self.config.feed_history,
             obs=self.obs,
         )
-        snapshot_host = (
-            self.engine if self.shards is None else self.shards.partitions[0].engine
-        )
-        snapshot_host.add_checkpoint_step(self.feeds.snapshot)
+        self.engine.add_checkpoint_step(self.feeds.snapshot)
         self._last_skipped = 0
 
     # -- wiring ----------------------------------------------------------
-
-    def _build_connector(self, name: str) -> Connector:
-        unified = self.config.storage_path is not None
-        if name == "graph":
-            return GraphConnector(self.database)
-        if name == "sql":
-            return SQLConnector(engine=self.engine if unified else None)
-        if name == "search":
-            return SearchConnector(engine=self.engine if unified else None)
-        from repro.connectors.base import registry
-
-        return registry.create(name)
 
     def _build_recognizer(self):
         choice = self.config.recognizer
@@ -305,18 +244,6 @@ class SecurityKG:
             )
         raise ValueError(f"unknown recognizer {self.config.recognizer!r}")
 
-    def _feed_stamp(self) -> tuple[tuple[int, int, int], ...]:
-        """Per-partition ``(last_seq, node_count, edge_count)`` -- the
-        feed publisher's cheap staleness check (fusion, which mutates
-        the graph without journaling, bumps a separate epoch via
-        :meth:`FeedPublisher.invalidate`)."""
-        if self.shards is not None:
-            return self.shards.feed_stamp()
-        graph = self.database.graph
-        return (
-            (self.engine.last_seq, graph.node_count, graph.edge_count),
-        )
-
     @classmethod
     def from_default_config(cls) -> "SecurityKG":
         return cls(SystemConfig())
@@ -329,12 +256,9 @@ class SecurityKG:
 
     @property
     def graph(self):
-        """The knowledge graph -- in sharded mode a detached union copy
-        of every partition (read-only snapshot; see
-        :meth:`ShardSet.merged_graph`)."""
-        if self.shards is not None:
-            return self.shards.merged_graph()
-        return self.database.graph
+        """The knowledge graph -- live with one partition, a detached
+        read-only union copy of several (see :attr:`ShardSet.graph`)."""
+        return self.shards.graph
 
     def crawl(self, max_articles: int | None = None) -> CrawlResult:
         """Collection stage: run the crawler framework once."""
@@ -400,34 +324,14 @@ class SecurityKG:
         Leftover staged crawl state (rejected reports' URLs, crawl
         timestamps) is flushed at the end of the batch.
 
-        In sharded mode the batch fans out to one worker per partition,
-        each committing to its own engine with the same per-report
-        atomicity and ingest markers (see :meth:`ShardSet.store`).
+        The batch fans out to one worker per partition, each committing
+        to its own engine (see :meth:`ShardSet.store`).
         """
-        if self.shards is not None:
-            with self.obs.tracer.span("store", records=len(records)) as span:
-                outcome = self.shards.store(records, parent_span=span)
-            self.obs.metrics.inc("storage.reports_skipped", outcome.skipped)
-            self._last_skipped = outcome.skipped
-            return outcome.ingest
-        totals = {
-            name: IngestStats() for name in self.connectors
-        }
-        skipped = 0
-        with self.obs.tracer.span("store", records=len(records)):
-            for record in records:
-                if self.engine.is_ingested(record.report_id):
-                    skipped += 1
-                    continue
-                with self.engine.transaction() as tx:
-                    for name, connector in self.connectors.items():
-                        totals[name] += connector.ingest_one(record)
-                    tx.adopt_staged(CrawlParticipant.name, [record.url])
-                    tx.mark_ingested(record.report_id)
-            self.engine.flush()
-        self.obs.metrics.inc("storage.reports_skipped", skipped)
-        self._last_skipped = skipped
-        return totals
+        with self.obs.tracer.span("store", records=len(records)) as span:
+            outcome = self.shards.store(records, parent_span=span)
+        self.obs.metrics.inc("storage.reports_skipped", outcome.skipped)
+        self._last_skipped = outcome.skipped
+        return outcome.ingest
 
     def run_once(self, max_articles: int | None = None) -> SystemReport:
         """One full collect -> process -> store cycle."""
@@ -471,10 +375,7 @@ class SecurityKG:
     def run_fusion(self) -> FusionReport:
         """Off-pipeline knowledge fusion over the stored graph."""
         with self.obs.tracer.span("fuse") as span:
-            if self.shards is not None:
-                report = self.shards.fuse(self.fusion)
-            else:
-                report = self.fusion.run(self.database.graph)
+            report = self.shards.fuse(self.fusion)
             span.set("groups_merged", report.groups_merged)
         self.obs.metrics.inc("fusion.groups_merged", report.groups_merged)
         self.obs.metrics.inc("fusion.aliases_resolved", report.aliases_resolved)
@@ -487,30 +388,17 @@ class SecurityKG:
         metrics = self.obs.metrics
         if not metrics.enabled:
             return
-        if self.shards is not None:
-            stats = self.shards.stats()
-            metrics.set_gauge("graph.nodes", stats["nodes"])
-            metrics.set_gauge("graph.edges", stats["edges"])
-            for label, count in stats["labels"].items():
-                metrics.set_gauge("graph.nodes_by_label", count, label=label)
-            for edge_type, count in stats["edge_types"].items():
-                metrics.set_gauge("graph.edges_by_type", count, type=edge_type)
-            for entry in stats["partitions"]:
-                partition = str(entry["partition"])
-                metrics.set_gauge(
-                    "graph.nodes", entry["nodes"], partition=partition
-                )
-                metrics.set_gauge(
-                    "graph.edges", entry["edges"], partition=partition
-                )
-            return
-        graph = self.graph
-        metrics.set_gauge("graph.nodes", graph.node_count)
-        metrics.set_gauge("graph.edges", graph.edge_count)
-        for label, count in graph.label_counts().items():
+        stats = self.shards.stats()
+        metrics.set_gauge("graph.nodes", stats["nodes"])
+        metrics.set_gauge("graph.edges", stats["edges"])
+        for label, count in stats["labels"].items():
             metrics.set_gauge("graph.nodes_by_label", count, label=label)
-        for edge_type, count in graph.edge_type_counts().items():
+        for edge_type, count in stats["edge_types"].items():
             metrics.set_gauge("graph.edges_by_type", count, type=edge_type)
+        for entry in stats["partitions"]:
+            partition = str(entry["partition"])
+            metrics.set_gauge("graph.nodes", entry["nodes"], partition=partition)
+            metrics.set_gauge("graph.edges", entry["edges"], partition=partition)
 
     # -- applications -----------------------------------------------------------
 
@@ -520,7 +408,7 @@ class SecurityKG:
         Queries are semantically analyzed before execution by default;
         ``strict=False`` skips the analysis for exploratory queries.
         """
-        return self._cypher.run(query, strict=strict)
+        return self.shards.cypher.run(query, strict=strict)
 
     def cypher_paginated(
         self,
@@ -535,9 +423,8 @@ class SecurityKG:
         is full and the returned
         :class:`~repro.graphdb.cypher.executor.CypherPage` carries a
         JSON-safe continuation resuming exactly after the last row.
-        Works against both single-graph and sharded deployments.
         """
-        return self._cypher.run_paginated(
+        return self.shards.cypher.run_paginated(
             query, page_size, continuation=continuation, strict=strict
         )
 
@@ -553,20 +440,14 @@ class SecurityKG:
         whose rows are identical to :meth:`cypher` output and whose
         operator counters (rows, ``next()`` calls, cumulative/self
         seconds on the injected clock) annotate the physical plan --
-        including per-partition sub-profiles in sharded deployments.
+        including per-partition sub-profiles when several partitions
+        answer.
         """
-        return self._cypher.profile(query, strict=strict, step_cost=step_cost)
+        return self.shards.cypher.profile(query, strict=strict, step_cost=step_cost)
 
     def keyword_search(self, query: str, limit: int = 10) -> list[SearchHit]:
         """Keyword search over collected reports (the Elasticsearch path)."""
-        if self.shards is not None:
-            if "search" not in self.config.connectors:
-                raise RuntimeError("the 'search' connector is not configured")
-            return self.shards.search(query, limit=limit)
-        search = self.connectors.get("search")
-        if not isinstance(search, SearchConnector):
-            raise RuntimeError("the 'search' connector is not configured")
-        return search.index.search(query, limit=limit)
+        return self.shards.search(query, limit=limit)
 
     def health_report(self) -> dict:
         """The health engine's current canonical report.
@@ -580,34 +461,19 @@ class SecurityKG:
         return self.health.report()
 
     def stats(self) -> dict[str, object]:
-        """Knowledge-graph size summary (sharded mode adds a
-        ``"partitions"`` per-shard breakdown)."""
-        if self.shards is not None:
-            return self.shards.stats()
-        return {
-            "nodes": self.graph.node_count,
-            "edges": self.graph.edge_count,
-            "labels": self.graph.label_counts(),
-            "edge_types": self.graph.edge_type_counts(),
-        }
+        """Knowledge-graph size summary with a per-partition
+        ``"partitions"`` breakdown."""
+        return self.shards.stats()
 
     # -- lifecycle --------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Compact the storage journal(s) (every partition when sharded)."""
-        if self.shards is not None:
-            self.shards.checkpoint()
-            return
-        self.engine.checkpoint()
+        """Compact every partition's storage journal."""
+        self.shards.checkpoint()
 
     def close(self) -> None:
         """Release storage resources (flushes healthy staged state)."""
-        if self.shards is not None:
-            self.shards.close()
-            return
-        self.engine.close()
-        if self.database.engine is not self.engine:
-            self.database.close()
+        self.shards.close()
 
     def __enter__(self) -> "SecurityKG":
         return self

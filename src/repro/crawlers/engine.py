@@ -188,10 +188,8 @@ class CrawlEngine:
             now = self.clock.now()
             for crawler in self.crawlers:
                 self.state.record_crawl(crawler.site_name, now)
-            # Engine-attached states defer durability: each seen-URL
-            # delta commits with the transaction that stores its report
-            # (save() is then a no-op and this persists nothing yet).
-            self.state.save()
+            # Nothing is persisted here: each seen-URL delta commits
+            # with the transaction that stores its report.
         return result
 
     def _process(

@@ -5,24 +5,17 @@ incrementally": a re-crawl must skip reports it already has.  The
 state records every article URL ever emitted plus per-source crawl
 timestamps.
 
-Persistence has two modes.  Standalone (``CrawlState(path)``) keeps the
-historical single-JSON-file format, now written through the fsync'd
-atomic helper.  Attached (``CrawlState(engine=...)``) the state is a
-participant in the unified :class:`~repro.storage.StorageEngine`:
-seen-URL deltas are *staged* -- applied to memory immediately so the
-crawler's dedup works, but made durable only by the transaction that
-stores the matching report.  A crash between crawl and store therefore
-re-crawls the report instead of silently losing it.
+The state is a participant in a :class:`~repro.storage.StorageEngine`
+and has no persistence of its own: seen-URL deltas are *staged* --
+applied to memory immediately so the crawler's dedup works, but made
+durable only by the transaction that stores the matching report.  A
+crash between crawl and store therefore re-crawls the report instead
+of silently losing it.  ``CrawlState()`` without an engine owns a
+private in-memory one (a crawl that stores nothing).
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from pathlib import Path
-
-from repro.runtime import named_lock
-from repro.storage.atomic import atomic_write_json
 from repro.storage.engine import StorageEngine
 
 
@@ -68,34 +61,14 @@ class CrawlParticipant:
 
 
 class CrawlState:
-    """Thread-safe seen-URL set, standalone or engine-attached."""
+    """Thread-safe seen-URL set over a storage engine's crawl participant."""
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        engine: StorageEngine | None = None,
-    ):
-        if engine is not None and path is not None:
-            raise ValueError("pass either path or engine, not both")
+    def __init__(self, engine: StorageEngine | None = None):
+        if engine is None:
+            engine = StorageEngine(None, [CrawlParticipant()])
         self.engine = engine
-        if engine is not None:
-            self.path = None
-            self._participant = engine.participant(CrawlParticipant.name)
-            self._lock = engine.lock
-        else:
-            self.path = Path(path) if path is not None else None
-            self._participant = CrawlParticipant()
-            self._lock = named_lock("crawl.state")
-            if self.path is not None and self.path.exists():
-                self._participant.load_snapshot(json.loads(self.path.read_text()))
-
-    def save(self) -> None:
-        """Persist durably (no-op when an engine owns persistence)."""
-        if self.engine is not None or self.path is None:
-            return
-        with self._lock:
-            payload = self._participant.snapshot_data()
-        atomic_write_json(self.path, payload)
+        self._participant = engine.participant(CrawlParticipant.name)
+        self._lock = engine.lock
 
     def is_seen(self, url: str) -> bool:
         with self._lock:
@@ -104,43 +77,34 @@ class CrawlState:
     def mark_seen(self, url: str) -> bool:
         """Record a URL; returns False when it was already known.
 
-        Engine-attached, the delta is staged under the URL as its key:
-        visible to dedup at once, durable only with the report's commit.
+        The delta is staged under the URL as its key: visible to dedup
+        at once, durable only with the report's commit.
         """
         with self._lock:
             if url in self._participant.seen:
                 return False
-            if self.engine is not None:
-                self.engine.stage(
-                    CrawlParticipant.name, {"op": "seen", "url": url}, key=url
-                )
-            else:
-                self._participant.seen.add(url)
+            self.engine.stage(
+                CrawlParticipant.name, {"op": "seen", "url": url}, key=url
+            )
             return True
 
     def unmark(self, url: str) -> None:
         """Forget a URL (e.g. its document was dropped by a crawl cap)."""
         with self._lock:
-            if self.engine is not None:
-                if self.engine.unstage(CrawlParticipant.name, url):
-                    # the seen delta never became durable; just revert memory
-                    self._participant.apply([{"op": "unseen", "url": url}])
-                elif url in self._participant.seen:
-                    self.engine.stage(
-                        CrawlParticipant.name, {"op": "unseen", "url": url}, key=url
-                    )
-            else:
-                self._participant.seen.discard(url)
+            if self.engine.unstage(CrawlParticipant.name, url):
+                # the seen delta never became durable; just revert memory
+                self._participant.apply([{"op": "unseen", "url": url}])
+            elif url in self._participant.seen:
+                self.engine.stage(
+                    CrawlParticipant.name, {"op": "unseen", "url": url}, key=url
+                )
 
     def record_crawl(self, source: str, timestamp: float) -> None:
         with self._lock:
-            if self.engine is not None:
-                self.engine.stage(
-                    CrawlParticipant.name,
-                    {"op": "crawl", "source": source, "ts": timestamp},
-                )
-            else:
-                self._participant.last_crawl[source] = timestamp
+            self.engine.stage(
+                CrawlParticipant.name,
+                {"op": "crawl", "source": source, "ts": timestamp},
+            )
 
     def last_crawl(self, source: str) -> float | None:
         with self._lock:

@@ -663,8 +663,11 @@ def _hashable(value: object) -> object:
 
 
 def _sort_key(value: object):
-    # None sorts first; mixed types sort by type name then value string.
-    return (value is not None, type(value).__name__, str(value))
+    # None sorts first; ints and floats compare as numbers; everything
+    # else, and any mix of types, sorts by type name then value string.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return (True, "int", value, "")
+    return (value is not None, type(value).__name__, 0, str(value))
 
 
 # Imported last: the planner imports the iterators, and both import the

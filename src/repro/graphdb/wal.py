@@ -1,12 +1,13 @@
-"""Durable property graph on the unified storage engine.
+"""Durable property graph on the storage engine.
 
-:class:`GraphDatabase` keeps its historical API (transactions with
-placeholder ids, auto-committed single mutations, snapshot compaction)
-but persistence now lives in :class:`repro.storage.StorageEngine`: the
-graph registers a :class:`GraphParticipant` whose op batches are
-journalled alongside the search index's and crawl state's, so one
-pipeline batch commits across all stores atomically.  A standalone
-``GraphDatabase(path)`` simply owns a single-participant engine.
+:class:`GraphDatabase` is the graph's mutation API (transactions with
+placeholder ids, auto-committed single mutations, snapshot compaction);
+persistence lives in :class:`repro.storage.StorageEngine`: the graph
+registers a :class:`GraphParticipant` whose op batches are journalled
+alongside the search index's and crawl state's, so one pipeline batch
+commits across all stores atomically.  ``GraphDatabase(path)`` without
+an engine owns a one-participant engine (in memory when ``path`` is
+``None``) -- the same single mutation path, not a second format.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ class GraphDatabase:
     engine:
         An already-open :class:`~repro.storage.StorageEngine` with a
         ``graph`` participant registered; the database attaches to it
-        instead of owning one (unified multi-store mode).  Mutually
+        instead of owning one (how every partition is wired).  Mutually
         exclusive with ``path``.
     """
 

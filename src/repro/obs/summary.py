@@ -72,13 +72,13 @@ def summarize(spans: list[dict]) -> str:
 
 
 def partition_breakdown(spans: list[dict]) -> dict:
-    """Per-partition aggregation of a sharded run's trace.
+    """Per-partition aggregation of a run's trace.
 
     Groups every span carrying a ``partition`` attribute (the
-    ``store.shard`` worker spans of an N-partition deployment) and
-    aggregates span counts, durations and the ``stored`` / ``skipped``
-    totals the workers stamp on their spans.  Returns an empty dict for
-    single-partition traces.
+    ``store.shard`` worker spans -- one per partition, also with a
+    single partition) and aggregates span counts, durations and the
+    ``stored`` / ``skipped`` totals the workers stamp on their spans.
+    Returns an empty dict for a trace in which nothing was stored.
     """
     partitions: dict[str, dict] = {}
     for span in spans:
@@ -110,7 +110,7 @@ def render_partitions(spans: list[dict]) -> str:
     """Text table for ``stats --from-trace --by-partition``."""
     breakdown = partition_breakdown(spans)
     if not breakdown:
-        return "no partition-labelled spans (single-partition trace?)"
+        return "no partition-labelled spans (the trace stored nothing)"
     lines = [
         f"{'partition':>9}  {'spans':>6}  {'total_s':>9}  "
         f"{'stored':>6}  {'skipped':>7}"

@@ -3,21 +3,19 @@
 The Elasticsearch substitute behind the UI's keyword search (paper
 section 2.6): documents with typed fields, an inverted index with
 positions (for phrase queries), Okapi BM25 scoring with per-field
-boosts, boolean AND/OR semantics and filters.  Persistence is a single
-JSON file -- adequate for the corpus sizes a single host collects.
+boosts, boolean AND/OR semantics and filters.  The index has no file
+format of its own: :class:`SearchIndexParticipant` journals its deltas
+through the storage engine.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.runtime import named_lock
 from repro.search.analyzer import analyze, analyze_query
-from repro.storage.atomic import atomic_write_text
 
 
 @dataclass
@@ -212,7 +210,7 @@ class SearchIndex:
             unique = [h for h in hits if not (h.doc_id in seen or seen.add(h.doc_id))]
             return unique[:limit]
 
-    # -- persistence -----------------------------------------------------------
+    # -- snapshot state -------------------------------------------------------
 
     def clear(self) -> None:
         """Drop every document and posting."""
@@ -259,27 +257,12 @@ class SearchIndex:
                 k: int(v) for k, v in data["field_totals"].items()
             }
 
-    @classmethod
-    def from_state(cls, data: dict) -> "SearchIndex":
-        index = cls(field_boosts=data.get("field_boosts"))
-        index.restore_state(data)
-        return index
-
-    def save(self, path: str | Path) -> None:
-        """Serialise documents + postings to one JSON file (durably)."""
-        atomic_write_text(Path(path), json.dumps(self.to_state()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SearchIndex":
-        return cls.from_state(json.loads(Path(path).read_text()))
-
 
 class SearchIndexParticipant:
     """The search index's storage-engine adapter.
 
     Journal ops are incremental document deltas -- ``add`` (doc id +
-    full field map) and ``remove`` -- replacing the old
-    save-everything-at-exit persistence, so every pipeline batch's index
+    full field map) and ``remove`` -- so every pipeline batch's index
     changes are durable the moment the batch commits.
     """
 

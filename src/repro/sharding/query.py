@@ -154,12 +154,13 @@ def _execute_local(_index, engine: CypherEngine, local: ast.MatchQuery):
 
 
 class ShardedCypherEngine:
-    """The Cypher facade of a sharded deployment.
+    """The Cypher facade over several partitions.
 
     Holds one per-partition :class:`CypherEngine` (strictness disabled
     on the partitions -- analysis happens once here, against the union
-    schema).  With a single partition it delegates wholesale, so N=1
-    behaviour is exactly the single-engine behaviour.
+    schema).  Scatter-gather is the only path here; a single-partition
+    :class:`~repro.sharding.shards.ShardSet` answers from its
+    partition's own engine instead (``ShardSet.cypher``).
     """
 
     def __init__(self, engines: list[CypherEngine], strict: bool = True):
@@ -210,8 +211,6 @@ class ShardedCypherEngine:
         return parsed
 
     def _execute(self, parsed: ast.Query) -> list[ResultRow]:
-        if len(self._engines) == 1:
-            return self._engines[0].execute(parsed)
         if isinstance(parsed, ast.CreateQuery):
             return self._engines[self._create_target(parsed)].execute(parsed)
         if parsed.explain:
@@ -230,9 +229,8 @@ class ShardedCypherEngine:
     ) -> QueryProfile:
         """Profile a MATCH query across every partition.
 
-        N=1 delegates to the single engine.  Otherwise each partition
-        executes its localized query under per-operator instrumentation
-        (the per-partition operator trees land in
+        Each partition executes its localized query under per-operator
+        instrumentation (the per-partition operator trees land in
         :attr:`QueryProfile.partitions`) and the gather side reports as
         a synthetic ``Gather`` root whose self time is the merge /
         sort / dedup work done here.
@@ -245,8 +243,6 @@ class ShardedCypherEngine:
     def _profile_parsed(
         self, parsed: ast.MatchQuery, step_cost: float = 0.0
     ) -> QueryProfile:
-        if len(self._engines) == 1:
-            return self._engines[0].profile_parsed(parsed, step_cost=step_cost)
         subprofiles: dict[str, list[dict]] = {}
 
         def profiled_execute(index, engine, local):
@@ -295,10 +291,6 @@ class ShardedCypherEngine:
         if not _is_plain_match(parsed):
             # CREATE / EXPLAIN / PROFILE: one full response, no continuation
             return CypherPage(rows=self._execute(parsed))
-        if len(self._engines) == 1:
-            return self._engines[0].run_paginated(
-                query, page_size, continuation=continuation, strict=False
-            )
         has_aggregate = any(
             _contains_count(item.expr) for item in parsed.returns
         )

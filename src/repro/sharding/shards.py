@@ -1,13 +1,16 @@
-"""N independent storage partitions behind one store/search/fusion facade.
+"""N >= 1 storage partitions behind one store/search/fusion facade.
 
-Each :class:`ShardPartition` is a complete vertical slice of the
+This is the only deployment shape: a :class:`ShardSet` of one is the
+whole of a single-host system, and more partitions are more of the
+same.  Each :class:`ShardPartition` is a complete vertical slice of the
 storage stage: its own :class:`~repro.storage.engine.StorageEngine`
 (journal, snapshot/manifest generations, checkpoint cycle, ingest
-markers, crash points) with its own graph / search-index / crawl-state
-(and optionally SQL) participants, connectors and per-partition Cypher
-engine.  The :class:`ShardSet` owns N of them plus the
-:class:`~repro.sharding.router.ShardRouter` that decides placement, and
-exposes the scatter-gather operations every facade layer builds on:
+markers, crash points; in memory when no path is given) with its own
+graph / search-index / crawl-state (and optionally SQL) participants,
+connectors and per-partition Cypher engine.  The :class:`ShardSet` owns
+N of them plus the :class:`~repro.sharding.router.ShardRouter` that
+decides placement, and exposes the scatter-gather operations every
+facade layer builds on:
 
 * ``store()`` fans a record batch out to one worker thread per
   partition; each worker commits its records to *its* engine only, so a
@@ -19,6 +22,13 @@ exposes the scatter-gather operations every facade layer builds on:
 
 Graph ids are globally unique: partition ``i`` hands out ids from
 ``i * 2**40 + 1``, so merged query results never need renumbering.
+
+Everything that depends on the partition *count* is decided here and
+nowhere else, from ``len(partitions)``: the directory layout
+(:func:`partition_paths`), :attr:`ShardSet.graph` (the live graph of a
+single partition, a detached union copy of several) and
+:attr:`ShardSet.cypher` (the partition's own engine, or scatter-gather
+over several).
 """
 
 from __future__ import annotations
@@ -40,13 +50,40 @@ from repro.obs import NO_OBS, Obs
 from repro.ontology.intermediate import CTIRecord
 from repro.runtime import Clock, clock_from_name, named_lock
 from repro.search.index import SearchHit, SearchIndexParticipant
+from repro.sharding.query import ShardedCypherEngine
 from repro.sharding.router import ShardRouter
-from repro.storage.engine import StorageEngine
+from repro.storage.engine import StorageEngine, StorageError
 from repro.storage.faults import InjectedCrash
 
 #: Id-range stride between partitions (2**40 ids each -- effectively
 #: inexhaustible per shard, and the partition of an id is ``id >> 40``).
 ID_STRIDE = 1 << 40
+
+
+def partition_paths(root: str | Path | None, count: int) -> list[Path | None]:
+    """The on-disk layout rule: one engine directory per partition.
+
+    A single partition keeps its engine files directly under ``root``;
+    several live in ``root/partition-<i>``.  A directory written with a
+    different count is refused before any engine opens it -- reopening
+    it would either see an empty store or re-route every record past
+    the ingest markers that make replay exactly-once.  An empty or
+    absent directory is a fresh store at any count.
+    """
+    if root is None:
+        return [None] * count
+    root = Path(root)
+    sharded = len(list(root.glob("partition-*")))
+    flat = (root / StorageEngine.MANIFEST).exists()
+    mismatch = sharded if count == 1 else (flat or sharded not in (0, count))
+    if mismatch:
+        raise StorageError(
+            f"{root} holds a store written with partitions={sharded or 1}; "
+            f"it cannot be opened with partitions={count}"
+        )
+    if count == 1:
+        return [root]
+    return [root / f"partition-{index}" for index in range(count)]
 
 
 class ShardWorkerStats:
@@ -109,6 +146,9 @@ class ShardPartition:
         )
         self.database = GraphDatabase(engine=self.engine)
         self.state = CrawlState(engine=self.engine)
+        self.search_index = self.engine.participant(
+            SearchIndexParticipant.name
+        ).index
         self.connectors: dict[str, Connector] = {}
         for name in connector_names:
             connector = self._build_connector(name)
@@ -132,10 +172,6 @@ class ShardPartition:
     def graph(self) -> PropertyGraph:
         return self.database.graph
 
-    @property
-    def search_index(self):
-        return self.engine.participant(SearchIndexParticipant.name).index
-
 
 class ShardSet:
     """N partitions plus the scatter-gather operations over them.
@@ -145,8 +181,8 @@ class ShardSet:
     partitions:
         Number of shards (>= 1).
     root:
-        Directory holding one ``partition-<i>`` engine directory per
-        shard; ``None`` keeps every partition in memory.
+        Storage directory, laid out by :func:`partition_paths`;
+        ``None`` keeps every partition in memory.
     connectors:
         Connector names each partition instantiates (same vocabulary as
         ``SystemConfig.connectors``).
@@ -178,15 +214,22 @@ class ShardSet:
         self.partitions: list[ShardPartition] = [
             ShardPartition(
                 index,
-                None if root is None else Path(root) / f"partition-{index}",
+                path,
                 self.connector_names,
                 faults=faults if index == 0 else None,
                 obs=self.obs,
                 fsync=fsync,
                 clock=self.clock,
             )
-            for index in range(partitions)
+            for index, path in enumerate(partition_paths(root, partitions))
         ]
+        #: the Cypher entry point: one partition answers from its own
+        #: engine, several scatter-gather
+        self.cypher: CypherEngine | ShardedCypherEngine = (
+            self.partitions[0].cypher
+            if len(self.partitions) == 1
+            else ShardedCypherEngine([p.cypher for p in self.partitions])
+        )
 
     # -- the store fan-out ---------------------------------------------
 
@@ -199,14 +242,13 @@ class ShardSet:
         """Commit a batch: one worker thread per partition, each writing
         only to its own engine.
 
-        Exactly-once semantics carry over per partition: each engine
+        Exactly-once semantics hold per partition: each engine
         keeps its own ingest markers, so a replayed batch skips records
         its partition already owns.  ``commit_latency`` models per-commit
         I/O time on the injected clock (slept *outside* every lock).  An
         :class:`InjectedCrash` on any partition is re-raised after all
         workers finish -- the surviving partitions' commits are already
-        durable, but the batch flush is skipped, exactly like a killed
-        single-engine run.
+        durable, but the batch flush is skipped, as in a killed process.
         """
         groups = self.router.group_records(list(records))
         results: list[ShardStoreOutcome | None] = [None] * len(self.partitions)
@@ -294,6 +336,8 @@ class ShardSet:
         single-index ranking -- the standard distributed-search
         trade-off.  The merge order itself is canonical.
         """
+        if "search" not in self.connector_names:
+            raise RuntimeError("the 'search' connector is not configured")
         hits: list[SearchHit] = []
         for partition in self.partitions:
             hits.extend(partition.search_index.search(query, limit=limit))
@@ -366,6 +410,14 @@ class ShardSet:
             "relations": relations,
             "labels": dict(sorted(labels.items())),
         }
+
+    @property
+    def graph(self) -> PropertyGraph:
+        """The knowledge graph: a single partition's live graph, or a
+        detached union copy of several (:meth:`merged_graph`)."""
+        if len(self.partitions) == 1:
+            return self.partitions[0].graph
+        return self.merged_graph()
 
     def merged_graph(self) -> PropertyGraph:
         """One union graph for whole-graph consumers (export, hunting,
@@ -458,10 +510,6 @@ class ShardedCrawlState:
     def seen_count(self) -> int:
         return sum(p.state.seen_count for p in self._shards.partitions)
 
-    def save(self) -> None:
-        for partition in self._shards.partitions:
-            partition.state.save()
-
 
 __all__ = [
     "ID_STRIDE",
@@ -470,4 +518,5 @@ __all__ = [
     "ShardStoreOutcome",
     "ShardWorkerStats",
     "ShardedCrawlState",
+    "partition_paths",
 ]

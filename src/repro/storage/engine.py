@@ -161,7 +161,7 @@ class StorageEngine:
         self._faults = faults if faults is not None else NO_FAULTS
         self._fsync = fsync
         # Public and re-entrant: CrawlState and SQLConnector alias this
-        # lock in engine-attached mode, and transactions re-enter it.
+        # lock, and transactions re-enter it.
         self.lock = named_lock("storage.engine", reentrant=True)
         self._seq = 0
         self._generation = 1

@@ -247,6 +247,37 @@ class TestContextManagerHolds:
         assert ("test.engine", "test.store") in model.edge_pairs()
 
 
+class TestPropertyReads:
+    def test_property_read_under_lock_is_a_call_of_its_getter(self, tmp_path):
+        model, diags = analyze_source(
+            tmp_path,
+            '''
+            from repro.runtime import named_lock
+
+            class Engine:
+                def __init__(self):
+                    self._lock = named_lock("test.engine")
+                    self._ingested = set()
+
+                @property
+                def ingested_count(self):
+                    with self._lock:
+                        return len(self._ingested)
+
+            class Api:
+                def __init__(self):
+                    self._lock = named_lock("test.api")
+                    self.engine = Engine()
+
+                def stats(self):
+                    with self._lock:
+                        return {"ingested": self.engine.ingested_count}
+            ''',
+        )
+        assert diags == []
+        assert ("test.api", "test.engine") in model.edge_pairs()
+
+
 class TestCanonicalModel:
     def test_synthetic_model_is_byte_stable(self, tmp_path):
         source = '''
@@ -307,9 +338,14 @@ class TestRepoModel:
 
     def test_transaction_scope_edge_is_modelled(self):
         # StorageEngine.transaction holds storage.engine across its
-        # yield; standalone connectors ingest inside that with-body
+        # yield and every connector ingests inside that with-body, so
+        # the engine lock sits above each store's own lock -- and is
+        # the only lock the stores share
         model, _ = analyze_package()
-        assert ("storage.engine", "connectors.sql") in model.edge_pairs()
+        pairs = model.edge_pairs()
+        assert ("storage.engine", "graphdb.store") in pairs
+        assert ("storage.engine", "search.index") in pairs
+        assert not {"crawl.state", "connectors.sql"} & set(model.lock_names())
 
     def test_known_locks_and_guards_present(self):
         model, _ = analyze_package()
@@ -404,7 +440,7 @@ class TestWitnessProperty:
     @given(
         ops=st.lists(
             st.sampled_from(
-                ["attached", "tx_standalone", "standalone", "flush", "reads"]
+                ["attached", "tx_private", "private", "flush", "reads"]
             ),
             min_size=1,
             max_size=8,
@@ -417,28 +453,27 @@ class TestWitnessProperty:
         closure = model.closure()
         engine = StorageEngine(None, [SQLParticipant()], fsync=False)
         attached = SQLConnector(engine=engine)
-        standalone = SQLConnector()
+        private = SQLConnector()  # owns its own in-memory engine
         try:
             for index, op in enumerate(ops):
                 record = _record(f"r{index}")
                 if op == "attached":
                     attached.ingest([record])
-                elif op == "tx_standalone":
+                elif op == "tx_private":
                     with engine.transaction() as tx:
-                        standalone.ingest([record])
+                        private.ingest([record])
                         tx.mark_ingested(record.report_id)
-                elif op == "standalone":
-                    standalone.ingest([record])
+                elif op == "private":
+                    private.ingest([record])
                 elif op == "flush":
                     engine.flush()
                 else:
-                    standalone.entity_count()
+                    private.entity_count()
                     attached.label_counts()
             bad = WITNESS.violations(closure, known_names=model.lock_names())
             assert bad == []
         finally:
-            standalone.close()
-            attached.close()
+            private.engine.close()
             engine.close()
 
 

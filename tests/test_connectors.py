@@ -8,7 +8,9 @@ from repro.connectors import (
     SearchConnector,
     registry,
 )
+from repro.connectors.sql import SQLParticipant
 from repro.ontology import CTIRecord, EntityType, Mention, RelationMention
+from repro.storage import StorageEngine
 
 
 def record_with(report_id="r1", malware="emotet", ip="10.0.0.1", verb="connects"):
@@ -107,12 +109,12 @@ class TestSQLConnector:
         assert len(rows) == 1
 
     def test_file_persistence(self, tmp_path):
-        path = tmp_path / "kg.sqlite"
-        connector = SQLConnector(path)
-        connector.ingest([record_with()])
-        connector.close()
-        reopened = SQLConnector(path)
+        engine = StorageEngine(tmp_path / "kg", [SQLParticipant()])
+        SQLConnector(engine).ingest([record_with()])
+        engine.close()
+        reopened = SQLConnector(StorageEngine(tmp_path / "kg", [SQLParticipant()]))
         assert reopened.entity_count() > 0
+        reopened.engine.close()
 
     def test_parity_with_graph_connector(self):
         graph = GraphConnector()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import SecurityKG, SystemConfig
+from repro.obs import make_obs
+from repro.runtime import clock_from_name
 
 
 class TestSystemConfig:
@@ -140,12 +142,95 @@ class TestConfigurationEffects:
             reports_per_site=2,
             sources=["OTX Mirror"],
             connectors=["graph"],
-            graph_path=str(tmp_path / "graph"),
+            storage_path=str(tmp_path / "graph"),
         )
         kg = SecurityKG(config)
         kg.run_once()
         nodes = kg.graph.node_count
-        kg.database.close()
+        kg.close()
 
         reopened = SecurityKG(config)
         assert reopened.graph.node_count == nodes
+
+
+class TestOneDeploymentShape:
+    """The facade answers the same way whatever the partition count and
+    whether or not the partitions are durable."""
+
+    @staticmethod
+    def answers(kg):
+        """Everything the read surface says, in comparable form."""
+        query = "MATCH (m:Malware) RETURN m.name ORDER BY m.name"
+        pages, continuation = [], None
+        while True:
+            page = kg.cypher_paginated(query, 3, continuation=continuation)
+            pages.extend(row.values for row in page.rows)
+            continuation = page.continuation
+            if continuation is None:
+                break
+        pull = kg.feeds.pull("public")
+        return {
+            "stats": kg.stats(),
+            "search": [hit.doc_id for hit in kg.keyword_search("malware")],
+            "cypher": [row.values for row in kg.cypher(query)],
+            "pages": pages,
+            "feed": (pull.status, pull.etag),
+        }
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_facade_contract(self, tmp_path, partitions, durable):
+        config = SystemConfig(
+            scenario_count=6,
+            reports_per_site=2,
+            sources=["ThreatPedia", "MalwareBulletin"],
+            clock="virtual",
+            partitions=partitions,
+            storage_path=str(tmp_path / "state") if durable else None,
+        )
+        clock = clock_from_name("virtual")
+        obs = make_obs(clock)
+        kg = SecurityKG(config, clock=clock, obs=obs)
+        assert kg.engine is kg.shards.partitions[0].engine
+        assert kg.database is kg.shards.partitions[0].database
+        assert kg.connectors is kg.shards.partitions[0].connectors
+
+        report = kg.run_once()
+        assert report.reports_stored > 0
+        kg.run_fusion()
+        kg.checkpoint()
+        got = self.answers(kg)
+
+        stats = got["stats"]
+        assert set(stats) == {
+            "nodes", "edges", "labels", "edge_types", "partitions"
+        }
+        assert [p["partition"] for p in stats["partitions"]] == list(
+            range(partitions)
+        )
+        assert sum(p["nodes"] for p in stats["partitions"]) == stats["nodes"] > 0
+        assert sum(
+            p["reports_ingested"] for p in stats["partitions"]
+        ) == report.reports_stored
+        assert got["search"] and got["cypher"]
+        assert got["pages"] == got["cypher"]
+        assert got["feed"][0] == 200
+
+        # the observable shape does not depend on the count either
+        spans = [
+            s for s in obs.tracer.export() if s["name"] == "store.shard"
+        ]
+        by_id = {s["id"]: s for s in obs.tracer.export()}
+        assert {s["attrs"]["partition"] for s in spans} == set(range(partitions))
+        assert all(by_id[s["parent"]]["name"] == "store" for s in spans)
+        snapshot = obs.metrics.snapshot()
+        labels = {f"partition={i}" for i in range(partitions)}
+        assert set(snapshot["counters"]["shard.reports_stored"]) == labels
+        assert labels <= set(snapshot["gauges"]["graph.nodes"])
+        kg.close()
+
+        if durable:
+            reopened = SecurityKG(config)
+            assert self.answers(reopened) == got
+            assert reopened.run_once().reports_stored == 0
+            reopened.close()

@@ -22,7 +22,9 @@ from repro.crawlers import (
     path_of,
     resolve_url,
 )
+from repro.crawlers.state import CrawlParticipant
 from repro.runtime import VirtualClock
+from repro.storage import StorageEngine
 from repro.websim import SimulatedTransport, TransportError
 
 
@@ -262,16 +264,18 @@ class TestCrawlEngine:
         assert engine.crawl().article_count == 2
 
     def test_state_persists_and_dedupes(self, small_web, tmp_path):
-        path = tmp_path / "state.json"
-        state = CrawlState(path)
+        def open_engine():
+            return StorageEngine(tmp_path / "state", [CrawlParticipant()])
+
+        engine = open_engine()
         CrawlEngine(
             build_all_crawlers(["SecureListing"]),
             Fetcher(SimulatedTransport(small_web, time_scale=0.0)),
             num_threads=2,
-            state=state,
+            state=CrawlState(engine),
         ).crawl()
-        state.save()
-        reloaded = CrawlState(path)
+        engine.close()  # flushes the staged seen-URL deltas
+        reloaded = CrawlState(open_engine())
         result = CrawlEngine(
             build_all_crawlers(["SecureListing"]),
             Fetcher(SimulatedTransport(small_web, time_scale=0.0)),

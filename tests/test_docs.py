@@ -12,6 +12,11 @@ nor the docs can drift silently:
 
 DISSEMINATION.md is part of the serving story: the feeds routes and
 the ``feed`` subcommand must be documented there too.
+
+A third sweep keeps the configuration honest: every
+:class:`~repro.core.config.SystemConfig` field must be read by some
+module other than ``core/config.py`` -- a key nothing consumes is an
+option that documents itself as "ignored".
 """
 
 import argparse
@@ -92,6 +97,25 @@ class TestUiRouteTable:
             assert status != 404, f"registered route {method} {path} 404s"
         status, _payload, _headers = api.handle_full("GET", "/api/nonsense")
         assert status == 404
+
+
+class TestConfigKeys:
+    def test_every_config_field_is_read_outside_config(self):
+        import dataclasses
+
+        from repro.core.config import SystemConfig
+
+        src = REPO_ROOT / "src" / "repro"
+        sources = "\n".join(
+            path.read_text(encoding="utf-8")
+            for path in sorted(src.rglob("*.py"))
+            if path != src / "core" / "config.py"
+        )
+        for field in dataclasses.fields(SystemConfig):
+            assert re.search(rf"\.{field.name}\b", sources), (
+                f"SystemConfig.{field.name} is read by no module under "
+                "src/ other than core/config.py"
+            )
 
 
 class TestCliDocstring:

@@ -48,7 +48,7 @@ from repro.obs.profile import (
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention
 from repro.runtime import clock_from_name
-from repro.sharding import ShardSet, ShardedCypherEngine
+from repro.sharding import ShardSet
 from repro.ui.server import ExplorerAPI
 
 
@@ -399,9 +399,7 @@ class TestShardedProfile:
         shards = ShardSet(partitions)
         try:
             shards.store(shard_records(16))
-            engine = ShardedCypherEngine(
-                [p.cypher for p in shards.partitions]
-            )
+            engine = shards.cypher
             query = "MATCH (m:Malware) RETURN m.name ORDER BY m.name"
             plain = engine.run(query)
             assert engine.run(f"PROFILE {query}") == plain
@@ -413,9 +411,7 @@ class TestShardedProfile:
         shards = ShardSet(3)
         try:
             shards.store(shard_records(12))
-            engine = ShardedCypherEngine(
-                [p.cypher for p in shards.partitions]
-            )
+            engine = shards.cypher
             prof = engine.profile("MATCH (m:Malware) RETURN m.name")
             assert prof.operators[0]["operator"] == "Gather"
             assert prof.operators[0]["detail"] == "3 partitions"

@@ -1,5 +1,7 @@
 """Unit tests for the analyzer and BM25 search index."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,10 +126,10 @@ class TestLifecycle:
         assert all(h.doc_id != "r1" for h in index.search("wannacry"))
         assert index.doc_count == 2
 
-    def test_save_load_round_trip(self, index, tmp_path):
-        path = tmp_path / "index.json"
-        index.save(path)
-        loaded = SearchIndex.load(path)
+    def test_save_load_round_trip(self, index):
+        # the engine's snapshot format: to_state through JSON and back
+        loaded = SearchIndex()
+        loaded.restore_state(json.loads(json.dumps(index.to_state())))
         assert [h.doc_id for h in loaded.search("wannacry")] == [
             h.doc_id for h in index.search("wannacry")
         ]

@@ -16,6 +16,7 @@ import random
 import sys
 from io import StringIO
 
+import cypher_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from repro.sharding import (
     ShardedCrawlState,
     ShardedCypherEngine,
 )
+from repro.storage import StorageError
 from repro.storage.faults import CrashInjector, InjectedCrash
 
 # -- fixtures ---------------------------------------------------------------
@@ -277,7 +279,6 @@ class TestShardSetStore:
         state.record_crawl("UnitSource", 42.0)
         assert state.last_crawl("UnitSource") == 42.0
         assert state.last_crawl("Other") is None
-        state.save()
         shards.close()
 
 
@@ -297,9 +298,7 @@ class TestShardedCypher:
         records = _batch(24)
         single.store(records)
         sharded.store(records)
-        one = ShardedCypherEngine([p.cypher for p in single.partitions])
-        many = ShardedCypherEngine([p.cypher for p in sharded.partitions])
-        yield one, many
+        yield single.cypher, sharded.cypher
         single.close()
         sharded.close()
 
@@ -418,7 +417,7 @@ class TestShardedCypher:
 
     def test_create_routes_to_owning_partition(self):
         shards = ShardSet(3)
-        engine = ShardedCypherEngine([p.cypher for p in shards.partitions])
+        engine = shards.cypher
         engine.run(
             "CREATE (:Malware {name: 'routed-sample', merge_key: "
             "'malware::routed-sample'})",
@@ -437,6 +436,53 @@ class TestShardedCypher:
     def test_requires_at_least_one_engine(self):
         with pytest.raises(ValueError):
             ShardedCypherEngine([])
+
+
+class TestNumericOrderBy:
+    """ORDER BY over a count column that mixes one- and two-digit
+    values, against the brute-force oracle: numbers sort as numbers in
+    the single engine's OrderByOp and in the sharded gather alike."""
+
+    #: reports per malware family -- as strings "10" < "11" < "2" < "9"
+    COUNTS = {"fam-a": 2, "fam-b": 9, "fam-c": 10, "fam-d": 11, "fam-e": 1}
+
+    QUERIES = [
+        "MATCH (r)-[:MENTIONS]->(m:Malware) "
+        "RETURN m.name, count(r) AS n ORDER BY n DESC LIMIT 3",
+        "MATCH (r)-[:MENTIONS]->(m:Malware) "
+        "RETURN m.name, count(r) AS n ORDER BY n, m.name",
+        "MATCH (r)-[:MENTIONS]->(m:Malware) "
+        "RETURN m.name, count(r) AS n ORDER BY n DESC SKIP 1 LIMIT 2",
+    ]
+
+    @pytest.fixture(params=[1, 3])
+    def shards(self, request):
+        shards = ShardSet(request.param)
+        names = [n for n, count in self.COUNTS.items() for _ in range(count)]
+        shards.store(
+            [_record(index, entity=name) for index, name in enumerate(names)]
+        )
+        yield shards
+        shards.close()
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_matches_oracle(self, shards, query):
+        graph = shards.merged_graph()
+        cypher_oracle.check(shards.cypher.run(query), graph, query)
+        pages, continuation = [], None
+        while True:
+            page = shards.cypher.run_paginated(
+                query, 2, continuation=continuation
+            )
+            pages.extend(page.rows)
+            continuation = page.continuation
+            if continuation is None:
+                break
+        cypher_oracle.check(pages, graph, query)
+
+    def test_top_list_is_the_numeric_top(self, shards):
+        rows = shards.cypher.run(self.QUERIES[0])
+        assert [row["n"] for row in rows] == [11, 10, 9]
 
 
 # -- scatter-gather search / fusion / stats ---------------------------------
@@ -551,10 +597,65 @@ class TestShardedSecurityKG:
         assert first.reports_stored > 0
 
 
+class TestPartitionCountGuard:
+    """A storage directory reopens only with the count that wrote it."""
+
+    @staticmethod
+    def _write(root, partitions):
+        shards = ShardSet(partitions, root=root)
+        shards.store(_batch(12))
+        nodes = shards.stats()["nodes"]
+        shards.close()
+        return nodes
+
+    @pytest.mark.parametrize("written, reopened", [(2, 1), (1, 2), (2, 4)])
+    def test_other_count_is_refused_before_any_engine_opens(
+        self, tmp_path, written, reopened
+    ):
+        nodes = self._write(tmp_path, written)
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        with pytest.raises(StorageError, match=f"partitions={written}"):
+            ShardSet(reopened, root=tmp_path)
+        # nothing was created or replayed by the refused open
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        again = ShardSet(written, root=tmp_path)
+        assert again.stats()["nodes"] == nodes
+        assert again.store(_batch(12)).stored == 0  # markers intact
+        again.close()
+
+    @pytest.mark.parametrize("partitions", [1, 3])
+    def test_fresh_and_empty_directories_are_accepted(self, tmp_path, partitions):
+        (tmp_path / "empty").mkdir()
+        for root in (tmp_path / "absent", tmp_path / "empty"):
+            shards = ShardSet(partitions, root=root)
+            assert shards.stats()["nodes"] == 0
+            shards.close()
+
+    def test_single_partition_keeps_the_flat_layout(self, tmp_path):
+        self._write(tmp_path, 1)
+        assert (tmp_path / "MANIFEST").is_file()
+        assert not list(tmp_path.glob("partition-*"))
+
+
 # -- CLI --------------------------------------------------------------------
 
 
 class TestShardingCLI:
+    def test_partition_mismatch_exits_with_message(self, tmp_path):
+        from repro.cli import main
+
+        small = ["--clock", "virtual", "--scenarios", "6",
+                 "--reports-per-site", "2", "--state", str(tmp_path)]
+        assert main(["run", "--partitions", "2", *small], out=StringIO()) == 0
+        out = StringIO()
+        assert main(["stats", "--partitions", "2", *small], out=out) == 0
+        assert "0 nodes" not in out.getvalue()
+        out = StringIO()
+        code = main(["stats", *small], out=out)  # default count: 1
+        assert code == 2
+        assert "partitions=2" in out.getvalue()
+        assert "Traceback" not in out.getvalue()
+
     def test_run_and_by_partition_drilldown(self, tmp_path):
         from repro.cli import main
 

@@ -1,10 +1,11 @@
-"""System-level crash/recovery tests for the unified storage engine.
+"""System-level crash/recovery tests for the storage engine.
 
-The crash matrix kills a full SecurityKG deployment at every registered
-crash point, reopens the state directory, resumes, and asserts the
-graph, search index, crawl state and SQL mirror all converge to the
-contents of an uninterrupted run -- zero lost reports, zero duplicated
-ingests.  Everything runs on the virtual clock so the workloads are
+The crash matrix kills a full SecurityKG deployment -- of one partition
+and of two -- at every registered crash point (armed on partition 0),
+reopens the state directory, resumes, and asserts the graph, search
+index, crawl state and SQL mirror all converge to the contents of an
+uninterrupted run -- zero lost reports, zero duplicated ingests.
+Everything runs on the virtual clock so the workloads are
 deterministic; crawl timestamps are the one store excluded from the
 fingerprint (a resumed run's virtual clock legitimately restarts, so
 ``last_crawl`` differs while every other byte converges).
@@ -66,64 +67,86 @@ def fingerprint(kg):
         )
         for e in graph.edges()
     )
-    search_docs = {
-        doc_id: dict(fields)
-        for doc_id, fields in kg.connectors["search"].index.to_state()[
-            "documents"
-        ].items()
-    }
-    seen = sorted(kg.engine.participant("crawl").seen)
-    conn = kg.connectors["sql"].connection
-    sql_entities = sorted(
-        conn.execute(
-            "SELECT label, merge_key, name, attributes FROM entities"
-        ).fetchall()
-    )
-    sql_relations = sorted(
-        conn.execute(
-            "SELECT e1.label, e1.merge_key, r.type, e2.label, e2.merge_key, "
-            "r.weight FROM relations r "
-            "JOIN entities e1 ON r.head = e1.id "
-            "JOIN entities e2 ON r.tail = e2.id"
-        ).fetchall()
-    )
-    sql_reports = sorted(
-        conn.execute(
-            "SELECT report_id, source, url, title FROM reports"
-        ).fetchall()
-    )
+    search_docs = {}
+    seen = []
+    sql_entities = []
+    sql_relations = []
+    sql_reports = []
+    for partition in kg.shards.partitions:
+        search_docs.update(
+            (doc_id, dict(fields))
+            for doc_id, fields in partition.search_index.to_state()[
+                "documents"
+            ].items()
+        )
+        seen.extend(partition.engine.participant("crawl").seen)
+        conn = partition.connectors["sql"].connection
+        sql_entities.extend(
+            conn.execute(
+                "SELECT label, merge_key, name, attributes FROM entities"
+            ).fetchall()
+        )
+        sql_relations.extend(
+            conn.execute(
+                "SELECT e1.label, e1.merge_key, r.type, e2.label, "
+                "e2.merge_key, r.weight FROM relations r "
+                "JOIN entities e1 ON r.head = e1.id "
+                "JOIN entities e2 ON r.tail = e2.id"
+            ).fetchall()
+        )
+        sql_reports.extend(
+            conn.execute(
+                "SELECT report_id, source, url, title FROM reports"
+            ).fetchall()
+        )
     return {
         "nodes": nodes,
         "edges": edges,
         "search": search_docs,
-        "seen": seen,
-        "sql_entities": sql_entities,
-        "sql_relations": sql_relations,
-        "sql_reports": sql_reports,
-        "ingested": kg.engine.ingested_ids(),
+        "seen": sorted(seen),
+        "sql_entities": sorted(sql_entities),
+        "sql_relations": sorted(sql_relations),
+        "sql_reports": sorted(sql_reports),
+        "ingested": kg.shards.ingested_ids(),
     }
 
 
 @pytest.fixture(scope="module")
-def reference(tmp_path_factory):
-    """Fingerprint of one uninterrupted run (shared by the matrix)."""
-    path = tmp_path_factory.mktemp("reference") / "state"
-    kg = make_kg(path)
-    report = kg.run_once()
-    kg.checkpoint()
-    result = (fingerprint(kg), report.reports_stored)
-    kg.close()
-    return result
+def references(tmp_path_factory):
+    """Per partition count: the fingerprint of one uninterrupted run
+    (shared by the matrix)."""
+    results = {}
+    for partitions in (1, 2):
+        path = tmp_path_factory.mktemp(f"reference{partitions}") / "state"
+        kg = make_kg(path, partitions=partitions)
+        report = kg.run_once()
+        kg.checkpoint()
+        results[partitions] = (fingerprint(kg), report.reports_stored)
+        kg.close()
+    return results
+
+
+@pytest.fixture()
+def reference(references):
+    return references[1]
 
 
 class TestCrashMatrix:
-    @pytest.mark.parametrize("point", CRASH_POINTS)
-    def test_kill_reopen_converges(self, tmp_path, reference, point):
-        expected, expected_stored = reference
+    # one-partition ids stay the bare crash point
+    @pytest.mark.parametrize(
+        "partitions, point",
+        [pytest.param(1, point, id=point) for point in CRASH_POINTS]
+        + [
+            pytest.param(2, point, id=f"{point}-2-partitions")
+            for point in CRASH_POINTS
+        ],
+    )
+    def test_kill_reopen_converges(self, tmp_path, references, partitions, point):
+        expected, expected_stored = references[partitions]
         assert expected_stored > 0
 
         path = tmp_path / "state"
-        kg = make_kg(path, faults=CrashInjector(point))
+        kg = make_kg(path, faults=CrashInjector(point), partitions=partitions)
         try:
             kg.run_once()
             kg.checkpoint()
@@ -135,19 +158,23 @@ class TestCrashMatrix:
         # the crashed process is gone; a fresh deployment recovers from
         # disk, re-crawls whatever was not durably stored, and skips
         # whatever was
-        resumed = make_kg(path)
+        resumed = make_kg(path, partitions=partitions)
         report = resumed.run_once()
         resumed.checkpoint()
         assert fingerprint(resumed) == expected
-        # exactly-once: every report marked exactly once, and a report
-        # whose commit survived was never re-crawled (its seen-URL delta
-        # is durable iff its ingest marker is)
-        assert resumed.engine.ingested_count == expected_stored
-        assert report.reports_skipped == 0
+        # exactly-once: every report marked exactly once
+        assert resumed.shards.ingested_count == expected_stored
+        if partitions == 1:
+            # a report whose commit survived was never re-crawled: its
+            # seen-URL delta is durable iff its ingest marker is.  With
+            # more partitions a URL may hash to another partition than
+            # its report and ride the batch flush the crash skipped; it
+            # is then re-crawled and skipped by its marker.
+            assert report.reports_skipped == 0
         resumed.close()
 
         # and the converged state is itself durable
-        reloaded = make_kg(path)
+        reloaded = make_kg(path, partitions=partitions)
         assert fingerprint(reloaded) == expected
         reloaded.close()
 
