@@ -513,8 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="storage partition count (default 1); N > 1 "
-            "hash-partitions the stores across N engines with "
-            "scatter-gather queries.  A --state directory reopens "
+            "hash-partitions the stores across N engines behind "
+            "one graph and query surface.  A --state directory reopens "
             "only with the count it was written with",
         )
 

@@ -86,8 +86,5 @@ class Extractor:
                 metrics.inc("extract.relations", verb=relation.verb)
         return record
 
-    def extract_all(self, records: list[CTIRecord]) -> list[CTIRecord]:
-        return [self.extract(record) for record in records]
-
 
 __all__ = ["Extractor", "Recognizer"]

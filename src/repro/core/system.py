@@ -163,7 +163,7 @@ class SecurityKG:
         )
         # The one deployment shape: N >= 1 partitions, each a complete
         # storage engine (in memory without a storage_path), one store
-        # worker per partition, scatter-gather for every read path.
+        # worker per partition, one graph view for every read path.
         self.shards = ShardSet(
             self.config.partitions,
             root=self.config.storage_path,
@@ -244,20 +244,12 @@ class SecurityKG:
             )
         raise ValueError(f"unknown recognizer {self.config.recognizer!r}")
 
-    @classmethod
-    def from_default_config(cls) -> "SecurityKG":
-        return cls(SystemConfig())
-
-    @classmethod
-    def from_config_file(cls, path: str) -> "SecurityKG":
-        return cls(SystemConfig.from_file(path))
-
     # -- the lifecycle ---------------------------------------------------------
 
     @property
     def graph(self):
-        """The knowledge graph -- live with one partition, a detached
-        read-only union copy of several (see :attr:`ShardSet.graph`)."""
+        """The knowledge graph -- one partition's live graph, or the
+        live read-only union of several (see :attr:`ShardSet.graph`)."""
         return self.shards.graph
 
     def crawl(self, max_articles: int | None = None) -> CrawlResult:
@@ -439,9 +431,8 @@ class SecurityKG:
         Returns a :class:`~repro.graphdb.cypher.executor.QueryProfile`
         whose rows are identical to :meth:`cypher` output and whose
         operator counters (rows, ``next()`` calls, cumulative/self
-        seconds on the injected clock) annotate the physical plan --
-        including per-partition sub-profiles when several partitions
-        answer.
+        seconds on the injected clock) annotate the physical plan, the
+        same operator chain at every partition count.
         """
         return self.shards.cypher.profile(query, strict=strict, step_cost=step_cost)
 

@@ -59,10 +59,6 @@ class HostRateLimiter:
             else:
                 self._policy[host] = (multiplier, floor)
 
-    def host_multiplier(self, host: str) -> float:
-        with self._lock:
-            return self._policy.get(host, (1.0, 0.0))[0]
-
     def _interval_for(self, host: str) -> float:
         base = max(self.min_interval, self._host_delay.get(host, 0.0))
         multiplier, floor = self._policy.get(host, (1.0, 0.0))

@@ -19,12 +19,13 @@ aggregates group over the non-aggregated items, then ORDER BY /
 DISTINCT / SKIP / LIMIT apply in that order.
 
 The expression evaluator lives in module-level functions shared by the
-operators, the sharded gather and the tests' brute-force oracle.
+operators and the tests' brute-force oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.lexer import CypherSyntaxError
@@ -32,6 +33,9 @@ from repro.graphdb.cypher.parser import parse
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.obs import NO_OBS, Obs
 from repro.runtime.clock import Clock, REAL_CLOCK
+
+if TYPE_CHECKING:
+    from repro.graphdb.wal import Transaction
 
 
 class CypherRuntimeError(ValueError):
@@ -91,8 +95,7 @@ class QueryProfile:
     operator: ``operator``, ``detail``, ``rows`` produced, ``calls``
     (``next()`` invocations), ``cumulative_s`` (clock seconds inside
     the operator including its child) and ``self_s`` (cumulative minus
-    the child's cumulative).  ``partitions`` carries per-partition
-    operator lists for sharded scatter-gather profiles.
+    the child's cumulative).
 
     The profiled execution drains the same plan as the unprofiled
     query, so ``rows`` is row-identical to it.
@@ -100,39 +103,22 @@ class QueryProfile:
 
     rows: list[ResultRow]
     operators: list[dict]
-    partitions: dict[str, list[dict]] | None = None
 
     def lines(self) -> list[str]:
         """Annotated operator tree, EXPLAIN-style indentation."""
-        out = _profile_lines(self.operators)
-        for key in sorted(self.partitions or (), key=lambda k: (len(k), k)):
-            out.append(f"partition {key}:")
-            out.extend(
-                "  " + line for line in _profile_lines(self.partitions[key])
+        lines = []
+        for depth, op in enumerate(self.operators):
+            head = f"{op['operator']} {op['detail']}".rstrip()
+            lines.append(
+                "  " * depth + head
+                + f"  (rows={op['rows']} calls={op['calls']} "
+                f"self={op['self_s']:.6f}s total={op['cumulative_s']:.6f}s)"
             )
-        return out
+        return lines
 
     def to_dict(self) -> dict:
         """JSON-safe rendering for the UI server and CLI ``--json``."""
-        payload: dict = {
-            "rows": len(self.rows),
-            "operators": self.operators,
-        }
-        if self.partitions is not None:
-            payload["partitions"] = self.partitions
-        return payload
-
-
-def _profile_lines(operators: list[dict]) -> list[str]:
-    lines = []
-    for depth, op in enumerate(operators):
-        head = f"{op['operator']} {op['detail']}".rstrip()
-        lines.append(
-            "  " * depth + head
-            + f"  (rows={op['rows']} calls={op['calls']} "
-            f"self={op['self_s']:.6f}s total={op['cumulative_s']:.6f}s)"
-        )
-    return lines
+        return {"rows": len(self.rows), "operators": self.operators}
 
 
 def _operator_stats(profilers) -> list[dict]:
@@ -161,8 +147,13 @@ class CypherEngine:
         strict: bool = True,
         obs: Obs = NO_OBS,
         clock: Clock | None = None,
+        database_for=None,
     ):
         self.graph = graph
+        #: ``CreateQuery -> GraphDatabase``: the store that journals a
+        #: CREATE.  Without one the engine sits on a bare, unjournaled
+        #: graph and writes to it directly.
+        self._database_for = database_for
         #: default-on semantic analysis: queries with ERROR-severity
         #: findings raise :class:`CypherAnalysisError` before execution
         self.strict = strict
@@ -198,8 +189,6 @@ class CypherEngine:
     def execute(self, parsed: ast.Query) -> list[ResultRow]:
         """Execute an already-parsed (and already-analyzed) query.
 
-        The scatter-gather engine parses and analyzes once, then runs
-        the same AST against every partition through this entry point.
         A MATCH is planned and drained as one :class:`QueryTask` slice
         with no quantum.
         """
@@ -340,34 +329,41 @@ class CypherEngine:
     # -- CREATE ------------------------------------------------------------
 
     def _execute_create(self, query: ast.CreateQuery) -> None:
-        bound: dict[str, Node] = {}
+        if self._database_for is None:
+            self._write_create(query, self.graph)
+            return
+        # one transaction, one journal record: the created subgraph is
+        # replayed on recovery like any connector write
+        tx = self._database_for(query).begin()
+        self._write_create(query, tx)
+        tx.commit()
+
+    @staticmethod
+    def _write_create(
+        query: ast.CreateQuery, target: "PropertyGraph | Transaction"
+    ) -> None:
+        """Walk the CREATE paths, creating each node once per variable."""
+        bound: dict[str, int] = {}
         for path in query.paths:
-            previous: Node | None = None
-            for index, node_pattern in enumerate(path.nodes):
-                node = self._create_or_reuse(node_pattern, bound)
+            previous: int | None = None
+            for index, pattern in enumerate(path.nodes):
+                node = bound.get(pattern.variable) if pattern.variable else None
+                if node is None:
+                    created = target.create_node(
+                        pattern.label or "Node", dict(pattern.properties)
+                    )
+                    # a graph hands back the node, a transaction the
+                    # placeholder id its commit resolves
+                    node = created.node_id if isinstance(created, Node) else created
+                    if pattern.variable:
+                        bound[pattern.variable] = node
                 if index > 0:
                     rel = path.rels[index - 1]
-                    if rel.direction == "in":
-                        self.graph.create_edge(
-                            node.node_id, rel.rel_type or "RELATED_TO", previous.node_id
-                        )
-                    else:
-                        self.graph.create_edge(
-                            previous.node_id, rel.rel_type or "RELATED_TO", node.node_id
-                        )
+                    src, dst = (
+                        (node, previous) if rel.direction == "in" else (previous, node)
+                    )
+                    target.create_edge(src, rel.rel_type or "RELATED_TO", dst)
                 previous = node
-
-    def _create_or_reuse(
-        self, pattern: ast.NodePattern, bound: dict[str, Node]
-    ) -> Node:
-        if pattern.variable and pattern.variable in bound:
-            return bound[pattern.variable]
-        node = self.graph.create_node(
-            pattern.label or "Node", dict(pattern.properties)
-        )
-        if pattern.variable:
-            bound[pattern.variable] = node
-        return node
 
 
 def _is_plain_match(parsed: ast.Query) -> bool:
@@ -459,8 +455,8 @@ class QueryTask:
 
 # -- shared evaluator ---------------------------------------------------------
 #
-# Module-level so the iterator operators and the scatter-gather merge
-# evaluate expressions identically.
+# Module-level so the iterator operators and the tests' oracle evaluate
+# expressions identically.
 
 
 def eval_expr(expr: ast.Expr, bindings: Bindings) -> object:
@@ -594,8 +590,7 @@ def _truthy(value: object) -> bool:
 
 def reduce_collect(values: list[object], distinct: bool) -> list[object]:
     """collect() over already-evaluated values: None-skipping, optional
-    dedup.  Shared by the iterator operators and the scatter-gather
-    merge so both agree on aggregate semantics."""
+    dedup."""
     out: list[object] = []
     seen: list[object] = []
     for value in values:
@@ -653,7 +648,17 @@ def _contains_count(expr: ast.Expr) -> bool:
 
 
 def _hashable(value: object) -> object:
+    """Grouping / DISTINCT identity of a result value.
+
+    Nodes are the same value when their ``(label, merge_key)`` agree --
+    the connector keeps that pair unique within a partition, and an
+    entity that relations pulled onto several partitions must still
+    group as one -- falling back to the node id without a merge key.
+    """
     if isinstance(value, Node):
+        merge = value.properties.get("merge_key")
+        if isinstance(merge, str):
+            return ("__node__", value.label, merge)
         return ("__node__", value.node_id)
     if isinstance(value, Edge):
         return ("__edge__", value.edge_id)

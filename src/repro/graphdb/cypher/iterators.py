@@ -546,7 +546,7 @@ class AggregateOp(PreemptableIterator):
     Consume phase drains the child, accumulating per group the
     representative values of the group expressions and the raw operand
     values of each aggregate (reduced at emit time by the shared
-    ``reduce_*`` helpers the sharded gather also merges with).  A
+    ``reduce_*`` helpers).  A
     quantum expiring mid-consume propagates from the child with the
     accumulators intact.
     Emit phase walks groups in first-seen order.

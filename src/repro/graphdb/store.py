@@ -74,7 +74,7 @@ class PropertyGraph:
     ``id_base`` offsets the node/edge id counters (first id is
     ``id_base + 1``); a sharded deployment gives each partition a
     disjoint id range so ids stay globally unique across partitions and
-    scatter-gather results can be merged without renumbering.
+    the partition graphs read as one without renumbering.
     """
 
     def __init__(self, id_base: int = 0):

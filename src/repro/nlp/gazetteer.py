@@ -90,13 +90,5 @@ class Gazetteer:
         """Whether a full name is listed under a type."""
         return tuple(name.lower().split()) in self.entries.get(entity_type, set())
 
-    def types_of(self, words: list[str], index: int) -> set[EntityType]:
-        """Entity types of any phrase covering token ``index`` (feature use)."""
-        found: set[EntityType] = set()
-        for start, end, entity_type in self.match(words):
-            if start <= index < end:
-                found.add(entity_type)
-        return found
-
 
 __all__ = ["Gazetteer"]

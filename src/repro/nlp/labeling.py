@@ -142,73 +142,6 @@ def cue_actor_lf(tokens: Sequence[Token]) -> list[Proposal]:
     return proposals
 
 
-def cue_technique_lf(tokens: Sequence[Token]) -> list[Proposal]:
-    """LF: lowercase phrase after 'via' / 'using' is a technique."""
-    words = [token.text.lower() for token in tokens]
-    proposals: list[Proposal] = []
-    for i, word in enumerate(words[:-1]):
-        if word in ("via", "using"):
-            end = _extend_name(tokens, i + 1, max_len=4)
-            if end > i + 1 and not tokens[i + 1].is_ioc:
-                proposals.append((i + 1, end, EntityType.TECHNIQUE))
-    return proposals
-
-
-_TOOL_VERBS = frozenset(
-    {"executes", "executed", "leverages", "leveraged", "utilizes", "utilized"}
-)
-
-
-def cue_tool_lf(tokens: Sequence[Token]) -> list[Proposal]:
-    """LF: object of execute/leverage/utilize verbs; '<name> artifacts'."""
-    words = [token.text.lower() for token in tokens]
-    proposals: list[Proposal] = []
-    for i, word in enumerate(words[:-1]):
-        if word in _TOOL_VERBS:
-            end = _extend_name(tokens, i + 1, max_len=3)
-            if end > i + 1:
-                proposals.append((i + 1, end, EntityType.TOOL))
-    for i in range(1, len(words)):
-        if words[i] == "artifacts" and _looks_like_name(tokens[i - 1]):
-            start = i - 1
-            if i >= 2 and _looks_like_name(tokens[i - 2]):
-                start = i - 2
-            proposals.append((start, i, EntityType.TOOL))
-    return proposals
-
-
-_SOFTWARE_CUES_AFTER = frozenset(
-    {
-        "installations",
-        "versions",
-        "deployments",
-        "hosts",
-        "servers",
-        "instances",
-        "interfaces",
-    }
-)
-
-
-def cue_software_lf(tokens: Sequence[Token]) -> list[Proposal]:
-    """LF: '<name> installations/versions/...' and 'unpatched <name>'."""
-    words = [token.text.lower() for token in tokens]
-    proposals: list[Proposal] = []
-    for i in range(1, len(words)):
-        if words[i] in _SOFTWARE_CUES_AFTER:
-            start = i
-            while start > 0 and _looks_like_name(tokens[start - 1]) and i - start < 3:
-                start -= 1
-            if start < i:
-                proposals.append((start, i, EntityType.SOFTWARE))
-    for i, word in enumerate(words[:-1]):
-        if word == "unpatched":
-            end = _extend_name(tokens, i + 1, max_len=3)
-            if end > i + 1:
-                proposals.append((i + 1, end, EntityType.SOFTWARE))
-    return proposals
-
-
 def default_labeling_functions(gazetteer: Gazetteer | None = None) -> list[NamedLF]:
     """The standard LF set: per-type gazetteers + contextual cue patterns.
 
@@ -382,9 +315,6 @@ __all__ = [
     "Proposal",
     "cue_actor_lf",
     "cue_malware_lf",
-    "cue_software_lf",
-    "cue_technique_lf",
-    "cue_tool_lf",
     "default_labeling_functions",
     "make_gazetteer_lf",
     "synthesize_corpus",

@@ -44,14 +44,6 @@ class PRF:
         self.false_negatives += other.false_negatives
         return self
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "precision": round(self.precision, 4),
-            "recall": round(self.recall, 4),
-            "f1": round(self.f1, 4),
-            "support": self.true_positives + self.false_negatives,
-        }
-
 
 @dataclass
 class EntityEvaluation:
@@ -59,9 +51,6 @@ class EntityEvaluation:
 
     micro: PRF = field(default_factory=PRF)
     by_type: dict[EntityType, PRF] = field(default_factory=dict)
-
-    def type_f1(self, entity_type: EntityType) -> float:
-        return self.by_type.get(entity_type, PRF()).f1
 
     @property
     def macro_f1(self) -> float:

@@ -459,7 +459,6 @@ class HealthEngine:
         self._last_eval_at = float(start)
         self._crawls_active = 0
         self._parent_span = None
-        self._listeners: list = []
         # Reentrant: a health.verdict span finishing inside evaluate()
         # re-enters observe_span through the tracer's on_finish hook.
         self._lock = named_lock("obs.health", reentrant=True)
@@ -529,11 +528,6 @@ class HealthEngine:
             previous = self._parent_span
             self._parent_span = span
             return previous
-
-    def on_transition(self, listener) -> None:
-        """Register ``listener(source, old_state, new_state, at)``."""
-        with self._lock:
-            self._listeners.append(listener)
 
     # -- crawl policy ------------------------------------------------------
 
@@ -907,8 +901,6 @@ class HealthEngine:
         self.obs.metrics.set_gauge(
             "health.rate_multiplier", state.multiplier, source=source
         )
-        for listener in self._listeners:
-            listener(source, old, new_state, now)
 
     # -- readout -----------------------------------------------------------
 

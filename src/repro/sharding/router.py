@@ -3,8 +3,8 @@
 The :class:`ShardRouter` is the single placement authority of the
 sharded deployment (ROADMAP item 1): every layer that must decide
 "which partition owns this?" -- the store stage, the crawl-state
-facade, CREATE routing in the scatter-gather Cypher engine -- asks the
-router, so placement stays consistent across layers and across runs.
+facade, Cypher CREATE routing -- asks the router, so placement stays
+consistent across layers and across runs.
 
 Placement is a pure function of the key and the partition count:
 

@@ -6,11 +6,10 @@ same.  Each :class:`ShardPartition` is a complete vertical slice of the
 storage stage: its own :class:`~repro.storage.engine.StorageEngine`
 (journal, snapshot/manifest generations, checkpoint cycle, ingest
 markers, crash points; in memory when no path is given) with its own
-graph / search-index / crawl-state (and optionally SQL) participants,
-connectors and per-partition Cypher engine.  The :class:`ShardSet` owns
-N of them plus the :class:`~repro.sharding.router.ShardRouter` that
-decides placement, and exposes the scatter-gather operations every
-facade layer builds on:
+graph / search-index / crawl-state (and optionally SQL) participants
+and connectors.  The :class:`ShardSet` owns N of them plus the
+:class:`~repro.sharding.router.ShardRouter` that decides placement, and
+exposes the operations every facade layer builds on:
 
 * ``store()`` fans a record batch out to one worker thread per
   partition; each worker commits its records to *its* engine only, so a
@@ -18,17 +17,19 @@ facade layer builds on:
   alone while the others run to completion (the E21 isolation claim);
 * ``search()`` / ``fuse()`` / ``stats()`` scan every partition and
   merge with a canonical ordering, so seeded virtual-clock runs stay
-  byte-identical no matter how the OS scheduled the workers.
+  byte-identical no matter how the OS scheduled the workers;
+* ``graph`` is the one knowledge graph every reader sees, and
+  ``cypher`` the one :class:`~repro.graphdb.cypher.executor.CypherEngine`
+  over it.
 
 Graph ids are globally unique: partition ``i`` hands out ids from
-``i * 2**40 + 1``, so merged query results never need renumbering.
+``i * 2**40 + 1``, so the partitions' graphs read as one
+(:class:`~repro.sharding.union.GraphUnion`) without renumbering.
 
 Everything that depends on the partition *count* is decided here and
 nowhere else, from ``len(partitions)``: the directory layout
-(:func:`partition_paths`), :attr:`ShardSet.graph` (the live graph of a
-single partition, a detached union copy of several) and
-:attr:`ShardSet.cypher` (the partition's own engine, or scatter-gather
-over several).
+(:func:`partition_paths`) and :attr:`ShardSet.graph` (the live graph of
+a single partition, the live union view of several).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.connectors.searchconn import SearchConnector
 from repro.connectors.sql import SQLConnector, SQLParticipant
 from repro.crawlers.state import CrawlParticipant, CrawlState
 from repro.fusion.fuse import FusionReport, KnowledgeFusion
+from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.executor import CypherEngine
 from repro.graphdb.store import PropertyGraph
 from repro.graphdb.wal import GraphDatabase, GraphParticipant
@@ -50,14 +52,10 @@ from repro.obs import NO_OBS, Obs
 from repro.ontology.intermediate import CTIRecord
 from repro.runtime import Clock, clock_from_name, named_lock
 from repro.search.index import SearchHit, SearchIndexParticipant
-from repro.sharding.query import ShardedCypherEngine
 from repro.sharding.router import ShardRouter
+from repro.sharding.union import ID_STRIDE, GraphUnion
 from repro.storage.engine import StorageEngine, StorageError
 from repro.storage.faults import InjectedCrash
-
-#: Id-range stride between partitions (2**40 ids each -- effectively
-#: inexhaustible per shard, and the partition of an id is ``id >> 40``).
-ID_STRIDE = 1 << 40
 
 
 def partition_paths(root: str | Path | None, count: int) -> list[Path | None]:
@@ -121,7 +119,7 @@ class ShardStoreOutcome:
 
 
 class ShardPartition:
-    """One shard: engine + participants + connectors + query engine."""
+    """One shard: engine + participants + connectors."""
 
     def __init__(
         self,
@@ -131,7 +129,6 @@ class ShardPartition:
         faults=None,
         obs: Obs = NO_OBS,
         fsync: bool = True,
-        clock: Clock | None = None,
     ):
         self.index = index
         participants = [
@@ -154,7 +151,6 @@ class ShardPartition:
             connector = self._build_connector(name)
             connector.obs = obs
             self.connectors[name] = connector
-        self.cypher = CypherEngine(self.database.graph, obs=obs, clock=clock)
         self.stats = ShardWorkerStats(index)
 
     def _build_connector(self, name: str) -> Connector:
@@ -174,7 +170,7 @@ class ShardPartition:
 
 
 class ShardSet:
-    """N partitions plus the scatter-gather operations over them.
+    """N partitions behind one store / search / graph / Cypher surface.
 
     Parameters
     ----------
@@ -219,16 +215,22 @@ class ShardSet:
                 faults=faults if index == 0 else None,
                 obs=self.obs,
                 fsync=fsync,
-                clock=self.clock,
             )
             for index, path in enumerate(partition_paths(root, partitions))
         ]
-        #: the Cypher entry point: one partition answers from its own
-        #: engine, several scatter-gather
-        self.cypher: CypherEngine | ShardedCypherEngine = (
-            self.partitions[0].cypher
+        #: the knowledge graph: a single partition's live graph, or the
+        #: live union view of several
+        self.graph: PropertyGraph | GraphUnion = (
+            self.partitions[0].graph
             if len(self.partitions) == 1
-            else ShardedCypherEngine([p.cypher for p in self.partitions])
+            else GraphUnion([p.graph for p in self.partitions])
+        )
+        #: the Cypher entry point: the one engine, over the one graph
+        self.cypher = CypherEngine(
+            self.graph,
+            obs=self.obs,
+            clock=self.clock,
+            database_for=self._create_database,
         )
 
     # -- the store fan-out ---------------------------------------------
@@ -325,7 +327,7 @@ class ShardSet:
             ingest=totals, stored=stored, skipped=skipped
         )
 
-    # -- scatter-gather reads ------------------------------------------
+    # -- reads over every partition --------------------------------------
 
     def search(self, query: str, limit: int = 10) -> list[SearchHit]:
         """Keyword search over every partition's index, merged by
@@ -364,66 +366,43 @@ class ShardSet:
 
     def stats(self) -> dict[str, object]:
         """Aggregate graph statistics plus a per-partition breakdown."""
-        labels: dict[str, int] = {}
-        edge_types: dict[str, int] = {}
-        nodes = edges = 0
         per_partition: list[dict[str, object]] = []
         for partition in self.partitions:
-            graph = partition.graph
-            nodes += graph.node_count
-            edges += graph.edge_count
-            for label, count in graph.label_counts().items():
-                labels[label] = labels.get(label, 0) + count
-            for edge_type, count in graph.edge_type_counts().items():
-                edge_types[edge_type] = edge_types.get(edge_type, 0) + count
             per_partition.append(
                 {
                     "partition": partition.index,
-                    "nodes": graph.node_count,
-                    "edges": graph.edge_count,
+                    "nodes": partition.graph.node_count,
+                    "edges": partition.graph.edge_count,
                     "reports_ingested": partition.engine.ingested_count,
                 }
             )
+        graph = self.graph
         return {
-            "nodes": nodes,
-            "edges": edges,
-            "labels": dict(sorted(labels.items())),
-            "edge_types": dict(sorted(edge_types.items())),
+            "nodes": graph.node_count,
+            "edges": graph.edge_count,
+            "labels": graph.label_counts(),
+            "edge_types": graph.edge_type_counts(),
             "partitions": per_partition,
         }
 
-    def sql_stats(self) -> dict[str, object]:
-        """Aggregated SQL-mirror counts (scatter-gather over each
-        partition's :class:`SQLConnector`)."""
-        if "sql" not in self.connector_names:
-            raise RuntimeError("the 'sql' connector is not configured")
-        entities = relations = 0
-        labels: dict[str, int] = {}
-        for partition in self.partitions:
-            connector = partition.connectors["sql"]
-            entities += connector.entity_count()
-            relations += connector.relation_count()
-            for label, count in connector.label_counts().items():
-                labels[label] = labels.get(label, 0) + count
-        return {
-            "entities": entities,
-            "relations": relations,
-            "labels": dict(sorted(labels.items())),
-        }
-
-    @property
-    def graph(self) -> PropertyGraph:
-        """The knowledge graph: a single partition's live graph, or a
-        detached union copy of several (:meth:`merged_graph`)."""
-        if len(self.partitions) == 1:
-            return self.partitions[0].graph
-        return self.merged_graph()
+    def _create_database(self, query: ast.CreateQuery) -> GraphDatabase:
+        """Where a Cypher CREATE is journaled: the partition owning its
+        first node's entity key (deterministic; partition 0 when
+        nameless).  One CREATE writes one partition, so its edges never
+        cross."""
+        first = query.paths[0].nodes[0]
+        props = dict(first.properties)
+        name = props.get("name") or props.get("merge_key")
+        owner = 0
+        if isinstance(name, str) and name:
+            owner = self.router.partition_for_entity(first.label or "Node", name)
+        return self.partitions[owner].database
 
     def merged_graph(self) -> PropertyGraph:
-        """One union graph for whole-graph consumers (export, hunting,
-        offline stats).  Node ids are preserved verbatim -- the
-        per-partition id ranges are disjoint -- but the result is a
-        detached copy: mutations do not write back to any partition."""
+        """A detached union copy of the graph, for offline use and as
+        the reference the tests compare the live view against.  Node ids
+        are preserved verbatim -- the per-partition id ranges are
+        disjoint -- and mutations do not write back to any partition."""
         merged = PropertyGraph()
         for partition in self.partitions:
             graph = partition.graph
@@ -436,8 +415,7 @@ class ShardSet:
     def feed_stamp(self) -> tuple[tuple[int, int, int], ...]:
         """Cheap per-partition change stamp for the feed publisher:
         ``(last_seq, node_count, edge_count)`` per shard, in partition
-        order.  Deterministic for seeded runs, so the sharded gather of
-        feed deltas is too."""
+        order.  Deterministic for seeded runs, so feed deltas are too."""
         return tuple(
             (
                 partition.engine.last_seq,

@@ -19,7 +19,9 @@ Design
   markers*, so graph mutations, search-index doc deltas and the
   seen-URL delta become durable as a single unit.  A torn final line
   (crash mid-append) is detected and truncated on recovery; a line is
-  either fully applied or not at all.
+  either fully applied or not at all.  Only the final line is ever
+  discarded: a damaged or inapplicable record with committed records
+  after it fails the open instead.
 * **Redo-log semantics.**  Ops are applied to memory when logged and
   journalled at commit; memory is a cache of the log.  After a crash
   the process is gone, so recovery = load snapshot + replay journal.
@@ -115,6 +117,19 @@ class EngineTransaction:
         if ops:
             self._groups.append((name, ops))
         return len(ops)
+
+
+def _decode_record(line: str) -> dict | None:
+    """One journal line as a record, or ``None`` when it is not a
+    complete one (no newline ever made it to disk, or not a JSON
+    object)."""
+    if not line.endswith("\n"):
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) else None
 
 
 class StorageEngine:
@@ -285,25 +300,39 @@ class StorageEngine:
     def replay_journal(self, journal_path: Path) -> int:
         """Replay a journal file; returns the number of records applied.
 
-        Torn tails (a crash mid-append) are truncated to the last
-        complete record.  Replay is idempotent: records whose sequence
-        number is at or below the engine's current sequence are skipped,
-        so replaying any prefix and then the full journal equals
-        applying the journal once.
+        Only the final line can be a torn tail (a crash mid-append: no
+        trailing newline, or undecodable with nothing after it); it is
+        truncated away.  Every other record was committed and
+        acknowledged, so one that cannot be decoded or applied raises
+        :class:`StorageError` and leaves the file untouched --
+        discarding it, and everything after it, would lose data.
+
+        Replay is idempotent: records whose sequence number is at or
+        below the engine's current sequence are skipped, so replaying
+        any prefix and then the full journal equals applying the
+        journal once.
         """
         applied = 0
         valid_bytes = 0
         with journal_path.open("r", encoding="utf-8") as handle:
             for line in handle:
-                if not line.endswith("\n"):
-                    break  # torn tail: no newline ever made it to disk
-                stripped = line.strip()
-                if stripped:
+                if line.strip():
+                    record = _decode_record(line)
+                    if record is None:
+                        if handle.read().strip():
+                            raise StorageError(
+                                f"{journal_path}: the record after seq "
+                                f"{self._seq} is corrupt but committed "
+                                "records follow it; refusing to truncate"
+                            )
+                        break  # torn tail
                     try:
-                        record = json.loads(stripped)
                         applied += self.replay_records([record])
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        break  # torn or corrupt tail record
+                    except (KeyError, TypeError, ValueError) as error:
+                        raise StorageError(
+                            f"{journal_path}: committed record seq="
+                            f"{record.get('seq')} cannot be applied: {error!r}"
+                        ) from error
                 valid_bytes += len(line.encode("utf-8"))
         if valid_bytes < journal_path.stat().st_size:
             with journal_path.open("r+b") as handle:

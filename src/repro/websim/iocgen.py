@@ -92,11 +92,6 @@ def make_cve(rng: random.Random) -> str:
     return f"CVE-{year}-{number}"
 
 
-def make_mutex(rng: random.Random) -> str:
-    """A malware mutex name (used as a free attribute value)."""
-    return "Global\\" + "".join(rng.choice(_HEX) for _ in range(12))
-
-
 __all__ = [
     "make_cve",
     "make_domain",
@@ -105,7 +100,6 @@ __all__ = [
     "make_file_path",
     "make_hash",
     "make_ip",
-    "make_mutex",
     "make_registry_key",
     "make_url",
 ]

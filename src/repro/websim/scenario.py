@@ -155,24 +155,6 @@ class GroundTruth:
     sentences: list[GeneratedSentence] = field(default_factory=list)
     iocs: dict[str, list[str]] = field(default_factory=dict)
 
-    @property
-    def entity_mentions(self) -> list[tuple[str, EntityType]]:
-        """All gold (text, type) mentions across the narrative."""
-        return [
-            (mention.text, mention.type)
-            for sentence in self.sentences
-            for mention in sentence.mentions
-        ]
-
-    @property
-    def relation_triples(self) -> list[tuple[str, str, str]]:
-        """All gold (head, verb, tail) triples across the narrative."""
-        return [
-            (rel.head_text, rel.verb, rel.tail_text)
-            for sentence in self.sentences
-            for rel in sentence.relations
-        ]
-
 
 @dataclass
 class ReportContent:

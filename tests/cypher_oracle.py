@@ -22,8 +22,18 @@ AGGREGATES = (ast.Count, ast.Collect, ast.NumAgg)
 
 
 def _fp(value):
-    """Hashable fingerprint of a result value (graph refs by id)."""
+    """Hashable fingerprint of a result value.
+
+    Nodes with the same ``(label, merge_key)`` are one value: a
+    partitioned store keeps a copy of an entity on every partition whose
+    reports relate to it, and grouping / DISTINCT / row comparison must
+    see the entity, not the copies.  Pattern *matching* is by id
+    (:func:`_same`) -- each copy carries its own edges.
+    """
     if isinstance(value, Node):
+        merge = value.properties.get("merge_key")
+        if isinstance(merge, str):
+            return ("node", value.label, merge)
         return ("node", value.node_id)
     if isinstance(value, Edge):
         return ("edge", value.edge_id)
@@ -32,12 +42,19 @@ def _fp(value):
     return value
 
 
+def _same(bound, element):
+    """Whether a bound variable holds this very node / edge."""
+    if isinstance(element, Node):
+        return isinstance(bound, Node) and bound.node_id == element.node_id
+    return isinstance(bound, Edge) and bound.edge_id == element.edge_id
+
+
 def _node_ok(pattern, node, bindings):
     bound = bindings.get(pattern.variable)
     return (
         (not pattern.label or node.label == pattern.label)
         and all(node.properties.get(k) == v for k, v in pattern.properties)
-        and (bound is None or _fp(bound) == _fp(node))
+        and (bound is None or _same(bound, node))
     )
 
 
@@ -81,7 +98,7 @@ def _extend(graph, path, index, node, bindings):
         if not _node_ok(target, reached, new) or (
             edge is not None
             and rel.variable
-            and _fp(new.setdefault(rel.variable, edge)) != _fp(edge)
+            and not _same(new.setdefault(rel.variable, edge), edge)
         ):
             continue
         if target.variable:

@@ -80,6 +80,31 @@ class TestRunAndQuery:
         assert bundle["type"] == "bundle"
         assert bundle["objects"]
 
+    def test_feed_export(self, state_dir, tmp_path):
+        code, output = run_cli(
+            "feed", "export", "--state", str(state_dir), *SMALL,
+            "--out-dir", str(tmp_path / "bundles"),
+        )
+        assert code == 0, output
+        sizes = {}
+        for tier in ("public", "partner", "internal"):
+            bundle = json.loads(
+                (tmp_path / "bundles" / f"feed-{tier}.json").read_text()
+            )
+            assert bundle["type"] == "bundle"
+            sizes[tier] = len(bundle["objects"])
+            assert f"{tier}: {sizes[tier]} objects" in output
+        # tiers nest: each clearance sees at least what the one below does
+        assert 0 < sizes["public"] <= sizes["partner"] <= sizes["internal"]
+        code, output = run_cli(
+            "feed", "export", "--state", str(state_dir), *SMALL,
+            "--out-dir", str(tmp_path / "one"), "--tier", "public",
+        )
+        assert code == 0
+        assert [p.name for p in (tmp_path / "one").iterdir()] == [
+            "feed-public.json"
+        ]
+
     def test_hunt(self, state_dir):
         code, output = run_cli(
             "hunt", "--state", str(state_dir), *SMALL, "--attacks", "2",

@@ -15,7 +15,9 @@ from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
 from repro.feeds import TIER_MAX_TLP, TIERS, FeedPublisher, tier_allows
 from repro.obs import make_obs
-from repro.ontology.stix import stix_id
+from repro.ontology.entities import EntityType
+from repro.ontology.intermediate import CTIRecord, Mention
+from repro.ontology.stix import export_graph, filter_bundle, stix_id
 from repro.runtime import clock_from_name
 from repro.storage import CrashInjector, InjectedCrash
 from repro.ui.server import ExplorerAPI
@@ -389,4 +391,49 @@ class TestSnapshotPersistence:
         )
         assert data["etag"] == etag
         assert data["history"] and data["objects"]
+        kg.close()
+
+
+class TestLiveReadsAtTwoPartitions:
+    """Every reader of ``kg.graph`` sees a commit made after it was
+    built: the explorer holds the live union view, not a copy taken at
+    construction, and feeds export the same view."""
+
+    @staticmethod
+    def _record(index, name):
+        return CTIRecord(
+            report_id=f"rpt-{index:04d}",
+            source="UnitSource",
+            url=f"https://unit.test/report/{index}",
+            title=f"report {index} on {name}",
+            mentions=[Mention(name, EntityType.MALWARE)],
+        )
+
+    def test_explorer_and_feeds_follow_later_commits(self):
+        kg = make_kg(partitions=2)
+        api = ExplorerAPI(kg)
+        kg.store([self._record(i, f"early-{i}") for i in range(4)])
+        for tier in TIERS:
+            kg.feeds.pull(tier)
+        kg.store([self._record(10 + i, f"late-{i}") for i in range(4)])
+
+        status, payload = api.handle("POST", "/api/search", {"query": "late-2"})
+        assert status == 200
+        shown = {node["name"]: node["id"] for node in payload["view"]["nodes"]}
+        assert "late-2" in shown
+        status, payload = api.handle("POST", "/api/expand", {"id": shown["late-2"]})
+        assert status == 200
+        assert "report 12 on late-2" in {
+            node["name"] for node in payload["view"]["nodes"]
+        }
+
+        reference = export_graph(kg.shards.merged_graph(), markings=True)
+        for tier in TIERS:
+            expected = filter_bundle(
+                reference, TIER_MAX_TLP[tier], sanitize=(tier == "public")
+            )
+            bundle, _etag = kg.feeds.full_bundle(tier)
+            assert bundle["objects"] == sorted(
+                expected.objects, key=lambda stix_object: stix_object["id"]
+            ), f"tier {tier} is not the export of the current graph"
         kg.close()

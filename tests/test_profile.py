@@ -408,21 +408,28 @@ class TestShardedProfile:
             shards.close()
 
     def test_gather_root_and_partition_subtrees(self):
-        shards = ShardSet(3)
+        """What is true now: there is neither.  Three partitions profile
+        as the single-partition operator chain over the union graph."""
+        query = "MATCH (m:Malware) RETURN m.name"
+        single, shards = ShardSet(1), ShardSet(3)
         try:
+            single.store(shard_records(12))
             shards.store(shard_records(12))
-            engine = shards.cypher
-            prof = engine.profile("MATCH (m:Malware) RETURN m.name")
-            assert prof.operators[0]["operator"] == "Gather"
-            assert prof.operators[0]["detail"] == "3 partitions"
-            assert set(prof.partitions) == {"0", "1", "2"}
-            gathered = sum(
-                ops[0]["rows"] for ops in prof.partitions.values()
+            prof = shards.cypher.profile(query)
+            names = [op["operator"] for op in prof.operators]
+            assert names == [
+                op["operator"] for op in single.cypher.profile(query).operators
+            ]
+            assert "Gather" not in names
+            assert prof.operators[0]["rows"] == len(prof.rows)
+            scan = next(op for op in prof.operators if "Scan" in op["operator"])
+            assert scan["rows"] == sum(
+                p.graph.label_count("Malware") for p in shards.partitions
             )
-            assert gathered == len(prof.rows)
-            text = prof.lines()
-            assert any(line == "partition 0:" for line in text)
+            assert not hasattr(prof, "partitions")
+            assert not any(line.startswith("partition") for line in prof.lines())
         finally:
+            single.close()
             shards.close()
 
 

@@ -1,11 +1,11 @@
-"""The sharding layer: router placement, store fan-out, scatter-gather.
+"""The sharding layer: router placement, store fan-out, one graph view.
 
 Covers the placement properties the design leans on (stability, balance,
 insertion-order independence -- hypothesis-driven), the per-partition
 store semantics (exactly-once markers, crash isolation, disjoint id
-ranges), scatter-gather Cypher equivalence against a single-partition
-deployment, and the witness/analyzer support for per-partition lock
-families.
+ranges), Cypher over the union view against a single-partition
+deployment and against the brute-force oracle, and the witness/analyzer
+support for per-partition lock families.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.graphdb.cypher.executor import CypherRuntimeError
 from repro.graphdb.store import PropertyGraph
 from repro.obs import make_obs
 from repro.ontology.entities import EntityType
-from repro.ontology.intermediate import CTIRecord, Mention
+from repro.ontology.intermediate import CTIRecord, Mention, RelationMention
 from repro.runtime import clock_from_name
 from repro.runtime.locks import (
     LockOrderViolation,
@@ -37,10 +37,10 @@ from repro.runtime.locks import (
 )
 from repro.sharding import (
     ID_STRIDE,
+    GraphUnion,
     ShardRouter,
     ShardSet,
     ShardedCrawlState,
-    ShardedCypherEngine,
 )
 from repro.storage import StorageError
 from repro.storage.faults import CrashInjector, InjectedCrash
@@ -282,7 +282,7 @@ class TestShardSetStore:
         shards.close()
 
 
-# -- scatter-gather Cypher --------------------------------------------------
+# -- Cypher over N partitions ------------------------------------------------
 
 
 def _values(rows):
@@ -435,13 +435,15 @@ class TestShardedCypher:
 
     def test_requires_at_least_one_engine(self):
         with pytest.raises(ValueError):
-            ShardedCypherEngine([])
+            GraphUnion([])
+        with pytest.raises(ValueError):
+            ShardSet(0)
 
 
 class TestNumericOrderBy:
     """ORDER BY over a count column that mixes one- and two-digit
     values, against the brute-force oracle: numbers sort as numbers in
-    the single engine's OrderByOp and in the sharded gather alike."""
+    the engine's OrderByOp, at one partition and at three."""
 
     #: reports per malware family -- as strings "10" < "11" < "2" < "9"
     COUNTS = {"fam-a": 2, "fam-b": 9, "fam-c": 10, "fam-d": 11, "fam-e": 1}
@@ -485,7 +487,153 @@ class TestNumericOrderBy:
         assert [row["n"] for row in rows] == [11, 10, 9]
 
 
-# -- scatter-gather search / fusion / stats ---------------------------------
+def _linked_records() -> list[CTIRecord]:
+    """Reports naming an actor, a malware and a tool each, with USES
+    relations between them: every entity recurs under several anchors,
+    so at N > 1 relations pull copies of it onto several partitions."""
+    actors = ["APT29", "FIN7", "Lazarus Group"]
+    malware = ["agent tesla", "zeus panda", "vidar stealer", "Teardrop"]
+    tools = ["mimikatz", "cobalt strike"]
+    records = []
+    for index in range(14):
+        actor = actors[index % len(actors)]
+        family = malware[(index // 2) % len(malware)]
+        tool = tools[index % len(tools)]
+        record = _record(index)
+        record.mentions = [
+            Mention(actor, EntityType.THREAT_ACTOR),
+            Mention(family, EntityType.MALWARE),
+            Mention(tool, EntityType.TOOL),
+        ]
+        record.relations = [
+            RelationMention(
+                actor, EntityType.THREAT_ACTOR, "uses", family, EntityType.MALWARE
+            ),
+            RelationMention(
+                actor, EntityType.THREAT_ACTOR, "uses", tool, EntityType.TOOL
+            ),
+        ]
+        records.append(record)
+    return records
+
+
+class TestDifferentialAtN:
+    """The engine over N partitions against the brute-force oracle over
+    the detached union copy: run and paged, at every query shape the
+    deleted gather side used to re-implement."""
+
+    QUERIES = {
+        "connected-path": (
+            "MATCH (r:AttackReport)-[:MENTIONS]->(m:Malware) "
+            "RETURN r.name, m.name"
+        ),
+        "shared-variable-two-paths": (
+            "MATCH (r)-[:MENTIONS]->(a:Malware), (r)-[:MENTIONS]->(b:ThreatActor) "
+            "RETURN a.name, b.name, count(r) AS n ORDER BY n DESC LIMIT 10"
+        ),
+        "disconnected-count": (
+            "MATCH (a:Malware), (b:ThreatActor) RETURN count(*) AS pairs"
+        ),
+        "disconnected-rows": (
+            "MATCH (a:Malware), (b:ThreatActor) RETURN a.name, b.name"
+        ),
+        "group-by-node": (
+            "MATCH (r)-[:MENTIONS]->(m:Malware) RETURN m, count(r) AS n"
+        ),
+        "distinct-node": (
+            "MATCH (r)-[:MENTIONS]->(m:Malware) RETURN DISTINCT m"
+        ),
+        "count-distinct-node": (
+            "MATCH (r:AttackReport)-[:MENTIONS]->(m) "
+            "RETURN count(DISTINCT m) AS entities, count(m) AS mentions"
+        ),
+        "collect-distinct": (
+            "MATCH (m:Malware) RETURN collect(DISTINCT m.name) AS names"
+        ),
+        "avg-over-edges": (
+            "MATCH (a:ThreatActor)-[e:USES]->(t) RETURN a.name, "
+            "avg(e.weight) AS w, count(DISTINCT t) AS used ORDER BY a.name"
+        ),
+        "var-length": (
+            "MATCH (r:AttackReport)-[*1..2]->(x:Tool) RETURN r.name, x.name"
+        ),
+        "order-skip-limit": (
+            "MATCH (r:AttackReport)-[:MENTIONS]->(m) "
+            "RETURN r.name, m.name ORDER BY m.name, r.name SKIP 3 LIMIT 7"
+        ),
+    }
+
+    @pytest.fixture(scope="class", params=[1, 3])
+    def shards(self, request):
+        shards = ShardSet(request.param)
+        shards.store(_linked_records())
+        yield shards
+        shards.close()
+
+    def test_corpus_spreads_entities_over_partitions(self, shards):
+        copies = shards.graph.find_nodes("ThreatActor", name="APT29")
+        if len(shards.partitions) == 1:
+            assert len(copies) == 1
+        else:
+            assert len(copies) > 1, "no entity was pulled onto two partitions"
+            assert len({node.properties["merge_key"] for node in copies}) == 1
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_run_and_pages_match_oracle(self, shards, name):
+        query = self.QUERIES[name]
+        reference = shards.merged_graph()
+        rows = shards.cypher.run(query)
+        assert rows, "vacuous query"
+        cypher_oracle.check(rows, reference, query)
+        for page_size in (1, 3, 10_000):
+            paged, continuation = [], None
+            while True:
+                page = shards.cypher.run_paginated(
+                    query, page_size, continuation=continuation
+                )
+                assert len(page.rows) <= page_size
+                paged.extend(page.rows)
+                if page.continuation is None:
+                    break
+                # the wire form: what a client hands back is JSON
+                continuation = json.loads(json.dumps(page.continuation))
+            assert _values(paged) == _values(rows)
+
+    def test_disconnected_pattern_pairs_across_partitions(self, shards):
+        graph = shards.graph
+        pairs = graph.label_count("Malware") * graph.label_count("ThreatActor")
+        rows = shards.cypher.run(self.QUERIES["disconnected-count"])
+        assert _values(rows) == [{"pairs": pairs}]
+
+    def test_blocking_query_pages_scan_once(self, monkeypatch):
+        clock = clock_from_name("virtual")
+        obs = make_obs(clock)
+        shards = ShardSet(3, obs=obs, clock=clock)
+        shards.store(_linked_records())
+        scans = []
+        original = PropertyGraph.node_ids
+        monkeypatch.setattr(
+            PropertyGraph,
+            "node_ids",
+            lambda graph, label=None: scans.append(label) or original(graph, label),
+        )
+        query = "MATCH (m:Malware) RETURN m.name AS name ORDER BY name"
+        pages, continuation = 0, None
+        while True:
+            page = shards.cypher.run_paginated(query, 2, continuation=continuation)
+            pages += 1
+            continuation = page.continuation
+            if continuation is None:
+                break
+        assert pages > 2
+        # page 1 drains and sorts; later pages resume the sorted rows
+        assert scans == ["Malware"] * len(shards.partitions)
+        slices = [s for s in obs.tracer.export() if s["name"] == "cypher.slice"]
+        assert len(slices) == pages
+        shards.close()
+
+
+# -- search / fusion / stats over N partitions --------------------------------
 
 
 class TestShardSetReads:

@@ -277,6 +277,42 @@ class TestRecovery:
             handle.write('{"seq": 2, "ops": {}, "marks": []}')
         assert kv(open_engine(tmp_path / "s")) == {"a": 1}
 
+    @pytest.mark.parametrize(
+        "bad, names",
+        [
+            ('{"seq": 2, "ops": {"kv": [[{"op": "se\n', "after seq 1"),
+            ('{"seq": 2, "ops": {"kv": [[{"op": "explode"}]]}}\n', "seq=2"),
+            ('{"seq": 2, "ops": {"kv": [[{"k": "b"}]]}}\n', "seq=2"),
+        ],
+        ids=["undecodable", "apply-raises-value-error", "apply-raises-key-error"],
+    )
+    def test_bad_middle_record_refuses_to_truncate(self, tmp_path, bad, names):
+        engine = open_engine(tmp_path / "s")
+        engine.log("kv", [{"op": "set", "k": "a", "v": 1}])
+        journal = engine.journal_path
+        engine.close()
+        with journal.open("a") as handle:
+            handle.write(bad)
+            handle.write('{"seq": 3, "ops": {"kv": [[{"op": "set", '
+                         '"k": "c", "v": 3}]]}, "marks": []}\n')
+        before = journal.read_bytes()
+        with pytest.raises(StorageError, match=names):
+            open_engine(tmp_path / "s")
+        # the committed record after the damage is still on disk
+        assert journal.read_bytes() == before
+
+    def test_inapplicable_final_record_is_not_a_torn_tail(self, tmp_path):
+        engine = open_engine(tmp_path / "s")
+        engine.log("kv", [{"op": "set", "k": "a", "v": 1}])
+        journal = engine.journal_path
+        engine.close()
+        with journal.open("a") as handle:
+            handle.write('{"seq": 2, "ops": {"kv": [[{"op": "explode"}]]}}\n')
+        before = journal.read_bytes()
+        with pytest.raises(StorageError, match="seq=2"):
+            open_engine(tmp_path / "s")
+        assert journal.read_bytes() == before
+
     def test_snapshot_with_unknown_participant_rejected(self, tmp_path):
         engine = open_engine(tmp_path / "s")
         engine.log("kv", [{"op": "set", "k": "a", "v": 1}])

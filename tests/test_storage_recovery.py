@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
+from repro.ontology.entities import EntityType
+from repro.ontology.intermediate import CTIRecord, Mention
 from repro.storage import CRASH_POINTS, CrashInjector, InjectedCrash
 
 WORKLOAD = dict(
@@ -249,3 +251,66 @@ class TestGraphSQLParity:
             # one row per ingest marker: no lost or duplicated reports
             assert sorted(r[0] for r in report_rows) == final.engine.ingested_ids()
             final.close()
+
+
+class TestCypherCreateIsJournaled:
+    """Cypher CREATE is a write like any other: it goes through the
+    owning partition's journal, so a reopened store has the node and
+    every later commit still replays against the ids it was written
+    with."""
+
+    @staticmethod
+    def _records(start, count):
+        names = ["agent tesla", "zeus panda", "APT29", "mimikatz"]
+        return [
+            CTIRecord(
+                report_id=f"rpt-{index:04d}",
+                source="UnitSource",
+                url=f"https://unit.test/report/{index}",
+                title=f"report {index}",
+                mentions=[
+                    Mention(names[index % 4], EntityType.MALWARE),
+                    Mention(names[(index + 1) % 4], EntityType.MALWARE),
+                ],
+            )
+            for index in range(start, start + count)
+        ]
+
+    @staticmethod
+    def _contents(kg):
+        """Every node and edge *with* its id, plus the ingest markers."""
+        graph = kg.graph
+        return (
+            sorted(
+                (n.node_id, n.label, _normalize_props(n.properties))
+                for n in graph.nodes()
+            ),
+            sorted(
+                (e.edge_id, e.src, e.type, e.dst, _normalize_props(e.properties))
+                for e in graph.edges()
+            ),
+            kg.shards.ingested_ids(),
+        )
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_create_between_stores_survives_reopen(self, tmp_path, partitions):
+        kg = make_kg(tmp_path / "state", partitions=partitions)
+        kg.store(self._records(0, 4))
+        kg.cypher(
+            "CREATE (:Malware {name: 'handmade', merge_key: 'malware::handmade'})"
+            "-[:USES]->(:Tool {name: 'handtool', merge_key: 'tool::handtool'})",
+            strict=False,
+        )
+        kg.store(self._records(4, 6))
+        before = self._contents(kg)
+        kg.close()  # no checkpoint: the reopen replays the whole journal
+
+        reopened = make_kg(tmp_path / "state", partitions=partitions)
+        assert self._contents(reopened) == before
+        assert len(before[2]) == 10
+        rows = reopened.cypher(
+            "MATCH (m:Malware {name: 'handmade'})-[:USES]->(t:Tool) "
+            "RETURN t.name AS tool"
+        )
+        assert [row["tool"] for row in rows] == ["handtool"]
+        reopened.close()
