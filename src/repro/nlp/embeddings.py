@@ -92,13 +92,23 @@ class WordEmbeddings:
 
         k = min(self.dim, size - 1)
         try:
-            u, s, _vt = svds(ppmi, k=k)
+            # a seeded start vector: ARPACK otherwise draws one from
+            # numpy's global RNG and the model differs run to run (a
+            # constant vector will not do -- on a symmetric corpus it
+            # spans an invariant subspace and ARPACK restarts randomly)
+            u, s, _vt = svds(ppmi, k=k, v0=np.random.default_rng(0).random(size))
         except Exception:
             dense = np.asarray(ppmi.todense())
             u_full, s_full, _ = np.linalg.svd(dense)
             u, s = u_full[:, :k], s_full[:k]
         order = np.argsort(-s)
-        self.vectors = u[:, order] * np.sqrt(s[order])
+        u = u[:, order]
+        # a singular vector is only defined up to sign: pin it (largest-
+        # magnitude component positive) so the sign-bucket features do
+        # not depend on the solver
+        peaks = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+        u = u * np.where(peaks < 0, -1.0, 1.0)
+        self.vectors = u * np.sqrt(s[order])
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         self.vectors = self.vectors / norms

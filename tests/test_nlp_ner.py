@@ -196,3 +196,71 @@ class TestEntityRecognizer:
         # the full benchmark trains on more data and reaches ~0.99;
         # the fast fixture must still clear a high bar
         assert ev.micro.f1 > 0.85
+
+
+_TRAIN_AND_HASH = """
+import hashlib, sys
+sys.path[:0] = {paths!r}
+from test_nlp_ner import train_tiny, model_bytes
+print(hashlib.sha256(model_bytes(train_tiny())).hexdigest())
+"""
+
+
+def train_tiny() -> EntityRecognizer:
+    from conftest import training_texts
+
+    return EntityRecognizer.train(
+        training_texts(6, 1), max_iterations=8, embedding_dim=8
+    )
+
+
+def model_bytes(recognizer: EntityRecognizer) -> bytes:
+    return b"".join(
+        array.tobytes()
+        for array in (
+            recognizer.crf.emission,
+            recognizer.crf.transition,
+            recognizer.features.embeddings.vectors,
+        )
+    )
+
+
+class TestTrainingDeterminism:
+    def test_same_model_twice_in_process_and_in_a_subprocess(self):
+        """The truncated SVD behind the embeddings starts from a fixed
+        vector and pins each singular vector's sign, so the same texts
+        give byte-equal weights in every process (ARPACK's default
+        start vector comes from numpy's global RNG)."""
+        import hashlib
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        first, second = model_bytes(train_tiny()), model_bytes(train_tiny())
+        assert first == second
+        tests_dir = Path(__file__).resolve().parent
+        script = _TRAIN_AND_HASH.format(
+            paths=[str(tests_dir.parent / "src"), str(tests_dir)]
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout.strip() == hashlib.sha256(first).hexdigest()
+
+    def test_singular_vector_signs_do_not_depend_on_the_solver(self, monkeypatch):
+        import numpy as np
+
+        import repro.nlp.embeddings as embeddings
+
+        def flipped(*args, **kwargs):
+            u, s, vt = svds(*args, **kwargs)
+            return -u, s, -vt
+
+        svds = embeddings.svds
+        sentences = [f"the {w} tool drops {w} files".split() for w in "abcdef"] * 6
+        expected = WordEmbeddings(dim=4).train(sentences).vectors
+        monkeypatch.setattr(embeddings, "svds", flipped)
+        np.testing.assert_array_equal(
+            WordEmbeddings(dim=4).train(sentences).vectors, expected
+        )
