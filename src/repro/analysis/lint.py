@@ -19,6 +19,12 @@ concurrency invariants the deterministic-replay pipeline depends on
     ``repro/runtime/clock.py`` (the clock implementations themselves).
     Sleeping or measuring elapsed time must go through the injected
     clock, or virtual-time runs silently burn real seconds.
+``det/unseeded-solver``
+    An iterative eigen/SVD solver (``svds`` / ``eigsh`` / ``eigs`` /
+    ``lobpcg``) called without a start vector or seed keyword (``v0=`` /
+    ``X=`` / ``random_state=`` / ``rng=``).  ARPACK then draws its start
+    vector from numpy's *global* RNG -- randomness ``det/global-random``
+    cannot see, because no ``random`` call appears in the source.
 ``conc/inconsistent-guard``
     (interprocedural, :mod:`repro.analysis.concurrency`) a field written
     both under and outside its guarding lock on a thread-reachable
@@ -107,6 +113,8 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
 _WALL_CLOCK_TIME = frozenset({"time", "time_ns"})
 _WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 _RAW_SLEEP_TIME = frozenset({"sleep", "monotonic"})
+_ITERATIVE_SOLVERS = frozenset({"svds", "eigsh", "eigs", "lobpcg"})
+_SOLVER_SEED_KEYWORDS = frozenset({"v0", "X", "random_state", "rng"})
 
 
 def _has_suffix(path: Path, suffixes: tuple[str, ...]) -> bool:
@@ -177,6 +185,8 @@ class _FileLint:
         )
         if self._flag_det or self._flag_raw_sleep:
             self._check_determinism(tree)
+        if self._flag_det:
+            self._check_solvers(tree)
         if ATOMIC_WRITE_SANCTIONED not in self.path.resolve().as_posix():
             self._check_atomic_writes(tree)
         self._check_exception_handling(tree)
@@ -300,6 +310,31 @@ class _FileLint:
             "runs stay instant",
             node,
         )
+
+    def _check_solvers(self, tree: ast.Module) -> None:
+        """Iterative solvers must be handed their start vector or seed."""
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (
+                func.id
+                if isinstance(func, ast.Name)
+                else func.attr
+                if isinstance(func, ast.Attribute)
+                else None
+            )
+            if name not in _ITERATIVE_SOLVERS:
+                continue
+            if any(keyword.arg in _SOLVER_SEED_KEYWORDS for keyword in node.keywords):
+                continue
+            self.add(
+                "det/unseeded-solver",
+                f"{name}() without v0= / X= / random_state= / rng= starts "
+                "from numpy's global RNG, so the result differs run to "
+                "run; pass a seeded start vector by keyword",
+                node,
+            )
 
     # -- atomic writes -----------------------------------------------------
 

@@ -102,6 +102,36 @@ class TestDeterminismRules:
         )
         assert rules(findings) == ["det/raw-sleep"]
 
+    def test_unseeded_solver_flagged(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import scipy.sparse.linalg as sla
+            from scipy.sparse.linalg import svds
+
+            def factor(matrix):
+                u, s, vt = svds(matrix, k=4)
+                return u, sla.eigsh(matrix, k=2)
+            """,
+        )
+        assert rules(findings) == ["det/unseeded-solver"] * 2
+
+    def test_seeded_solver_allowed(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            import numpy as np
+            from scipy.sparse.linalg import eigs, lobpcg, svds
+
+            def factor(matrix, guess):
+                svds(matrix, k=4, v0=np.ones(matrix.shape[0]))
+                eigs(matrix, k=2, rng=0)
+                svds(matrix, k=4, random_state=0)
+                return lobpcg(matrix, X=guess)
+            """,
+        )
+        assert findings == []
+
     def test_perf_counter_allowed(self, tmp_path):
         findings = lint_source(
             tmp_path,

@@ -17,6 +17,11 @@ A third sweep keeps the configuration honest: every
 :class:`~repro.core.config.SystemConfig` field must be read by some
 module other than ``core/config.py`` -- a key nothing consumes is an
 option that documents itself as "ignored".
+
+A fourth keeps the lint rule catalogue in step: the rule headings of the
+``repro.analysis.lint`` docstring and the rows of README's lint table
+name the same rules, and ROADMAP's standing invariants name every
+``det/*`` and ``conc/*`` rule and no rule that does not exist.
 """
 
 import argparse
@@ -205,3 +210,26 @@ class TestDisseminationDoc:
         design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
         assert "DISSEMINATION.md" in readme
         assert "DISSEMINATION.md" in design
+
+
+class TestLintRuleCatalogue:
+    RULE = r"[a-z]+/[a-z-]+"
+
+    def lint_rules(self) -> set[str]:
+        import repro.analysis.lint as lint
+
+        return set(re.findall(rf"^``({self.RULE})``$", lint.__doc__, re.MULTILINE))
+
+    def test_readme_table_matches_the_lint_docstring(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        table = set(re.findall(rf"^\s*\| `({self.RULE})` \|", readme, re.MULTILINE))
+        assert table == self.lint_rules()
+
+    def test_roadmap_invariants_name_real_rules(self):
+        roadmap = (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+        invariants = roadmap.split("### Standing invariants", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(rf"`({self.RULE})`", invariants))
+        rules = self.lint_rules()
+        assert named <= rules, f"ROADMAP names unknown lint rules: {named - rules}"
+        must = {rule for rule in rules if rule.startswith(("det/", "conc/"))}
+        assert must <= named, f"ROADMAP invariants omit: {must - named}"
