@@ -72,13 +72,13 @@ class Extractor:
                 "extract.relation", report=record.report_id
             ) as rel_span:
                 before = len(record.relations)
-                for index, sentence in enumerate(sentences):
-                    sentence_mentions = [
-                        m for m in mentions if m.sentence_index == index
-                    ]
+                by_sentence: dict[int, list[Mention]] = {}
+                for mention in mentions:
+                    by_sentence.setdefault(mention.sentence_index, []).append(mention)
+                for index in sorted(by_sentence):
                     record.relations.extend(
                         self.relations.extract_with_mentions(
-                            sentence.tokens, sentence_mentions, index
+                            sentences[index].tokens, by_sentence[index], index
                         )
                     )
                 rel_span.set("relations", len(record.relations) - before)

@@ -23,18 +23,35 @@ import numpy as np
 from scipy.optimize import minimize
 
 
-def _logsumexp(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    peak = np.max(values, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis=axis)
-    return out
-
-
 @dataclass
 class EncodedSentence:
-    """A sentence encoded as per-token feature-index arrays + label ids."""
+    """One sentence as feature ids: ``ids[bounds[t]:bounds[t + 1]]`` are
+    token ``t``'s ids, ascending and unique (the order the emission sum
+    adds their rows in), plus label ids when training."""
 
-    features: list[np.ndarray]
+    ids: np.ndarray
+    bounds: list[int]
     labels: np.ndarray | None = None
+
+    @classmethod
+    def from_ids(
+        cls, token_ids: Sequence[Sequence[int]], labels: np.ndarray | None = None
+    ) -> "EncodedSentence":
+        flat: list[int] = []
+        bounds = [0]
+        for ids in token_ids:
+            flat.extend(sorted(set(ids)))
+            bounds.append(len(flat))
+        return cls(np.asarray(flat, dtype=np.int64), bounds, labels)
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    @property
+    def features(self) -> list[np.ndarray]:
+        """Per-token id arrays (views into ``ids``)."""
+        bounds = self.bounds
+        return [self.ids[bounds[t] : bounds[t + 1]] for t in range(len(self))]
 
 
 class LinearChainCRF:
@@ -78,55 +95,92 @@ class LinearChainCRF:
         self.label_index = {label: i for i, label in enumerate(self.labels)}
 
     def _encode(
-        self,
-        sentence: list[list[str]],
-        labels: list[str] | None = None,
-        grow: bool = False,
+        self, sentence: list[list[str]], labels: list[str] | None = None
     ) -> EncodedSentence:
-        encoded_features: list[np.ndarray] = []
-        for token_features in sentence:
-            ids = []
-            for name in token_features:
-                index = self.feature_index.get(name)
-                if index is None and grow:
-                    index = len(self.feature_index)
-                    self.feature_index[name] = index
-                if index is not None:
-                    ids.append(index)
-            encoded_features.append(np.asarray(sorted(set(ids)), dtype=np.int64))
+        index = self.feature_index
         encoded_labels = None
         if labels is not None:
             encoded_labels = np.asarray(
                 [self.label_index[label] for label in labels], dtype=np.int64
             )
-        return EncodedSentence(features=encoded_features, labels=encoded_labels)
+        return EncodedSentence.from_ids(
+            [
+                [index[name] for name in token_features if name in index]
+                for token_features in sentence
+            ],
+            encoded_labels,
+        )
 
     # -- potentials -------------------------------------------------------
 
     def _scores(self, encoded: EncodedSentence, emission: np.ndarray) -> np.ndarray:
-        """Emission score matrix S[t, y]."""
-        n_labels = emission.shape[1]
-        scores = np.zeros((len(encoded.features), n_labels))
-        for t, ids in enumerate(encoded.features):
-            if len(ids):
-                scores[t] = emission[ids].sum(axis=0)
+        """Emission score matrix S[t, y]: one gather for the sentence,
+        then each token's rows summed in ascending id order."""
+        rows = emission[encoded.ids]
+        bounds = encoded.bounds
+        scores = np.zeros((len(encoded), emission.shape[1]))
+        for t in range(len(encoded)):
+            if bounds[t] < bounds[t + 1]:
+                np.add.reduce(rows[bounds[t] : bounds[t + 1]], axis=0, out=scores[t])
         return scores
+
+    # -- the lattice: one Viterbi recursion, one forward-backward -------------
+
+    def _viterbi(self, scores: np.ndarray, transition: np.ndarray) -> list[int]:
+        """The highest-scoring label-id path of one sentence."""
+        n_tokens, n_labels = scores.shape
+        trans = transition[:n_labels]
+        best = transition[n_labels] + scores[0]
+        backptr = np.empty((n_tokens, n_labels), dtype=np.intp)
+        candidate = np.empty((n_labels, n_labels))
+        for t in range(1, n_tokens):
+            np.add(best[:, None], trans, out=candidate)
+            candidate.argmax(axis=0, out=backptr[t])
+            best = np.maximum.reduce(candidate, axis=0)
+            best += scores[t]
+        label = int(best.argmax())
+        path = [label]
+        for pointers in backptr[:0:-1].tolist():
+            label = pointers[label]
+            path.append(label)
+        path.reverse()
+        return path
 
     def _forward_backward(
         self, scores: np.ndarray, transition: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Log alpha, log beta and log partition for one sentence."""
+        """Log alpha, log beta and log partition for one sentence.
+
+        Each step is a log-sum-exp over one label axis of an
+        [n_labels, n_labels] lattice, evaluated in place as
+        max -> exp -> sum -> log -> + peak.
+        """
         n_tokens, n_labels = scores.shape
         trans = transition[:n_labels]
-        start = transition[n_labels]
-        alpha = np.zeros((n_tokens, n_labels))
-        alpha[0] = start + scores[0]
+        lattice = np.empty((n_labels, n_labels))
+        alpha = np.empty((n_tokens, n_labels))
+        alpha[0] = transition[n_labels] + scores[0]
         for t in range(1, n_tokens):
-            alpha[t] = _logsumexp(alpha[t - 1][:, None] + trans, axis=0) + scores[t]
+            np.add(alpha[t - 1][:, None], trans, out=lattice)
+            peak = np.maximum.reduce(lattice, axis=0)
+            lattice -= peak
+            np.exp(lattice, out=lattice)
+            step = np.add.reduce(lattice, axis=0, out=alpha[t])
+            np.log(step, out=step)
+            step += peak
+            step += scores[t]
         beta = np.zeros((n_tokens, n_labels))
         for t in range(n_tokens - 2, -1, -1):
-            beta[t] = _logsumexp(trans + (scores[t + 1] + beta[t + 1])[None, :], axis=1)
-        log_z = float(_logsumexp(alpha[-1], axis=0))
+            np.add(trans, scores[t + 1] + beta[t + 1], out=lattice)
+            peak = np.maximum.reduce(lattice, axis=1)
+            lattice -= peak[:, None]
+            np.exp(lattice, out=lattice)
+            step = np.add.reduce(lattice, axis=1, out=beta[t])
+            np.log(step, out=step)
+            step += peak
+        last = alpha[-1]
+        peak = last.max()
+        log_z = float(np.log(np.exp(last - peak).sum()) + peak)
         return alpha, beta, log_z
 
     # -- training ---------------------------------------------------------
@@ -146,6 +200,7 @@ class LinearChainCRF:
         ]
         self._build_vocab([s for s, _ in data], [l for _, l in data])
         encoded = [self._encode(s, l) for s, l in data]
+        token_ids = [sentence.features for sentence in encoded]
         n_features = len(self.feature_index)
         n_labels = len(self.labels)
         emission_size = n_features * n_labels
@@ -162,7 +217,7 @@ class LinearChainCRF:
             grad_transition = np.zeros_like(transition)
             negative_ll = 0.0
             trans = transition[:n_labels]
-            for sentence in encoded:
+            for sentence, features in zip(encoded, token_ids):
                 scores = self._scores(sentence, emission)
                 alpha, beta, log_z = self._forward_backward(scores, transition)
                 labels = sentence.labels
@@ -176,7 +231,7 @@ class LinearChainCRF:
 
                 # expected counts
                 marginals = np.exp(alpha + beta - log_z)  # [n_tokens, n_labels]
-                for t, ids in enumerate(sentence.features):
+                for t, ids in enumerate(features):
                     if len(ids):
                         grad_emission[ids] += marginals[t]
                         grad_emission[ids, labels[t]] -= 1.0
@@ -215,44 +270,56 @@ class LinearChainCRF:
         if self.emission is None or self.transition is None:
             raise RuntimeError("CRF is not trained; call fit() or load()")
 
-    def predict(self, sentence: list[list[str]]) -> list[str]:
-        """Viterbi-decode one sentence of feature lists."""
+    def _emissions(
+        self, sentence: list[list[str]] | EncodedSentence
+    ) -> np.ndarray | None:
+        """Emission scores of one sentence (feature-name lists, or ids
+        already resolved against :attr:`feature_index`); None if empty."""
         self._require_trained()
-        if not sentence:
-            return []
-        encoded = self._encode(sentence)
-        scores = self._scores(encoded, self.emission)
-        n_tokens, n_labels = scores.shape
-        trans = self.transition[:n_labels]
-        start = self.transition[n_labels]
-        viterbi = np.zeros((n_tokens, n_labels))
-        backptr = np.zeros((n_tokens, n_labels), dtype=np.int64)
-        viterbi[0] = start + scores[0]
-        for t in range(1, n_tokens):
-            candidate = viterbi[t - 1][:, None] + trans
-            backptr[t] = np.argmax(candidate, axis=0)
-            viterbi[t] = candidate[backptr[t], np.arange(n_labels)] + scores[t]
-        best = int(np.argmax(viterbi[-1]))
-        path = [best]
-        for t in range(n_tokens - 1, 0, -1):
-            best = int(backptr[t, best])
-            path.append(best)
-        path.reverse()
-        return [self.labels[i] for i in path]
+        if not isinstance(sentence, EncodedSentence):
+            sentence = self._encode(sentence)
+        return self._scores(sentence, self.emission) if len(sentence) else None
 
-    def predict_marginals(self, sentence: list[list[str]]) -> list[dict[str, float]]:
-        """Posterior P(label | position) for every token."""
-        self._require_trained()
-        if not sentence:
-            return []
-        encoded = self._encode(sentence)
-        scores = self._scores(encoded, self.emission)
+    def _posteriors(self, scores: np.ndarray) -> np.ndarray:
+        """P(label | position) for every token, [n_tokens, n_labels]."""
         alpha, beta, log_z = self._forward_backward(scores, self.transition)
-        marginals = np.exp(alpha + beta - log_z)
-        return [
-            {label: float(row[i]) for i, label in enumerate(self.labels)}
-            for row in marginals
-        ]
+        return np.exp(alpha + beta - log_z)
+
+    def decode(
+        self, sentence: list[list[str]] | EncodedSentence
+    ) -> tuple[list[str], list[float] | None]:
+        """Viterbi labels of one sentence and each chosen label's posterior.
+
+        The one inference path: the sentence is encoded once, scored
+        once and decoded once.  The forward-backward pass runs only when
+        the path leaves ``O``; an all-``O`` sentence has no span to
+        score and its confidences are ``None``.
+        """
+        scores = self._emissions(sentence)
+        if scores is None:
+            return [], None
+        path = self._viterbi(scores, self.transition)
+        labels = [self.labels[i] for i in path]
+        if path.count(self.label_index["O"]) == len(path):
+            return labels, None
+        chosen = self._posteriors(scores)[np.arange(len(path)), path]
+        return labels, chosen.tolist()
+
+    def predict(self, sentence: list[list[str]] | EncodedSentence) -> list[str]:
+        """Viterbi-decode one sentence."""
+        scores = self._emissions(sentence)
+        if scores is None:
+            return []
+        return [self.labels[i] for i in self._viterbi(scores, self.transition)]
+
+    def predict_marginals(
+        self, sentence: list[list[str]] | EncodedSentence
+    ) -> list[dict[str, float]]:
+        """Posterior P(label | position) for every token."""
+        scores = self._emissions(sentence)
+        if scores is None:
+            return []
+        return [dict(zip(self.labels, row)) for row in self._posteriors(scores).tolist()]
 
     # -- persistence ----------------------------------------------------------
 

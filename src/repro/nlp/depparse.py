@@ -97,7 +97,11 @@ def _nominal_head_right(
 def parse(tokens: Sequence[Token], tags: list[str] | None = None) -> ParsedSentence:
     """Build the SVO-relevant dependency arcs of one sentence."""
     tokens = list(tokens)
-    tags = tags if tags is not None else pos_tag(tokens)
+    if tags is None:
+        # a sentence the recogniser already tagged carries its tags
+        tags = [token.pos for token in tokens]
+        if None in tags:
+            tags = pos_tag(tokens)
     arcs: list[Arc] = []
     n = len(tokens)
 

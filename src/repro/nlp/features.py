@@ -3,7 +3,10 @@
 Feature templates follow the paper (section 2.4): word lemmas, POS
 tags and word embeddings, plus the standard shape/affix/context
 templates and gazetteer-membership indicators.  Features are string
-names; the CRF maps them to indices internally.
+names; a trained CRF knows them by index, and on the inference path
+the extractor resolves templates straight to those ids
+(:meth:`FeatureExtractor.encode`) instead of formatting names the CRF
+would look up again.
 
 Gazetteer membership enters as a *feature*, not a decision -- that is
 what lets the CRF recognise names absent from the curated lists by
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from repro.nlp.crf import EncodedSentence
 from repro.nlp.embeddings import WordEmbeddings
 from repro.nlp.gazetteer import Gazetteer
 from repro.nlp.lemma import lemmatize
@@ -23,6 +27,11 @@ from repro.nlp.pos import tag as pos_tag
 from repro.nlp.tokenize import Token
 
 _DIGIT_RE = re.compile(r"\d")
+
+#: Distinct words one extractor keeps resolved templates for.  Words
+#: past the cap are resolved on every occurrence; nothing is evicted,
+#: so the frequent vocabulary (seen first) stays cached.
+WORD_CACHE_CAP = 1 << 14
 
 
 def word_shape(word: str) -> str:
@@ -42,9 +51,95 @@ def word_shape(word: str) -> str:
     return "".join(out)
 
 
+class _Templates:
+    """The feature templates of one extractor, resolved one way.
+
+    With ``index=None`` a template resolves to its name (training: the
+    index does not exist yet); with a trained CRF's feature index it
+    resolves to the name's id, and names the CRF never saw resolve to
+    nothing.  Either way a template yields a tuple the caller splices
+    into the token's feature list.
+
+    The word-local templates and the ``w[-k]=`` / ``w[+k]=`` context
+    templates depend on the word alone, the ``pos`` templates on the tag
+    alone, so both are resolved once per distinct word / tag and kept.
+    ``words`` is shared by the extract workers without a lock: a lookup
+    and an insert are each one dict operation, a racing duplicate insert
+    stores an equal entry, and the size check can overshoot the cap by
+    at most one entry per concurrent worker.
+    """
+
+    def __init__(self, extractor: "FeatureExtractor", index: Mapping[str, int] | None):
+        self.extractor = extractor
+        self.index = index
+        self.offsets = range(1, extractor.window + 1)
+        self.words: dict[str, tuple] = {}
+        self.tags: dict[str, tuple] = {}
+        self.bias = self.resolve("bias")
+        self.bos = self.resolve("bos")
+        self.eos = self.resolve("eos")
+        self.before_start = [self.resolve(f"w[-{k}]=<s>") for k in self.offsets]
+        self.after_end = [self.resolve(f"w[+{k}]=</s>") for k in self.offsets]
+
+    def resolve(self, *names: str) -> tuple:
+        if self.index is None:
+            return names
+        return tuple(i for i in map(self.index.get, names) if i is not None)
+
+    def word(self, word: str) -> tuple[tuple, list[tuple], list[tuple]]:
+        """``(local, as_left, as_right)``: the word's own features, and
+        the context feature it gives the token ``k`` places to its right
+        (``as_left[k - 1]``, ``w[-k]=``) and left (``as_right[k - 1]``)."""
+        entry = self.words.get(word)
+        if entry is None:
+            entry = self._resolve_word(word)
+            if len(self.words) < WORD_CACHE_CAP:
+                self.words[word] = entry
+        return entry
+
+    def _resolve_word(self, word: str) -> tuple[tuple, list[tuple], list[tuple]]:
+        lower = word.lower()
+        names = [
+            f"w={lower}",
+            f"lemma={lemmatize(word)}",
+            f"shape={word_shape(word)}",
+            f"pre2={lower[:2]}",
+            f"pre3={lower[:3]}",
+            f"suf2={lower[-2:]}",
+            f"suf3={lower[-3:]}",
+        ]
+        if word[:1].isupper():
+            names.append("cap")
+        if _DIGIT_RE.search(word):
+            names.append("hasdigit")
+        if "-" in word:
+            names.append("hashyphen")
+        embeddings = self.extractor.embeddings
+        if embeddings is not None:
+            names.extend(
+                embeddings.bucket_features(lower, self.extractor.embedding_buckets)
+            )
+        return (
+            self.resolve(*names),
+            [self.resolve(f"w[-{k}]={lower}") for k in self.offsets],
+            [self.resolve(f"w[+{k}]={lower}") for k in self.offsets],
+        )
+
+    def tag(self, tag: str) -> tuple[tuple, list[tuple], list[tuple]]:
+        """``(pos, as_left, as_right)``, laid out like :meth:`word`."""
+        entry = self.tags.get(tag)
+        if entry is None:
+            entry = self.tags[tag] = (
+                self.resolve(f"pos={tag}"),
+                [self.resolve(f"pos[-{k}]={tag}") for k in self.offsets],
+                [self.resolve(f"pos[+{k}]={tag}") for k in self.offsets],
+            )
+        return entry
+
+
 @dataclass
 class FeatureExtractor:
-    """Turns a tokenized sentence into per-token feature-name lists.
+    """Turns a tokenized sentence into per-token features.
 
     Parameters
     ----------
@@ -60,61 +155,55 @@ class FeatureExtractor:
     embeddings: WordEmbeddings | None = None
     window: int = 2
     embedding_buckets: int = 8
-    _cache: dict = field(default_factory=dict, repr=False)
+    #: templates resolved against the feature index last passed to
+    #: :meth:`encode` (one recogniser has one CRF, hence one index)
+    _cache: _Templates | None = field(default=None, init=False, repr=False)
 
     def extract(self, tokens: Sequence[Token]) -> list[list[str]]:
         """Feature-name lists for every token of one sentence."""
+        return self._features(tokens, _Templates(self, None))
+
+    def encode(
+        self, tokens: Sequence[Token], feature_index: Mapping[str, int]
+    ) -> EncodedSentence:
+        """The features of :meth:`extract` as ids in ``feature_index``
+        (names outside it dropped), ready for the CRF."""
+        templates = self._cache
+        if templates is None or templates.index is not feature_index:
+            templates = self._cache = _Templates(self, feature_index)
+        return EncodedSentence.from_ids(self._features(tokens, templates))
+
+    def _features(self, tokens: Sequence[Token], templates: _Templates) -> list[list]:
         words = [token.text for token in tokens]
-        tags = pos_tag(list(tokens))
-        lemmas = [lemmatize(word) for word in words]
+        word_entries = [templates.word(word) for word in words]
+        tag_entries = [templates.tag(tag) for tag in pos_tag(list(tokens))]
         gaz_types = self._gazetteer_types(words)
 
-        features: list[list[str]] = []
+        features: list[list] = []
         n = len(tokens)
         for i, token in enumerate(tokens):
-            word = words[i]
-            lower = word.lower()
-            feats = [
-                "bias",
-                f"w={lower}",
-                f"lemma={lemmas[i]}",
-                f"pos={tags[i]}",
-                f"shape={word_shape(word)}",
-                f"pre2={lower[:2]}",
-                f"pre3={lower[:3]}",
-                f"suf2={lower[-2:]}",
-                f"suf3={lower[-3:]}",
-            ]
-            if word[:1].isupper():
-                feats.append("cap")
-            if _DIGIT_RE.search(word):
-                feats.append("hasdigit")
-            if "-" in word:
-                feats.append("hashyphen")
+            feats = list(templates.bias)
+            feats += word_entries[i][0]
+            feats += tag_entries[i][0]
             if token.is_ioc:
-                feats.append("ioc")
-                feats.append(f"ioctype={token.ioc_type.value}")
-            for gaz_type in gaz_types[i]:
-                feats.append(f"gaz={gaz_type}")
-            if self.embeddings is not None:
-                feats.extend(
-                    self.embeddings.bucket_features(lower, self.embedding_buckets)
-                )
-            for offset in range(1, self.window + 1):
-                if i - offset >= 0:
-                    feats.append(f"w[-{offset}]={words[i - offset].lower()}")
-                    feats.append(f"pos[-{offset}]={tags[i - offset]}")
+                feats += templates.resolve("ioc", f"ioctype={token.ioc_type.value}")
+            if gaz_types[i]:
+                feats += templates.resolve(*[f"gaz={t}" for t in gaz_types[i]])
+            for k in templates.offsets:
+                if i - k >= 0:
+                    feats += word_entries[i - k][1][k - 1]
+                    feats += tag_entries[i - k][1][k - 1]
                 else:
-                    feats.append(f"w[-{offset}]=<s>")
-                if i + offset < n:
-                    feats.append(f"w[+{offset}]={words[i + offset].lower()}")
-                    feats.append(f"pos[+{offset}]={tags[i + offset]}")
+                    feats += templates.before_start[k - 1]
+                if i + k < n:
+                    feats += word_entries[i + k][2][k - 1]
+                    feats += tag_entries[i + k][2][k - 1]
                 else:
-                    feats.append(f"w[+{offset}]=</s>")
+                    feats += templates.after_end[k - 1]
             if i == 0:
-                feats.append("bos")
+                feats += templates.bos
             if i == n - 1:
-                feats.append("eos")
+                feats += templates.eos
             features.append(feats)
         return features
 
@@ -128,4 +217,4 @@ class FeatureExtractor:
         return per_token
 
 
-__all__ = ["FeatureExtractor", "word_shape"]
+__all__ = ["FeatureExtractor", "WORD_CACHE_CAP", "word_shape"]

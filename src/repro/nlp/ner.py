@@ -177,11 +177,8 @@ class EntityRecognizer:
         """Concept-entity spans of one tokenized sentence (CRF path)."""
         if not tokens:
             return []
-        features = self.features.extract(tokens)
-        labels = self.crf.predict(features)
-        marginals = self.crf.predict_marginals(features)
-        confidences = [m.get(label, 1.0) for label, m in zip(labels, marginals)]
-        return decode_bio(tokens, labels, confidences)
+        encoded = self.features.encode(tokens, self.crf.feature_index)
+        return decode_bio(tokens, *self.crf.decode(encoded))
 
     def extract(self, text: str) -> tuple[list[Sentence], list[Mention]]:
         """All mentions in ``text``: CRF concepts + regex IOCs.

@@ -126,7 +126,9 @@ def tag(tokens: list[Token]) -> list[str]:
     """POS tags for a tokenized sentence.
 
     IOC tokens are always nouns (they name artifacts); contextual
-    repair passes run afterwards.
+    repair passes run afterwards.  The tags are also left on the tokens
+    (``Token.pos``), so a sentence tagged for the CRF features is not
+    tagged again for the dependency parse.
     """
     tags: list[str] = []
     for token in tokens:
@@ -165,6 +167,8 @@ def tag(tokens: list[Token]) -> list[str]:
         if tags[i] == "MD" and tags[i + 1].startswith("NN"):
             if _verb_form(tokens[i + 1].text.lower()):
                 tags[i + 1] = "VB"
+    for token, token_tag in zip(tokens, tags):
+        token.pos = token_tag
     return tags
 
 

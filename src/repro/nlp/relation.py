@@ -251,6 +251,8 @@ class RelationExtractor:
         self, tokens: Sequence[Token], spans: Sequence[EntitySpan]
     ) -> list[RelationMention]:
         """Parse ``tokens`` and extract relations among ``spans``."""
+        if len(spans) < 2:
+            return []  # nothing to relate: skip the parse
         return self.extract_from_parse(parse(tokens), spans)
 
     def extract_with_mentions(
@@ -261,14 +263,13 @@ class RelationExtractor:
     ) -> list[RelationMention]:
         """Convenience: accept ontology mentions with char offsets.
 
-        Mentions are mapped back to token spans by offset overlap; IOC
+        Mentions are mapped back to token spans by offset overlap (one
+        from another sentence overlaps no token and is ignored); IOC
         mentions participate as relation arguments too (``connects to
         <ip>``).
         """
         spans: list[EntitySpan] = []
         for mention in mentions:
-            if mention.sentence_index != sentence_index:
-                continue
             token_start = token_end = None
             for i, token in enumerate(tokens):
                 if token.end > mention.start and token.start < mention.end:

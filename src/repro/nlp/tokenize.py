@@ -49,6 +49,8 @@ class Token:
     start: int
     end: int
     ioc_type: EntityType | None = None
+    #: the tag :func:`repro.nlp.pos.tag` gave this token in its sentence
+    pos: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_ioc(self) -> bool:

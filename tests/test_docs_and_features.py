@@ -102,6 +102,64 @@ class TestFeatureExtractor:
         assert not any(f.startswith("gaz=") for f in features[0])
 
 
+class TestFeatureIdCache:
+    """``encode`` resolves templates to ids through a bounded per-word
+    cache that the extract workers share without a lock."""
+
+    def test_cache_stops_growing_at_its_cap(self, small_recognizer, monkeypatch):
+        import repro.nlp.features as features
+
+        monkeypatch.setattr(features, "WORD_CACHE_CAP", 5)
+        crf = small_recognizer.crf
+        extractor = FeatureExtractor(
+            gazetteer=small_recognizer.features.gazetteer,
+            embeddings=small_recognizer.features.embeddings,
+        )
+        text = "The emotet trojan drops a copy of itself and encrypts mapped drives"
+        for _ in range(2):
+            tokens = tokenize_words(text)
+            encoded = extractor.encode(tokens, crf.feature_index)
+            assert len(extractor._cache.words) == 5
+            # words past the cap are resolved afresh, to the same ids
+            reference = crf._encode(extractor.extract(tokens))
+            assert encoded.ids.tolist() == reference.ids.tolist()
+            assert encoded.bounds == reference.bounds
+
+    def test_another_feature_index_starts_a_fresh_cache(self, small_recognizer):
+        extractor = small_recognizer.features
+        tokens = tokenize_words("emotet spreads")
+        index = dict(small_recognizer.crf.feature_index)
+        index["w=emotet"] = len(index) + 7
+        assert index["w=emotet"] in extractor.encode(tokens, index).ids
+        again = extractor.encode(tokens, small_recognizer.crf.feature_index)
+        assert index["w=emotet"] not in again.ids
+
+    def test_worker_counts_produce_the_same_records(self, small_recognizer, small_web):
+        """2 parse + 2 extract workers sharing one recogniser (and its
+        cache) extract exactly what 1 + 1 workers do."""
+        from repro import SecurityKG, SystemConfig
+
+        def records(workers: int) -> list[str]:
+            kg = SecurityKG(
+                SystemConfig(
+                    sources=["ThreatPedia", "SecureListing", "InfoSec Ledger"],
+                    connectors=["graph"], clock="virtual",
+                    parse_workers=workers, extract_workers=workers,
+                ),
+                web=small_web, recognizer=small_recognizer,
+            )
+            checked = kg.checker.filter(kg.porter.port(kg.crawl().documents))
+            processed, result = kg.process(checked.passed)
+            kg.close()
+            assert not result.errors
+            return sorted(record.to_json() for record in processed)
+
+        serial = records(1)
+        assert len(serial) > 5
+        small_recognizer.features._cache = None  # the threaded run fills it
+        assert records(2) == serial
+
+
 class TestCrfInFullPipeline:
     def test_crf_extractor_feeds_the_knowledge_graph(self, small_recognizer):
         """The paper's extractor inside the full system: unseen-name

@@ -4,8 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.nlp.crf import LinearChainCRF
+import crf_oracle
+from repro.nlp.crf import EncodedSentence, LinearChainCRF
+from repro.nlp.tokenize import tokenize_sentences
 
 
 def make_toy_data(n, seed=0):
@@ -165,3 +169,122 @@ class TestGradient:
             bump[index] = eps
             numeric = (objective(theta + bump) - objective(theta - bump)) / (2 * eps)
             assert abs(numeric - grad[index]) < 1e-4, index
+
+
+# -- decode against the brute-force oracle ------------------------------
+
+WEIGHT = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=32)
+
+
+@st.composite
+def tiny_crfs(draw):
+    """An untrained-but-weighted CRF (L <= 4 labels, <= 5 features) and
+    one sentence (n <= 4 tokens) of known and unknown feature names."""
+    n_labels = draw(st.integers(1, 4))
+    n_features = draw(st.integers(1, 5))
+    crf = LinearChainCRF()
+    crf.labels = sorted(["O", "B-X", "I-X", "B-Y"][:n_labels])
+    crf.label_index = {label: i for i, label in enumerate(crf.labels)}
+    crf.feature_index = {f"f{i}": i for i in range(n_features)}
+    crf.emission = np.array(
+        draw(st.lists(st.lists(WEIGHT, min_size=n_labels, max_size=n_labels),
+                      min_size=n_features, max_size=n_features))
+    )
+    crf.transition = np.array(
+        draw(st.lists(st.lists(WEIGHT, min_size=n_labels, max_size=n_labels),
+                      min_size=n_labels + 1, max_size=n_labels + 1))
+    )
+    names = st.sampled_from([f"f{i}" for i in range(n_features)] + ["unseen"])
+    sentence = draw(st.lists(st.lists(names, max_size=4), min_size=1, max_size=4))
+    return crf, sentence
+
+
+class TestDecodeAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_crfs())
+    def test_labels_and_posteriors_match_brute_force(self, case):
+        crf, sentence = case
+        ids = [
+            sorted({crf.feature_index[f] for f in token if f in crf.feature_index})
+            for token in sentence
+        ]
+        best, log_z, posteriors = crf_oracle.solve(
+            crf.emission.tolist(), crf.transition.tolist(), ids
+        )
+        labels, confidences = crf.decode(sentence)
+        path = [crf.label_index[label] for label in labels]
+        assert path in best
+        assert crf.predict(sentence) == labels
+
+        marginals = crf.predict_marginals(sentence)
+        for t, row in enumerate(marginals):
+            assert abs(sum(row.values()) - 1.0) < 1e-9
+            for label, p in row.items():
+                assert abs(p - posteriors[t][crf.label_index[label]]) < 1e-9
+        scores = crf._scores(crf._encode(sentence), crf.emission)
+        assert abs(crf._forward_backward(scores, crf.transition)[2] - log_z) < 1e-9
+
+        if set(labels) == {"O"}:
+            assert confidences is None
+        else:
+            assert confidences == [marginals[t][label] for t, label in enumerate(labels)]
+
+
+class TestDecodeIsTheOtherTwo:
+    """``decode(f) == (predict(f), chosen-label marginals)``, float for float."""
+
+    TEXTS = (
+        "The wannacry ransomware encrypts files across mapped drives. "
+        "Analysts reviewed the weekly numbers without any findings. "
+        "Analysts attribute the campaign to lazarus group",
+        "wannacry",
+    )
+
+    def check(self, crf, features):
+        labels, confidences = crf.decode(features)
+        assert labels == crf.predict(features)
+        if set(labels) <= {"O"}:
+            assert confidences is None
+            return labels
+        marginals = crf.predict_marginals(features)
+        assert confidences == [m[label] for m, label in zip(marginals, labels)]
+        return labels
+
+    def test_names_and_ids_decode_alike_on_real_sentences(self, small_recognizer):
+        crf, extractor = small_recognizer.crf, small_recognizer.features
+        seen = set()
+        for sentence in (s for text in self.TEXTS for s in tokenize_sentences(text)):
+            names = extractor.extract(sentence.tokens)
+            encoded = extractor.encode(sentence.tokens, crf.feature_index)
+            assert encoded.ids.tolist() == crf._encode(names).ids.tolist()
+            assert encoded.bounds == crf._encode(names).bounds
+            labels = self.check(crf, names)
+            assert crf.decode(encoded) == crf.decode(names)
+            spans = small_recognizer.recognize_tokens(sentence.tokens)
+            if set(labels) == {"O"}:
+                seen.add("all-O")
+                assert spans == []
+            elif labels[-1] != "O":
+                seen.add("span ends on the last token")
+                assert spans[-1].end == len(sentence.tokens)
+            if len(sentence.tokens) == 1:
+                seen.add("one token")
+        assert seen == {"all-O", "span ends on the last token", "one token"}
+
+    def test_empty_sentence(self, toy_crf):
+        assert toy_crf.decode([]) == ([], None)
+        assert toy_crf.decode(EncodedSentence.from_ids([])) == ([], None)
+
+    def test_token_without_a_known_feature_scores_a_zero_row(self, toy_crf):
+        features = [["w=ant", "p1=a"], ["never-seen"], ["w=bat", "p1=b"]]
+        scores = toy_crf._scores(toy_crf._encode(features), toy_crf.emission)
+        assert not scores[1].any() and scores[0].any()
+        self.check(toy_crf, features)
+
+    def test_all_outside_sentence_computes_no_posteriors(self, toy_crf, monkeypatch):
+        def boom(*_args):
+            raise AssertionError("forward-backward ran for an all-O sentence")
+
+        monkeypatch.setattr(toy_crf, "_forward_backward", boom)
+        features = [["w=cat", "p1=c"], ["w=dog", "p1=d"]]
+        assert toy_crf.decode(features) == (["O", "O"], None)
