@@ -56,10 +56,11 @@ class Extractor:
                 ner_span.set(
                     "tokens", sum(len(s.tokens) for s in sentences)
                 )
+            # one threshold for both consumers: a mention rejected here
+            # must not re-enter the graph as a relation endpoint
+            mentions = [m for m in mentions if m.confidence >= self.min_confidence]
             existing = {(m.text.lower(), m.type) for m in record.mentions}
             for mention in mentions:
-                if mention.confidence < self.min_confidence:
-                    continue
                 if mention.type.is_ioc:
                     record.add_ioc(mention.type, mention.text)
                     metrics.inc("extract.iocs", type=mention.type.value)

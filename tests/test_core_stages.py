@@ -206,6 +206,44 @@ class TestExtractor:
         ]
         assert len(malware_mentions) == 1
 
+    def test_rejected_mention_is_no_relation_endpoint(self):
+        """A mention under the confidence threshold must not re-enter the
+        graph through its relation: one filter feeds both consumers."""
+        from repro.nlp.baselines import GazetteerRecognizer
+        from repro.ontology.refactor import refactor_record
+
+        class ShakyRecognizer(GazetteerRecognizer):
+            """The gazetteer's mentions, the malware one at 0.1 confidence."""
+
+            def extract(self, text):
+                sentences, mentions = super().extract(text)
+                for mention in mentions:
+                    if mention.type == EntityType.MALWARE:
+                        mention.confidence = 0.1
+                return sentences, mentions
+
+        def extracted(recognizer):
+            record = CTIRecord(
+                report_id="r", source="s", url="u",
+                summary="The wannacry ransomware dropped tasksche.exe on hosts.",
+            )
+            return Extractor(recognizer=recognizer).extract(record)
+
+        kept = extracted(GazetteerRecognizer())
+        assert ("wannacry", "drop", "tasksche.exe") in {
+            (r.head_text, r.verb, r.tail_text) for r in kept.relations
+        }
+        record = extracted(ShakyRecognizer())
+        assert "wannacry" not in {m.text for m in record.mentions}
+        assert record.relations == []
+        assert "tasksche.exe" in record.ioc_values(EntityType.FILE_NAME)
+        delta = refactor_record(record)
+        assert "wannacry" not in {entity.name for entity in delta.entities}
+        assert all(
+            "wannacry" not in (relation.head.name, relation.tail.name)
+            for relation in delta.relations
+        )
+
     def test_empty_text_is_noop(self):
         record = CTIRecord(report_id="r", source="s", url="u")
         Extractor().extract(record)
