@@ -25,6 +25,7 @@ from repro.nlp.gazetteer import Gazetteer
 from repro.nlp.lemma import lemmatize
 from repro.nlp.pos import tag as pos_tag
 from repro.nlp.tokenize import Token
+from repro.runtime import named_lock
 
 _DIGIT_RE = re.compile(r"\d")
 
@@ -63,10 +64,9 @@ class _Templates:
     The word-local templates and the ``w[-k]=`` / ``w[+k]=`` context
     templates depend on the word alone, the ``pos`` templates on the tag
     alone, so both are resolved once per distinct word / tag and kept.
-    ``words`` is shared by the extract workers without a lock: a lookup
-    and an insert are each one dict operation, a racing duplicate insert
-    stores an equal entry, and the size check can overshoot the cap by
-    at most one entry per concurrent worker.
+    ``words`` is shared by the extract workers: lookups take no lock (a
+    dict read is atomic, and entries are immutable once stored); only an
+    insert, which must check the cap and store in one step, does.
     """
 
     def __init__(self, extractor: "FeatureExtractor", index: Mapping[str, int] | None):
@@ -74,6 +74,7 @@ class _Templates:
         self.index = index
         self.offsets = range(1, extractor.window + 1)
         self.words: dict[str, tuple] = {}
+        self._lock = named_lock("nlp.feature_cache")
         self.tags: dict[str, tuple] = {}
         self.bias = self.resolve("bias")
         self.bos = self.resolve("bos")
@@ -86,18 +87,20 @@ class _Templates:
             return names
         return tuple(i for i in map(self.index.get, names) if i is not None)
 
-    def word(self, word: str) -> tuple[tuple, list[tuple], list[tuple]]:
+    def word(self, word: str) -> tuple[tuple, tuple, tuple]:
         """``(local, as_left, as_right)``: the word's own features, and
         the context feature it gives the token ``k`` places to its right
         (``as_left[k - 1]``, ``w[-k]=``) and left (``as_right[k - 1]``)."""
         entry = self.words.get(word)
         if entry is None:
             entry = self._resolve_word(word)
-            if len(self.words) < WORD_CACHE_CAP:
-                self.words[word] = entry
+            if len(self.words) < WORD_CACHE_CAP:  # a full cache stays lock-free
+                with self._lock:
+                    if len(self.words) < WORD_CACHE_CAP:
+                        self.words[word] = entry
         return entry
 
-    def _resolve_word(self, word: str) -> tuple[tuple, list[tuple], list[tuple]]:
+    def _resolve_word(self, word: str) -> tuple[tuple, tuple, tuple]:
         lower = word.lower()
         names = [
             f"w={lower}",
@@ -121,18 +124,18 @@ class _Templates:
             )
         return (
             self.resolve(*names),
-            [self.resolve(f"w[-{k}]={lower}") for k in self.offsets],
-            [self.resolve(f"w[+{k}]={lower}") for k in self.offsets],
+            tuple(self.resolve(f"w[-{k}]={lower}") for k in self.offsets),
+            tuple(self.resolve(f"w[+{k}]={lower}") for k in self.offsets),
         )
 
-    def tag(self, tag: str) -> tuple[tuple, list[tuple], list[tuple]]:
+    def tag(self, tag: str) -> tuple[tuple, tuple, tuple]:
         """``(pos, as_left, as_right)``, laid out like :meth:`word`."""
         entry = self.tags.get(tag)
         if entry is None:
             entry = self.tags[tag] = (
                 self.resolve(f"pos={tag}"),
-                [self.resolve(f"pos[-{k}]={tag}") for k in self.offsets],
-                [self.resolve(f"pos[+{k}]={tag}") for k in self.offsets],
+                tuple(self.resolve(f"pos[-{k}]={tag}") for k in self.offsets),
+                tuple(self.resolve(f"pos[+{k}]={tag}") for k in self.offsets),
             )
         return entry
 

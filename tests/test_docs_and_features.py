@@ -125,6 +125,58 @@ class TestFeatureIdCache:
             assert encoded.ids.tolist() == reference.ids.tolist()
             assert encoded.bounds == reference.bounds
 
+    def test_concurrent_encoders_agree_and_respect_the_cap(
+        self, small_recognizer, monkeypatch
+    ):
+        """More threads than cores, a tiny switch interval and a cap the
+        vocabulary overflows: every thread encodes what one thread does,
+        and the racing inserts never push the cache past its cap."""
+        import sys
+        import threading
+
+        import repro.nlp.features as features
+
+        monkeypatch.setattr(features, "WORD_CACHE_CAP", 12)
+        crf = small_recognizer.crf
+        extractor = FeatureExtractor(
+            gazetteer=small_recognizer.features.gazetteer,
+            embeddings=small_recognizer.features.embeddings,
+        )
+        texts = [
+            "The emotet trojan drops a copy of itself and encrypts mapped drives",
+            "Operators behind wannacry modified registry keys to survive reboots",
+            "Lazarus group uses credential dumping against 10.1.2.3 daily",
+        ]
+        expected = [
+            crf._encode(extractor.extract(tokenize_words(text))).ids.tolist()
+            for text in texts
+        ]
+        wrong: list[str] = []
+
+        def encode_all():
+            for _ in range(40):
+                for text, ids in zip(texts, expected):
+                    got = extractor.encode(tokenize_words(text), crf.feature_index)
+                    if got.ids.tolist() != ids:
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=encode_all, name=f"encoder-{i}")
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(extractor._cache.words) == 12
+
     def test_another_feature_index_starts_a_fresh_cache(self, small_recognizer):
         extractor = small_recognizer.features
         tokens = tokenize_words("emotet spreads")
