@@ -23,6 +23,21 @@ import numpy as np
 from scipy.optimize import minimize
 
 
+def _logsumexp_into(lattice: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """``out = log(sum(exp(lattice), axis))``, destroying ``lattice``.
+
+    The order is max -> exp -> sum -> log -> + peak, all in place: the
+    recursions call this once per token on an [n_labels, n_labels]
+    scratch array, where allocation and dispatch are the whole cost.
+    """
+    peak = np.maximum.reduce(lattice, axis=axis, keepdims=True)
+    lattice -= peak
+    np.exp(lattice, out=lattice)
+    np.add.reduce(lattice, axis=axis, out=out)
+    np.log(out, out=out)
+    out += peak.reshape(out.shape)
+
+
 @dataclass
 class EncodedSentence:
     """One sentence as feature ids: ``ids[bounds[t]:bounds[t + 1]]`` are
@@ -149,12 +164,7 @@ class LinearChainCRF:
     def _forward_backward(
         self, scores: np.ndarray, transition: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Log alpha, log beta and log partition for one sentence.
-
-        Each step is a log-sum-exp over one label axis of an
-        [n_labels, n_labels] lattice, evaluated in place as
-        max -> exp -> sum -> log -> + peak.
-        """
+        """Log alpha, log beta and log partition for one sentence."""
         n_tokens, n_labels = scores.shape
         trans = transition[:n_labels]
         lattice = np.empty((n_labels, n_labels))
@@ -162,26 +172,15 @@ class LinearChainCRF:
         alpha[0] = transition[n_labels] + scores[0]
         for t in range(1, n_tokens):
             np.add(alpha[t - 1][:, None], trans, out=lattice)
-            peak = np.maximum.reduce(lattice, axis=0)
-            lattice -= peak
-            np.exp(lattice, out=lattice)
-            step = np.add.reduce(lattice, axis=0, out=alpha[t])
-            np.log(step, out=step)
-            step += peak
-            step += scores[t]
+            _logsumexp_into(lattice, 0, alpha[t])
+            alpha[t] += scores[t]
         beta = np.zeros((n_tokens, n_labels))
         for t in range(n_tokens - 2, -1, -1):
             np.add(trans, scores[t + 1] + beta[t + 1], out=lattice)
-            peak = np.maximum.reduce(lattice, axis=1)
-            lattice -= peak[:, None]
-            np.exp(lattice, out=lattice)
-            step = np.add.reduce(lattice, axis=1, out=beta[t])
-            np.log(step, out=step)
-            step += peak
-        last = alpha[-1]
-        peak = last.max()
-        log_z = float(np.log(np.exp(last - peak).sum()) + peak)
-        return alpha, beta, log_z
+            _logsumexp_into(lattice, 1, beta[t])
+        log_z = np.empty(())
+        _logsumexp_into(alpha[-1].copy(), 0, log_z)
+        return alpha, beta, float(log_z)
 
     # -- training ---------------------------------------------------------
 
