@@ -36,7 +36,7 @@ def test_bench_kg_merge(benchmark):
 
     fusion = KnowledgeFusion()
     fusion_report = benchmark.pedantic(
-        fusion.run, args=(kg.graph,), rounds=1, iterations=1
+        fusion.run, args=(kg.database,), rounds=1, iterations=1
     )
 
     # eager variant: re-ingest the same corpus batch-by-batch, fusing

@@ -7,7 +7,10 @@ claims to quantify:
 1. **Crash matrix.**  Killing a deployment at *every* registered crash
    point and reopening converges the graph, search index and crawl
    state to the contents of an uninterrupted run -- zero lost reports,
-   zero duplicated ingests (the exactly-once marker discipline).
+   zero duplicated ingests (the exactly-once marker discipline).  The
+   ``fuse/commit.*`` rows kill it inside knowledge fusion instead: a
+   fusion pass is one ordinary commit, so the reopened graph is the
+   pre- or the post-fusion one and re-running the pass converges.
 2. **Recovery time vs journal length.**  Reopening replays the journal,
    so recovery cost grows with commits since the last checkpoint and
    collapses after one.
@@ -18,6 +21,7 @@ Runs entirely on the virtual clock; wall time is a few seconds.
 import json
 import time
 
+from alias_corpus import alias_batch, graph_identity
 from conftest import RESULTS_PATH, record_result
 
 from repro.core.config import SystemConfig
@@ -71,6 +75,61 @@ def fingerprint(kg):
     }
 
 
+def _fusion_rows(tmp_path):
+    """Kill at every commit boundary of a fusion pass; resume = reopen
+    and fuse again.  Alias-named reports go on top of the crawl so the
+    pass has groups to merge (this source mix alone yields none).  Ids
+    depend on the order the crawl threads delivered reports in, so the
+    id-inclusive comparison is against the same directory's own
+    pre-fusion graph and the cross-run one is the id-free fingerprint."""
+
+    def stored(path, faults=None):
+        kg = make_kg(path)
+        kg.run_once()
+        kg.store(alias_batch(0))
+        unfused = graph_identity(kg.graph)
+        kg.close()
+        return unfused, make_kg(path, faults=faults)
+
+    _unfused, reference = stored(tmp_path / "fuse-reference")
+    assert reference.run_fusion().groups_merged > 0
+    expected = fingerprint(reference)
+    reference.close()
+
+    rows = []
+    for point in CRASH_POINTS:
+        if not point.startswith("commit."):
+            continue
+        path = tmp_path / f"fuse-{point}"
+        unfused, crashed = stored(path, faults=CrashInjector(point))
+        try:
+            crashed.run_fusion()
+            raise AssertionError(f"fusion never reached {point!r}")
+        except InjectedCrash:
+            pass
+
+        resumed = make_kg(path)
+        durable_before = resumed.engine.ingested_count
+        survived = graph_identity(resumed.graph) != unfused
+        if survived:  # all or nothing: not un-fused means fully fused
+            assert fingerprint(resumed) == expected
+        resumed.run_fusion()
+        got = fingerprint(resumed)
+        rows.append(
+            {
+                "point": f"fuse/{point}",
+                "durable_before_resume": durable_before,
+                "resumed_stored": 0,
+                "lost": len(set(expected["ingested"]) - set(got["ingested"])),
+                "duplicated": durable_before - len(got["ingested"]),
+                "fusion_survived": survived,
+                "converged": got == expected,
+            }
+        )
+        resumed.close()
+    return rows
+
+
 def test_bench_crash_matrix(tmp_path):
     """Kill at every crash point; measure loss/duplication after resume."""
     reference = make_kg(tmp_path / "reference")
@@ -113,6 +172,8 @@ def test_bench_crash_matrix(tmp_path):
             }
         )
         resumed.close()
+
+    rows.extend(_fusion_rows(tmp_path))
 
     print("\nE18: crash matrix (kill -> reopen -> resume, virtual clock)")
     print(f"  {'crash point':<28} {'durable':>8} {'resumed':>8} "

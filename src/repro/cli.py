@@ -367,10 +367,6 @@ def cmd_fuse(args: argparse.Namespace, out) -> int:
     )
     for group in report.merged_groups:
         print("  " + " == ".join(group), file=out)
-    if args.state:
-        # fusion rewrites the graph in place; a checkpoint makes the
-        # fused state the new durable generation
-        system.checkpoint()
     system.close()
     return 0
 

@@ -76,9 +76,6 @@ class Connector(abc.ABC):
         )
         return stats
 
-    def flush(self) -> None:
-        """Make all ingested data durable (no-op by default)."""
-
 
 @dataclass
 class ConnectorRegistry:

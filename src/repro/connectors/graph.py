@@ -24,7 +24,7 @@ class GraphConnector(Connector):
     """Merge intermediate CTI representations into the property graph.
 
     All mutations go through the :class:`GraphDatabase` (not the raw
-    store) so the WAL records them and the graph survives restarts.
+    store) so the journal records them and the graph survives restarts.
     """
 
     name = "graph"
@@ -99,9 +99,6 @@ class GraphConnector(Connector):
                     stats.relations_created += 1
         self.total += stats
         return stats
-
-    def flush(self) -> None:
-        self.database.snapshot()
 
 
 __all__ = ["GraphConnector"]

@@ -371,7 +371,6 @@ class SecurityKG:
             span.set("groups_merged", report.groups_merged)
         self.obs.metrics.inc("fusion.groups_merged", report.groups_merged)
         self.obs.metrics.inc("fusion.aliases_resolved", report.aliases_resolved)
-        self.feeds.invalidate()  # fusion rewrites the graph unjournaled
         self._update_graph_gauges()
         return report
 

@@ -7,10 +7,8 @@ and canonically ordered so identical graph states always serialise to
 identical bytes.
 
 Incremental pulls ride the storage journal.  Every refresh stamps the
-view with the engines' commit sequence numbers (plus graph shape and a
-fusion epoch, because knowledge fusion rewrites the graph without
-journaling) and records which object ids changed or vanished since the
-previous view.  A pull presents an opaque cursor -- or a bare journal
+view with the engines' commit sequence numbers and records which object
+ids changed or vanished since the previous view.  A pull presents an opaque cursor -- or a bare journal
 seq -- and receives only the objects touched since, plus a new cursor;
 an ``If-None-Match`` ETag that still matches costs a 304 and zero
 objects.  Unknown or expired cursors degrade to a full resync, so
@@ -88,9 +86,9 @@ class FeedPublisher:
         Zero-argument callable returning the current knowledge graph
         (the merged union in sharded deployments).
     stamp_source:
-        Zero-argument callable returning a cheap change stamp: a tuple
-        of ``(last_seq, node_count, edge_count)`` per partition.  The
-        publisher rebuilds its views only when the stamp moves.
+        Zero-argument callable returning a cheap change stamp: the
+        journal ``last_seq`` of each partition.  The publisher rebuilds
+        its views only when the stamp moves.
     keys:
         Tier -> API key for the protected tiers (``partner`` /
         ``internal``).  A tier with no key configured (directly or via
@@ -119,7 +117,6 @@ class FeedPublisher:
         self._history_limit = max(1, int(history))
         self._obs = obs if obs is not None else NO_OBS
         self._lock = named_lock("feeds.publisher")
-        self._fusion_epoch = 0
         self._stamp: tuple | None = None
         self._states: dict[str, _TierState] = {}
         if self._path is not None:
@@ -155,12 +152,6 @@ class FeedPublisher:
 
     # -- change tracking -------------------------------------------------
 
-    def invalidate(self) -> None:
-        """Force the next pull to rebuild (fusion mutates the graph
-        without journaling, so seq numbers alone cannot see it)."""
-        with self._lock:
-            self._fusion_epoch += 1
-
     def _refresh(self) -> None:
         """Bring the per-tier views up to date when the stamp moved.
 
@@ -171,13 +162,10 @@ class FeedPublisher:
         idempotent (the second sees the stamp already applied and
         returns)."""
         with self._lock:
-            epoch = self._fusion_epoch
             current = self._stamp
-            have_states = bool(self._states)
-        stamp = (epoch, tuple(self._stamp_source()))
-        if stamp == current and have_states:
+        stamp = tuple(self._stamp_source())
+        if stamp == current:
             return
-        seq_total = sum(int(entry[0]) for entry in stamp[1])
         bundle = export_graph(self._graph_source(), markings=True)
         views: dict[str, tuple[dict[str, str], str]] = {}
         for tier in TIERS:
@@ -187,9 +175,9 @@ class FeedPublisher:
             objects = {o["id"]: _canonical(o) for o in filtered.objects}
             views[tier] = (objects, _state_hash(objects))
         with self._lock:
-            if stamp == self._stamp and self._states:
+            if stamp == self._stamp:
                 return  # a racing pull applied this stamp already
-            self._apply_views_locked(views, seq_total)
+            self._apply_views_locked(views, sum(stamp))
             self._stamp = stamp
 
     def _apply_views_locked(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.fusion.similarity import name_similarity, squash
 from repro.graphdb.store import PropertyGraph
+from repro.graphdb.wal import GraphDatabase
 
 
 @dataclass
@@ -49,7 +50,7 @@ class _UnionFind:
 
 
 class KnowledgeFusion:
-    """Alias clustering + node merging over a property graph.
+    """Alias clustering + node merging over a graph database.
 
     Parameters
     ----------
@@ -112,93 +113,32 @@ class KnowledgeFusion:
             )
         return groups
 
-    # -- merging -------------------------------------------------------------
-
-    def merge_group(self, graph: PropertyGraph, group: list[int]) -> int:
-        """Merge one alias group into its canonical node.
-
-        The canonical node is the highest-degree member (the richest
-        one); its name wins, the other names become ``aliases``, edges
-        are migrated with de-duplication, and the losers are deleted.
-        Returns the canonical node id.
-        """
-        canonical_id = max(group, key=lambda i: (graph.degree(i), -i))
-        canonical = graph.node(canonical_id)
-        aliases = set(canonical.properties.get("aliases", []))
-        merged_properties: dict[str, object] = {}
-
-        for node_id in group:
-            if node_id == canonical_id:
-                continue
-            node = graph.node(node_id)
-            name = str(node.properties.get("name", ""))
-            if name and name != canonical.properties.get("name"):
-                aliases.add(name)
-            for key, value in node.properties.items():
-                if key in ("name", "merge_key", "aliases"):
-                    continue
-                if key not in canonical.properties:
-                    merged_properties[key] = value
-            for edge in list(graph.out_edges(node_id)):
-                self._migrate_edge(graph, edge.edge_id, src=canonical_id)
-            for edge in list(graph.in_edges(node_id)):
-                # a self-loop was already consumed by the out-edge pass
-                if graph.has_edge(edge.edge_id):
-                    self._migrate_edge(graph, edge.edge_id, dst=canonical_id)
-            graph.delete_node(node_id)
-
-        merged_properties["aliases"] = sorted(aliases)
-        graph.set_node_properties(canonical_id, merged_properties)
-        return canonical_id
-
-    def _migrate_edge(
-        self,
-        graph: PropertyGraph,
-        edge_id: int,
-        src: int | None = None,
-        dst: int | None = None,
-    ) -> None:
-        """Recreate an edge with one endpoint moved, merging duplicates."""
-        edge = graph.edge(edge_id)
-        new_src = src if src is not None else edge.src
-        new_dst = dst if dst is not None else edge.dst
-        if new_src == new_dst:
-            graph.delete_edge(edge_id)
-            return
-        duplicates = [
-            e for e in graph.out_edges(new_src, edge.type) if e.dst == new_dst
-        ]
-        if duplicates:
-            existing = duplicates[0]
-            weight = int(existing.properties.get("weight", 1)) + int(
-                edge.properties.get("weight", 1)
-            )
-            reports = list(existing.properties.get("reports", []))
-            for report in edge.properties.get("reports", []):
-                if report not in reports:
-                    reports.append(report)
-            graph.set_edge_properties(
-                existing.edge_id, {"weight": weight, "reports": reports}
-            )
-            graph.delete_edge(edge_id)
-        else:
-            graph.create_edge(new_src, edge.type, new_dst, dict(edge.properties))
-            graph.delete_edge(edge_id)
-
     # -- entry point ----------------------------------------------------------------
 
-    def run(self, graph: PropertyGraph) -> FusionReport:
-        """One full fusion pass over the graph."""
-        report = FusionReport(nodes_before=graph.node_count)
-        for group in self.find_alias_groups(graph):
-            names = [
-                str(graph.node(i).properties.get("name", "")) for i in group
-            ]
-            self.merge_group(graph, group)
-            report.groups_merged += 1
-            report.aliases_resolved += len(group) - 1
-            report.merged_groups.append(sorted(names))
-        report.nodes_after = graph.node_count
+    def run(self, database: GraphDatabase) -> FusionReport:
+        """One full fusion pass over a database's graph.
+
+        Alias groups are found read-only; every merge is a journaled
+        ``merge_nodes`` op, and the whole pass is one engine transaction
+        -- one journal record, serialised with the store workers.  Each
+        group's canonical node is its highest-degree member (the richest
+        one) at the time of its merge.
+        """
+        graph = database.graph
+        with database.engine.transaction():
+            report = FusionReport(nodes_before=graph.node_count)
+            for group in self.find_alias_groups(graph):
+                names = [
+                    str(graph.node(i).properties.get("name", "")) for i in group
+                ]
+                canonical = max(group, key=lambda i: (graph.degree(i), -i))
+                database.merge_nodes(
+                    canonical, [i for i in group if i != canonical]
+                )
+                report.groups_merged += 1
+                report.aliases_resolved += len(group) - 1
+                report.merged_groups.append(sorted(names))
+            report.nodes_after = graph.node_count
         return report
 
 

@@ -13,7 +13,6 @@ Persistence (snapshot + write-ahead log) lives in
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -89,8 +88,10 @@ class PropertyGraph:
         # semantic analyzer without a per-query graph scan.
         self._property_types: dict[str, set[str]] = {}
         self.id_base = int(id_base)
-        self._node_ids = itertools.count(self.id_base + 1)
-        self._edge_ids = itertools.count(self.id_base + 1)
+        #: id high-water marks: the last ids handed out, which merges
+        #: (they delete nodes and edges) leave above the largest live id
+        self.last_node_id = self.id_base
+        self.last_edge_id = self.id_base
         self._lock = named_lock("graphdb.store", reentrant=True)
 
     # -- node operations ------------------------------------------------
@@ -100,23 +101,14 @@ class PropertyGraph:
     ) -> Node:
         """Insert a node and index it; returns the stored node."""
         with self._lock:
-            label = sys.intern(label)
-            node = Node(next(self._node_ids), label, _interned_props(properties))
-            self._nodes[node.node_id] = node
-            self._out[node.node_id] = []
-            self._in[node.node_id] = []
-            self._label_index.setdefault(label, set()).add(node.node_id)
-            self._index_node_properties(node)
-            return node
+            return self.restore_node(self.last_node_id + 1, label, properties)
 
     def restore_node(
-        self, node_id: int, label: str, properties: dict[str, object]
+        self, node_id: int, label: str, properties: dict[str, object] | None
     ) -> Node:
-        """Re-insert a node with its original id (snapshot recovery).
-
-        The id counter advances past ``node_id`` so later inserts never
-        collide.
-        """
+        """Insert a node under a given id (snapshot recovery keeps the
+        original one); the id high-water mark advances past ``node_id``
+        so later inserts never collide."""
         with self._lock:
             if node_id in self._nodes:
                 raise KeyError(f"node {node_id} already exists")
@@ -127,9 +119,7 @@ class PropertyGraph:
             self._in[node_id] = []
             self._label_index.setdefault(label, set()).add(node_id)
             self._index_node_properties(node)
-            self._node_ids = itertools.count(
-                max(node_id + 1, next(self._node_ids))
-            )
+            self.last_node_id = max(self.last_node_id, node_id)
             return node
 
     def _index_node_properties(self, node: Node) -> None:
@@ -194,18 +184,37 @@ class PropertyGraph:
     ) -> Edge:
         """Insert a directed edge; endpoints must exist."""
         with self._lock:
+            return self.restore_edge(
+                self.last_edge_id + 1, src, edge_type, dst, properties
+            )
+
+    def restore_edge(
+        self,
+        edge_id: int,
+        src: int,
+        edge_type: str,
+        dst: int,
+        properties: dict[str, object] | None,
+    ) -> Edge:
+        """Insert an edge under a given id (snapshot recovery keeps the
+        original one: journal records written after the snapshot name
+        edges by id, and merges leave gaps a renumbering would close)."""
+        with self._lock:
             if src not in self._nodes:
                 raise KeyError(f"no source node {src}")
             if dst not in self._nodes:
                 raise KeyError(f"no target node {dst}")
+            if edge_id in self._edges:
+                raise KeyError(f"edge {edge_id} already exists")
             edge = Edge(
-                next(self._edge_ids), sys.intern(edge_type), src, dst,
+                edge_id, sys.intern(edge_type), src, dst,
                 _interned_props(properties),
             )
             self._observe_properties(edge.properties)
-            self._edges[edge.edge_id] = edge
-            self._out[src].append(edge.edge_id)
-            self._in[dst].append(edge.edge_id)
+            self._edges[edge_id] = edge
+            self._out[src].append(edge_id)
+            self._in[dst].append(edge_id)
+            self.last_edge_id = max(self.last_edge_id, edge_id)
             return edge
 
     def has_edge(self, edge_id: int) -> bool:
@@ -230,6 +239,70 @@ class PropertyGraph:
             edge.properties.update(_interned_props(properties))
             self._observe_properties(edge.properties)
             return edge
+
+    # -- merging -------------------------------------------------------------
+
+    def merge_nodes(self, canonical_id: int, losers: list[int]) -> None:
+        """Fold alias nodes into ``canonical_id`` (knowledge fusion).
+
+        The canonical name wins, the other names become ``aliases``,
+        properties the canonical node lacks are adopted, edges are
+        migrated with de-duplication, and the losers are deleted.  A
+        pure function of the graph and its arguments, so replaying the
+        journaled op reproduces the merge exactly, ids included.
+        """
+        with self._lock:
+            canonical = self.node(canonical_id)
+            aliases = set(canonical.properties.get("aliases", []))
+            merged_properties: dict[str, object] = {}
+            for node_id in losers:
+                node = self.node(node_id)
+                name = str(node.properties.get("name", ""))
+                if name and name != canonical.properties.get("name"):
+                    aliases.add(name)
+                for key, value in node.properties.items():
+                    if key in ("name", "merge_key", "aliases"):
+                        continue
+                    if key not in canonical.properties:
+                        merged_properties[key] = value
+                for edge in self.out_edges(node_id):
+                    self._migrate_edge(edge.edge_id, src=canonical_id)
+                for edge in self.in_edges(node_id):
+                    # a self-loop was already consumed by the out-edge pass
+                    if self.has_edge(edge.edge_id):
+                        self._migrate_edge(edge.edge_id, dst=canonical_id)
+                self.delete_node(node_id)
+            merged_properties["aliases"] = sorted(aliases)
+            self.set_node_properties(canonical_id, merged_properties)
+
+    def _migrate_edge(
+        self, edge_id: int, src: int | None = None, dst: int | None = None
+    ) -> None:
+        """Recreate an edge with one endpoint moved, merging duplicates."""
+        edge = self.edge(edge_id)
+        new_src = src if src is not None else edge.src
+        new_dst = dst if dst is not None else edge.dst
+        if new_src == new_dst:
+            self.delete_edge(edge_id)
+            return
+        duplicates = [
+            e for e in self.out_edges(new_src, edge.type) if e.dst == new_dst
+        ]
+        if duplicates:
+            existing = duplicates[0]
+            weight = int(existing.properties.get("weight", 1)) + int(
+                edge.properties.get("weight", 1)
+            )
+            reports = list(existing.properties.get("reports", []))
+            for report in edge.properties.get("reports", []):
+                if report not in reports:
+                    reports.append(report)
+            self.set_edge_properties(
+                existing.edge_id, {"weight": weight, "reports": reports}
+            )
+        else:
+            self.create_edge(new_src, edge.type, new_dst, dict(edge.properties))
+        self.delete_edge(edge_id)
 
     # -- lookups -----------------------------------------------------------
 

@@ -40,6 +40,7 @@ class GraphParticipant:
     - ``create_node``: ``ref`` (placeholder < 0), ``label``, ``props``
     - ``create_edge``: ``src``/``dst`` (real or placeholder), ``type``, ``props``
     - ``set_node_props`` / ``set_edge_props``: ``id``, ``props``
+    - ``merge_nodes``: ``canonical``, ``losers`` (knowledge fusion)
     """
 
     name = "graph"
@@ -76,6 +77,8 @@ class GraphParticipant:
                 self.graph.set_node_properties(real(int(op["id"])), op["props"])
             elif kind == "set_edge_props":
                 self.graph.set_edge_properties(int(op["id"]), op["props"])
+            elif kind == "merge_nodes":
+                self.graph.merge_nodes(int(op["canonical"]), op["losers"])
             else:  # pragma: no cover - corrupted journal
                 raise ValueError(f"unknown graph operation {kind!r}")
         return GraphApplyOutcome(id_map, edges)
@@ -87,26 +90,34 @@ class GraphParticipant:
                 for n in self.graph.nodes()
             ],
             "edges": [
-                {"src": e.src, "type": e.type, "dst": e.dst, "props": e.properties}
+                {"id": e.edge_id, "src": e.src, "type": e.type, "dst": e.dst,
+                 "props": e.properties}
                 for e in self.graph.edges()
             ],
+            "last_node_id": self.graph.last_node_id,
+            "last_edge_id": self.graph.last_edge_id,
         }
 
     def load_snapshot(self, data: dict) -> None:
-        # Node ids must survive restarts verbatim: journal records
-        # written after the snapshot reference them.
+        # Ids and their high-water marks must survive restarts verbatim:
+        # journal records written after the snapshot name nodes and edges
+        # by id, and replayed inserts must draw the ids the live process
+        # drew.  Snapshots that predate edge ids number edges in file order.
         graph = PropertyGraph(id_base=self.id_base)
         for node_data in data.get("nodes", []):
             graph.restore_node(
                 int(node_data["id"]), node_data["label"], node_data["props"]
             )
         for edge_data in data.get("edges", []):
-            graph.create_edge(
+            graph.restore_edge(
+                int(edge_data.get("id", graph.last_edge_id + 1)),
                 int(edge_data["src"]),
                 edge_data["type"],
                 int(edge_data["dst"]),
                 edge_data["props"],
             )
+        graph.last_node_id = max(graph.last_node_id, data.get("last_node_id", 0))
+        graph.last_edge_id = max(graph.last_edge_id, data.get("last_edge_id", 0))
         self.graph = graph
 
     def reset(self) -> None:
@@ -283,6 +294,10 @@ class GraphDatabase:
     def set_edge_properties(self, edge_id: int, properties: dict[str, object]) -> None:
         """Auto-committed property merge on an edge."""
         self._commit([{"op": "set_edge_props", "id": edge_id, "props": dict(properties)}])
+
+    def merge_nodes(self, canonical_id: int, losers: list[int]) -> None:
+        """Auto-committed fold of alias nodes into ``canonical_id``."""
+        self._commit([{"op": "merge_nodes", "canonical": canonical_id, "losers": losers}])
 
     def snapshot(self) -> None:
         """Compact the engine's journal into a fresh snapshot generation."""

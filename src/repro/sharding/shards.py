@@ -348,14 +348,15 @@ class ShardSet:
 
     def fuse(self, fusion: KnowledgeFusion | None = None) -> FusionReport:
         """Knowledge fusion partition by partition (entities co-locate
-        by anchor hash, so merge candidates are overwhelmingly local);
-        the per-partition reports are summed and group lists sorted for
-        a canonical merged report."""
+        by anchor hash, so merge candidates are overwhelmingly local),
+        one journaled transaction each: re-running the idempotent pass
+        heals a crash between partitions.  The per-partition reports are
+        summed and group lists sorted for a canonical merged report."""
         fusion = fusion if fusion is not None else KnowledgeFusion()
         merged = FusionReport()
         groups: list[list[str]] = []
         for partition in self.partitions:
-            report = fusion.run(partition.graph)
+            report = fusion.run(partition.database)
             merged.nodes_before += report.nodes_before
             merged.nodes_after += report.nodes_after
             merged.groups_merged += report.groups_merged
@@ -412,18 +413,12 @@ class ShardSet:
                 merged.create_edge(edge.src, edge.type, edge.dst, edge.properties)
         return merged
 
-    def feed_stamp(self) -> tuple[tuple[int, int, int], ...]:
-        """Cheap per-partition change stamp for the feed publisher:
-        ``(last_seq, node_count, edge_count)`` per shard, in partition
-        order.  Deterministic for seeded runs, so feed deltas are too."""
-        return tuple(
-            (
-                partition.engine.last_seq,
-                partition.graph.node_count,
-                partition.graph.edge_count,
-            )
-            for partition in self.partitions
-        )
+    def feed_stamp(self) -> tuple[int, ...]:
+        """Cheap change stamp for the feed publisher: each partition's
+        journal ``last_seq``, in partition order (every graph change is
+        a commit).  Deterministic for seeded runs, so feed deltas are
+        too."""
+        return tuple(partition.engine.last_seq for partition in self.partitions)
 
     # -- ingest markers -------------------------------------------------
 

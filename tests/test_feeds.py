@@ -11,13 +11,19 @@ import json
 
 import pytest
 
+from alias_corpus import alias_batch
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
 from repro.feeds import TIER_MAX_TLP, TIERS, FeedPublisher, tier_allows
 from repro.obs import make_obs
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention
-from repro.ontology.stix import export_graph, filter_bundle, stix_id
+from repro.ontology.stix import (
+    STIX_TYPE_BY_LABEL,
+    export_graph,
+    filter_bundle,
+    stix_id,
+)
 from repro.runtime import clock_from_name
 from repro.storage import CrashInjector, InjectedCrash
 from repro.ui.server import ExplorerAPI
@@ -99,10 +105,8 @@ class TestTierSemantics:
     def test_red_objects_confined_to_internal(self):
         kg = make_kg()
         kg.run_once()
-        graph = kg.database.graph
-        node = next(n for n in graph.nodes() if n.label == "Malware")
-        graph.set_node_properties(node.node_id, {"tlp": "red"})
-        kg.feeds.invalidate()
+        node = next(n for n in kg.graph.nodes() if n.label == "Malware")
+        kg.database.set_node_properties(node.node_id, {"tlp": "red"})
         partner_ids = {
             o["id"] for o in kg.feeds.full_bundle("partner")[0]["objects"]
         }
@@ -236,10 +240,8 @@ class TestCursors:
     def test_expired_cursor_falls_back_to_full(self):
         kg = make_kg(feed_history=1)
         stale = kg.feeds.pull("internal")
-        graph = kg.database.graph
         for index in range(3):  # three distinct refreshes age the history
-            graph.create_node("Malware", {"name": f"gen-{index}"})
-            kg.feeds.invalidate()
+            kg.database.create_node("Malware", {"name": f"gen-{index}"})
             kg.feeds.pull("internal")
         resync = kg.feeds.pull("internal", cursor=stale.cursor)
         assert resync.payload["mode"] == "full"
@@ -312,6 +314,65 @@ class TestIncrementalComposition:
             full.payload["bundle"]
         )
         kg.close()
+
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_cursor_before_fusion_learns_the_merged_away_ids(self, partitions):
+        kg = make_kg(partitions=partitions)
+        kg.store(alias_batch(0))
+        before = kg.feeds.pull("internal")
+        def fusable_object_ids():
+            # several partitions may each hold a node of one name; its
+            # object is gone once the last of them is merged away
+            return {
+                stix_id(
+                    STIX_TYPE_BY_LABEL[node.label],
+                    f"{node.label}|{node.properties['merge_key']}",
+                )
+                for node in kg.graph.nodes()
+                if node.label in kg.fusion.labels
+            }
+
+        object_ids = fusable_object_ids()
+        assert kg.run_fusion().groups_merged > 0
+        merged_away = object_ids - fusable_object_ids()
+        delta = kg.feeds.pull("internal", cursor=before.cursor)
+        assert delta.payload["mode"] == "delta"
+        assert merged_away and merged_away <= set(delta.payload["deleted"])
+        kg.close()
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_ingest_fuse_ingest_composes_and_survives_reopen(
+        self, tmp_path, partitions
+    ):
+        kg = make_kg(tmp_path / "state", partitions=partitions)
+        states, cursors = {}, {}
+        for tier in TIERS:
+            response = kg.feeds.pull(tier)
+            states[tier] = compose({}, response)
+            cursors[tier] = response.cursor
+        for step in range(3):
+            if step == 1:
+                assert kg.run_fusion().groups_merged > 0
+            else:
+                kg.store(alias_batch(step))
+            for tier in TIERS:
+                response = kg.feeds.pull(tier, cursor=cursors[tier])
+                assert response.payload["mode"] == "delta"
+                states[tier] = compose(states[tier], response)
+                cursors[tier] = response.cursor
+        composed = {tier: bundle_bytes(as_bundle(states[tier])) for tier in TIERS}
+        for tier in TIERS:
+            assert composed[tier] == bundle_bytes(
+                kg.feeds.pull(tier).payload["bundle"]
+            ), f"tier {tier} diverged at {partitions} partition(s)"
+        kg.close()  # no checkpoint: the reopen replays the fusion commit
+        reopened = make_kg(tmp_path / "state", partitions=partitions)
+        for tier in TIERS:
+            assert composed[tier] == bundle_bytes(
+                reopened.feeds.pull(tier).payload["bundle"]
+            ), f"tier {tier} reopened to another graph"
+        reopened.close()
 
 
 class TestCrashRecovery:

@@ -11,7 +11,7 @@ from repro.fusion import (
     squash,
     token_set_overlap,
 )
-from repro.graphdb import PropertyGraph
+from repro.graphdb import GraphDatabase
 
 
 class TestSimilarity:
@@ -47,32 +47,34 @@ class TestSimilarity:
             assert name_similarity(name, name) == 1.0
 
 
-def seeded_graph():
-    """Three naming variants of one malware + an unrelated one, with edges."""
-    graph = PropertyGraph()
-    a = graph.create_node("Malware", {"name": "agent tesla", "merge_key": "agent tesla"})
-    b = graph.create_node("Malware", {"name": "AgentTesla", "merge_key": "agenttesla"})
-    c = graph.create_node("Malware", {"name": "agent_tesla", "merge_key": "agent_tesla"})
-    other = graph.create_node("Malware", {"name": "stuxnet", "merge_key": "stuxnet"})
-    ip = graph.create_node("IP", {"name": "10.0.0.1"})
-    actor = graph.create_node("ThreatActor", {"name": "mummy spider"})
-    graph.create_edge(a.node_id, "CONNECTS_TO", ip.node_id, {"weight": 2})
-    graph.create_edge(b.node_id, "CONNECTS_TO", ip.node_id, {"weight": 1})
-    graph.create_edge(c.node_id, "ATTRIBUTED_TO", actor.node_id)
-    graph.create_edge(other.node_id, "CONNECTS_TO", ip.node_id)
-    return graph, (a, b, c, other, ip, actor)
+def seeded_database():
+    """Three naming variants of one malware + an unrelated one, with
+    edges, in an in-memory database (fusion commits through it)."""
+    db = GraphDatabase()
+    a = db.create_node("Malware", {"name": "agent tesla", "merge_key": "agent tesla"})
+    b = db.create_node("Malware", {"name": "AgentTesla", "merge_key": "agenttesla"})
+    c = db.create_node("Malware", {"name": "agent_tesla", "merge_key": "agent_tesla"})
+    other = db.create_node("Malware", {"name": "stuxnet", "merge_key": "stuxnet"})
+    ip = db.create_node("IP", {"name": "10.0.0.1"})
+    actor = db.create_node("ThreatActor", {"name": "mummy spider"})
+    db.create_edge(a.node_id, "CONNECTS_TO", ip.node_id, {"weight": 2})
+    db.create_edge(b.node_id, "CONNECTS_TO", ip.node_id, {"weight": 1})
+    db.create_edge(c.node_id, "ATTRIBUTED_TO", actor.node_id)
+    db.create_edge(other.node_id, "CONNECTS_TO", ip.node_id)
+    return db, (a, b, c, other, ip, actor)
 
 
 class TestKnowledgeFusion:
     def test_alias_groups_found(self):
-        graph, (a, b, c, other, *_rest) = seeded_graph()
-        groups = KnowledgeFusion().find_alias_groups(graph)
+        db, (a, b, c, other, *_rest) = seeded_database()
+        groups = KnowledgeFusion().find_alias_groups(db.graph)
         assert len(groups) == 1
         assert set(groups[0]) == {a.node_id, b.node_id, c.node_id}
 
     def test_merge_migrates_edges(self):
-        graph, (_a, _b, _c, _other, ip, actor) = seeded_graph()
-        report = KnowledgeFusion().run(graph)
+        db, (_a, _b, _c, _other, ip, actor) = seeded_database()
+        report = KnowledgeFusion().run(db)
+        graph = db.graph
         assert report.groups_merged == 1
         assert report.aliases_resolved == 2
         assert graph.node_count == 4  # 1 fused malware + stuxnet + ip + actor
@@ -91,42 +93,55 @@ class TestKnowledgeFusion:
         assert graph.out_edges(fused.node_id, "ATTRIBUTED_TO")[0].dst == actor.node_id
 
     def test_aliases_recorded(self):
-        graph, _nodes = seeded_graph()
-        KnowledgeFusion().run(graph)
+        db, _nodes = seeded_database()
+        KnowledgeFusion().run(db)
         (fused,) = [
             n
-            for n in graph.nodes("Malware")
+            for n in db.graph.nodes("Malware")
             if squash(str(n.properties["name"])) == "agenttesla"
         ]
         assert len(fused.properties["aliases"]) == 2
 
     def test_unrelated_node_untouched(self):
-        graph, (_a, _b, _c, other, *_rest) = seeded_graph()
-        KnowledgeFusion().run(graph)
-        assert graph.has_node(other.node_id)
+        db, (_a, _b, _c, other, *_rest) = seeded_database()
+        KnowledgeFusion().run(db)
+        assert db.graph.has_node(other.node_id)
 
     def test_ioc_labels_never_fused(self):
-        graph = PropertyGraph()
-        graph.create_node("Hash", {"name": "a" * 64})
-        graph.create_node("Hash", {"name": "a" * 63 + "b"})
-        report = KnowledgeFusion().run(graph)
+        db = GraphDatabase()
+        db.create_node("Hash", {"name": "a" * 64})
+        db.create_node("Hash", {"name": "a" * 63 + "b"})
+        report = KnowledgeFusion().run(db)
         assert report.groups_merged == 0
 
     def test_idempotent(self):
-        graph, _nodes = seeded_graph()
+        db, _nodes = seeded_database()
         fusion = KnowledgeFusion()
-        first = fusion.run(graph)
-        second = fusion.run(graph)
+        first = fusion.run(db)
+        fused_seq = db.engine.last_seq
+        second = fusion.run(db)
         assert first.groups_merged == 1
         assert second.groups_merged == 0
         assert second.nodes_removed == 0
+        assert db.engine.last_seq == fused_seq  # nothing to merge, nothing journaled
 
     def test_canonical_is_highest_degree(self):
-        graph, (a, _b, _c, _other, _ip, _actor) = seeded_graph()
+        db, (a, b, c, _other, _ip, _actor) = seeded_database()
         # 'a' (agent tesla) has 1 edge; add one more to make it clearly richest
-        extra = graph.create_node("FileName", {"name": "x.exe"})
-        graph.create_edge(a.node_id, "DROPS", extra.node_id)
-        fusion = KnowledgeFusion()
-        (group,) = fusion.find_alias_groups(graph)
-        canonical = fusion.merge_group(graph, group)
-        assert canonical == a.node_id
+        extra = db.create_node("FileName", {"name": "x.exe"})
+        db.create_edge(a.node_id, "DROPS", extra.node_id)
+        KnowledgeFusion().run(db)
+        assert db.graph.has_node(a.node_id)
+        assert not db.graph.has_node(b.node_id)
+        assert not db.graph.has_node(c.node_id)
+
+    def test_one_pass_is_one_journal_record(self):
+        """Every merge of a pass rides a single commit: the pass is
+        atomic on disk, and a reader keyed on ``last_seq`` sees it."""
+        db, _nodes = seeded_database()
+        db.create_node("Tool", {"name": "mimi katz"})
+        db.create_node("Tool", {"name": "mimikatz"})
+        before = db.engine.last_seq
+        report = KnowledgeFusion().run(db)
+        assert report.groups_merged == 2
+        assert db.engine.last_seq == before + 1

@@ -1,11 +1,13 @@
 """Unit tests for the property graph store, WAL and transactions."""
 
+import json
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alias_corpus import graph_identity
 from repro.graphdb import GraphDatabase, PropertyGraph, TransactionError
 
 
@@ -187,6 +189,63 @@ class TestDurability:
             db.create_edge(a.node_id, "R", b.node_id)
         with GraphDatabase(path) as reopened:
             assert reopened.graph.edge_count == 1
+
+    @staticmethod
+    def _merged_database(path):
+        """A store whose merge left gaps below both id high-water marks."""
+        db = GraphDatabase(path)
+        a = db.create_node("Malware", {"name": "agent tesla"})
+        tool = db.create_node("Tool", {"name": "mimikatz"})
+        b = db.create_node("Malware", {"name": "AgentTesla"})
+        db.create_edge(a.node_id, "USES", tool.node_id, {"weight": 1})
+        folded = db.create_edge(b.node_id, "USES", tool.node_id, {"weight": 2})
+        db.create_edge(b.node_id, "RELATED_TO", a.node_id)
+        db.merge_nodes(a.node_id, [b.node_id])  # deletes node 3, edges 2 and 3
+        assert not db.graph.has_edge(folded.edge_id)
+        return db
+
+    @staticmethod
+    def _identity(graph):
+        return graph_identity(graph), graph.last_node_id, graph.last_edge_id
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["replay", "snapshot"])
+    def test_merge_survives_reopen_with_its_id_gaps(self, tmp_path, snapshot):
+        db = self._merged_database(tmp_path / "db")
+        if snapshot:
+            db.snapshot()
+        assert self._identity(db.graph)[1:] == (3, 3)
+        assert [e.edge_id for e in db.graph.edges()] == [1]
+        assert db.graph.edge(1).properties["weight"] == 3
+        with GraphDatabase(tmp_path / "db") as reopened:
+            assert self._identity(reopened.graph) == self._identity(db.graph)
+            # both processes draw the same ids for what comes next
+            for database in (db, reopened):
+                node = database.create_node("Tool", {"name": "psexec"})
+                edge = database.create_edge(1, "USES", node.node_id)
+                assert (node.node_id, edge.edge_id) == (4, 4)
+        db.close()
+
+    def test_snapshot_without_edge_ids_loads_as_it_always_did(self, tmp_path):
+        """Stores written before snapshots carried edge ids and id
+        high-water marks number edges in file order and restart both
+        counters after the largest id present."""
+        path = tmp_path / "db"
+        with GraphDatabase(path) as db:
+            nodes = [db.create_node("N", {"name": f"n{i}"}) for i in range(3)]
+            for node in nodes[1:]:
+                db.create_edge(nodes[0].node_id, "R", node.node_id)
+            db.snapshot()
+            snapshot_path = next(path.glob("snapshot-*.json"))
+        data = json.loads(snapshot_path.read_text())
+        graph_data = data["stores"]["graph"]
+        del graph_data["last_node_id"], graph_data["last_edge_id"]
+        for edge_data in graph_data["edges"]:
+            del edge_data["id"]
+        snapshot_path.write_text(json.dumps(data))
+        with GraphDatabase(path) as reopened:
+            assert [e.edge_id for e in reopened.graph.edges()] == [1, 2]
+            assert reopened.create_node("N", {"name": "next"}).node_id == 4
+            assert reopened.create_edge(1, "R", 4).edge_id == 3
 
     def test_torn_wal_tail_recovered(self, tmp_path):
         path = tmp_path / "db"

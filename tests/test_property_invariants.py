@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import Pipeline, Stage
 from repro.fusion import KnowledgeFusion
-from repro.graphdb import CypherEngine, PropertyGraph
+from repro.graphdb import CypherEngine, GraphDatabase, PropertyGraph
 from repro.nlp.tokenize import tokenize_sentences
 from repro.search import SearchIndex, analyze
 from repro.websim.scenario import generate_report_content, make_scenarios
@@ -249,13 +249,14 @@ class TestFusionInvariants:
     )
     @settings(max_examples=40, deadline=None)
     def test_fusion_monotone_and_label_safe(self, names):
-        graph = PropertyGraph()
+        database = GraphDatabase()
+        graph = database.graph
         for i, name in enumerate(names):
             label = "Malware" if i % 2 == 0 else "Tool"
-            graph.create_node(label, {"name": name, "merge_key": name.lower()})
+            database.create_node(label, {"name": name, "merge_key": name.lower()})
         before_labels = set(graph.label_counts())
         before = graph.node_count
-        report = KnowledgeFusion().run(graph)
+        report = KnowledgeFusion().run(database)
         assert graph.node_count <= before
         assert set(graph.label_counts()) <= before_labels
         assert report.nodes_after == graph.node_count

@@ -11,13 +11,16 @@ fingerprint (a resumed run's virtual clock legitimately restarts, so
 ``last_crawl`` differs while every other byte converges).
 """
 
+import itertools
 import json
+import shutil
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alias_corpus import alias_batch, graph_identity
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
 from repro.ontology.entities import EntityType
@@ -314,3 +317,150 @@ class TestCypherCreateIsJournaled:
         )
         assert [row["tool"] for row in rows] == ["handtool"]
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# fusion is a transaction: graph state = f(journal), ids included
+
+
+def _fuse_then_store_orderings():
+    """Every ordering of {store, fuse, checkpoint} of length <= 4 in
+    which some store comes after some fusion."""
+    for length in (2, 3, 4):
+        for steps in itertools.product("SFC", repeat=length):
+            if "F" in steps and "S" in steps[steps.index("F"):]:
+                yield "".join(steps)
+
+
+class TestFusionIsJournaled:
+    """Fusion commits through the journal like every other graph write,
+    so no ordering of store / fuse / checkpoint leaves a state directory
+    that reopens to anything but the live graph."""
+
+    @staticmethod
+    def _drive(kg, steps, batches):
+        """Run the steps; returns how many alias groups fusion merged."""
+        merged = 0
+        for step in steps:
+            if step == "S":
+                kg.store(alias_batch(next(batches)))
+            elif step == "F":
+                merged += kg.run_fusion().groups_merged
+            else:
+                kg.checkpoint()
+        return merged
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize("steps", list(_fuse_then_store_orderings()))
+    def test_every_ordering_reopens_to_the_live_graph(
+        self, tmp_path, partitions, steps
+    ):
+        batches = itertools.count()
+        live = make_kg(tmp_path / "state", partitions=partitions)
+        # a leading store, so that no fusion runs on an empty graph
+        assert self._drive(live, "S" + steps, batches) > 0
+
+        # a copy taken without closing is what a killed process leaves
+        shutil.copytree(tmp_path / "state", tmp_path / "copy")
+        copy = make_kg(tmp_path / "copy", partitions=partitions)
+        assert graph_identity(copy.graph) == graph_identity(live.graph)
+
+        # the replayed process draws the same ids as the live one
+        further = alias_batch(next(batches))
+        live.store(further)
+        copy.store(further)
+        expected = graph_identity(live.graph)
+        assert graph_identity(copy.graph) == expected
+        live.close()
+        copy.close()
+        for name in ("state", "copy"):
+            reopened = make_kg(tmp_path / name, partitions=partitions)
+            assert graph_identity(reopened.graph) == expected
+            reopened.close()
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            "run,fuse,close",
+            "run,fuse,run,close",
+            "run,fuse,checkpoint,run,crash-copy",
+        ],
+    )
+    def test_facade_sequence_reopens_to_the_live_graph(
+        self, tmp_path, partitions, steps
+    ):
+        """The same through ``run_once`` alone.  One worker per stage
+        makes a partial crawl pick the same reports every time (this
+        source mix gives fusion a group to merge after six of them)."""
+        workload = dict(
+            partitions=partitions,
+            sources=["ThreatPedia", "MalwareVault", "OTX Mirror"],
+            reports_per_site=3,
+            crawl_threads=1,
+            parse_workers=1,
+            extract_workers=1,
+        )
+        kg = make_kg(tmp_path / "state", **workload)
+        reopen = tmp_path / "state"
+        stored = merged = 0
+        for step in steps.split(","):
+            if step == "run":
+                stored += kg.run_once(
+                    max_articles=None if stored else 6
+                ).reports_stored
+            elif step == "fuse":
+                merged += kg.run_fusion().groups_merged
+            elif step == "checkpoint":
+                kg.checkpoint()
+            elif step == "crash-copy":
+                reopen = tmp_path / "copy"
+                shutil.copytree(tmp_path / "state", reopen)
+        assert merged > 0 and stored == (6 if steps.count("run") == 1 else 9)
+        expected = graph_identity(kg.graph)
+        kg.close()
+        reopened = make_kg(reopen, **workload)
+        assert graph_identity(reopened.graph) == expected
+        reopened.close()
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize(
+        "point", [point for point in CRASH_POINTS if point.startswith("commit.")]
+    )
+    def test_crash_during_fusion_is_all_or_nothing(
+        self, tmp_path, partitions, point
+    ):
+        """A fusion commit is an ordinary commit: dying at any of its
+        boundaries leaves the crashed partition exactly pre- or exactly
+        post-fusion, the others untouched, and re-running the idempotent
+        pass converges to the uncrashed graph."""
+        def stored(path, **kwargs):
+            kg = make_kg(path, partitions=partitions)
+            kg.store(alias_batch(0))
+            kg.store(alias_batch(1))
+            before = [graph_identity(p.graph) for p in kg.shards.partitions]
+            kg.close()
+            return before, make_kg(path, partitions=partitions, **kwargs)
+
+        _before, reference = stored(tmp_path / "reference")
+        assert reference.run_fusion().groups_merged > 0
+        after = [graph_identity(p.graph) for p in reference.shards.partitions]
+        expected = graph_identity(reference.graph)
+        reference.close()
+
+        before, crashed = stored(tmp_path / "state", faults=CrashInjector(point))
+        assert before[0] != after[0]  # the armed partition has merges to lose
+        with pytest.raises(InjectedCrash):
+            crashed.run_fusion()
+
+        recovered = make_kg(tmp_path / "state", partitions=partitions)
+        survived = point in ("commit.after-append", "commit.after-fsync")
+        got = [graph_identity(p.graph) for p in recovered.shards.partitions]
+        assert got[0] == (after[0] if survived else before[0])
+        assert got[1:] == before[1:]  # fusion never reached them
+        recovered.run_fusion()
+        assert graph_identity(recovered.graph) == expected
+        recovered.close()
+        reloaded = make_kg(tmp_path / "state", partitions=partitions)
+        assert graph_identity(reloaded.graph) == expected
+        reloaded.close()
