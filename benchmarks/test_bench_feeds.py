@@ -15,9 +15,12 @@ the rest see a small delta.  The naive baseline is the compact-encoded
 full bundle for the same tier at the same instant, once per poll.
 
 Also reported: the conditional-GET hit ratio straight from the
-``feeds.cache_hits`` / ``feeds.pulls`` counters, and an end-of-storm
+``feeds.cache_hits`` / ``feeds.pulls`` counters, an end-of-storm
 correctness check that every client's replayed object map matches a
-fresh full pull byte-for-byte.
+fresh full pull byte-for-byte, and what keeping the views current cost
+the server: objects re-exported (``feeds.objects_reexported``, summed
+over tiers) against what rebuilding every tier on each of the same
+refreshes would have exported.
 """
 
 import json
@@ -145,6 +148,11 @@ def test_bench_feed_poll_storm():
         assert client["state"] == fresh[client["tier"]]
 
     counters = obs.metrics.snapshot()["counters"]
+    refreshes = sum(
+        record["name"] == "feeds.refresh" for record in obs.tracer.export()
+    )
+    reexported = sum(counters["feeds.objects_reexported"].values())
+    rebuild_equivalent = refreshes * sum(len(objects) for objects in fresh.values())
     pulls = sum(counters["feeds.pulls"].values())
     cache_hits = sum(counters["feeds.cache_hits"].values())
     hit_ratio = cache_hits / (pulls + cache_hits)
@@ -162,9 +170,13 @@ def test_bench_feed_poll_storm():
     print(f"  bytes reduction    : {reduction:>12.1f}x")
     print(f"  conditional-GET hit: {hit_ratio:>12.2%} "
           f"({cache_hits} of {pulls + cache_hits} polls)")
+    print(f"  objects re-exported: {reexported:>12} over {refreshes} refreshes "
+          f"(rebuilding every tier each time: {rebuild_equivalent})")
 
     assert reduction >= 10.0
     assert hit_ratio >= 0.5
+    # one cold build, then what the three mutations touched
+    assert reexported < rebuild_equivalent / 2
 
     record_result(
         "E23",
@@ -179,6 +191,9 @@ def test_bench_feed_poll_storm():
             "conditional_get_hit_ratio": round(hit_ratio, 3),
             "polls": pulls + cache_hits,
             "cache_hits": cache_hits,
+            "refreshes": refreshes,
+            "objects_reexported": reexported,
+            "rebuild_equivalent_objects": rebuild_equivalent,
             "per_round": rows,
         },
     )

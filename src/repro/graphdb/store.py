@@ -67,6 +67,23 @@ def _interned_props(properties: dict[str, object] | None) -> dict[str, object]:
     return {sys.intern(key): value for key, value in properties.items()}
 
 
+def _drain(
+    touched: set[int], items: dict[int, object], mark: int, last: int
+) -> list[int]:
+    """Empty ``touched`` into an ascending list together with every live
+    id in ``(mark, last]`` (and possibly dead ones): the range itself
+    where ids are dense -- a store hands them out consecutively -- a
+    scan where restores left them sparse (a detached union copy spans
+    every partition's id range)."""
+    if last - mark <= len(items):
+        created: Iterable[int] = range(mark + 1, last + 1)
+    else:
+        created = [item_id for item_id in items if item_id > mark]
+    drained = sorted(touched.union(created))
+    touched.clear()
+    return drained
+
+
 class PropertyGraph:
     """Mutable property graph with label/property/adjacency indexes.
 
@@ -92,6 +109,14 @@ class PropertyGraph:
         #: (they delete nodes and edges) leave above the largest live id
         self.last_node_id = self.id_base
         self.last_edge_id = self.id_base
+        # change capture (see take_changes): everything above these
+        # marks was created since the last drain, so only touches of
+        # older ids are recorded and an undrained graph accumulates
+        # nothing
+        self._drained_node_id = self.id_base
+        self._drained_edge_id = self.id_base
+        self._touched_nodes: set[int] = set()
+        self._touched_edges: set[int] = set()
         self._lock = named_lock("graphdb.store", reentrant=True)
 
     # -- node operations ------------------------------------------------
@@ -120,6 +145,7 @@ class PropertyGraph:
             self._label_index.setdefault(label, set()).add(node_id)
             self._index_node_properties(node)
             self.last_node_id = max(self.last_node_id, node_id)
+            self._touch_node(node_id)
             return node
 
     def _index_node_properties(self, node: Node) -> None:
@@ -158,6 +184,7 @@ class PropertyGraph:
             self._deindex_node_properties(node)
             node.properties.update(_interned_props(properties))
             self._index_node_properties(node)
+            self._touch_node(node_id)
             return node
 
     def delete_node(self, node_id: int) -> None:
@@ -172,6 +199,7 @@ class PropertyGraph:
             del self._out[node_id]
             del self._in[node_id]
             del self._nodes[node_id]
+            self._touch_node(node_id)
 
     # -- edge operations ---------------------------------------------------
 
@@ -215,6 +243,7 @@ class PropertyGraph:
             self._out[src].append(edge_id)
             self._in[dst].append(edge_id)
             self.last_edge_id = max(self.last_edge_id, edge_id)
+            self._touch_edge(edge_id)
             return edge
 
     def has_edge(self, edge_id: int) -> bool:
@@ -232,13 +261,50 @@ class PropertyGraph:
             self._out[edge.src].remove(edge_id)
             self._in[edge.dst].remove(edge_id)
             del self._edges[edge_id]
+            self._touch_edge(edge_id)
 
     def set_edge_properties(self, edge_id: int, properties: dict[str, object]) -> Edge:
         with self._lock:
             edge = self.edge(edge_id)
             edge.properties.update(_interned_props(properties))
             self._observe_properties(edge.properties)
+            self._touch_edge(edge_id)
             return edge
+
+    # -- change capture ------------------------------------------------------
+
+    def _touch_node(self, node_id: int) -> None:
+        if node_id <= self._drained_node_id:
+            self._touched_nodes.add(node_id)
+
+    def _touch_edge(self, edge_id: int) -> None:
+        if edge_id <= self._drained_edge_id:
+            self._touched_edges.add(edge_id)
+
+    def take_changes(self) -> tuple[list[int], list[int]]:
+        """Drain the change capture: the ascending ids of the nodes, and
+        of the edges, created, modified or deleted since the previous
+        call -- every id on the first one.  An id may name an item that
+        is gone (again); the caller asks ``has_node`` / ``has_edge``.
+
+        The six mutation primitives (``restore_*``, ``set_*_properties``,
+        ``delete_*``) feed it, and everything else that writes -- the
+        connectors, Cypher ``CREATE``, ``merge_nodes``, journal replay,
+        snapshot load -- goes through them.  One consumer per graph: a
+        drain hands each change out once.
+        """
+        with self._lock:
+            nodes = _drain(
+                self._touched_nodes, self._nodes,
+                self._drained_node_id, self.last_node_id,
+            )
+            edges = _drain(
+                self._touched_edges, self._edges,
+                self._drained_edge_id, self.last_edge_id,
+            )
+            self._drained_node_id = self.last_node_id
+            self._drained_edge_id = self.last_edge_id
+            return nodes, edges
 
     # -- merging -------------------------------------------------------------
 

@@ -185,8 +185,105 @@ class StixBundle:
         return [o for o in self.objects if o.get("type") == stix_type]
 
 
+#: Edge types folded into their source object -- a report's
+#: ``object_refs`` / ``created_by_ref`` -- instead of becoming
+#: ``relationship`` objects.
+REFERENCE_EDGE_TYPES: frozenset[str] = frozenset({"MENTIONS", "CREATED_BY"})
+
+
 def _node_key(node) -> str:
     return str(node.properties.get("merge_key") or node.properties.get("name", ""))
+
+
+def node_object(node, markings: bool = False) -> dict:
+    """The STIX object one graph node exports to, before any edge is
+    folded into it (see :func:`add_reference`); raises
+    :class:`StixMappingError` for a label the mapping does not cover."""
+    label = node.label
+    key = _node_key(node)
+    if label in _PATTERN_BY_LABEL:
+        object_id = stix_id("indicator", f"{label}|{key}")
+        value = str(node.properties.get("name", "")).replace("'", "\\'")
+        stix_object = {
+            "type": "indicator",
+            "id": object_id,
+            "name": node.properties.get("name", ""),
+            "pattern_type": "stix",
+            "pattern": f"[{_PATTERN_BY_LABEL[label]} = '{value}']",
+            "x_securitykg_kind": label,
+        }
+    elif label in STIX_TYPE_BY_LABEL:
+        stix_type = STIX_TYPE_BY_LABEL[label]
+        object_id = stix_id(stix_type, f"{label}|{key}")
+        stix_object = {
+            "type": stix_type,
+            "id": object_id,
+            "name": node.properties.get("name", ""),
+            "x_securitykg_kind": label,
+        }
+        aliases = node.properties.get("aliases")
+        if aliases:
+            stix_object["aliases"] = list(aliases)
+        if stix_type == "report":
+            stix_object["published"] = node.properties.get("published", "")
+            stix_object["x_source"] = node.properties.get("source", "")
+            stix_object["x_url"] = node.properties.get("url", "")
+            stix_object["object_refs"] = []
+        if stix_type == "identity":
+            stix_object["identity_class"] = "organization"
+    else:
+        raise StixMappingError(f"no STIX mapping for label {label!r}")
+    # the identity key the object id was derived from: carrying it
+    # lets import_bundle restore merge_key exactly, so an
+    # export/import/export cycle converges to identical object ids
+    stix_object["x_securitykg_key"] = key
+    if markings:
+        explicit = node.properties.get("tlp")
+        if explicit is not None:
+            level = str(explicit).lower()
+            tlp_order(level)  # validate
+        else:
+            level = _DEFAULT_TLP_BY_TYPE.get(stix_object["type"], "white")
+        stix_object["object_marking_refs"] = [TLP_MARKING_IDS[level]]
+    return stix_object
+
+
+def add_reference(stix_object: dict, edge_type: str, target_id: str) -> None:
+    """Fold one :data:`REFERENCE_EDGE_TYPES` edge into the object its
+    source node exports to.  Applied in edge order: ``object_refs``
+    keeps first mentions, the last ``CREATED_BY`` wins."""
+    if edge_type == "MENTIONS":
+        refs = stix_object.setdefault("object_refs", [])
+        if target_id not in refs:
+            refs.append(target_id)
+    else:
+        stix_object["created_by_ref"] = target_id
+
+
+def relationship_id(source_ref: str, edge_type: str, target_ref: str) -> str:
+    """Id of the ``relationship`` object an edge of this type between
+    these two objects exports to (parallel edges share it)."""
+    return stix_id("relationship", f"{source_ref}|{edge_type}|{target_ref}")
+
+
+def relationship_object(
+    edge, source_ref: str, target_ref: str, level: str | None = None
+) -> dict:
+    """The ``relationship`` object one edge exports to, between the
+    objects its endpoints export to; ``level`` marks it (the most
+    sensitive of its endpoints, by the export rule)."""
+    relationship = {
+        "type": "relationship",
+        "id": relationship_id(source_ref, edge.type, target_ref),
+        "relationship_type": STIX_RELATIONSHIP_BY_EDGE.get(edge.type, "related-to"),
+        "source_ref": source_ref,
+        "target_ref": target_ref,
+        "x_securitykg_type": edge.type,
+        "x_weight": edge.properties.get("weight", 1),
+    }
+    if level is not None:
+        relationship["object_marking_refs"] = [TLP_MARKING_IDS[level]]
+    return relationship
 
 
 def export_graph(graph: PropertyGraph, markings: bool = False) -> StixBundle:
@@ -206,59 +303,20 @@ def export_graph(graph: PropertyGraph, markings: bool = False) -> StixBundle:
     and a relationship inherits the most sensitive of its endpoints --
     and the referenced TLP marking-definition objects are appended to
     the bundle (the dissemination path, see ``repro.feeds``).
+
+    The whole-graph loop over the per-object mapping
+    (:func:`node_object`, :func:`add_reference`,
+    :func:`relationship_object`); two nodes, or two edges, exporting to
+    one object id both land in the bundle, the later one last.
     """
     bundle = StixBundle()
     id_by_node: dict[int, str] = {}
     tlp_by_id: dict[str, str] = {}
 
     for node in graph.nodes():
-        label = node.label
-        key = _node_key(node)
-        if label in _PATTERN_BY_LABEL:
-            object_id = stix_id("indicator", f"{label}|{key}")
-            value = str(node.properties.get("name", "")).replace("'", "\\'")
-            stix_object = {
-                "type": "indicator",
-                "id": object_id,
-                "name": node.properties.get("name", ""),
-                "pattern_type": "stix",
-                "pattern": f"[{_PATTERN_BY_LABEL[label]} = '{value}']",
-                "x_securitykg_kind": label,
-            }
-        elif label in STIX_TYPE_BY_LABEL:
-            stix_type = STIX_TYPE_BY_LABEL[label]
-            object_id = stix_id(stix_type, f"{label}|{key}")
-            stix_object = {
-                "type": stix_type,
-                "id": object_id,
-                "name": node.properties.get("name", ""),
-                "x_securitykg_kind": label,
-            }
-            aliases = node.properties.get("aliases")
-            if aliases:
-                stix_object["aliases"] = list(aliases)
-            if stix_type == "report":
-                stix_object["published"] = node.properties.get("published", "")
-                stix_object["x_source"] = node.properties.get("source", "")
-                stix_object["x_url"] = node.properties.get("url", "")
-                stix_object["object_refs"] = []
-            if stix_type == "identity":
-                stix_object["identity_class"] = "organization"
-        else:
-            raise StixMappingError(f"no STIX mapping for label {label!r}")
-        # the identity key the object id was derived from: carrying it
-        # lets import_bundle restore merge_key exactly, so an
-        # export/import/export cycle converges to identical object ids
-        stix_object["x_securitykg_key"] = key
+        stix_object = node_object(node, markings)
         if markings:
-            explicit = node.properties.get("tlp")
-            if explicit is not None:
-                level = str(explicit).lower()
-                tlp_order(level)  # validate
-            else:
-                level = _DEFAULT_TLP_BY_TYPE.get(stix_object["type"], "white")
-            stix_object["object_marking_refs"] = [TLP_MARKING_IDS[level]]
-            tlp_by_id[stix_object["id"]] = level
+            tlp_by_id[stix_object["id"]] = tlp_of_object(stix_object)
         id_by_node[node.node_id] = stix_object["id"]
         bundle.objects.append(stix_object)
 
@@ -266,39 +324,48 @@ def export_graph(graph: PropertyGraph, markings: bool = False) -> StixBundle:
     for edge in graph.edges():
         src_id = id_by_node[edge.src]
         dst_id = id_by_node[edge.dst]
-        if edge.type == "MENTIONS":
-            report = objects_by_id[src_id]
-            refs = report.setdefault("object_refs", [])
-            if dst_id not in refs:
-                refs.append(dst_id)
+        if edge.type in REFERENCE_EDGE_TYPES:
+            add_reference(objects_by_id[src_id], edge.type, dst_id)
             continue
-        if edge.type == "CREATED_BY":
-            objects_by_id[src_id]["created_by_ref"] = dst_id
-            continue
-        relationship_type = STIX_RELATIONSHIP_BY_EDGE.get(edge.type, "related-to")
-        relationship = {
-            "type": "relationship",
-            "id": stix_id(
-                "relationship", f"{src_id}|{edge.type}|{dst_id}"
-            ),
-            "relationship_type": relationship_type,
-            "source_ref": src_id,
-            "target_ref": dst_id,
-            "x_securitykg_type": edge.type,
-            "x_weight": edge.properties.get("weight", 1),
-        }
-        if markings:
-            level = max_tlp([tlp_by_id[src_id], tlp_by_id[dst_id]])
-            relationship["object_marking_refs"] = [TLP_MARKING_IDS[level]]
-        bundle.objects.append(relationship)
+        level = max_tlp([tlp_by_id[src_id], tlp_by_id[dst_id]]) if markings else None
+        bundle.objects.append(relationship_object(edge, src_id, dst_id, level))
     if markings:
-        for level in TLP_LEVELS:
-            if level in tlp_by_id.values() or any(
-                o.get("object_marking_refs") == [TLP_MARKING_IDS[level]]
-                for o in bundle.objects
-            ):
-                bundle.objects.append(tlp_marking_object(level))
+        # one marking-definition per level some node is classified at
+        # (a relationship's level is always one of its endpoints')
+        present = {tlp_of_object(o) for o in bundle.objects}
+        bundle.objects.extend(
+            tlp_marking_object(level) for level in TLP_LEVELS if level in present
+        )
     return bundle
+
+
+def within_ceiling(stix_object: dict, ceiling: int) -> bool:
+    """Whether a consumer cleared up to TLP order ``ceiling`` may see the
+    object at all: its own classification decides, and a TLP
+    marking-definition is visible up to the level it defines."""
+    if stix_object.get("type") == "marking-definition":
+        level = TLP_BY_MARKING_ID.get(stix_object.get("id", ""))
+        return level is None or tlp_order(level) <= ceiling
+    return tlp_order(tlp_of_object(stix_object)) <= ceiling
+
+
+def tier_view(stix_object: dict, visible, sanitize: bool = False) -> dict:
+    """An object :func:`within_ceiling` as its tier sees it, made in
+    place on the caller's copy: ``object_refs`` sorted and pruned to the
+    ids ``visible`` accepts, a ``created_by_ref`` to an invisible object
+    removed, and with ``sanitize`` the sourcing fields stripped from a
+    report."""
+    if "object_refs" in stix_object:
+        stix_object["object_refs"] = sorted(
+            ref for ref in stix_object["object_refs"] if visible(ref)
+        )
+    if "created_by_ref" in stix_object:
+        if not visible(stix_object["created_by_ref"]):
+            del stix_object["created_by_ref"]
+    if sanitize and stix_object.get("type") == "report":
+        for field_name in _SANITIZED_FIELDS:
+            stix_object.pop(field_name, None)
+    return stix_object
 
 
 def filter_bundle(
@@ -316,19 +383,14 @@ def filter_bundle(
 
     Objects are deep-copied, so the input bundle is never mutated, and
     the output ordering is canonical (sorted by object id) so identical
-    graph states always serialise to identical bytes.
+    graph states always serialise to identical bytes.  The whole-bundle
+    loop over :func:`within_ceiling` and :func:`tier_view`.
     """
     ceiling = tlp_order(max_level)
     kept: dict[str, dict] = {}
     relationships: list[dict] = []
     for stix_object in bundle.objects:
-        if stix_object.get("type") == "marking-definition":
-            level = TLP_BY_MARKING_ID.get(stix_object.get("id", ""))
-            if level is not None and tlp_order(level) > ceiling:
-                continue
-            kept[stix_object["id"]] = json.loads(json.dumps(stix_object))
-            continue
-        if tlp_order(tlp_of_object(stix_object)) > ceiling:
+        if not within_ceiling(stix_object, ceiling):
             continue
         copy = json.loads(json.dumps(stix_object))
         if stix_object.get("type") == "relationship":
@@ -342,16 +404,7 @@ def filter_bundle(
         ):
             kept[relationship["id"]] = relationship
     for stix_object in kept.values():
-        if "object_refs" in stix_object:
-            stix_object["object_refs"] = sorted(
-                ref for ref in stix_object["object_refs"] if ref in kept
-            )
-        if "created_by_ref" in stix_object:
-            if stix_object["created_by_ref"] not in kept:
-                del stix_object["created_by_ref"]
-        if sanitize and stix_object.get("type") == "report":
-            for field_name in _SANITIZED_FIELDS:
-                stix_object.pop(field_name, None)
+        tier_view(stix_object, kept.__contains__, sanitize)
     return StixBundle(objects=[kept[key] for key in sorted(kept)])
 
 
@@ -439,6 +492,7 @@ def import_bundle(bundle: StixBundle | dict) -> PropertyGraph:
 
 
 __all__ = [
+    "REFERENCE_EDGE_TYPES",
     "STIX_RELATIONSHIP_BY_EDGE",
     "STIX_TYPE_BY_LABEL",
     "TLP_BY_MARKING_ID",
@@ -446,13 +500,19 @@ __all__ = [
     "TLP_MARKING_IDS",
     "StixBundle",
     "StixMappingError",
+    "add_reference",
     "canonical_bundle",
     "export_graph",
     "filter_bundle",
     "import_bundle",
     "max_tlp",
+    "node_object",
+    "relationship_id",
+    "relationship_object",
     "stix_id",
+    "tier_view",
     "tlp_marking_object",
     "tlp_of_object",
     "tlp_order",
+    "within_ceiling",
 ]

@@ -7,7 +7,8 @@ read.  That works because ids are global -- partition ``i`` hands out
 node and edge ids from ``i * ID_STRIDE + 1`` -- so an id names its
 partition, per-partition sorted id lists concatenate sorted (the order a
 ``ScanOp`` continuation's ``> last`` resume relies on), and an edge never
-leaves the partition of its endpoints.
+leaves the partition of its endpoints.  The one thing it does besides
+reading is drain the partitions' change capture (``take_changes``).
 """
 
 from __future__ import annotations
@@ -103,6 +104,18 @@ class GraphUnion:
     def find_node(self, label: str | None = None, **properties: object) -> Node | None:
         matches = self.find_nodes(label, **properties)
         return matches[0] if matches else None
+
+    def take_changes(self) -> tuple[list[int], list[int]]:
+        """Every partition's change capture drained (see
+        :meth:`PropertyGraph.take_changes`); partition order keeps the
+        id lists ascending."""
+        nodes: list[int] = []
+        edges: list[int] = []
+        for graph in self._graphs:
+            touched_nodes, touched_edges = graph.take_changes()
+            nodes += touched_nodes
+            edges += touched_edges
+        return nodes, edges
 
     # -- statistics: sums and unions ------------------------------------
 

@@ -282,6 +282,53 @@ class TestDurability:
             assert reopened.graph.node_count == 100
 
 
+class TestChangeCapture:
+    def test_first_drain_reports_everything_then_only_what_changed(self):
+        graph = PropertyGraph()
+        a = graph.create_node("A", {"name": "a"}).node_id
+        b = graph.create_node("A", {"name": "b"}).node_id
+        edge = graph.create_edge(a, "R", b).edge_id
+        assert graph.take_changes() == ([a, b], [edge])
+        assert graph.take_changes() == ([], [])
+        graph.set_node_properties(a, {"seen": True})
+        c = graph.create_node("A", {"name": "c"}).node_id
+        graph.set_edge_properties(edge, {"weight": 2})
+        assert graph.take_changes() == ([a, c], [edge])
+        graph.delete_node(b)  # takes its edge along
+        assert graph.take_changes() == ([b], [edge])
+
+    def test_undrained_graph_accumulates_nothing(self):
+        graph = PropertyGraph()
+        ids = [graph.create_node("A", {"name": str(i)}).node_id for i in range(50)]
+        for node_id in ids:
+            graph.set_node_properties(node_id, {"seen": True})
+        graph.delete_node(ids[0])
+        assert not graph._touched_nodes and not graph._touched_edges
+        assert set(graph.take_changes()[0]) >= set(ids[1:])
+
+    def test_merge_reports_the_edges_it_migrates(self):
+        graph = PropertyGraph()
+        keep = graph.create_node("A", {"name": "keep"}).node_id
+        lose = graph.create_node("A", {"name": "lose"}).node_id
+        other = graph.create_node("B", {"name": "other"}).node_id
+        moved = graph.create_edge(lose, "R", other).edge_id
+        graph.take_changes()
+        graph.merge_nodes(keep, [lose])
+        nodes, edges = graph.take_changes()
+        assert nodes == [keep, lose]
+        (recreated,) = [e.edge_id for e in graph.out_edges(keep)]
+        assert edges == [moved, recreated]
+
+    def test_sparse_ids_are_scanned_not_ranged(self):
+        # a detached union copy restores ids from every partition's range
+        graph = PropertyGraph()
+        far = (1 << 40) + 1
+        graph.restore_node(1, "A", {})
+        graph.restore_node(far, "A", {})
+        graph.restore_edge(far, 1, "R", far, {})
+        assert graph.take_changes() == ([1, far], [far])
+
+
 class TestProperties:
     @given(
         st.lists(

@@ -24,37 +24,72 @@ class GraphModel:
         self.graph = PropertyGraph()
         self.nodes: dict[int, tuple[str, str]] = {}  # id -> (label, name)
         self.edges: dict[int, tuple[int, str, int]] = {}
+        # change capture: the model as of the last drain, and every id
+        # an op has named since
+        self.drained = ({}, {})
+        self.touched: tuple[set[int], set[int]] = (set(), set())
 
     def apply(self, op, rng):
         kind = op[0]
+        touched_nodes, touched_edges = self.touched
         if kind == "add_node":
             label, name = op[1], op[2]
             node = self.graph.create_node(label, {"name": name})
             self.nodes[node.node_id] = (label, name)
+            touched_nodes.add(node.node_id)
         elif kind == "add_edge" and len(self.nodes) >= 2:
             src, dst = rng.sample(sorted(self.nodes), 2)
             edge = self.graph.create_edge(src, op[1], dst)
             self.edges[edge.edge_id] = (src, op[1], dst)
+            touched_edges.add(edge.edge_id)
         elif kind == "rename" and self.nodes:
             node_id = rng.choice(sorted(self.nodes))
             label, _old = self.nodes[node_id]
             self.graph.set_node_properties(node_id, {"name": op[1]})
             self.nodes[node_id] = (label, op[1])
+            touched_nodes.add(node_id)
         elif kind == "del_edge" and self.edges:
             edge_id = rng.choice(sorted(self.edges))
             self.graph.delete_edge(edge_id)
             del self.edges[edge_id]
+            touched_edges.add(edge_id)
         elif kind == "del_node" and self.nodes:
             node_id = rng.choice(sorted(self.nodes))
             self.graph.delete_node(node_id)
             del self.nodes[node_id]
+            touched_nodes.add(node_id)
+            touched_edges.update(
+                eid
+                for eid, e in self.edges.items()
+                if e[0] == node_id or e[2] == node_id
+            )
             self.edges = {
                 eid: e
                 for eid, e in self.edges.items()
                 if e[0] != node_id and e[2] != node_id
             }
+        elif kind == "drain":
+            self.check_drain()
+
+    def check_drain(self):
+        """``take_changes`` reports every id whose state differs from
+        the last drain, and no id that nothing touched since."""
+        reported = self.graph.take_changes()
+        for now, before, touched, ids in zip(
+            (self.nodes, self.edges), self.drained, self.touched, reported
+        ):
+            assert ids == sorted(set(ids))
+            changed = {
+                item_id
+                for item_id in now.keys() | before.keys()
+                if now.get(item_id) != before.get(item_id)
+            }
+            assert changed <= set(ids) <= touched
+        self.drained = (dict(self.nodes), dict(self.edges))
+        self.touched = (set(), set())
 
     def check(self):
+        self.check_drain()
         graph = self.graph
         assert graph.node_count == len(self.nodes)
         assert graph.edge_count == len(self.edges)
@@ -89,6 +124,7 @@ _OPS = st.lists(
         st.tuples(st.just("rename"), st.text(alphabet="pq", min_size=1, max_size=4)),
         st.tuples(st.just("del_edge")),
         st.tuples(st.just("del_node")),
+        st.tuples(st.just("drain")),
     ),
     max_size=40,
 )

@@ -7,6 +7,10 @@ must degrade gracefully -- reject with a typed error or return empty
 results -- never raise an unexpected exception.
 """
 
+import base64
+import json
+from urllib.parse import urlencode
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -111,6 +115,78 @@ class TestSearchIndexRobustness:
 
     def test_remove_unknown_doc(self):
         assert SearchIndex().remove("nope") is False
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+#: tokens that decode as far as a JSON document: the right keys with
+#: values of any type, a missing key, or no object at all
+_CURSOR_SHAPED = st.one_of(
+    _JSON_VALUES,
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "t": st.sampled_from(["public", "partner", "vip"]) | _JSON_VALUES,
+            "h": _JSON_VALUES,
+            "s": _JSON_VALUES,
+        },
+    ),
+).map(
+    lambda document: base64.urlsafe_b64encode(
+        json.dumps(document).encode("utf-8")
+    ).decode("ascii")
+)
+
+
+class TestFeedCursorsAndEtagsAreHostileInput:
+    """Whatever a client sends as ``?cursor=`` and ``If-None-Match``,
+    the feed answers 200, 304 or a 400 worded for the client -- never
+    an interpreter's own sentence -- and the next well-formed pull is
+    none the wiser."""
+
+    ERRORS = {"malformed feed cursor", "cursor belongs to a different feed tier"}
+
+    @pytest.fixture(scope="class")
+    def api(self):
+        from alias_corpus import alias_batch
+        from repro.core.config import SystemConfig
+        from repro.core.system import SecurityKG
+        from repro.ui.server import ExplorerAPI
+
+        kg = SecurityKG(SystemConfig(connectors=["graph", "search"], clock="virtual"))
+        kg.store(alias_batch(0))
+        return ExplorerAPI(kg)
+
+    @given(cursor=st.text(max_size=48) | _CURSOR_SHAPED, etag=st.text(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    @example(cursor="--5", etag="")
+    @example(cursor="\u00b2", etag="")  # superscript two: str.isdigit says yes
+    @example(cursor="abc", etag="")
+    @example(cursor="-", etag="")
+    @example(cursor="eyJ0IjoicHVibGljIn0=", etag="")  # {"t":"public"} alone
+    def test_only_typed_answers_and_no_side_effects(self, api, cursor, etag):
+        expected = api.handle_full("GET", "/feeds/public")
+        status, payload, _headers = api.handle_full(
+            "GET",
+            "/feeds/public?" + urlencode({"cursor": cursor}),
+            headers={"If-None-Match": etag},
+        )
+        assert status in (200, 304, 400)
+        if status == 400:
+            assert payload["error"] in self.ERRORS
+        assert api.handle_full("GET", "/feeds/public") == expected
+
+    def test_well_formed_cursors_still_resolve(self, api):
+        _status, _payload, headers = api.handle_full("GET", "/feeds/public")
+        for cursor in (headers["X-Feed-Cursor"], "0", "-5"):
+            status, payload, _headers = api.handle_full(
+                "GET", "/feeds/public?" + urlencode({"cursor": cursor})
+            )
+            assert status == 200 and payload["mode"] in ("delta", "full")
 
 
 class TestEndToEndMalformedSource:
