@@ -42,6 +42,16 @@ SHORT_QUERIES = [
 ]
 LONG_COUNT = 5
 
+#: The storm's outcome, pinned: every number is a count of safe-point
+#: ticks on the virtual clock (one tick is 0.0001 s, so four decimals
+#: resolve a single tick), so an operator rewrite that moves, adds or
+#: drops a tick fails here instead of quietly rewriting results.json.
+#: (Below the queries on purpose: tests/test_analysis_sweep.py names
+#: its cases by the line a shipped query sits on.)
+PINNED_PROFILE = {"slices": 1060, "suspended": 1015}
+PINNED_EAGER_P95_S = 5.0538
+PINNED_PREEMPTABLE_P95_S = 0.0292
+
 
 def build_graph() -> PropertyGraph:
     graph = PropertyGraph()
@@ -167,6 +177,10 @@ def test_bench_preemption_storm():
     # preemption must not lose work: every query still completes, and
     # the long queries pay only bounded overhead for the sharing
     assert profile["suspended"] > 0
+    # tick for tick what it was: same safe points, same slices
+    assert profile == PINNED_PROFILE
+    assert round(eager_p95, 4) == PINNED_EAGER_P95_S
+    assert round(preempt_p95, 4) == PINNED_PREEMPTABLE_P95_S
 
 
 def test_bench_preemption_results_identical():

@@ -5,6 +5,9 @@ query string, ``-1`` when unknown).  Position fields are excluded from
 equality so hand-built ASTs still compare equal to parsed ones; they
 exist solely so the semantic analyzer (:mod:`repro.analysis`) can
 point diagnostics at the offending token.
+
+Every node is frozen, the two query forms included: a parsed query is
+kept and shared by every later execution of the same text.
 """
 
 from __future__ import annotations
@@ -147,13 +150,13 @@ class ReturnItem:
     alias: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchQuery:
-    paths: list[PathPattern]
+    paths: tuple[PathPattern, ...]
     where: Expr | None = None
-    returns: list[ReturnItem] = field(default_factory=list)
+    returns: tuple[ReturnItem, ...] = ()
     distinct: bool = False
-    order_by: list[tuple[Expr, bool]] = field(default_factory=list)  # (expr, asc)
+    order_by: tuple[tuple[Expr, bool], ...] = ()  # (expr, asc)
     skip: int | None = None
     limit: int | None = None
     #: EXPLAIN-prefixed query: plan and describe instead of executing
@@ -162,9 +165,9 @@ class MatchQuery:
     profile: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateQuery:
-    paths: list[PathPattern]
+    paths: tuple[PathPattern, ...]
 
 
 Query = MatchQuery | CreateQuery

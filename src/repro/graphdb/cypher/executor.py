@@ -18,28 +18,40 @@ filter as early as their variables are bound, RETURN projects,
 aggregates group over the non-aggregated items, then ORDER BY /
 DISTINCT / SKIP / LIMIT apply in that order.
 
-The expression evaluator lives in module-level functions shared by the
-operators and the tests' brute-force oracle.
+Every entry point starts with :meth:`CypherEngine._prepare`: a bounded
+map from query text to the parsed query (valid forever), the
+strict-analysis verdict and the compiled physical plan (both valid for
+one graph version), so a repeated query is parsed, analysed and planned
+once per state of the graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.graphdb.cypher import ast
+from repro.graphdb.cypher.compiler import CypherRuntimeError
+from repro.graphdb.cypher.iterators import ExecutionContext, QuantumExhausted
 from repro.graphdb.cypher.lexer import CypherSyntaxError
 from repro.graphdb.cypher.parser import parse
-from repro.graphdb.store import Edge, Node, PropertyGraph
+from repro.graphdb.cypher.planner import PhysicalPlan, build_plan
+from repro.graphdb.store import Node, PropertyGraph
 from repro.obs import NO_OBS, Obs
 from repro.runtime.clock import Clock, REAL_CLOCK
+from repro.runtime.locks import named_lock
 
 if TYPE_CHECKING:
     from repro.graphdb.wal import Transaction
 
+#: Most query texts the engine keeps prepared; the oldest is dropped for
+#: a new one.  A serving mix repeats a few hundred texts (point lookups
+#: differ in one literal), so this holds a working set at a few KB each.
+PREPARED_CAP = 512
 
-class CypherRuntimeError(ValueError):
-    """Semantic error discovered during execution."""
+#: Format of a :meth:`QueryTask.save` continuation.  2: an aggregation
+#: carries running state per group, not the operand values (1).
+CONTINUATION_VERSION = 2
 
 
 class CypherAnalysisError(CypherRuntimeError):
@@ -56,9 +68,6 @@ class CypherAnalysisError(CypherRuntimeError):
         super().__init__(render(source, diagnostics))
         self.diagnostics = list(diagnostics)
         self.source = source
-
-
-Bindings = dict[str, object]
 
 
 @dataclass
@@ -138,6 +147,20 @@ def _operator_stats(profilers) -> list[dict]:
     return stats
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """What the engine keeps per query text.  Never mutated: a newer
+    graph version replaces the entry."""
+
+    parsed: ast.Query
+    #: the graph version ``checked`` and ``plan`` were derived at
+    version: int
+    #: strict analysis ran at ``version`` and found no error
+    checked: bool
+    #: the compiled physical plan; ``None`` for a CREATE
+    plan: PhysicalPlan | None
+
+
 class CypherEngine:
     """Execute parsed Cypher against a property graph."""
 
@@ -168,7 +191,14 @@ class CypherEngine:
             if clock is not None
             else getattr(obs.tracer, "clock", None) or REAL_CLOCK
         )
-        self._schema_cache: tuple[tuple[int, int], object] | None = None
+        #: the analyzer's view of the graph, and the version it is of
+        self._schema: tuple[int, object] | None = None
+        #: query text -> :class:`_Prepared`, at most ``PREPARED_CAP``.
+        #: Lookups take no lock (a dict read is atomic and entries are
+        #: immutable); an insert, which checks the cap, evicts and
+        #: stores in one step, does.
+        self._prepared: dict[str, _Prepared] = {}
+        self._prepared_lock = named_lock("cypher.prepared")
 
     # -- public API -----------------------------------------------------
 
@@ -184,34 +214,28 @@ class CypherEngine:
         return the data rows (row-identical to the plain query); reach
         the operator counters through :meth:`profile`.
         """
-        return self.execute(self._parse(query, strict))
+        return self._execute(self._prepare(query, strict))
 
-    def execute(self, parsed: ast.Query) -> list[ResultRow]:
-        """Execute an already-parsed (and already-analyzed) query.
-
-        A MATCH is planned and drained as one :class:`QueryTask` slice
-        with no quantum.
-        """
+    def _execute(self, prepared: _Prepared) -> list[ResultRow]:
+        """CREATE / EXPLAIN / PROFILE dispatch; a plain MATCH is drained
+        as one :class:`QueryTask` slice with no quantum."""
+        parsed = prepared.parsed
         if isinstance(parsed, ast.CreateQuery):
             self._execute_create(parsed)
-            # CREATE changes the schema; drop the cached analyzer view.
-            self._schema_cache = None
             return []
         if parsed.explain:
-            return self.explain_rows(parsed)
+            return [
+                ResultRow({"plan": line})
+                for line in prepared.plan.explain_lines()
+            ]
         if parsed.profile:
-            return self.profile_parsed(parsed).rows
-        return self._task(parsed).run_to_completion()
+            return self._profile(prepared.plan).rows
+        return QueryTask(self, prepared.plan).run_to_completion()
 
-    def plan(self, parsed: ast.MatchQuery):
-        """Lower an analyzed MATCH query into a physical plan."""
+    def plan(self, parsed: ast.MatchQuery) -> PhysicalPlan:
+        """Lower an analyzed MATCH query into a compiled physical plan."""
         with self.obs.tracer.span("cypher.plan"):
             return build_plan(parsed, self.graph)
-
-    def explain_rows(self, parsed: ast.MatchQuery) -> list[ResultRow]:
-        """The physical plan as result rows (one ``plan`` line each)."""
-        plan = self.plan(parsed)
-        return [ResultRow({"plan": line}) for line in plan.explain_lines()]
 
     def profile(
         self,
@@ -229,18 +253,17 @@ class CypherEngine:
         nonzero timings.  The ``PROFILE`` keyword prefix is optional
         here -- this entry point always profiles.
         """
-        parsed = self._parse(query, strict)
-        if not isinstance(parsed, ast.MatchQuery):
+        prepared = self._prepare(query, strict)
+        if prepared.plan is None:
             raise CypherRuntimeError("PROFILE applies to MATCH queries only")
-        return self.profile_parsed(parsed, step_cost=step_cost)
+        return self._profile(prepared.plan, step_cost)
 
-    def profile_parsed(
-        self, parsed: ast.MatchQuery, step_cost: float = 0.0
-    ) -> QueryProfile:
-        """Profile an already-parsed (and already-analyzed) MATCH query."""
-        task = self._task(
-            replace(parsed, profile=True),
+    def _profile(self, plan: PhysicalPlan, step_cost: float = 0.0) -> QueryProfile:
+        task = QueryTask(
+            self,
+            plan,
             ExecutionContext(clock=self.clock, step_cost=step_cost),
+            profile=True,
         )
         with self.obs.tracer.span("cypher.profile") as span:
             rows = task.run_to_completion()
@@ -266,13 +289,13 @@ class CypherEngine:
         """
         if page_size < 1:
             raise CypherRuntimeError("page_size must be >= 1")
-        parsed = self._parse(query, strict)
-        if not _is_plain_match(parsed):
+        prepared = self._prepare(query, strict)
+        if not _is_plain_match(prepared.parsed):
             # CREATE / EXPLAIN / PROFILE: one full response, no
             # continuation -- profile counters only mean anything once
             # the query has finished
-            return CypherPage(rows=self.execute(parsed))
-        task = self._task(parsed)
+            return CypherPage(rows=self._execute(prepared))
+        task = QueryTask(self, prepared.plan)
         if continuation is not None:
             task.load(continuation)
         rows = task.fetch(page_size)
@@ -291,22 +314,60 @@ class CypherEngine:
         carrying the quantum/clock; each :meth:`QueryTask.step` runs
         one slice and the task suspends when the quantum expires.
         """
-        parsed = self._parse(query, strict)
-        if not _is_plain_match(parsed):
+        prepared = self._prepare(query, strict)
+        if not _is_plain_match(prepared.parsed):
             raise CypherRuntimeError(
                 "only MATCH queries can run as preemptable tasks"
             )
-        return self._task(parsed, context)
+        return QueryTask(self, prepared.plan, context)
 
-    def _parse(self, query: str, strict: bool | None) -> ast.Query:
-        """The entry preamble: parse, then analyze in strict mode."""
-        parsed = parse(query)
-        if self.strict if strict is None else strict:
+    def _prepare(self, query: str, strict: bool | None) -> _Prepared:
+        """The entry preamble: the parsed query, analysed (in strict
+        mode) and planned against the graph as it is now.
+
+        Whatever of that an earlier call already derived is reused: the
+        parse always, the verdict and the plan while the graph version
+        they were derived at is the current one.  A query that fails to
+        parse, analyse or plan raises and leaves no entry, so it is
+        judged afresh next time.
+        """
+        if strict is None:
+            strict = self.strict
+        # read before anything is derived: a write landing meanwhile
+        # leaves the entry stamped older than the graph, so it is rebuilt
+        version = self.graph.version
+        known = self._prepared.get(query)
+        current = known is not None and known.version == version
+        metrics = self.obs.metrics
+        if current and (known.checked or not strict):
+            metrics.inc("cypher.prepared", outcome="hit")
+            return known
+        parsed = parse(query) if known is None else known.parsed
+        if strict:
             self._check(parsed, query)
-        return parsed
-
-    def _task(self, parsed: ast.MatchQuery, context=None) -> "QueryTask":
-        return QueryTask(self, parsed, context or ExecutionContext())
+        if current:
+            plan = known.plan
+        elif isinstance(parsed, ast.MatchQuery):
+            plan = self.plan(parsed)
+        else:
+            plan = None
+        entry = _Prepared(parsed, version, strict, plan)
+        with self._prepared_lock:
+            # asked of the map as it is now, not as ``known`` saw it: a
+            # racing thread may have stored or evicted this text since
+            if (
+                query not in self._prepared
+                and len(self._prepared) >= PREPARED_CAP
+            ):
+                del self._prepared[next(iter(self._prepared))]
+            self._prepared[query] = entry
+            entries = len(self._prepared)
+        metrics.inc(
+            "cypher.prepared",
+            outcome="miss" if known is None or current else "invalidated",
+        )
+        metrics.set_gauge("cypher.prepared_entries", entries)
+        return entry
 
     def analyze(self, query: str | ast.Query, source: str = ""):
         """Diagnostics for a query against this graph's schema."""
@@ -314,10 +375,11 @@ class CypherEngine:
         # parser from this package.
         from repro.analysis.cypher_check import CypherAnalyzer, schema_for
 
-        key = (self.graph.node_count, self.graph.edge_count)
-        if self._schema_cache is None or self._schema_cache[0] != key:
-            self._schema_cache = (key, schema_for(self.graph))
-        return CypherAnalyzer(self._schema_cache[1]).analyze(query, source)
+        version = self.graph.version
+        schema = self._schema
+        if schema is None or schema[0] != version:
+            schema = self._schema = (version, schema_for(self.graph))
+        return CypherAnalyzer(schema[1]).analyze(query, source)
 
     def _check(self, parsed: ast.Query, source: str) -> None:
         from repro.analysis.diagnostics import errors
@@ -375,7 +437,8 @@ def _is_plain_match(parsed: ast.Query) -> bool:
 
 
 class QueryTask:
-    """One query execution: planned once, run slice by slice.
+    """One query execution: a prepared :class:`PhysicalPlan`, run slice
+    by slice.
 
     Every MATCH runs through here.  Each :meth:`step` runs one time
     slice under the context's quantum and returns the rows produced
@@ -384,21 +447,31 @@ class QueryTask:
     :meth:`save` / :meth:`load` round-trip the whole execution state as
     a JSON-safe continuation, so a task can be resumed in a later
     request (the pagination path) or interleaved with other tasks (the
-    E22 storm).  A ``PROFILE`` query builds the same plan with every
+    E22 storm).  With ``profile`` the same plan is built with every
     operator instrumented (:attr:`profilers`, root-first).
     """
 
-    def __init__(self, engine: CypherEngine, parsed: ast.MatchQuery, context):
+    def __init__(
+        self,
+        engine: CypherEngine,
+        # a PhysicalPlan; left unannotated because the concurrency
+        # analyzer, once it can type ``self.root``, follows a served
+        # query from ``ui.explorer`` to ``ExecutionContext.tick`` and
+        # reports its ``step_cost`` charge -- 0 on that path -- as a
+        # sleep under the lock (ROADMAP item 4 moves queries out of it)
+        plan,
+        context: ExecutionContext | None = None,
+        profile: bool = False,
+    ):
         self.engine = engine
-        self.query = parsed
-        self.context = context
-        self.plan = engine.plan(parsed)
-        if parsed.profile:
-            self.root, self.profilers = self.plan.build_profiled(
-                engine.graph, context
+        self.plan = plan
+        self.context = context or ExecutionContext()
+        if profile:
+            self.root, self.profilers = plan.build_profiled(
+                engine.graph, self.context
             )
         else:
-            self.root = self.plan.build(engine.graph, context)
+            self.root = plan.build(engine.graph, self.context)
             self.profilers = []
         self.done = False
 
@@ -440,248 +513,21 @@ class QueryTask:
         if self.done:
             return None
         return {
-            "v": 1,
+            "v": CONTINUATION_VERSION,
             "plan": self.plan.signature(),
             "state": self.root.save(),
         }
 
     def load(self, continuation: dict) -> None:
-        if continuation.get("plan") != self.plan.signature():
+        if (
+            continuation.get("v") != CONTINUATION_VERSION
+            or continuation.get("plan") != self.plan.signature()
+        ):
             raise CypherRuntimeError(
                 "continuation does not match this query's plan"
             )
         self.root.load(continuation["state"])
 
-
-# -- shared evaluator ---------------------------------------------------------
-#
-# Module-level so the iterator operators and the tests' oracle evaluate
-# expressions identically.
-
-
-def eval_expr(expr: ast.Expr, bindings: Bindings) -> object:
-    # property and variable reads are nearly every evaluation: test first
-    if isinstance(expr, ast.Property):
-        value = bindings.get(expr.variable)
-        if value is None:
-            raise CypherRuntimeError(f"unbound variable {expr.variable!r}")
-        if isinstance(value, (Node, Edge)):
-            return value.properties.get(expr.key)
-        raise CypherRuntimeError(
-            f"{expr.variable!r} is not a node or relationship"
-        )
-    if isinstance(expr, ast.Variable):
-        if expr.name not in bindings:
-            raise CypherRuntimeError(f"unbound variable {expr.name!r}")
-        return bindings[expr.name]
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ListLiteral):
-        return [eval_expr(item, bindings) for item in expr.items]
-    if isinstance(expr, ast.And):
-        return _truthy(eval_expr(expr.left, bindings)) and _truthy(
-            eval_expr(expr.right, bindings)
-        )
-    if isinstance(expr, ast.Or):
-        return _truthy(eval_expr(expr.left, bindings)) or _truthy(
-            eval_expr(expr.right, bindings)
-        )
-    if isinstance(expr, ast.Not):
-        return not _truthy(eval_expr(expr.operand, bindings))
-    if isinstance(expr, ast.Compare):
-        return eval_compare(expr, bindings)
-    if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
-        raise CypherRuntimeError("aggregates are only allowed in RETURN")
-    raise CypherRuntimeError(f"cannot evaluate {expr!r}")
-
-
-def eval_compare(expr: ast.Compare, bindings: Bindings) -> bool:
-    left = eval_expr(expr.left, bindings)
-    if expr.op == "IS NULL":
-        return left is None
-    if expr.op == "IS NOT NULL":
-        return left is not None
-    right = eval_expr(expr.right, bindings)
-    if expr.op == "=":
-        return left == right
-    if expr.op == "<>":
-        return left != right
-    if expr.op == "IN":
-        return left in (right or [])
-    if left is None or right is None:
-        return False
-    if expr.op == "CONTAINS":
-        return str(right) in str(left)
-    if expr.op == "STARTS WITH":
-        return str(left).startswith(str(right))
-    if expr.op == "ENDS WITH":
-        return str(left).endswith(str(right))
-    try:
-        if expr.op == "<":
-            return left < right
-        if expr.op == ">":
-            return left > right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">=":
-            return left >= right
-    except TypeError as error:
-        raise CypherRuntimeError(str(error)) from None
-    raise CypherRuntimeError(f"unknown operator {expr.op!r}")
-
-
-def eval_projected(expr: ast.Expr, row: ResultRow) -> object:
-    """Evaluate an ORDER BY expression against a projected row.
-
-    ORDER BY may reference return aliases or projected variables.
-    """
-    if isinstance(expr, ast.Variable) and expr.name in row.values:
-        return row.values[expr.name]
-    if isinstance(expr, ast.Property):
-        base = row.values.get(expr.variable)
-        if isinstance(base, (Node, Edge)):
-            return base.properties.get(expr.key)
-        alias = f"{expr.variable}.{expr.key}"
-        if alias in row.values:
-            return row.values[alias]
-    if isinstance(expr, ast.Count):
-        return row.values.get("count")
-    if isinstance(expr, ast.NumAgg):
-        return row.values.get(expr.func)
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    raise CypherRuntimeError(
-        "ORDER BY expressions must reference returned values"
-    )
-
-
-def bind_node(pattern: ast.NodePattern, node: Node, bindings: Bindings) -> bool:
-    """Check a node against a pattern, binding its variable on success."""
-    if pattern.label and node.label != pattern.label:
-        return False
-    for key, value in pattern.properties:
-        if node.properties.get(key) != value:
-            return False
-    if pattern.variable:
-        existing = bindings.get(pattern.variable)
-        if existing is not None:
-            return isinstance(existing, Node) and existing.node_id == node.node_id
-        bindings[pattern.variable] = node
-    return True
-
-
-def bind_rel(pattern: ast.RelPattern, edge: Edge, bindings: Bindings) -> bool:
-    if pattern.rel_type and edge.type != pattern.rel_type:
-        return False
-    if pattern.variable:
-        existing = bindings.get(pattern.variable)
-        if existing is not None:
-            return isinstance(existing, Edge) and existing.edge_id == edge.edge_id
-        bindings[pattern.variable] = edge
-    return True
-
-
-# -- helpers ------------------------------------------------------------------
-
-
-def _truthy(value: object) -> bool:
-    return bool(value)
-
-
-def reduce_collect(values: list[object], distinct: bool) -> list[object]:
-    """collect() over already-evaluated values: None-skipping, optional
-    dedup."""
-    out: list[object] = []
-    seen: list[object] = []
-    for value in values:
-        if value is None:
-            continue
-        if distinct:
-            key = _hashable(value)
-            if key in seen:
-                continue
-            seen.append(key)
-        out.append(value)
-    return out
-
-
-def reduce_count(values: list[object], distinct: bool) -> int:
-    return len(reduce_collect(values, distinct))
-
-
-def reduce_numeric(func: str, values: list[object], distinct: bool) -> object:
-    """avg/min/max/sum over already-evaluated values.
-
-    ``sum([])`` is 0; the others are null on empty input.  Non-numeric
-    operands surface as :class:`CypherRuntimeError`.
-    """
-    vals = reduce_collect(values, distinct)
-    try:
-        if func == "sum":
-            return sum(vals)
-        if not vals:
-            return None
-        if func == "min":
-            return min(vals)
-        if func == "max":
-            return max(vals)
-        if func == "avg":
-            return sum(vals) / len(vals)
-    except TypeError as error:
-        raise CypherRuntimeError(str(error)) from None
-    raise CypherRuntimeError(f"unknown aggregate function {func!r}")
-
-
-def _contains_count(expr: ast.Expr) -> bool:
-    """Whether an expression contains an aggregate."""
-    if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
-        return True
-    if isinstance(expr, (ast.And, ast.Or)):
-        return _contains_count(expr.left) or _contains_count(expr.right)
-    if isinstance(expr, ast.Not):
-        return _contains_count(expr.operand)
-    if isinstance(expr, ast.Compare):
-        return _contains_count(expr.left) or (
-            expr.right is not None and _contains_count(expr.right)
-        )
-    return False
-
-
-def _hashable(value: object) -> object:
-    """Grouping / DISTINCT identity of a result value.
-
-    Nodes are the same value when their ``(label, merge_key)`` agree --
-    the connector keeps that pair unique within a partition, and an
-    entity that relations pulled onto several partitions must still
-    group as one -- falling back to the node id without a merge key.
-    """
-    if isinstance(value, Node):
-        merge = value.properties.get("merge_key")
-        if isinstance(merge, str):
-            return ("__node__", value.label, merge)
-        return ("__node__", value.node_id)
-    if isinstance(value, Edge):
-        return ("__edge__", value.edge_id)
-    if isinstance(value, list):
-        return tuple(_hashable(v) for v in value)
-    return value
-
-
-def _sort_key(value: object):
-    # None sorts first; ints and floats compare as numbers; everything
-    # else, and any mix of types, sorts by type name then value string.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (True, "int", value, "")
-    return (value is not None, type(value).__name__, 0, str(value))
-
-
-# Imported last: the planner imports the iterators, and both import the
-# evaluator above (the package __init__ always loads this module first).
-from repro.graphdb.cypher.iterators import (  # noqa: E402
-    ExecutionContext,
-    QuantumExhausted,
-)
-from repro.graphdb.cypher.planner import build_plan  # noqa: E402
 
 __all__ = [
     "CypherAnalysisError",
@@ -689,14 +535,7 @@ __all__ = [
     "CypherPage",
     "CypherRuntimeError",
     "CypherSyntaxError",
+    "PREPARED_CAP",
     "QueryTask",
     "ResultRow",
-    "bind_node",
-    "bind_rel",
-    "eval_compare",
-    "eval_expr",
-    "eval_projected",
-    "reduce_collect",
-    "reduce_count",
-    "reduce_numeric",
 ]

@@ -31,20 +31,13 @@ import bisect
 from dataclasses import dataclass, field
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import (
+from repro.graphdb.cypher.compiler import (
+    Aggregate,
     Bindings,
-    CypherRuntimeError,
-    ResultRow,
+    Evaluator,
     _hashable,
     _sort_key,
-    _truthy,
-    bind_node,
-    bind_rel,
-    eval_expr,
-    eval_projected,
-    reduce_collect,
-    reduce_count,
-    reduce_numeric,
+    rel_matches,
 )
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.runtime.clock import Clock, REAL_CLOCK
@@ -209,14 +202,16 @@ class ScanOp(PreemptableIterator):
         graph: PropertyGraph,
         context: ExecutionContext,
         child: PreemptableIterator,
-        pattern: ast.NodePattern,
+        matches,
         variable: str,
         source: tuple,
     ):
         self.graph = graph
         self.context = context
         self.child = child
-        self.pattern = pattern
+        #: the pattern's compiled ``(node, bindings) -> bool`` test;
+        #: ``None`` when every node passes
+        self.matches = matches
         self.variable = variable
         self.source = source
         self._input: Bindings | None = None
@@ -244,15 +239,14 @@ class ScanOp(PreemptableIterator):
                 self._ids = None
                 self._pos = 0
             bindings = self._input
+            matches = self.matches
             bound = bindings.get(self.variable)
             if isinstance(bound, Node):
                 # variable joined from an earlier path: check, emit once
                 self.context.tick()
                 self._input = None
-                out = dict(bindings)
-                if bind_node(self.pattern, bound, out):
-                    out[self.variable] = bound
-                    return out
+                if matches is None or matches(bound, bindings):
+                    return dict(bindings)
                 continue
             if self._ids is None:
                 self._ids = self._candidate_ids()
@@ -269,8 +263,8 @@ class ScanOp(PreemptableIterator):
                 if not self.graph.has_node(node_id):
                     continue
                 node = self.graph.node(node_id)
-                out = dict(bindings)
-                if bind_node(self.pattern, node, out):
+                if matches is None or matches(node, bindings):
+                    out = dict(bindings)
                     out[self.variable] = node
                     return out
             self._input = None
@@ -321,7 +315,7 @@ class ExpandOp(PreemptableIterator):
         child: PreemptableIterator,
         source_var: str,
         rel: ast.RelPattern,
-        target: ast.NodePattern,
+        matches,
         target_var: str,
         forward: bool,
     ):
@@ -330,7 +324,9 @@ class ExpandOp(PreemptableIterator):
         self.child = child
         self.source_var = source_var
         self.rel = rel
-        self.target = target
+        #: the target pattern's compiled ``(node, bindings) -> bool``
+        #: test; ``None`` when every node passes
+        self.matches = matches
         self.target_var = target_var
         self.forward = forward
         self._input: Bindings | None = None
@@ -352,17 +348,23 @@ class ExpandOp(PreemptableIterator):
                     self.graph, source, self.rel, self.forward
                 )
             neighbours = self._neighbours
+            bindings = self._input
+            matches = self.matches
+            rel_var = self.rel.variable
             while self._pos < len(neighbours):
                 self.context.tick()
                 edge, neighbour = neighbours[self._pos]
                 self._pos += 1
-                out = dict(self._input)
-                if not bind_node(self.target, neighbour, out):
+                # test first, copy after: a rejected candidate costs no
+                # dict (_adjacent already filtered on the relationship type)
+                if matches is not None and not matches(neighbour, bindings):
                     continue
-                # _adjacent already filtered on the relationship type
-                if self.rel.variable and not bind_rel(self.rel, edge, out):
+                if rel_var and not rel_matches(rel_var, edge, bindings):
                     continue
+                out = dict(bindings)
                 out[self.target_var] = neighbour
+                if rel_var:
+                    out[rel_var] = edge
                 return out
             self._input = None
 
@@ -395,7 +397,7 @@ class ExpandVarOp(PreemptableIterator):
         child: PreemptableIterator,
         source_var: str,
         rel: ast.RelPattern,
-        target: ast.NodePattern,
+        matches,
         target_var: str,
         forward: bool,
     ):
@@ -404,7 +406,7 @@ class ExpandVarOp(PreemptableIterator):
         self.child = child
         self.source_var = source_var
         self.rel = rel
-        self.target = target
+        self.matches = matches
         self.target_var = target_var
         self.forward = forward
         self._input: Bindings | None = None
@@ -454,9 +456,11 @@ class ExpandVarOp(PreemptableIterator):
                 self.context.tick()
                 neighbour = self._endpoints[self._pos]
                 self._pos += 1
-                out = dict(self._input)
-                if not bind_node(self.target, neighbour, out):
+                if self.matches is not None and not self.matches(
+                    neighbour, self._input
+                ):
                     continue
+                out = dict(self._input)
                 out[self.target_var] = neighbour
                 return out
             self._input = None
@@ -476,18 +480,19 @@ class ExpandVarOp(PreemptableIterator):
 
 
 class FilterOp(PreemptableIterator):
-    """WHERE conjuncts whose variables the child has already bound."""
+    """WHERE conjuncts whose variables the child has already bound,
+    compiled into one ``bindings -> truthy`` predicate."""
 
-    def __init__(self, child: PreemptableIterator, exprs: list[ast.Expr]):
+    def __init__(self, child: PreemptableIterator, predicate: Evaluator):
         self.child = child
-        self.exprs = exprs
+        self.predicate = predicate
 
     def next(self) -> Bindings | None:
         while True:
             bindings = self.child.next()
             if bindings is None:
                 return None
-            if all(_truthy(eval_expr(e, bindings)) for e in self.exprs):
+            if self.predicate(bindings):
                 return bindings
 
     def save(self) -> dict:
@@ -509,28 +514,22 @@ class ProjectOp(PreemptableIterator):
     def __init__(
         self,
         child: PreemptableIterator,
-        returns: list[ast.ReturnItem],
-        order_exprs: list[ast.Expr],
+        columns: list[tuple[str, Evaluator]],
+        order_keys: list[tuple[str, object]],
     ):
         self.child = child
-        self.returns = returns
-        self.order_exprs = order_exprs
+        #: ``(alias, bindings -> value)`` per RETURN item
+        self.columns = columns
+        #: ``("#oN", (row, bindings) -> value)`` per ORDER BY expression
+        self.order_keys = order_keys
 
     def next(self) -> dict | None:
         bindings = self.child.next()
         if bindings is None:
             return None
-        row = {
-            item.alias: eval_expr(item.expr, bindings) for item in self.returns
-        }
-        if self.order_exprs:
-            projected = ResultRow(row)
-            for index, expr in enumerate(self.order_exprs):
-                try:
-                    value = eval_projected(expr, projected)
-                except CypherRuntimeError:
-                    value = eval_expr(expr, bindings)
-                row[f"#o{index}"] = value
+        row = {alias: value(bindings) for alias, value in self.columns}
+        for hidden, key in self.order_keys:
+            row[hidden] = key(row, bindings)
         return row
 
     def save(self) -> dict:
@@ -540,15 +539,30 @@ class ProjectOp(PreemptableIterator):
         self.child.load(state["child"])
 
 
+#: types whose values are their own grouping identity
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _group_key(reps: list) -> tuple:
+    """``_hashable`` of each value, skipping the call for the scalars
+    nearly every group key is made of."""
+    return tuple(
+        [rep if type(rep) in _PLAIN else _hashable(rep) for rep in reps]
+    )
+
+
 class AggregateOp(PreemptableIterator):
     """Grouping aggregation; blocking, with serialisable accumulators.
 
-    Consume phase drains the child, accumulating per group the
-    representative values of the group expressions and the raw operand
-    values of each aggregate (reduced at emit time by the shared
-    ``reduce_*`` helpers).  A
-    quantum expiring mid-consume propagates from the child with the
-    accumulators intact.
+    Consume phase drains the child, keeping per group the
+    representative values of the group expressions and one running
+    state per aggregate (:class:`~repro.graphdb.cypher.compiler.Aggregate`):
+    O(1) for ``count`` / ``sum`` / ``min`` / ``max`` / ``avg``, the
+    values themselves only for ``collect``, and for ``DISTINCT`` the
+    identities already folded, in a dict (O(1) membership, and the
+    insertion order ``save()`` writes).  So a continuation taken
+    mid-consume is O(groups), not O(rows consumed).  A quantum expiring
+    mid-consume propagates from the child with the accumulators intact.
     Emit phase walks groups in first-seen order.
     """
 
@@ -556,62 +570,68 @@ class AggregateOp(PreemptableIterator):
         self,
         graph: PropertyGraph,
         child: PreemptableIterator,
-        group_items: list[ast.ReturnItem],
-        agg_items: list[ast.ReturnItem],
-        order_exprs: list[ast.Expr],
+        group_columns: list[tuple[str, Evaluator]],
+        aggregates: list[tuple[str, Aggregate]],
+        order_keys: list[tuple[str, object]],
     ):
         self.graph = graph
         self.child = child
-        self.group_items = group_items
-        self.agg_items = agg_items
-        self.order_exprs = order_exprs
-        #: (slot, operand) per aggregate that evaluates one; count(*) has none
-        self._operands = [
-            (index, item.expr.operand)
-            for index, item in enumerate(agg_items)
-            if item.expr.operand is not None
+        self.group_columns = group_columns
+        self.aggregates = aggregates
+        self.order_keys = order_keys
+        self._group_values = [value for _alias, value in group_columns]
+        #: per aggregate, what the per-row loop needs of it
+        self._folds = [
+            (slot, aggregate.operand, aggregate.step)
+            for slot, (_alias, aggregate) in enumerate(aggregates)
         ]
-        self._groups: dict[tuple, dict] = {}
+        #: group key -> (representative values, one state per aggregate,
+        #: and per DISTINCT aggregate the identities already folded --
+        #: ``None`` for the others)
+        self._groups: dict[tuple, tuple[list, list, list]] = {}
         self._consumed = False
         #: groups in first-seen order, materialised once the child is drained
-        self._emit_order: list[dict] | None = None
+        self._emit_order: list[tuple[list, list, list]] | None = None
         self._pos = 0
 
+    def _new_group(self, reps: list) -> tuple[list, list, list]:
+        return (
+            reps,
+            [aggregate.init() for _alias, aggregate in self.aggregates],
+            [
+                {} if aggregate.distinct else None
+                for _alias, aggregate in self.aggregates
+            ],
+        )
+
     def _accumulate(self, bindings: Bindings) -> None:
-        reps = [eval_expr(item.expr, bindings) for item in self.group_items]
-        key = tuple(_hashable(rep) for rep in reps)
+        reps = [value(bindings) for value in self._group_values]
+        key = _group_key(reps)
         group = self._groups.get(key)
         if group is None:
-            group = {"reps": reps, "vals": [[] for _ in self.agg_items], "n": 0}
-            self._groups[key] = group
-        group["n"] += 1
-        vals = group["vals"]
-        for index, operand in self._operands:
-            vals[index].append(eval_expr(operand, bindings))
+            group = self._groups[key] = self._new_group(reps)
+        _reps, states, seen = group
+        for slot, operand, step in self._folds:
+            value = operand(bindings)
+            if value is None:
+                continue
+            folded = seen[slot]
+            if folded is not None:
+                identity = _hashable(value)
+                if identity in folded:
+                    continue
+                folded[identity] = None
+            states[slot] = step(states[slot], value)
 
-    def _emit(self, group: dict) -> dict:
+    def _emit(self, group: tuple[list, list, list]) -> dict:
+        reps, states, _seen = group
         row: dict[str, object] = {}
-        for item, rep in zip(self.group_items, group["reps"]):
-            row[item.alias] = rep
-        for index, item in enumerate(self.agg_items):
-            expr = item.expr
-            values = group["vals"][index]
-            if isinstance(expr, ast.Count):
-                row[item.alias] = (
-                    group["n"]
-                    if expr.operand is None
-                    else reduce_count(values, expr.distinct)
-                )
-            elif isinstance(expr, ast.Collect):
-                row[item.alias] = reduce_collect(values, expr.distinct)
-            else:
-                row[item.alias] = reduce_numeric(
-                    expr.func, values, expr.distinct
-                )
-        if self.order_exprs:
-            projected = ResultRow(row)
-            for index, expr in enumerate(self.order_exprs):
-                row[f"#o{index}"] = eval_projected(expr, projected)
+        for (alias, _value), rep in zip(self.group_columns, reps):
+            row[alias] = rep
+        for (alias, aggregate), state in zip(self.aggregates, states):
+            row[alias] = aggregate.final(state)
+        for hidden, key in self.order_keys:
+            row[hidden] = key(row, None)
         return row
 
     def next(self) -> dict | None:
@@ -624,11 +644,9 @@ class AggregateOp(PreemptableIterator):
             self._consumed = True
         groups = self._emit_order
         if groups is None:
-            if not self.group_items and not self._groups:
+            if not self.group_columns and not self._groups:
                 # global aggregate over an empty match: one zero/null row
-                self._groups[()] = {
-                    "reps": [], "vals": [[] for _ in self.agg_items], "n": 0,
-                }
+                self._groups[()] = self._new_group([])
             groups = self._emit_order = list(self._groups.values())
         if self._pos >= len(groups):
             return None
@@ -643,14 +661,14 @@ class AggregateOp(PreemptableIterator):
             "pos": self._pos,
             "groups": [
                 {
-                    "reps": [encode_value(v) for v in group["reps"]],
-                    "vals": [
-                        [encode_value(v) for v in values]
-                        for values in group["vals"]
+                    "reps": [encode_value(v) for v in reps],
+                    "aggs": [encode_value(state) for state in states],
+                    "seen": [
+                        None if folded is None else _thaw(tuple(folded))
+                        for folded in seen
                     ],
-                    "n": group["n"],
                 }
-                for group in self._groups.values()
+                for reps, states, seen in self._groups.values()
             ],
         }
 
@@ -662,15 +680,14 @@ class AggregateOp(PreemptableIterator):
         self._groups = {}
         for entry in state["groups"]:
             reps = [decode_value(self.graph, v) for v in entry["reps"]]
-            key = tuple(_hashable(rep) for rep in reps)
-            self._groups[key] = {
-                "reps": reps,
-                "vals": [
-                    [decode_value(self.graph, v) for v in values]
-                    for values in entry["vals"]
+            self._groups[_group_key(reps)] = (
+                reps,
+                [decode_value(self.graph, saved) for saved in entry["aggs"]],
+                [
+                    None if folded is None else dict.fromkeys(_freeze(folded))
+                    for folded in entry["seen"]
                 ],
-                "n": entry["n"],
-            }
+            )
 
 
 class OrderByOp(PreemptableIterator):

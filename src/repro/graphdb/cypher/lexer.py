@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 
 class CypherSyntaxError(ValueError):
@@ -63,10 +62,9 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character symbols first so maximal munch applies.
-_SYMBOLS = ("<=", ">=", "<>", "->", "<-", "(", ")", "[", "]", "{", "}",
-            ":", ",", ".", "-", ">", "<", "=", "*")
-
+#: One alternative per token kind, named so ``match.lastgroup`` says
+#: which one matched; multi-character symbols first so maximal munch
+#: applies.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -79,11 +77,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: str
-    position: int
+    """One lexeme: its type, its value and its offset in the query."""
+
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: TokenType, value: str, position: int):
+        self.type = type
+        self.value = value
+        self.position = position
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token({self.type.value}, {self.value!r})"
@@ -92,33 +94,39 @@ class Token:
 def tokenize(query: str) -> list[Token]:
     """Lex a query string; raises :class:`CypherSyntaxError` on junk."""
     tokens: list[Token] = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
     pos = 0
-    while pos < len(query):
-        match = _TOKEN_RE.match(query, pos)
+    end = len(query)
+    while pos < end:
+        match = match_at(query, pos)
         if match is None:
             raise CypherSyntaxError(
                 f"unexpected character {query[pos]!r} at offset {pos}"
             )
-        pos = match.end()
-        if match.group("ws"):
+        kind = match.lastgroup
+        start, pos = pos, match.end()
+        if kind == "ws":
             continue
-        if match.group("string") is not None:
-            raw = match.group("string")
-            value = raw[1:-1].replace('\\"', '"').replace("\\'", "'").replace(
-                "\\\\", "\\"
-            )
-            tokens.append(Token(TokenType.STRING, value, match.start()))
-        elif match.group("number") is not None:
-            tokens.append(Token(TokenType.NUMBER, match.group("number"), match.start()))
-        elif match.group("ident") is not None:
-            word = match.group("ident")
-            if word.upper() in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, word.upper(), match.start()))
+        text = match.group()
+        if kind == "ident":
+            upper = text.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenType.KEYWORD, upper, start))
             else:
-                tokens.append(Token(TokenType.IDENT, word, match.start()))
+                append(Token(TokenType.IDENT, text, start))
+        elif kind == "symbol":
+            append(Token(TokenType.SYMBOL, text, start))
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = value.replace('\\"', '"').replace("\\'", "'").replace(
+                    "\\\\", "\\"
+                )
+            append(Token(TokenType.STRING, value, start))
         else:
-            tokens.append(Token(TokenType.SYMBOL, match.group("symbol"), match.start()))
-    tokens.append(Token(TokenType.EOF, "", len(query)))
+            append(Token(TokenType.NUMBER, text, start))
+    append(Token(TokenType.EOF, "", end))
     return tokens
 
 

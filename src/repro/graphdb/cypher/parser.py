@@ -36,23 +36,27 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # never past the end: EOF is the last token and nothing advances
+        # over it except the final ``expect(EOF)``
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
     def check(self, token_type: TokenType, value: str | None = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type is not token_type:
             return False
         return value is None or token.value == value
 
     def accept(self, token_type: TokenType, value: str | None = None) -> Token | None:
-        if self.check(token_type, value):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.type is token_type and (value is None or token.value == value):
+            self.pos += 1
+            return token
         return None
 
     def expect(self, token_type: TokenType, value: str | None = None) -> Token:
@@ -74,9 +78,7 @@ class _Parser:
         if explain and profile:
             raise CypherSyntaxError("EXPLAIN and PROFILE cannot be combined")
         if self.check(TokenType.KEYWORD, "MATCH"):
-            query = self.match_query()
-            query.explain = explain
-            query.profile = profile
+            query = self.match_query(explain, profile)
         elif self.check(TokenType.KEYWORD, "CREATE"):
             if explain:
                 raise CypherSyntaxError("EXPLAIN applies to MATCH queries only")
@@ -88,7 +90,7 @@ class _Parser:
         self.expect(TokenType.EOF)
         return query
 
-    def match_query(self) -> ast.MatchQuery:
+    def match_query(self, explain: bool, profile: bool) -> ast.MatchQuery:
         self.expect(TokenType.KEYWORD, "MATCH")
         paths = self.pattern()
         where = None
@@ -120,9 +122,11 @@ class _Parser:
             where=where,
             returns=returns,
             distinct=distinct,
-            order_by=order_by,
+            order_by=tuple(order_by),
             skip=skip,
             limit=limit,
+            explain=explain,
+            profile=profile,
         )
 
     def create_query(self) -> ast.CreateQuery:
@@ -131,11 +135,11 @@ class _Parser:
 
     # -- patterns --------------------------------------------------------------
 
-    def pattern(self) -> list[ast.PathPattern]:
+    def pattern(self) -> tuple[ast.PathPattern, ...]:
         paths = [self.path()]
         while self.accept(TokenType.SYMBOL, ","):
             paths.append(self.path())
-        return paths
+        return tuple(paths)
 
     def path(self) -> ast.PathPattern:
         nodes = [self.node_pattern()]
@@ -297,11 +301,11 @@ class _Parser:
 
     # -- RETURN ------------------------------------------------------------------
 
-    def return_items(self) -> list[ast.ReturnItem]:
+    def return_items(self) -> tuple[ast.ReturnItem, ...]:
         items = [self.return_item()]
         while self.accept(TokenType.SYMBOL, ","):
             items.append(self.return_item())
-        return items
+        return tuple(items)
 
     def return_item(self) -> ast.ReturnItem:
         expr = self.expression()
@@ -406,8 +410,9 @@ class _Parser:
         if (
             token.type is TokenType.KEYWORD
             and token.value in ("AVG", "MIN", "MAX", "SUM")
-            and self.peek(1).type is TokenType.SYMBOL
-            and self.peek(1).value == "("
+            # a keyword is never the last token (EOF is), so +1 exists
+            and self.tokens[self.pos + 1].type is TokenType.SYMBOL
+            and self.tokens[self.pos + 1].value == "("
         ):
             self.advance()
             self.expect(TokenType.SYMBOL, "(")

@@ -16,6 +16,10 @@ into a tree of the resumable operators in
   the earliest operator where all its variables are bound.
 * **Limit pushdown** -- the lazy pull pipeline stops producing once
   LIMIT is satisfied, so upstream scans never run to completion.
+* **Compilation** -- every pattern test, WHERE conjunct, RETURN item,
+  aggregate and ORDER BY key is lowered to a closure
+  (:mod:`repro.graphdb.cypher.compiler`) here, once; instantiating the
+  plan for an execution compiles nothing.
 
 ``EXPLAIN <query>`` surfaces :meth:`PhysicalPlan.explain_lines`; the
 plan :meth:`~PhysicalPlan.signature` (structure only, estimates
@@ -31,7 +35,16 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import CypherRuntimeError, _contains_count
+from repro.graphdb.cypher.compiler import (
+    AGGREGATES,
+    CypherRuntimeError,
+    compile_aggregate,
+    compile_expr,
+    compile_node_match,
+    compile_order_key,
+    compile_predicate,
+    contains_aggregate,
+)
 from repro.graphdb.cypher.iterators import (
     AggregateOp,
     DistinctOp,
@@ -138,7 +151,7 @@ def free_vars(expr: ast.Expr) -> set[str]:
         if expr.right is not None:
             out |= free_vars(expr.right)
         return out
-    if isinstance(expr, (ast.Count, ast.Collect, ast.NumAgg)):
+    if isinstance(expr, AGGREGATES):
         operand = expr.operand
         return free_vars(operand) if operand is not None else set()
     return set()
@@ -210,6 +223,8 @@ class PhysicalPlan:
 
     root: PlanNode
     query: ast.MatchQuery = field(repr=False, default=None)
+    #: memo of :meth:`signature`: a kept plan signs every page it serves
+    _signature: str | None = field(repr=False, compare=False, default=None)
 
     def _nodes(self) -> list[PlanNode]:
         out: list[PlanNode] = []
@@ -229,10 +244,14 @@ class PhysicalPlan:
         """Structure-only fingerprint (estimates excluded): embedded in
         continuations so a token only resumes the plan it was minted
         against."""
-        payload = "\n".join(
-            node.line(with_estimate=False) for node in self._nodes()
-        )
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
+        if self._signature is None:
+            payload = "\n".join(
+                node.line(with_estimate=False) for node in self._nodes()
+            )
+            self._signature = hashlib.sha1(
+                payload.encode("utf-8")
+            ).hexdigest()[:16]
+        return self._signature
 
     def build(
         self, graph: PropertyGraph, context: ExecutionContext
@@ -280,26 +299,26 @@ class PhysicalPlan:
             return SingletonOp()
         if node.kind in _SCAN_KINDS:
             return ScanOp(
-                graph, context, child, p["pattern"], p["variable"], p["source"]
+                graph, context, child, p["matches"], p["variable"], p["source"]
             )
         if node.kind == "ExpandEdge":
             return ExpandOp(
                 graph, context, child, p["source_var"], p["rel"],
-                p["target"], p["target_var"], p["forward"],
+                p["matches"], p["target_var"], p["forward"],
             )
         if node.kind == "ExpandVar":
             return ExpandVarOp(
                 graph, context, child, p["source_var"], p["rel"],
-                p["target"], p["target_var"], p["forward"],
+                p["matches"], p["target_var"], p["forward"],
             )
         if node.kind == "Filter":
-            return FilterOp(child, p["exprs"])
+            return FilterOp(child, p["predicate"])
         if node.kind == "Project":
-            return ProjectOp(child, p["returns"], p["order_exprs"])
+            return ProjectOp(child, p["columns"], p["order_keys"])
         if node.kind == "Aggregate":
             return AggregateOp(
-                graph, child, p["group_items"], p["agg_items"],
-                p["order_exprs"],
+                graph, child, p["group_columns"], p["aggregates"],
+                p["order_keys"],
             )
         if node.kind == "OrderBy":
             return OrderByOp(
@@ -315,6 +334,12 @@ class PhysicalPlan:
 
 
 # -- planning ----------------------------------------------------------------
+
+
+def _filter_node(exprs: list[ast.Expr]) -> PlanNode:
+    return PlanNode(
+        "Filter", {"exprs": exprs, "predicate": compile_predicate(exprs)}
+    )
 
 
 def _pattern_vars(path: ast.PathPattern) -> set[str]:
@@ -412,7 +437,7 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
                 placed[index] = True
                 ready.append(conjunct)
         if ready:
-            chain.append(PlanNode("Filter", {"exprs": ready}))
+            chain.append(_filter_node(ready))
 
     # join reordering: connected-first, then the path holding the
     # cheapest anchor (ties keep query order); the winning anchor's
@@ -452,7 +477,12 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
         chain.append(
             PlanNode(
                 kind,
-                {"pattern": pattern, "variable": variable, "source": source},
+                {
+                    "pattern": pattern,
+                    "matches": compile_node_match(pattern, variable in bound),
+                    "variable": variable,
+                    "source": source,
+                },
                 estimate=cost if cost else None,
             )
         )
@@ -475,6 +505,9 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
                         "source_var": names[(p_index, src)],
                         "rel": rel,
                         "target": path.nodes[dst],
+                        "matches": compile_node_match(
+                            path.nodes[dst], target_var in bound
+                        ),
                         "target_var": target_var,
                         "forward": dst > src,
                     },
@@ -490,19 +523,24 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
     residual = [c for index, (_needs, c) in enumerate(conjuncts)
                 if not placed[index]]
     if residual:
-        chain.append(PlanNode("Filter", {"exprs": residual}))
+        chain.append(_filter_node(residual))
 
-    order_exprs = [expr for expr, _asc in query.order_by]
     returns = list(query.returns)
-    group_items: list[ast.ReturnItem] = []
-    agg_items: list[ast.ReturnItem] = []
-    for item in returns:
-        (agg_items if _contains_count(item.expr) else group_items).append(item)
-    if agg_items:
-        for item in agg_items:
-            if not isinstance(
-                item.expr, (ast.Count, ast.Collect, ast.NumAgg)
-            ):
+    aliases = frozenset(item.alias for item in returns)
+    grouped = any(contains_aggregate(item.expr) for item in returns)
+    order_keys = [
+        (f"#o{index}", compile_order_key(expr, aliases, not grouped))
+        for index, (expr, _asc) in enumerate(query.order_by)
+    ]
+    if grouped:
+        group_columns = []
+        aggregates = []
+        for item in returns:
+            if not contains_aggregate(item.expr):
+                group_columns.append((item.alias, compile_expr(item.expr)))
+            elif isinstance(item.expr, AGGREGATES):
+                aggregates.append((item.alias, compile_aggregate(item.expr)))
+            else:
                 raise CypherRuntimeError(
                     f"unsupported aggregate expression: {item.expr}"
                 )
@@ -511,16 +549,23 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
                 "Aggregate",
                 {
                     "returns": returns,
-                    "group_items": group_items,
-                    "agg_items": agg_items,
-                    "order_exprs": order_exprs,
+                    "group_columns": group_columns,
+                    "aggregates": aggregates,
+                    "order_keys": order_keys,
                 },
             )
         )
     else:
         chain.append(
             PlanNode(
-                "Project", {"returns": returns, "order_exprs": order_exprs}
+                "Project",
+                {
+                    "returns": returns,
+                    "columns": [
+                        (item.alias, compile_expr(item.expr)) for item in returns
+                    ],
+                    "order_keys": order_keys,
+                },
             )
         )
 

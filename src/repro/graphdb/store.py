@@ -117,6 +117,10 @@ class PropertyGraph:
         self._drained_edge_id = self.id_base
         self._touched_nodes: set[int] = set()
         self._touched_edges: set[int] = set()
+        #: bumped by every mutation primitive and never reset: what a
+        #: reader derived from the graph (a query plan, the analyzer's
+        #: schema) is still true while this has not moved
+        self.version = 0
         self._lock = named_lock("graphdb.store", reentrant=True)
 
     # -- node operations ------------------------------------------------
@@ -274,10 +278,12 @@ class PropertyGraph:
     # -- change capture ------------------------------------------------------
 
     def _touch_node(self, node_id: int) -> None:
+        self.version += 1
         if node_id <= self._drained_node_id:
             self._touched_nodes.add(node_id)
 
     def _touch_edge(self, edge_id: int) -> None:
+        self.version += 1
         if edge_id <= self._drained_edge_id:
             self._touched_edges.add(edge_id)
 

@@ -126,6 +126,11 @@ class GraphUnion:
         return sum(g.label_count(label) for g in self._graphs)
 
     @property
+    def version(self) -> int:
+        """Moves whenever any partition's does (each only ever grows)."""
+        return sum(g.version for g in self._graphs)
+
+    @property
     def node_count(self) -> int:
         return sum(g.node_count for g in self._graphs)
 

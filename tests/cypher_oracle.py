@@ -1,9 +1,12 @@
 """Brute-force MATCH evaluator: the reference the engine is tested against.
 
-Independent of the planner and the iterator tree on purpose: every
-pattern element loops over *all* nodes or *all* edges, in query order --
-no anchor choice, no index, no pushdown; only ``eval_expr`` and the
-``reduce_*`` reducers are shared with the engine.  Small graphs only.
+Independent of the engine on purpose: every pattern element loops over
+*all* nodes or *all* edges, in query order -- no anchor choice, no
+index, no pushdown -- and expressions and aggregates are evaluated by
+the AST interpreter below (``eval_expr`` / ``reduce_*``), which walks
+the tree per row and reduces a group's collected values at the end,
+where the engine runs compiled closures over running state.  Nothing
+but the parser and the error type is shared.  Small graphs only.
 Cypher fixes row order only by ORDER BY, and only up to rows tying on
 every sort key, so :func:`check` compares row multisets plus the
 *sequence of sort keys* (natural order, null first).
@@ -12,13 +15,131 @@ every sort key, so :func:`check` compares row multisets plus the
 from collections import Counter
 
 from repro.graphdb.cypher import ast
-from repro.graphdb.cypher.executor import (
-    eval_expr, reduce_collect, reduce_count, reduce_numeric,
-)
+from repro.graphdb.cypher.executor import CypherRuntimeError
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.store import Edge, Node
 
 AGGREGATES = (ast.Count, ast.Collect, ast.NumAgg)
+
+
+# -- the reference evaluator --------------------------------------------------
+
+
+def eval_expr(expr, bindings):
+    if isinstance(expr, ast.Property):
+        value = bindings.get(expr.variable)
+        if value is None:
+            raise CypherRuntimeError(f"unbound variable {expr.variable!r}")
+        if isinstance(value, (Node, Edge)):
+            return value.properties.get(expr.key)
+        raise CypherRuntimeError(
+            f"{expr.variable!r} is not a node or relationship"
+        )
+    if isinstance(expr, ast.Variable):
+        if expr.name not in bindings:
+            raise CypherRuntimeError(f"unbound variable {expr.name!r}")
+        return bindings[expr.name]
+    if isinstance(expr, ast.Literal):
+        return expr.value
+    if isinstance(expr, ast.ListLiteral):
+        return [eval_expr(item, bindings) for item in expr.items]
+    if isinstance(expr, ast.And):
+        return bool(eval_expr(expr.left, bindings)) and bool(
+            eval_expr(expr.right, bindings)
+        )
+    if isinstance(expr, ast.Or):
+        return bool(eval_expr(expr.left, bindings)) or bool(
+            eval_expr(expr.right, bindings)
+        )
+    if isinstance(expr, ast.Not):
+        return not bool(eval_expr(expr.operand, bindings))
+    if isinstance(expr, ast.Compare):
+        return eval_compare(expr, bindings)
+    if isinstance(expr, AGGREGATES):
+        raise CypherRuntimeError("aggregates are only allowed in RETURN")
+    raise CypherRuntimeError(f"cannot evaluate {expr!r}")
+
+
+def eval_compare(expr, bindings):
+    left = eval_expr(expr.left, bindings)
+    if expr.op == "IS NULL":
+        return left is None
+    if expr.op == "IS NOT NULL":
+        return left is not None
+    right = eval_expr(expr.right, bindings)
+    if expr.op == "=":
+        return left == right
+    if expr.op == "<>":
+        return left != right
+    if expr.op == "IN":
+        return left in (right or [])
+    if left is None or right is None:
+        return False
+    if expr.op == "CONTAINS":
+        return str(right) in str(left)
+    if expr.op == "STARTS WITH":
+        return str(left).startswith(str(right))
+    if expr.op == "ENDS WITH":
+        return str(left).endswith(str(right))
+    try:
+        if expr.op == "<":
+            return left < right
+        if expr.op == ">":
+            return left > right
+        if expr.op == "<=":
+            return left <= right
+        if expr.op == ">=":
+            return left >= right
+    except TypeError as error:
+        raise CypherRuntimeError(str(error)) from None
+    raise CypherRuntimeError(f"unknown operator {expr.op!r}")
+
+
+def reduce_collect(values, distinct):
+    """collect() over already-evaluated values: None-skipping, optional
+    dedup."""
+    out = []
+    seen = []
+    for value in values:
+        if value is None:
+            continue
+        if distinct:
+            key = _fp(value)
+            if key in seen:
+                continue
+            seen.append(key)
+        out.append(value)
+    return out
+
+
+def reduce_count(values, distinct):
+    return len(reduce_collect(values, distinct))
+
+
+def reduce_numeric(func, values, distinct):
+    """avg/min/max/sum over already-evaluated values.
+
+    ``sum([])`` is 0; the others are null on empty input.  Non-numeric
+    operands surface as :class:`CypherRuntimeError`.
+    """
+    vals = reduce_collect(values, distinct)
+    try:
+        if func == "sum":
+            return sum(vals)
+        if not vals:
+            return None
+        if func == "min":
+            return min(vals)
+        if func == "max":
+            return max(vals)
+        if func == "avg":
+            return sum(vals) / len(vals)
+    except TypeError as error:
+        raise CypherRuntimeError(str(error)) from None
+    raise CypherRuntimeError(f"unknown aggregate function {func!r}")
+
+
+# -- matching -----------------------------------------------------------------
 
 
 def _fp(value):

@@ -390,3 +390,127 @@ class TestQuantumAndObs:
         names = {span["name"] for span in obs.tracer.export()}
         assert "cypher.plan" in names
         assert "cypher.slice" in names
+
+
+def mentions_graph(reports_per_entity: int, entities: int = 3) -> PropertyGraph:
+    """``entities`` malware, each mentioned by ``reports_per_entity``
+    reports: the groups stay put while the rows under them grow."""
+    graph = PropertyGraph()
+    for e in range(entities):
+        entity = graph.create_node(
+            "Malware", {"name": f"mal-{e}", "score": float(e + 1)}
+        )
+        for r in range(reports_per_entity):
+            report = graph.create_node(
+                "MalwareReport", {"name": f"rep-{e}-{r:04d}", "size": r % 7}
+            )
+            graph.create_edge(report.node_id, "MENTIONS", entity.node_id)
+    return graph
+
+
+class TestAggregateContinuations:
+    """An aggregation's continuation carries running state per group --
+    O(groups) -- and only ``collect`` / ``DISTINCT`` carry values."""
+
+    RUNNING = [
+        "count(r)", "count(*)", "sum(r.size)", "min(r.size)", "max(r.size)",
+        "avg(r.size)",
+    ]
+
+    @staticmethod
+    def first_cursor(graph, query) -> str:
+        page = CypherEngine(graph).run_paginated(query, 1)
+        assert page.continuation is not None
+        return json.dumps(page.continuation, separators=(",", ":"))
+
+    @pytest.mark.parametrize("aggregate", RUNNING)
+    def test_cursor_size_is_flat_in_rows_consumed(self, aggregate):
+        query = (
+            f"MATCH (r)-[:MENTIONS]->(e) RETURN e.name, {aggregate} AS a "
+            "ORDER BY e.name"
+        )
+        few = self.first_cursor(mentions_graph(4), query)
+        many = self.first_cursor(mentions_graph(400), query)
+        # 100x the rows under the same three groups: the same cursor but
+        # for the digits of the totals (and of the larger node ids)
+        assert len(many) <= len(few) + 40, (len(few), len(many))
+        assert "rep-" not in many
+
+    @pytest.mark.parametrize("aggregate", RUNNING)
+    def test_cursor_taken_mid_consume_holds_no_rows(self, aggregate):
+        graph = mentions_graph(60, entities=1)
+        query = f"MATCH (r)-[:MENTIONS]->(e) RETURN {aggregate} AS a"
+        task = CypherEngine(graph).task(
+            query, context=ExecutionContext(steps_per_slice=25)
+        )
+        sizes = []
+        while not task.done:
+            task.step()
+            continuation = task.save()
+            if continuation is not None:
+                sizes.append(len(json.dumps(continuation)))
+        assert len(sizes) > 3
+        assert max(sizes) <= min(sizes) + 20, sizes
+
+    AGGREGATES = [
+        "collect(m.name)", "collect(DISTINCT m.year)", "count(DISTINCT m.year)",
+        "sum(DISTINCT m.year)", "avg(DISTINCT m.year)", "min(DISTINCT m.year)",
+        "max(m.name)", "avg(m.year)", "collect(DISTINCT a)", "count(DISTINCT a)",
+    ]
+
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_every_slice_size_round_trips_through_json(self, engine, graph, aggregate):
+        query = (
+            "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
+            f"RETURN a.name, {aggregate} AS v ORDER BY a.name"
+        )
+        unsliced = engine.run(query)
+        cypher_oracle.check(unsliced, graph, query)
+        # 4 actor scans + 18 expansions + 4 emits: past 40 it is one slice
+        for steps in range(1, 42):
+            sliced = run_sliced(engine, query, steps_per_slice=steps)
+            assert values(sliced) == values(unsliced), steps
+
+    def test_v1_continuation_is_refused(self, engine):
+        query = "MATCH (m:Malware) RETURN count(m)"
+        task = engine.task(query, context=ExecutionContext(steps_per_slice=3))
+        task.step()
+        continuation = task.save()
+        assert continuation["v"] == 2
+        stale = dict(continuation, v=1)
+        with pytest.raises(CypherRuntimeError, match="does not match"):
+            engine.task(query).load(stale)
+        with pytest.raises(CypherRuntimeError, match="does not match"):
+            engine.run_paginated(query, 5, continuation=stale)
+
+    def test_count_distinct_is_linear_in_values(self):
+        """``count(DISTINCT x)`` over n values hashes each once and
+        compares none of them pairwise: the comparison count a
+        membership *list* runs up (n^2 / 2) is the regression."""
+
+        class Counted:
+            compared = 0
+
+            def __init__(self, token):
+                self.token = token
+
+            def __hash__(self):
+                return hash(self.token)
+
+            def __eq__(self, other):
+                Counted.compared += 1
+                return self.token == other.token
+
+        n = 400
+        graph = PropertyGraph()
+        for i in range(n):
+            graph.create_node("Sample", {"token": Counted(i)})
+            graph.create_node("Sample", {"token": Counted(i)})  # a repeat
+        engine = CypherEngine(graph, strict=False)
+        rows = engine.run(
+            "MATCH (s:Sample) RETURN count(DISTINCT s.token) AS c, "
+            "collect(DISTINCT s.token) AS v"
+        )
+        assert rows[0]["c"] == n and len(rows[0]["v"]) == n
+        # one comparison per repeat and aggregate, plus hash collisions
+        assert Counted.compared <= 4 * n, Counted.compared

@@ -324,3 +324,48 @@ class TestErrors:
     def test_count_in_where_rejected(self, engine):
         with pytest.raises(CypherRuntimeError):
             engine.run("MATCH (n) WHERE count(n) > 1 RETURN n")
+
+    #: what the lexer and parser say about junk, offsets included: the
+    #: analyzer's carets and the UI's 400 bodies quote these verbatim
+    SYNTAX_ERRORS = {
+        "": "query must start with MATCH or CREATE",
+        "MATCH": "expected '(' at offset 5, found ''",
+        "MATCH (n": "expected ')' at offset 8, found ''",
+        "MATCH (n) RETURN": "unexpected token '' at offset 16",
+        "MATCH (n) RETURN n ORDER n": "expected 'BY' at offset 25, found 'n'",
+        "MATCH (n) RETURN n LIMIT x": "expected 'number' at offset 25, found 'x'",
+        "MATCH (n) WHERE RETURN n": "unexpected token 'RETURN' at offset 16",
+        "MATCH (n)-[:X]>(m) RETURN n": "expected '-' at offset 14, found '>'",
+        "MATCH (n {name: })  RETURN n": "expected a literal at offset 16, found '}'",
+        "MATCH (n) RETURN n; DROP": "unexpected character ';' at offset 18",
+        "MATCH (n) RETURN n ~": "unexpected character '~' at offset 19",
+        "MATCH (n) RETURN 'open": "unexpected character \"'\" at offset 17",
+        "MATCH (n) RETURN n.": "expected a name at offset 19, found ''",
+        "MATCH (n:) RETURN n": "expected a name at offset 9, found ')'",
+        "MATCH (n) RETURN avg": "unexpected token 'AVG' at offset 17",
+        "MATCH (n) RETURN count(*": "expected ')' at offset 24, found ''",
+        "MATCH (n) RETURN n extra": "expected 'eof' at offset 19, found 'extra'",
+        "MATCH (n) WHERE n.x IS 5 RETURN n": "expected 'NULL' at offset 23, found '5'",
+        "MATCH (n)-[:X*1.]->(m) RETURN n": "expected '.' at offset 16, found ']'",
+    }
+
+    @pytest.mark.parametrize("query", sorted(SYNTAX_ERRORS))
+    def test_syntax_error_messages_and_offsets(self, engine, query):
+        with pytest.raises(CypherSyntaxError) as error:
+            engine.run(query)
+        assert str(error.value) == self.SYNTAX_ERRORS[query]
+
+    def test_tokens_carry_type_value_and_offset(self):
+        from repro.graphdb.cypher.lexer import TokenType, tokenize
+
+        tokens = tokenize('match (n {k: "a\\"b"}) return n.k <= 1.5')
+        assert [(t.type, t.value, t.position) for t in tokens] == [
+            (TokenType.KEYWORD, "MATCH", 0), (TokenType.SYMBOL, "(", 6),
+            (TokenType.IDENT, "n", 7), (TokenType.SYMBOL, "{", 9),
+            (TokenType.IDENT, "k", 10), (TokenType.SYMBOL, ":", 11),
+            (TokenType.STRING, 'a"b', 13), (TokenType.SYMBOL, "}", 19),
+            (TokenType.SYMBOL, ")", 20), (TokenType.KEYWORD, "RETURN", 22),
+            (TokenType.IDENT, "n", 29), (TokenType.SYMBOL, ".", 30),
+            (TokenType.IDENT, "k", 31), (TokenType.SYMBOL, "<=", 33),
+            (TokenType.NUMBER, "1.5", 36), (TokenType.EOF, "", 39),
+        ]
