@@ -29,14 +29,17 @@ _AD_MARKERS = ("sponsored content", "advertisement", "buy now", "% off")
 
 
 def rendered_text(record: ReportRecord) -> str:
-    """The record's HTML rendered to text, parsed at most once.
+    """Every page of the record rendered to text, parsed at most once.
 
     Several checks need the rendered text; memoizing it on the record
     instance means one parse per record instead of one per check.
+    Pages are parsed one by one: a document has one ``<body>``, so
+    parsing the concatenated pages would render the first page only.
     """
     cached = getattr(record, "_rendered_text", None)
     if cached is None:
-        cached = parse(record.html).text()
+        texts = (parse(page).text() for page in record.pages)
+        cached = "\n".join(text for text in texts if text)
         record._rendered_text = cached  # type: ignore[attr-defined]
     return cached
 

@@ -84,6 +84,21 @@ class TestChecker:
     def test_ad_rejected(self):
         assert check_not_ad(self._record("<p>Buy now! 50% off malware</p>")) is not None
 
+    def test_continuation_pages_are_checked(self):
+        """Every page's text counts, not just the first ``<body>``."""
+        first = "<html><body><p>Threat overview.</p></body></html>"
+        ioc_page = (
+            "<html><body><p>The ransomware payload beacons to its "
+            "operators every hour.</p></body></html>"
+        )
+        ad_page = "<html><body><p>Sponsored content: buy now!</p></body></html>"
+        record = ReportRecord("id", "src", "url", pages=[first, ioc_page])
+        assert make_min_text_check(40)(record) is None
+        assert check_security_signal(record) is None
+        assert check_not_ad(record) is None
+        spam = ReportRecord("id", "src", "url", pages=[first, ad_page])
+        assert check_not_ad(spam) == "advertising content"
+
     def test_filter_report(self, ported):
         report = Checker().filter(ported)
         assert report.pass_rate > 0.9
