@@ -26,17 +26,14 @@ from repro.ontology.entities import EntityType
 #: Placeholder stem; index is appended so placeholders stay unique.
 _PLACEHOLDER_STEM = "iocshield"
 
-_PLACEHOLDER_RE = re.compile(rf"{_PLACEHOLDER_STEM}(\d+)")
-
 _ABBREVIATIONS = frozenset(
     {"e.g", "i.e", "etc", "vs", "dr", "mr", "ms", "inc", "ltd", "corp", "no", "fig"}
 )
 
 _WORD_RE = re.compile(
-    rf"{_PLACEHOLDER_STEM}\d+"  # placeholders survive as single tokens
     # words, alphanumeric names (rundll32, f5) and hyphenated compounds
     # (pan-os) stay single tokens; contractions keep their apostrophe
-    r"|[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*"
+    r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*"
     r"|[^\sA-Za-z0-9]"  # any single punctuation mark
 )
 
@@ -67,42 +64,27 @@ class Sentence:
     tokens: list[Token] = field(default_factory=list)
 
 
-def _protect(text: str) -> tuple[str, dict[str, IOCMatch], list[tuple[int, int]]]:
-    """Replace IOC spans with placeholder words.
+def _placeholder(index: int) -> str:
+    return f"{_PLACEHOLDER_STEM}{index}"
 
-    Returns the protected text, placeholder -> original match, and a
-    piecewise offset map ``[(protected_pos, original_pos), ...]`` for
-    translating protected offsets back to original ones.
-    """
-    matches = find_iocs(text)
-    placeholders: dict[str, IOCMatch] = {}
+
+def _protect(text: str, matches: list[IOCMatch]) -> str:
+    """``text`` with each IOC span replaced by a placeholder word."""
     pieces: list[str] = []
-    offset_map: list[tuple[int, int]] = [(0, 0)]
     cursor = 0
-    out_len = 0
     for index, match in enumerate(matches):
-        literal = text[cursor : match.start]
-        pieces.append(literal)
-        out_len += len(literal)
-        placeholder = f"{_PLACEHOLDER_STEM}{index}"
-        placeholders[placeholder] = match
-        pieces.append(placeholder)
-        offset_map.append((out_len, match.start))
-        out_len += len(placeholder)
-        offset_map.append((out_len, match.end))
+        pieces.append(text[cursor : match.start])
+        pieces.append(_placeholder(index))
         cursor = match.end
     pieces.append(text[cursor:])
-    return "".join(pieces), placeholders, offset_map
+    return "".join(pieces)
 
 
-def _to_original(offset_map: list[tuple[int, int]], pos: int) -> int:
-    """Translate a protected-text offset to an original-text offset."""
-    base_protected, base_original = 0, 0
-    for protected, original in offset_map:
-        if protected > pos:
-            break
-        base_protected, base_original = protected, original
-    return base_original + (pos - base_protected)
+def _words(text: str, start: int, end: int, tokens: list[Token]) -> None:
+    """Append the word tokens of ``text[start:end]``; a match cannot
+    reach past ``end``, so a word never extends into the IOC there."""
+    for match in _WORD_RE.finditer(text, start, end):
+        tokens.append(Token(match.group(), match.start(), match.end()))
 
 
 def _split_sentences(text: str) -> list[tuple[int, int]]:
@@ -158,50 +140,32 @@ def tokenize_sentences(text: str, protect_iocs: bool = True) -> list[Sentence]:
     kept for the E6 ablation and for measuring the failure the paper
     describes.
     """
-    if protect_iocs:
-        protected, placeholders, offset_map = _protect(text)
-    else:
-        protected, placeholders, offset_map = text, {}, [(0, 0)]
+    matches = find_iocs(text) if protect_iocs else []
+    protected = _protect(text, matches) if matches else text
 
+    # Only the sentence splitter reads the protected text.  Sentences
+    # break at whitespace, never inside a placeholder, so each span maps
+    # back to the original text by the running length difference of the
+    # IOCs before it, and tokens are cut from the original text: the
+    # gaps between IOCs by ``_WORD_RE``, the IOCs themselves whole.  A
+    # placeholder is thus a token only where ``_protect`` wrote one.
     sentences: list[Sentence] = []
+    next_ioc = 0  # first IOC not yet emitted
+    shift = 0  # original offset - protected offset, after the last emitted IOC
     for span_start, span_end in _split_sentences(protected):
-        chunk = protected[span_start:span_end]
+        start = cursor = span_start + shift
         tokens: list[Token] = []
-        for match in _WORD_RE.finditer(chunk):
-            token_text = match.group(0)
-            protected_start = span_start + match.start()
-            original_start = _to_original(offset_map, protected_start)
-            ph = _PLACEHOLDER_RE.fullmatch(token_text)
-            if ph and token_text in placeholders:
-                ioc = placeholders[token_text]
-                tokens.append(
-                    Token(
-                        text=ioc.text,
-                        start=ioc.start,
-                        end=ioc.end,
-                        ioc_type=ioc.type,
-                    )
-                )
-            else:
-                tokens.append(
-                    Token(
-                        text=token_text,
-                        start=original_start,
-                        end=original_start + len(token_text),
-                    )
-                )
-        if not tokens:
-            continue
-        original_span_start = _to_original(offset_map, span_start)
-        original_span_end = _to_original(offset_map, span_end)
-        sentences.append(
-            Sentence(
-                text=text[original_span_start:original_span_end],
-                start=original_span_start,
-                end=original_span_end,
-                tokens=tokens,
-            )
-        )
+        while next_ioc < len(matches) and matches[next_ioc].start - shift < span_end:
+            ioc = matches[next_ioc]
+            _words(text, cursor, ioc.start, tokens)
+            tokens.append(Token(ioc.text, ioc.start, ioc.end, ioc.type))
+            cursor = ioc.end
+            shift += ioc.end - ioc.start - len(_placeholder(next_ioc))
+            next_ioc += 1
+        end = span_end + shift
+        _words(text, cursor, end, tokens)
+        if tokens:
+            sentences.append(Sentence(text[start:end], start, end, tokens))
     return sentences
 
 

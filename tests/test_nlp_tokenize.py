@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nlp.ioc import find_iocs
 from repro.nlp.tokenize import tokenize_sentences, tokenize_words
 from repro.ontology import EntityType
 
@@ -97,3 +98,50 @@ class TestIocProtection:
         assert EntityType.IP in kinds
         assert EntityType.HASH in kinds
         assert EntityType.VULNERABILITY in kinds
+
+
+class TestPlaceholdersDoNotLeak:
+    """A placeholder is a token only where the protector wrote one."""
+
+    def test_glued_word_does_not_swallow_the_ioc(self):
+        tokens = tokenize_words("beacon to c2-10.1.2.3 now")
+        assert [t.text for t in tokens] == [
+            "beacon", "to", "c2", "-", "10.1.2.3", "now",
+        ]
+        assert [t.text for t in tokens if t.is_ioc] == ["10.1.2.3"]
+
+    def test_word_running_into_a_path_stops_at_it(self):
+        tokens = tokenize_words("dropped into tmp/usr/bin/evil quickly")
+        assert [(t.text, t.is_ioc) for t in tokens] == [
+            ("dropped", False),
+            ("into", False),
+            ("tmp", False),
+            ("/usr/bin/evil", True),
+            ("quickly", False),
+        ]
+
+    def test_literal_placeholder_word_stays_literal(self):
+        text = "the string iocshield0 was seen next to 10.1.2.3 today"
+        tokens = tokenize_words(text)
+        assert [t.text for t in tokens if t.is_ioc] == ["10.1.2.3"]
+        assert "iocshield0" in [t.text for t in tokens if not t.is_ioc]
+        for token in tokens:
+            assert text[token.start : token.end] == token.text
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["c2", "-", "'", " ", ". ", "10.1.2.3", "evil.com", "/usr/bin/x",
+                 "iocshield0", "iocshield1", "A", "9", "x.exe", "\n"]
+            ),
+            max_size=12,
+        ).map("".join)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_placeholder_surfaces_and_every_ioc_does(self, text):
+        tokens = tokenize_words(text)
+        for token in tokens:
+            assert text[token.start : token.end] == token.text
+        assert [(t.start, t.end) for t in tokens if t.is_ioc] == [
+            (m.start, m.end) for m in find_iocs(text)
+        ]
