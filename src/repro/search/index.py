@@ -137,9 +137,13 @@ class SearchIndex:
             terms = analyze_query(query)
             if not terms:
                 return []
+            # First-occurrence order, not set order: a document's score
+            # is a float sum over terms, and set order follows the
+            # process's string hash seed.
+            unique_terms = dict.fromkeys(terms)
             scores: dict[str, float] = {}
             matched_terms: dict[str, set[str]] = {}
-            for term in set(terms):
+            for term in unique_terms:
                 idf = self._idf(term)
                 for posting in self._postings.get(term, ()):
                     frequency = len(posting.positions)
@@ -154,10 +158,9 @@ class SearchIndex:
                     )
                     matched_terms.setdefault(posting.doc_id, set()).add(term)
 
-            unique_terms = set(terms)
             hits = []
             for doc_id, score in scores.items():
-                if mode == "and" and matched_terms.get(doc_id) != unique_terms:
+                if mode == "and" and len(matched_terms[doc_id]) != len(unique_terms):
                     continue
                 fields = self._documents[doc_id]
                 if filters and any(

@@ -153,3 +153,42 @@ class TestLifecycle:
                 continue
             hits = idx.search(terms[0], limit=len(bodies))
             assert any(h.doc_id == f"d{i}" for h in hits)
+
+
+_SCORE_IN_A_CHILD = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.search import SearchIndex
+index = SearchIndex()
+index.add("a", {{"title": "emotet encrypts files", "entities": "emotet",
+                "body": "the emotet loader encrypts and encrypts then emotet sleeps"}})
+index.add("b", {{"title": "files", "entities": "emotet trickbot",
+                "body": "emotet drops files; nothing encrypts them"}})
+index.add("c", {{"title": "encrypt everything", "entities": "x",
+                "body": "emotet emotet emotet and a long tail of other words here"}})
+index.add("d", {{"title": "unrelated", "body": "nothing to see", "entities": "y"}})
+print([(hit.doc_id, repr(hit.score)) for hit in index.search("emotet encrypts")])
+"""
+
+
+class TestScoresDoNotDependOnTheHashSeed:
+    def test_same_scores_in_processes_with_different_hash_seeds(self):
+        """A score is a float sum over the query's terms (here three:
+        ``encrypts`` also queries its lemma), so the order of the sum
+        must not come from a set of strings."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", _SCORE_IN_A_CHILD.format(src=src)],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            outputs.add(child.stdout.strip())
+        assert len(outputs) == 1, outputs
+        assert "'a'" in outputs.pop()
