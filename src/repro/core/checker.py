@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.htmlparse import parse
+from repro.core.porter import parsed_pages
 from repro.ontology.intermediate import ReportRecord
 
 #: A check returns None when the record passes, else a rejection reason.
@@ -29,19 +29,12 @@ _AD_MARKERS = ("sponsored content", "advertisement", "buy now", "% off")
 
 
 def rendered_text(record: ReportRecord) -> str:
-    """Every page of the record rendered to text, parsed at most once.
+    """Every page of the record rendered to text.
 
-    Several checks need the rendered text; memoizing it on the record
-    instance means one parse per record instead of one per check.
-    Pages are parsed one by one: a document has one ``<body>``, so
-    parsing the concatenated pages would render the first page only.
+    Parsed and rendered once per record however many checks ask: both
+    are kept with the record's DOMs (:func:`parsed_pages`).
     """
-    cached = getattr(record, "_rendered_text", None)
-    if cached is None:
-        texts = (parse(page).text() for page in record.pages)
-        cached = "\n".join(text for text in texts if text)
-        record._rendered_text = cached  # type: ignore[attr-defined]
-    return cached
+    return parsed_pages(record).text
 
 
 def check_non_empty(record: ReportRecord) -> str | None:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.htmlparse import Document, Element, parse
+from repro.core.porter import take_parsed_pages
+from repro.htmlparse import Document, Element
 from repro.nlp.ioc import classify_ioc
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention, ReportRecord
@@ -69,8 +70,7 @@ class SourceParser:
             title=report.title,
             metadata=dict(report.metadata),
         )
-        documents = [parse(page) for page in report.pages]
-        self._parse_pages(record, documents)
+        self._parse_pages(record, take_parsed_pages(report).documents)
         self._mentions_from_fields(record)
         return record
 

@@ -9,10 +9,10 @@ generic; everything source-specific lives in these classes (and their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro.htmlparse import Document
+from repro.htmlparse import Document, parse
 from repro.websim.render import site_prefix
 from repro.websim.sites import host_for
 
@@ -23,7 +23,8 @@ class RawDocument:
 
     ``group_url`` identifies the logical report; continuation pages of
     a multi-page report share the first page's ``group_url`` and carry
-    ``page_no > 1``.
+    ``page_no > 1``.  ``document`` is the DOM the crawl engine built to
+    find the page's links, kept so the porter need not build it again.
     """
 
     url: str
@@ -32,6 +33,13 @@ class RawDocument:
     fetched_at: float
     group_url: str
     page_no: int = 1
+    document: Document | None = field(default=None, repr=False, compare=False)
+
+    def take_document(self) -> Document:
+        """The page's DOM, handed over: this object drops its reference,
+        so the DOM lives only as long as its new owner keeps it."""
+        document, self.document = self.document, None
+        return document if document is not None else parse(self.html)
 
 
 def resolve_url(base: str, href: str) -> str:

@@ -290,6 +290,7 @@ class CrawlEngine:
                         fetched_at=self.clock.now(),
                         group_url=group,
                         page_no=page_no,
+                        document=doc,
                     )
                 )
                 if not accepted:

@@ -43,11 +43,6 @@ class ReportRecord:
     fetched_at: float = 0.0
     metadata: dict[str, object] = field(default_factory=dict)
 
-    @property
-    def html(self) -> str:
-        """All pages concatenated, for single-document parsing."""
-        return "\n".join(self.pages)
-
     def to_dict(self) -> dict[str, object]:
         return {
             "report_id": self.report_id,

@@ -1,7 +1,11 @@
 """Unit tests for porter, checker, parsers and extractor."""
 
+import dataclasses
+
 import pytest
 
+import repro.htmlparse.dom as htmlparse_dom
+from repro import SecurityKG, SystemConfig
 from repro.core.checker import (
     Checker,
     check_non_empty,
@@ -173,6 +177,90 @@ class TestParsers:
         assert classify_category("New ransomware hits", "") == "malware"
         assert classify_category("CVE-2021-1 exploited", "") == "vulnerability"
         assert classify_category("Espionage campaign", "spies did things") == "attack"
+
+
+@pytest.fixture
+def tokenizer_calls(monkeypatch):
+    """The markup of every ``htmlparse`` tokenizer call, in order."""
+    calls: list[str] = []
+    tokenize = htmlparse_dom.tokenize
+
+    def counting(markup):
+        calls.append(markup)
+        return tokenize(markup)
+
+    monkeypatch.setattr(htmlparse_dom, "tokenize", counting)
+    return calls
+
+
+class TestOneDomPerPage:
+    """A page is tokenised once, by the first stage that reads it."""
+
+    def _process(self, documents):
+        ported = Porter().port(documents)
+        passed = Checker().filter(ported).passed
+        return ported, ParserDispatch().parse_all(passed)
+
+    def test_port_check_parse_tokenise_each_page_once(
+        self, crawl_documents, tokenizer_calls
+    ):
+        bare = [dataclasses.replace(doc, document=None) for doc in crawl_documents]
+        ported, records = self._process(bare)
+        assert {len(r.pages) for r in ported} == {1, 2}  # single- and multi-page
+        assert records
+        assert sorted(tokenizer_calls) == sorted(doc.html for doc in bare)
+
+    def test_the_crawl_engines_doms_are_the_ones_used(
+        self, small_web, tokenizer_calls
+    ):
+        crawlers = build_all_crawlers(["ThreatPedia", "NVD Shadow"])
+        transport = SimulatedTransport(small_web, time_scale=0.0)
+        crawl = CrawlEngine(crawlers, Fetcher(transport), num_threads=2).crawl()
+        assert len(tokenizer_calls) == crawl.pages_fetched
+        _ported, records = self._process(crawl.documents)
+        assert records
+        assert len(tokenizer_calls) == crawl.pages_fetched
+        # the porter took them over: the crawl result pins no DOM
+        assert all(doc.document is None for doc in crawl.documents)
+
+    def test_run_once_tokenises_each_fetched_page_once(self, tokenizer_calls):
+        kg = SecurityKG(
+            SystemConfig(
+                scenario_count=6,
+                reports_per_site=2,
+                sources=["ThreatPedia", "SecureListing", "InfoSec Ledger"],
+                recognizer="gazetteer",
+                connectors=["graph"],
+            )
+        )
+        report = kg.run_once()
+        assert report.reports_stored > 0
+        assert len(tokenizer_calls) == report.crawl.pages_fetched
+
+    def test_parse_lets_the_doms_go_and_a_second_parse_rebuilds_them(
+        self, crawl_documents, tokenizer_calls
+    ):
+        (record,) = Porter().port(
+            [doc for doc in crawl_documents if doc.group_url == crawl_documents[0].group_url]
+        )
+        dispatch = ParserDispatch()
+        first = dispatch.parse(record)
+        assert not hasattr(record, "_parsed_pages")
+        before = len(tokenizer_calls)
+        assert dispatch.parse(record) == first
+        assert len(tokenizer_calls) == before + len(record.pages)
+
+    def test_serialized_boundaries_yield_the_same_records(self, crawl_documents):
+        base = dict(recognizer="gazetteer", connectors=["graph"])
+        outputs = []
+        for serialize in (False, True):
+            kg = SecurityKG(SystemConfig(serialize_boundaries=serialize, **base))
+            passed = kg.checker.filter(kg.porter.port(crawl_documents)).passed
+            records, result = kg.process(passed)
+            assert not result.errors
+            outputs.append(sorted(r.to_json() for r in records))
+            kg.close()
+        assert outputs[0] == outputs[1] and outputs[0]
 
 
 class TestExtractor:

@@ -43,10 +43,6 @@ class TestReportRecord:
         )
         assert ReportRecord.from_json(record.to_json()) == record
 
-    def test_html_concatenates_pages(self):
-        record = ReportRecord("a", "s", "u", pages=["<p>x</p>", "<p>y</p>"])
-        assert record.html == "<p>x</p>\n<p>y</p>"
-
 
 class TestCTIRecord:
     def test_round_trip_json(self):
