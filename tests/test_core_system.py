@@ -115,6 +115,33 @@ class TestConfigurationEffects:
         )
         assert plain.graph.edge_count == serialized.graph.edge_count
 
+    def test_process_returns_records_in_input_order(self):
+        """Whichever worker finishes first, so the store sees one order."""
+        import time
+
+        kg = SecurityKG(
+            SystemConfig(
+                scenario_count=6,
+                reports_per_site=3,
+                sources=["SecureListing"],
+                recognizer="gazetteer",
+                connectors=["graph"],
+                extract_workers=2,
+            )
+        )
+        reports = kg.checker.filter(kg.porter.port(kg.crawl().documents)).passed
+        assert len(reports) == 3
+        extract = kg.extractor.extract
+
+        def first_is_slow(record):
+            if record.report_id == reports[0].report_id:
+                time.sleep(0.05)
+            return extract(record)
+
+        kg.extractor.extract = first_is_slow
+        records, _result = kg.process(reports)
+        assert [r.report_id for r in records] == [r.report_id for r in reports]
+
     def test_regex_recognizer_configurable(self):
         kg = SecurityKG(
             SystemConfig(
