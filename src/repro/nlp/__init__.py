@@ -31,7 +31,7 @@ from repro.nlp.metrics import (
 from repro.nlp.ner import EntityRecognizer, EntitySpan, decode_bio
 from repro.nlp.pos import tag as pos_tag
 from repro.nlp.relation import RelationExtractor, ioc_spans
-from repro.nlp.tokenize import Sentence, Token, tokenize_sentences, tokenize_words
+from repro.nlp.tokenize import Sentence, Token, tokenize_sentences
 
 __all__ = [
     "Arc",
@@ -64,6 +64,5 @@ __all__ = [
     "pos_tag",
     "synthesize_corpus",
     "tokenize_sentences",
-    "tokenize_words",
     "word_shape",
 ]

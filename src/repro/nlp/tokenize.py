@@ -30,7 +30,9 @@ _ABBREVIATIONS = frozenset(
     {"e.g", "i.e", "etc", "vs", "dr", "mr", "ms", "inc", "ltd", "corp", "no", "fig"}
 )
 
-_WORD_RE = re.compile(
+#: One token of IOC-free text.  The search analyzer applies it to the
+#: same gaps between IOCs, so both cut text into the same tokens.
+WORD_RE = re.compile(
     # words, alphanumeric names (rundll32, f5) and hyphenated compounds
     # (pan-os) stay single tokens; contractions keep their apostrophe
     r"[A-Za-z0-9]+(?:[-'][A-Za-z0-9]+)*"
@@ -83,7 +85,7 @@ def _protect(text: str, matches: list[IOCMatch]) -> str:
 def _words(text: str, start: int, end: int, tokens: list[Token]) -> None:
     """Append the word tokens of ``text[start:end]``; a match cannot
     reach past ``end``, so a word never extends into the IOC there."""
-    for match in _WORD_RE.finditer(text, start, end):
+    for match in WORD_RE.finditer(text, start, end):
         tokens.append(Token(match.group(), match.start(), match.end()))
 
 
@@ -147,7 +149,7 @@ def tokenize_sentences(text: str, protect_iocs: bool = True) -> list[Sentence]:
     # break at whitespace, never inside a placeholder, so each span maps
     # back to the original text by the running length difference of the
     # IOCs before it, and tokens are cut from the original text: the
-    # gaps between IOCs by ``_WORD_RE``, the IOCs themselves whole.  A
+    # gaps between IOCs by ``WORD_RE``, the IOCs themselves whole.  A
     # placeholder is thus a token only where ``_protect`` wrote one.
     sentences: list[Sentence] = []
     next_ioc = 0  # first IOC not yet emitted
@@ -169,13 +171,4 @@ def tokenize_sentences(text: str, protect_iocs: bool = True) -> list[Sentence]:
     return sentences
 
 
-def tokenize_words(text: str, protect_iocs: bool = True) -> list[Token]:
-    """All tokens of ``text`` regardless of sentence boundaries."""
-    return [
-        token
-        for sentence in tokenize_sentences(text, protect_iocs=protect_iocs)
-        for token in sentence.tokens
-    ]
-
-
-__all__ = ["Sentence", "Token", "tokenize_sentences", "tokenize_words"]
+__all__ = ["Sentence", "Token", "WORD_RE", "tokenize_sentences"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.runtime import named_lock
@@ -27,7 +28,7 @@ class SearchHit:
     fields: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Posting:
     doc_id: str
     field: str
@@ -57,6 +58,13 @@ class SearchIndex:
         self._documents: dict[str, dict[str, str]] = {}
         self._doc_lengths: dict[tuple[str, str], int] = {}  # (doc, field) -> terms
         self._field_totals: dict[str, int] = {}
+        # Counters a query reads instead of counting postings, kept in
+        # step by add()/remove() and derived again by restore_state():
+        # documents having each field, documents containing each term,
+        # and each document's distinct terms (what remove() visits).
+        self._field_docs: dict[str, int] = {}
+        self._doc_freq: dict[str, int] = {}
+        self._doc_terms: dict[str, list[str]] = {}
         # Re-entrant: add() re-indexes an existing document by calling
         # remove() while already holding the lock.
         self._lock = named_lock("search.index", reentrant=True)
@@ -69,19 +77,32 @@ class SearchIndex:
             if doc_id in self._documents:
                 self.remove(doc_id)
             self._documents[doc_id] = dict(fields)
+            doc_terms: dict[str, object] = {}  # an ordered set: keys only
             for field_name, text in fields.items():
                 terms = analyze(text)
                 self._doc_lengths[(doc_id, field_name)] = len(terms)
                 self._field_totals[field_name] = (
                     self._field_totals.get(field_name, 0) + len(terms)
                 )
+                self._field_docs[field_name] = self._field_docs.get(field_name, 0) + 1
                 by_term: dict[str, list[int]] = {}
                 for position, term in enumerate(terms):
-                    by_term.setdefault(term, []).append(position)
+                    positions = by_term.get(term)
+                    if positions is None:
+                        by_term[term] = [position]
+                    else:
+                        positions.append(position)
                 for term, positions in by_term.items():
-                    self._postings.setdefault(term, []).append(
-                        _Posting(doc_id=doc_id, field=field_name, positions=positions)
-                    )
+                    posting = _Posting(doc_id, field_name, positions)
+                    postings = self._postings.get(term)
+                    if postings is None:
+                        self._postings[term] = [posting]
+                    else:
+                        postings.append(posting)
+                doc_terms.update(by_term)
+            for term in doc_terms:
+                self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
+            self._doc_terms[doc_id] = list(doc_terms)
 
     def remove(self, doc_id: str) -> bool:
         """Drop a document from the index; returns whether it existed."""
@@ -89,17 +110,20 @@ class SearchIndex:
             fields = self._documents.pop(doc_id, None)
             if fields is None:
                 return False
-            for term in list(self._postings):
+            for term in self._doc_terms.pop(doc_id):
                 remaining = [p for p in self._postings[term] if p.doc_id != doc_id]
                 if remaining:
                     self._postings[term] = remaining
+                    self._doc_freq[term] -= 1
                 else:
-                    del self._postings[term]
+                    del self._postings[term], self._doc_freq[term]
             for field_name in fields:
-                length = self._doc_lengths.pop((doc_id, field_name), 0)
-                self._field_totals[field_name] = max(
-                    0, self._field_totals.get(field_name, 0) - length
-                )
+                length = self._doc_lengths.pop((doc_id, field_name))
+                if self._field_docs[field_name] > 1:
+                    self._field_docs[field_name] -= 1
+                    self._field_totals[field_name] -= length
+                else:  # the field's last document: leave no zero behind
+                    del self._field_docs[field_name], self._field_totals[field_name]
             return True
 
     @property
@@ -110,16 +134,6 @@ class SearchIndex:
         return self._documents.get(doc_id)
 
     # -- scoring -----------------------------------------------------------
-
-    def _idf(self, term: str) -> float:
-        n_docs = len(self._documents)
-        containing = len({p.doc_id for p in self._postings.get(term, ())})
-        return math.log(1 + (n_docs - containing + 0.5) / (containing + 0.5))
-
-    def _avg_field_length(self, field_name: str) -> float:
-        total = self._field_totals.get(field_name, 0)
-        docs = sum(1 for (d, f) in self._doc_lengths if f == field_name)
-        return total / docs if docs else 1.0
 
     def search(
         self,
@@ -143,12 +157,20 @@ class SearchIndex:
             unique_terms = dict.fromkeys(terms)
             scores: dict[str, float] = {}
             matched_terms: dict[str, set[str]] = {}
+            n_docs = len(self._documents)
+            averages = {
+                field_name: self._field_totals[field_name] / docs
+                for field_name, docs in self._field_docs.items()
+            }
             for term in unique_terms:
-                idf = self._idf(term)
-                for posting in self._postings.get(term, ()):
+                containing = self._doc_freq.get(term)
+                if containing is None:
+                    continue
+                idf = math.log(1 + (n_docs - containing + 0.5) / (containing + 0.5))
+                for posting in self._postings[term]:
                     frequency = len(posting.positions)
-                    avg = self._avg_field_length(posting.field)
-                    length = self._doc_lengths.get((posting.doc_id, posting.field), 0)
+                    avg = averages[posting.field]
+                    length = self._doc_lengths[(posting.doc_id, posting.field)]
                     denom = frequency + self.k1 * (
                         1 - self.b + self.b * length / max(avg, 1e-9)
                     )
@@ -177,34 +199,26 @@ class SearchIndex:
             terms = analyze_query(phrase)
             if not terms:
                 return []
-            # candidate docs containing all terms
-            first = terms[0]
-            candidates: dict[tuple[str, str], list[int]] = {
-                (p.doc_id, p.field): p.positions
-                for p in self._postings.get(first, ())
-            }
+            # each following term's positions, by the field they are in
+            following = [
+                {(p.doc_id, p.field): p.positions for p in self._postings.get(term, ())}
+                for term in terms[1:]
+            ]
             hits = []
-            for (doc_id, field_name), start_positions in candidates.items():
-                positions = set(start_positions)
-                ok_positions = positions
-                for offset, term in enumerate(terms[1:], start=1):
-                    next_positions = {
-                        pos
-                        for p in self._postings.get(term, ())
-                        if p.doc_id == doc_id and p.field == field_name
-                        for pos in p.positions
-                    }
-                    ok_positions = {
-                        pos for pos in ok_positions if pos + offset in next_positions
-                    }
-                    if not ok_positions:
+            for first in self._postings.get(terms[0], ()):
+                key = (first.doc_id, first.field)
+                starts = set(first.positions)
+                for offset, positions_by_field in enumerate(following, start=1):
+                    positions = set(positions_by_field.get(key, ()))
+                    starts = {pos for pos in starts if pos + offset in positions}
+                    if not starts:
                         break
-                if ok_positions:
+                if starts:
                     hits.append(
                         SearchHit(
-                            doc_id=doc_id,
-                            score=float(len(ok_positions)),
-                            fields=self._documents[doc_id],
+                            doc_id=first.doc_id,
+                            score=float(len(starts)),
+                            fields=self._documents[first.doc_id],
                         )
                     )
             hits.sort(key=lambda h: (-h.score, h.doc_id))
@@ -222,6 +236,9 @@ class SearchIndex:
             self._documents.clear()
             self._doc_lengths.clear()
             self._field_totals.clear()
+            self._field_docs.clear()
+            self._doc_freq.clear()
+            self._doc_terms.clear()
 
     def to_state(self) -> dict:
         """JSON-safe serialisation of documents + postings."""
@@ -259,6 +276,17 @@ class SearchIndex:
             self._field_totals = {
                 k: int(v) for k, v in data["field_totals"].items()
             }
+            self._field_docs = dict(
+                Counter(field_name for _doc, field_name in self._doc_lengths)
+            )
+            doc_terms: dict[str, dict[str, None]] = {doc: {} for doc in self._documents}
+            for term, postings in self._postings.items():
+                for posting in postings:
+                    doc_terms[posting.doc_id][term] = None
+            self._doc_terms = {doc: list(terms) for doc, terms in doc_terms.items()}
+            self._doc_freq = dict(
+                Counter(term for terms in self._doc_terms.values() for term in terms)
+            )
 
 
 class SearchIndexParticipant:

@@ -16,8 +16,8 @@ import repro.search
 import repro.websim
 from repro.nlp.features import FeatureExtractor, word_shape
 from repro.nlp.gazetteer import Gazetteer
-from repro.nlp.tokenize import tokenize_words
 from repro.ontology import EntityType
+from search_oracle import tokenize_words
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ from repro.nlp.labeling import (
     make_gazetteer_lf,
     synthesize_corpus,
 )
-from repro.nlp.tokenize import tokenize_words
 from repro.ontology import EntityType
+from search_oracle import tokenize_words
 
 
 class TestGazetteer:

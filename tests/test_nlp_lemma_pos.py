@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.nlp.lemma import lemmatize
 from repro.nlp.pos import is_verb_like, tag
-from repro.nlp.tokenize import tokenize_words
+from search_oracle import tokenize_words
 
 
 class TestLemmatize:

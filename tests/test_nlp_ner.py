@@ -9,9 +9,9 @@ from repro.nlp import (
     evaluate_relations,
 )
 from repro.nlp.ner import decode_bio
-from repro.nlp.tokenize import tokenize_words
 from repro.ontology import EntityType
 from repro.websim.scenario import generate_report_content, make_scenarios
+from search_oracle import tokenize_words
 
 
 class TestDecodeBio:

@@ -3,8 +3,8 @@
 from repro.nlp.depparse import parse
 from repro.nlp.ner import EntitySpan
 from repro.nlp.relation import RelationExtractor, ioc_spans
-from repro.nlp.tokenize import tokenize_words
 from repro.ontology import EntityType
+from search_oracle import tokenize_words
 
 
 def spans_for(tokens, *specs):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.ioc import find_iocs
-from repro.nlp.tokenize import tokenize_sentences, tokenize_words
+from repro.nlp.tokenize import tokenize_sentences
 from repro.ontology import EntityType
+from search_oracle import tokenize_words
 
 
 class TestSentenceSplitting:

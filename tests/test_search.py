@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import search_oracle
+from repro import SecurityKG, SystemConfig
 from repro.search import SearchIndex, analyze
 
 
@@ -192,3 +194,131 @@ class TestScoresDoNotDependOnTheHashSeed:
             outputs.add(child.stdout.strip())
         assert len(outputs) == 1, outputs
         assert "'a'" in outputs.pop()
+
+
+# -- against the brute-force oracle ------------------------------------------
+
+BOOSTS = {"title": 3.0, "entities": 2.0, "body": 1.0}
+
+#: the shapes that broke the tokenizer: words glued to IOCs, literal
+#: placeholders, IOCs at sentence edges, abbreviations, non-ASCII
+_ADVERSARIAL = [
+    "c2", "-", "'", " ", "  ", ". ", ".", "\n", ", ", "10.1.2.3", "evil.com",
+    "update-relay3.xyz", "https://evil.example/gate?x=1", "/usr/bin/x",
+    r"C:\Program Files\x.exe", r"HKLM\Software\Run", "a.exe", "CVE-2020-1234",
+    "user@mail.example", "iocshield0", "iocshield1", "e.g.", "Dr.", "The",
+    "Encrypts", "files", "was", "Zeus", "9", "x_", "é", "\u00a0", "(", ")", "!",
+    "d41d8cd98f00b204e9800998ecf8427e",
+]
+adversarial_text = st.lists(st.sampled_from(_ADVERSARIAL), max_size=14).map("".join)
+any_text = st.one_of(adversarial_text, st.text(max_size=40))
+
+
+def ranked(hits):
+    return [(hit.doc_id, repr(hit.score)) for hit in hits]
+
+
+def oracle_ranked(hits):
+    return [(doc_id, repr(score)) for doc_id, score in hits]
+
+
+def same_answers(index, oracle, queries, limit=1000):
+    assert index.to_state() == oracle.state()
+    for query in queries:
+        for mode in ("or", "and"):
+            assert ranked(index.search(query, limit=limit, mode=mode)) == (
+                oracle_ranked(oracle.search(query, limit=limit, mode=mode))
+            ), (query, mode)
+        assert ranked(index.phrase_search(query, limit=limit)) == oracle_ranked(
+            oracle.phrase_search(query, limit=limit)
+        ), query
+
+
+class TestAgainstOracle:
+    @given(any_text)
+    @settings(max_examples=300, deadline=None)
+    def test_analyzer_terms(self, text):
+        assert analyze(text) == search_oracle.analyze(text)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add", "add", "remove"]),
+                st.sampled_from(["d0", "d1", "d2", "d3"]),
+                st.dictionaries(
+                    st.sampled_from(["title", "body", "entities"]),
+                    adversarial_text,
+                    max_size=3,
+                ),
+            ),
+            max_size=10,
+        ),
+        st.lists(adversarial_text, min_size=1, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_adds_re_adds_and_removes(self, operations, queries):
+        index = SearchIndex(BOOSTS)
+        oracle = search_oracle.OracleIndex(BOOSTS)
+        for op, doc_id, fields in operations:
+            if op == "add":
+                index.add(doc_id, fields)
+                oracle.add(doc_id, fields)
+            else:
+                assert index.remove(doc_id) == oracle.remove(doc_id)
+        same_answers(index, oracle, queries)
+        # nothing of a removed or replaced document is left behind:
+        # the state is that of a fresh index given the survivors
+        fresh = SearchIndex(BOOSTS)
+        for doc_id, fields in oracle.documents.items():
+            fresh.add(doc_id, fields)
+        assert index.to_state() == fresh.to_state()
+        # ... and it survives the snapshot round trip, counters included
+        restored = SearchIndex()
+        restored.restore_state(json.loads(json.dumps(index.to_state())))
+        same_answers(restored, oracle, queries)
+        for doc_id in list(oracle.documents):
+            assert restored.remove(doc_id)
+        assert restored.to_state() == SearchIndex(BOOSTS).to_state()
+
+    @pytest.mark.parametrize("seed", [7, 11, 23])
+    def test_websim_corpus(self, seed):
+        """Every report of the 42-site web, as the search connector
+        indexes it."""
+        import random
+
+        from repro.connectors.searchconn import SearchConnector
+        from repro.websim import build_default_web
+
+        kg = SecurityKG(
+            SystemConfig(recognizer="gazetteer", clock="virtual", time_scale=0.0,
+                         failure_rate=0.0, connectors=["graph"]),
+            web=build_default_web(scenario_count=40, reports_per_site=2, seed=seed),
+        )
+        crawl = kg.crawl()
+        records, _result = kg.process(kg.checker.filter(kg.porter.port(crawl.documents)).passed)
+        kg.close()
+        assert len(records) > 75
+        connector = SearchConnector()
+        connector.ingest(records)
+        index = connector.index
+        oracle = search_oracle.OracleIndex(index.field_boosts)
+        for record in records:
+            oracle.add(record.report_id, index.document(record.report_id))
+        rng = random.Random(seed)
+        vocabulary = sorted(
+            {term for fields in oracle.analysed.values() for terms in fields.values()
+             for term in terms}
+        )
+        queries = [
+            " ".join(rng.sample(vocabulary, rng.choice((1, 2, 2, 3)))) for _ in range(25)
+        ]
+        queries += [record.title for record in rng.sample(records, 5)]
+        same_answers(index, oracle, queries)
+        # re-index a third of the corpus, drop a tenth
+        for record in rng.sample(records, len(records) // 3):
+            fields = dict(index.document(record.report_id), title="re-indexed " + record.title)
+            index.add(record.report_id, fields)
+            oracle.add(record.report_id, fields)
+        for record in rng.sample(records, len(records) // 10):
+            assert index.remove(record.report_id) == oracle.remove(record.report_id)
+        same_answers(index, oracle, queries)
