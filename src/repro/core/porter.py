@@ -27,6 +27,10 @@ class ParsedPages:
     def __init__(self, documents: list[Document]):
         self.documents = documents
 
+    @classmethod
+    def of(cls, record: ReportRecord) -> "ParsedPages":
+        return cls([parse(page) for page in record.pages])
+
     @cached_property
     def text(self) -> str:
         """Every page rendered to text.  Page by page: a document has
@@ -51,17 +55,20 @@ def parsed_pages(record: ReportRecord) -> ParsedPages:
     """
     pages = getattr(record, "_parsed_pages", None)
     if pages is None:
-        pages = ParsedPages([parse(page) for page in record.pages])
-        record._parsed_pages = pages  # type: ignore[attr-defined]
+        pages = record._parsed_pages = ParsedPages.of(record)  # type: ignore[attr-defined]
     return pages
 
 
 def take_parsed_pages(record: ReportRecord) -> ParsedPages:
     """:func:`parsed_pages` for the last reader: the record lets the
-    DOMs go, so they are freed when the caller is done with them."""
-    pages = parsed_pages(record)
-    del record._parsed_pages  # type: ignore[attr-defined]
-    return pages
+    DOMs go, so they are freed when the caller is done with them.
+
+    One atomic ``pop``: benchmarks feed the same record instance
+    through a pipeline several times, so two parse workers may be
+    taking from one record at once.
+    """
+    pages = record.__dict__.pop("_parsed_pages", None)
+    return pages if pages is not None else ParsedPages.of(record)
 
 
 class Porter:

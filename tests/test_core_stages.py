@@ -250,6 +250,26 @@ class TestOneDomPerPage:
         assert dispatch.parse(record) == first
         assert len(tokenizer_calls) == before + len(record.pages)
 
+    def test_one_record_instance_many_times_in_a_batch(self, crawl_documents):
+        """Benchmarks replay a batch of the same instances, so several
+        parse workers may take one record's DOMs at the same moment."""
+        import sys
+
+        ported = Porter().port(crawl_documents)[:3]
+        kg = SecurityKG(
+            SystemConfig(recognizer="gazetteer", connectors=["graph"], parse_workers=4)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records, result = kg.process(ported * 40)
+        finally:
+            sys.setswitchinterval(interval)
+            kg.close()
+        assert not result.errors
+        assert len(records) == 120
+        assert len({record.to_json() for record in records}) == 3
+
     def test_serialized_boundaries_yield_the_same_records(self, crawl_documents):
         base = dict(recognizer="gazetteer", connectors=["graph"])
         outputs = []
