@@ -87,18 +87,11 @@ class SearchIndex:
                 self._field_docs[field_name] = self._field_docs.get(field_name, 0) + 1
                 by_term: dict[str, list[int]] = {}
                 for position, term in enumerate(terms):
-                    positions = by_term.get(term)
-                    if positions is None:
-                        by_term[term] = [position]
-                    else:
-                        positions.append(position)
+                    by_term.setdefault(term, []).append(position)
                 for term, positions in by_term.items():
-                    posting = _Posting(doc_id, field_name, positions)
-                    postings = self._postings.get(term)
-                    if postings is None:
-                        self._postings[term] = [posting]
-                    else:
-                        postings.append(posting)
+                    self._postings.setdefault(term, []).append(
+                        _Posting(doc_id, field_name, positions)
+                    )
                 doc_terms.update(by_term)
             for term in doc_terms:
                 self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
