@@ -5,7 +5,7 @@ Grammar (informal)::
     query      := match_query | create_query
     match_query:= MATCH pattern (WHERE expr)? RETURN (DISTINCT)? items
                   (ORDER BY order_items)? (SKIP n)? (LIMIT n)?
-    create_query := CREATE pattern
+    create_query := CREATE pattern   (directed single-hop rels only)
     pattern    := path (',' path)*
     path       := node (rel node)*
     node       := '(' IDENT? (':' IDENT)? props? ')'
@@ -33,6 +33,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: inside a CREATE: a relationship is written, not matched
+        self.creating = False
 
     # -- token helpers ------------------------------------------------
 
@@ -131,6 +133,7 @@ class _Parser:
 
     def create_query(self) -> ast.CreateQuery:
         self.expect(TokenType.KEYWORD, "CREATE")
+        self.creating = True
         return ast.CreateQuery(paths=self.pattern())
 
     # -- patterns --------------------------------------------------------------
@@ -191,6 +194,7 @@ class _Parser:
 
     def rel_pattern(self) -> ast.RelPattern:
         direction = "any"
+        start = self.peek().position
         if self.accept(TokenType.SYMBOL, "<-"):
             direction = "in"
         else:
@@ -223,6 +227,18 @@ class _Parser:
             raise CypherSyntaxError(
                 "variable-length relationships cannot bind a variable"
             )
+        if self.creating:
+            # one edge, one way: anything else would be written as
+            # something the query did not say
+            if star_pos >= 0:
+                raise CypherSyntaxError(
+                    "CREATE cannot write a variable-length relationship "
+                    f"at offset {star_pos}"
+                )
+            if direction == "any":
+                raise CypherSyntaxError(
+                    f"CREATE needs a directed relationship at offset {start}"
+                )
         return ast.RelPattern(
             variable=variable,
             rel_type=rel_type,

@@ -307,6 +307,16 @@ class TestCreate:
         assert graph.node_count == 3
         assert graph.edge_count == 2
 
+    @pytest.mark.parametrize("rel", ["-[:DROPS*1..3]->", "-[:DROPS]-"])
+    def test_create_writes_nothing_it_was_not_asked_to(self, rel):
+        """One edge, one way, or a syntax error -- which strict=False
+        cannot skip -- and an untouched graph."""
+        graph = PropertyGraph()
+        query = f"CREATE (a:Malware {{name: 'q'}}){rel}(b:FileName {{name: 'v'}})"
+        with pytest.raises(CypherSyntaxError):
+            CypherEngine(graph).run(query, strict=False)
+        assert (graph.node_count, graph.edge_count) == (0, 0)
+
 
 class TestErrors:
     def test_syntax_error(self, engine):
@@ -347,6 +357,9 @@ class TestErrors:
         "MATCH (n) RETURN n extra": "expected 'eof' at offset 19, found 'extra'",
         "MATCH (n) WHERE n.x IS 5 RETURN n": "expected 'NULL' at offset 23, found '5'",
         "MATCH (n)-[:X*1.]->(m) RETURN n": "expected '.' at offset 16, found ']'",
+        "CREATE (a)-[:X*1..3]->(b)":
+            "CREATE cannot write a variable-length relationship at offset 14",
+        "CREATE (a)-[:X]-(b)": "CREATE needs a directed relationship at offset 10",
     }
 
     @pytest.mark.parametrize("query", sorted(SYNTAX_ERRORS))
