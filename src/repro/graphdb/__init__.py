@@ -1,8 +1,8 @@
 """In-process property graph database (Neo4j substitute).
 
 A labelled property graph with adjacency/label/property indexes
-(:mod:`repro.graphdb.store`), WAL + snapshot durability and buffered
-transactions (:mod:`repro.graphdb.wal`), traversal primitives for the
+(:mod:`repro.graphdb.store`), its journaled mutation API on the
+storage engine (:mod:`repro.graphdb.wal`), traversal primitives for the
 UI (:mod:`repro.graphdb.traversal`) and a Cypher-subset query engine
 (:mod:`repro.graphdb.cypher`).
 
@@ -31,7 +31,7 @@ from repro.graphdb.traversal import (
     random_subgraph,
     shortest_path,
 )
-from repro.graphdb.wal import GraphDatabase, Transaction, TransactionError
+from repro.graphdb.wal import GraphDatabase
 
 __all__ = [
     "CypherAnalysisError",
@@ -44,8 +44,6 @@ __all__ = [
     "PropertyGraph",
     "ResultRow",
     "Subgraph",
-    "Transaction",
-    "TransactionError",
     "bfs_nodes",
     "induced_subgraph",
     "k_hop_subgraph",

@@ -28,7 +28,6 @@ once per state of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.compiler import CypherRuntimeError
@@ -36,13 +35,10 @@ from repro.graphdb.cypher.iterators import ExecutionContext, QuantumExhausted
 from repro.graphdb.cypher.lexer import CypherSyntaxError
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.cypher.planner import PhysicalPlan, build_plan
-from repro.graphdb.store import Node, PropertyGraph
+from repro.graphdb.store import PropertyGraph
 from repro.obs import NO_OBS, Obs
 from repro.runtime.clock import Clock, REAL_CLOCK
 from repro.runtime.locks import named_lock
-
-if TYPE_CHECKING:
-    from repro.graphdb.wal import Transaction
 
 #: Most query texts the engine keeps prepared; the oldest is dropped for
 #: a new one.  A serving mix repeats a few hundred texts (point lookups
@@ -396,27 +392,24 @@ class CypherEngine:
             return
         # one transaction, one journal record: the created subgraph is
         # replayed on recovery like any connector write
-        tx = self._database_for(query).begin()
-        self._write_create(query, tx)
-        tx.commit()
+        database = self._database_for(query)
+        with database.engine.transaction():
+            self._write_create(query, database)
 
     @staticmethod
-    def _write_create(
-        query: ast.CreateQuery, target: "PropertyGraph | Transaction"
-    ) -> None:
-        """Walk the CREATE paths, creating each node once per variable."""
+    def _write_create(query: ast.CreateQuery, target) -> None:
+        """Walk the CREATE paths, creating each node once per variable.
+        ``target`` is the bare graph or the database that journals it:
+        the same ``create_node`` / ``create_edge``."""
         bound: dict[str, int] = {}
         for path in query.paths:
             previous: int | None = None
             for index, pattern in enumerate(path.nodes):
                 node = bound.get(pattern.variable) if pattern.variable else None
                 if node is None:
-                    created = target.create_node(
+                    node = target.create_node(
                         pattern.label or "Node", dict(pattern.properties)
-                    )
-                    # a graph hands back the node, a transaction the
-                    # placeholder id its commit resolves
-                    node = created.node_id if isinstance(created, Node) else created
+                    ).node_id
                     if pattern.variable:
                         bound[pattern.variable] = node
                 if index > 0:

@@ -1,11 +1,12 @@
 """Durable property graph on the storage engine.
 
-:class:`GraphDatabase` is the graph's mutation API (transactions with
-placeholder ids, auto-committed single mutations, snapshot compaction);
-persistence lives in :class:`repro.storage.StorageEngine`: the graph
-registers a :class:`GraphParticipant` whose op batches are journalled
-alongside the search index's and crawl state's, so one pipeline batch
-commits across all stores atomically.  ``GraphDatabase(path)`` without
+:class:`GraphDatabase` is the graph's mutation API (single mutations,
+each its own commit unless an ``engine.transaction()`` is open, and
+snapshot compaction); persistence lives in
+:class:`repro.storage.StorageEngine`: the graph registers a
+:class:`GraphParticipant` whose op batches are journalled alongside the
+search index's and crawl state's, so one pipeline batch commits across
+all stores atomically.  ``GraphDatabase(path)`` without
 an engine owns a one-participant engine (in memory when ``path`` is
 ``None``) -- the same single mutation path, not a second format.
 """
@@ -16,10 +17,6 @@ from pathlib import Path
 
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.storage.engine import StorageEngine
-
-
-class TransactionError(Exception):
-    """Raised for misuse of the transaction API."""
 
 
 class GraphApplyOutcome:
@@ -35,7 +32,9 @@ class GraphApplyOutcome:
 class GraphParticipant:
     """The property graph's storage-engine adapter.
 
-    Ops (one batch preserves one transaction's placeholder scope):
+    Ops (a placeholder is scoped to its batch; :class:`GraphDatabase`
+    writes one-op batches naming real ids, and a journal whose batches
+    build a subgraph out of placeholders replays the same way):
 
     - ``create_node``: ``ref`` (placeholder < 0), ``label``, ``props``
     - ``create_edge``: ``src``/``dst`` (real or placeholder), ``type``, ``props``
@@ -124,90 +123,10 @@ class GraphParticipant:
         self.graph = PropertyGraph(id_base=self.id_base)
 
 
-class Transaction:
-    """A buffered batch of mutations with commit/rollback semantics.
-
-    Reads inside a transaction see the *committed* state (snapshot-ish
-    isolation at batch granularity: this models the connector's
-    insert-batch-per-report behaviour, not full MVCC).  Node/edge ids
-    are assigned at commit; the transaction returns placeholder ids
-    that the commit maps to real ones.
-    """
-
-    def __init__(self, database: "GraphDatabase"):
-        self._db = database
-        self._ops: list[dict[str, object]] = []
-        self._next_placeholder = -1
-        self._closed = False
-
-    def _placeholder(self) -> int:
-        value = self._next_placeholder
-        self._next_placeholder -= 1
-        return value
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise TransactionError("transaction already committed or rolled back")
-
-    def create_node(self, label: str, properties: dict[str, object] | None = None) -> int:
-        """Buffer a node insert; returns a placeholder id (< 0)."""
-        self._check_open()
-        ref = self._placeholder()
-        self._ops.append(
-            {"op": "create_node", "ref": ref, "label": label, "props": dict(properties or {})}
-        )
-        return ref
-
-    def create_edge(
-        self,
-        src: int,
-        edge_type: str,
-        dst: int,
-        properties: dict[str, object] | None = None,
-    ) -> None:
-        """Buffer an edge insert; endpoints may be placeholders."""
-        self._check_open()
-        self._ops.append(
-            {
-                "op": "create_edge",
-                "src": src,
-                "type": edge_type,
-                "dst": dst,
-                "props": dict(properties or {}),
-            }
-        )
-
-    def set_node_properties(self, node_id: int, properties: dict[str, object]) -> None:
-        self._check_open()
-        self._ops.append(
-            {"op": "set_node_props", "id": node_id, "props": dict(properties)}
-        )
-
-    def commit(self) -> dict[int, int]:
-        """Apply the batch; returns placeholder -> real node id."""
-        self._check_open()
-        self._closed = True
-        return self._db._commit(self._ops)
-
-    def rollback(self) -> None:
-        self._check_open()
-        self._closed = True
-        self._ops.clear()
-
-    def __enter__(self) -> "Transaction":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> None:
-        if self._closed:
-            return
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-
-
 class GraphDatabase:
-    """Persistent property graph: journal + snapshots + transactions.
+    """Persistent property graph: the graph's face on the engine's
+    journal and snapshots.  Several mutations become one journal record
+    inside ``with database.engine.transaction():``.
 
     Parameters
     ----------
@@ -251,25 +170,14 @@ class GraphDatabase:
 
     # -- mutation path ----------------------------------------------------
 
-    def _commit(self, ops: list[dict[str, object]]) -> dict[int, int]:
-        if not ops:
-            return {}
-        return self._log(ops).id_map
-
-    def _log(self, ops: list[dict[str, object]]) -> GraphApplyOutcome:
-        return self.engine.log(GraphParticipant.name, ops)
-
-    # -- public API -------------------------------------------------------
-
-    def begin(self) -> Transaction:
-        """Start a buffered transaction."""
-        return Transaction(self)
+    def _log(self, op: dict[str, object]) -> GraphApplyOutcome:
+        return self.engine.log(GraphParticipant.name, [op])
 
     def create_node(self, label: str, properties: dict[str, object] | None = None) -> Node:
         """Auto-committed single-node insert."""
         outcome = self._log(
-            [{"op": "create_node", "ref": -1, "label": label,
-              "props": dict(properties or {})}]
+            {"op": "create_node", "ref": -1, "label": label,
+             "props": dict(properties or {})}
         )
         return self.graph.node(outcome.id_map[-1])
 
@@ -282,22 +190,22 @@ class GraphDatabase:
     ) -> Edge:
         """Auto-committed single-edge insert."""
         outcome = self._log(
-            [{"op": "create_edge", "src": src, "type": edge_type, "dst": dst,
-              "props": dict(properties or {})}]
+            {"op": "create_edge", "src": src, "type": edge_type, "dst": dst,
+             "props": dict(properties or {})}
         )
         return outcome.edges[-1]
 
     def set_node_properties(self, node_id: int, properties: dict[str, object]) -> None:
         """Auto-committed property merge on a node."""
-        self._commit([{"op": "set_node_props", "id": node_id, "props": dict(properties)}])
+        self._log({"op": "set_node_props", "id": node_id, "props": dict(properties)})
 
     def set_edge_properties(self, edge_id: int, properties: dict[str, object]) -> None:
         """Auto-committed property merge on an edge."""
-        self._commit([{"op": "set_edge_props", "id": edge_id, "props": dict(properties)}])
+        self._log({"op": "set_edge_props", "id": edge_id, "props": dict(properties)})
 
     def merge_nodes(self, canonical_id: int, losers: list[int]) -> None:
         """Auto-committed fold of alias nodes into ``canonical_id``."""
-        self._commit([{"op": "merge_nodes", "canonical": canonical_id, "losers": losers}])
+        self._log({"op": "merge_nodes", "canonical": canonical_id, "losers": losers})
 
     def snapshot(self) -> None:
         """Compact the engine's journal into a fresh snapshot generation."""
@@ -317,6 +225,4 @@ class GraphDatabase:
 __all__ = [
     "GraphDatabase",
     "GraphParticipant",
-    "Transaction",
-    "TransactionError",
 ]

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alias_corpus import graph_identity
-from repro.graphdb import GraphDatabase, PropertyGraph, TransactionError
+from repro.graphdb import GraphDatabase, PropertyGraph
+from repro.graphdb.wal import GraphParticipant
 
 
 @pytest.fixture
@@ -107,51 +108,40 @@ class TestEdges:
 
 
 class TestTransactions:
-    def test_commit_applies_batch(self):
-        db = GraphDatabase()
-        with db.begin() as tx:
-            m = tx.create_node("Malware", {"name": "emotet"})
-            f = tx.create_node("FileName", {"name": "x.exe"})
-            tx.create_edge(m, "DROPS", f)
+    """Several graph mutations are one commit inside the engine's
+    transaction -- the graph has no transaction of its own."""
+
+    def test_commit_applies_batch(self, tmp_path):
+        db = GraphDatabase(tmp_path / "db")
+        with db.engine.transaction():
+            m = db.create_node("Malware", {"name": "emotet"})
+            f = db.create_node("FileName", {"name": "x.exe"})
+            db.create_edge(m.node_id, "DROPS", f.node_id)
         assert db.graph.node_count == 2
         assert db.graph.edge_count == 1
-
-    def test_rollback_discards(self):
-        db = GraphDatabase()
-        tx = db.begin()
-        tx.create_node("Malware", {"name": "emotet"})
-        tx.rollback()
-        assert db.graph.node_count == 0
-
-    def test_exception_rolls_back(self):
-        db = GraphDatabase()
-        with pytest.raises(RuntimeError):
-            with db.begin() as tx:
-                tx.create_node("Malware", {"name": "emotet"})
-                raise RuntimeError("boom")
-        assert db.graph.node_count == 0
-
-    def test_double_commit_rejected(self):
-        db = GraphDatabase()
-        tx = db.begin()
-        tx.create_node("A")
-        tx.commit()
-        with pytest.raises(TransactionError):
-            tx.commit()
+        assert db.engine.last_seq == 1  # one journal record
+        db.close()
+        with GraphDatabase(tmp_path / "db") as reopened:
+            assert reopened.graph.edge_count == 1
 
     def test_placeholder_mapping(self):
-        db = GraphDatabase()
-        tx = db.begin()
-        ref = tx.create_node("A", {"name": "x"})
-        assert ref < 0
-        id_map = tx.commit()
-        assert db.graph.node(id_map[ref]).properties["name"] == "x"
+        """A batch may name the nodes it creates by placeholder: how
+        older journals carry a Cypher CREATE."""
+        outcome = GraphParticipant().apply(
+            [
+                {"op": "create_node", "ref": -1, "label": "A", "props": {"name": "x"}},
+                {"op": "create_node", "ref": -2, "label": "B", "props": {}},
+                {"op": "create_edge", "src": -1, "type": "R", "dst": -2, "props": {}},
+            ]
+        )
+        assert outcome.id_map == {-1: 1, -2: 2}
+        assert (outcome.edges[0].src, outcome.edges[0].dst) == (1, 2)
 
     def test_set_properties_in_transaction(self):
         db = GraphDatabase()
         node = db.create_node("A", {"name": "x"})
-        with db.begin() as tx:
-            tx.set_node_properties(node.node_id, {"seen": 2})
+        with db.engine.transaction():
+            db.set_node_properties(node.node_id, {"seen": 2})
         assert db.graph.node(node.node_id).properties["seen"] == 2
 
 
@@ -268,8 +258,7 @@ class TestDurability:
 
         def writer(k):
             for i in range(25):
-                with db.begin() as tx:
-                    tx.create_node("N", {"name": f"{k}-{i}"})
+                db.create_node("N", {"name": f"{k}-{i}"})
 
         threads = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
         for t in threads:

@@ -318,6 +318,65 @@ class TestCypherCreateIsJournaled:
         assert [row["tool"] for row in rows] == ["handtool"]
         reopened.close()
 
+    #: a two-node path whose first node partition 0 owns at N = 2 too
+    #: (nameless nodes go there), where the crash injector is armed
+    PATH_CREATE = (
+        "CREATE (:Malware {family: 'handmade'})-[:USES]->(:Tool {name: 'handtool'})"
+    )
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_one_create_is_one_journal_record(self, tmp_path, partitions):
+        kg = make_kg(tmp_path / "state", partitions=partitions)
+        kg.store(self._records(0, 2))
+        engine = kg.shards.partitions[0].engine
+        seq = engine.last_seq
+        lines = len(engine.journal_path.read_text().splitlines())
+        kg.cypher(self.PATH_CREATE, strict=False)
+        assert engine.last_seq == seq + 1
+        record = engine.journal_path.read_text().splitlines()[lines:]
+        assert len(record) == 1
+        batches = json.loads(record[0])["ops"]["graph"]
+        ops = [op["op"] for batch in batches for op in batch]
+        assert ops == ["create_node", "create_node", "create_edge"]
+        kg.close()
+
+    @pytest.mark.parametrize("partitions", [1, 2])
+    @pytest.mark.parametrize(
+        "point", [point for point in CRASH_POINTS if point.startswith("commit.")]
+    )
+    def test_crash_during_create_is_all_or_nothing(self, tmp_path, partitions, point):
+        kg = make_kg(
+            tmp_path / "state", partitions=partitions, faults=CrashInjector(point)
+        )
+        with pytest.raises(InjectedCrash):
+            kg.cypher(self.PATH_CREATE, strict=False)
+        reopened = make_kg(tmp_path / "state", partitions=partitions)
+        survived = point in ("commit.after-append", "commit.after-fsync")
+        graph = reopened.graph
+        assert (graph.node_count, graph.edge_count) == ((2, 1) if survived else (0, 0))
+        reopened.close()
+
+    def test_placeholder_journal_replays_to_the_same_ids(self, tmp_path):
+        """A CREATE used to be journaled as one batch naming its nodes
+        by placeholder; such a record replays to the graph the same
+        CREATE writes now."""
+        make_kg(tmp_path / "old").close()
+        journal = next((tmp_path / "old").glob("journal-*.jsonl"))
+        journal.write_bytes(
+            b'{"seq": 1, "ops": {"graph": [[{"op": "create_node", "ref": -1, '
+            b'"label": "Malware", "props": {"family": "handmade"}}, '
+            b'{"op": "create_node", "ref": -2, "label": "Tool", "props": '
+            b'{"name": "handtool"}}, {"op": "create_edge", "src": -1, "type": '
+            b'"USES", "dst": -2, "props": {}}]]}, "marks": []}\n'
+        )
+        old = make_kg(tmp_path / "old")
+        new = make_kg(tmp_path / "new")
+        new.cypher(self.PATH_CREATE, strict=False)
+        assert self._contents(old) == self._contents(new)
+        assert old.graph.edge_count == 1
+        old.close()
+        new.close()
+
 
 # ---------------------------------------------------------------------------
 # fusion is a transaction: graph state = f(journal), ids included
