@@ -70,9 +70,8 @@ concurrency invariants the deterministic-replay pipeline depends on
 
 Findings can be suppressed with a ``# repro: allow[rule]`` comment on
 the offending line or the line above; ``rule`` is the full id
-(``det/wall-clock``) or its leaf (``wall-clock``).  The committed
-baseline (``analysis/baseline.json``) grandfathers existing findings so
-CI fails only on new violations.
+(``det/wall-clock``) or its leaf (``wall-clock``).  That comment is the
+only exemption: every other finding fails the run.
 """
 
 from __future__ import annotations
@@ -94,8 +93,6 @@ from repro.storage.atomic import atomic_write_text
 
 #: Root the default scan covers: the installed ``repro`` package source.
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
-#: Committed baseline of grandfathered findings.
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 #: Modules allowed to touch global randomness / wall clocks.
 SANCTIONED_SUFFIXES = ("websim/rnd.py",)
@@ -623,7 +620,7 @@ def _mentions_span(expr: ast.expr) -> bool:
 
 
 def lint_file(path: Path) -> list[Diagnostic]:
-    """All findings for one file (suppressions applied, baseline not)."""
+    """All findings for one file (suppressions applied)."""
     source = path.read_text(encoding="utf-8")
     return _FileLint(path, source).run()
 
@@ -649,7 +646,7 @@ def concurrency_findings(
     Returns the canonical lock-hierarchy model plus the interprocedural
     ``conc/*`` findings, with ``# repro: allow[...]`` comments honoured
     and paths rewritten relative to the working directory so they print
-    (and baseline) like per-file findings.
+    like per-file findings.
     """
     base = Path(root).resolve() if root is not None else DEFAULT_ROOT
     model, diagnostics = analyze_paths(list(paths), root=base)
@@ -672,80 +669,13 @@ def concurrency_findings(
     return model, kept
 
 
-# -- baseline ---------------------------------------------------------------
-
-
-def _baseline_key(diagnostic: Diagnostic) -> tuple[str, str, str]:
-    """A line-number-free identity for baseline matching.
-
-    Uses the path relative to the scanned package root (stable across
-    checkouts) plus the rule and the stripped source line, so findings
-    survive unrelated edits that shift line numbers.
-    """
-    path = Path(diagnostic.path or "").resolve()
-    try:
-        rel = path.relative_to(DEFAULT_ROOT).as_posix()
-    except ValueError:
-        rel = path.name
-    line_text = ""
-    if diagnostic.line:
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-            line_text = lines[diagnostic.line - 1].strip()
-        except (OSError, IndexError):
-            line_text = ""
-    return (rel, diagnostic.rule, line_text)
-
-
-def write_baseline(findings: list[Diagnostic], path: Path) -> int:
-    """Persist current findings as the baseline; returns the entry count."""
-    counts: dict[tuple[str, str, str], int] = {}
-    for diagnostic in findings:
-        counts[_baseline_key(diagnostic)] = (
-            counts.get(_baseline_key(diagnostic), 0) + 1
-        )
-    entries = [
-        {"path": rel, "rule": rule, "line": line_text, "count": count}
-        for (rel, rule, line_text), count in sorted(counts.items())
-    ]
-    atomic_write_text(path, json.dumps(entries, indent=2) + "\n")
-    return len(entries)
-
-
-def load_baseline(path: Path) -> dict[tuple[str, str, str], int]:
-    if not path.exists():
-        return {}
-    entries = json.loads(path.read_text(encoding="utf-8"))
-    return {
-        (entry["path"], entry["rule"], entry["line"]): int(
-            entry.get("count", 1)
-        )
-        for entry in entries
-    }
-
-
-def apply_baseline(
-    findings: list[Diagnostic], baseline: dict[tuple[str, str, str], int]
-) -> list[Diagnostic]:
-    """Findings not covered by the baseline (count-aware)."""
-    remaining = dict(baseline)
-    new: list[Diagnostic] = []
-    for diagnostic in findings:
-        key = _baseline_key(diagnostic)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-            continue
-        new.append(diagnostic)
-    return new
-
-
 # -- CLI --------------------------------------------------------------------
 
 
 def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     """``repro-lint`` / ``python -m repro lint`` entry point.
 
-    Exits 0 when no findings beyond the baseline, 1 otherwise.
+    Exits 0 when there are no findings, 1 otherwise.
     """
     out = out if out is not None else sys.stdout
     parser = argparse.ArgumentParser(
@@ -758,22 +688,6 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
         nargs="*",
         type=Path,
         help=f"files or directories to lint (default: {DEFAULT_ROOT})",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help="baseline file of grandfathered findings",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
     )
     parser.add_argument(
         "--json",
@@ -802,44 +716,17 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     if args.concurrency_report is not None:
         atomic_write_text(args.concurrency_report, model.canonical_json())
 
-    if args.write_baseline:
-        # conc/* findings are never baselined: the lock hierarchy must
-        # stay clean, not grandfathered (CONCURRENCY.md).
-        count = write_baseline(
-            [f for f in findings if not f.rule.startswith("conc/")],
-            args.baseline,
-        )
-        print(
-            f"baseline written: {count} entr{'y' if count == 1 else 'ies'} "
-            f"({len(findings)} finding{'s' if len(findings) != 1 else ''}) "
-            f"-> {args.baseline}",
-            file=out,
-        )
-        return 0
-
-    baseline = {} if args.no_baseline else load_baseline(args.baseline)
-    baseline = {
-        key: count
-        for key, count in baseline.items()
-        if not key[1].startswith("conc/")
-    }
-    new = apply_baseline(findings, baseline)
-    grandfathered = len(findings) - len(new)
     if args.json:
         payload = {
-            "findings": [diagnostic.to_dict() for diagnostic in new],
-            "total": len(new),
-            "grandfathered": grandfathered,
+            "findings": [diagnostic.to_dict() for diagnostic in findings],
+            "total": len(findings),
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 1 if new else 0
-    for diagnostic in new:
+        return 1 if findings else 0
+    for diagnostic in findings:
         print(diagnostic.format(), file=out)
-    summary = f"{len(new)} finding{'s' if len(new) != 1 else ''}"
-    if grandfathered:
-        summary += f" ({grandfathered} grandfathered by baseline)"
-    print(summary, file=out)
-    return 1 if new else 0
+    print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}", file=out)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

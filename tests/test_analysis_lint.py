@@ -1,20 +1,12 @@
 """Tests for the repo invariant lint."""
 
 import io
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    apply_baseline,
-    lint_file,
-    lint_paths,
-    load_baseline,
-    main,
-    write_baseline,
-)
+from repro.analysis.lint import lint_file, main
 
 
 def lint_source(tmp_path: Path, source: str, name: str = "mod.py"):
@@ -479,57 +471,13 @@ class TestSuppression:
         assert rules(findings) == ["det/wall-clock"]
 
 
-class TestBaseline:
-    def test_baseline_roundtrip_suppresses_known_findings(self, tmp_path):
-        source = """
-            import time
-
-            def stamp():
-                return time.time()
-            """
-        findings = lint_source(tmp_path, source)
-        assert len(findings) == 1
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(findings, baseline_path)
-        baseline = load_baseline(baseline_path)
-        assert apply_baseline(findings, baseline) == []
-
-    def test_new_finding_not_covered(self, tmp_path):
-        old = lint_source(tmp_path, "import time\n\ndef a():\n    return time.time()\n")
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(old, baseline_path)
-        new = lint_source(
-            tmp_path,
-            "import time\n\ndef a():\n    return time.time()\n\n"
-            "def b():\n    return time.time_ns()\n",
-        )
-        fresh = apply_baseline(new, load_baseline(baseline_path))
-        assert len(fresh) == 1
-        assert "time_ns" in fresh[0].message
-
-    def test_count_aware_matching(self, tmp_path):
-        # two identical lines, baseline covers only one
-        source = (
-            "import time\n\ndef a():\n    return time.time()\n\n"
-            "def b():\n    return time.time()\n"
-        )
-        findings = lint_source(tmp_path, source)
-        assert len(findings) == 2
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(findings[:1], baseline_path)
-        entries = json.loads(baseline_path.read_text())
-        assert entries[0]["count"] == 1
-        remaining = apply_baseline(findings, load_baseline(baseline_path))
-        assert len(remaining) == 1
-
-
 class TestCLIEntry:
     def run_lint(self, *argv):
         out = io.StringIO()
         code = main(list(argv), out=out)
         return code, out.getvalue()
 
-    def test_repo_is_clean_modulo_baseline(self):
+    def test_repo_is_clean(self):
         code, output = self.run_lint()
         assert code == 0, output
         assert "0 findings" in output
@@ -547,27 +495,6 @@ class TestCLIEntry:
         assert "det/wall-clock" in output
         assert "seeded.py" in output
 
-    def test_write_baseline_then_clean(self, tmp_path):
-        bad = tmp_path / "seeded.py"
-        bad.write_text(
-            "import time\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        baseline = tmp_path / "base.json"
-        code, _ = self.run_lint(
-            str(bad), "--baseline", str(baseline), "--write-baseline"
-        )
-        assert code == 0
-        code, output = self.run_lint(str(bad), "--baseline", str(baseline))
-        assert code == 0
-        assert "grandfathered" in output
-
-    def test_no_baseline_is_clean(self):
-        # the wall-clock debt was burned down; nothing is grandfathered
-        code, output = self.run_lint("--no-baseline")
-        assert code == 0
-        assert "0 findings" in output
-
     def test_module_subcommand(self):
         from repro.cli import main as cli_main
 
@@ -575,23 +502,6 @@ class TestCLIEntry:
         code = cli_main(["lint"], out=out)
         assert code == 0
         assert "0 findings" in out.getvalue()
-
-
-class TestRepoInvariants:
-    """The linted tree itself, beyond the committed baseline."""
-
-    def test_baseline_is_empty(self):
-        from repro.analysis.lint import DEFAULT_BASELINE
-
-        entries = json.loads(DEFAULT_BASELINE.read_text())
-        assert entries == []
-
-    def test_src_lint_matches_baseline_exactly(self):
-        from repro.analysis.lint import DEFAULT_BASELINE, DEFAULT_ROOT
-
-        findings = lint_paths([DEFAULT_ROOT])
-        remaining = apply_baseline(findings, load_baseline(DEFAULT_BASELINE))
-        assert remaining == [], [f.format() for f in remaining]
 
 
 class TestObsUntracedStageRule:
