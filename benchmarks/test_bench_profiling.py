@@ -1,6 +1,6 @@
-"""E24 -- deterministic profiling and the perf-baseline gate.
+"""E24 -- deterministic profiling.
 
-Four claims from the profiling layer (``repro.obs.profile``), measured
+Three claims from the profiling layer (``repro.obs.profile``), measured
 on the same E3-style workload E19 uses:
 
 * **Hotspot ranking** -- a live-traced pipeline run on the wall clock
@@ -15,13 +15,11 @@ on the same E3-style workload E19 uses:
   return exactly the rows of their unprofiled execution, at 1 and 4
   partitions, and the annotated operator trees are deterministic under
   a virtual clock with ``step_cost``.
-* **The regression gate** -- per-stage *shares* of total pipeline self
-  time are compared against the committed
-  ``benchmarks/results/perf_baseline.json``; a share drifting more
-  than 15% (relative, with an absolute noise floor) fails the run.
-  Absolute seconds are hardware-dependent, shares are not -- the
-  committed baseline stores the absolute unit costs informationally.
-  Regenerate with ``REPRO_UPDATE_PERF_BASELINE=1``.
+
+The wall-clock shares are reported, not gated: a performance regression
+is caught by ``BENCHMARK.json``'s parent / change comparison
+(``benchmarks/perf/``), which measures absolute cost on a calibrated
+clock.
 
 Off-path overhead is E19's claim: the profile layer is pure functions
 over the trace export, and the only hot-path additions (the ``outcome``
@@ -30,8 +28,6 @@ stage runner that E19 gates at 2%.
 """
 
 import json
-import os
-from pathlib import Path
 
 from conftest import record_result
 from test_bench_observability import build_reports
@@ -43,7 +39,6 @@ from repro.obs import make_obs
 from repro.obs.profile import (
     aggregate,
     hotspots,
-    load_baseline,
     profile_dict,
     render_folded,
     unit_costs,
@@ -53,14 +48,8 @@ from repro.ontology.intermediate import CTIRecord, Mention
 from repro.runtime import clock_from_name
 from repro.sharding import ShardSet
 
-BASELINE_PATH = Path(__file__).parent / "results" / "perf_baseline.json"
-#: Stages whose self-time shares the baseline pins.
+#: Stages whose self-time shares are reported.
 STAGE_NAMES = ("check", "parse", "extract", "extract.ner", "extract.relation")
-#: Relative drift tolerance per stage share (the 15% gate).
-SHARE_TOLERANCE = 0.15
-#: Absolute share-point floor: a stage near zero self time can drift
-#: by scheduler noise alone, so sub-5-point moves never fail the gate.
-SHARE_FLOOR = 0.05
 
 QUERIES = (
     "MATCH (m:Malware) RETURN m.name ORDER BY m.name",
@@ -97,8 +86,7 @@ def run_wall_profile(reports):
 
     Unlike E19's throughput pipeline this one runs every stage on a
     single worker: per-span wall time on a GIL-contended stage measures
-    scheduling, not work, and the baseline gate needs stable per-stage
-    attribution.
+    scheduling, not work.
     """
     obs = make_obs()
     checker = Checker()
@@ -162,17 +150,11 @@ def test_bench_profiling(benchmark):
     reports = build_reports()
 
     # -- hotspot ranking on the wall clock ---------------------------------
-    # Three rounds over a tripled batch, per-stage median share:
-    # per-item stage times are ~1ms, so a bigger batch and a median
-    # keep timer resolution and scheduler hiccups out of the shares.
+    # per-item stage times are ~1ms, so a tripled batch keeps timer
+    # resolution out of the shares
     batch = reports * 3
-    rounds = [run_wall_profile(batch) for _ in range(3)]
-    round_shares = [stage_shares(spans) for spans in rounds]
-    shares = {
-        name: sorted(rs[name] for rs in round_shares)[1]
-        for name in STAGE_NAMES
-    }
-    wall_spans = rounds[-1]
+    wall_spans = run_wall_profile(batch)
+    shares = stage_shares(wall_spans)
     wall_hot = hotspots(wall_spans, top=10)
     wall_costs = unit_costs(wall_spans)
     benchmark.pedantic(
@@ -215,40 +197,15 @@ def test_bench_profiling(benchmark):
                 shards.close()
         trees_deterministic &= trees[0] == trees[1]
 
-    # -- the perf-baseline gate --------------------------------------------
-    measured = {
-        "stage_shares": {k: round(v, 4) for k, v in shares.items()},
-        "unit_costs": {
-            name: {
-                "self_per_report_s": wall_costs[name]["self_per_report_s"],
-                "self_per_unit_s": wall_costs[name]["self_per_unit_s"],
-            }
-            for name in STAGE_NAMES
-            if name in wall_costs
-        },
-        "share_tolerance": SHARE_TOLERANCE,
-        "share_floor": SHARE_FLOOR,
-    }
-    if (
-        os.environ.get("REPRO_UPDATE_PERF_BASELINE") == "1"
-        or not BASELINE_PATH.exists()
-    ):
-        BASELINE_PATH.parent.mkdir(exist_ok=True)
-        BASELINE_PATH.write_text(
-            json.dumps(measured, indent=2, sort_keys=True) + "\n"
-        )
-    baseline = load_baseline(BASELINE_PATH)
-
     print(f"\nE24: profiling ({len(batch)} reports, "
           "check->parse->extract, wall clock)")
     print(f"  {'span':<22} {'self_s':>9} {'self%':>7}")
     for entry in wall_hot[:6]:
         print(f"  {entry['name']:<22} {entry['self_s']:>9.4f} "
               f"{entry['self_pct']:>6.1f}%")
-    print(f"  {'stage':<22} {'share':>9} {'baseline':>9}")
+    print(f"  {'stage':<22} {'share':>9}")
     for name in STAGE_NAMES:
-        print(f"  {name:<22} {shares[name]:>9.3f} "
-              f"{baseline['stage_shares'][name]:>9.3f}")
+        print(f"  {name:<22} {shares[name]:>9.3f}")
     print(f"  folded byte-identical across virtual runs: {folded_identical}")
     print(f"  PROFILE rows identical at 1 and 4 partitions: {rows_identical}")
 
@@ -263,7 +220,7 @@ def test_bench_profiling(benchmark):
                 }
                 for entry in wall_hot[:6]
             ],
-            "stage_shares": measured["stage_shares"],
+            "stage_shares": {k: round(v, 4) for k, v in shares.items()},
             "ner_self_per_token_s": (
                 wall_costs["extract.ner"]["self_per_unit_s"].get("tokens")
                 if "extract.ner" in wall_costs
@@ -273,20 +230,11 @@ def test_bench_profiling(benchmark):
             "profile_dict_identical": dict_identical,
             "profile_rows_identical": rows_identical,
             "profile_trees_deterministic": trees_deterministic,
-            "share_tolerance": SHARE_TOLERANCE,
         },
     )
 
     assert folded_identical and dict_identical
     assert has_nonzero, "virtual run produced an all-zero folded export"
     assert rows_identical and trees_deterministic
-    for rs in round_shares:  # shares partition the stages' self time
-        assert abs(sum(rs.values()) - 1.0) < 1e-9
-    for name in STAGE_NAMES:
-        base = baseline["stage_shares"][name]
-        drift = abs(shares[name] - base)
-        assert drift <= max(SHARE_TOLERANCE * base, SHARE_FLOOR), (
-            f"stage {name} self-time share {shares[name]:.3f} drifted "
-            f"from baseline {base:.3f} beyond the "
-            f"{SHARE_TOLERANCE:.0%} gate"
-        )
+    # shares partition the stages' self time
+    assert abs(sum(shares.values()) - 1.0) < 1e-9

@@ -17,8 +17,7 @@ aggregates it three ways:
 * per unit of work (:func:`unit_costs`): seconds/report from the
   ``report`` correlation attribute and seconds per produced unit
   (mentions, relations, records...) from the work-count attributes the
-  spans already carry -- the numbers the E24 perf-baseline gate
-  ratchets.
+  spans already carry -- the numbers E24 reports.
 
 Everything is a pure function of the canonical export
 (:meth:`repro.obs.trace.Tracer.export`), so a seeded virtual-clock run
@@ -28,8 +27,6 @@ across runs.  Consumers: ``repro profile`` (offline), ``GET /profile``
 """
 
 from __future__ import annotations
-
-import json
 
 #: Span attributes counting units of work, each tracked separately in
 #: :func:`unit_costs` (seconds/token for NER, seconds/mention, ...).
@@ -127,8 +124,7 @@ def unit_costs(spans: list[dict]) -> dict[str, dict]:
     sums each work-count attribute (:data:`UNIT_ATTRS`) separately --
     tokens are not mentions -- and ``self_per_unit_s`` carries one cost
     per attribute seen (so ``extract.ner`` reports seconds/token *and*
-    seconds/mention).  These are the per-stage figures the committed
-    ``perf_baseline.json`` pins for the E24 regression gate.
+    seconds/mention).
     """
     table: dict[str, dict] = {}
     report_sets: dict[str, set] = {}
@@ -264,11 +260,6 @@ def write_folded(path, spans: list[dict], obs=None) -> None:
     atomic_write_text(path, export_folded(spans, obs=obs))
 
 
-def load_baseline(path) -> dict:
-    """Parse a committed ``perf_baseline.json`` (the E24 gate input)."""
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 __all__ = [
     "UNIT_ATTRS",
     "aggregate",
@@ -277,7 +268,6 @@ __all__ = [
     "export_folded",
     "export_profile",
     "hotspots",
-    "load_baseline",
     "profile_dict",
     "render_folded",
     "render_profile",

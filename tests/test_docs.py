@@ -171,8 +171,6 @@ class TestProfilingDoc:
             "self_s",
             "GET /profile",
             "PROFILE MATCH",
-            "perf_baseline.json",
-            "REPRO_UPDATE_PERF_BASELINE",
         ):
             assert needle in text, (
                 f"OBSERVABILITY.md never mentions {needle!r}"
