@@ -28,7 +28,6 @@ from repro.analysis.diagnostics import (
     caret_block,
     errors,
     render,
-    warnings,
 )
 
 _LAZY = {
@@ -79,5 +78,4 @@ __all__ = [
     "ontology_schema",
     "render",
     "schema_for",
-    "warnings",
 ]

@@ -117,16 +117,14 @@ def ontology_schema(closed: bool = False) -> QuerySchema:
 def graph_schema(graph) -> QuerySchema:
     """Labels, relationship types and property keys present in a graph.
 
-    Works with any object exposing ``label_counts`` /
-    ``edge_type_counts``; the incremental ``property_schema`` index of
-    :class:`~repro.graphdb.store.PropertyGraph` is used when available.
+    Read from the graph's incremental ``label_counts`` /
+    ``edge_type_counts`` / ``property_schema`` indexes (a
+    :class:`~repro.graphdb.store.PropertyGraph` or the union view of
+    several).
     """
     labels = frozenset(graph.label_counts())
     rel_types = frozenset(graph.edge_type_counts())
-    prop_schema = getattr(graph, "property_schema", None)
-    property_types: dict[str, frozenset[str]] = (
-        dict(prop_schema()) if callable(prop_schema) else {}
-    )
+    property_types: dict[str, frozenset[str]] = dict(graph.property_schema())
     return QuerySchema(
         labels=labels,
         rel_types=rel_types,

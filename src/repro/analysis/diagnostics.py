@@ -140,11 +140,6 @@ def errors(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     return [d for d in diagnostics if d.severity.is_error]
 
 
-def warnings(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    """Only the WARNING-severity findings."""
-    return [d for d in diagnostics if not d.severity.is_error]
-
-
 __all__ = [
     "Diagnostic",
     "Severity",
@@ -152,5 +147,4 @@ __all__ = [
     "caret_block",
     "errors",
     "render",
-    "warnings",
 ]

@@ -33,6 +33,9 @@ from repro.ontology.entities import EntityType, canonical_name
 
 #: node labels that count as "threat identity" for attribution
 _THREAT_LABELS = (EntityType.MALWARE.value, EntityType.THREAT_ACTOR.value)
+#: Distinct IOC kinds (pointing at the same threat, on the same host)
+#: that confirm an incident.
+MIN_CORROBORATING_KINDS = 2
 
 
 @dataclass
@@ -140,20 +143,11 @@ class IocFeedHunter:
 
 
 class ThreatHunter:
-    """Knowledge-graph-driven hunter.
+    """Knowledge-graph-driven hunter over a populated security
+    knowledge graph."""
 
-    Parameters
-    ----------
-    graph:
-        A populated security knowledge graph.
-    min_corroborating_kinds:
-        Distinct IOC kinds (pointing at the same threat, on the same
-        host) required to confirm an incident.
-    """
-
-    def __init__(self, graph: PropertyGraph, min_corroborating_kinds: int = 2):
+    def __init__(self, graph: PropertyGraph):
         self.graph = graph
-        self.min_corroborating_kinds = min_corroborating_kinds
         self._ioc_index: dict[str, Node] = {}
         self._threats_by_ioc: dict[int, list[Node]] = {}
         self._build_index()
@@ -222,7 +216,7 @@ class ThreatHunter:
     def correlate(self, alerts: list[Alert]) -> list[Incident]:
         """Group alerts into per-host, per-threat incidents.
 
-        Confirmation requires ``min_corroborating_kinds`` distinct IOC
+        Confirmation requires ``MIN_CORROBORATING_KINDS`` distinct IOC
         kinds tied to the same threat on the same host; everything else
         stays a suspected incident.
         """
@@ -238,7 +232,7 @@ class ThreatHunter:
         incidents = list(grouped.values())
         for incident in incidents:
             incident.confirmed = (
-                len(incident.ioc_kinds) >= self.min_corroborating_kinds
+                len(incident.ioc_kinds) >= MIN_CORROBORATING_KINDS
             )
             if incident.confirmed:
                 self._enrich(incident)

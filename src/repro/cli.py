@@ -542,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--health-rules",
-            help="JSON (or YAML, when available) file of health rule "
-            "overrides; see OBSERVABILITY.md",
+            help="JSON file of health rule overrides; see OBSERVABILITY.md",
         )
 
     p = sub.add_parser("run", help="one collect-process-store cycle")
@@ -624,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rules",
-        help="JSON (or YAML, when available) file of rule overrides",
+        help="JSON file of rule overrides",
     )
     p.add_argument(
         "--interval",

@@ -228,13 +228,5 @@ class SQLConnector(Connector):
             ).fetchall()
         return {label: int(count) for label, count in rows}
 
-    def find_entity(self, label: str, name: str) -> tuple[int, str] | None:
-        with self._lock:
-            row = self.connection.execute(
-                "SELECT id, name FROM entities WHERE label = ? AND merge_key = ?",
-                (label, canonical_name(name)),
-            ).fetchone()
-        return (int(row[0]), str(row[1])) if row else None
-
 
 __all__ = ["SQLConnector", "SQLParticipant"]

@@ -88,11 +88,6 @@ class CheckReport:
     passed: list[ReportRecord] = field(default_factory=list)
     rejected: list[tuple[ReportRecord, str]] = field(default_factory=list)
 
-    @property
-    def pass_rate(self) -> float:
-        total = len(self.passed) + len(self.rejected)
-        return len(self.passed) / total if total else 0.0
-
 
 class Checker:
     """Run every configured check; first failure rejects the record."""

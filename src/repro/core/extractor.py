@@ -32,12 +32,11 @@ class Extractor:
     def __init__(
         self,
         recognizer: Recognizer | None = None,
-        relation_extractor: RelationExtractor | None = None,
         min_confidence: float = 0.3,
         obs: Obs | None = None,
     ):
         self.recognizer = recognizer or GazetteerRecognizer()
-        self.relations = relation_extractor or RelationExtractor()
+        self.relations = RelationExtractor()
         self.min_confidence = min_confidence
         self.obs = obs if obs is not None else NO_OBS
 

@@ -90,6 +90,8 @@ class PipelineResult:
 
 
 _SENTINEL = object()
+#: Items a stage may queue for the next one before its workers block.
+QUEUE_SIZE = 128
 
 
 class Pipeline:
@@ -109,7 +111,6 @@ class Pipeline:
     def __init__(
         self,
         stages: list[Stage],
-        queue_size: int = 128,
         clock: Clock | None = None,
         obs: Obs | None = None,
         item_key: Callable[[object], "str | None"] | None = None,
@@ -117,7 +118,6 @@ class Pipeline:
         if not stages:
             raise ValueError("pipeline needs at least one stage")
         self.stages = list(stages)
-        self.queue_size = queue_size
         self.clock = clock if clock is not None else REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS
         self.item_key = item_key
@@ -147,7 +147,7 @@ class Pipeline:
 
     def _run(self, items: list[object], run_span) -> PipelineResult:
         queues = [
-            queue.Queue(maxsize=self.queue_size)
+            queue.Queue(maxsize=QUEUE_SIZE)
             for _ in range(len(self.stages) + 1)
         ]
         stats = [StageStats(stage.name) for stage in self.stages]

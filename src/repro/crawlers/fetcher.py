@@ -20,12 +20,14 @@ from repro.obs import NO_OBS, Obs
 from repro.runtime import (
     REAL_CLOCK,
     Backoff,
-    Clock,
     RetryPolicy,
     Stopwatch,
     named_lock,
 )
 from repro.websim.network import Response, SimulatedTransport, TransportError
+
+#: The user agent robots.txt rules are matched against.
+AGENT = "securitykg"
 
 
 class FetchDenied(Exception):
@@ -78,43 +80,31 @@ class Fetcher:
         Additional attempts after the first failure.
     backoff:
         Base backoff in seconds; attempt *k* sleeps ``backoff * 2**k``.
-    retry:
-        Full retry policy; overrides ``max_retries``/``backoff`` when
-        given.
     respect_robots:
         When true, robots.txt is fetched once per host and consulted
         for every URL.
-    clock:
-        Clock for backoff sleeps and politeness waits.  Defaults to the
-        transport's clock, so injecting a virtual clock into the
-        transport is enough to virtualise the whole fetch path.
+
+    Backoff sleeps and politeness waits run on the transport's clock,
+    so injecting a virtual clock into the transport is enough to
+    virtualise the whole fetch path.
     """
 
     def __init__(
         self,
         transport: SimulatedTransport,
-        rate_limiter: HostRateLimiter | None = None,
         max_retries: int = 3,
         backoff: float = 0.01,
-        retry: RetryPolicy | None = None,
         respect_robots: bool = True,
-        agent: str = "securitykg",
-        clock: Clock | None = None,
         obs: Obs | None = None,
     ):
         self.transport = transport
-        if clock is None:
-            clock = getattr(transport, "clock", None) or REAL_CLOCK
-        self.clock = clock
+        self.clock = getattr(transport, "clock", None) or REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS
-        self.rate_limiter = rate_limiter or HostRateLimiter(
-            clock=self.clock, obs=self.obs
-        )
-        self.retry = retry or RetryPolicy(
+        self.rate_limiter = HostRateLimiter(clock=self.clock, obs=self.obs)
+        self.retry = RetryPolicy(
             max_retries=max_retries, backoff=Backoff(base=backoff)
         )
         self.respect_robots = respect_robots
-        self.agent = agent
         self.stats = FetchStats()
         self._robots: dict[str, RobotsPolicy] = {}
         self._robots_lock = named_lock("crawl.robots")
@@ -144,7 +134,7 @@ class Fetcher:
         with self._robots_lock:
             self._robots.setdefault(host, policy)
             policy = self._robots[host]
-        delay = policy.crawl_delay(self.agent)
+        delay = policy.crawl_delay(AGENT)
         if delay:
             self.rate_limiter.set_host_delay(host, delay)
         return policy
@@ -167,7 +157,7 @@ class Fetcher:
         host = self.host_of(url)
         if self.respect_robots and not url.endswith("/robots.txt"):
             policy = self._robots_for(host)
-            if not policy.allowed(path_of(url), self.agent):
+            if not policy.allowed(path_of(url), AGENT):
                 self.stats.bump(denied=1)
                 self.obs.metrics.inc("crawl.fetch_denied")
                 raise FetchDenied(url)

@@ -94,10 +94,5 @@ class Frontier:
         with self._lock:
             return len(self._high) + len(self._normal)
 
-    @property
-    def seen_count(self) -> int:
-        with self._lock:
-            return len(self._seen)
-
 
 __all__ = ["Frontier"]

@@ -71,8 +71,8 @@ class PeriodicScheduler:
         self.clock = clock if clock is not None else REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS
         self._stop = threading.Event()
-        # Guards every ``self.stats`` mutation: job threads spawned by
-        # run_in_threads update the shared counters concurrently.
+        # Guards every ``self.stats`` mutation, so a thread that holds
+        # the scheduler to ``stop()`` it can also read the counters.
         self._stats_lock = named_lock("scheduler.stats")
 
     def _execute(self, job: JobSpec, cycle: int) -> JobOutcome:
@@ -143,55 +143,6 @@ class PeriodicScheduler:
         with self._stats_lock:
             self.stats.outcomes.extend(outcomes)
         return outcomes
-
-    def run_in_threads(self, duration: float) -> list[JobOutcome]:
-        """Run each job on its own thread every ``interval`` seconds.
-
-        This is the deployment mode: jobs with different latencies do
-        not block each other.  Returns outcomes observed within
-        ``duration`` seconds.  All threads (including the supervising
-        one) register with the clock, so under a virtual clock the
-        whole window replays instantly and deterministically.
-        """
-        outcomes: list[JobOutcome] = []
-        # Every job thread plus the supervisor must be registered with
-        # the clock before anyone sleeps, or virtual time could burn
-        # the whole duration while a thread is still starting up.
-        ready = threading.Barrier(len(self.jobs) + 1)
-
-        def loop(job: JobSpec) -> None:
-            with self.clock.worker():
-                ready.wait()
-                cycle = 0
-                while not self._stop.is_set():
-                    outcome = self._execute(job, cycle)
-                    with self._stats_lock:
-                        outcomes.append(outcome)
-                        self.stats.runs += 1
-                    cycle += 1
-                    if self.clock.wait_for(self._stop, self.interval):
-                        return
-
-        threads = [
-            threading.Thread(
-                target=loop,
-                args=(job,),
-                name=f"sched-{job.name}",
-                daemon=True,
-            )
-            for job in self.jobs
-        ]
-        for thread in threads:
-            thread.start()
-        with self.clock.worker():
-            ready.wait()
-            self.clock.sleep(duration)
-            self._stop.set()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        with self._stats_lock:
-            self.stats.outcomes.extend(outcomes)
-            return list(outcomes)
 
     def stop(self) -> None:
         self._stop.set()

@@ -110,10 +110,5 @@ class CrawlState:
         with self._lock:
             return self._participant.last_crawl.get(source)
 
-    @property
-    def seen_count(self) -> int:
-        with self._lock:
-            return len(self._participant.seen)
-
 
 __all__ = ["CrawlParticipant", "CrawlState"]

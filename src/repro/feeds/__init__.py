@@ -16,7 +16,6 @@ from repro.feeds.tlp import (
     TIERS,
     TLP_LEVELS,
     TLP_MARKING_IDS,
-    tier_allows,
     tlp_of_object,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "TIERS",
     "TLP_LEVELS",
     "TLP_MARKING_IDS",
-    "tier_allows",
     "tlp_of_object",
 ]

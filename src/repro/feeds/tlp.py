@@ -38,11 +38,6 @@ def check_tier(tier: str) -> str:
     return tier
 
 
-def tier_allows(tier: str, level: str) -> bool:
-    """Whether a feed tier may carry an object at this TLP level."""
-    return tlp_order(level) <= tlp_order(TIER_MAX_TLP[check_tier(tier)])
-
-
 __all__ = [
     "TIER_MAX_TLP",
     "TIERS",
@@ -51,7 +46,6 @@ __all__ = [
     "TLP_MARKING_IDS",
     "check_tier",
     "max_tlp",
-    "tier_allows",
     "tlp_of_object",
     "tlp_order",
 ]

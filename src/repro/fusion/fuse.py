@@ -28,10 +28,6 @@ class FusionReport:
     aliases_resolved: int = 0
     merged_groups: list[list[str]] = field(default_factory=list)
 
-    @property
-    def nodes_removed(self) -> int:
-        return self.nodes_before - self.nodes_after
-
 
 class _UnionFind:
     def __init__(self, items: list[int]):
@@ -50,38 +46,24 @@ class _UnionFind:
 
 
 class KnowledgeFusion:
-    """Alias clustering + node merging over a graph database.
+    """Alias clustering + node merging over a graph database."""
 
-    Parameters
-    ----------
-    threshold:
-        Minimum :func:`~repro.fusion.similarity.name_similarity` for
-        two same-label nodes to be considered aliases (squash-equal
-        names always are).
-    labels:
-        Node labels eligible for fusion.  IOCs are excluded by default:
-        two similar-looking hashes are *different* hashes.
-    """
-
+    #: Minimum :func:`~repro.fusion.similarity.name_similarity` for two
+    #: same-label nodes to be aliases (squash-equal names always are).
+    THRESHOLD = 0.93
+    #: Node labels eligible for fusion.  IOCs are excluded: two
+    #: similar-looking hashes are *different* hashes.
     FUSABLE_LABELS = frozenset(
         {"Malware", "ThreatActor", "Technique", "Tool", "Software", "Campaign",
          "Vendor"}
     )
-
-    def __init__(
-        self,
-        threshold: float = 0.93,
-        labels: frozenset[str] | None = None,
-    ):
-        self.threshold = threshold
-        self.labels = labels if labels is not None else self.FUSABLE_LABELS
 
     # -- clustering ------------------------------------------------------
 
     def find_alias_groups(self, graph: PropertyGraph) -> list[list[int]]:
         """Groups (size >= 2) of node ids judged to be the same entity."""
         groups: list[list[int]] = []
-        for label in sorted(self.labels):
+        for label in sorted(self.FUSABLE_LABELS):
             nodes = list(graph.nodes(label))
             if len(nodes) < 2:
                 continue
@@ -103,7 +85,7 @@ class KnowledgeFusion:
                     for id_b, name_b in block[i + 1 :]:
                         if uf.find(id_a) == uf.find(id_b):
                             continue
-                        if name_similarity(name_a, name_b) >= self.threshold:
+                        if name_similarity(name_a, name_b) >= self.THRESHOLD:
                             uf.union(id_a, id_b)
             clusters: dict[int, list[int]] = {}
             for node in nodes:

@@ -144,7 +144,6 @@ class GraphDatabase:
         self,
         path: str | Path | None = None,
         engine: StorageEngine | None = None,
-        faults=None,
         fsync: bool = True,
     ):
         if engine is not None:
@@ -155,9 +154,7 @@ class GraphDatabase:
             self._participant = engine.participant(GraphParticipant.name)
         else:
             self._participant = GraphParticipant()
-            self.engine = StorageEngine(
-                path, [self._participant], faults=faults, fsync=fsync
-            )
+            self.engine = StorageEngine(path, [self._participant], fsync=fsync)
             self._owns_engine = True
 
     @property

@@ -30,7 +30,7 @@ from repro.nlp.metrics import (
 )
 from repro.nlp.ner import EntityRecognizer, EntitySpan, decode_bio
 from repro.nlp.pos import tag as pos_tag
-from repro.nlp.relation import RelationExtractor, ioc_spans
+from repro.nlp.relation import RelationExtractor
 from repro.nlp.tokenize import Sentence, Token, tokenize_sentences
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "evaluate_entities",
     "evaluate_relations",
     "find_iocs",
-    "ioc_spans",
     "lemmatize",
     "parse_dependencies",
     "pos_tag",

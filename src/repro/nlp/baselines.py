@@ -21,11 +21,8 @@ from repro.ontology.intermediate import Mention
 class RegexRecognizer:
     """IOC/CVE regex extraction only (the naive solution)."""
 
-    def __init__(self, protect_iocs: bool = True):
-        self.protect_iocs = protect_iocs
-
     def extract(self, text: str) -> tuple[list[Sentence], list[Mention]]:
-        sentences = tokenize_sentences(text, protect_iocs=self.protect_iocs)
+        sentences = tokenize_sentences(text)
         mentions: list[Mention] = []
         for index, sentence in enumerate(sentences):
             for token in sentence.tokens:
@@ -46,9 +43,8 @@ class RegexRecognizer:
 class GazetteerRecognizer(RegexRecognizer):
     """Regexes + curated-list lookup (no generalisation)."""
 
-    def __init__(self, gazetteer: Gazetteer | None = None, protect_iocs: bool = True):
-        super().__init__(protect_iocs=protect_iocs)
-        self.gazetteer = gazetteer or Gazetteer.load_default()
+    def __init__(self) -> None:
+        self.gazetteer = Gazetteer.load_default()
 
     def extract(self, text: str) -> tuple[list[Sentence], list[Mention]]:
         sentences, mentions = super().extract(text)

@@ -76,13 +76,12 @@ class LinearChainCRF:
 
         crf = LinearChainCRF(l2=0.1)
         crf.fit(list_of_feature_lists, list_of_label_lists)
-        predicted = crf.predict(feature_lists_of_one_sentence)
+        labels, confidences = crf.decode(feature_lists_of_one_sentence)
     """
 
-    def __init__(self, l2: float = 0.1, max_iterations: int = 80, verbose: bool = False):
+    def __init__(self, l2: float = 0.1, max_iterations: int = 80):
         self.l2 = l2
         self.max_iterations = max_iterations
-        self.verbose = verbose
         self.feature_index: dict[str, int] = {}
         self.labels: list[str] = []
         self.label_index: dict[str, int] = {}
@@ -269,16 +268,6 @@ class LinearChainCRF:
         if self.emission is None or self.transition is None:
             raise RuntimeError("CRF is not trained; call fit() or load()")
 
-    def _emissions(
-        self, sentence: list[list[str]] | EncodedSentence
-    ) -> np.ndarray | None:
-        """Emission scores of one sentence (feature-name lists, or ids
-        already resolved against :attr:`feature_index`); None if empty."""
-        self._require_trained()
-        if not isinstance(sentence, EncodedSentence):
-            sentence = self._encode(sentence)
-        return self._scores(sentence, self.emission) if len(sentence) else None
-
     def _posteriors(self, scores: np.ndarray) -> np.ndarray:
         """P(label | position) for every token, [n_tokens, n_labels]."""
         alpha, beta, log_z = self._forward_backward(scores, self.transition)
@@ -287,38 +276,27 @@ class LinearChainCRF:
     def decode(
         self, sentence: list[list[str]] | EncodedSentence
     ) -> tuple[list[str], list[float] | None]:
-        """Viterbi labels of one sentence and each chosen label's posterior.
+        """Viterbi labels of one sentence (feature-name lists, or ids
+        already resolved against :attr:`feature_index`) and each chosen
+        label's posterior.
 
         The one inference path: the sentence is encoded once, scored
         once and decoded once.  The forward-backward pass runs only when
         the path leaves ``O``; an all-``O`` sentence has no span to
         score and its confidences are ``None``.
         """
-        scores = self._emissions(sentence)
-        if scores is None:
+        self._require_trained()
+        if not isinstance(sentence, EncodedSentence):
+            sentence = self._encode(sentence)
+        if not len(sentence):
             return [], None
+        scores = self._scores(sentence, self.emission)
         path = self._viterbi(scores, self.transition)
         labels = [self.labels[i] for i in path]
         if path.count(self.label_index["O"]) == len(path):
             return labels, None
         chosen = self._posteriors(scores)[np.arange(len(path)), path]
         return labels, chosen.tolist()
-
-    def predict(self, sentence: list[list[str]] | EncodedSentence) -> list[str]:
-        """Viterbi-decode one sentence."""
-        scores = self._emissions(sentence)
-        if scores is None:
-            return []
-        return [self.labels[i] for i in self._viterbi(scores, self.transition)]
-
-    def predict_marginals(
-        self, sentence: list[list[str]] | EncodedSentence
-    ) -> list[dict[str, float]]:
-        """Posterior P(label | position) for every token."""
-        scores = self._emissions(sentence)
-        if scores is None:
-            return []
-        return [dict(zip(self.labels, row)) for row in self._posteriors(scores).tolist()]
 
     # -- persistence ----------------------------------------------------------
 

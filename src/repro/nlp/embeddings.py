@@ -15,24 +15,18 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import svds
 
+#: Symmetric co-occurrence window in tokens.
+WINDOW = 3
+#: Words rarer than this share the out-of-vocabulary (zero) vector.
+MIN_COUNT = 2
+
 
 class WordEmbeddings:
-    """Trainable PPMI-SVD word embeddings.
+    """Trainable PPMI-SVD word embeddings of dimensionality ``dim``
+    (bounded by vocabulary size)."""
 
-    Parameters
-    ----------
-    dim:
-        Embedding dimensionality (bounded by vocabulary size).
-    window:
-        Symmetric co-occurrence window in tokens.
-    min_count:
-        Words rarer than this share a single out-of-vocabulary vector.
-    """
-
-    def __init__(self, dim: int = 32, window: int = 3, min_count: int = 2):
+    def __init__(self, dim: int = 32):
         self.dim = dim
-        self.window = window
-        self.min_count = min_count
         self.vocab: dict[str, int] = {}
         self.vectors: np.ndarray | None = None
 
@@ -48,7 +42,7 @@ class WordEmbeddings:
         self.vocab = {
             word: index
             for index, word in enumerate(
-                sorted(w for w, c in counts.items() if c >= self.min_count)
+                sorted(w for w, c in counts.items() if c >= MIN_COUNT)
             )
         }
         size = len(self.vocab)
@@ -62,8 +56,8 @@ class WordEmbeddings:
             for i, center in enumerate(ids):
                 if center < 0:
                     continue
-                lo = max(0, i - self.window)
-                hi = min(len(ids), i + self.window + 1)
+                lo = max(0, i - WINDOW)
+                hi = min(len(ids), i + WINDOW + 1)
                 for j in range(lo, hi):
                     context = ids[j]
                     if j == i or context < 0:
@@ -127,34 +121,6 @@ class WordEmbeddings:
         if index is None:
             return np.zeros(self.vectors.shape[1])
         return self.vectors[index]
-
-    def similarity(self, a: str, b: str) -> float:
-        """Cosine similarity in [-1, 1] (0 for OOV words)."""
-        va, vb = self.vector(a), self.vector(b)
-        denom = np.linalg.norm(va) * np.linalg.norm(vb)
-        if denom == 0:
-            return 0.0
-        return float(np.dot(va, vb) / denom)
-
-    def most_similar(self, word: str, topn: int = 5) -> list[tuple[str, float]]:
-        """Nearest vocabulary words by cosine similarity."""
-        if self.vectors is None:
-            raise RuntimeError("embeddings are not trained")
-        query = self.vector(word)
-        if not np.any(query):
-            return []
-        scores = self.vectors @ query / (np.linalg.norm(query) + 1e-12)
-        index_of = self.vocab.get(word.lower())
-        order = np.argsort(-scores)
-        words = {index: w for w, index in self.vocab.items()}
-        result = []
-        for index in order:
-            if index == index_of:
-                continue
-            result.append((words[int(index)], float(scores[int(index)])))
-            if len(result) >= topn:
-                break
-        return result
 
     def bucket_features(self, word: str, buckets: int = 8) -> list[str]:
         """Discrete sign-bucket features for CRF consumption.

@@ -52,16 +52,6 @@ class Gazetteer:
             }
         return cls(entries)
 
-    @classmethod
-    def from_lists(cls, lists: dict[EntityType, list[str]]) -> "Gazetteer":
-        """Build from in-memory name lists (tests, custom deployments)."""
-        return cls(
-            {
-                entity_type: {tuple(name.lower().split()) for name in names}
-                for entity_type, names in lists.items()
-            }
-        )
-
     def match(self, words: list[str]) -> list[tuple[int, int, EntityType]]:
         """Longest non-overlapping matches over a token sequence.
 
@@ -85,10 +75,6 @@ class Gazetteer:
             else:
                 i += 1
         return matches
-
-    def contains(self, name: str, entity_type: EntityType) -> bool:
-        """Whether a full name is listed under a type."""
-        return tuple(name.lower().split()) in self.entries.get(entity_type, set())
 
 
 __all__ = ["Gazetteer"]

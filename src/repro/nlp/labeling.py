@@ -181,9 +181,8 @@ class LabelModelResult:
 class LabelModel:
     """Accuracy-weighted reconciliation of labeling-function votes."""
 
-    def __init__(self, iterations: int = 5, min_confidence: float = 0.6):
-        self.iterations = iterations
-        self.min_confidence = min_confidence
+    #: Rounds of re-estimating each function's accuracy from consensus.
+    ITERATIONS = 5
 
     def fit_predict(
         self,
@@ -209,7 +208,7 @@ class LabelModel:
             span_registry.append([proposals_by_lf])
 
         accuracies = {lf.name: 0.7 for lf in lfs}
-        for _ in range(self.iterations):
+        for _ in range(self.ITERATIONS):
             agree = {lf.name: 1.0 for lf in lfs}
             total = {lf.name: 2.0 for lf in lfs}  # +2 smoothing
             for token_votes in all_votes:
@@ -298,12 +297,10 @@ def _to_bio(token_types: list[EntityType | None]) -> list[str]:
 def synthesize_corpus(
     sentences: list[Sequence[Token]],
     lfs: list[NamedLF] | None = None,
-    label_model: LabelModel | None = None,
 ) -> tuple[list[tuple[Sequence[Token], list[str]]], LabelModelResult]:
     """End-to-end data programming: sentences -> BIO training corpus."""
     lfs = lfs if lfs is not None else default_labeling_functions()
-    label_model = label_model or LabelModel()
-    result = label_model.fit_predict(sentences, lfs)
+    result = LabelModel().fit_predict(sentences, lfs)
     corpus = list(zip(sentences, result.labels))
     return corpus, result
 

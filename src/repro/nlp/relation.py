@@ -38,6 +38,8 @@ from repro.ontology.relations import RelationType, normalize_verb
 from repro.ontology.schema import check_relation
 from repro.ontology.relations import Relation
 
+#: Most tokens between the two arguments of one triple.
+MAX_DISTANCE = 20
 _NP_TAGS = frozenset({"NN", "NNS", "NNP", "CD", "JJ", "DT"})
 
 #: Verbs that relate their own objects rather than their subject
@@ -73,12 +75,8 @@ class RelationExtractor:
     """
 
     def __init__(
-        self,
-        max_distance: int = 20,
-        schema_filter: bool = True,
-        drop_unknown_verbs: bool = True,
+        self, schema_filter: bool = True, drop_unknown_verbs: bool = True
     ):
-        self.max_distance = max_distance
         self.schema_filter = schema_filter
         self.drop_unknown_verbs = drop_unknown_verbs
 
@@ -143,7 +141,7 @@ class RelationExtractor:
             if head is tail:
                 return
             distance = abs((head.end - 1) - (tail.end - 1))
-            if distance > self.max_distance:
+            if distance > MAX_DISTANCE:
                 return
             verb = lemmatize(parsed.tokens[verb_index].text)
             key = (head.text, verb, tail.text)
@@ -293,13 +291,4 @@ class RelationExtractor:
         return extracted
 
 
-def ioc_spans(tokens: Sequence[Token]) -> list[EntitySpan]:
-    """Entity spans for the IOC tokens of a sentence (regex path)."""
-    return [
-        EntitySpan(start=i, end=i + 1, type=token.ioc_type, text=token.text)
-        for i, token in enumerate(tokens)
-        if token.is_ioc
-    ]
-
-
-__all__ = ["RelationExtractor", "ioc_spans"]
+__all__ = ["RelationExtractor"]

@@ -204,26 +204,11 @@ def rules_from_config(
 
 
 def load_rules_file(path) -> dict:
-    """Read a rule-override mapping from a JSON or YAML file.
-
-    YAML support is gated on an importable ``yaml`` module; JSON needs
-    nothing.  Raises ``ValueError`` with a clear message otherwise.
-    """
+    """Read a rule-override mapping from a JSON file; ``ValueError``
+    when it does not hold one."""
     from pathlib import Path
 
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix in (".yaml", ".yml"):
-        try:
-            import yaml
-        except ImportError as error:
-            raise ValueError(
-                f"{path} is YAML but PyYAML is not installed; "
-                "use a JSON rules file instead"
-            ) from error
-        data = yaml.safe_load(text)
-    else:
-        data = json.loads(text)
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: health rules file must hold an object")
     return data

@@ -166,10 +166,6 @@ class Tracer:
         with self._lock:
             return len(self._open)
 
-    def open_spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._open.values())
-
     def clear(self) -> None:
         with self._lock:
             self._finished.clear()
@@ -266,9 +262,6 @@ class NullTracer:
     @property
     def open_span_count(self) -> int:
         return 0
-
-    def open_spans(self) -> list:
-        return []
 
     def clear(self) -> None:
         return None

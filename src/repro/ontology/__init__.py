@@ -16,7 +16,7 @@ from repro.ontology.entities import (
     canonical_name,
 )
 from repro.ontology.intermediate import CTIRecord, Mention, RelationMention, ReportRecord
-from repro.ontology.refactor import GraphDelta, refactor_record, refactor_records
+from repro.ontology.refactor import GraphDelta, refactor_record
 from repro.ontology.relations import (
     VERB_TO_RELATION,
     Relation,
@@ -26,7 +26,6 @@ from repro.ontology.relations import (
 from repro.ontology.schema import (
     SCHEMA,
     SchemaViolation,
-    allowed_tail_types,
     check_relation,
     validate_relation,
 )
@@ -47,12 +46,10 @@ __all__ = [
     "SCHEMA",
     "SchemaViolation",
     "VERB_TO_RELATION",
-    "allowed_tail_types",
     "canonical_name",
     "merge_key_for",
     "check_relation",
     "normalize_verb",
     "refactor_record",
-    "refactor_records",
     "validate_relation",
 ]

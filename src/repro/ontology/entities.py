@@ -14,7 +14,6 @@ and free-form key/value ``attributes``.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -55,11 +54,6 @@ class EntityType(str, enum.Enum):
     def is_ioc(self) -> bool:
         """True for low-level Indicator-of-Compromise types."""
         return self in IOC_TYPES
-
-    @property
-    def is_concept(self) -> bool:
-        """True for high-level (non-report, non-IOC) concept types."""
-        return not self.is_report and not self.is_ioc
 
 
 _REPORT_TYPES = frozenset(
@@ -155,13 +149,6 @@ class Entity:
     def key(self) -> tuple[str, str]:
         """Merge key used by the storage connectors."""
         return (self.type.value, canonical_name(self.name))
-
-    def stable_id(self) -> str:
-        """A deterministic identifier derived from the merge key."""
-        digest = hashlib.sha1(
-            f"{self.type.value}\x00{canonical_name(self.name)}".encode()
-        ).hexdigest()
-        return f"{self.type.value.lower()}-{digest[:12]}"
 
     def to_dict(self) -> dict[str, object]:
         """Serialise to a JSON-compatible dict."""

@@ -27,11 +27,6 @@ class GraphDelta:
     entities: list[Entity] = field(default_factory=list)
     relations: list[Relation] = field(default_factory=list)
 
-    def __iadd__(self, other: "GraphDelta") -> "GraphDelta":
-        self.entities.extend(other.entities)
-        self.relations.extend(other.relations)
-        return self
-
 
 def _report_entity(record: CTIRecord) -> Entity:
     report_type = REPORT_TYPE_BY_CATEGORY.get(
@@ -156,12 +151,4 @@ def refactor_record(record: CTIRecord) -> GraphDelta:
     return delta
 
 
-def refactor_records(records: list[CTIRecord]) -> GraphDelta:
-    """Refactor a batch of records into one combined delta."""
-    combined = GraphDelta()
-    for record in records:
-        combined += refactor_record(record)
-    return combined
-
-
-__all__ = ["GraphDelta", "refactor_record", "refactor_records"]
+__all__ = ["GraphDelta", "refactor_record"]

@@ -169,20 +169,9 @@ def validate_relation(relation: Relation) -> Relation:
     )
 
 
-def allowed_tail_types(
-    head_type: EntityType, relation: RelationType
-) -> frozenset[EntityType]:
-    """Tail types the schema permits for ``head_type -[relation]->``."""
-    heads, tails = SCHEMA[relation]
-    if head_type not in heads:
-        return frozenset()
-    return tails
-
-
 __all__ = [
     "SCHEMA",
     "SchemaViolation",
-    "allowed_tail_types",
     "check_relation",
     "validate_relation",
 ]

@@ -274,9 +274,6 @@ class Stopwatch:
         self.clock = clock
         self.started_at = clock.now()
 
-    def restart(self) -> None:
-        self.started_at = self.clock.now()
-
     @property
     def elapsed(self) -> float:
         return self.clock.now() - self.started_at

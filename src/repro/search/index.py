@@ -18,6 +18,10 @@ from dataclasses import dataclass, field
 from repro.runtime import named_lock
 from repro.search.analyzer import analyze, analyze_query
 
+#: Okapi BM25 term-frequency saturation and length normalisation.
+BM25_K1 = 1.5
+BM25_B = 0.75
+
 
 @dataclass
 class SearchHit:
@@ -45,15 +49,8 @@ class SearchIndex:
         hits).  Unlisted fields get boost 1.0.
     """
 
-    def __init__(
-        self,
-        field_boosts: dict[str, float] | None = None,
-        k1: float = 1.5,
-        b: float = 0.75,
-    ):
+    def __init__(self, field_boosts: dict[str, float] | None = None):
         self.field_boosts = dict(field_boosts or {"title": 2.5, "name": 3.0})
-        self.k1 = k1
-        self.b = b
         self._postings: dict[str, list[_Posting]] = {}
         self._documents: dict[str, dict[str, str]] = {}
         self._doc_lengths: dict[tuple[str, str], int] = {}  # (doc, field) -> terms
@@ -164,12 +161,12 @@ class SearchIndex:
                     frequency = len(posting.positions)
                     avg = averages[posting.field]
                     length = self._doc_lengths[(posting.doc_id, posting.field)]
-                    denom = frequency + self.k1 * (
-                        1 - self.b + self.b * length / max(avg, 1e-9)
+                    denom = frequency + BM25_K1 * (
+                        1 - BM25_B + BM25_B * length / max(avg, 1e-9)
                     )
                     boost = self.field_boosts.get(posting.field, 1.0)
                     scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + (
-                        idf * frequency * (self.k1 + 1) / denom * boost
+                        idf * frequency * (BM25_K1 + 1) / denom * boost
                     )
                     matched_terms.setdefault(posting.doc_id, set()).add(term)
 
@@ -292,8 +289,8 @@ class SearchIndexParticipant:
 
     name = "search"
 
-    def __init__(self, index: SearchIndex | None = None):
-        self.index = index if index is not None else SearchIndex()
+    def __init__(self) -> None:
+        self.index = SearchIndex()
 
     def apply(self, ops: list[dict]) -> None:
         for op in ops:

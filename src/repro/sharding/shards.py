@@ -128,7 +128,6 @@ class ShardPartition:
         connector_names: list[str],
         faults=None,
         obs: Obs = NO_OBS,
-        fsync: bool = True,
     ):
         self.index = index
         participants = [
@@ -138,9 +137,7 @@ class ShardPartition:
         ]
         if "sql" in connector_names:
             participants.append(SQLParticipant())
-        self.engine = StorageEngine(
-            path, participants, faults=faults, fsync=fsync, obs=obs
-        )
+        self.engine = StorageEngine(path, participants, faults=faults, obs=obs)
         self.database = GraphDatabase(engine=self.engine)
         self.state = CrawlState(engine=self.engine)
         self.search_index = self.engine.participant(
@@ -199,7 +196,6 @@ class ShardSet:
         faults=None,
         obs: Obs | None = None,
         clock: Clock | None = None,
-        fsync: bool = True,
     ):
         self.obs = obs if obs is not None else NO_OBS
         self.clock = clock if clock is not None else clock_from_name("real")
@@ -214,7 +210,6 @@ class ShardSet:
                 self.connector_names,
                 faults=faults if index == 0 else None,
                 obs=self.obs,
-                fsync=fsync,
             )
             for index, path in enumerate(partition_paths(root, partitions))
         ]
@@ -478,10 +473,6 @@ class ShardedCrawlState:
 
     def last_crawl(self, source: str) -> float | None:
         return self._state_for(source).last_crawl(source)
-
-    @property
-    def seen_count(self) -> int:
-        return sum(p.state.seen_count for p in self._shards.partitions)
 
 
 __all__ = [

@@ -13,7 +13,6 @@ This package owns *all* persistence in the reproduction:
 
 from repro.storage.atomic import (
     atomic_write_bytes,
-    atomic_write_json,
     atomic_write_text,
     fsync_directory,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "StorageEngine",
     "StorageError",
     "atomic_write_bytes",
-    "atomic_write_json",
     "atomic_write_text",
     "fsync_directory",
 ]

@@ -15,7 +15,6 @@ cannot collide on one ``crawl_state.tmp``.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -55,14 +54,8 @@ def atomic_write_text(
     atomic_write_bytes(path, text.encode(encoding), fsync=fsync)
 
 
-def atomic_write_json(path: str | Path, payload: object, fsync: bool = True) -> None:
-    """Atomically replace ``path`` with ``payload`` serialised as JSON."""
-    atomic_write_text(path, json.dumps(payload), fsync=fsync)
-
-
 __all__ = [
     "atomic_write_bytes",
-    "atomic_write_json",
     "atomic_write_text",
     "fsync_directory",
 ]

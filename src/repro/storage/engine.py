@@ -420,11 +420,6 @@ class StorageEngine:
                 self._staged = remaining
             return [staged.op for staged in taken]
 
-    @property
-    def staged_count(self) -> int:
-        with self.lock:
-            return len(self._staged)
-
     @contextmanager
     def transaction(self):
         """One atomic cross-store commit.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.graphdb.traversal import random_subgraph
-from repro.ui.layout import ForceLayout, LayoutConfig
+from repro.ui.layout import ForceLayout
 
 
 @dataclass
@@ -57,19 +57,11 @@ class ViewState:
 class GraphExplorer:
     """Interactive view over a property graph."""
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        config: ViewConfig | None = None,
-        layout_config: LayoutConfig | None = None,
-        seed: int = 42,
-    ):
+    def __init__(self, graph: PropertyGraph, config: ViewConfig | None = None):
         self.graph = graph
         self.config = config or ViewConfig()
-        self._layout_config = layout_config or LayoutConfig()
-        self._seed = seed
         self.state = ViewState()
-        self.layout = ForceLayout(config=self._layout_config, seed=seed)
+        self.layout = ForceLayout()
         self._history: list[ViewState] = []
 
     # -- view content ---------------------------------------------------
@@ -112,7 +104,7 @@ class GraphExplorer:
         self._push_history()
         budget = node_ids[: self.config.max_nodes]
         self.state = ViewState(node_ids={i for i in budget if self.graph.has_node(i)})
-        self.layout = ForceLayout(config=self._layout_config, seed=self._seed)
+        self.layout = ForceLayout()
         self._sync_layout()
 
     def show_random(self, size: int | None = None, seed: int | None = None) -> None:
@@ -210,7 +202,7 @@ class GraphExplorer:
         if not self._history:
             return False
         self.state = self._history.pop()
-        self.layout = ForceLayout(config=self._layout_config, seed=self._seed)
+        self.layout = ForceLayout()
         self.layout.positions = dict(self.state.positions)
         self.layout.pinned = set(self.state.pinned)
         self.layout.set_edges([(e.src, e.dst) for e in self.visible_edges()])

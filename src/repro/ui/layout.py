@@ -179,16 +179,5 @@ class ForceLayout:
                     count += 1
         return count
 
-    def mean_edge_length_error(self) -> float:
-        """Mean |edge length - ideal| over edges (layout quality)."""
-        if not self._edges:
-            return 0.0
-        total = 0.0
-        for a, b in self._edges:
-            ax, ay = self.positions[a]
-            bx, by = self.positions[b]
-            total += abs(math.hypot(ax - bx, ay - by) - self.config.ideal_edge_length)
-        return total / len(self._edges)
-
 
 __all__ = ["ForceLayout", "LayoutConfig"]

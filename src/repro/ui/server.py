@@ -149,9 +149,9 @@ def _jsonable(value):
 class ExplorerAPI:
     """Transport-independent request handling (used by tests directly)."""
 
-    def __init__(self, system: SecurityKG, explorer: GraphExplorer | None = None):
+    def __init__(self, system: SecurityKG):
         self.system = system
-        self.explorer = explorer or GraphExplorer(system.graph)
+        self.explorer = GraphExplorer(system.graph)
         # Serialises request handling: ThreadingHTTPServer dispatches
         # each request on its own thread, and GraphExplorer's view
         # state (history, layout) is not internally synchronised.

@@ -9,7 +9,7 @@ effects; under a :class:`~repro.runtime.VirtualClock` the same
 latency profile replays in milliseconds of wall time.
 
 Failure injection is deterministic: whether fetch attempt *k* of a URL
-fails is a pure function of ``(failure_seed, url, k)``, so a failing
+fails is a pure function of ``(FAILURE_SEED, url, k)``, so a failing
 crawl is exactly reproducible and retry logic can be tested without
 flakiness.
 """
@@ -22,6 +22,9 @@ from dataclasses import dataclass, field
 from repro.runtime import REAL_CLOCK, Clock, Stopwatch, named_lock
 from repro.websim.rnd import derive_rng
 from repro.websim.sites import Web
+
+#: Seeds every latency draw and failure roll.
+FAILURE_SEED = 99
 
 
 class TransportError(Exception):
@@ -120,14 +123,12 @@ class SimulatedTransport:
         web: Web,
         failure_rate: float = 0.0,
         time_scale: float = 1.0,
-        failure_seed: int = 99,
         clock: Clock | None = None,
         brownouts: list[Brownout] | None = None,
     ):
         self.web = web
         self.failure_rate = failure_rate
         self.time_scale = time_scale
-        self.failure_seed = failure_seed
         self.clock = clock if clock is not None else REAL_CLOCK
         self.brownouts = list(brownouts or [])
         self.stats = TransportStats()
@@ -155,7 +156,7 @@ class SimulatedTransport:
 
         if site is not None and self.time_scale > 0:
             low, high = site.latency_ms
-            jitter = derive_rng(self.failure_seed, "lat", url).uniform(low, high)
+            jitter = derive_rng(FAILURE_SEED, "lat", url).uniform(low, high)
             self.clock.sleep(jitter / 1000.0 * self.time_scale)
 
         attempt = self._next_attempt(url)
@@ -165,7 +166,7 @@ class SimulatedTransport:
             for brownout in self.brownouts:
                 if brownout.active(host, now):
                     failure_rate = max(failure_rate, brownout.failure_rate)
-        roll = derive_rng(self.failure_seed, url, attempt).random()
+        roll = derive_rng(FAILURE_SEED, url, attempt).random()
         if roll < failure_rate:
             self.stats.record(host, failed=True)
             if roll < failure_rate / 2:

@@ -495,6 +495,19 @@ class TestCLIEntry:
         assert "det/wall-clock" in output
         assert "seeded.py" in output
 
+    def test_no_baseline_is_clean(self, tmp_path):
+        """CI's invocation: nothing is grandfathered, because there is
+        no file or flag that could."""
+        from repro.analysis.lint import DEFAULT_ROOT
+
+        report = tmp_path / "concurrency.json"
+        code, output = self.run_lint("--concurrency-report", str(report))
+        assert code == 0 and "0 findings" in output
+        assert report.exists()
+        assert not (DEFAULT_ROOT / "analysis" / "baseline.json").exists()
+        with pytest.raises(SystemExit):
+            self.run_lint("--no-baseline")
+
     def test_module_subcommand(self):
         from repro.cli import main as cli_main
 

@@ -88,7 +88,6 @@ class TestSQLConnector:
         connector.ingest([record_with(report_id="r1")])
         connector.ingest([record_with(report_id="r2")])
         assert connector.entity_count() > 0
-        assert connector.find_entity("Malware", "EMOTET") is not None
         counts = connector.label_counts()
         assert counts["Malware"] == 1
         assert counts["MalwareReport"] == 2

@@ -105,7 +105,7 @@ class TestChecker:
 
     def test_filter_report(self, ported):
         report = Checker().filter(ported)
-        assert report.pass_rate > 0.9
+        assert len(report.passed) > 9 * len(report.rejected)
         for _record, reason in report.rejected:
             assert reason
 

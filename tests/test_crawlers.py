@@ -342,19 +342,6 @@ class TestScheduler:
         assert series["job=quick"]["count"] == 3
         assert series["job=other"]["count"] == 3
 
-    def test_threaded_mode_runs_jobs(self):
-        counter = {"n": 0}
-        lock = threading.Lock()
-
-        def tick():
-            with lock:
-                counter["n"] += 1
-
-        scheduler = PeriodicScheduler([JobSpec("tick", tick)], interval=0.01)
-        outcomes = scheduler.run_in_threads(duration=0.15)
-        assert counter["n"] >= 2
-        assert all(o.status == "ok" for o in outcomes)
-
 
 class TestTransportErrorsPropagate:
     def test_transport_error_is_retriable(self, small_web):

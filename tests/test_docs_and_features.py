@@ -57,7 +57,7 @@ class TestWordShape:
 
 
 class TestFeatureExtractor:
-    GAZ = Gazetteer.from_lists({EntityType.MALWARE: ["emotet"]})
+    GAZ = Gazetteer({EntityType.MALWARE: {("emotet",)}})
 
     def test_core_feature_families_present(self):
         tokens = tokenize_words("The Emotet trojan connects to 10.0.0.1")

@@ -14,7 +14,8 @@ import pytest
 from alias_corpus import alias_batch
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
-from repro.feeds import TIER_MAX_TLP, TIERS, FeedPublisher, tier_allows
+from repro.feeds import TIER_MAX_TLP, TIERS, FeedPublisher
+from repro.feeds.tlp import check_tier
 from repro.obs import make_obs
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention
@@ -79,10 +80,9 @@ class TestTierSemantics:
     def test_tier_vocabulary(self):
         assert TIERS == ("public", "partner", "internal")
         assert TIER_MAX_TLP["public"] == "white"
-        assert tier_allows("partner", "amber")
-        assert not tier_allows("public", "green")
+        assert TIER_MAX_TLP["partner"] == "amber"
         with pytest.raises(ValueError):
-            tier_allows("vip", "white")
+            check_tier("vip")
 
     def test_public_feed_has_no_reports_or_sourcing(self):
         kg = make_kg()
@@ -330,7 +330,7 @@ class TestIncrementalComposition:
                     f"{node.label}|{node.properties['merge_key']}",
                 )
                 for node in kg.graph.nodes()
-                if node.label in kg.fusion.labels
+                if node.label in kg.fusion.FUSABLE_LABELS
             }
 
         object_ids = fusable_object_ids()

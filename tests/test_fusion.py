@@ -122,7 +122,7 @@ class TestKnowledgeFusion:
         second = fusion.run(db)
         assert first.groups_merged == 1
         assert second.groups_merged == 0
-        assert second.nodes_removed == 0
+        assert second.nodes_after == second.nodes_before
         assert db.engine.last_seq == fused_seq  # nothing to merge, nothing journaled
 
     def test_canonical_is_highest_degree(self):

@@ -44,7 +44,7 @@ class TestTraining:
         X, Y = make_toy_data(40, seed=1)
         correct = total = 0
         for feats, labels in zip(X, Y):
-            pred = toy_crf.predict(feats)
+            pred = toy_crf.decode(feats)[0]
             correct += sum(p == g for p, g in zip(pred, labels))
             total += len(labels)
         assert correct / total > 0.97
@@ -52,9 +52,9 @@ class TestTraining:
     def test_transition_signal_used(self, toy_crf):
         # 'bat' after an 'a'-word must be B, standalone must be O --
         # emission features alone cannot distinguish these.
-        pred = toy_crf.predict([["w=ant", "p1=a"], ["w=bat", "p1=b"]])
+        pred = toy_crf.decode([["w=ant", "p1=a"], ["w=bat", "p1=b"]])[0]
         assert pred == ["A", "B"]
-        pred2 = toy_crf.predict([["w=cat", "p1=c"], ["w=bat", "p1=b"]])
+        pred2 = toy_crf.decode([["w=cat", "p1=c"], ["w=bat", "p1=b"]])[0]
         assert pred2 == ["O", "O"]
 
     def test_mismatched_lengths_rejected(self):
@@ -62,30 +62,32 @@ class TestTraining:
             LinearChainCRF().fit([[["f"]]], [])
 
     def test_unknown_features_ignored_at_predict(self, toy_crf):
-        pred = toy_crf.predict([["w=zebra", "never-seen"]])
+        pred = toy_crf.decode([["w=zebra", "never-seen"]])[0]
         assert len(pred) == 1
+
+
+def marginals(crf, sentence):
+    """P(label | position) rows of one sentence, [n_tokens, n_labels]."""
+    return crf._posteriors(crf._scores(crf._encode(sentence), crf.emission))
 
 
 class TestInference:
     def test_marginals_sum_to_one(self, toy_crf):
-        marginals = toy_crf.predict_marginals([["w=ant"], ["w=bog"], ["w=cat"]])
-        for dist in marginals:
-            assert abs(sum(dist.values()) - 1.0) < 1e-6
+        for row in marginals(toy_crf, [["w=ant"], ["w=bog"], ["w=cat"]]):
+            assert abs(row.sum() - 1.0) < 1e-6
 
     def test_marginals_agree_with_viterbi_when_confident(self, toy_crf):
         feats = [["w=ant", "p1=a"], ["w=cat", "p1=c"]]
-        viterbi = toy_crf.predict(feats)
-        marginals = toy_crf.predict_marginals(feats)
-        argmax = [max(d, key=d.get) for d in marginals]
+        viterbi, _ = toy_crf.decode(feats)
+        argmax = [toy_crf.labels[i] for i in marginals(toy_crf, feats).argmax(axis=1)]
         assert viterbi == argmax
 
     def test_empty_sentence(self, toy_crf):
-        assert toy_crf.predict([]) == []
-        assert toy_crf.predict_marginals([]) == []
+        assert toy_crf.decode([]) == ([], None)
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
-            LinearChainCRF().predict([["f"]])
+            LinearChainCRF().decode([["f"]])
 
 
 class TestPersistence:
@@ -94,7 +96,7 @@ class TestPersistence:
         toy_crf.save(path)
         loaded = LinearChainCRF.load(path)
         feats = [["w=ant", "p1=a"], ["w=bat", "p1=b"], ["w=cat", "p1=c"]]
-        assert loaded.predict(feats) == toy_crf.predict(feats)
+        assert loaded.decode(feats) == toy_crf.decode(feats)
         np.testing.assert_allclose(loaded.emission, toy_crf.emission)
         np.testing.assert_allclose(loaded.transition, toy_crf.transition)
 
@@ -214,24 +216,22 @@ class TestDecodeAgainstOracle:
         labels, confidences = crf.decode(sentence)
         path = [crf.label_index[label] for label in labels]
         assert path in best
-        assert crf.predict(sentence) == labels
 
-        marginals = crf.predict_marginals(sentence)
-        for t, row in enumerate(marginals):
-            assert abs(sum(row.values()) - 1.0) < 1e-9
-            for label, p in row.items():
-                assert abs(p - posteriors[t][crf.label_index[label]]) < 1e-9
+        rows = marginals(crf, sentence)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.abs(rows - np.asarray(posteriors)).max() < 1e-9
         scores = crf._scores(crf._encode(sentence), crf.emission)
         assert abs(crf._forward_backward(scores, crf.transition)[2] - log_z) < 1e-9
 
         if set(labels) == {"O"}:
             assert confidences is None
         else:
-            assert confidences == [marginals[t][label] for t, label in enumerate(labels)]
+            assert confidences == rows[np.arange(len(path)), path].tolist()
 
 
 class TestDecodeIsTheOtherTwo:
-    """``decode(f) == (predict(f), chosen-label marginals)``, float for float."""
+    """``decode(f)``'s confidences are the chosen labels' marginals,
+    float for float, whichever way the sentence was encoded."""
 
     TEXTS = (
         "The wannacry ransomware encrypts files across mapped drives. "
@@ -242,12 +242,12 @@ class TestDecodeIsTheOtherTwo:
 
     def check(self, crf, features):
         labels, confidences = crf.decode(features)
-        assert labels == crf.predict(features)
         if set(labels) <= {"O"}:
             assert confidences is None
             return labels
-        marginals = crf.predict_marginals(features)
-        assert confidences == [m[label] for m, label in zip(marginals, labels)]
+        path = [crf.label_index[label] for label in labels]
+        rows = marginals(crf, features)
+        assert confidences == rows[np.arange(len(path)), path].tolist()
         return labels
 
     def test_names_and_ids_decode_alike_on_real_sentences(self, small_recognizer):

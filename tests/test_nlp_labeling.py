@@ -15,11 +15,11 @@ from search_oracle import tokenize_words
 
 
 class TestGazetteer:
-    GAZ = Gazetteer.from_lists(
+    GAZ = Gazetteer(
         {
-            EntityType.MALWARE: ["wannacry", "agent tesla"],
-            EntityType.TOOL: ["mimikatz"],
-            EntityType.THREAT_ACTOR: ["cozy bear"],
+            EntityType.MALWARE: {("wannacry",), ("agent", "tesla")},
+            EntityType.TOOL: {("mimikatz",)},
+            EntityType.THREAT_ACTOR: {("cozy", "bear")},
         }
     )
 
@@ -38,10 +38,6 @@ class TestGazetteer:
     def test_no_overlapping_matches(self):
         matches = self.GAZ.match(["cozy", "bear", "mimikatz"])
         assert [(m[0], m[1]) for m in matches] == [(0, 2), (2, 3)]
-
-    def test_contains(self):
-        assert self.GAZ.contains("Agent Tesla", EntityType.MALWARE)
-        assert not self.GAZ.contains("emotet", EntityType.MALWARE)
 
     def test_default_loads_all_types(self):
         gaz = Gazetteer.load_default()
@@ -104,7 +100,7 @@ class TestLabelModel:
         assert result.labels[0][0] == "B-Malware"
 
     def test_bio_continuity(self):
-        gaz = Gazetteer.from_lists({EntityType.MALWARE: ["agent tesla"]})
+        gaz = Gazetteer({EntityType.MALWARE: {("agent", "tesla")}})
         lf = make_gazetteer_lf(gaz, EntityType.MALWARE)
         sentences = [tokenize_words("agent tesla struck again")]
         result = LabelModel().fit_predict(sentences, [lf])

@@ -59,23 +59,19 @@ class TestEmbeddings:
         for tool in ("hammer", "wrench"):
             for _ in range(30):
                 sentences.append(f"operators run {tool} to move laterally".split())
-        emb = WordEmbeddings(dim=8, min_count=2).train(sentences)
-        assert emb.similarity("alpha", "beta") > emb.similarity("alpha", "hammer")
+        emb = WordEmbeddings(dim=8).train(sentences)
+        alpha = emb.vector("alpha")  # unit vectors: the dot is the cosine
+        assert alpha @ emb.vector("beta") > alpha @ emb.vector("hammer")
 
     def test_oov_vector_is_zero(self):
         emb = WordEmbeddings(dim=4).train([["a", "b", "a", "b"]] * 5)
         assert not emb.vector("zzz").any()
-        assert emb.similarity("zzz", "a") == 0.0
 
     def test_bucket_features_shape(self):
         emb = WordEmbeddings(dim=8).train([["a", "b", "c", "a", "b"]] * 10)
         feats = emb.bucket_features("a", buckets=4)
         assert 0 < len(feats) <= 4
         assert all(f.startswith("emb") for f in feats)
-
-    def test_most_similar_excludes_self(self):
-        emb = WordEmbeddings(dim=4).train([["x", "y", "z", "x", "y"]] * 10)
-        assert all(w != "x" for w, _s in emb.most_similar("x"))
 
 
 class TestMetrics:

@@ -2,7 +2,7 @@
 
 from repro.nlp.depparse import parse
 from repro.nlp.ner import EntitySpan
-from repro.nlp.relation import RelationExtractor, ioc_spans
+from repro.nlp.relation import RelationExtractor
 from repro.ontology import EntityType
 from search_oracle import tokenize_words
 
@@ -172,11 +172,6 @@ class TestRelationExtractor:
         tokens = tokenize_words("emotet spreads quickly.")
         spans = [EntitySpan(0, 1, EntityType.MALWARE, "emotet")]
         assert self.RX.extract(tokens, spans) == []
-
-    def test_ioc_spans_helper(self):
-        tokens = tokenize_words("beacons to 10.0.0.1 and evil.com now")
-        spans = ioc_spans(tokens)
-        assert {s.text for s in spans} == {"10.0.0.1", "evil.com"}
 
     def test_extract_with_mentions_maps_offsets(self):
         from repro.ontology import Mention

@@ -12,7 +12,6 @@ from repro.ontology import (
     ReportRecord,
     check_relation,
     refactor_record,
-    refactor_records,
 )
 
 
@@ -137,9 +136,3 @@ class TestRefactor:
         delta = refactor_record(record)
         malware = [e for e in delta.entities if e.type == EntityType.MALWARE]
         assert len(malware) == 1
-
-    def test_refactor_records_combines(self):
-        records = [make_record(report_id=f"r-{i}") for i in range(3)]
-        combined = refactor_records(records)
-        report_entities = [e for e in combined.entities if e.type.is_report]
-        assert len(report_entities) == 3

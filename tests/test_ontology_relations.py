@@ -11,7 +11,6 @@ from repro.ontology import (
     Relation,
     RelationType,
     VERB_TO_RELATION,
-    allowed_tail_types,
     check_relation,
     normalize_verb,
     validate_relation,
@@ -88,10 +87,10 @@ class TestSchema:
         assert check_relation(rel) is None
 
     def test_allowed_tail_types(self):
-        tails = allowed_tail_types(EntityType.MALWARE, RelationType.CONNECTS_TO)
+        heads, tails = SCHEMA[RelationType.CONNECTS_TO]
+        assert EntityType.MALWARE in heads and EntityType.IP not in heads
         assert EntityType.IP in tails
         assert EntityType.FILE_NAME not in tails
-        assert allowed_tail_types(EntityType.IP, RelationType.CONNECTS_TO) == frozenset()
 
     @given(
         st.sampled_from(list(EntityType)),
