@@ -28,6 +28,7 @@ once per state of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.compiler import CypherRuntimeError
@@ -39,6 +40,9 @@ from repro.graphdb.store import PropertyGraph
 from repro.obs import NO_OBS, Obs
 from repro.runtime.clock import Clock, REAL_CLOCK
 from repro.runtime.locks import named_lock
+
+if TYPE_CHECKING:
+    from repro.graphdb.wal import GraphDatabase
 
 #: Most query texts the engine keeps prepared; the oldest is dropped for
 #: a new one.  A serving mix repeats a few hundred texts (point lookups
@@ -397,10 +401,11 @@ class CypherEngine:
             self._write_create(query, database)
 
     @staticmethod
-    def _write_create(query: ast.CreateQuery, target) -> None:
-        """Walk the CREATE paths, creating each node once per variable.
-        ``target`` is the bare graph or the database that journals it:
-        the same ``create_node`` / ``create_edge``."""
+    def _write_create(
+        query: ast.CreateQuery, target: "PropertyGraph | GraphDatabase"
+    ) -> None:
+        """Walk the CREATE paths, creating each node once per variable:
+        on the bare graph, or through the database that journals it."""
         bound: dict[str, int] = {}
         for path in query.paths:
             previous: int | None = None

@@ -22,10 +22,16 @@ A fourth keeps the lint rule catalogue in step: the rule headings of the
 ``repro.analysis.lint`` docstring and the rows of README's lint table
 name the same rules, and ROADMAP's standing invariants name every
 ``det/*`` and ``conc/*`` rule and no rule that does not exist.
+
+A fifth is the admission rule for ``src/`` itself: a public definition
+needs a caller that is not a test, and a constructor option a caller
+that sets it (:class:`TestCallerCount`).
 """
 
 import argparse
+import ast
 import re
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import repro.cli as cli
@@ -231,3 +237,178 @@ class TestLintRuleCatalogue:
         assert named <= rules, f"ROADMAP names unknown lint rules: {named - rules}"
         must = {rule for rule in rules if rule.startswith(("det/", "conc/"))}
         assert must <= named, f"ROADMAP invariants omit: {must - named}"
+
+
+class TestCallerCount:
+    """Every non-underscore function, class and method defined under
+    ``src/repro`` is loaded -- as an AST ``Name`` or ``Attribute``, so
+    by name -- somewhere in ``src/``, ``benchmarks/`` or ``examples/``
+    outside its own definition, and every defaulted ``__init__``
+    parameter is passed by some caller, tests included.  What neither
+    holds for is deleted or listed here with the reason it stays; an
+    entry that excuses nothing fails too."""
+
+    WITNESS = (
+        "pytest instrumentation: tests/conftest.py runs every session "
+        "under the lock-order witness"
+    )
+    WEBSIM = "websim ground truth that crawl and extraction tests score against"
+    ALLOWED_DEFINITIONS = {
+        "LockOrderWitness.*": WITNESS,
+        "analyze_package": WITNESS,
+        "ConcurrencyModel.lock_names": WITNESS,
+        "ConcurrencyModel.hierarchy_lines": (
+            "the rows of CONCURRENCY.md, which tests/test_concurrency.py "
+            "holds the file to"
+        ),
+        "*.Handler.*": "http.server calls a handler's methods by name",
+        "Site.ground_truth": WEBSIM,
+        "Site.index_url": WEBSIM,
+        "Web.site_by_name": WEBSIM,
+        "import_bundle": (
+            "the export tests' round-trip reference and ROADMAP item 5's "
+            "fuzz target"
+        ),
+        "canonical_bundle": "the form that round trip is compared in",
+        "*Tracer.open_span_count": (
+            "span-leak probe the obs tests read after every crash path"
+        ),
+        "CrashInjector.seeded": (
+            "fault injection for the recovery property tests; nothing "
+            "ships armed"
+        ),
+        "shortest_path": (
+            "traversal primitive beside bfs / k-hop with five tests of its "
+            "own: it goes with them, or gets a route"
+        ),
+    }
+    ALLOWED_OPTIONS = {
+        "ExplorerServer.host": "the bind address, a deployment setting",
+    }
+
+    @staticmethod
+    def trees(*roots: str) -> dict[Path, ast.Module]:
+        return {
+            path: ast.parse(path.read_text(encoding="utf-8"))
+            for root in roots
+            for path in sorted((REPO_ROOT / root).rglob("*.py"))
+        }
+
+    @staticmethod
+    def definitions(trees):
+        """``(path, qualified name, node)`` of every def / class under src/."""
+        for path, tree in trees.items():
+            if REPO_ROOT / "src" not in path.parents:
+                continue
+            stack = [(tree, "")]
+            while stack:
+                parent, prefix = stack.pop()
+                for node in ast.iter_child_nodes(parent):
+                    if isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                    ):
+                        yield path, prefix + node.name, node
+                        stack.append((node, f"{prefix}{node.name}."))
+                    elif not isinstance(node, ast.expr):
+                        stack.append((node, prefix))
+
+    @staticmethod
+    def check(flagged: set[str], allowed: dict[str, str], what: str) -> None:
+        excused = {n for n in flagged if any(fnmatchcase(n, p) for p in allowed)}
+        assert flagged == excused, (
+            f"{what}: delete, or allow-list with a reason: "
+            f"{sorted(flagged - excused)}"
+        )
+        stale = [p for p in allowed if not any(fnmatchcase(n, p) for n in flagged)]
+        assert not stale, f"{what}: allow-list entries that excuse nothing: {stale}"
+
+    def test_every_public_definition_has_a_caller_outside_tests(self):
+        trees = self.trees("src", "benchmarks", "examples")
+        loads: dict[str, list[tuple[Path, int]]] = {}
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                    node.ctx, ast.Load
+                ):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    loads.setdefault(name, []).append((path, node.lineno))
+        flagged = {
+            qualified
+            for path, qualified, node in self.definitions(trees)
+            if not node.name.startswith("_")
+            and all(
+                where == path and node.lineno <= line <= node.end_lineno
+                for where, line in loads.get(node.name, [])
+            )
+        }
+        self.check(flagged, self.ALLOWED_DEFINITIONS, "definitions only tests call")
+
+    def test_every_constructor_option_is_set_by_some_caller(self):
+        trees = self.trees("src", "benchmarks", "examples", "tests")
+        classes = [
+            (path, node)
+            for path, _name, node in self.definitions(trees)
+            if isinstance(node, ast.ClassDef)
+        ]
+        calls: dict[str, list[tuple[Path, ast.Call]]] = {}
+        for path, tree in trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and isinstance(
+                    node.func, (ast.Name, ast.Attribute)
+                ):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else func.attr
+                    calls.setdefault(name, []).append((path, node))
+
+        def inside(cls_path, cls_node, site):
+            path, call = site
+            return (
+                path == cls_path
+                and cls_node.lineno <= call.lineno <= cls_node.end_lineno
+            )
+
+        flagged = set()
+        for path, cls in classes:
+            init = next(
+                (
+                    n
+                    for n in cls.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                ),
+                None,
+            )
+            if init is None:
+                continue
+            args = init.args
+            positional = [a.arg for a in args.posonlyargs + args.args][1:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [
+                a.arg
+                for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
+            ]
+            # C(...), cls(...) inside C, and __init__(...) inside a subclass
+            sites = calls.get(cls.name, []) + [
+                site for site in calls.get("cls", []) if inside(path, cls, site)
+            ]
+            for sub_path, sub in classes:
+                bases = {
+                    b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                    for b in sub.bases
+                }
+                if cls.name in bases:
+                    sites += [
+                        site
+                        for site in calls.get("__init__", [])
+                        if inside(sub_path, sub, site)
+                    ]
+            passed = set()
+            for _path, call in sites:
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    passed.update(defaulted)
+                passed.update(positional[: len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            flagged.update(f"{cls.name}.{p}" for p in defaulted if p not in passed)
+        self.check(flagged, self.ALLOWED_OPTIONS, "options no caller sets")

@@ -79,7 +79,8 @@ class TestInference:
     def test_marginals_agree_with_viterbi_when_confident(self, toy_crf):
         feats = [["w=ant", "p1=a"], ["w=cat", "p1=c"]]
         viterbi, _ = toy_crf.decode(feats)
-        argmax = [toy_crf.labels[i] for i in marginals(toy_crf, feats).argmax(axis=1)]
+        rows = marginals(toy_crf, feats)
+        argmax = [toy_crf.labels[i] for i in rows.argmax(axis=1)]
         assert viterbi == argmax
 
     def test_empty_sentence(self, toy_crf):
