@@ -51,11 +51,6 @@ from repro.sharding import ShardSet
 #: Stages whose self-time shares are reported.
 STAGE_NAMES = ("check", "parse", "extract", "extract.ner", "extract.relation")
 
-QUERIES = (
-    "MATCH (m:Malware) RETURN m.name ORDER BY m.name",
-    "MATCH (m:Malware) RETURN m.type, count(m) ORDER BY m.type",
-)
-
 _ENTITIES = [
     ("agent tesla", EntityType.MALWARE),
     ("zeus panda", EntityType.MALWARE),
@@ -63,6 +58,14 @@ _ENTITIES = [
     ("APT29", EntityType.THREAT_ACTOR),
     ("mimikatz", EntityType.TOOL),
 ]
+
+#: Run under PROFILE at 1 and 4 partitions: an ordered scan and a
+#: grouped aggregate, one blocking operator of each kind.  (Their line
+#: numbers are the ids of tests/test_analysis_sweep.py's cases.)
+QUERIES = (
+    "MATCH (m:Malware) RETURN m.name ORDER BY m.name",
+    "MATCH (m:Malware) RETURN m.type, count(m) ORDER BY m.type",
+)
 
 
 def _records(count: int) -> list[CTIRecord]:

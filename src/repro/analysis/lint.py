@@ -722,10 +722,10 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
             "total": len(findings),
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 1 if findings else 0
-    for diagnostic in findings:
-        print(diagnostic.format(), file=out)
-    print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}", file=out)
+    else:
+        for diagnostic in findings:
+            print(diagnostic.format(), file=out)
+        print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}", file=out)
     return 1 if findings else 0
 
 

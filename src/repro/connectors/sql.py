@@ -20,7 +20,7 @@ import json
 import sqlite3
 
 from repro.connectors.base import Connector, IngestStats, registry
-from repro.ontology.entities import Entity, canonical_name, merge_key_for
+from repro.ontology.entities import Entity, merge_key_for
 from repro.ontology.intermediate import CTIRecord
 from repro.ontology.refactor import refactor_record
 from repro.storage.engine import StorageEngine

@@ -6,9 +6,9 @@ snapshot compaction); persistence lives in
 :class:`repro.storage.StorageEngine`: the graph registers a
 :class:`GraphParticipant` whose op batches are journalled alongside the
 search index's and crawl state's, so one pipeline batch commits across
-all stores atomically.  ``GraphDatabase(path)`` without
-an engine owns a one-participant engine (in memory when ``path`` is
-``None``) -- the same single mutation path, not a second format.
+all stores atomically.  ``GraphDatabase(path)`` without an engine owns
+a one-participant engine (in memory when ``path`` is ``None``) -- the
+same single mutation path, not a second format.
 """
 
 from __future__ import annotations
