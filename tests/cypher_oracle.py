@@ -163,6 +163,19 @@ def _fp(value):
     return value
 
 
+def _row_fp(row: dict):
+    """Fingerprint of a result row.  A list cell is a ``collect()``: its
+    element order is the order the matches were found in, which Cypher
+    leaves open and the planner's choice of anchor decides, so it
+    compares as a multiset."""
+    return tuple(
+        (alias, tuple(sorted(_fp(value), key=repr)))
+        if isinstance(value, list)
+        else (alias, _fp(value))
+        for alias, value in sorted(row.items())
+    )
+
+
 def _same(bound, element):
     """Whether a bound variable holds this very node / edge."""
     if isinstance(element, Node):
@@ -267,7 +280,7 @@ def evaluate(graph, query):
             key=lambda pair: (pair[1][index] is not None, pair[1][index]),
             reverse=not query.order_by[index][1],
         )
-    keyed = [(_fp(sorted(row.items())), _fp(key)) for row, key in keyed]
+    keyed = [(_row_fp(row), _fp(key)) for row, key in keyed]
     if query.distinct:  # after the sort; the first occurrence wins
         seen = set()
         keyed = [p for p in keyed if not (p[0] in seen or seen.add(p[0]))]
@@ -279,7 +292,7 @@ def check(engine_rows, graph, text):
     query = parse(text)
     keyed = evaluate(graph, query)
     expected = keyed[query.skip or 0:][:query.limit]
-    got = [_fp(sorted(row.values.items())) for row in engine_rows]
+    got = [_row_fp(row.values) for row in engine_rows]
     assert len(got) == len(expected), (len(got), len(expected))
     spurious = Counter(got) - Counter(row for row, _key in keyed)
     assert not spurious, f"rows the oracle does not produce: {spurious}"
