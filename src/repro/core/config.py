@@ -123,6 +123,9 @@ class SystemConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
+        for key in ("parse_workers", "extract_workers"):
+            if key in data and data[key] < 1:
+                raise ValueError(f"{key} must be at least 1, got {data[key]}")
         return cls(**data)
 
     @classmethod

@@ -117,6 +117,12 @@ class Pipeline:
     ):
         if not stages:
             raise ValueError("pipeline needs at least one stage")
+        for stage in stages:
+            if stage.workers < 1:
+                raise ValueError(
+                    f"stage {stage.name!r} needs at least one worker, "
+                    f"got workers={stage.workers}"
+                )
         self.stages = list(stages)
         self.clock = clock if clock is not None else REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS

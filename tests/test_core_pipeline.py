@@ -36,6 +36,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             Pipeline([])
 
+    def test_stage_without_workers_rejected(self):
+        # used to build, then block run() forever
+        with pytest.raises(ValueError, match="'parse'"):
+            Pipeline([Stage("check", lambda x: x), Stage("parse", lambda x: x, workers=0)])
+
     def test_result_throughput(self):
         result = Pipeline([Stage("id", lambda x: x)]).run([1] * 10)
         assert result.throughput > 0

@@ -16,6 +16,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig.from_dict({"no_such_option": 1})
 
+    @pytest.mark.parametrize("key", ["parse_workers", "extract_workers"])
+    def test_worker_counts_below_one_rejected(self, key):
+        # a stage with no worker never runs: the cycle would hang
+        with pytest.raises(ValueError, match=key):
+            SystemConfig.from_dict({key: 0})
+
     def test_file_round_trip(self, tmp_path):
         config = SystemConfig(recognizer="regex")
         path = tmp_path / "config.json"
