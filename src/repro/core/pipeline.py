@@ -7,22 +7,26 @@ serializable.  With such pipeline design, we can have multiple
 computing instances for a single step and pass serialized intermediate
 results across the network."
 
-This engine realises that design in-process: each stage owns a worker
-pool, stages are connected by bounded queues, and each boundary can be
-given a codec (``encode``/``decode``) so items cross stages in their
-serialized form -- exactly what shipping them across hosts would
-require, and what benchmark E3 measures the cost/benefit of.
+This engine realises that design in-process on the standard library's
+executors: each stage owns a ``ThreadPoolExecutor`` of ``stage.workers``
+threads, an item hops to the next stage's pool the moment its own stage
+finishes (so the stages overlap), and each boundary can be given a
+codec (``encode``/``decode``) so items cross stages in their serialized
+form -- exactly what shipping them across hosts would require, and what
+benchmark E3 measures the cost/benefit of.  Every item keeps the
+position it came in at: outputs and errors are in input order whatever
+the worker counts.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs import NO_OBS, Obs
-from repro.runtime import REAL_CLOCK, Clock, Stopwatch, named_lock
+from repro.runtime import REAL_CLOCK, Clock, Stopwatch
 
 #: A stage function maps one item to one item, or None to filter it out.
 StageFn = Callable[[object], "object | None"]
@@ -51,35 +55,10 @@ class Stage:
 
 
 @dataclass
-class StageStats:
-    """Per-stage counters."""
-
-    name: str
-    processed: int = 0
-    filtered: int = 0
-    errors: int = 0
-    busy_seconds: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=lambda: named_lock("pipeline.stage_stats"), repr=False
-    )
-
-    def record(self, elapsed: float, filtered: bool, error: bool) -> None:
-        with self._lock:
-            self.busy_seconds += elapsed
-            if error:
-                self.errors += 1
-            elif filtered:
-                self.filtered += 1
-            else:
-                self.processed += 1
-
-
-@dataclass
 class PipelineResult:
-    """Outputs plus per-stage statistics and wall-clock time."""
+    """Outputs and errors, both in input order, plus wall-clock time."""
 
     outputs: list[object]
-    stages: list[StageStats]
     elapsed: float
     errors: list[tuple[str, str]] = field(default_factory=list)
 
@@ -87,11 +66,6 @@ class PipelineResult:
     def throughput(self) -> float:
         """Output items per second."""
         return len(self.outputs) / self.elapsed if self.elapsed > 0 else 0.0
-
-
-_SENTINEL = object()
-#: Items a stage may queue for the next one before its workers block.
-QUEUE_SIZE = 128
 
 
 class Pipeline:
@@ -146,121 +120,68 @@ class Pipeline:
             return result
 
     def run(self, items: list[object]) -> PipelineResult:
-        """Process ``items``; blocks until every stage drains."""
-        run_span = self.obs.tracer.span("pipeline", items=len(items))
-        with run_span:
-            return self._run(items, run_span)
-
-    def _run(self, items: list[object], run_span) -> PipelineResult:
-        queues = [
-            queue.Queue(maxsize=QUEUE_SIZE)
-            for _ in range(len(self.stages) + 1)
-        ]
-        stats = [StageStats(stage.name) for stage in self.stages]
-        errors: list[tuple[str, str]] = []
-        errors_lock = named_lock("pipeline.errors")
-        threads: list[threading.Thread] = []
+        """Process ``items``; blocks until every one has left the pipeline."""
         watch = Stopwatch(self.clock)
-
-        for index, stage in enumerate(self.stages):
-            exited = [0]
-            exited_lock = named_lock("pipeline.exited")
-            decoder = None if index == 0 else self.stages[index - 1].codec
-
-            def worker(
-                stage=stage,
-                index=index,
-                exited=exited,
-                exited_lock=exited_lock,
-                decoder=decoder,
-                stage_stats=stats[index],
-            ) -> None:
-                in_queue, out_queue = queues[index], queues[index + 1]
-                while True:
-                    item = in_queue.get()
-                    if item is _SENTINEL:
-                        # Recycle the sentinel so sibling workers see it
-                        # too; the last worker out signals downstream.
-                        in_queue.put(_SENTINEL)
-                        with exited_lock:
-                            exited[0] += 1
-                            last = exited[0] == stage.workers
-                        if last:
-                            out_queue.put(_SENTINEL)
-                        return
-                    begin = self.clock.now()
-                    try:
-                        result = self._run_stage(stage, decoder, item, run_span)
-                    except Exception as error:  # noqa: BLE001 - stage isolation
-                        elapsed = self.clock.now() - begin
-                        stage_stats.record(elapsed, filtered=False, error=True)
-                        self.obs.metrics.inc(
-                            "pipeline.items", stage=stage.name, outcome="error"
-                        )
-                        self.obs.metrics.observe(
-                            "pipeline.stage_seconds", elapsed, stage=stage.name
-                        )
-                        with errors_lock:
-                            errors.append((stage.name, f"{type(error).__name__}: {error}"))
-                        continue
-                    elapsed = self.clock.now() - begin
-                    self.obs.metrics.observe(
-                        "pipeline.stage_seconds", elapsed, stage=stage.name
-                    )
-                    if result is None:
-                        stage_stats.record(elapsed, filtered=True, error=False)
-                        self.obs.metrics.inc(
-                            "pipeline.items", stage=stage.name, outcome="filtered"
-                        )
-                    else:
-                        stage_stats.record(elapsed, filtered=False, error=False)
-                        self.obs.metrics.inc(
-                            "pipeline.items", stage=stage.name, outcome="ok"
-                        )
-                        out_queue.put(result)
-
-            for worker_index in range(stage.workers):
-                thread = threading.Thread(
-                    target=worker,
-                    name=f"{stage.name}-{worker_index}",
-                    daemon=True,
+        run_span = self.obs.tracer.span("pipeline", items=len(items))
+        with run_span, ExitStack() as stack:
+            pools = [
+                stack.enter_context(
+                    ThreadPoolExecutor(stage.workers, thread_name_prefix=stage.name)
                 )
-                threads.append(thread)
-                thread.start()
-
-        def feed() -> None:
-            # Feeding runs on its own thread: with bounded queues the
-            # feeder can block on back-pressure while the main thread
-            # must keep draining the final queue.
-            for item in items:
-                queues[0].put(item)
-            queues[0].put(_SENTINEL)
-
-        feeder = threading.Thread(target=feed, name="pipeline-feed", daemon=True)
-        feeder.start()
-        threads.append(feeder)
-
-        outputs: list[object] = []
-        final_queue = queues[-1]
-        # each stage emits exactly one downstream sentinel once all its
-        # workers drain (see worker logic above)
-        while True:
-            item = final_queue.get()
-            if item is _SENTINEL:
-                break
-            outputs.append(item)
-        for thread in threads:
-            thread.join(timeout=30.0)
-
+                for stage in self.stages
+            ]
+            first_hops = [
+                pools[0].submit(self._hop, pools, 0, item, run_span)
+                for item in items
+            ]
+            fates = [_settle(hop) for hop in first_hops]
+        outputs = [value for value, _error in fates if value is not None]
         last_codec = self.stages[-1].codec
         if last_codec is not None:
             outputs = [last_codec.decode(item) for item in outputs]
         return PipelineResult(
             outputs=outputs,
-            stages=stats,
             elapsed=watch.elapsed,
-            errors=errors,
+            errors=[error for _value, error in fates if error is not None],
         )
 
+    def _hop(self, pools, index: int, item, run_span):
+        """``item`` through stage ``index``, on one of that stage's workers.
 
-__all__ = ["Codec", "Pipeline", "PipelineResult", "Stage", "StageFn", "StageStats"]
+        Returns the future of the item's next hop, or -- once it is
+        filtered, has failed, or has left the last stage -- its fate, a
+        ``(value, error)`` pair with at most one side set.
+        """
+        stage = self.stages[index]
+        decoder = self.stages[index - 1].codec if index else None
+        fate = (None, None)
+        begin = self.clock.now()
+        try:
+            result = self._run_stage(stage, decoder, item, run_span)
+        except Exception as error:  # noqa: BLE001 - stage isolation
+            outcome = "error"
+            fate = (None, (stage.name, f"{type(error).__name__}: {error}"))
+        else:
+            outcome = "filtered" if result is None else "ok"
+            if index + 1 == len(self.stages):
+                fate = (result, None)
+            elif result is not None:
+                fate = pools[index + 1].submit(
+                    self._hop, pools, index + 1, result, run_span
+                )
+        self.obs.metrics.observe(
+            "pipeline.stage_seconds", self.clock.now() - begin, stage=stage.name
+        )
+        self.obs.metrics.inc("pipeline.items", stage=stage.name, outcome=outcome)
+        return fate
+
+
+def _settle(hop: Future):
+    """Follow one item's chain of hops to its fate."""
+    fate = hop.result()
+    while isinstance(fate, Future):
+        fate = fate.result()
+    return fate
+
+
+__all__ = ["Codec", "Pipeline", "PipelineResult", "Stage", "StageFn"]

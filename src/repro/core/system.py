@@ -302,14 +302,11 @@ class SecurityKG:
             obs=self.obs,
             item_key=lambda item: getattr(item, "report_id", None),
         )
+        # outputs are in input order, so what the store does with them
+        # (which mention first creates a shared node, every node id)
+        # does not depend on thread timing
         result = pipeline.run(reports)
-        # Workers finish out of order.  The records go on in the order
-        # their reports came in, so what the store does with them (which
-        # mention first creates a shared node, every node id) does not
-        # depend on thread timing.
-        position = {report.report_id: at for at, report in enumerate(reports)}
-        records = sorted(result.outputs, key=lambda r: position[r.report_id])
-        return records, result
+        return result.outputs, result
 
     def store(self, records: list[CTIRecord]) -> dict[str, IngestStats]:
         """Storage stage: one atomic cross-store commit per report.

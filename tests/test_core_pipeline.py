@@ -5,28 +5,36 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pipeline import Codec, Pipeline, Stage
+from repro.obs import make_obs
+
+
+def items_counted(obs, stage, outcome):
+    return obs.metrics.counter("pipeline.items", stage=stage, outcome=outcome)
 
 
 class TestBasics:
     def test_single_stage_identity(self):
         result = Pipeline([Stage("id", lambda x: x)]).run([1, 2, 3])
-        assert sorted(result.outputs) == [1, 2, 3]
+        assert result.outputs == [1, 2, 3]
 
     def test_chained_stages(self):
         result = Pipeline(
             [Stage("inc", lambda x: x + 1), Stage("double", lambda x: x * 2)]
         ).run([1, 2, 3])
-        assert sorted(result.outputs) == [4, 6, 8]
+        assert result.outputs == [4, 6, 8]
 
     def test_filtering_stage(self):
+        obs = make_obs()
         result = Pipeline(
-            [Stage("evens", lambda x: x if x % 2 == 0 else None)]
+            [Stage("evens", lambda x: x if x % 2 == 0 else None)], obs=obs
         ).run(list(range(10)))
-        assert sorted(result.outputs) == [0, 2, 4, 6, 8]
-        assert result.stages[0].filtered == 5
-        assert result.stages[0].processed == 5
+        assert result.outputs == [0, 2, 4, 6, 8]
+        assert items_counted(obs, "evens", "filtered") == 5
+        assert items_counted(obs, "evens", "ok") == 5
 
     def test_empty_input(self):
         result = Pipeline([Stage("id", lambda x: x)]).run([])
@@ -53,10 +61,29 @@ class TestErrorIsolation:
                 raise RuntimeError("bad item")
             return x
 
-        result = Pipeline([Stage("boom", boom, workers=2)]).run([1, 2, 3])
-        assert sorted(result.outputs) == [1, 3]
-        assert result.stages[0].errors == 1
+        obs = make_obs()
+        result = Pipeline([Stage("boom", boom, workers=2)], obs=obs).run([1, 2, 3])
+        assert result.outputs == [1, 3]
+        assert items_counted(obs, "boom", "error") == 1
         assert result.errors == [("boom", "RuntimeError: bad item")]
+
+    def test_raising_middle_stage_does_not_hang(self):
+        def boom(x):
+            if x % 3 == 0:
+                raise RuntimeError(f"bad {x}")
+            return x
+
+        result = Pipeline(
+            [
+                Stage("a", lambda x: x + 1, workers=2),
+                Stage("boom", boom, workers=2),
+                Stage("c", lambda x: x * 2, workers=2),
+            ]
+        ).run(list(range(12)))
+        assert result.outputs == [2 * (x + 1) for x in range(12) if (x + 1) % 3]
+        assert result.errors == [
+            ("boom", f"RuntimeError: bad {x + 1}") for x in range(12) if (x + 1) % 3 == 0
+        ]
 
 
 class TestParallelism:
@@ -68,7 +95,7 @@ class TestParallelism:
         items = list(range(32))
         serial = Pipeline([Stage("slow", slow, workers=1)]).run(items)
         parallel = Pipeline([Stage("slow", slow, workers=8)]).run(items)
-        assert sorted(parallel.outputs) == sorted(serial.outputs)
+        assert parallel.outputs == serial.outputs == items
         assert parallel.elapsed < serial.elapsed / 2
 
     def test_all_items_processed_with_many_workers(self):
@@ -79,7 +106,7 @@ class TestParallelism:
                 Stage("c", lambda x: x - 1, workers=4),
             ]
         ).run(list(range(200)))
-        assert sorted(result.outputs) == [(x + 1) * 2 - 1 for x in range(200)]
+        assert result.outputs == [(x + 1) * 2 - 1 for x in range(200)]
 
     def test_thread_safety_of_stats(self):
         counter = []
@@ -90,9 +117,22 @@ class TestParallelism:
                 counter.append(x)
             return x
 
-        result = Pipeline([Stage("c", count, workers=8)]).run(list(range(500)))
+        obs = make_obs()
+        result = Pipeline([Stage("c", count, workers=8)], obs=obs).run(
+            list(range(500))
+        )
         assert len(counter) == 500
-        assert result.stages[0].processed == 500
+        assert result.outputs == list(range(500))
+        assert items_counted(obs, "c", "ok") == 500
+
+    def test_run_twice_and_leave_no_thread_behind(self):
+        baseline = threading.active_count()
+        pipeline = Pipeline(
+            [Stage("a", lambda x: x + 1, workers=3), Stage("b", lambda x: x * 2, workers=2)]
+        )
+        for _ in range(2):
+            assert pipeline.run([1, 2, 3]).outputs == [4, 6, 8]
+            assert threading.active_count() == baseline
 
 
 class TestSerializationBoundaries:
@@ -104,7 +144,7 @@ class TestSerializationBoundaries:
                 Stage("unwrap", lambda d: d["v"] + 1),
             ]
         ).run([1, 2, 3])
-        assert sorted(result.outputs) == [2, 3, 4]
+        assert result.outputs == [2, 3, 4]
 
     def test_final_stage_codec_decoded_in_outputs(self):
         codec = Codec(encode=json.dumps, decode=json.loads)
@@ -115,10 +155,65 @@ class TestSerializationBoundaries:
 
     def test_codec_failures_are_stage_errors(self):
         codec = Codec(encode=json.dumps, decode=json.loads)
+        obs = make_obs()
         result = Pipeline(
             [
                 Stage("bad", lambda x: {"v": object()}, codec=codec),
-            ]
+            ],
+            obs=obs,
         ).run([1])
         assert result.outputs == []
-        assert result.stages[0].errors == 1
+        assert items_counted(obs, "bad", "error") == 1
+        assert [stage for stage, _message in result.errors] == ["bad"]
+
+
+#: what a stage does to an item at a position: pass it on, filter it, raise
+FATES = st.sampled_from(["ok", "ok", "ok", "filtered", "raise"])
+
+
+class TestInputOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plan=st.lists(
+            st.tuples(st.integers(1, 8), st.lists(FATES, min_size=12, max_size=12)),
+            min_size=1,
+            max_size=3,
+        ),
+        count=st.integers(0, 12),
+        with_codecs=st.booleans(),
+    )
+    def test_outputs_and_errors_equal_the_serial_fold(self, plan, count, with_codecs):
+        """1-3 stages, 1-8 workers each, any item filtered or raising at
+        any stage: the run is the serial fold, in input order."""
+        codec = Codec(encode=json.dumps, decode=json.loads) if with_codecs else None
+
+        def make_fn(depth, fates):
+            def fn(item):
+                fate = fates[item["at"]]
+                if fate == "raise":
+                    raise RuntimeError(f"{item['at']}@{depth}")
+                return None if fate == "filtered" else {**item, "seen": depth + 1}
+
+            return fn
+
+        stages = [
+            Stage(f"s{depth}", make_fn(depth, fates), workers=workers, codec=codec)
+            for depth, (workers, fates) in enumerate(plan)
+        ]
+        items = [{"at": at, "seen": 0} for at in range(count)]
+
+        outputs, errors = [], []
+        for item in items:
+            for depth, (_workers, fates) in enumerate(plan):
+                fate = fates[item["at"]]
+                if fate == "raise":
+                    errors.append((f"s{depth}", f"RuntimeError: {item['at']}@{depth}"))
+                if fate != "ok":
+                    break
+                item = {**item, "seen": depth + 1}
+            else:
+                outputs.append(item)
+
+        result = Pipeline(stages).run(items)
+        assert result.outputs == outputs
+        assert result.errors == errors

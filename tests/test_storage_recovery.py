@@ -449,16 +449,14 @@ class TestFusionIsJournaled:
     def test_facade_sequence_reopens_to_the_live_graph(
         self, tmp_path, partitions, steps
     ):
-        """The same through ``run_once`` alone.  One worker per stage
-        makes a partial crawl pick the same reports every time (this
-        source mix gives fusion a group to merge after six of them)."""
+        """The same through ``run_once`` alone.  One crawl thread makes
+        a partial crawl pick the same reports every time (this source
+        mix gives fusion a group to merge after six of them)."""
         workload = dict(
             partitions=partitions,
             sources=["ThreatPedia", "MalwareVault", "OTX Mirror"],
             reports_per_site=3,
             crawl_threads=1,
-            parse_workers=1,
-            extract_workers=1,
         )
         kg = make_kg(tmp_path / "state", **workload)
         reopen = tmp_path / "state"
