@@ -211,6 +211,7 @@ class SecurityKG:
         )
         self.engine.add_checkpoint_step(self.feeds.snapshot)
         self._last_skipped = 0
+        self._last_rejected: dict[str, int] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -268,7 +269,12 @@ class SecurityKG:
         return engine.crawl()
 
     def process(self, reports: list[ReportRecord]) -> tuple[list[CTIRecord], object]:
-        """Processing stage: checker -> parsers -> extractors, pipelined."""
+        """Processing stage: checker -> parsers -> extractors, pipelined.
+
+        The check stage is the cycle's one check: what it rejects is
+        counted by reason in ``pipeline.reports_rejected`` and reaches
+        ``run_once``'s :class:`SystemReport` from there.
+        """
         report_codec = None
         cti_codec = None
         if self.config.serialize_boundaries:
@@ -279,8 +285,15 @@ class SecurityKG:
                 encode=lambda r: r.to_json(), decode=CTIRecord.from_json
             )
 
+        # the check stage has one worker, so only that thread counts
+        rejected: dict[str, int] = {}
+
         def check(record: ReportRecord):
-            return record if self.checker.why_rejected(record) is None else None
+            reason = self.checker.why_rejected(record)
+            if reason is None:
+                return record
+            rejected[reason] = rejected.get(reason, 0) + 1
+            return None
 
         pipeline = Pipeline(
             [
@@ -306,6 +319,11 @@ class SecurityKG:
         # (which mention first creates a shared node, every node id)
         # does not depend on thread timing
         result = pipeline.run(reports)
+        for reason in sorted(rejected):
+            self.obs.metrics.inc(
+                "pipeline.reports_rejected", rejected[reason], reason=reason
+            )
+        self._last_rejected = rejected
         return result.outputs, result
 
     def store(self, records: list[CTIRecord]) -> dict[str, IngestStats]:
@@ -333,17 +351,9 @@ class SecurityKG:
         with self.obs.tracer.span("run") as run_span:
             crawl_result = self.crawl(max_articles=max_articles)
             ported = self.porter.port(crawl_result.documents)
-            check_report = self.checker.filter(ported)
-            records, pipeline_result = self.process(check_report.passed)
+            records, pipeline_result = self.process(ported)
             ingest = self.store(records)
-
-            reasons: dict[str, int] = {}
-            for _record, reason in check_report.rejected:
-                reasons[reason] = reasons.get(reason, 0) + 1
-            for reason in sorted(reasons):
-                self.obs.metrics.inc(
-                    "pipeline.reports_rejected", reasons[reason], reason=reason
-                )
+            reasons = self._last_rejected
             skipped = self._last_skipped
             self._update_graph_gauges()
             run_span.set("reports_stored", len(records) - skipped)
@@ -356,7 +366,7 @@ class SecurityKG:
         return SystemReport(
             crawl=crawl_result,
             reports_ported=len(ported),
-            reports_rejected=len(check_report.rejected),
+            reports_rejected=sum(reasons.values()),
             reports_stored=len(records) - skipped,
             reports_skipped=skipped,
             rejection_reasons=reasons,

@@ -427,7 +427,7 @@ class HealthEngine:
 
         horizon = max((rule.window for rule in self.rules), default=60.0)
         self._window = SlidingWindow(horizon)
-        self._counter_samples: deque = deque()  # (t, rejected, checked)
+        self._counter_samples: deque = deque()  # (t, rejected, passed)
         self._series: dict[tuple[str, str], _RuleSeries] = {}
         self._sources: dict[str, _SourceState] = {}
         self._alerts: list[Alert] = []
@@ -568,14 +568,9 @@ class HealthEngine:
         """Tail the metrics registry for registry-backed signals."""
         metrics = self.obs.metrics
         rejected = metrics.counter_total("pipeline.reports_rejected")
-        checked = (
-            metrics.counter("pipeline.items", stage="check", outcome="ok")
-            + metrics.counter(
-                "pipeline.items", stage="check", outcome="filtered"
-            )
-        )
+        passed = metrics.counter("pipeline.items", stage="check", outcome="ok")
         with self._lock:
-            self._counter_samples.append((t, rejected, checked))
+            self._counter_samples.append((t, rejected, passed))
 
     def maybe_evaluate(self, now: float) -> int:
         """Run every evaluation whose deadline has passed; returns count."""
@@ -706,14 +701,14 @@ class HealthEngine:
             samples = [s for s in self._counter_samples if s[0] >= since]
             if not samples:
                 return {}
-            base_rejected, base_checked = 0, 0
+            base_rejected, base_passed = 0, 0
             older = [s for s in self._counter_samples if s[0] < since]
             if older:
-                _t, base_rejected, base_checked = older[-1]
-            _t, rejected, checked = samples[-1]
+                _t, base_rejected, base_passed = older[-1]
+            _t, rejected, passed = samples[-1]
             rejected -= base_rejected
-            checked -= base_checked
-            total = rejected + checked
+            passed -= base_passed
+            total = rejected + passed
             if total < rule.min_samples:
                 return {}
             return {"": rejected / total}

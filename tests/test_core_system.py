@@ -121,6 +121,37 @@ class TestConfigurationEffects:
         )
         assert plain.graph.edge_count == serialized.graph.edge_count
 
+    def test_run_once_checks_each_report_once(self):
+        """The pipeline's check stage is the cycle's one check: it sees
+        the reports it rejects, and its counts are the report's."""
+        obs = make_obs()
+        kg = SecurityKG(
+            SystemConfig(
+                scenario_count=6,
+                reports_per_site=3,
+                sources=["SecureListing", "ThreatPedia"],
+                connectors=["graph"],
+                checker_min_chars=1500,
+                clock="virtual",
+            ),
+            obs=obs,
+        )
+        report = kg.run_once()
+        assert (report.reports_ported, report.reports_rejected) == (6, 2)
+        assert report.reports_stored == 4
+        assert sum(report.rejection_reasons.values()) == 2
+        assert all("too short" in reason for reason in report.rejection_reasons)
+        counter = obs.metrics.counter
+        assert counter("pipeline.items", stage="check", outcome="filtered") == 2
+        assert counter("pipeline.items", stage="check", outcome="ok") == 4
+        assert obs.metrics.counter_total("pipeline.reports_rejected") == 2
+        outcomes = [
+            span["attrs"]["outcome"]
+            for span in obs.tracer.export()
+            if span["name"] == "check"
+        ]
+        assert sorted(outcomes) == ["filtered"] * 2 + ["ok"] * 4
+
     def test_process_returns_records_in_input_order(self):
         """Whichever worker finishes first, so the store sees one order."""
         import time
