@@ -33,7 +33,10 @@ class SystemConfig:
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
     parse_workers / extract_workers:
-        Parallelism of the processing pipeline stages.
+        Threads of the processing pipeline's parse / extract stages
+        (at least 1).  Both stages are CPU-bound Python, so under the
+        GIL more threads are a measured loss (E3); 1 is the default
+        until the stages can run in worker processes.
     serialize_boundaries:
         Pass serialized intermediates between pipeline stages (the
         multi-host deployment mode).
@@ -95,8 +98,8 @@ class SystemConfig:
     crawl_threads: int = 8
     failure_rate: float = 0.0
     time_scale: float = 0.0
-    parse_workers: int = 2
-    extract_workers: int = 2
+    parse_workers: int = 1
+    extract_workers: int = 1
     serialize_boundaries: bool = False
     connectors: list[str] = field(default_factory=lambda: ["graph", "search"])
     recognizer: str = "gazetteer"
