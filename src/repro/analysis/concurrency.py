@@ -38,8 +38,8 @@ that gate.  It builds, from the ASTs of every analysed file:
     write-ahead durability under the engine lock *is* the design.
 ``conc/unnamed-thread``
     (checked in :mod:`repro.analysis.lint`) every spawned thread must
-    pass ``name=`` so witness reports and traces can attribute lock
-    events.
+    pass ``name=``, every thread pool ``thread_name_prefix=``, so
+    witness reports and traces can attribute lock events.
 
 The resulting :class:`ConcurrencyModel` serialises to a canonical,
 byte-stable ``concurrency.json`` (lock hierarchy + per-field guard

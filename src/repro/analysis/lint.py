@@ -42,9 +42,11 @@ concurrency invariants the deterministic-replay pipeline depends on
     checkpoint I/O under ``repro/storage/`` is sanctioned: write-ahead
     durability under the engine lock is the design.
 ``conc/unnamed-thread``
-    a ``threading.Thread(...)`` spawned without ``name=``.  Witness
-    reports, traces and the SLO alerter attribute events by thread
-    name; anonymous ``Thread-12`` labels make them unreadable.
+    a ``threading.Thread(...)`` spawned without ``name=``, or a
+    ``ThreadPoolExecutor(...)`` built without ``thread_name_prefix=``.
+    Witness reports, traces and the SLO alerter attribute events by
+    thread name; anonymous ``Thread-12`` /
+    ``ThreadPoolExecutor-0_3`` labels make them unreadable.
 ``err/bare-except``
     ``except:`` with no exception type.
 ``err/silent-swallow``
@@ -112,6 +114,11 @@ _WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
 _RAW_SLEEP_TIME = frozenset({"sleep", "monotonic"})
 _ITERATIVE_SOLVERS = frozenset({"svds", "eigsh", "eigs", "lobpcg"})
 _SOLVER_SEED_KEYWORDS = frozenset({"v0", "X", "random_state", "rng"})
+#: thread-spawning callable -> the keyword that names its threads
+_THREAD_NAME_KEYWORD = {
+    "Thread": "name",
+    "ThreadPoolExecutor": "thread_name_prefix",
+}
 
 
 def _has_suffix(path: Path, suffixes: tuple[str, ...]) -> bool:
@@ -437,22 +444,25 @@ class _FileLint:
     # -- concurrency -------------------------------------------------------
 
     def _check_threads(self, tree: ast.Module) -> None:
-        """Every spawned thread must carry a ``name=``."""
+        """Every spawned thread or thread pool must carry a name."""
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            is_thread = (isinstance(func, ast.Name) and func.id == "Thread") or (
-                isinstance(func, ast.Attribute) and func.attr == "Thread"
+            callee = (
+                func.id
+                if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None
             )
-            if not is_thread:
+            keyword = _THREAD_NAME_KEYWORD.get(callee)
+            if keyword is None:
                 continue
-            if any(keyword.arg == "name" for keyword in node.keywords):
+            if any(given.arg == keyword for given in node.keywords):
                 continue
             self.add(
                 "conc/unnamed-thread",
-                "thread spawned without name=; witness reports, traces "
-                "and health alerts attribute events by thread name",
+                f"{callee} created without {keyword}=; witness reports, "
+                "traces and health alerts attribute events by thread name",
                 node,
             )
 

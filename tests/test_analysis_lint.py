@@ -272,6 +272,25 @@ class TestUnnamedThreadRule:
         )
         assert rules(findings) == ["conc/unnamed-thread"]
 
+    def test_executor_needs_a_thread_name_prefix(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            """
+            from concurrent import futures
+            from concurrent.futures import ThreadPoolExecutor
+
+            def run(work):
+                with ThreadPoolExecutor(4) as anonymous:
+                    anonymous.submit(work)
+                with futures.ThreadPoolExecutor(max_workers=4) as anonymous:
+                    anonymous.submit(work)
+                with ThreadPoolExecutor(4, thread_name_prefix="parse") as named:
+                    named.submit(work)
+            """,
+        )
+        assert rules(findings) == ["conc/unnamed-thread"] * 2
+        assert "thread_name_prefix=" in findings[0].message
+
     def test_suppression_applies(self, tmp_path):
         findings = lint_source(
             tmp_path,

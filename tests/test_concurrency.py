@@ -356,6 +356,22 @@ class TestRepoModel:
         assert model.guards  # the guard map is populated
         assert model.roots  # thread roots were discovered
 
+    def test_stage_functions_are_roots_through_the_executor(self):
+        # the pipeline hands work to a ThreadPoolExecutor: the hop it
+        # submits and the stage functions SecurityKG.process wires in
+        # must still count as running on threads, or what they write
+        # drops out of the guard map
+        model, _ = analyze_package()
+        for root in (
+            "core/pipeline.py::Pipeline._hop",
+            "core/system.py::SecurityKG.process.check",
+            "core/parsers.py::ParserDispatch.parse",
+            "core/extractor.py::Extractor.extract",
+        ):
+            assert root in model.roots
+        assert model.guards["_Templates"]["words"] == ["nlp.feature_cache"]
+        assert not [name for name in model.lock_names() if name.startswith("pipeline.")]
+
 
 class TestWitness:
     def test_records_acquisition_order_edges(self):
