@@ -41,38 +41,6 @@ class Investigation:
             lines.append(f"  {kind}: {shown}{more}")
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """An analyst-shareable investigation report."""
-        lines = [f"# Investigation: {self.query}", ""]
-        if self.focus is not None:
-            name = self.focus.properties.get("name", "")
-            lines.append(f"**Focus:** {self.focus.label} `{name}`")
-            aliases = self.focus.properties.get("aliases") or []
-            if aliases:
-                lines.append(
-                    "**Also known as:** "
-                    + ", ".join(f"`{alias}`" for alias in aliases)
-                )
-            lines.append("")
-        if self.reports:
-            lines.append("## Supporting reports")
-            lines.append("")
-            for hit in self.reports:
-                title = hit.fields.get("title", hit.doc_id)
-                source = hit.fields.get("source", "")
-                lines.append(f"- {title} *({source}, score {hit.score:.1f})*")
-            lines.append("")
-        if self.related:
-            lines.append("## Related entities")
-            lines.append("")
-            lines.append("| type | entities |")
-            lines.append("|---|---|")
-            for kind, names in sorted(self.related.items()):
-                joined = ", ".join(f"`{name}`" for name in names)
-                lines.append(f"| {kind} | {joined} |")
-            lines.append("")
-        return "\n".join(lines)
-
 
 class ThreatSearchApp:
     """Application layer over the knowledge graph + search index."""

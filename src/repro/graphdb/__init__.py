@@ -29,7 +29,6 @@ from repro.graphdb.traversal import (
     induced_subgraph,
     k_hop_subgraph,
     random_subgraph,
-    shortest_path,
 )
 from repro.graphdb.wal import GraphDatabase
 
@@ -48,5 +47,4 @@ __all__ = [
     "induced_subgraph",
     "k_hop_subgraph",
     "random_subgraph",
-    "shortest_path",
 ]

@@ -115,36 +115,10 @@ def random_subgraph(
     return induced_subgraph(graph, chosen)
 
 
-def shortest_path(
-    graph: PropertyGraph, src: int, dst: int, max_depth: int = 6
-) -> list[Node] | None:
-    """Unweighted shortest path (both directions), or ``None``."""
-    if src == dst:
-        return [graph.node(src)]
-    parents: dict[int, int] = {src: src}
-    queue: deque[tuple[int, int]] = deque([(src, 0)])
-    while queue:
-        node_id, depth = queue.popleft()
-        if depth >= max_depth:
-            continue
-        for neighbor in graph.neighbors(node_id):
-            if neighbor.node_id in parents:
-                continue
-            parents[neighbor.node_id] = node_id
-            if neighbor.node_id == dst:
-                path = [dst]
-                while path[-1] != src:
-                    path.append(parents[path[-1]])
-                return [graph.node(i) for i in reversed(path)]
-            queue.append((neighbor.node_id, depth + 1))
-    return None
-
-
 __all__ = [
     "Subgraph",
     "bfs_nodes",
     "induced_subgraph",
     "k_hop_subgraph",
     "random_subgraph",
-    "shortest_path",
 ]

@@ -106,24 +106,6 @@ class TestDemoScenario3:
         pytest.skip("no fused aliases in this corpus")
 
 
-class TestInvestigationMarkdown:
-    def test_markdown_sections(self, demo_system, app):
-        malware = next(iter(demo_system.graph.nodes("Malware")))
-        report = app.investigate(malware.properties["name"]).to_markdown()
-        assert report.startswith("# Investigation:")
-        assert "## Supporting reports" in report
-        assert "## Related entities" in report
-        assert "| type | entities |" in report
-
-    def test_markdown_includes_aliases_after_fusion(self, demo_system, app):
-        for node in demo_system.graph.nodes("Malware"):
-            if node.properties.get("aliases"):
-                report = app.investigate(node.properties["name"]).to_markdown()
-                assert "Also known as" in report
-                return
-        pytest.skip("no fused aliases in this corpus")
-
-
 class TestStats:
     def test_compute_stats(self, demo_system):
         stats = compute_stats(demo_system.graph)

@@ -277,14 +277,6 @@ class TestCallerCount:
             "fault injection for the recovery property tests; nothing "
             "ships armed"
         ),
-        "shortest_path": (
-            "traversal primitive beside bfs / k-hop with five tests of its "
-            "own: it goes with them, or gets a route"
-        ),
-        "Investigation.to_markdown": (
-            "the threat-search app's shareable report, two tests and no CLI "
-            "surface: it goes with them, or `search` gets a --markdown"
-        ),
     }
     ALLOWED_OPTIONS = {
         "ExplorerServer.host": "the bind address, a deployment setting",

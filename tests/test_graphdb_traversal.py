@@ -8,7 +8,6 @@ from repro.graphdb import (
     induced_subgraph,
     k_hop_subgraph,
     random_subgraph,
-    shortest_path,
 )
 
 
@@ -79,28 +78,3 @@ class TestSubgraphs:
 
     def test_random_subgraph_empty_graph(self):
         assert random_subgraph(PropertyGraph(), 3).nodes == []
-
-
-class TestShortestPath:
-    def test_path_found(self, chain_graph):
-        graph, ids = chain_graph
-        path = shortest_path(graph, ids["a"], ids["d"])
-        assert [n.properties["name"] for n in path] == ["a", "b", "c", "d"]
-
-    def test_path_is_undirected(self, chain_graph):
-        graph, ids = chain_graph
-        path = shortest_path(graph, ids["d"], ids["a"])
-        assert path is not None
-
-    def test_no_path_to_isolated(self, chain_graph):
-        graph, ids = chain_graph
-        assert shortest_path(graph, ids["a"], ids["e"]) is None
-
-    def test_same_node(self, chain_graph):
-        graph, ids = chain_graph
-        path = shortest_path(graph, ids["a"], ids["a"])
-        assert len(path) == 1
-
-    def test_depth_bound(self, chain_graph):
-        graph, ids = chain_graph
-        assert shortest_path(graph, ids["a"], ids["d"], max_depth=2) is None
