@@ -449,11 +449,7 @@ class _FileLint:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            callee = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
             keyword = _THREAD_NAME_KEYWORD.get(callee)
             if keyword is None:
                 continue

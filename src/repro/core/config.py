@@ -33,10 +33,8 @@ class SystemConfig:
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
     parse_workers / extract_workers:
-        Threads of the processing pipeline's parse / extract stages
-        (at least 1).  Both stages are CPU-bound Python, so under the
-        GIL more threads are a measured loss (E3); 1 is the default
-        until the stages can run in worker processes.
+        Threads of the pipeline's parse / extract stages, at least 1.
+        Both are CPU-bound Python: under the GIL more is a loss (E3).
     serialize_boundaries:
         Pass serialized intermediates between pipeline stages (the
         multi-host deployment mode).

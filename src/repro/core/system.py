@@ -271,9 +271,8 @@ class SecurityKG:
     def process(self, reports: list[ReportRecord]) -> tuple[list[CTIRecord], object]:
         """Processing stage: checker -> parsers -> extractors, pipelined.
 
-        The check stage is the cycle's one check: what it rejects is
-        counted by reason in ``pipeline.reports_rejected`` and reaches
-        ``run_once``'s :class:`SystemReport` from there.
+        The check stage is the cycle's one check; ``run_once`` reports
+        what it rejected (``pipeline.reports_rejected``, by reason).
         """
         report_codec = None
         cti_codec = None
