@@ -20,6 +20,7 @@ the worker counts.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -130,11 +131,13 @@ class Pipeline:
                 )
                 for stage in self.stages
             ]
-            first_hops = [
+            first_hops = deque(
                 pools[0].submit(self._hop, pools, 0, item, run_span)
                 for item in items
-            ]
-            fates = [_settle(hop) for hop in first_hops]
+            )
+            # popleft lets go of each chain of futures once it is
+            # followed, so what a run keeps alive is what is in flight
+            fates = [_settle(first_hops.popleft()) for _ in items]
         outputs = [value for value, _error in fates if value is not None]
         last_codec = self.stages[-1].codec
         if last_codec is not None:

@@ -1,6 +1,7 @@
 """Unit tests for the parallel pipeline engine."""
 
 import json
+import sys
 import threading
 import time
 
@@ -118,9 +119,14 @@ class TestParallelism:
             return x
 
         obs = make_obs()
-        result = Pipeline([Stage("c", count, workers=8)], obs=obs).run(
-            list(range(500))
-        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more workers than cores, switching often
+        try:
+            result = Pipeline([Stage("c", count, workers=8)], obs=obs).run(
+                list(range(500))
+            )
+        finally:
+            sys.setswitchinterval(interval)
         assert len(counter) == 500
         assert result.outputs == list(range(500))
         assert items_counted(obs, "c", "ok") == 500
