@@ -8,8 +8,8 @@ Reproduction: process a fixed crawl batch through the
 check -> parse -> extract pipeline with a worker sweep, and measure the
 serialisation boundary's cost (on/off at the same worker count).
 Measured shape: parse and extract are CPU-bound Python, so under the
-GIL thread workers do not help -- throughput *falls* by a third or more
-from 1 worker to 2 and stays there (which is why ``SystemConfig``
+GIL thread workers do not help -- throughput *falls* by a quarter to a
+third from 1 worker to 2 and stays there (which is why ``SystemConfig``
 defaults both stages to 1); serialisation adds a constant overhead --
 the price of multi-host deployability.  The sweep is reported, not
 gated: the outputs must be equal at every setting.
