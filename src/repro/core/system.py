@@ -318,10 +318,8 @@ class SecurityKG:
         # (which mention first creates a shared node, every node id)
         # does not depend on thread timing
         result = pipeline.run(reports)
-        for reason in sorted(rejected):
-            self.obs.metrics.inc(
-                "pipeline.reports_rejected", rejected[reason], reason=reason
-            )
+        for reason, count in rejected.items():
+            self.obs.metrics.inc("pipeline.reports_rejected", count, reason=reason)
         self._last_rejected = rejected
         return result.outputs, result
 
