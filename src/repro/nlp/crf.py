@@ -16,19 +16,32 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
+#: Elements one decoding step hands a ufunc at most: a wider step is cut
+#: into runs of ``STEP_ELEMENTS // n_labels ** 2`` sentences.  numpy gives
+#: up the GIL around any loop of more than 500 elements, and a hand-off
+#: per microsecond-sized call is what two extract workers lose time to
+#: (5 sentences a step instead of 4, at 11 labels: forward-backward of two
+#: threads 117 -> 219 ms, 330 -> 3 200 context switches a pass).
+STEP_ELEMENTS = 500
+#: Rows of the buffer of ``[n_labels, n_labels]`` candidate blocks whose
+#: ``argmax`` is deferred: the lattice memory of a decode, whatever the batch.
+PENDING_ROWS = 256
+
 
 def _logsumexp_into(lattice: np.ndarray, axis: int, out: np.ndarray) -> None:
     """``out = log(sum(exp(lattice), axis))``, destroying ``lattice``.
 
     The order is max -> exp -> sum -> log -> + peak, all in place: the
-    recursions call this once per token on an [n_labels, n_labels]
-    scratch array, where allocation and dispatch are the whole cost.
+    recursions call this once per time index on a
+    ``[sentences, n_labels, n_labels]`` scratch array, where allocation
+    and dispatch are the whole cost.
     """
     peak = np.maximum.reduce(lattice, axis=axis, keepdims=True)
     lattice -= peak
@@ -39,34 +52,90 @@ def _logsumexp_into(lattice: np.ndarray, axis: int, out: np.ndarray) -> None:
 
 
 @dataclass
-class EncodedSentence:
-    """One sentence as feature ids: ``ids[bounds[t]:bounds[t + 1]]`` are
-    token ``t``'s ids, ascending and unique (the order the emission sum
-    adds their rows in), plus label ids when training."""
+class EncodedBatch:
+    """Sentences as feature ids, flat: sentence ``s`` is the tokens
+    ``starts[s]:starts[s + 1]`` (``lengths[s]`` of them).  ``ids`` holds
+    each token's ids ascending and unique (the order the emission sum
+    adds their rows in), the tokens that have equally many ids side by
+    side: ``by_width[w]`` lists the tokens with ``w`` ids, ``order`` is
+    those lists end to end -- the token behind each run of ``ids``.
+    Label ids, flat, when training."""
 
     ids: np.ndarray
-    bounds: list[int]
+    by_width: dict[int, list[int]]
+    order: list[int]
+    lengths: list[int]
+    starts: list[int]
     labels: np.ndarray | None = None
 
     @classmethod
     def from_ids(
-        cls, token_ids: Sequence[Sequence[int]], labels: np.ndarray | None = None
-    ) -> "EncodedSentence":
-        flat: list[int] = []
-        bounds = [0]
-        for ids in token_ids:
-            flat.extend(sorted(set(ids)))
-            bounds.append(len(flat))
-        return cls(np.asarray(flat, dtype=np.int64), bounds, labels)
-
-    def __len__(self) -> int:
-        return len(self.bounds) - 1
+        cls,
+        sentences: Sequence[Sequence[Sequence[int]]],
+        labels: np.ndarray | None = None,
+    ) -> "EncodedBatch":
+        tokens = [sorted(set(ids)) for sentence in sentences for ids in sentence]
+        by_width: dict[int, list[int]] = {}
+        for i, ids in enumerate(tokens):
+            by_width.setdefault(len(ids), []).append(i)
+        order = [i for group in by_width.values() for i in group]
+        flat = np.asarray([f for i in order for f in tokens[i]], dtype=np.int64)
+        lengths = [len(sentence) for sentence in sentences]
+        starts = list(accumulate(lengths, initial=0))
+        return cls(flat, by_width, order, lengths, starts, labels)
 
     @property
     def features(self) -> list[np.ndarray]:
-        """Per-token id arrays (views into ``ids``)."""
-        bounds = self.bounds
-        return [self.ids[bounds[t] : bounds[t + 1]] for t in range(len(self))]
+        """Per-token id arrays (views into ``ids``), in token order."""
+        views: list[np.ndarray] = [self.ids] * len(self.order)
+        at = 0
+        for width, group in self.by_width.items():
+            for i in group:
+                views[i] = self.ids[at : at + width]
+                at += width
+        return views
+
+
+class _Packing:
+    """Time-major layout of some sentences of a ragged batch.
+
+    The sentences are ranked longest first, so the ones still running at
+    time index ``t`` are a prefix of the ranking and row
+    ``offsets[t] + rank`` is the ``t``-th token of sentence ``order[rank]``:
+    one recursion step per time index covers every sentence without a
+    mask or a padded cell, and each sentence sees exactly the arithmetic
+    it would see alone.  ``rows[r]`` is the batch's (sentence-major)
+    token index of row ``r``; ``steps`` are the ``(previous row, row,
+    count)`` runs of the time indices after the first, in row order, a
+    time index that more than ``width`` sentences reach cut into several.
+    """
+
+    def __init__(self, batch: EncodedBatch, members: Sequence[int], width: int):
+        self.lengths = lengths = batch.lengths
+        starts = batch.starts
+        self.order = sorted(
+            (s for s in members if lengths[s]), key=lengths.__getitem__, reverse=True
+        )
+        self.offsets = [0]
+        self.rows: list[int] = []
+        self.steps: list[tuple[int, int, int]] = []
+        self.width = width
+        active = len(self.order)
+        for t in range(lengths[self.order[0]] if self.order else 0):
+            while lengths[self.order[active - 1]] <= t:
+                active -= 1
+            self.rows.extend(starts[s] + t for s in self.order[:active])
+            if t:
+                row, previous = self.offsets[t], self.offsets[t - 1]
+                self.steps.extend(
+                    (previous + a, row + a, min(width, active - a))
+                    for a in range(0, active, width)
+                )
+            self.offsets.append(len(self.rows))
+        #: each ranked sentence's last row
+        self.last = [
+            self.offsets[lengths[s] - 1] + rank for rank, s in enumerate(self.order)
+        ]
 
 
 class LinearChainCRF:
@@ -76,7 +145,7 @@ class LinearChainCRF:
 
         crf = LinearChainCRF(l2=0.1)
         crf.fit(list_of_feature_lists, list_of_label_lists)
-        labels, confidences = crf.decode(feature_lists_of_one_sentence)
+        (labels, confidences), *_ = crf.decode_many(feature_lists_of_sentences)
     """
 
     def __init__(self, l2: float = 0.1, max_iterations: int = 80):
@@ -86,8 +155,7 @@ class LinearChainCRF:
         self.labels: list[str] = []
         self.label_index: dict[str, int] = {}
         self.emission: np.ndarray | None = None  # [n_features, n_labels]
-        self.transition: np.ndarray | None = None  # [n_labels+1, n_labels]
-        self.start_row = 0  # index n_labels in transition = start
+        self.transition: np.ndarray | None = None  # [n_labels+1, n_labels], last row = start
 
     # -- encoding -------------------------------------------------------
 
@@ -109,77 +177,129 @@ class LinearChainCRF:
         self.label_index = {label: i for i, label in enumerate(self.labels)}
 
     def _encode(
-        self, sentence: list[list[str]], labels: list[str] | None = None
-    ) -> EncodedSentence:
+        self,
+        sentences: Sequence[list[list[str]]],
+        label_sequences: Sequence[list[str]] | None = None,
+    ) -> EncodedBatch:
         index = self.feature_index
-        encoded_labels = None
-        if labels is not None:
-            encoded_labels = np.asarray(
-                [self.label_index[label] for label in labels], dtype=np.int64
+        labels = None
+        if label_sequences is not None:
+            labels = np.asarray(
+                [self.label_index[y] for sequence in label_sequences for y in sequence],
+                dtype=np.int64,
             )
-        return EncodedSentence.from_ids(
+        return EncodedBatch.from_ids(
             [
-                [index[name] for name in token_features if name in index]
-                for token_features in sentence
+                [
+                    [index[name] for name in token_features if name in index]
+                    for token_features in sentence
+                ]
+                for sentence in sentences
             ],
-            encoded_labels,
+            labels,
         )
 
     # -- potentials -------------------------------------------------------
 
-    def _scores(self, encoded: EncodedSentence, emission: np.ndarray) -> np.ndarray:
-        """Emission score matrix S[t, y]: one gather for the sentence,
-        then each token's rows summed in ascending id order."""
+    def _scores(self, encoded: EncodedBatch, emission: np.ndarray) -> np.ndarray:
+        """Emission score matrix S[token, y] of the whole batch: one
+        gather, then each token's rows summed in ascending id order --
+        the tokens that have equally many ids in one reduction."""
         rows = emission[encoded.ids]
-        bounds = encoded.bounds
-        scores = np.zeros((len(encoded), emission.shape[1]))
-        for t in range(len(encoded)):
-            if bounds[t] < bounds[t + 1]:
-                np.add.reduce(rows[bounds[t] : bounds[t + 1]], axis=0, out=scores[t])
+        n_labels = emission.shape[1]
+        summed = np.zeros((len(encoded.order), n_labels))  # in ``order``
+        at = done = 0
+        for width, group in encoded.by_width.items():
+            if width:
+                block = rows[at : at + len(group) * width]
+                np.add.reduce(
+                    block.reshape(len(group), width, n_labels),
+                    axis=1,
+                    out=summed[done : done + len(group)],
+                )
+            at += len(group) * width
+            done += len(group)
+        scores = np.empty_like(summed)
+        scores[encoded.order] = summed
         return scores
 
     # -- the lattice: one Viterbi recursion, one forward-backward -------------
 
-    def _viterbi(self, scores: np.ndarray, transition: np.ndarray) -> list[int]:
-        """The highest-scoring label-id path of one sentence."""
-        n_tokens, n_labels = scores.shape
+    def _viterbi(
+        self, scores: np.ndarray, transition: np.ndarray, packing: _Packing
+    ) -> list[list[int]]:
+        """The highest-scoring label-id path of each packed sentence, in
+        ``packing.order``.
+
+        A step keeps its ``[count, from, to]`` candidate block instead of
+        reducing it to back-pointers on the spot, and one ``argmax`` per
+        full buffer recovers them: a call saved per step, and the call
+        that is left is long enough to be worth the GIL it gives up.
+        """
+        n_labels = scores.shape[1]
         trans = transition[:n_labels]
-        best = transition[n_labels] + scores[0]
-        backptr = np.empty((n_tokens, n_labels), dtype=np.intp)
-        candidate = np.empty((n_labels, n_labels))
-        for t in range(1, n_tokens):
-            np.add(best[:, None], trans, out=candidate)
-            candidate.argmax(axis=0, out=backptr[t])
-            best = np.maximum.reduce(candidate, axis=0)
-            best += scores[t]
-        label = int(best.argmax())
-        path = [label]
-        for pointers in backptr[:0:-1].tolist():
-            label = pointers[label]
-            path.append(label)
-        path.reverse()
-        return path
+        best = scores[packing.rows]
+        head = len(packing.order)  # the rows of time index 0
+        best[:head] += transition[n_labels]
+        backptr = np.empty((len(best) - head, n_labels), dtype=np.intp)
+        pending = np.empty((min(PENDING_ROWS, len(backptr)), n_labels, n_labels))
+        done = held = 0  # rows of ``backptr`` filled, blocks waiting in ``pending``
+        for previous, row, count in packing.steps:
+            if held + count > len(pending):
+                np.argmax(pending[:held], axis=1, out=backptr[done : done + held])
+                done, held = done + held, 0
+            block = pending[held : held + count]
+            np.add(best[previous : previous + count, :, None], trans, out=block)
+            target = best[row : row + count]
+            target += np.maximum.reduce(block, axis=1)
+            held += count
+        np.argmax(pending[:held], axis=1, out=backptr[done:])
+        pointers = backptr.tolist()
+        offsets = packing.offsets
+        paths = []
+        for rank, label in enumerate(np.argmax(best[packing.last], axis=1).tolist()):
+            path = [label]
+            for t in range(packing.lengths[packing.order[rank]] - 1, 0, -1):
+                label = pointers[offsets[t] - head + rank][label]
+                path.append(label)
+            path.reverse()
+            paths.append(path)
+        return paths
 
     def _forward_backward(
-        self, scores: np.ndarray, transition: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Log alpha, log beta and log partition for one sentence."""
-        n_tokens, n_labels = scores.shape
+        self, scores: np.ndarray, transition: np.ndarray, packing: _Packing
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Log alpha and log beta per token and log partition per
+        sentence, laid out like the batch; only the packed sentences'
+        entries are computed."""
+        n_labels = scores.shape[1]
         trans = transition[:n_labels]
-        lattice = np.empty((n_labels, n_labels))
-        alpha = np.empty((n_tokens, n_labels))
-        alpha[0] = transition[n_labels] + scores[0]
-        for t in range(1, n_tokens):
-            np.add(alpha[t - 1][:, None], trans, out=lattice)
-            _logsumexp_into(lattice, 0, alpha[t])
-            alpha[t] += scores[t]
-        beta = np.zeros((n_tokens, n_labels))
-        for t in range(n_tokens - 2, -1, -1):
-            np.add(trans, scores[t + 1] + beta[t + 1], out=lattice)
-            _logsumexp_into(lattice, 1, beta[t])
-        log_z = np.empty(())
-        _logsumexp_into(alpha[-1].copy(), 0, log_z)
-        return alpha, beta, float(log_z)
+        rows = packing.rows
+        emitted = scores[rows]
+        head = len(packing.order)  # the rows of time index 0
+        lattice = np.empty((packing.width, n_labels, n_labels))
+        alpha = np.empty_like(emitted)
+        np.add(transition[n_labels], emitted[:head], out=alpha[:head])
+        for previous, row, count in packing.steps:
+            block = lattice[:count]
+            np.add(alpha[previous : previous + count, :, None], trans, out=block)
+            target = alpha[row : row + count]
+            _logsumexp_into(block, 1, target)
+            target += emitted[row : row + count]
+        beta = np.zeros_like(emitted)
+        for previous, row, count in reversed(packing.steps):
+            block = lattice[:count]
+            arriving = emitted[row : row + count] + beta[row : row + count]
+            np.add(trans, arriving[:, None, :], out=block)
+            _logsumexp_into(block, 2, beta[previous : previous + count])
+        log_z = np.empty(len(packing.order))
+        _logsumexp_into(alpha[packing.last], 1, log_z)
+        by_token = np.empty((2,) + scores.shape)
+        by_token[0, rows] = alpha
+        by_token[1, rows] = beta
+        by_sentence = np.empty(len(packing.lengths))
+        by_sentence[packing.order] = log_z
+        return by_token[0], by_token[1], by_sentence
 
     # -- training ---------------------------------------------------------
 
@@ -197,8 +317,9 @@ class LinearChainCRF:
             if sentence
         ]
         self._build_vocab([s for s, _ in data], [l for _, l in data])
-        encoded = [self._encode(s, l) for s, l in data]
-        token_ids = [sentence.features for sentence in encoded]
+        encoded = self._encode([s for s, _ in data], [l for _, l in data])
+        packing = _Packing(encoded, range(len(data)), PENDING_ROWS)  # one thread: wide steps
+        token_ids = encoded.features
         n_features = len(self.feature_index)
         n_labels = len(self.labels)
         emission_size = n_features * n_labels
@@ -215,10 +336,15 @@ class LinearChainCRF:
             grad_transition = np.zeros_like(transition)
             negative_ll = 0.0
             trans = transition[:n_labels]
-            for sentence, features in zip(encoded, token_ids):
-                scores = self._scores(sentence, emission)
-                alpha, beta, log_z = self._forward_backward(scores, transition)
-                labels = sentence.labels
+            # one recursion over the packed training set; the sums below
+            # stay sentence by sentence, token by token: their order is
+            # the gradient's last digits, and the optimiser's path
+            every = self._scores(encoded, emission)
+            lattice = self._forward_backward(every, transition, packing)
+            for s, log_z in enumerate(lattice[2].tolist()):
+                span = slice(encoded.starts[s], encoded.starts[s + 1])
+                scores, alpha, beta = every[span], lattice[0][span], lattice[1][span]
+                labels = encoded.labels[span]
                 n_tokens = scores.shape[0]
 
                 # empirical score
@@ -229,7 +355,7 @@ class LinearChainCRF:
 
                 # expected counts
                 marginals = np.exp(alpha + beta - log_z)  # [n_tokens, n_labels]
-                for t, ids in enumerate(features):
+                for t, ids in enumerate(token_ids[span]):
                     if len(ids):
                         grad_emission[ids] += marginals[t]
                         grad_emission[ids, labels[t]] -= 1.0
@@ -268,35 +394,47 @@ class LinearChainCRF:
         if self.emission is None or self.transition is None:
             raise RuntimeError("CRF is not trained; call fit() or load()")
 
-    def _posteriors(self, scores: np.ndarray) -> np.ndarray:
-        """P(label | position) for every token, [n_tokens, n_labels]."""
-        alpha, beta, log_z = self._forward_backward(scores, self.transition)
-        return np.exp(alpha + beta - log_z)
+    def decode_many(
+        self, batch: Sequence[list[list[str]]] | EncodedBatch
+    ) -> list[tuple[list[str], list[float] | None]]:
+        """Viterbi labels of each sentence of a batch (feature-name
+        lists, or ids already resolved against :attr:`feature_index`)
+        and each chosen label's posterior.
 
-    def decode(
-        self, sentence: list[list[str]] | EncodedSentence
-    ) -> tuple[list[str], list[float] | None]:
-        """Viterbi labels of one sentence (feature-name lists, or ids
-        already resolved against :attr:`feature_index`) and each chosen
-        label's posterior.
-
-        The one inference path: the sentence is encoded once, scored
-        once and decoded once.  The forward-backward pass runs only when
-        the path leaves ``O``; an all-``O`` sentence has no span to
-        score and its confidences are ``None``.
+        The one inference path: the batch is encoded once, scored once
+        and decoded in one packed recursion.  The forward-backward pass
+        packs only the sentences whose path leaves ``O``; an all-``O``
+        sentence has no span to score and its confidences are ``None``,
+        like an empty sentence's.
         """
         self._require_trained()
-        if not isinstance(sentence, EncodedSentence):
-            sentence = self._encode(sentence)
-        if not len(sentence):
-            return [], None
-        scores = self._scores(sentence, self.emission)
-        path = self._viterbi(scores, self.transition)
-        labels = [self.labels[i] for i in path]
-        if path.count(self.label_index["O"]) == len(path):
-            return labels, None
-        chosen = self._posteriors(scores)[np.arange(len(path)), path]
-        return labels, chosen.tolist()
+        if not isinstance(batch, EncodedBatch):
+            batch = self._encode(batch)
+        width = min(PENDING_ROWS, max(1, STEP_ELEMENTS // len(self.labels) ** 2))
+        packing = _Packing(batch, range(len(batch.lengths)), width)
+        paths: dict[int, list[int]] = {}
+        confidences: dict[int, list[float]] = {}
+        if packing.order:
+            scores = self._scores(batch, self.emission)
+            paths.update(zip(packing.order, self._viterbi(scores, self.transition, packing)))
+            outside = self.label_index["O"]
+            leaving = [s for s, p in paths.items() if p.count(outside) != len(p)]
+            if leaving:
+                alpha, beta, log_z = self._forward_backward(
+                    scores, self.transition, _Packing(batch, leaving, width)
+                )
+                spans = [range(batch.starts[s], batch.starts[s + 1]) for s in leaving]
+                tokens = [i for span in spans for i in span]
+                chosen = [y for s in leaving for y in paths[s]]
+                owner = [s for s, span in zip(leaving, spans) for _ in span]
+                exponent = alpha[tokens, chosen] + beta[tokens, chosen] - log_z[owner]
+                values = iter(np.exp(exponent).tolist())
+                for s, span in zip(leaving, spans):
+                    confidences[s] = [next(values) for _ in span]
+        return [
+            ([self.labels[y] for y in paths.get(s, ())], confidences.get(s))
+            for s in range(len(batch.lengths))
+        ]
 
     # -- persistence ----------------------------------------------------------
 

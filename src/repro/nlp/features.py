@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.nlp.crf import EncodedSentence
+from repro.nlp.crf import EncodedBatch
 from repro.nlp.embeddings import WordEmbeddings
 from repro.nlp.gazetteer import Gazetteer
 from repro.nlp.lemma import lemmatize
@@ -167,14 +167,17 @@ class FeatureExtractor:
         return self._features(tokens, _Templates(self, None))
 
     def encode(
-        self, tokens: Sequence[Token], feature_index: Mapping[str, int]
-    ) -> EncodedSentence:
-        """The features of :meth:`extract` as ids in ``feature_index``
-        (names outside it dropped), ready for the CRF."""
+        self, sentences: Sequence[Sequence[Token]], feature_index: Mapping[str, int]
+    ) -> EncodedBatch:
+        """The features of :meth:`extract`, sentence by sentence, as ids
+        in ``feature_index`` (names outside it dropped): one flat batch,
+        ready for the CRF."""
         templates = self._cache
         if templates is None or templates.index is not feature_index:
             templates = self._cache = _Templates(self, feature_index)
-        return EncodedSentence.from_ids(self._features(tokens, templates))
+        return EncodedBatch.from_ids(
+            [self._features(tokens, templates) for tokens in sentences]
+        )
 
     def _features(self, tokens: Sequence[Token], templates: _Templates) -> list[list]:
         words = [token.text for token in tokens]

@@ -173,22 +173,21 @@ class EntityRecognizer:
 
     # -- inference -------------------------------------------------------------
 
-    def recognize_tokens(self, tokens: Sequence[Token]) -> list[EntitySpan]:
-        """Concept-entity spans of one tokenized sentence (CRF path)."""
-        if not tokens:
-            return []
-        encoded = self.features.encode(tokens, self.crf.feature_index)
-        return decode_bio(tokens, *self.crf.decode(encoded))
-
     def extract(self, text: str) -> tuple[list[Sentence], list[Mention]]:
         """All mentions in ``text``: CRF concepts + regex IOCs.
 
         Returns the sentence segmentation (for downstream relation
-        extraction) and the mentions with character offsets.
+        extraction) and the mentions with character offsets.  The CRF
+        sees the text once: every sentence encoded into one batch, one
+        packed decode.
         """
         sentences = tokenize_sentences(text, protect_iocs=self.protect_iocs)
+        batch = self.features.encode(
+            [sentence.tokens for sentence in sentences], self.crf.feature_index
+        )
+        decoded = self.crf.decode_many(batch)
         mentions: list[Mention] = []
-        for index, sentence in enumerate(sentences):
+        for index, (sentence, bio) in enumerate(zip(sentences, decoded)):
             for token in sentence.tokens:
                 if token.is_ioc:
                     mentions.append(
@@ -202,7 +201,7 @@ class EntityRecognizer:
                             method="regex",
                         )
                     )
-            for span in self.recognize_tokens(sentence.tokens):
+            for span in decode_bio(sentence.tokens, *bio):
                 first = sentence.tokens[span.start]
                 last = sentence.tokens[span.end - 1]
                 mentions.append(

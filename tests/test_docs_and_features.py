@@ -118,12 +118,12 @@ class TestFeatureIdCache:
         text = "The emotet trojan drops a copy of itself and encrypts mapped drives"
         for _ in range(2):
             tokens = tokenize_words(text)
-            encoded = extractor.encode(tokens, crf.feature_index)
+            encoded = extractor.encode([tokens], crf.feature_index)
             assert len(extractor._cache.words) == 5
             # words past the cap are resolved afresh, to the same ids
-            reference = crf._encode(extractor.extract(tokens))
+            reference = crf._encode([extractor.extract(tokens)])
             assert encoded.ids.tolist() == reference.ids.tolist()
-            assert encoded.bounds == reference.bounds
+            assert encoded.by_width == reference.by_width
 
     def test_concurrent_encoders_agree_and_respect_the_cap(
         self, small_recognizer, monkeypatch
@@ -148,7 +148,7 @@ class TestFeatureIdCache:
             "Lazarus group uses credential dumping against 10.1.2.3 daily",
         ]
         expected = [
-            crf._encode(extractor.extract(tokenize_words(text))).ids.tolist()
+            crf._encode([extractor.extract(tokenize_words(text))]).ids.tolist()
             for text in texts
         ]
         wrong: list[str] = []
@@ -156,7 +156,7 @@ class TestFeatureIdCache:
         def encode_all():
             for _ in range(40):
                 for text, ids in zip(texts, expected):
-                    got = extractor.encode(tokenize_words(text), crf.feature_index)
+                    got = extractor.encode([tokenize_words(text)], crf.feature_index)
                     if got.ids.tolist() != ids:
                         wrong.append(text)
 
@@ -182,8 +182,8 @@ class TestFeatureIdCache:
         tokens = tokenize_words("emotet spreads")
         index = dict(small_recognizer.crf.feature_index)
         index["w=emotet"] = len(index) + 7
-        assert index["w=emotet"] in extractor.encode(tokens, index).ids
-        again = extractor.encode(tokens, small_recognizer.crf.feature_index)
+        assert index["w=emotet"] in extractor.encode([tokens], index).ids
+        again = extractor.encode([tokens], small_recognizer.crf.feature_index)
         assert index["w=emotet"] not in again.ids
 
     def test_worker_counts_produce_the_same_records(self, small_recognizer, small_web):

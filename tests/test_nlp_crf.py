@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crf_oracle
-from repro.nlp.crf import EncodedSentence, LinearChainCRF
+from repro.nlp.crf import EncodedBatch, LinearChainCRF, _Packing
+from repro.nlp.ner import decode_bio
 from repro.nlp.tokenize import tokenize_sentences
 
 
@@ -33,6 +34,21 @@ def make_toy_data(n, seed=0):
     return X, Y
 
 
+def decode(crf, sentence):
+    """Labels and confidences of one sentence: a batch of one."""
+    (decoded,) = crf.decode_many([sentence])
+    return decoded
+
+
+def lattice(crf, encoded, emission=None, transition=None):
+    """``(scores, alpha, beta, log_z)`` of a batch, one wide packing."""
+    emission = crf.emission if emission is None else emission
+    transition = crf.transition if transition is None else transition
+    scores = crf._scores(encoded, emission)
+    packing = _Packing(encoded, range(len(encoded.lengths)), 256)
+    return (scores, *crf._forward_backward(scores, transition, packing))
+
+
 @pytest.fixture(scope="module")
 def toy_crf():
     X, Y = make_toy_data(120)
@@ -44,7 +60,7 @@ class TestTraining:
         X, Y = make_toy_data(40, seed=1)
         correct = total = 0
         for feats, labels in zip(X, Y):
-            pred = toy_crf.decode(feats)[0]
+            pred = decode(toy_crf, feats)[0]
             correct += sum(p == g for p, g in zip(pred, labels))
             total += len(labels)
         assert correct / total > 0.97
@@ -52,9 +68,9 @@ class TestTraining:
     def test_transition_signal_used(self, toy_crf):
         # 'bat' after an 'a'-word must be B, standalone must be O --
         # emission features alone cannot distinguish these.
-        pred = toy_crf.decode([["w=ant", "p1=a"], ["w=bat", "p1=b"]])[0]
+        pred = decode(toy_crf, [["w=ant", "p1=a"], ["w=bat", "p1=b"]])[0]
         assert pred == ["A", "B"]
-        pred2 = toy_crf.decode([["w=cat", "p1=c"], ["w=bat", "p1=b"]])[0]
+        pred2 = decode(toy_crf, [["w=cat", "p1=c"], ["w=bat", "p1=b"]])[0]
         assert pred2 == ["O", "O"]
 
     def test_mismatched_lengths_rejected(self):
@@ -62,13 +78,14 @@ class TestTraining:
             LinearChainCRF().fit([[["f"]]], [])
 
     def test_unknown_features_ignored_at_predict(self, toy_crf):
-        pred = toy_crf.decode([["w=zebra", "never-seen"]])[0]
+        pred = decode(toy_crf, [["w=zebra", "never-seen"]])[0]
         assert len(pred) == 1
 
 
 def marginals(crf, sentence):
     """P(label | position) rows of one sentence, [n_tokens, n_labels]."""
-    return crf._posteriors(crf._scores(crf._encode(sentence), crf.emission))
+    _scores, alpha, beta, log_z = lattice(crf, crf._encode([sentence]))
+    return np.exp(alpha + beta - log_z[0])
 
 
 class TestInference:
@@ -78,17 +95,17 @@ class TestInference:
 
     def test_marginals_agree_with_viterbi_when_confident(self, toy_crf):
         feats = [["w=ant", "p1=a"], ["w=cat", "p1=c"]]
-        viterbi, _ = toy_crf.decode(feats)
+        viterbi, _ = decode(toy_crf, feats)
         rows = marginals(toy_crf, feats)
         argmax = [toy_crf.labels[i] for i in rows.argmax(axis=1)]
         assert viterbi == argmax
 
     def test_empty_sentence(self, toy_crf):
-        assert toy_crf.decode([]) == ([], None)
+        assert decode(toy_crf, []) == ([], None)
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
-            LinearChainCRF().decode([["f"]])
+            LinearChainCRF().decode_many([[["f"]]])
 
 
 class TestPersistence:
@@ -97,7 +114,7 @@ class TestPersistence:
         toy_crf.save(path)
         loaded = LinearChainCRF.load(path)
         feats = [["w=ant", "p1=a"], ["w=bat", "p1=b"], ["w=cat", "p1=c"]]
-        assert loaded.decode(feats) == toy_crf.decode(feats)
+        assert decode(loaded, feats) == decode(toy_crf, feats)
         np.testing.assert_allclose(loaded.emission, toy_crf.emission)
         np.testing.assert_allclose(loaded.transition, toy_crf.transition)
 
@@ -108,7 +125,7 @@ class TestGradient:
         X, Y = make_toy_data(4, seed=3)
         crf = LinearChainCRF(l2=0.1)
         crf._build_vocab(X, Y)
-        encoded = [crf._encode(s, l) for s, l in zip(X, Y)]
+        encoded = [crf._encode([s], [l]) for s, l in zip(X, Y)]
         n_features = len(crf.feature_index)
         n_labels = len(crf.labels)
         size = n_features * n_labels + (n_labels + 1) * n_labels
@@ -120,8 +137,7 @@ class TestGradient:
             transition = t[n_features * n_labels :].reshape(n_labels + 1, n_labels)
             value = 0.0
             for sentence in encoded:
-                scores = crf._scores(sentence, emission)
-                _a, _b, log_z = crf._forward_backward(scores, transition)
+                scores, _a, _b, (log_z,) = lattice(crf, sentence, emission, transition)
                 labels = sentence.labels
                 path = transition[n_labels, labels[0]] + scores[0, labels[0]]
                 for i in range(1, len(labels)):
@@ -140,8 +156,7 @@ class TestGradient:
             value = 0.0
             trans = transition[:n_labels]
             for sentence in encoded:
-                scores = crf._scores(sentence, emission)
-                alpha, beta, log_z = crf._forward_backward(scores, transition)
+                scores, alpha, beta, (log_z,) = lattice(crf, sentence, emission, transition)
                 labels = sentence.labels
                 path = transition[n_labels, labels[0]] + scores[0, labels[0]]
                 for i in range(1, len(labels)):
@@ -214,15 +229,14 @@ class TestDecodeAgainstOracle:
         best, log_z, posteriors = crf_oracle.solve(
             crf.emission.tolist(), crf.transition.tolist(), ids
         )
-        labels, confidences = crf.decode(sentence)
+        labels, confidences = decode(crf, sentence)
         path = [crf.label_index[label] for label in labels]
         assert path in best
 
         rows = marginals(crf, sentence)
         assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-9
         assert np.abs(rows - np.asarray(posteriors)).max() < 1e-9
-        scores = crf._scores(crf._encode(sentence), crf.emission)
-        assert abs(crf._forward_backward(scores, crf.transition)[2] - log_z) < 1e-9
+        assert abs(lattice(crf, crf._encode([sentence]))[3][0] - log_z) < 1e-9
 
         if set(labels) == {"O"}:
             assert confidences is None
@@ -242,7 +256,7 @@ class TestDecodeIsTheOtherTwo:
     )
 
     def check(self, crf, features):
-        labels, confidences = crf.decode(features)
+        labels, confidences = decode(crf, features)
         if set(labels) <= {"O"}:
             assert confidences is None
             return labels
@@ -256,12 +270,17 @@ class TestDecodeIsTheOtherTwo:
         seen = set()
         for sentence in (s for text in self.TEXTS for s in tokenize_sentences(text)):
             names = extractor.extract(sentence.tokens)
-            encoded = extractor.encode(sentence.tokens, crf.feature_index)
-            assert encoded.ids.tolist() == crf._encode(names).ids.tolist()
-            assert encoded.bounds == crf._encode(names).bounds
+            encoded = extractor.encode([sentence.tokens], crf.feature_index)
+            reference = crf._encode([names])
+            assert encoded.ids.tolist() == reference.ids.tolist()
+            assert encoded.by_width == reference.by_width
+            assert [ids.tolist() for ids in encoded.features] == [
+                sorted({crf.feature_index[f] for f in token if f in crf.feature_index})
+                for token in names
+            ]
             labels = self.check(crf, names)
-            assert crf.decode(encoded) == crf.decode(names)
-            spans = small_recognizer.recognize_tokens(sentence.tokens)
+            assert crf.decode_many(encoded) == [decode(crf, names)]
+            spans = decode_bio(sentence.tokens, *decode(crf, names))
             if set(labels) == {"O"}:
                 seen.add("all-O")
                 assert spans == []
@@ -273,19 +292,155 @@ class TestDecodeIsTheOtherTwo:
         assert seen == {"all-O", "span ends on the last token", "one token"}
 
     def test_empty_sentence(self, toy_crf):
-        assert toy_crf.decode([]) == ([], None)
-        assert toy_crf.decode(EncodedSentence.from_ids([])) == ([], None)
+        assert toy_crf.decode_many([]) == []
+        assert toy_crf.decode_many([[]]) == [([], None)]
+        assert toy_crf.decode_many(EncodedBatch.from_ids([[], []])) == [([], None)] * 2
 
     def test_token_without_a_known_feature_scores_a_zero_row(self, toy_crf):
         features = [["w=ant", "p1=a"], ["never-seen"], ["w=bat", "p1=b"]]
-        scores = toy_crf._scores(toy_crf._encode(features), toy_crf.emission)
+        scores = toy_crf._scores(toy_crf._encode([features]), toy_crf.emission)
         assert not scores[1].any() and scores[0].any()
         self.check(toy_crf, features)
 
     def test_all_outside_sentence_computes_no_posteriors(self, toy_crf, monkeypatch):
         def boom(*_args):
-            raise AssertionError("forward-backward ran for an all-O sentence")
+            raise AssertionError("forward-backward ran for an all-O batch")
 
         monkeypatch.setattr(toy_crf, "_forward_backward", boom)
-        features = [["w=cat", "p1=c"], ["w=dog", "p1=d"]]
-        assert toy_crf.decode(features) == (["O", "O"], None)
+        outside = [["w=cat", "p1=c"], ["w=dog", "p1=d"]]
+        assert toy_crf.decode_many([outside, [], outside[:1]]) == [
+            (["O", "O"], None),
+            ([], None),
+            (["O"], None),
+        ]
+
+
+# -- the packed batch against its own sentences, one at a time ---------------
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-12 sentences of 0-40 tokens over the toy vocabulary, most words
+    all-``O``, with duplicates and one-token sentences drawn on purpose."""
+    word = st.sampled_from(["ant", "apple", "bog", "bat", "cat", "dog", "emu"])
+    sentence = st.lists(word, max_size=40).map(
+        lambda words: [[f"w={w}", f"p1={w[0]}"] for w in words]
+    )
+    batch = draw(st.lists(sentence, min_size=1, max_size=12))
+    for source in draw(st.lists(st.integers(0, len(batch) - 1), max_size=3)):
+        batch.append(batch[source])
+    if draw(st.booleans()):
+        batch.insert(draw(st.integers(0, len(batch))), [["w=cat", "p1=c"]])
+    return batch[:12]
+
+
+class TestPackedDecode:
+    @settings(max_examples=120, deadline=None)
+    @given(ragged_batches())
+    def test_a_sentence_decodes_alike_alone_and_in_any_batch(self, toy_crf, batch):
+        packed = toy_crf.decode_many(batch)
+        assert len(packed) == len(batch)
+        for sentence, decoded in zip(batch, packed):
+            assert decoded == decode(toy_crf, sentence)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(tiny_crfs(), min_size=1, max_size=6), st.integers(0, 5))
+    def test_batch_matches_brute_force(self, cases, pick):
+        """Sentences drawn for several tiny CRFs, decoded by one of them
+        in one batch, against the path table of ``crf_oracle``."""
+        crf = cases[pick % len(cases)][0]
+        batch = [sentence for _crf, sentence in cases] + [[]]
+        decoded = crf.decode_many(batch)
+        encoded = crf._encode(batch)
+        _scores, alpha, beta, log_zs = lattice(crf, encoded)
+        for s, (sentence, (labels, confidences)) in enumerate(zip(batch, decoded)):
+            if not sentence:
+                assert (labels, confidences) == ([], None)
+                continue
+            ids = [ids.tolist() for ids in encoded.features[encoded.starts[s] :][: len(sentence)]]
+            best, log_z, posteriors = crf_oracle.solve(
+                crf.emission.tolist(), crf.transition.tolist(), ids
+            )
+            path = [crf.label_index[label] for label in labels]
+            assert path in best
+            span = slice(encoded.starts[s], encoded.starts[s + 1])
+            rows = np.exp(alpha[span] + beta[span] - log_zs[s])
+            assert abs(log_zs[s] - log_z) < 1e-9
+            assert np.abs(rows - np.asarray(posteriors)).max() < 1e-9
+            if set(labels) == {"O"}:
+                assert confidences is None
+            else:
+                assert confidences == rows[np.arange(len(path)), path].tolist()
+
+    def test_one_report_is_a_handful_of_dispatches(self, toy_crf, monkeypatch):
+        """Sentence lengths (9, 4, 4, 1), every one leaving ``O``: one
+        forward and one backward step per time index after the first
+        plus one ``log Z`` for all four, and the back-pointers in a
+        constant number of ``argmax`` calls -- not one per token."""
+        import repro.nlp.crf as module
+
+        calls = {"logsumexp": 0, "argmax": 0}
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            module, "_logsumexp_into", counted("logsumexp", module._logsumexp_into)
+        )
+        monkeypatch.setattr(np, "argmax", counted("argmax", np.argmax))
+        ant = ["w=ant", "p1=a"]
+        batch = [[ant] * 4, [ant] * 9, [ant], [ant] * 4]
+        decoded = toy_crf.decode_many(batch)
+        assert [labels for labels, _ in decoded] == [["A"] * len(s) for s in batch]
+        assert calls["logsumexp"] <= 2 * (9 - 1) + 1
+        assert calls["argmax"] == 2  # the deferred back-pointers, the last labels
+
+    def test_one_long_sentence_beside_many_short_ones_is_not_padded(self, toy_crf):
+        """5 000 tokens next to 500 one-token sentences: equal to the
+        sentences decoded alone, and no ``[batch, longest]`` array --
+        that would be 501 x 5 000 x 3 doubles = 60 MB for the scores
+        alone; the whole decode stays under 8 MB."""
+        import tracemalloc
+
+        def sentence(words):
+            return [[f"w={w}", f"p1={w[0]}"] for w in words]
+
+        rng = random.Random(5)
+        long = sentence(rng.choices(["ant", "bat", "cat"], k=5000))
+        short = [sentence([w]) for w in rng.choices(["ant", "cat"], k=500)]
+        batch = toy_crf._encode(short[:250] + [long] + short[250:])
+        tracemalloc.start()
+        decoded = toy_crf.decode_many(batch)
+        _now, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 8 * 2**20
+        alone = {word: decode(toy_crf, sentence([word])) for word in ("ant", "cat")}
+        assert decoded.pop(250) == decode(toy_crf, long)
+        assert decoded == [alone[s[0][0][2:]] for s in short]
+
+    def test_two_threads_share_one_recogniser(self, small_recognizer):
+        import threading
+
+        from conftest import training_texts
+
+        texts = training_texts(scenario_count=10)
+        assert len(texts) == 20
+        serial = [small_recognizer.extract(text) for text in texts]
+        results: dict[str, list] = {}
+
+        def work(name):
+            results[name] = [small_recognizer.extract(text) for text in texts]
+
+        threads = [
+            threading.Thread(target=work, args=(name,), name=name)
+            for name in ("extract-a", "extract-b")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert results == {"extract-a": serial, "extract-b": serial}
