@@ -34,14 +34,18 @@ _FILE_EXT = (
     r"zip|rar|7z|tmp|sys|bin|dat|cmd|msi|iso|img)"
 )
 
-#: Recognisers in precedence order (earlier wins on overlap).
-_PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
+#: Recognisers in precedence order (earlier wins on overlap), each with
+#: the literals one of which every match of it contains, lower-cased
+#: (``""``: none): a text that holds none of them skips the pass.
+_PATTERNS: tuple[tuple[EntityType, tuple[str, ...], re.Pattern[str]], ...] = (
     (
         EntityType.URL,
+        ("://",),
         re.compile(r"\bhttps?://[^\s\"'<>()]+[^\s\"'<>().,;:!?]"),
     ),
     (
         EntityType.EMAIL,
+        ("@",),
         re.compile(
             r"\b[a-zA-Z0-9][a-zA-Z0-9._%+-]*@[a-zA-Z0-9.-]+\.[a-zA-Z]{2,}\b"
         ),
@@ -51,6 +55,7 @@ _PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
     # the final segment may not, or it would swallow the sentence.
     (
         EntityType.REGISTRY,
+        ("\\",),
         re.compile(
             r"\b(?:HKLM|HKCU|HKCR|HKU|HKEY_[A-Z_]+)\\(?:[\w.-]+(?: [\w.-]+)?\\)*[\w.-]+",
             re.IGNORECASE,
@@ -58,6 +63,7 @@ _PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
     ),
     (
         EntityType.FILE_PATH,
+        (":\\", "/"),
         re.compile(
             r"\b[A-Za-z]:\\(?:[\w.-]+(?: [\w.-]+)?\\)*[\w.-]+"
             r"|(?:/(?:usr|etc|var|tmp|opt|home|bin)/[^\s\"'<>]+)"
@@ -65,6 +71,7 @@ _PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
     ),
     (
         EntityType.IP,
+        (".",),
         re.compile(
             r"\b(?:(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)\.){3}"
             r"(?:25[0-5]|2[0-4]\d|1\d\d|[1-9]?\d)\b"
@@ -72,18 +79,22 @@ _PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
     ),
     (
         EntityType.HASH,
+        ("",),
         re.compile(r"\b[a-fA-F0-9]{64}\b|\b[a-fA-F0-9]{40}\b|\b[a-fA-F0-9]{32}\b"),
     ),
     (
         EntityType.VULNERABILITY,
+        ("cve-",),
         re.compile(r"\bCVE-\d{4}-\d{4,7}\b", re.IGNORECASE),
     ),
     (
         EntityType.FILE_NAME,
+        (".",),
         re.compile(r"\b[\w][\w.-]{0,60}\." + _FILE_EXT + r"\b"),
     ),
     (
         EntityType.DOMAIN,
+        (".",),
         re.compile(
             r"\b(?:[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?\.)+"
             r"(?:com|net|org|info|biz|xyz|top|cc|io|ru|cn|onion|example)\b",
@@ -92,22 +103,20 @@ _PATTERNS: tuple[tuple[EntityType, re.Pattern[str]], ...] = (
     ),
 )
 
-#: IOC types whose recogniser is a single regex (exported for reuse).
-IOC_PATTERNS: dict[EntityType, re.Pattern[str]] = {
-    kind: pattern for kind, pattern in _PATTERNS
-}
-
 
 def find_iocs(text: str) -> list[IOCMatch]:
     """All IOC spans in ``text``, non-overlapping, in document order.
 
-    Precedence order of ``IOC_PATTERNS`` resolves containment (URL over
+    Precedence order of ``_PATTERNS`` resolves containment (URL over
     domain, path over file name); among same-type candidates the
     leftmost-longest match survives.
     """
     taken: list[tuple[int, int]] = []
     matches: list[IOCMatch] = []
-    for kind, pattern in _PATTERNS:
+    lowered = text.lower()
+    for kind, literals, pattern in _PATTERNS:
+        if not any(literal in lowered for literal in literals):
+            continue
         for match in pattern.finditer(text):
             start, end = match.start(), match.end()
             # Greedy path/registry/URL patterns may swallow trailing
@@ -130,11 +139,11 @@ def classify_ioc(value: str) -> EntityType | None:
     Used by parsers when a structured field supplies an IOC without a
     kind label.
     """
-    for kind, pattern in _PATTERNS:
+    for kind, _literals, pattern in _PATTERNS:
         match = pattern.fullmatch(value.strip())
         if match:
             return kind
     return None
 
 
-__all__ = ["IOCMatch", "IOC_PATTERNS", "classify_ioc", "find_iocs"]
+__all__ = ["IOCMatch", "classify_ioc", "find_iocs"]

@@ -18,11 +18,28 @@ fields x terms).
 import math
 import re
 
+from repro.nlp.ioc import _PATTERNS, IOCMatch
 from repro.nlp.lemma import lemmatize
 from repro.nlp.tokenize import Token, tokenize_sentences
 from repro.search.analyzer import STOPWORDS
 
 _SPLIT_RE = re.compile(r"[\\/@.:_\-]+")
+
+
+def find_iocs(text: str) -> list[IOCMatch]:
+    """Every recogniser run over ``text``, whatever it holds: the nine
+    passes ``repro.nlp.ioc.find_iocs`` skips some of."""
+    taken: list[tuple[int, int]] = []
+    matches: list[IOCMatch] = []
+    for kind, _literals, pattern in _PATTERNS:
+        for match in pattern.finditer(text):
+            start = match.start()
+            value = match.group().rstrip(".,;:!?'\")")
+            end = start + len(value)
+            if value and not any(start < b and end > a for a, b in taken):
+                taken.append((start, end))
+                matches.append(IOCMatch(start=start, end=end, text=value, type=kind))
+    return sorted(matches, key=lambda m: m.start)
 
 
 def tokenize_words(text: str, protect_iocs: bool = True) -> list[Token]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import search_oracle
 from repro.nlp.ioc import classify_ioc, find_iocs
 from repro.ontology import EntityType
 from repro.websim import iocgen
@@ -75,6 +76,38 @@ class TestFindIocs:
 
     def test_no_iocs_in_plain_prose(self):
         assert find_iocs("The quick brown fox jumps over the lazy dog") == []
+
+
+#: each recogniser's required literal alone, inside near-misses and
+#: inside matches
+NEAR_MISSES = (
+    "CVE-2021-34527", "cve-2020-0601", "https://a.io/x", "a@b.co", "HKLM\\Software\\Run",
+    "C:\\Temp\\a.exe", "/usr/bin/x",
+    "://", "@", "\\", ":\\", "/", ".", "cve-", "CVE-", "Cve-2021", "http://", "a@b",
+    "HKLM\\", "hklm\\x", "C:\\", "c:\\x.", "/usr/", "/etc/x", "1.2.3", "1.2.3.4", "x.exe",
+    "evil.com", "d41d8cd98f00b204e9800998ecf8427e", "\u0130", "\u212a", "\u017f", " ", "\n",
+)
+
+
+class TestLiteralPrefilter:
+    """``find_iocs`` skips a recogniser whose required literal the text
+    lacks; what it returns is what all nine passes return."""
+
+    @given(st.lists(st.one_of(st.sampled_from(NEAR_MISSES), st.text(max_size=8)), max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_strings(self, pieces):
+        text = "".join(pieces)
+        assert find_iocs(text) == search_oracle.find_iocs(text)
+
+    def test_websim_reports(self):
+        from conftest import training_texts
+
+        texts = training_texts(scenario_count=12)
+        assert sum(len(find_iocs(text)) for text in texts) > 50
+        for text in texts:
+            assert find_iocs(text) == search_oracle.find_iocs(text)
+            for line in text.split(". "):
+                assert find_iocs(line) == search_oracle.find_iocs(line)
 
 
 class TestClassifyIoc:
