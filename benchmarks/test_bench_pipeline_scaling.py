@@ -11,8 +11,12 @@ Measured shape: parse and extract are CPU-bound Python, so under the
 GIL thread workers do not help -- throughput *falls* by a quarter to a
 third from 1 worker to 2 and stays there (which is why ``SystemConfig``
 defaults both stages to 1); serialisation adds a constant overhead --
-the price of multi-host deployability.  The sweep is reported, not
-gated: the outputs must be equal at every setting.
+the price of multi-host deployability.  The ``extract`` stage alone is
+then swept over 1 / 2 / 4 threads with each recogniser (ROADMAP 2(b)'s
+table): the gazetteer is pure Python; the CRF spends a third of its time
+in numpy, in calls short enough that the GIL hand-offs around them cost
+more than the calls.  The sweeps are reported, not gated: the outputs
+must be equal at every setting.
 """
 
 from conftest import record_result
@@ -66,7 +70,21 @@ def make_pipeline(workers: int, serialize: bool):
     )
 
 
-def test_bench_pipeline_scaling(benchmark):
+def extract_alone(recognizer, parsed: list[str]) -> tuple[list[dict], bool]:
+    """The extract stage on 1 / 2 / 4 threads over the same parsed
+    records (decoded afresh per run: ``extract`` refines in place)."""
+    series, payloads = [], []
+    for threads in (1, 2, 4):
+        extractor = Extractor(recognizer)
+        result = Pipeline([Stage("extract", extractor.extract, workers=threads)]).run(
+            [CTIRecord.from_json(payload) for payload in parsed]
+        )
+        payloads.append([record.to_json() for record in result.outputs])
+        series.append({"threads": threads, "elapsed_ms": round(result.elapsed * 1e3)})
+    return series, all(payload == payloads[0] for payload in payloads)
+
+
+def test_bench_pipeline_scaling(benchmark, trained_crf):
     reports = build_reports()
     series = []
     payloads = []
@@ -90,6 +108,17 @@ def test_bench_pipeline_scaling(benchmark):
     payloads.append([record.to_json() for record in serialized.outputs])
     outputs_equal = all(payload == payloads[0] for payload in payloads)
 
+    checker, parsers = Checker(), ParserDispatch()
+    parsed = [
+        parsers.parse(report).to_json()
+        for report in reports
+        if checker.why_rejected(report) is None
+    ]
+    extract = {}
+    for name, recognizer in (("gazetteer", None), ("crf", trained_crf)):
+        extract[name], equal = extract_alone(recognizer, parsed)
+        outputs_equal = outputs_equal and equal
+
     print("\nE3: processing pipeline scaling "
           f"({len(reports)} reports, check->parse->extract)")
     print(f"  {'workers':>8} {'reports/s':>10} {'elapsed (s)':>12}")
@@ -101,6 +130,12 @@ def test_bench_pipeline_scaling(benchmark):
         f"{serialized.elapsed:.3f}s vs {plain.elapsed:.3f}s plain "
         f"({overhead * 100:+.0f}% overhead)"
     )
+    for name, rows in extract.items():
+        print(
+            f"  extract alone, {name}: "
+            + " / ".join(f"{row['elapsed_ms']} ms" for row in rows)
+            + " on 1 / 2 / 4 threads"
+        )
     print(f"  outputs identical at every setting: {outputs_equal}")
 
     record_result(
@@ -108,6 +143,7 @@ def test_bench_pipeline_scaling(benchmark):
         {
             "series": series,
             "serialize_overhead_pct": round(overhead * 100, 1),
+            "extract_alone": extract,
             "outputs_equal": outputs_equal,
         },
     )

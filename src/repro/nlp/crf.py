@@ -23,15 +23,14 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import minimize
 
-#: Elements one decoding step hands a ufunc at most: a wider step is cut
-#: into runs of ``STEP_ELEMENTS // n_labels ** 2`` sentences.  numpy gives
-#: up the GIL around any loop of more than 500 elements, and a hand-off
-#: per microsecond-sized call is what two extract workers lose time to
-#: (5 sentences a step instead of 4, at 11 labels: forward-backward of two
-#: threads 117 -> 219 ms, 330 -> 3 200 context switches a pass).
+#: Elements a decoding step hands a ufunc at most (a wider step is cut into
+#: runs of ``STEP_ELEMENTS // n_labels ** 2`` sentences): numpy gives up the
+#: GIL around any longer loop, and a hand-off per microsecond-sized call is
+#: what two extract workers lose time to (5 sentences a step instead of 4, at
+#: 11 labels: forward-backward of two threads 117 -> 219 ms a pass).
 STEP_ELEMENTS = 500
-#: Rows of the buffer of ``[n_labels, n_labels]`` candidate blocks whose
-#: ``argmax`` is deferred: the lattice memory of a decode, whatever the batch.
+#: Rows of the buffer of candidate blocks whose ``argmax`` is deferred: the
+#: lattice memory of a decode, whatever the batch.
 PENDING_ROWS = 256
 
 
@@ -39,9 +38,8 @@ def _logsumexp_into(lattice: np.ndarray, axis: int, out: np.ndarray) -> None:
     """``out = log(sum(exp(lattice), axis))``, destroying ``lattice``.
 
     The order is max -> exp -> sum -> log -> + peak, all in place: the
-    recursions call this once per time index on a
-    ``[sentences, n_labels, n_labels]`` scratch array, where allocation
-    and dispatch are the whole cost.
+    recursions call this once per step on a ``[sentences, n_labels,
+    n_labels]`` scratch, where allocation and dispatch are the whole cost.
     """
     peak = np.maximum.reduce(lattice, axis=axis, keepdims=True)
     lattice -= peak
@@ -53,27 +51,22 @@ def _logsumexp_into(lattice: np.ndarray, axis: int, out: np.ndarray) -> None:
 
 @dataclass
 class EncodedBatch:
-    """Sentences as feature ids, flat: sentence ``s`` is the tokens
-    ``starts[s]:starts[s + 1]`` (``lengths[s]`` of them).  ``ids`` holds
-    each token's ids ascending and unique (the order the emission sum
-    adds their rows in), the tokens that have equally many ids side by
-    side: ``by_width[w]`` lists the tokens with ``w`` ids, ``order`` is
-    those lists end to end -- the token behind each run of ``ids``.
-    Label ids, flat, when training."""
+    """Sentences as feature ids: ``tokens[i]`` are token ``i``'s ids,
+    ascending and unique (the order the emission sum adds their rows
+    in), and sentence ``s`` is the tokens ``starts[s]:starts[s + 1]``.
+    ``ids`` is the flat array the CRF gathers with, the tokens that have
+    equally many ids side by side: ``by_width[w]`` lists the tokens with
+    ``w`` ids, ``order`` is those lists end to end."""
 
+    tokens: list[list[int]]
     ids: np.ndarray
     by_width: dict[int, list[int]]
     order: list[int]
     lengths: list[int]
     starts: list[int]
-    labels: np.ndarray | None = None
 
     @classmethod
-    def from_ids(
-        cls,
-        sentences: Sequence[Sequence[Sequence[int]]],
-        labels: np.ndarray | None = None,
-    ) -> "EncodedBatch":
+    def from_ids(cls, sentences: Sequence[Sequence[Sequence[int]]]) -> "EncodedBatch":
         tokens = [sorted(set(ids)) for sentence in sentences for ids in sentence]
         by_width: dict[int, list[int]] = {}
         for i, ids in enumerate(tokens):
@@ -82,49 +75,36 @@ class EncodedBatch:
         flat = np.asarray([f for i in order for f in tokens[i]], dtype=np.int64)
         lengths = [len(sentence) for sentence in sentences]
         starts = list(accumulate(lengths, initial=0))
-        return cls(flat, by_width, order, lengths, starts, labels)
-
-    @property
-    def features(self) -> list[np.ndarray]:
-        """Per-token id arrays (views into ``ids``), in token order."""
-        views: list[np.ndarray] = [self.ids] * len(self.order)
-        at = 0
-        for width, group in self.by_width.items():
-            for i in group:
-                views[i] = self.ids[at : at + width]
-                at += width
-        return views
+        return cls(tokens, flat, by_width, order, lengths, starts)
 
 
 class _Packing:
-    """Time-major layout of some sentences of a ragged batch.
+    """Time-major layout of some sentences of a batch, no padding.
 
-    The sentences are ranked longest first, so the ones still running at
-    time index ``t`` are a prefix of the ranking and row
-    ``offsets[t] + rank`` is the ``t``-th token of sentence ``order[rank]``:
-    one recursion step per time index covers every sentence without a
-    mask or a padded cell, and each sentence sees exactly the arithmetic
-    it would see alone.  ``rows[r]`` is the batch's (sentence-major)
-    token index of row ``r``; ``steps`` are the ``(previous row, row,
-    count)`` runs of the time indices after the first, in row order, a
-    time index that more than ``width`` sentences reach cut into several.
+    The sentences are ranked longest first, so those still running at
+    time index ``t`` are a prefix of the ranking and row ``offsets[t] +
+    rank`` is token ``t`` of sentence ``order[rank]``: one step per time
+    index covers them all, unmasked, each seeing exactly the arithmetic
+    it would see alone.  ``rows[r]`` is the batch's token index of row
+    ``r``; ``steps`` are the ``(previous row, row, count)`` runs of the
+    later time indices, at most ``width`` sentences each; ``last`` is
+    each ranked sentence's final row.
     """
 
     def __init__(self, batch: EncodedBatch, members: Sequence[int], width: int):
         self.lengths = lengths = batch.lengths
-        starts = batch.starts
+        self.width = width
         self.order = sorted(
             (s for s in members if lengths[s]), key=lengths.__getitem__, reverse=True
         )
         self.offsets = [0]
         self.rows: list[int] = []
         self.steps: list[tuple[int, int, int]] = []
-        self.width = width
         active = len(self.order)
         for t in range(lengths[self.order[0]] if self.order else 0):
             while lengths[self.order[active - 1]] <= t:
                 active -= 1
-            self.rows.extend(starts[s] + t for s in self.order[:active])
+            self.rows.extend(batch.starts[s] + t for s in self.order[:active])
             if t:
                 row, previous = self.offsets[t], self.offsets[t - 1]
                 self.steps.extend(
@@ -132,10 +112,7 @@ class _Packing:
                     for a in range(0, active, width)
                 )
             self.offsets.append(len(self.rows))
-        #: each ranked sentence's last row
-        self.last = [
-            self.offsets[lengths[s] - 1] + rank for rank, s in enumerate(self.order)
-        ]
+        self.last = [self.offsets[lengths[s] - 1] + r for r, s in enumerate(self.order)]
 
 
 class LinearChainCRF:
@@ -155,48 +132,25 @@ class LinearChainCRF:
         self.labels: list[str] = []
         self.label_index: dict[str, int] = {}
         self.emission: np.ndarray | None = None  # [n_features, n_labels]
-        self.transition: np.ndarray | None = None  # [n_labels+1, n_labels], last row = start
+        self.transition: np.ndarray | None = None  # [n_labels+1, n_labels]
 
     # -- encoding -------------------------------------------------------
 
     def _build_vocab(
-        self,
-        sentences: list[list[list[str]]],
-        label_sequences: list[list[str]],
+        self, sentences: list[list[list[str]]], label_sequences: list[list[str]]
     ) -> None:
-        features: set[str] = set()
-        labels: set[str] = set()
-        for sentence in sentences:
-            for token_features in sentence:
-                features.update(token_features)
-        for sequence in label_sequences:
-            labels.update(sequence)
-        labels.add("O")
+        features = {f for sentence in sentences for names in sentence for f in names}
         self.feature_index = {name: i for i, name in enumerate(sorted(features))}
-        self.labels = sorted(labels)
+        self.labels = sorted({"O"}.union(*label_sequences))
         self.label_index = {label: i for i, label in enumerate(self.labels)}
 
-    def _encode(
-        self,
-        sentences: Sequence[list[list[str]]],
-        label_sequences: Sequence[list[str]] | None = None,
-    ) -> EncodedBatch:
+    def _encode(self, sentences: Sequence[list[list[str]]]) -> EncodedBatch:
         index = self.feature_index
-        labels = None
-        if label_sequences is not None:
-            labels = np.asarray(
-                [self.label_index[y] for sequence in label_sequences for y in sequence],
-                dtype=np.int64,
-            )
         return EncodedBatch.from_ids(
             [
-                [
-                    [index[name] for name in token_features if name in index]
-                    for token_features in sentence
-                ]
+                [[index[name] for name in names if name in index] for names in sentence]
                 for sentence in sentences
-            ],
-            labels,
+            ]
         )
 
     # -- potentials -------------------------------------------------------
@@ -212,11 +166,8 @@ class LinearChainCRF:
         for width, group in encoded.by_width.items():
             if width:
                 block = rows[at : at + len(group) * width]
-                np.add.reduce(
-                    block.reshape(len(group), width, n_labels),
-                    axis=1,
-                    out=summed[done : done + len(group)],
-                )
+                block = block.reshape(len(group), width, n_labels)
+                np.add.reduce(block, axis=1, out=summed[done : done + len(group)])
             at += len(group) * width
             done += len(group)
         scores = np.empty_like(summed)
@@ -227,15 +178,11 @@ class LinearChainCRF:
 
     def _viterbi(
         self, scores: np.ndarray, transition: np.ndarray, packing: _Packing
-    ) -> list[list[int]]:
-        """The highest-scoring label-id path of each packed sentence, in
-        ``packing.order``.
-
-        A step keeps its ``[count, from, to]`` candidate block instead of
-        reducing it to back-pointers on the spot, and one ``argmax`` per
-        full buffer recovers them: a call saved per step, and the call
-        that is left is long enough to be worth the GIL it gives up.
-        """
+    ) -> dict[int, list[int]]:
+        """The highest-scoring label-id path of each packed sentence.  A
+        step keeps its ``[count, from, to]`` candidate block and one
+        ``argmax`` per full buffer recovers the back-pointers: a call
+        saved per step, the one left long enough to be worth its GIL."""
         n_labels = scores.shape[1]
         trans = transition[:n_labels]
         best = scores[packing.rows]
@@ -255,15 +202,14 @@ class LinearChainCRF:
             held += count
         np.argmax(pending[:held], axis=1, out=backptr[done:])
         pointers = backptr.tolist()
-        offsets = packing.offsets
-        paths = []
-        for rank, label in enumerate(np.argmax(best[packing.last], axis=1).tolist()):
-            path = [label]
-            for t in range(packing.lengths[packing.order[rank]] - 1, 0, -1):
-                label = pointers[offsets[t] - head + rank][label]
+        paths = {}
+        finals = np.argmax(best[packing.last], axis=1).tolist()
+        for rank, (s, label) in enumerate(zip(packing.order, finals)):
+            paths[s] = path = [label]
+            for t in range(packing.lengths[s] - 1, 0, -1):
+                label = pointers[packing.offsets[t] - head + rank][label]
                 path.append(label)
             path.reverse()
-            paths.append(path)
         return paths
 
     def _forward_backward(
@@ -274,11 +220,10 @@ class LinearChainCRF:
         entries are computed."""
         n_labels = scores.shape[1]
         trans = transition[:n_labels]
-        rows = packing.rows
-        emitted = scores[rows]
+        emitted = scores[packing.rows]
         head = len(packing.order)  # the rows of time index 0
         lattice = np.empty((packing.width, n_labels, n_labels))
-        alpha = np.empty_like(emitted)
+        alpha, beta = packed = np.zeros((2,) + emitted.shape)
         np.add(transition[n_labels], emitted[:head], out=alpha[:head])
         for previous, row, count in packing.steps:
             block = lattice[:count]
@@ -286,7 +231,6 @@ class LinearChainCRF:
             target = alpha[row : row + count]
             _logsumexp_into(block, 1, target)
             target += emitted[row : row + count]
-        beta = np.zeros_like(emitted)
         for previous, row, count in reversed(packing.steps):
             block = lattice[:count]
             arriving = emitted[row : row + count] + beta[row : row + count]
@@ -295,8 +239,7 @@ class LinearChainCRF:
         log_z = np.empty(len(packing.order))
         _logsumexp_into(alpha[packing.last], 1, log_z)
         by_token = np.empty((2,) + scores.shape)
-        by_token[0, rows] = alpha
-        by_token[1, rows] = beta
+        by_token[:, packing.rows] = packed
         by_sentence = np.empty(len(packing.lengths))
         by_sentence[packing.order] = log_z
         return by_token[0], by_token[1], by_sentence
@@ -311,15 +254,15 @@ class LinearChainCRF:
         """Train on (feature-lists, BIO labels) pairs."""
         if len(sentences) != len(label_sequences):
             raise ValueError("sentences and labels must align")
-        data = [
-            (sentence, labels)
-            for sentence, labels in zip(sentences, label_sequences)
-            if sentence
-        ]
-        self._build_vocab([s for s, _ in data], [l for _, l in data])
-        encoded = self._encode([s for s, _ in data], [l for _, l in data])
-        packing = _Packing(encoded, range(len(data)), PENDING_ROWS)  # one thread: wide steps
-        token_ids = encoded.features
+        data = [(s, labels) for s, labels in zip(sentences, label_sequences) if s]
+        self._build_vocab([s for s, _ in data], [labels for _, labels in data])
+        encoded = self._encode([s for s, _ in data])
+        every_label = np.asarray(
+            [self.label_index[y] for _, labels in data for y in labels], dtype=np.int64
+        )
+        token_ids = [np.asarray(ids, dtype=np.int64) for ids in encoded.tokens]
+        # one optimiser thread: steps as wide as the lattice buffer
+        packing = _Packing(encoded, range(len(data)), PENDING_ROWS)
         n_features = len(self.feature_index)
         n_labels = len(self.labels)
         emission_size = n_features * n_labels
@@ -336,15 +279,14 @@ class LinearChainCRF:
             grad_transition = np.zeros_like(transition)
             negative_ll = 0.0
             trans = transition[:n_labels]
-            # one recursion over the packed training set; the sums below
-            # stay sentence by sentence, token by token: their order is
-            # the gradient's last digits, and the optimiser's path
+            # one packed recursion; the sums stay sentence by sentence, token
+            # by token: their order is the gradient's last digits
             every = self._scores(encoded, emission)
             lattice = self._forward_backward(every, transition, packing)
             for s, log_z in enumerate(lattice[2].tolist()):
                 span = slice(encoded.starts[s], encoded.starts[s + 1])
                 scores, alpha, beta = every[span], lattice[0][span], lattice[1][span]
-                labels = encoded.labels[span]
+                labels = every_label[span]
                 n_tokens = scores.shape[0]
 
                 # empirical score
@@ -372,15 +314,12 @@ class LinearChainCRF:
                     grad_transition[labels[t - 1], labels[t]] -= 1.0
 
             negative_ll += 0.5 * self.l2 * float(np.dot(theta, theta))
-            grad = np.concatenate(
-                [grad_emission.ravel(), grad_transition.ravel()]
-            ) + self.l2 * theta
-            return negative_ll, grad
+            grad = np.concatenate([grad_emission.ravel(), grad_transition.ravel()])
+            return negative_ll, grad + self.l2 * theta
 
-        theta0 = np.zeros(emission_size + transition_size)
         result = minimize(
             objective,
-            theta0,
+            np.zeros(emission_size + transition_size),
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": self.max_iterations},
@@ -401,39 +340,38 @@ class LinearChainCRF:
         lists, or ids already resolved against :attr:`feature_index`)
         and each chosen label's posterior.
 
-        The one inference path: the batch is encoded once, scored once
-        and decoded in one packed recursion.  The forward-backward pass
-        packs only the sentences whose path leaves ``O``; an all-``O``
-        sentence has no span to score and its confidences are ``None``,
-        like an empty sentence's.
+        The one inference path: encoded once, scored once, decoded in
+        one packed recursion.  Forward-backward packs only the sentences
+        whose path leaves ``O``; an all-``O`` sentence has no span to
+        score and its confidences are ``None``, like an empty one's.
         """
         self._require_trained()
         if not isinstance(batch, EncodedBatch):
             batch = self._encode(batch)
+        everyone = range(len(batch.lengths))
         width = min(PENDING_ROWS, max(1, STEP_ELEMENTS // len(self.labels) ** 2))
-        packing = _Packing(batch, range(len(batch.lengths)), width)
+        packing = _Packing(batch, everyone, width)
         paths: dict[int, list[int]] = {}
         confidences: dict[int, list[float]] = {}
         if packing.order:
             scores = self._scores(batch, self.emission)
-            paths.update(zip(packing.order, self._viterbi(scores, self.transition, packing)))
+            paths = self._viterbi(scores, self.transition, packing)
             outside = self.label_index["O"]
             leaving = [s for s, p in paths.items() if p.count(outside) != len(p)]
-            if leaving:
-                alpha, beta, log_z = self._forward_backward(
-                    scores, self.transition, _Packing(batch, leaving, width)
-                )
-                spans = [range(batch.starts[s], batch.starts[s + 1]) for s in leaving]
-                tokens = [i for span in spans for i in span]
-                chosen = [y for s in leaving for y in paths[s]]
-                owner = [s for s, span in zip(leaving, spans) for _ in span]
-                exponent = alpha[tokens, chosen] + beta[tokens, chosen] - log_z[owner]
-                values = iter(np.exp(exponent).tolist())
-                for s, span in zip(leaving, spans):
-                    confidences[s] = [next(values) for _ in span]
+        if paths and leaving:
+            alpha, beta, log_z = self._forward_backward(
+                scores, self.transition, _Packing(batch, leaving, width)
+            )
+            starts = batch.starts
+            tokens = [i for s in leaving for i in range(starts[s], starts[s + 1])]
+            chosen = [y for s in leaving for y in paths[s]]
+            owner = [s for s in leaving for _ in paths[s]]
+            exponent = alpha[tokens, chosen] + beta[tokens, chosen] - log_z[owner]
+            values = iter(np.exp(exponent).tolist())
+            confidences = {s: [next(values) for _ in paths[s]] for s in leaving}
         return [
             ([self.labels[y] for y in paths.get(s, ())], confidences.get(s))
-            for s in range(len(batch.lengths))
+            for s in everyone
         ]
 
     # -- persistence ----------------------------------------------------------
@@ -447,17 +385,9 @@ class LinearChainCRF:
             emission=self.emission,
             transition=self.transition,
         )
-        path.with_suffix(".json").write_text(
-            json.dumps(
-                {
-                    "labels": self.labels,
-                    "features": sorted(
-                        self.feature_index, key=self.feature_index.get
-                    ),
-                    "l2": self.l2,
-                }
-            )
-        )
+        names = sorted(self.feature_index, key=self.feature_index.get)
+        meta = {"labels": self.labels, "features": names, "l2": self.l2}
+        path.with_suffix(".json").write_text(json.dumps(meta))
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearChainCRF":

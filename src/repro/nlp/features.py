@@ -175,9 +175,7 @@ class FeatureExtractor:
         templates = self._cache
         if templates is None or templates.index is not feature_index:
             templates = self._cache = _Templates(self, feature_index)
-        return EncodedBatch.from_ids(
-            [self._features(tokens, templates) for tokens in sentences]
-        )
+        return EncodedBatch.from_ids([self._features(s, templates) for s in sentences])
 
     def _features(self, tokens: Sequence[Token], templates: _Templates) -> list[list]:
         words = [token.text for token in tokens]

@@ -178,8 +178,7 @@ class EntityRecognizer:
 
         Returns the sentence segmentation (for downstream relation
         extraction) and the mentions with character offsets.  The CRF
-        sees the text once: every sentence encoded into one batch, one
-        packed decode.
+        sees the text once: one encoded batch, one packed decode.
         """
         sentences = tokenize_sentences(text, protect_iocs=self.protect_iocs)
         batch = self.features.encode(
@@ -188,32 +187,16 @@ class EntityRecognizer:
         decoded = self.crf.decode_many(batch)
         mentions: list[Mention] = []
         for index, (sentence, bio) in enumerate(zip(sentences, decoded)):
-            for token in sentence.tokens:
-                if token.is_ioc:
-                    mentions.append(
-                        Mention(
-                            text=token.text,
-                            type=token.ioc_type,
-                            sentence_index=index,
-                            start=token.start,
-                            end=token.end,
-                            confidence=1.0,
-                            method="regex",
-                        )
-                    )
-            for span in decode_bio(sentence.tokens, *bio):
-                first = sentence.tokens[span.start]
-                last = sentence.tokens[span.end - 1]
+            tokens = sentence.tokens
+            mentions.extend(
+                Mention(t.text, t.ioc_type, index, t.start, t.end, 1.0, "regex")
+                for t in tokens
+                if t.is_ioc
+            )
+            for span in decode_bio(tokens, *bio):  # ``method`` defaults to "crf"
+                start, end = tokens[span.start].start, tokens[span.end - 1].end
                 mentions.append(
-                    Mention(
-                        text=span.text,
-                        type=span.type,
-                        sentence_index=index,
-                        start=first.start,
-                        end=last.end,
-                        confidence=span.confidence,
-                        method="crf",
-                    )
+                    Mention(span.text, span.type, index, start, end, span.confidence)
                 )
         return sentences, mentions
 

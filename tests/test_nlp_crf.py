@@ -125,7 +125,8 @@ class TestGradient:
         X, Y = make_toy_data(4, seed=3)
         crf = LinearChainCRF(l2=0.1)
         crf._build_vocab(X, Y)
-        encoded = [crf._encode([s], [l]) for s, l in zip(X, Y)]
+        encoded = [crf._encode([s]) for s in X]
+        targets = [[crf.label_index[y] for y in labels] for labels in Y]
         n_features = len(crf.feature_index)
         n_labels = len(crf.labels)
         size = n_features * n_labels + (n_labels + 1) * n_labels
@@ -136,9 +137,8 @@ class TestGradient:
             emission = t[: n_features * n_labels].reshape(n_features, n_labels)
             transition = t[n_features * n_labels :].reshape(n_labels + 1, n_labels)
             value = 0.0
-            for sentence in encoded:
+            for sentence, labels in zip(encoded, targets):
                 scores, _a, _b, (log_z,) = lattice(crf, sentence, emission, transition)
-                labels = sentence.labels
                 path = transition[n_labels, labels[0]] + scores[0, labels[0]]
                 for i in range(1, len(labels)):
                     path += transition[labels[i - 1], labels[i]] + scores[i, labels[i]]
@@ -155,15 +155,14 @@ class TestGradient:
             grad_t = np.zeros_like(transition)
             value = 0.0
             trans = transition[:n_labels]
-            for sentence in encoded:
+            for sentence, labels in zip(encoded, targets):
                 scores, alpha, beta, (log_z,) = lattice(crf, sentence, emission, transition)
-                labels = sentence.labels
                 path = transition[n_labels, labels[0]] + scores[0, labels[0]]
                 for i in range(1, len(labels)):
                     path += trans[labels[i - 1], labels[i]] + scores[i, labels[i]]
                 value -= path - log_z
                 marg = np.exp(alpha + beta - log_z)
-                for i, ids in enumerate(sentence.features):
+                for i, ids in enumerate(sentence.tokens):
                     if len(ids):
                         grad_e[ids] += marg[i]
                         grad_e[ids, labels[i]] -= 1.0
@@ -274,7 +273,7 @@ class TestDecodeIsTheOtherTwo:
             reference = crf._encode([names])
             assert encoded.ids.tolist() == reference.ids.tolist()
             assert encoded.by_width == reference.by_width
-            assert [ids.tolist() for ids in encoded.features] == [
+            assert encoded.tokens == [
                 sorted({crf.feature_index[f] for f in token if f in crf.feature_index})
                 for token in names
             ]
@@ -357,7 +356,7 @@ class TestPackedDecode:
             if not sentence:
                 assert (labels, confidences) == ([], None)
                 continue
-            ids = [ids.tolist() for ids in encoded.features[encoded.starts[s] :][: len(sentence)]]
+            ids = encoded.tokens[encoded.starts[s] : encoded.starts[s + 1]]
             best, log_z, posteriors = crf_oracle.solve(
                 crf.emission.tolist(), crf.transition.tolist(), ids
             )
