@@ -122,7 +122,7 @@ class LinearChainCRF:
 
         crf = LinearChainCRF(l2=0.1)
         crf.fit(list_of_feature_lists, list_of_label_lists)
-        (labels, confidences), *_ = crf.decode_many(feature_lists_of_sentences)
+        (labels, confidences), *_ = crf.decode_many(batch_of_feature_ids)
     """
 
     def __init__(self, l2: float = 0.1, max_iterations: int = 80):
@@ -334,11 +334,10 @@ class LinearChainCRF:
             raise RuntimeError("CRF is not trained; call fit() or load()")
 
     def decode_many(
-        self, batch: Sequence[list[list[str]]] | EncodedBatch
+        self, batch: EncodedBatch
     ) -> list[tuple[list[str], list[float] | None]]:
-        """Viterbi labels of each sentence of a batch (feature-name
-        lists, or ids already resolved against :attr:`feature_index`)
-        and each chosen label's posterior.
+        """Viterbi labels of each sentence of a batch (ids resolved
+        against :attr:`feature_index`) and each chosen label's posterior.
 
         The one inference path: encoded once, scored once, decoded in
         one packed recursion.  Forward-backward packs only the sentences
@@ -346,8 +345,6 @@ class LinearChainCRF:
         score and its confidences are ``None``, like an empty one's.
         """
         self._require_trained()
-        if not isinstance(batch, EncodedBatch):
-            batch = self._encode(batch)
         everyone = range(len(batch.lengths))
         width = min(PENDING_ROWS, max(1, STEP_ELEMENTS // len(self.labels) ** 2))
         packing = _Packing(batch, everyone, width)

@@ -36,7 +36,7 @@ def make_toy_data(n, seed=0):
 
 def decode(crf, sentence):
     """Labels and confidences of one sentence: a batch of one."""
-    (decoded,) = crf.decode_many([sentence])
+    (decoded,) = crf.decode_many(crf._encode([sentence]))
     return decoded
 
 
@@ -105,7 +105,7 @@ class TestInference:
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
-            LinearChainCRF().decode_many([[["f"]]])
+            LinearChainCRF().decode_many(EncodedBatch.from_ids([[[0]]]))
 
 
 class TestPersistence:
@@ -291,8 +291,7 @@ class TestDecodeIsTheOtherTwo:
         assert seen == {"all-O", "span ends on the last token", "one token"}
 
     def test_empty_sentence(self, toy_crf):
-        assert toy_crf.decode_many([]) == []
-        assert toy_crf.decode_many([[]]) == [([], None)]
+        assert toy_crf.decode_many(EncodedBatch.from_ids([])) == []
         assert toy_crf.decode_many(EncodedBatch.from_ids([[], []])) == [([], None)] * 2
 
     def test_token_without_a_known_feature_scores_a_zero_row(self, toy_crf):
@@ -307,7 +306,8 @@ class TestDecodeIsTheOtherTwo:
 
         monkeypatch.setattr(toy_crf, "_forward_backward", boom)
         outside = [["w=cat", "p1=c"], ["w=dog", "p1=d"]]
-        assert toy_crf.decode_many([outside, [], outside[:1]]) == [
+        batch = toy_crf._encode([outside, [], outside[:1]])
+        assert toy_crf.decode_many(batch) == [
             (["O", "O"], None),
             ([], None),
             (["O"], None),
@@ -337,7 +337,7 @@ class TestPackedDecode:
     @settings(max_examples=120, deadline=None)
     @given(ragged_batches())
     def test_a_sentence_decodes_alike_alone_and_in_any_batch(self, toy_crf, batch):
-        packed = toy_crf.decode_many(batch)
+        packed = toy_crf.decode_many(toy_crf._encode(batch))
         assert len(packed) == len(batch)
         for sentence, decoded in zip(batch, packed):
             assert decoded == decode(toy_crf, sentence)
@@ -349,8 +349,8 @@ class TestPackedDecode:
         in one batch, against the path table of ``crf_oracle``."""
         crf = cases[pick % len(cases)][0]
         batch = [sentence for _crf, sentence in cases] + [[]]
-        decoded = crf.decode_many(batch)
         encoded = crf._encode(batch)
+        decoded = crf.decode_many(encoded)
         _scores, alpha, beta, log_zs = lattice(crf, encoded)
         for s, (sentence, (labels, confidences)) in enumerate(zip(batch, decoded)):
             if not sentence:
@@ -393,7 +393,7 @@ class TestPackedDecode:
         monkeypatch.setattr(np, "argmax", counted("argmax", np.argmax))
         ant = ["w=ant", "p1=a"]
         batch = [[ant] * 4, [ant] * 9, [ant], [ant] * 4]
-        decoded = toy_crf.decode_many(batch)
+        decoded = toy_crf.decode_many(toy_crf._encode(batch))
         assert [labels for labels, _ in decoded] == [["A"] * len(s) for s in batch]
         assert calls["logsumexp"] <= 2 * (9 - 1) + 1
         assert calls["argmax"] == 2  # the deferred back-pointers, the last labels
