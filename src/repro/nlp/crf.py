@@ -97,6 +97,7 @@ class _Packing:
         self.order = sorted(
             (s for s in members if lengths[s]), key=lengths.__getitem__, reverse=True
         )
+        firsts = [batch.starts[s] for s in self.order]
         self.offsets = [0]
         self.rows: list[int] = []
         self.steps: list[tuple[int, int, int]] = []
@@ -104,7 +105,7 @@ class _Packing:
         for t in range(lengths[self.order[0]] if self.order else 0):
             while lengths[self.order[active - 1]] <= t:
                 active -= 1
-            self.rows.extend(batch.starts[s] + t for s in self.order[:active])
+            self.rows.extend(first + t for first in firsts[:active])
             if t:
                 row, previous = self.offsets[t], self.offsets[t - 1]
                 self.steps.extend(
@@ -348,14 +349,14 @@ class LinearChainCRF:
         everyone = range(len(batch.lengths))
         width = min(PENDING_ROWS, max(1, STEP_ELEMENTS // len(self.labels) ** 2))
         packing = _Packing(batch, everyone, width)
-        paths: dict[int, list[int]] = {}
+        if not packing.order:
+            return [([], None) for _ in everyone]
+        scores = self._scores(batch, self.emission)
+        paths = self._viterbi(scores, self.transition, packing)
+        outside = self.label_index["O"]
+        leaving = [s for s, p in paths.items() if p.count(outside) != len(p)]
         confidences: dict[int, list[float]] = {}
-        if packing.order:
-            scores = self._scores(batch, self.emission)
-            paths = self._viterbi(scores, self.transition, packing)
-            outside = self.label_index["O"]
-            leaving = [s for s, p in paths.items() if p.count(outside) != len(p)]
-        if paths and leaving:
+        if leaving:
             alpha, beta, log_z = self._forward_backward(
                 scores, self.transition, _Packing(batch, leaving, width)
             )

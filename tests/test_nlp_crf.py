@@ -13,6 +13,10 @@ from repro.nlp.ner import decode_bio
 from repro.nlp.tokenize import tokenize_sentences
 
 
+def toy_features(words):
+    return [[f"w={w}", f"p1={w[0]}"] for w in words]
+
+
 def make_toy_data(n, seed=0):
     """Words starting with 'a' are labelled A; after 'a'-words, 'b'-words
     are B (tests transitions); everything else O."""
@@ -29,7 +33,7 @@ def make_toy_data(n, seed=0):
                 labels.append("B")
             else:
                 labels.append("O")
-        X.append([[f"w={w}", f"p1={w[0]}"] for w in words])
+        X.append(toy_features(words))
         Y.append(labels)
     return X, Y
 
@@ -322,9 +326,7 @@ def ragged_batches(draw):
     """1-12 sentences of 0-40 tokens over the toy vocabulary, most words
     all-``O``, with duplicates and one-token sentences drawn on purpose."""
     word = st.sampled_from(["ant", "apple", "bog", "bat", "cat", "dog", "emu"])
-    sentence = st.lists(word, max_size=40).map(
-        lambda words: [[f"w={w}", f"p1={w[0]}"] for w in words]
-    )
+    sentence = st.lists(word, max_size=40).map(toy_features)
     batch = draw(st.lists(sentence, min_size=1, max_size=12))
     for source in draw(st.lists(st.integers(0, len(batch) - 1), max_size=3)):
         batch.append(batch[source])
@@ -405,19 +407,16 @@ class TestPackedDecode:
         alone; the whole decode stays under 8 MB."""
         import tracemalloc
 
-        def sentence(words):
-            return [[f"w={w}", f"p1={w[0]}"] for w in words]
-
         rng = random.Random(5)
-        long = sentence(rng.choices(["ant", "bat", "cat"], k=5000))
-        short = [sentence([w]) for w in rng.choices(["ant", "cat"], k=500)]
+        long = toy_features(rng.choices(["ant", "bat", "cat"], k=5000))
+        short = [toy_features([w]) for w in rng.choices(["ant", "cat"], k=500)]
         batch = toy_crf._encode(short[:250] + [long] + short[250:])
         tracemalloc.start()
         decoded = toy_crf.decode_many(batch)
         _now, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 8 * 2**20
-        alone = {word: decode(toy_crf, sentence([word])) for word in ("ant", "cat")}
+        alone = {w: decode(toy_crf, toy_features([w])) for w in ("ant", "cat")}
         assert decoded.pop(250) == decode(toy_crf, long)
         assert decoded == [alone[s[0][0][2:]] for s in short]
 
