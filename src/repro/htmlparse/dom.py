@@ -148,8 +148,9 @@ class Element:
         return select(self, selector)
 
     def select_one(self, selector: str) -> "Element | None":
-        matches = self.select(selector)
-        return matches[0] if matches else None
+        from repro.htmlparse.selectors import select_one
+
+        return select_one(self, selector)
 
     # -- text extraction ----------------------------------------------
 
@@ -235,8 +236,7 @@ class Document:
         return select(self.root, selector)
 
     def select_one(self, selector: str) -> Element | None:
-        matches = self.select(selector)
-        return matches[0] if matches else None
+        return self.root.select_one(selector)
 
 
 def parse(markup: str) -> Document:

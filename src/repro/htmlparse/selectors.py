@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.htmlparse.dom import Element
 
@@ -106,15 +107,20 @@ def _parse_attr(token: str) -> AttrCheck:
     return AttrCheck(name=name, op=op, value=value)
 
 
-def compile_selector(selector: str) -> list[CompiledSelector]:
-    """Compile a selector group string into chains (one per comma part)."""
+@lru_cache(maxsize=512)
+def compile_selector(selector: str) -> tuple[CompiledSelector, ...]:
+    """Compile a selector group string into chains (one per comma part).
+
+    Memoised: the parsers ask for the same few dozen strings on every
+    page, and the chains are immutable.
+    """
     chains: list[CompiledSelector] = []
     for part in selector.split(","):
         part = part.strip()
         if not part:
             raise SelectorSyntaxError(f"empty selector in group: {selector!r}")
         chains.append(_compile_chain(part))
-    return chains
+    return tuple(chains)
 
 
 def _compile_chain(selector: str) -> CompiledSelector:
@@ -177,9 +183,11 @@ def select(root: Element, selector: str) -> list[Element]:
 
 
 def select_one(root: Element, selector: str) -> Element | None:
-    """First match of :func:`select`, or ``None``."""
-    results = select(root, selector)
-    return results[0] if results else None
+    """First match of :func:`select`, or ``None``; the walk stops there."""
+    for element, full in _walk(root, compile_selector(selector)):
+        if full:
+            return element
+    return None
 
 
 def matches(element: Element, selector: str) -> bool:
@@ -191,7 +199,7 @@ def matches(element: Element, selector: str) -> bool:
     return False
 
 
-def _walk(root: Element, chains: list[CompiledSelector]):
+def _walk(root: Element, chains: tuple[CompiledSelector, ...]):
     """Yield ``(element, fully_matched_chain_indexes)`` pairs.
 
     Implements descendant/child matching with a per-path state set:

@@ -1,14 +1,17 @@
 """Unit tests for the HTML tokenizer, DOM builder and CSS selectors."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htmlparse import (
     SelectorSyntaxError,
     Token,
     TokenKind,
+    compile_selector,
     parse,
+    select,
+    select_one,
     tokenize,
 )
 
@@ -196,3 +199,123 @@ class TestRealWorldShapes:
     def test_pre_preserves_lines(self):
         doc = parse("<pre>line1\nline2</pre>")
         assert "line1" in doc.text() and "line2" in doc.text()
+
+
+# -- select_one stops at the first match ------------------------------------
+
+FAMILY_SOURCES = [
+    "ThreatPedia", "SecureListing", "InfoSec Ledger", "NVD Shadow", "OTX Mirror",
+]
+
+
+@pytest.fixture(scope="module")
+def parser_queries(small_web):
+    """Every ``(root, selector)`` the five parser families ask of the
+    pages of one source each, as the parsers ask them."""
+    from repro.core.parsers import ParserDispatch
+    from repro.core.porter import Porter
+    from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
+    from repro.htmlparse import selectors
+    from repro.websim import SimulatedTransport
+
+    engine = CrawlEngine(
+        build_all_crawlers(FAMILY_SOURCES),
+        Fetcher(SimulatedTransport(small_web, time_scale=0.0)),
+        num_threads=2,
+    )
+    reports = Porter().port(engine.crawl().documents)
+    asked = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("select", "select_one"):
+            original = getattr(selectors, name)
+
+            def spy(root, selector, original=original):
+                asked.append((root, selector))
+                return original(root, selector)
+
+            patch.setattr(selectors, name, spy)
+        ParserDispatch().parse_all(reports)
+    assert len({selector for _root, selector in asked}) > 25
+    return asked
+
+
+def _vocabulary(roots):
+    tags, classes, attrs = set(), set(), set()
+    for root in roots:
+        for element in root.iter():
+            tags.add(element.tag)
+            classes.update(element.classes)
+            attrs.update(
+                (name, value)
+                for name, value in element.attrs.items()
+                if value and name != "class" and value.isalnum()
+            )
+    return sorted(tags), sorted(classes), sorted(attrs)
+
+
+class TestSelectOne:
+    @staticmethod
+    def first_of_select(root, selector):
+        matched = select(root, selector)
+        return matched[0] if matched else None
+
+    def test_the_parsers_own_queries(self, parser_queries):
+        for root, selector in parser_queries:
+            assert select_one(root, selector) is self.first_of_select(root, selector)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_selector_groups(self, parser_queries, data):
+        """Comma groups, both combinators and every attribute operator,
+        spelled from what the pages really contain (and some they do not)."""
+        roots = list({id(root): root for root, _selector in parser_queries}.values())
+        tags, classes, attrs = _vocabulary(roots)
+
+        def attribute(pair_op):
+            (name, value), op = pair_op
+            if not op:
+                return f"[{name}]"
+            cut = {"^=": value[:2], "$=": value[-2:], "*=": value[1:3]}.get(op, value)
+            return f'[{name}{op}"{cut}"]'
+
+        simple = st.builds(
+            lambda tag, cls, attr: tag + cls + attr or "*",
+            st.sampled_from(tags + ["*", "", "blink"]),
+            st.sampled_from([""] + [f".{name}" for name in classes] + [".absent"]),
+            st.one_of(
+                st.just(""),
+                st.tuples(
+                    st.sampled_from(attrs), st.sampled_from(["", "=", "^=", "$=", "*="])
+                ).map(attribute),
+            ),
+        )
+        chain = st.lists(simple, min_size=1, max_size=3).flatmap(
+            lambda parts: st.lists(
+                st.sampled_from([" ", " > ", ">"]),
+                min_size=len(parts) - 1, max_size=len(parts) - 1,
+            ).map(lambda joins: "".join(
+                part + join for part, join in zip(parts, joins + [""])
+            ))
+        )
+        selector = data.draw(st.lists(chain, min_size=1, max_size=3).map(", ".join))
+        root = data.draw(st.sampled_from(roots))
+        assert select_one(root, selector) is self.first_of_select(root, selector)
+        assert root.select_one(selector) is select_one(root, selector)
+
+    def test_stops_walking_at_the_first_match(self):
+        doc = parse("<div><p id=a>x</p><p>y</p><ul><li>z</li></ul></div>")
+        visited = []
+        real = type(doc.root).iter_children
+
+        def counting(element):
+            visited.append(element.tag)
+            return real(element)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(type(doc.root), "iter_children", counting)
+            assert doc.select_one("p").get("id") == "a"
+        assert "ul" not in visited
+
+    def test_compiled_chains_are_shared_and_immutable(self):
+        assert compile_selector("ul > li, a[href]") is compile_selector("ul > li, a[href]")
+        assert isinstance(compile_selector("p"), tuple)
