@@ -9,19 +9,25 @@ check -> parse -> extract pipeline with a worker sweep, and measure the
 serialisation boundary's cost (on/off at the same worker count).
 Measured shape: parse and extract are CPU-bound Python, so under the
 GIL thread workers do not help -- throughput *falls* by a quarter to a
-third from 1 worker to 2 and stays there (which is why ``SystemConfig``
-defaults both stages to 1); serialisation adds a constant overhead --
-the price of multi-host deployability.  The ``extract`` stage alone is
-then swept over 1 / 2 / 4 threads with each recogniser (ROADMAP 2(b)'s
-table): the gazetteer is pure Python; the CRF spends a third of its time
-in numpy, in calls short enough that the GIL hand-offs around them cost
-more than the calls.  The sweeps are reported, not gated: the outputs
-must be equal at every setting.
+third from 1 worker to 2 and stays there; serialisation adds a constant
+overhead -- the price of multi-host deployability.  The ``extract``
+stage alone is then swept over 1 / 2 / 4 threads with each recogniser
+(ROADMAP 2(b)'s table): the gazetteer is pure Python; the CRF spends a
+third of its time in numpy, in calls short enough that the GIL hand-offs
+around them cost more than the calls.  Last, what ``extract_workers = N``
+means in ``SecurityKG``: the CRF ``extract`` stage alone and the three
+stages together at 1 / 2 / 4 extractor *processes*, through the same
+``ExtractorPool`` -- the rows with a slope, each with the CPU seconds of
+parent and children it cost.  The sweeps are reported, not gated: the
+outputs must be equal, in order, at every setting.
 """
+
+import os
 
 from conftest import record_result
 
 from repro.core import Checker, Extractor, ParserDispatch, Porter
+from repro.core.extractor import ExtractorPool
 from repro.core.pipeline import Codec, Pipeline, Stage
 from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
 from repro.ontology import CTIRecord, ReportRecord
@@ -42,10 +48,12 @@ def build_reports():
     return Porter().port(engine.crawl().documents)
 
 
-def make_pipeline(workers: int, serialize: bool):
+def make_pipeline(workers: int, serialize: bool, extract=None, extract_workers=None):
+    """Gazetteer ``extract`` on ``workers`` threads, or ``extract`` (a
+    pool's) behind ``extract_workers`` waiting threads."""
     checker = Checker()
     parsers = ParserDispatch()
-    extractor = Extractor()
+    extract = extract or Extractor().extract
     report_codec = (
         Codec(encode=lambda r: r.to_json(), decode=ReportRecord.from_json)
         if serialize
@@ -65,7 +73,9 @@ def make_pipeline(workers: int, serialize: bool):
                 codec=report_codec,
             ),
             Stage("parse", parsers.parse, workers=workers, codec=cti_codec),
-            Stage("extract", extractor.extract, workers=workers, codec=cti_codec),
+            Stage(
+                "extract", extract, workers=extract_workers or workers, codec=cti_codec
+            ),
         ]
     )
 
@@ -82,6 +92,47 @@ def extract_alone(recognizer, parsed: list[str]) -> tuple[list[dict], bool]:
         payloads.append([record.to_json() for record in result.outputs])
         series.append({"threads": threads, "elapsed_ms": round(result.elapsed * 1e3)})
     return series, all(payload == payloads[0] for payload in payloads)
+
+
+def cpu_seconds() -> float:
+    """CPU this process has used, with the children it has waited for."""
+    times = os.times()
+    return times.user + times.system + times.children_user + times.children_system
+
+
+def extractor_processes(recognizer, parsed: list[str], reports):
+    """The CRF at 1 / 2 / 4 extractor processes, as ``SecurityKG`` runs
+    them (1: in the pipeline thread, no child; N: forked before the run,
+    N threads waiting on them): ``extract`` alone over the parsed
+    records, then check -> parse -> extract with one parse thread."""
+    rows, payloads = [], {"extract alone": [], "three stages": []}
+    for processes in (1, 2, 4):
+        for shape in payloads:
+            extractor = Extractor(recognizer)
+            before = cpu_seconds()
+            pool = ExtractorPool(extractor, processes) if processes > 1 else None
+            extract = (pool or extractor).extract
+            if shape == "extract alone":
+                pipeline = Pipeline([Stage("extract", extract, workers=processes)])
+                items = [CTIRecord.from_json(payload) for payload in parsed]
+            else:
+                pipeline = make_pipeline(1, False, extract, extract_workers=processes)
+                items = reports
+            result = pipeline.run(items)
+            if pool is not None:
+                pool.close()  # waits for the children, so their CPU counts
+            payloads[shape].append([record.to_json() for record in result.outputs])
+            rows.append(
+                {
+                    "shape": shape,
+                    "processes": processes,
+                    "reports_per_s": round(result.throughput, 1),
+                    "elapsed_ms": round(result.elapsed * 1e3),
+                    "cpu_s": round(cpu_seconds() - before, 3),
+                }
+            )
+    equal = all(run == runs[0] for runs in payloads.values() for run in runs)
+    return rows, equal
 
 
 def test_bench_pipeline_scaling(benchmark, trained_crf):
@@ -119,6 +170,9 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
         extract[name], equal = extract_alone(recognizer, parsed)
         outputs_equal = outputs_equal and equal
 
+    processes, equal = extractor_processes(trained_crf, parsed, reports)
+    outputs_equal = outputs_equal and equal
+
     print("\nE3: processing pipeline scaling "
           f"({len(reports)} reports, check->parse->extract)")
     print(f"  {'workers':>8} {'reports/s':>10} {'elapsed (s)':>12}")
@@ -136,6 +190,13 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
             + " / ".join(f"{row['elapsed_ms']} ms" for row in rows)
             + " on 1 / 2 / 4 threads"
         )
+    print("  CRF at N extractor processes (forked before the run; cpu = parent + "
+          "children):")
+    print(f"  {'shape':>14} {'processes':>10} {'reports/s':>10} "
+          f"{'elapsed (ms)':>13} {'cpu (s)':>8}")
+    for row in processes:
+        print(f"  {row['shape']:>14} {row['processes']:>10} {row['reports_per_s']:>10} "
+              f"{row['elapsed_ms']:>13} {row['cpu_s']:>8}")
     print(f"  outputs identical at every setting: {outputs_equal}")
 
     record_result(
@@ -144,6 +205,7 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
             "series": series,
             "serialize_overhead_pct": round(overhead * 100, 1),
             "extract_alone": extract,
+            "extractor_processes": processes,
             "outputs_equal": outputs_equal,
         },
     )

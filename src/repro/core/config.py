@@ -32,9 +32,13 @@ class SystemConfig:
         Worker pool size of the crawl engine.
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
-    parse_workers / extract_workers:
-        Threads of the pipeline's parse / extract stages, at least 1.
-        Both are CPU-bound Python: under the GIL more is a loss (E3).
+    parse_workers:
+        Threads of the pipeline's parse stage, at least 1.  CPU-bound
+        Python beside the DOM memo: under the GIL more is a loss (E3).
+    extract_workers:
+        ``1`` extracts in a pipeline thread; ``N > 1`` means N extractor
+        processes forked at construction (``ValueError`` on a platform
+        without ``fork``), records in and out, never threads (E3).
     serialize_boundaries:
         Pass serialized intermediates between pipeline stages (the
         multi-host deployment mode).

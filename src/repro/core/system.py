@@ -24,7 +24,7 @@ from pathlib import Path
 from repro.connectors.base import IngestStats
 from repro.core.checker import Checker, make_min_text_check, default_checks
 from repro.core.config import SystemConfig
-from repro.core.extractor import Extractor
+from repro.core.extractor import Extractor, ExtractorPool
 from repro.core.parsers import ParserDispatch
 from repro.core.pipeline import Codec, Pipeline, Stage
 from repro.core.porter import Porter
@@ -161,17 +161,33 @@ class SecurityKG:
             time_scale=self.config.time_scale,
             clock=self.clock,
         )
+        self.extractor = Extractor(
+            recognizer=recognizer or self._build_recognizer(),
+            min_confidence=self.config.recognizer_min_confidence,
+            obs=self.obs,
+        )
+        # extract_workers > 1 forks them here: before the ShardSet opens
+        # a file and before any thread of this system starts, so a child
+        # inherits no descriptor and no lock another thread holds
+        workers = self.config.extract_workers
+        self.extract_pool = (
+            ExtractorPool(self.extractor, workers) if workers > 1 else None
+        )
         # The one deployment shape: N >= 1 partitions, each a complete
         # storage engine (in memory without a storage_path), one store
         # worker per partition, one graph view for every read path.
-        self.shards = ShardSet(
-            self.config.partitions,
-            root=self.config.storage_path,
-            connectors=self.config.connectors,
-            faults=faults,
-            obs=self.obs,
-            clock=self.clock,
-        )
+        try:
+            self.shards = ShardSet(
+                self.config.partitions,
+                root=self.config.storage_path,
+                connectors=self.config.connectors,
+                faults=faults,
+                obs=self.obs,
+                clock=self.clock,
+            )
+        except BaseException:
+            self._close_pool()
+            raise
         self.state = ShardedCrawlState(self.shards)
         # Partition 0's own objects -- with one partition, the whole
         # deployment.  Fault injection and feed snapshots live there.
@@ -184,11 +200,6 @@ class SecurityKG:
         checks[1] = make_min_text_check(self.config.checker_min_chars)
         self.checker = Checker(checks)
         self.parsers = ParserDispatch()
-        self.extractor = Extractor(
-            recognizer=recognizer or self._build_recognizer(),
-            min_confidence=self.config.recognizer_min_confidence,
-            obs=self.obs,
-        )
         self.fusion = KnowledgeFusion()
         # Dissemination: one TLP-tiered feed publisher over the whole
         # graph.  Its change stamp rides the journal seq numbers; its
@@ -305,7 +316,7 @@ class SecurityKG:
                 ),
                 Stage(
                     "extract",
-                    self.extractor.extract,
+                    (self.extract_pool or self.extractor).extract,
                     workers=self.config.extract_workers,
                     codec=cti_codec,
                 ),
@@ -472,8 +483,13 @@ class SecurityKG:
         self.shards.checkpoint()
 
     def close(self) -> None:
-        """Release storage resources (flushes healthy staged state)."""
+        """End the extractor processes; release storage (flushing staged state)."""
+        self._close_pool()
         self.shards.close()
+
+    def _close_pool(self) -> None:
+        if self.extract_pool is not None:
+            self.extract_pool.close()
 
     def __enter__(self) -> "SecurityKG":
         return self

@@ -109,11 +109,8 @@ def _parse_attr(token: str) -> AttrCheck:
 
 @lru_cache(maxsize=512)
 def compile_selector(selector: str) -> tuple[CompiledSelector, ...]:
-    """Compile a selector group string into chains (one per comma part).
-
-    Memoised: the parsers ask for the same few dozen strings on every
-    page, and the chains are immutable.
-    """
+    """Compile a selector group string into chains (one per comma part);
+    memoised, since the parsers ask the same few dozen of every page."""
     chains: list[CompiledSelector] = []
     for part in selector.split(","):
         part = part.strip()

@@ -159,6 +159,17 @@ class Tracer:
         if hook is not None:
             hook(span)
 
+    def record(self, name: str, start: float, seconds: float, **attrs) -> None:
+        """A finished span for work timed elsewhere (a worker process):
+        ``seconds`` long from ``start``, under this thread's open span."""
+        span = Span(self, name, self.current(), attrs)
+        span.start, span.end = start, start + seconds
+        with self._lock:
+            self._finished.append(span)
+        hook = self.on_finish
+        if hook is not None:
+            hook(span)
+
     # -- introspection ----------------------------------------------------
 
     @property
@@ -257,6 +268,9 @@ class NullTracer:
         return NULL_SPAN
 
     def current(self) -> None:
+        return None
+
+    def record(self, name: str, start: float, seconds: float, **attrs) -> None:
         return None
 
     @property

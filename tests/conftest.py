@@ -45,6 +45,17 @@ def small_web():
 
 
 @pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_session():
+    """``extract_workers > 1`` forks extractor processes; every system a
+    test builds that way has to close them (``close()`` or ``with``)."""
+    import multiprocessing
+
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"child processes outlived the test session: {leaked}"
+
+
+@pytest.fixture(scope="session", autouse=True)
 def lock_order_witness():
     """Witness every named-lock acquisition against the static hierarchy.
 

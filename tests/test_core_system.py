@@ -1,9 +1,17 @@
 """Integration tests for the SecurityKG facade and configuration."""
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 from repro import SecurityKG, SystemConfig
+from repro.nlp.baselines import GazetteerRecognizer
 from repro.obs import make_obs
+from repro.obs.profile import unit_costs
 from repro.runtime import clock_from_name
 
 
@@ -27,6 +35,27 @@ class TestSystemConfig:
         path = tmp_path / "config.json"
         config.save(path)
         assert SystemConfig.from_file(path) == config
+
+
+class Hooked:
+    """The gazetteer with a hook that runs on one text: sleep, raise, or
+    kill the process (a worker's, never the one that built the hook)."""
+
+    def __init__(self, text: str, hook: str):
+        self.inner = GazetteerRecognizer()
+        self.text, self.hook, self.built_in = text, hook, os.getpid()
+        self.calls = 0
+
+    def extract(self, text):
+        self.calls += 1
+        if text == self.text:
+            if self.hook == "sleep":
+                time.sleep(0.2)
+            elif self.hook == "raise":
+                raise LookupError("no model for this report")
+            elif os.getpid() != self.built_in:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return self.inner.extract(text)
 
 
 @pytest.fixture(scope="module")
@@ -153,31 +182,27 @@ class TestConfigurationEffects:
         assert sorted(outcomes) == ["filtered"] * 2 + ["ok"] * 4
 
     def test_process_returns_records_in_input_order(self):
-        """Whichever worker finishes first, so the store sees one order."""
-        import time
-
-        kg = SecurityKG(
-            SystemConfig(
-                scenario_count=6,
-                reports_per_site=3,
-                sources=["SecureListing"],
-                recognizer="gazetteer",
-                connectors=["graph"],
-                extract_workers=2,
-            )
+        """Whichever worker finishes first, so the store sees one order.
+        The first report is the slow one *inside* a worker process: the
+        recogniser arrives through the constructor, before the fork."""
+        config = dict(
+            scenario_count=6,
+            reports_per_site=3,
+            sources=["SecureListing"],
+            connectors=["graph"],
         )
-        reports = kg.checker.filter(kg.porter.port(kg.crawl().documents)).passed
+        probe = SecurityKG(SystemConfig(**config))
+        reports = probe.checker.filter(probe.porter.port(probe.crawl().documents)).passed
         assert len(reports) == 3
-        extract = kg.extractor.extract
-
-        def first_is_slow(record):
-            if record.report_id == reports[0].report_id:
-                time.sleep(0.05)
-            return extract(record)
-
-        kg.extractor.extract = first_is_slow
-        records, _result = kg.process(reports)
+        slow = Hooked(probe.parsers.parse(reports[0]).text, "sleep")
+        with SecurityKG(
+            SystemConfig(**config, extract_workers=2), recognizer=slow
+        ) as kg:
+            reports = kg.checker.filter(kg.porter.port(kg.crawl().documents)).passed
+            records, result = kg.process(reports)
         assert [r.report_id for r in records] == [r.report_id for r in reports]
+        assert result.elapsed >= 0.2 and not result.errors
+        assert slow.calls == 0, "the parent's copy of the recogniser never ran"
 
     def test_regex_recognizer_configurable(self):
         kg = SecurityKG(
@@ -298,3 +323,226 @@ class TestOneDeploymentShape:
             assert self.answers(reopened) == got
             assert reopened.run_once().reports_stored == 0
             reopened.close()
+
+
+POOLED = dict(
+    scenario_count=6,
+    reports_per_site=3,
+    sources=["SecureListing", "ThreatPedia"],
+    connectors=["graph"],
+    clock="virtual",  # one crawl order; the tracers below keep real time
+)
+
+
+def passed_reports(kg):
+    return kg.checker.filter(kg.porter.port(kg.crawl().documents)).passed
+
+
+def bounded(seconds: float, call):
+    """``call()`` on a thread; fails instead of hanging the run."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(call()), daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    return box[0]
+
+
+class TestExtractorProcesses:
+    """``extract_workers = N > 1`` is N forked extractor processes."""
+
+    @pytest.fixture(scope="class")
+    def target_text(self):
+        """The body of the second report every ``POOLED`` system crawls."""
+        probe = SecurityKG(SystemConfig(**POOLED))
+        reports = passed_reports(probe)
+        assert len(reports) == 6
+        return probe.parsers.parse(reports[1]).text
+
+    def test_a_raising_recogniser_fails_one_report_the_same_way(self, target_text):
+        outcomes = []
+        for workers in (1, 2):
+            with SecurityKG(
+                SystemConfig(**POOLED, extract_workers=workers),
+                recognizer=Hooked(target_text, "raise"),
+            ) as kg:
+                records, result = kg.process(passed_reports(kg))
+            outcomes.append((result.errors, [r.to_json() for r in records]))
+        errors, records = outcomes[0]
+        assert errors == [("extract", "LookupError: no model for this report")]
+        assert len(records) == 5
+        assert outcomes[1] == outcomes[0]
+
+    def test_a_killed_worker_is_typed_errors_not_a_hang(self, target_text):
+        """SIGKILL inside a worker mid-run: ``process`` comes back with a
+        ``BrokenProcessPool`` error for every report then in flight or
+        still to come, the system stays broken (it never forks beside its
+        running threads) until it is reopened, and ``close`` returns."""
+        kg = SecurityKG(
+            SystemConfig(**POOLED, extract_workers=2),
+            recognizer=Hooked(target_text, "kill"),
+        )
+        reports = passed_reports(kg)
+        records, result = bounded(30, lambda: kg.process(reports))
+        assert result.errors and len(records) + len(result.errors) == len(reports)
+        assert {stage for stage, _message in result.errors} == {"extract"}
+        assert all(
+            message.startswith("BrokenProcessPool: ")
+            for _stage, message in result.errors
+        )
+        # the next cycle does not rebuild the pool: every report fails, typed
+        records, result = bounded(30, lambda: kg.process(reports))
+        assert records == [] and len(result.errors) == len(reports)
+        assert {message.split(":")[0] for _stage, message in result.errors} == {
+            "BrokenProcessPool"
+        }
+        bounded(30, kg.close)
+        assert multiprocessing.active_children() == []
+        with SecurityKG(SystemConfig(**POOLED, extract_workers=2)) as reopened:
+            assert reopened.run_once().pipeline_errors == []
+
+    def test_no_child_outlives_its_system(self, tmp_path):
+        config = SystemConfig(**POOLED, extract_workers=2)
+        kg = SecurityKG(config)
+        assert len(multiprocessing.active_children()) == 2
+        kg.run_once()
+        kg.close()
+        assert multiprocessing.active_children() == []
+        with SecurityKG(config) as kg:
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
+        # nor a system that could not be built
+        (tmp_path / "state").mkdir()
+        SecurityKG(
+            SystemConfig(**POOLED, partitions=2, storage_path=str(tmp_path / "state"))
+        ).close()
+        with pytest.raises(Exception, match="partitions"):
+            SecurityKG(
+                SystemConfig(
+                    **POOLED, extract_workers=2, storage_path=str(tmp_path / "state")
+                )
+            )
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_never_has_a_child(self):
+        with SecurityKG(SystemConfig(**POOLED)) as kg:
+            assert kg.extract_pool is None
+            assert kg.run_once().reports_stored > 0
+            assert multiprocessing.active_children() == []
+
+    def test_no_fork_is_a_value_error_naming_the_platform(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr("sys.platform", "win32")
+        with pytest.raises(ValueError, match="win32"):
+            SecurityKG(SystemConfig(**POOLED, extract_workers=2))
+        SecurityKG(SystemConfig(**POOLED)).close()  # one worker needs no fork
+
+    def test_forking_beside_a_thread_in_the_lock_witness(self, small_recognizer):
+        """Another thread nests named locks (so the witness takes its own
+        mutex all the time) while systems fork: a child copies that mutex
+        in whatever state it was, and must not need it -- it takes one
+        lock, ``nlp.feature_cache``, never nested."""
+        from repro.runtime import WITNESS, named_lock
+
+        assert WITNESS.active
+        outer, inner = named_lock("test.fork.outer"), named_lock("test.fork.inner")
+        stop = threading.Event()
+
+        def hammer():
+            while not stop.is_set():
+                with outer, inner:
+                    pass
+
+        thread = threading.Thread(target=hammer, daemon=True)
+        thread.start()
+        try:
+            for _ in range(10):
+                kg = SecurityKG(
+                    SystemConfig(**POOLED, extract_workers=2),
+                    recognizer=small_recognizer,
+                )
+                reports = passed_reports(kg)
+                records, result = bounded(60, lambda: kg.process(reports))
+                assert len(records) == len(reports) and not result.errors
+                bounded(30, kg.close)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestObservabilityAcrossTheBoundary:
+    """What ``Extractor.extract`` tells the tracer and the registry does
+    not depend on which process did the work."""
+
+    @staticmethod
+    def observed(workers: int):
+        obs = make_obs()  # the real clock: durations are not all zero
+        with SecurityKG(
+            SystemConfig(**POOLED, extract_workers=workers), obs=obs
+        ) as kg:
+            report = kg.run_once()
+        assert report.pipeline_errors == []
+        spans = obs.tracer.export()
+        by_id = {span["id"]: span for span in spans}
+
+        def shape(span):
+            parent = by_id.get(span["parent"])
+            return (
+                span["name"],
+                sorted(span["attrs"].items()),
+                parent and (parent["name"], parent["attrs"].get("report")),
+            )
+
+        pipeline = sorted(
+            shape(span)
+            for span in spans
+            if span["name"].split(".")[0] in ("pipeline", "check", "parse", "extract")
+        )
+        return spans, pipeline, obs.metrics.snapshot()["counters"]
+
+    def test_same_spans_and_counters_at_one_and_two_workers(self):
+        spans, shapes, counters = self.observed(1)
+        pooled_spans, pooled_shapes, pooled_counters = self.observed(2)
+        assert pooled_shapes == shapes
+        assert pooled_counters == counters
+        names = [name for name, _attrs, _parent in shapes]
+        assert names.count("extract.ner") == names.count("extract.relation") == 6
+        for name, attrs, parent in shapes:
+            if name.startswith("extract."):
+                assert parent == ("extract", dict(attrs)["report"])
+        assert sum(counters["extract.entities"].values()) > 0
+        assert sum(counters["extract.iocs"].values()) > 0
+        assert sum(counters["extract.relations"].values()) > 0
+        # the workers' seconds arrive: `repro profile` prices a token
+        for export in (spans, pooled_spans):
+            ner = unit_costs(export)["extract.ner"]
+            assert ner["units"]["tokens"] > 0
+            assert ner["self_per_unit_s"]["tokens"] > 0
+            for span in export:
+                if span["name"] == "extract.ner":
+                    parent = export[span["parent"] - 1]
+                    assert parent["start"] <= span["start"] <= span["end"]
+
+    def test_refine_touches_no_sink_and_returns_nothing_unobserved(self):
+        from repro.core.extractor import Extractor
+        from repro.ontology import CTIRecord
+
+        def record():
+            return CTIRecord(
+                report_id="rpt-1", source="s", url="u",
+                summary="Emotet drops TrickBot and connects to 10.1.2.3.",
+            )
+
+        refined, seen = Extractor().refine(record())
+        assert seen is None and refined.mentions
+        obs = make_obs()
+        refined, (spans, counts) = Extractor(obs=obs).refine(record())
+        assert [name for name, _seconds, _attrs in spans] == [
+            "extract.ner", "extract.relation",
+        ]
+        assert {name for name, _label, _value in counts} == {
+            "extract.iocs", "extract.entities", "extract.relations",
+        }
+        assert obs.tracer.export() == []
+        assert obs.metrics.snapshot()["counters"] == {}

@@ -187,29 +187,32 @@ class TestFeatureIdCache:
         assert index["w=emotet"] not in again.ids
 
     def test_worker_counts_produce_the_same_records(self, small_recognizer, small_web):
-        """2 parse + 2 extract workers sharing one recogniser (and its
-        cache) extract exactly what 1 + 1 workers do."""
+        """The CRF in 2 or 3 forked extractor processes (each with its
+        own copy of the recogniser and its cache) extracts exactly what
+        one pipeline thread does, in the same order, with and without
+        serialised stage boundaries."""
         from repro import SecurityKG, SystemConfig
 
-        def records(workers: int) -> list[str]:
-            kg = SecurityKG(
+        def records(workers: int, serialize: bool) -> list[str]:
+            with SecurityKG(
                 SystemConfig(
                     sources=["ThreatPedia", "SecureListing", "InfoSec Ledger"],
                     connectors=["graph"], clock="virtual",
                     parse_workers=workers, extract_workers=workers,
+                    serialize_boundaries=serialize,
                 ),
                 web=small_web, recognizer=small_recognizer,
-            )
-            checked = kg.checker.filter(kg.porter.port(kg.crawl().documents))
-            processed, result = kg.process(checked.passed)
-            kg.close()
+            ) as kg:
+                checked = kg.checker.filter(kg.porter.port(kg.crawl().documents))
+                processed, result = kg.process(checked.passed)
             assert not result.errors
-            return sorted(record.to_json() for record in processed)
+            return [record.to_json() for record in processed]
 
-        serial = records(1)
+        serial = records(1, False)
         assert len(serial) > 5
-        small_recognizer.features._cache = None  # the threaded run fills it
-        assert records(2) == serial
+        for workers in (1, 2, 3):
+            for serialize in (False, True):
+                assert records(workers, serialize) == serial, (workers, serialize)
 
 
 class TestCrfInFullPipeline:
