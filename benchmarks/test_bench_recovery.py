@@ -13,7 +13,9 @@ claims to quantify:
    pre- or the post-fusion one and re-running the pass converges.
 2. **Recovery time vs journal length.**  Reopening replays the journal,
    so recovery cost grows with commits since the last checkpoint and
-   collapses after one.
+   collapses after one.  Beside it, per store size, the cost of the
+   first checkpoint after a reopen, of one after a few more commits,
+   and the snapshot's size.
 
 Runs entirely on the virtual clock; wall time is a few seconds.
 """
@@ -200,8 +202,21 @@ def test_bench_crash_matrix(tmp_path):
     )
 
 
+WARM_COMMITS = 8
+
+
+def _timed_ms(action) -> float:
+    started = time.perf_counter()
+    action()
+    return round((time.perf_counter() - started) * 1000.0, 2)
+
+
 def test_bench_recovery_time_vs_journal_length(tmp_path):
-    """Reopen cost grows with the journal; a checkpoint collapses it."""
+    """Reopen cost grows with the journal; a checkpoint collapses it.
+    A checkpoint's encoding cost follows what changed since the last
+    one: the first after a reopen encodes every item (cold memo), the
+    next only the ``WARM_COMMITS`` items written since (warm memo),
+    while the snapshot it writes stays the whole store."""
     series = []
     for commits in (64, 256, 1024):
         path = tmp_path / f"journal-{commits}"
@@ -214,19 +229,26 @@ def test_bench_recovery_time_vs_journal_length(tmp_path):
         reopened = GraphDatabase(path, fsync=False)
         replay_ms = (time.perf_counter() - started) * 1000.0
         assert reopened.graph.node_count == commits
-        reopened.snapshot()
+        cold_ms = _timed_ms(reopened.snapshot)
+        for i in range(commits, commits + WARM_COMMITS):
+            reopened.create_node("N", {"name": f"n{i}", "i": i})
+        warm_ms = _timed_ms(reopened.snapshot)
+        snapshot_bytes = next(path.glob("snapshot-*.json")).stat().st_size
         reopened.close()
 
         started = time.perf_counter()
         compacted = GraphDatabase(path, fsync=False)
         snapshot_ms = (time.perf_counter() - started) * 1000.0
-        assert compacted.graph.node_count == commits
+        assert compacted.graph.node_count == commits + WARM_COMMITS
         compacted.close()
         series.append(
             {
                 "commits": commits,
                 "replay_reopen_ms": round(replay_ms, 2),
                 "checkpointed_reopen_ms": round(snapshot_ms, 2),
+                "cold_checkpoint_ms": cold_ms,
+                "warm_checkpoint_ms": warm_ms,
+                "snapshot_bytes": snapshot_bytes,
             }
         )
 
@@ -236,6 +258,13 @@ def test_bench_recovery_time_vs_journal_length(tmp_path):
         print(
             f"  {row['commits']:>8} {row['replay_reopen_ms']:>12} "
             f"{row['checkpointed_reopen_ms']:>16}"
+        )
+    print(f"\nE18: checkpoint cost vs store size (+{WARM_COMMITS} commits warm)")
+    print(f"  {'commits':>8} {'cold (ms)':>10} {'warm (ms)':>10} {'snapshot B':>11}")
+    for row in series:
+        print(
+            f"  {row['commits']:>8} {row['cold_checkpoint_ms']:>10} "
+            f"{row['warm_checkpoint_ms']:>10} {row['snapshot_bytes']:>11}"
         )
 
     existing = {}

@@ -171,6 +171,9 @@ class SQLParticipant:
     def snapshot_data(self) -> str:
         return "\n".join(self.connection.iterdump())
 
+    def snapshot_text(self) -> str:
+        return json.dumps(self.snapshot_data())
+
     def load_snapshot(self, data: str) -> None:
         self.reset(schema=False)
         self.connection.executescript(data)

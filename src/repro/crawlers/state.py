@@ -16,6 +16,8 @@ private in-memory one (a crawl that stores nothing).
 
 from __future__ import annotations
 
+import json
+
 from repro.storage.engine import StorageEngine
 
 
@@ -48,6 +50,9 @@ class CrawlParticipant:
             "seen": sorted(self.seen),
             "last_crawl": dict(self.last_crawl),
         }
+
+    def snapshot_text(self) -> str:
+        return json.dumps(self.snapshot_data())
 
     def load_snapshot(self, data: dict) -> None:
         self.seen = set(data.get("seen", []))

@@ -52,7 +52,8 @@ on the path that built it, the process, or the partition count.
 Snapshots are written at checkpoint time (the publisher registers as a
 post-checkpoint step on the storage engine, covered by the
 ``checkpoint.feeds-snapshot`` crash point) and persisted atomically
-under ``<storage_path>/feeds/``, so cursors survive restarts.
+under ``<storage_path>/feeds/``, so cursors survive restarts; a tier
+memoises each object's encoded entry until the object changes.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ from repro.ontology.stix import (
 )
 from repro.runtime import named_lock
 from repro.storage.atomic import atomic_write_text
+from repro.storage.engine import memoised
 
 _canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
@@ -134,6 +136,8 @@ class _TierState:
     #: change-log entries ``{"etag", "seq", "changed", "deleted"}``,
     #: oldest first; each entry's etag is the view hash *after* it
     history: list[dict] = field(default_factory=list)
+    #: object id -> its snapshot-file entry, dropped when it changes
+    pairs: dict[str, str] = field(default_factory=dict)
 
     def put(self, object_id: str, text: str | None, delta: _TierDelta) -> None:
         """Set one object's text (``None``: not in this tier), keeping
@@ -144,6 +148,7 @@ class _TierState:
         delta.reexported += 1
         if text == old:
             return
+        self.pairs.pop(object_id, None)
         digest = self.digest
         if old is not None:
             digest -= _object_term(object_id, old)
@@ -155,6 +160,20 @@ class _TierState:
             self.objects[object_id] = text
             delta.changed.append(object_id)
         self.digest = digest % _DIGEST_MODULUS
+
+    def snapshot_text(self) -> str:
+        """``json.dumps`` of the persisted view with ``sort_keys``, its
+        objects joined from the memoised pairs."""
+        pairs = memoised(
+            self.pairs,
+            sorted(self.objects.items()),
+            lambda object_id, text: f"{json.dumps(object_id)}: {json.dumps(text)}",
+        )
+        return (
+            f'{{"etag": {json.dumps(self.etag)}, '
+            f'"history": {json.dumps(self.history, sort_keys=True)}, '
+            f'"objects": {{{", ".join(pairs)}}}, "seq": {json.dumps(self.seq)}}}'
+        )
 
 
 def _incident_edge_ids(graph, node_id: int) -> list[int]:
@@ -692,15 +711,7 @@ class FeedPublisher:
             with self._lock:
                 if self._path is not None:
                     payloads = {
-                        tier: json.dumps(
-                            {
-                                "etag": state.etag,
-                                "seq": state.seq,
-                                "objects": state.objects,
-                                "history": state.history,
-                            },
-                            sort_keys=True,
-                        )
+                        tier: state.snapshot_text()
                         for tier, state in sorted(self._states.items())
                     }
             if payloads is not None:

@@ -16,9 +16,10 @@ from __future__ import annotations
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.runtime.locks import named_lock
+from repro.storage.engine import memoised
 
 
 @dataclass
@@ -117,6 +118,9 @@ class PropertyGraph:
         self._drained_edge_id = self.id_base
         self._touched_nodes: set[int] = set()
         self._touched_edges: set[int] = set()
+        # id -> snapshot encoding (encoded_items), dropped by a touch
+        self._node_texts: dict[int, str] = {}
+        self._edge_texts: dict[int, str] = {}
         #: bumped by every mutation primitive and never reset: what a
         #: reader derived from the graph (a query plan, the analyzer's
         #: schema) is still true while this has not moved
@@ -279,13 +283,25 @@ class PropertyGraph:
 
     def _touch_node(self, node_id: int) -> None:
         self.version += 1
+        self._node_texts.pop(node_id, None)
         if node_id <= self._drained_node_id:
             self._touched_nodes.add(node_id)
 
     def _touch_edge(self, edge_id: int) -> None:
         self.version += 1
+        self._edge_texts.pop(edge_id, None)
         if edge_id <= self._drained_edge_id:
             self._touched_edges.add(edge_id)
+
+    def encoded_items(self, encode_node: Callable, encode_edge: Callable) -> tuple:
+        """Each node's and edge's ``encode(id, item)`` in :meth:`nodes` /
+        :meth:`edges` order, memoised until a mutation primitive touches
+        the item: one encoder pair per graph (the storage participant's)."""
+        with self._lock:
+            return (
+                memoised(self._node_texts, self._nodes.items(), encode_node),
+                memoised(self._edge_texts, self._edges.items(), encode_edge),
+            )
 
     def take_changes(self) -> tuple[list[int], list[int]]:
         """Drain the change capture: the ascending ids of the nodes, and

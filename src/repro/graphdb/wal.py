@@ -13,10 +13,20 @@ same single mutation path, not a second format.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.storage.engine import StorageEngine
+
+
+def _node_data(node: Node) -> dict:
+    return {"id": node.node_id, "label": node.label, "props": node.properties}
+
+
+def _edge_data(edge: Edge) -> dict:
+    return {"id": edge.edge_id, "src": edge.src, "type": edge.type,
+            "dst": edge.dst, "props": edge.properties}
 
 
 class GraphApplyOutcome:
@@ -84,18 +94,21 @@ class GraphParticipant:
 
     def snapshot_data(self) -> dict:
         return {
-            "nodes": [
-                {"id": n.node_id, "label": n.label, "props": n.properties}
-                for n in self.graph.nodes()
-            ],
-            "edges": [
-                {"id": e.edge_id, "src": e.src, "type": e.type, "dst": e.dst,
-                 "props": e.properties}
-                for e in self.graph.edges()
-            ],
+            "nodes": [_node_data(n) for n in self.graph.nodes()],
+            "edges": [_edge_data(e) for e in self.graph.edges()],
             "last_node_id": self.graph.last_node_id,
             "last_edge_id": self.graph.last_edge_id,
         }
+
+    def snapshot_text(self) -> str:
+        nodes, edges = self.graph.encoded_items(
+            lambda _, n: json.dumps(_node_data(n)), lambda _, e: json.dumps(_edge_data(e))
+        )
+        return (
+            f'{{"nodes": [{", ".join(nodes)}], "edges": [{", ".join(edges)}], '
+            f'"last_node_id": {json.dumps(self.graph.last_node_id)}, '
+            f'"last_edge_id": {json.dumps(self.graph.last_edge_id)}}}'
+        )
 
     def load_snapshot(self, data: dict) -> None:
         # Ids and their high-water marks must survive restarts verbatim:

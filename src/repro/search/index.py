@@ -10,6 +10,7 @@ through the storage engine.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from collections import Counter
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.runtime import named_lock
 from repro.search.analyzer import analyze, analyze_query
+from repro.storage.engine import memoised
 
 #: Okapi BM25 term-frequency saturation and length normalisation.
 BM25_K1 = 1.5
@@ -37,6 +39,12 @@ class _Posting:
     doc_id: str
     field: str
     positions: list[int]
+    text: str | None = None  # [doc_id, field, positions] as JSON
+
+    def encoded(self) -> str:
+        if self.text is None:
+            self.text = json.dumps([self.doc_id, self.field, self.positions])
+        return self.text
 
 
 class SearchIndex:
@@ -62,6 +70,11 @@ class SearchIndex:
         self._field_docs: dict[str, int] = {}
         self._doc_freq: dict[str, int] = {}
         self._doc_terms: dict[str, list[str]] = {}
+        # Snapshot encodings (to_state_text): remove() drops what it
+        # touches; add() only appends postings, so a term's entry is
+        # stale once its posting count moved.
+        self._term_texts: dict[str, tuple[int, str]] = {}
+        self._doc_texts: dict[str, tuple[str, str]] = {}
         # Re-entrant: add() re-indexes an existing document by calling
         # remove() while already holding the lock.
         self._lock = named_lock("search.index", reentrant=True)
@@ -100,7 +113,9 @@ class SearchIndex:
             fields = self._documents.pop(doc_id, None)
             if fields is None:
                 return False
+            self._doc_texts.pop(doc_id, None)
             for term in self._doc_terms.pop(doc_id):
+                self._term_texts.pop(term, None)
                 remaining = [p for p in self._postings[term] if p.doc_id != doc_id]
                 if remaining:
                     self._postings[term] = remaining
@@ -229,6 +244,8 @@ class SearchIndex:
             self._field_docs.clear()
             self._doc_freq.clear()
             self._doc_terms.clear()
+            self._term_texts.clear()
+            self._doc_texts.clear()
 
     def to_state(self) -> dict:
         """JSON-safe serialisation of documents + postings."""
@@ -246,6 +263,31 @@ class SearchIndex:
                 "field_totals": self._field_totals,
                 "field_boosts": self.field_boosts,
             }
+
+    def to_state_text(self) -> str:
+        """``json.dumps(to_state())`` from memoised encodings (doc_lengths
+        follows document order: add() and remove() keep both in step)."""
+        with self._lock:
+            docs = memoised(self._doc_texts, self._documents.items(), self._encode_doc)
+            postings = []
+            for term, term_postings in self._postings.items():
+                count, text = self._term_texts.get(term, (-1, ""))
+                if count != len(term_postings):
+                    encoded = ", ".join(p.encoded() for p in term_postings)
+                    text = f"{json.dumps(term)}: [{encoded}]"
+                    self._term_texts[term] = (len(term_postings), text)
+                postings.append(text)
+            return (
+                f'{{"documents": {{{", ".join(doc for doc, _ in docs)}}}, '
+                f'"postings": {{{", ".join(postings)}}}, "doc_lengths": '
+                f'[{", ".join(items for _, items in docs if items)}], '
+                f'"field_totals": {json.dumps(self._field_totals)}, '
+                f'"field_boosts": {json.dumps(self.field_boosts)}}}'
+            )
+
+    def _encode_doc(self, doc_id: str, fields: dict) -> tuple[str, str]:
+        lengths = (json.dumps([doc_id, f, self._doc_lengths[(doc_id, f)]]) for f in fields)
+        return f"{json.dumps(doc_id)}: {json.dumps(fields)}", ", ".join(lengths)
 
     def restore_state(self, data: dict) -> None:
         """Replace this index's contents with a :meth:`to_state` payload."""
@@ -277,6 +319,8 @@ class SearchIndex:
             self._doc_freq = dict(
                 Counter(term for terms in self._doc_terms.values() for term in terms)
             )
+            self._term_texts = {}
+            self._doc_texts = {}
 
 
 class SearchIndexParticipant:
@@ -304,6 +348,9 @@ class SearchIndexParticipant:
 
     def snapshot_data(self) -> dict:
         return self.index.to_state()
+
+    def snapshot_text(self) -> str:
+        return self.index.to_state_text()
 
     def load_snapshot(self, data: dict) -> None:
         self.index.restore_state(data)

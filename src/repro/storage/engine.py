@@ -9,7 +9,7 @@ them mutually inconsistent.
 Design
 ------
 * **Participants.**  Each store registers a named :class:`Participant`
-  adapter: ``apply(ops)`` mutates the in-memory state, ``snapshot_data``
+  adapter: ``apply(ops)`` mutates the in-memory state, ``snapshot_text``
   / ``load_snapshot`` serialise it for compaction, ``reset`` empties it
   before recovery.  The engine never interprets a store's ops; it only
   journals and replays them.
@@ -32,7 +32,11 @@ Design
   atomically swaps ``MANIFEST`` (fsync'd write-rename) to the new
   generation.  The manifest swap is the commit point; a crash anywhere
   else leaves the previous generation fully intact, and stale files are
-  swept on the next open.
+  swept on the next open.  The snapshot joins each participant's
+  ``snapshot_text``; the graph, search index and feed views memoise
+  each item's encoding until it changes (about one snapshot of ``str``
+  held once a process has checkpointed), so a checkpoint re-encodes
+  what changed while the bytes it writes and fsyncs stay O(store).
 * **Exactly-once ingest.**  ``transaction().mark_ingested(report_id)``
   records that a report's mutations are part of this commit; after a
   crash the pipeline asks :meth:`StorageEngine.is_ingested` and skips
@@ -40,7 +44,8 @@ Design
 * **Staged ops.**  Deltas produced *before* their owning commit is
   known (seen-URLs recorded while crawling) are staged: applied to
   memory immediately, keyed, and later adopted into the transaction
-  that stores the matching report -- or flushed in bulk.
+  that stores the matching report (O(its ops), not O(backlog)) -- or
+  flushed in bulk, in staging order.
 * **Fault injection.**  Every commit/checkpoint boundary calls into a
   :class:`~repro.storage.faults.CrashInjector`; recovery tests kill the
   engine at each registered point and assert convergence.
@@ -48,12 +53,13 @@ Design
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from repro.obs import NO_OBS, Obs
 from repro.runtime import named_lock
@@ -77,6 +83,10 @@ class Participant(Protocol):
     def snapshot_data(self) -> object:
         """JSON-safe serialisation of the full current state."""
 
+    def snapshot_text(self) -> str:
+        """``json.dumps(snapshot_data())`` byte for byte, maybe joined
+        from per-item encodings memoised until the item changes."""
+
     def load_snapshot(self, data: object) -> None:
         """Replace the in-memory state with a snapshot's contents."""
 
@@ -84,13 +94,16 @@ class Participant(Protocol):
         """Empty the in-memory state (recovery starts from zero)."""
 
 
-class _StagedOp:
-    __slots__ = ("name", "key", "op")
-
-    def __init__(self, name: str, key: str | None, op: dict):
-        self.name = name
-        self.key = key
-        self.op = op
+def memoised(memo: dict, items: Iterable[tuple], encode: Callable) -> list:
+    """``encode(key, item)`` for each ``(key, item)``, memoised in
+    ``memo`` by key; the owner drops a key whenever its item changes."""
+    texts = []
+    for key, item in items:
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = encode(key, item)
+        texts.append(text)
+    return texts
 
 
 class EngineTransaction:
@@ -113,7 +126,7 @@ class EngineTransaction:
         """
         if name not in self._engine._participants:
             return 0
-        ops = self._engine._take_staged(name, set(keys))
+        ops = self._engine._take_staged(name, keys)
         if ops:
             self._groups.append((name, ops))
         return len(ops)
@@ -181,7 +194,10 @@ class StorageEngine:
         self._seq = 0
         self._generation = 1
         self._ingested: set[str] = set()
-        self._staged: list[_StagedOp] = []
+        # staged ops by ticket (staging order), tickets by (name, key)
+        self._staged: dict[int, tuple[str, dict]] = {}
+        self._staged_keys: dict[tuple[str, str], list[int]] = {}
+        self._tickets = itertools.count()
         self._active_tx: EngineTransaction | None = None
         self._failed = False
         self._closed = False
@@ -397,28 +413,32 @@ class StorageEngine:
         with self.lock:
             self._check_usable()
             self.participant(name).apply([op])
-            self._staged.append(_StagedOp(name, key, op))
+            ticket = next(self._tickets)
+            self._staged[ticket] = (name, op)
+            if key is not None:
+                self._staged_keys.setdefault((name, key), []).append(ticket)
 
     def unstage(self, name: str, key: str) -> bool:
         """Drop the first staged op with this key; True when one existed."""
         with self.lock:
-            for index, staged in enumerate(self._staged):
-                if staged.name == name and staged.key == key:
-                    del self._staged[index]
-                    return True
-            return False
+            tickets = self._staged_keys.get((name, key))
+            if not tickets:
+                return False
+            del self._staged[tickets.pop(0)]
+            return True
 
-    def _take_staged(self, name: str, keys: set[str]) -> list[dict]:
+    def _take_staged(self, name: str, keys: Iterable[str]) -> list[dict]:
         with self.lock:
-            taken = [
-                staged
-                for staged in self._staged
-                if staged.name == name and staged.key in keys
-            ]
-            if taken:
-                remaining = [s for s in self._staged if s not in taken]
-                self._staged = remaining
-            return [staged.op for staged in taken]
+            tickets = sorted(
+                t for key in keys for t in self._staged_keys.pop((name, key), ())
+            )
+            return [self._staged.pop(ticket)[1] for ticket in tickets]
+
+    def _drain_staged(self) -> list[tuple[str, dict]]:
+        staged = list(self._staged.values())
+        self._staged.clear()
+        self._staged_keys.clear()
+        return staged
 
     @contextmanager
     def transaction(self):
@@ -457,9 +477,8 @@ class StorageEngine:
             if not self._staged:
                 return
             grouped: dict[str, list[dict]] = {}
-            for staged in self._staged:
-                grouped.setdefault(staged.name, []).append(staged.op)
-            self._staged = []
+            for name, op in self._drain_staged():
+                grouped.setdefault(name, []).append(op)
             self._commit(list(grouped.items()), [])
 
     def _commit(self, groups: list[tuple[str, list[dict]]], marks: list[str]) -> None:
@@ -518,7 +537,7 @@ class StorageEngine:
         if self.path is None:
             with self.lock:
                 self._check_usable()
-                self._staged = []  # effects live in memory only anyway
+                self._drain_staged()  # effects live in memory only anyway
                 steps = list(self._checkpoint_steps)
             for step in steps:
                 step()
@@ -539,15 +558,16 @@ class StorageEngine:
         """The checkpoint body (caller holds the lock and the span)."""
         self._crash_point("checkpoint.begin")
         new_generation = self._generation + 1
-        snapshot = {
-            "seq": self._seq,
-            "ingested": sorted(self._ingested),
-            "stores": {
-                name: participant.snapshot_data()
-                for name, participant in sorted(self._participants.items())
-            },
-        }
-        payload = json.dumps(snapshot)
+        stores = ", ".join(
+            f"{json.dumps(name)}: {participant.snapshot_text()}"
+            for name, participant in sorted(self._participants.items())
+        )
+        # json.dumps({"seq": ..., "ingested": ..., "stores": {...}})
+        payload = (
+            f'{{"seq": {json.dumps(self._seq)}, '
+            f'"ingested": {json.dumps(sorted(self._ingested))}, '
+            f'"stores": {{{stores}}}}}'
+        )
         snapshot_name = self._snapshot_name(new_generation)
         if self._faults.fire("checkpoint.torn-snapshot"):
             (self.path / (snapshot_name + ".tmp")).write_text(
@@ -572,7 +592,7 @@ class StorageEngine:
         self._journal_path = self.path / journal_name
         self._journal_handle = self._journal_path.open("a", encoding="utf-8")
         # snapshot captured the staged ops' in-memory effects
-        self._staged = []
+        self._drain_staged()
         self._sweep_stale_generations()
         self._crash_point("checkpoint.after-cleanup")
 
@@ -630,4 +650,5 @@ __all__ = [
     "Participant",
     "StorageEngine",
     "StorageError",
+    "memoised",
 ]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crawlers.state import CrawlParticipant, CrawlState
 from repro.storage import (
     CRASH_POINTS,
     CrashInjector,
@@ -38,6 +39,9 @@ class KVParticipant:
 
     def snapshot_data(self):
         return dict(self.data)
+
+    def snapshot_text(self):
+        return json.dumps(self.snapshot_data())
 
     def load_snapshot(self, data):
         self.data = dict(data)
@@ -217,6 +221,70 @@ class TestStagedOps:
         engine.stage("kv", {"op": "set", "k": "a", "v": 1}, key="a")
         engine.close()
         assert kv(open_engine(tmp_path / "s")) == {"a": 1}
+
+    @staticmethod
+    def journal(engine):
+        return [json.loads(line) for line in engine.journal_path.read_text().splitlines()]
+
+    @staticmethod
+    def op(key, value):
+        return {"op": "set", "k": key, "v": value}
+
+    def test_unstage_then_adopt_takes_what_is_left_in_staging_order(self, tmp_path):
+        engine = open_engine(tmp_path / "s")
+        engine.stage("kv", self.op("a", 1), key="a")
+        engine.stage("kv", self.op("b", 2), key="b")
+        engine.stage("kv", self.op("a", 3), key="a")
+        assert engine.unstage("kv", "a")  # the first "a" only
+        with engine.transaction() as tx:
+            assert tx.adopt_staged("kv", ["a", "b", "a"]) == 2
+        engine.flush()  # nothing left
+        assert [r["ops"] for r in self.journal(engine)] == [
+            {"kv": [[self.op("b", 2), self.op("a", 3)]]}
+        ]
+        assert not engine.unstage("kv", "a")
+
+    def test_duplicate_keys_are_adopted_together(self, tmp_path):
+        engine = open_engine(tmp_path / "s")
+        engine.stage("kv", self.op("a", 1), key="a")
+        engine.stage("kv", self.op("c", 2), key="c")
+        engine.stage("kv", self.op("a", 3), key="a")
+        with engine.transaction() as tx:
+            assert tx.adopt_staged("kv", ["a"]) == 2
+        engine.flush()
+        assert [r["ops"] for r in self.journal(engine)] == [
+            {"kv": [[self.op("a", 1), self.op("a", 3)]]},
+            {"kv": [[self.op("c", 2)]]},
+        ]
+
+    def test_flush_keeps_staging_order_across_interleaved_crawl_writes(
+        self, tmp_path
+    ):
+        engine = StorageEngine(
+            tmp_path / "s", [CrawlParticipant(), KVParticipant()], fsync=False
+        )
+        state = CrawlState(engine)
+        state.mark_seen("u1")
+        state.record_crawl("s1", 1.0)
+        state.mark_seen("u2")
+        engine.stage("kv", self.op("u2", 0), key="u2")  # same key, other store
+        state.record_crawl("s2", 2.0)
+        state.mark_seen("u3")
+        state.unmark("u1")  # never durable: dropped, not journaled
+        with engine.transaction() as tx:
+            assert tx.adopt_staged("crawl", ["u2"]) == 1
+        engine.flush()
+        adopted, flushed = self.journal(engine)
+        assert adopted["ops"] == {"crawl": [[{"op": "seen", "url": "u2"}]]}
+        assert list(flushed["ops"].items()) == [
+            ("crawl", [[
+                {"op": "crawl", "source": "s1", "ts": 1.0},
+                {"op": "crawl", "source": "s2", "ts": 2.0},
+                {"op": "seen", "url": "u3"},
+            ]]),
+            ("kv", [[self.op("u2", 0)]]),
+        ]
+        assert not state.is_seen("u1")
 
 
 class TestCheckpoint:
