@@ -229,17 +229,20 @@ def test_bench_recovery_time_vs_journal_length(tmp_path):
         reopened = GraphDatabase(path, fsync=False)
         replay_ms = (time.perf_counter() - started) * 1000.0
         assert reopened.graph.node_count == commits
-        cold_ms = _timed_ms(reopened.snapshot)
-        for i in range(commits, commits + WARM_COMMITS):
-            reopened.create_node("N", {"name": f"n{i}", "i": i})
-        warm_ms = _timed_ms(reopened.snapshot)
-        snapshot_bytes = next(path.glob("snapshot-*.json")).stat().st_size
+        reopened.snapshot()
         reopened.close()
 
         started = time.perf_counter()
         compacted = GraphDatabase(path, fsync=False)
         snapshot_ms = (time.perf_counter() - started) * 1000.0
-        assert compacted.graph.node_count == commits + WARM_COMMITS
+        assert compacted.graph.node_count == commits
+        # the checkpoint rows, after the reopen is timed: a store loaded
+        # from its snapshot holds no encodings yet
+        cold_ms = _timed_ms(compacted.snapshot)
+        for i in range(commits, commits + WARM_COMMITS):
+            compacted.create_node("N", {"name": f"n{i}", "i": i})
+        warm_ms = _timed_ms(compacted.snapshot)
+        snapshot_bytes = next(path.glob("snapshot-*.json")).stat().st_size
         compacted.close()
         series.append(
             {

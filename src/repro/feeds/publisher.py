@@ -86,9 +86,8 @@ from repro.ontology.stix import (
     tlp_order,
     within_ceiling,
 )
-from repro.runtime import named_lock
+from repro.runtime import memoised, named_lock
 from repro.storage.atomic import atomic_write_text
-from repro.storage.engine import memoised
 
 _canonical = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 

@@ -13,13 +13,14 @@ Persistence (snapshot + write-ahead log) lives in
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.runtime.locks import named_lock
-from repro.storage.engine import memoised
+from repro.runtime.memo import memoised
 
 
 @dataclass
@@ -32,6 +33,9 @@ class Node:
 
     def get(self, key: str, default: object = None) -> object:
         return self.properties.get(key, default)
+
+    def snapshot_data(self) -> dict:
+        return {"id": self.node_id, "label": self.label, "props": self.properties}
 
 
 @dataclass
@@ -46,6 +50,10 @@ class Edge:
 
     def get(self, key: str, default: object = None) -> object:
         return self.properties.get(key, default)
+
+    def snapshot_data(self) -> dict:
+        return {"id": self.edge_id, "src": self.src, "type": self.type,
+                "dst": self.dst, "props": self.properties}
 
 
 #: Property names that participate in the (label, key, value) index.
@@ -66,6 +74,10 @@ def _interned_props(properties: dict[str, object] | None) -> dict[str, object]:
     if not properties:
         return {}
     return {sys.intern(key): value for key, value in properties.items()}
+
+
+def _encode_item(_: int, item: Node | Edge) -> str:
+    return json.dumps(item.snapshot_data())
 
 
 def _drain(
@@ -293,14 +305,14 @@ class PropertyGraph:
         if edge_id <= self._drained_edge_id:
             self._touched_edges.add(edge_id)
 
-    def encoded_items(self, encode_node: Callable, encode_edge: Callable) -> tuple:
-        """Each node's and edge's ``encode(id, item)`` in :meth:`nodes` /
-        :meth:`edges` order, memoised until a mutation primitive touches
-        the item: one encoder pair per graph (the storage participant's)."""
+    def encoded_items(self) -> tuple[list[str], list[str]]:
+        """``json.dumps`` of each node's and edge's ``snapshot_data()`` in
+        :meth:`nodes` / :meth:`edges` order, memoised until a mutation
+        primitive touches the item."""
         with self._lock:
             return (
-                memoised(self._node_texts, self._nodes.items(), encode_node),
-                memoised(self._edge_texts, self._edges.items(), encode_edge),
+                memoised(self._node_texts, self._nodes.items(), _encode_item),
+                memoised(self._edge_texts, self._edges.items(), _encode_item),
             )
 
     def take_changes(self) -> tuple[list[int], list[int]]:

@@ -20,15 +20,6 @@ from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.storage.engine import StorageEngine
 
 
-def _node_data(node: Node) -> dict:
-    return {"id": node.node_id, "label": node.label, "props": node.properties}
-
-
-def _edge_data(edge: Edge) -> dict:
-    return {"id": edge.edge_id, "src": edge.src, "type": edge.type,
-            "dst": edge.dst, "props": edge.properties}
-
-
 class GraphApplyOutcome:
     """What applying one graph op batch produced."""
 
@@ -94,16 +85,14 @@ class GraphParticipant:
 
     def snapshot_data(self) -> dict:
         return {
-            "nodes": [_node_data(n) for n in self.graph.nodes()],
-            "edges": [_edge_data(e) for e in self.graph.edges()],
+            "nodes": [n.snapshot_data() for n in self.graph.nodes()],
+            "edges": [e.snapshot_data() for e in self.graph.edges()],
             "last_node_id": self.graph.last_node_id,
             "last_edge_id": self.graph.last_edge_id,
         }
 
     def snapshot_text(self) -> str:
-        nodes, edges = self.graph.encoded_items(
-            lambda _, n: json.dumps(_node_data(n)), lambda _, e: json.dumps(_edge_data(e))
-        )
+        nodes, edges = self.graph.encoded_items()
         return (
             f'{{"nodes": [{", ".join(nodes)}], "edges": [{", ".join(edges)}], '
             f'"last_node_id": {json.dumps(self.graph.last_node_id)}, '

@@ -37,6 +37,7 @@ from repro.runtime.locks import (
     WitnessLock,
     named_lock,
 )
+from repro.runtime.memo import memoised
 from repro.runtime.retry import Backoff, RetryPolicy
 
 __all__ = [
@@ -52,5 +53,6 @@ __all__ = [
     "WITNESS",
     "WitnessLock",
     "clock_from_name",
+    "memoised",
     "named_lock",
 ]

@@ -16,9 +16,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.runtime import named_lock
+from repro.runtime import memoised, named_lock
 from repro.search.analyzer import analyze, analyze_query
-from repro.storage.engine import memoised
 
 #: Okapi BM25 term-frequency saturation and length normalisation.
 BM25_K1 = 1.5
@@ -70,10 +69,7 @@ class SearchIndex:
         self._field_docs: dict[str, int] = {}
         self._doc_freq: dict[str, int] = {}
         self._doc_terms: dict[str, list[str]] = {}
-        # Snapshot encodings (to_state_text): remove() drops what it
-        # touches; add() only appends postings, so a term's entry is
-        # stale once its posting count moved.
-        self._term_texts: dict[str, tuple[int, str]] = {}
+        # doc id -> snapshot encoding (to_state_text), dropped by remove()
         self._doc_texts: dict[str, tuple[str, str]] = {}
         # Re-entrant: add() re-indexes an existing document by calling
         # remove() while already holding the lock.
@@ -115,7 +111,6 @@ class SearchIndex:
                 return False
             self._doc_texts.pop(doc_id, None)
             for term in self._doc_terms.pop(doc_id):
-                self._term_texts.pop(term, None)
                 remaining = [p for p in self._postings[term] if p.doc_id != doc_id]
                 if remaining:
                     self._postings[term] = remaining
@@ -244,7 +239,6 @@ class SearchIndex:
             self._field_docs.clear()
             self._doc_freq.clear()
             self._doc_terms.clear()
-            self._term_texts.clear()
             self._doc_texts.clear()
 
     def to_state(self) -> dict:
@@ -269,14 +263,10 @@ class SearchIndex:
         follows document order: add() and remove() keep both in step)."""
         with self._lock:
             docs = memoised(self._doc_texts, self._documents.items(), self._encode_doc)
-            postings = []
-            for term, term_postings in self._postings.items():
-                count, text = self._term_texts.get(term, (-1, ""))
-                if count != len(term_postings):
-                    encoded = ", ".join(p.encoded() for p in term_postings)
-                    text = f"{json.dumps(term)}: [{encoded}]"
-                    self._term_texts[term] = (len(term_postings), text)
-                postings.append(text)
+            postings = (
+                f"{json.dumps(term)}: [{', '.join(p.encoded() for p in term_postings)}]"
+                for term, term_postings in self._postings.items()
+            )
             return (
                 f'{{"documents": {{{", ".join(doc for doc, _ in docs)}}}, '
                 f'"postings": {{{", ".join(postings)}}}, "doc_lengths": '
@@ -319,7 +309,6 @@ class SearchIndex:
             self._doc_freq = dict(
                 Counter(term for terms in self._doc_terms.values() for term in terms)
             )
-            self._term_texts = {}
             self._doc_texts = {}
 
 

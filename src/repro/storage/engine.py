@@ -44,8 +44,7 @@ Design
 * **Staged ops.**  Deltas produced *before* their owning commit is
   known (seen-URLs recorded while crawling) are staged: applied to
   memory immediately, keyed, and later adopted into the transaction
-  that stores the matching report (O(its ops), not O(backlog)) -- or
-  flushed in bulk, in staging order.
+  that stores the matching report -- or flushed in bulk.
 * **Fault injection.**  Every commit/checkpoint boundary calls into a
   :class:`~repro.storage.faults.CrashInjector`; recovery tests kill the
   engine at each registered point and assert convergence.
@@ -53,13 +52,12 @@ Design
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from repro.obs import NO_OBS, Obs
 from repro.runtime import named_lock
@@ -94,16 +92,13 @@ class Participant(Protocol):
         """Empty the in-memory state (recovery starts from zero)."""
 
 
-def memoised(memo: dict, items: Iterable[tuple], encode: Callable) -> list:
-    """``encode(key, item)`` for each ``(key, item)``, memoised in
-    ``memo`` by key; the owner drops a key whenever its item changes."""
-    texts = []
-    for key, item in items:
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = encode(key, item)
-        texts.append(text)
-    return texts
+class _StagedOp:
+    __slots__ = ("name", "key", "op")
+
+    def __init__(self, name: str, key: str | None, op: dict):
+        self.name = name
+        self.key = key
+        self.op = op
 
 
 class EngineTransaction:
@@ -126,7 +121,7 @@ class EngineTransaction:
         """
         if name not in self._engine._participants:
             return 0
-        ops = self._engine._take_staged(name, keys)
+        ops = self._engine._take_staged(name, set(keys))
         if ops:
             self._groups.append((name, ops))
         return len(ops)
@@ -194,10 +189,7 @@ class StorageEngine:
         self._seq = 0
         self._generation = 1
         self._ingested: set[str] = set()
-        # staged ops by ticket (staging order), tickets by (name, key)
-        self._staged: dict[int, tuple[str, dict]] = {}
-        self._staged_keys: dict[tuple[str, str], list[int]] = {}
-        self._tickets = itertools.count()
+        self._staged: list[_StagedOp] = []
         self._active_tx: EngineTransaction | None = None
         self._failed = False
         self._closed = False
@@ -413,32 +405,28 @@ class StorageEngine:
         with self.lock:
             self._check_usable()
             self.participant(name).apply([op])
-            ticket = next(self._tickets)
-            self._staged[ticket] = (name, op)
-            if key is not None:
-                self._staged_keys.setdefault((name, key), []).append(ticket)
+            self._staged.append(_StagedOp(name, key, op))
 
     def unstage(self, name: str, key: str) -> bool:
         """Drop the first staged op with this key; True when one existed."""
         with self.lock:
-            tickets = self._staged_keys.get((name, key))
-            if not tickets:
-                return False
-            del self._staged[tickets.pop(0)]
-            return True
+            for index, staged in enumerate(self._staged):
+                if staged.name == name and staged.key == key:
+                    del self._staged[index]
+                    return True
+            return False
 
-    def _take_staged(self, name: str, keys: Iterable[str]) -> list[dict]:
+    def _take_staged(self, name: str, keys: set[str]) -> list[dict]:
         with self.lock:
-            tickets = sorted(
-                t for key in keys for t in self._staged_keys.pop((name, key), ())
-            )
-            return [self._staged.pop(ticket)[1] for ticket in tickets]
-
-    def _drain_staged(self) -> list[tuple[str, dict]]:
-        staged = list(self._staged.values())
-        self._staged.clear()
-        self._staged_keys.clear()
-        return staged
+            taken = [
+                staged
+                for staged in self._staged
+                if staged.name == name and staged.key in keys
+            ]
+            if taken:
+                remaining = [s for s in self._staged if s not in taken]
+                self._staged = remaining
+            return [staged.op for staged in taken]
 
     @contextmanager
     def transaction(self):
@@ -477,8 +465,9 @@ class StorageEngine:
             if not self._staged:
                 return
             grouped: dict[str, list[dict]] = {}
-            for name, op in self._drain_staged():
-                grouped.setdefault(name, []).append(op)
+            for staged in self._staged:
+                grouped.setdefault(staged.name, []).append(staged.op)
+            self._staged = []
             self._commit(list(grouped.items()), [])
 
     def _commit(self, groups: list[tuple[str, list[dict]]], marks: list[str]) -> None:
@@ -537,7 +526,7 @@ class StorageEngine:
         if self.path is None:
             with self.lock:
                 self._check_usable()
-                self._drain_staged()  # effects live in memory only anyway
+                self._staged = []  # effects live in memory only anyway
                 steps = list(self._checkpoint_steps)
             for step in steps:
                 step()
@@ -592,7 +581,7 @@ class StorageEngine:
         self._journal_path = self.path / journal_name
         self._journal_handle = self._journal_path.open("a", encoding="utf-8")
         # snapshot captured the staged ops' in-memory effects
-        self._drain_staged()
+        self._staged = []
         self._sweep_stale_generations()
         self._crash_point("checkpoint.after-cleanup")
 
@@ -650,5 +639,4 @@ __all__ = [
     "Participant",
     "StorageEngine",
     "StorageError",
-    "memoised",
 ]

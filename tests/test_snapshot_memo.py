@@ -178,9 +178,8 @@ class TestSearchMemos:
                 saved = json.loads(json.dumps(index.to_state()))
             else:  # an earlier state, not necessarily the current one
                 index.restore_state(saved)
-            state = index.to_state()
-            assert set(index._doc_texts) <= set(state["documents"])
-            assert set(index._term_texts) <= set(state["postings"])
+            # posting texts live on the postings and die with them
+            assert set(index._doc_texts) <= set(index.to_state()["documents"])
             assert participant.snapshot_text() == json.dumps(
                 participant.snapshot_data()
             )
@@ -265,7 +264,7 @@ class TestCheckpointFiles:
                 graph = partition.database.graph
                 assert graph._node_texts == {} and graph._edge_texts == {}
                 index = partition.search_index
-                assert index._term_texts == {} and index._doc_texts == {}
+                assert index._doc_texts == {}
                 assert all(
                     posting.text is None
                     for postings in index._postings.values()
