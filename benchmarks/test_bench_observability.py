@@ -34,13 +34,8 @@ NOISE_FLOOR_S = 0.05
 class UntracedPipeline(Pipeline):
     """The pre-observability stage runner: no span, no metrics."""
 
-    def _run_stage(self, stage, decoder, item, parent):
-        if decoder is not None:
-            item = decoder.decode(item)
-        result = stage.fn(item)
-        if result is not None and stage.codec is not None:
-            result = stage.codec.encode(result)
-        return result
+    def _run_stage(self, stage, item, parent):
+        return stage.fn(item)
 
 
 def build_reports():

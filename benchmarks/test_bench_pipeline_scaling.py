@@ -5,25 +5,21 @@ improves throughput; intermediate representations are serialisable so
 steps can run on multiple hosts.
 
 Reproduction: process a fixed crawl batch through the
-check -> parse -> extract pipeline with a worker sweep, and measure the
-serialisation boundary's cost (on/off at the same worker count).
-Measured shape: parse and extract are CPU-bound Python, so under the
-GIL thread workers do not help -- throughput *falls* by a quarter to a
-third from 1 worker to 2 and stays there; serialisation adds a constant
-overhead -- the price of multi-host deployability.  The ``extract``
-stage alone is then swept over 1 / 2 / 4 threads with each recogniser
-(ROADMAP 2(b)'s table): the gazetteer is pure Python; the CRF spends a
-third of its time in numpy, in calls short enough that the GIL hand-offs
-around them cost more than the calls.  Last, what ``extract_workers = N``
-means in ``SecurityKG``: the CRF ``extract`` stage alone, the three
-stages together, and the four -- check -> parse -> extract -> store,
-the store either after the pipeline or streamed behind it, each record
-committing as it settles -- at 1 / 2 / 4 extractor *processes*, through
-the same ``ExtractorPool`` -- the rows with a slope, each with the CPU
-seconds of parent and children it cost.  ``run_once`` streams at N and
-stores after at 1, where no child frees a core and the two rows say
-which costs less.  The sweeps are reported, not gated: the outputs must
-be equal, in order, at every setting.
+check -> parse -> extract pipeline with a worker sweep.  Measured shape:
+parse and extract are CPU-bound Python, so under the GIL thread workers
+do not help -- throughput *falls* by a quarter to a third from 1 worker
+to 2 and stays there.  The ``extract`` stage alone is then swept over
+1 / 2 / 4 threads with each recogniser (ROADMAP 2(b)'s table): the
+gazetteer is pure Python; the CRF spends a third of its time in numpy,
+in calls short enough that the GIL hand-offs around them cost more than
+the calls.  Last, what ``extract_workers = N`` means in ``SecurityKG``,
+where each record crosses to a worker process serialised (pickled) and
+back: the CRF ``extract`` stage alone, the three stages together, and
+the four -- check -> parse -> extract, then store -- at 1 / 2 / 4
+extractor *processes*, through the same ``ExtractorPool`` -- the rows
+with a slope, each with the CPU seconds of parent and children it cost.
+The sweeps are reported, not gated: the outputs must be equal, in
+order, at every setting.
 """
 
 import os
@@ -33,9 +29,9 @@ from conftest import record_result
 from repro import SecurityKG, SystemConfig
 from repro.core import Checker, Extractor, ParserDispatch, Porter
 from repro.core.extractor import ExtractorPool
-from repro.core.pipeline import Codec, Pipeline, Stage
+from repro.core.pipeline import Pipeline, Stage
 from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
-from repro.ontology import CTIRecord, ReportRecord
+from repro.ontology import CTIRecord
 from repro.runtime import REAL_CLOCK, Stopwatch, VirtualClock
 from repro.websim import SimulatedTransport, build_default_web
 
@@ -53,32 +49,20 @@ def build_reports():
     return Porter().port(engine.crawl().documents)
 
 
-def make_pipeline(workers: int, serialize: bool, extract: Stage | None = None):
+def make_pipeline(workers: int, extract: Stage | None = None):
     """Gazetteer ``extract`` on ``workers`` threads, or the ``extract``
     stage given."""
     checker = Checker()
     parsers = ParserDispatch()
-    report_codec = (
-        Codec(encode=lambda r: r.to_json(), decode=ReportRecord.from_json)
-        if serialize
-        else None
-    )
-    cti_codec = (
-        Codec(encode=lambda r: r.to_json(), decode=CTIRecord.from_json)
-        if serialize
-        else None
-    )
     return Pipeline(
         [
             Stage(
                 "check",
                 lambda r: r if checker.why_rejected(r) is None else None,
                 workers=1,
-                codec=report_codec,
             ),
-            Stage("parse", parsers.parse, workers=workers, codec=cti_codec),
-            extract
-            or Stage("extract", Extractor().extract, workers=workers, codec=cti_codec),
+            Stage("parse", parsers.parse, workers=workers),
+            extract or Stage("extract", Extractor().extract, workers=workers),
         ]
     )
 
@@ -106,21 +90,18 @@ def cpu_seconds() -> float:
 def run_shape(shape: str, recognizer, parsed: list[str], reports, processes: int):
     """One row: what must match at every setting, reports out, seconds.
 
-    The ``store`` shapes are ``SecurityKG``'s four stages into an
-    in-memory graph and search index: ``process`` then ``store``, or
-    ``ingest``'s stream; the others are the bare pipeline."""
-    if shape.startswith("store"):
+    ``store after`` is ``SecurityKG``'s four stages into an in-memory
+    graph and search index, ``process`` then ``store``; the others are
+    the bare pipeline."""
+    if shape == "store after":
         config = SystemConfig(
             scenario_count=1, reports_per_site=1, extract_workers=processes,
             connectors=["graph", "search"],
         )
         with SecurityKG(config, recognizer=recognizer) as kg:
             watch = Stopwatch(REAL_CLOCK)
-            if shape == "store streamed":
-                result, _ingest = kg.ingest(reports)
-            else:
-                records, result = kg.process(reports)
-                kg.store(records)
+            records, result = kg.process(reports)
+            kg.store(records)
             elapsed = watch.elapsed
             payload = [kg.stats()["nodes"]]
     else:
@@ -135,7 +116,7 @@ def run_shape(shape: str, recognizer, parsed: list[str], reports, processes: int
             pipeline = Pipeline([extract])
             items = [CTIRecord.from_json(payload) for payload in parsed]
         else:
-            pipeline = make_pipeline(1, False, extract)
+            pipeline = make_pipeline(1, extract)
             items = reports
         result = pipeline.run(items)
         elapsed = result.elapsed
@@ -151,11 +132,9 @@ def extractor_processes(recognizer, parsed: list[str], reports):
     them (1: in the pipeline thread, no child; N: forked before the run,
     one thread submitting to them): ``extract`` alone over the parsed
     records, check -> parse -> extract with one parse thread, and those
-    three with the store after them or streamed behind them."""
+    three with the store after them."""
     rows = []
-    payloads = {
-        "extract alone": [], "three stages": [], "store after": [], "store streamed": []
-    }
+    payloads = {"extract alone": [], "three stages": [], "store after": []}
     for processes in (1, 2, 4):
         for shape in payloads:
             before = cpu_seconds()
@@ -181,7 +160,7 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
     series = []
     payloads = []
     for workers in (1, 2, 4, 8):
-        result = make_pipeline(workers, serialize=False).run(reports)
+        result = make_pipeline(workers).run(reports)
         payloads.append([record.to_json() for record in result.outputs])
         series.append(
             {
@@ -191,13 +170,11 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
             }
         )
 
-    plain = benchmark.pedantic(
-        make_pipeline(4, serialize=False).run, args=(reports,), rounds=1, iterations=1
+    timed = benchmark.pedantic(
+        make_pipeline(4).run, args=(reports,), rounds=1, iterations=1
     )
-    serialized = make_pipeline(4, serialize=True).run(reports)
-    overhead = serialized.elapsed / plain.elapsed - 1.0
     # outputs come back in input order, so equal means equal lists
-    payloads.append([record.to_json() for record in serialized.outputs])
+    payloads.append([record.to_json() for record in timed.outputs])
     outputs_equal = all(payload == payloads[0] for payload in payloads)
 
     checker, parsers = Checker(), ParserDispatch()
@@ -220,11 +197,6 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
     for row in series:
         print(f"  {row['workers']:>8} {row['reports_per_s']:>10} "
               f"{row['elapsed_s']:>12}")
-    print(
-        f"  serialisable hand-offs (4 workers): "
-        f"{serialized.elapsed:.3f}s vs {plain.elapsed:.3f}s plain "
-        f"({overhead * 100:+.0f}% overhead)"
-    )
     for name, rows in extract.items():
         print(
             f"  extract alone, {name}: "
@@ -244,7 +216,6 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
         "E3",
         {
             "series": series,
-            "serialize_overhead_pct": round(overhead * 100, 1),
             "extract_alone": extract,
             "extractor_processes": processes,
             "outputs_equal": outputs_equal,

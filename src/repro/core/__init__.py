@@ -1,7 +1,7 @@
 """Pipeline core and the SecurityKG facade (paper Figure 1).
 
 Porter -> Checker -> source-dependent Parsers -> source-independent
-Extractors run on a parallel, serialisable-boundary pipeline; the
+Extractors run on a parallel pipeline of serialisable records; the
 :class:`~repro.core.system.SecurityKG` facade wires collection,
 processing, storage and applications together under one configuration.
 """
@@ -10,14 +10,13 @@ from repro.core.checker import CheckReport, Checker, default_checks
 from repro.core.config import SystemConfig
 from repro.core.extractor import Extractor
 from repro.core.parsers import ParserDispatch, ParserError, SourceParser
-from repro.core.pipeline import Codec, Pipeline, PipelineResult, Stage
+from repro.core.pipeline import Pipeline, PipelineResult, Stage
 from repro.core.porter import Porter, report_id_for
 from repro.core.system import SecurityKG, SystemReport
 
 __all__ = [
     "CheckReport",
     "Checker",
-    "Codec",
     "Extractor",
     "ParserDispatch",
     "ParserError",

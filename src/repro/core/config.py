@@ -38,10 +38,8 @@ class SystemConfig:
     extract_workers:
         ``1`` extracts in a pipeline thread; ``N > 1`` means N extractor
         processes forked at construction (``ValueError`` on a platform
-        without ``fork``), records in and out, never threads (E3).
-    serialize_boundaries:
-        Pass serialized intermediates between pipeline stages (the
-        multi-host deployment mode).
+        without ``fork``), records pickled in and out -- the serialized
+        stage crossing of section 2.1 -- never threads (E3).
     connectors:
         Storage connectors to drive (names from the connector registry).
     recognizer:
@@ -102,7 +100,6 @@ class SystemConfig:
     time_scale: float = 0.0
     parse_workers: int = 1
     extract_workers: int = 1
-    serialize_boundaries: bool = False
     connectors: list[str] = field(default_factory=lambda: ["graph", "search"])
     recognizer: str = "gazetteer"
     recognizer_min_confidence: float = 0.3
@@ -119,6 +116,12 @@ class SystemConfig:
     feed_keys: dict | None = None
     feed_history: int = 64
 
+    def __post_init__(self) -> None:
+        for key in ("parse_workers", "extract_workers"):
+            count = getattr(self, key)
+            if count < 1:
+                raise ValueError(f"{key} must be at least 1, got {count}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
@@ -128,9 +131,6 @@ class SystemConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-        for key in ("parse_workers", "extract_workers"):
-            if key in data and data[key] < 1:
-                raise ValueError(f"{key} must be at least 1, got {data[key]}")
         return cls(**data)
 
     @classmethod

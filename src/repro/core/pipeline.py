@@ -9,13 +9,12 @@ results across the network."
 
 This engine realises that design in-process on the standard library's
 executors: each stage owns a ``ThreadPoolExecutor`` of ``stage.workers``
-threads, an item hops to the next stage's pool the moment its own stage
-finishes (so the stages overlap), and each boundary can be given a
-codec (``encode``/``decode``) so items cross stages in their serialized
-form -- exactly what shipping them across hosts would require, and what
-benchmark E3 measures the cost/benefit of.  Every item keeps the
-position it came in at: outputs and errors are in input order whatever
-the worker counts.
+threads, and an item hops to the next stage's pool the moment its own
+stage finishes (so the stages overlap).  A stage may instead submit to
+another executor -- the ``extract`` stage hands each record, pickled,
+to a forked extractor process (``ExtractorPool``), the serialized
+crossing the paper describes.  Every item keeps the position it came in
+at: outputs and errors are in input order whatever the worker counts.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.obs import NO_OBS, NULL_TRACER, Obs
 from repro.runtime import REAL_CLOCK, Clock, Stopwatch
@@ -35,19 +34,10 @@ StageFn = Callable[[object], "object | None"]
 
 
 @dataclass
-class Codec:
-    """Serialisation boundary between two stages."""
-
-    encode: Callable[[object], object]
-    decode: Callable[[object], object]
-
-
-@dataclass
 class Stage:
     """One pipeline step.
 
-    ``workers`` parallel threads run ``fn``; ``codec`` (if set) applies
-    at this stage's *output* boundary.  With ``settle``, ``fn`` submits:
+    ``workers`` parallel threads run ``fn``.  With ``settle``, ``fn`` submits:
     it returns a ``Future``, whose value the settling thread finishes
     with ``settle(began, value, span)`` under the stage's span.
     """
@@ -55,7 +45,6 @@ class Stage:
     name: str
     fn: StageFn
     workers: int = 1
-    codec: Codec | None = None
     settle: Callable[[float, object, object], object] | None = None
 
 
@@ -107,39 +96,26 @@ class Pipeline:
         self.obs = obs if obs is not None else NO_OBS
         self.item_key = item_key
 
-    def _run_stage(self, stage: Stage, decoder: Codec | None, item, parent):
+    def _run_stage(self, stage: Stage, item, parent):
         """One item through one stage, under the stage's tracer span (a
         submitting stage's is recorded when the item lands)."""
         tracer = self.obs.tracer if stage.settle is None else NULL_TRACER
         with tracer.span(stage.name, parent=parent) as span:
-            if decoder is not None:
-                item = decoder.decode(item)
             key = self.item_key(item) if self.item_key is not None else None
             if key:
                 span.set("report", key)
             result = stage.fn(item)
             if stage.settle is not None:
                 return key, result
-            # stamped before encoding so per-stage unit costs
-            # (repro.obs.profile) can count only the surviving items
+            # lets per-stage unit costs (repro.obs.profile) count only
+            # the surviving items
             span.set("outcome", "filtered" if result is None else "ok")
-            if result is not None and stage.codec is not None:
-                result = stage.codec.encode(result)
             return result
 
     def run(self, items: list[object]) -> PipelineResult:
         """Process ``items``; blocks until every one has left the pipeline."""
         watch = Stopwatch(self.clock)
-        fates = list(self.fates(items))
-        outputs = [value for value, _error in fates if value is not None]
-        errors = [error for _value, error in fates if error is not None]
-        return PipelineResult(outputs, watch.elapsed, errors)
-
-    def fates(self, items: list[object], parent=None) -> Iterator[tuple]:
-        """Each item's fate, ``(value, error)``, in input order as it
-        settles, under a ``pipeline`` span (child of ``parent`` or the open one)."""
-        run_span = self.obs.tracer.span("pipeline", parent=parent, items=len(items))
-        last_codec = self.stages[-1].codec
+        run_span = self.obs.tracer.span("pipeline", items=len(items))
         with run_span, ExitStack() as stack:
             pools = [
                 stack.enter_context(
@@ -153,24 +129,24 @@ class Pipeline:
             )
             # popleft lets go of each chain of futures once it is
             # followed, so what a run keeps alive is what is in flight
+            fates = []
             while hops:
                 # follow one item's chain of hops and landings to its fate
                 fate = hops.popleft().result()
                 while not isinstance(fate, tuple):
                     fate = fate() if callable(fate) else fate.result()
-                value, error = fate
-                if value is not None and last_codec is not None:
-                    value = last_codec.decode(value)
-                yield value, error
+                fates.append(fate)
+        outputs = [value for value, _error in fates if value is not None]
+        errors = [error for _value, error in fates if error is not None]
+        return PipelineResult(outputs, watch.elapsed, errors)
 
     def _hop(self, pools, index: int, item, run_span):
         """``item`` through stage ``index``, on one of its workers: the
         future of its next hop, its landing (:meth:`_land`), or its fate."""
         stage = self.stages[index]
-        decoder = self.stages[index - 1].codec if index else None
         begin = self.clock.now()
         try:
-            result = self._run_stage(stage, decoder, item, run_span)
+            result = self._run_stage(stage, item, run_span)
         except Exception as error:  # noqa: BLE001 - stage isolation
             return self._next(pools, index, begin, run_span, error=error)
         if stage.settle is not None:
@@ -189,10 +165,8 @@ class Pipeline:
                 outcome="ok", **attrs,
             )
             result = stage.settle(began, value, span)
-            if result is not None and stage.codec is not None:
-                result = stage.codec.encode(result)
         except Exception as error:  # noqa: BLE001 - stage isolation
-            if span is not None:  # settle or encode failed
+            if span is not None:  # settle failed
                 span.set("error", type(error).__name__)
             else:
                 self.obs.tracer.record(
@@ -222,4 +196,4 @@ class Pipeline:
         return fate
 
 
-__all__ = ["Codec", "Pipeline", "PipelineResult", "Stage", "StageFn"]
+__all__ = ["Pipeline", "PipelineResult", "Stage", "StageFn"]

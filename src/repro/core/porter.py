@@ -50,8 +50,8 @@ def parsed_pages(record: ReportRecord) -> ParsedPages:
     by the markup: a cycle ports every report, then checks every
     report, then parses them, so a bounded markup cache would have
     evicted a page before its next reader came.  The memo is no
-    dataclass field; a record that crossed a ``Codec`` arrives without
-    it and rebuilds.
+    dataclass field; a record rebuilt from its JSON arrives without it
+    and rebuilds.
     """
     pages = getattr(record, "_parsed_pages", None)
     if pages is None:

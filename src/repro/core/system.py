@@ -26,7 +26,7 @@ from repro.core.checker import Checker, make_min_text_check, default_checks
 from repro.core.config import SystemConfig
 from repro.core.extractor import Extractor, ExtractorPool
 from repro.core.parsers import ParserDispatch
-from repro.core.pipeline import Codec, Pipeline, PipelineResult, Stage
+from repro.core.pipeline import Pipeline, Stage
 from repro.core.porter import Porter
 from repro.crawlers.engine import CrawlEngine, CrawlResult
 from repro.crawlers.fetcher import Fetcher
@@ -38,7 +38,7 @@ from repro.nlp.baselines import GazetteerRecognizer, RegexRecognizer
 from repro.obs import NO_OBS, Obs, make_obs
 from repro.obs.health import HealthEngine
 from repro.ontology.intermediate import CTIRecord, ReportRecord
-from repro.runtime import Clock, Stopwatch, clock_from_name
+from repro.runtime import Clock, clock_from_name
 from repro.search.index import SearchHit
 from repro.sharding import ShardSet, ShardedCrawlState
 from repro.websim.network import SimulatedTransport
@@ -285,23 +285,6 @@ class SecurityKG:
         The check stage is the cycle's one check; ``run_once`` reports
         what it rejected (``pipeline.reports_rejected``, by reason).
         """
-        # outputs are in input order, so what the store does with them
-        # (which mention first creates a shared node, every node id)
-        # does not depend on thread timing
-        result = self._processing().run(reports)
-        return result.outputs, result
-
-    def _processing(self) -> Pipeline:
-        report_codec = None
-        cti_codec = None
-        if self.config.serialize_boundaries:
-            report_codec = Codec(
-                encode=lambda r: r.to_json(), decode=ReportRecord.from_json
-            )
-            cti_codec = Codec(
-                encode=lambda r: r.to_json(), decode=CTIRecord.from_json
-            )
-
         # the check stage has one worker, so only that thread counts
         rejected = self._last_rejected = {}
 
@@ -314,27 +297,26 @@ class SecurityKG:
             return None
 
         if self.extract_pool is None:
-            extract = Stage("extract", self.extractor.extract, codec=cti_codec)
+            extract = Stage("extract", self.extractor.extract)
         else:  # the stage's one thread only submits to the processes
             extract = Stage(
-                "extract", self.extract_pool.submit, codec=cti_codec,
-                settle=self.extractor.emit,
+                "extract", self.extract_pool.submit, settle=self.extractor.emit
             )
-        return Pipeline(
+        pipeline = Pipeline(
             [
-                Stage("check", check, workers=1, codec=report_codec),
-                Stage(
-                    "parse",
-                    self.parsers.parse,
-                    workers=self.config.parse_workers,
-                    codec=cti_codec,
-                ),
+                Stage("check", check, workers=1),
+                Stage("parse", self.parsers.parse, workers=self.config.parse_workers),
                 extract,
             ],
             clock=self.clock,
             obs=self.obs,
             item_key=lambda item: getattr(item, "report_id", None),
         )
+        # outputs are in input order, so what the store does with them
+        # (which mention first creates a shared node, every node id)
+        # does not depend on thread timing
+        result = pipeline.run(reports)
+        return result.outputs, result
 
     def store(self, records: list[CTIRecord]) -> dict[str, IngestStats]:
         """Storage stage: one atomic cross-store commit per report.
@@ -350,34 +332,8 @@ class SecurityKG:
         The batch fans out to one worker per partition, each committing
         to its own engine (see :meth:`ShardSet.store`).
         """
-        return self._storing(records)
-
-    def ingest(self, reports: list[ReportRecord]) -> tuple[PipelineResult, dict]:
-        """:meth:`process` and :meth:`store` as one stream: each record
-        commits as it settles, while later ones are still processed."""
-        parent = self.obs.tracer.current()
-        watch, result = Stopwatch(self.clock), PipelineResult([], 0.0)
-
-        def settled():
-            for record, error in self._processing().fates(reports, parent=parent):
-                if error is not None:
-                    result.errors.append(error)
-                elif record is not None:
-                    result.outputs.append(record)
-                    yield record
-            result.elapsed = watch.elapsed
-
-        return result, self._storing([], settled())
-
-    def _storing(self, queued: list[CTIRecord], arriving=()) -> dict[str, IngestStats]:
-        """The storage phase, one ``store`` span: ``queued``, then ``arriving``."""
-        with self.obs.tracer.span("store") as span:
-            with self.shards.stream(span, records=queued) as (put, outcome):
-                count = len(queued)
-                for record in arriving:
-                    put(record)
-                    count += 1
-                span.set("records", count)
+        with self.obs.tracer.span("store", records=len(records)) as span:
+            outcome = self.shards.store(records, parent_span=span)
         self.obs.metrics.inc("storage.reports_skipped", outcome.skipped)
         self._last_skipped = outcome.skipped
         return outcome.ingest
@@ -387,12 +343,8 @@ class SecurityKG:
         with self.obs.tracer.span("run") as run_span:
             crawl_result = self.crawl(max_articles=max_articles)
             ported = self.porter.port(crawl_result.documents)
-            if self.extract_pool is None:  # no idle core: a stream is slower (E3)
-                records, pipeline_result = self.process(ported)
-                ingest = self.store(records)
-            else:
-                pipeline_result, ingest = self.ingest(ported)
-                records = pipeline_result.outputs
+            records, pipeline_result = self.process(ported)
+            ingest = self.store(records)
             reasons = self._last_rejected
             skipped = self._last_skipped
             self._update_graph_gauges()

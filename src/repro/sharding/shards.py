@@ -11,7 +11,7 @@ and connectors.  The :class:`ShardSet` owns N of them plus the
 :class:`~repro.sharding.router.ShardRouter` that decides placement, and
 exposes the operations every facade layer builds on:
 
-* ``stream()`` / ``store()`` feed records to one writer thread per
+* ``store()`` fans a record batch out to one writer thread per
   partition; each writer commits its records to *its* engine only, so a
   crash injected on one partition loses in-flight work on that shard
   alone while the others run to completion (the E21 isolation claim);
@@ -35,10 +35,8 @@ a single partition, the live union view of several).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import SimpleQueue
 
 from repro.connectors.base import Connector, IngestStats
 from repro.connectors.graph import GraphConnector
@@ -237,26 +235,21 @@ class ShardSet:
         parent_span=None,
         commit_latency: float = 0.0,
     ) -> ShardStoreOutcome:
-        """Commit a batch: a :meth:`stream` with all of it queued before
-        the writers start."""
-        with self.stream(parent_span, commit_latency, records) as (_put, outcome):
-            pass
-        return outcome
+        """Commit a batch: one writer thread per partition, each committing
+        its records in batch order to its own engine only.
 
-    @contextmanager
-    def stream(self, parent_span=None, commit_latency: float = 0.0, records=()):
-        """Yields ``(put, outcome)``: ``records``, then each record put,
-        commit in order on their partition's writer, to its own engine
-        (ingest markers make a replay exactly-once), each then sleeping
-        ``commit_latency``.  On leaving, the writers drain; the first error
-        is re-raised unflushed, as in a killed process, or ``outcome`` filled."""
-        queues = [SimpleQueue() for _ in self.partitions]
-
-        def put(record: CTIRecord) -> None:
-            queues[self.router.partition_for_record(record)].put(record)
-
+        Exactly-once semantics hold per partition: each engine keeps its
+        own ingest markers, so a replayed batch skips records its
+        partition already owns.  ``commit_latency`` models per-commit I/O
+        time on the injected clock (slept *outside* every lock).  Any
+        error a writer meets is re-raised, in partition order, once every
+        writer has finished -- the surviving partitions' commits are
+        already durable, but the batch flush is skipped, as in a killed
+        process.
+        """
+        groups: list[list[CTIRecord]] = [[] for _ in self.partitions]
         for record in records:
-            put(record)
+            groups[self.router.partition_for_record(record)].append(record)
         results: list[ShardStoreOutcome | None] = [None] * len(self.partitions)
         errors: list[Exception | None] = [None] * len(self.partitions)
         barrier = threading.Barrier(len(self.partitions))
@@ -264,7 +257,7 @@ class ShardSet:
             threading.Thread(
                 target=self._store_worker,
                 args=(
-                    partition, queues[partition.index], parent_span, barrier,
+                    partition, groups[partition.index], parent_span, barrier,
                     commit_latency, results, errors,
                 ),
                 name=f"shard-worker-{partition.index}",
@@ -274,29 +267,25 @@ class ShardSet:
         ]
         for thread in threads:
             thread.start()
-        merged = ShardStoreOutcome(
-            ingest={name: IngestStats() for name in self.connector_names}
-        )
-        try:
-            yield put, merged
-        finally:
-            for queue in queues:
-                queue.put(None)
-            for thread in threads:
-                thread.join()
+        for thread in threads:
+            thread.join()
         for error in errors:
             if error is not None:
                 raise error
         for partition in self.partitions:
             partition.engine.flush()
+        merged = ShardStoreOutcome(
+            ingest={name: IngestStats() for name in self.connector_names}
+        )
         for result in results:
             for name, stats in result.ingest.items():
                 merged.ingest[name] += stats
             merged.stored += result.stored
             merged.skipped += result.skipped
+        return merged
 
     def _store_worker(
-        self, partition, queue, parent, barrier, commit_latency,
+        self, partition, records, parent, barrier, commit_latency,
         results, errors,
     ) -> None:
         index = partition.index
@@ -310,7 +299,7 @@ class ShardSet:
                 with self.obs.tracer.span(
                     "store.shard", parent=parent, partition=index
                 ) as span:
-                    while (record := queue.get()) is not None:
+                    for record in records:
                         if partition.engine.is_ingested(record.report_id):
                             skipped += 1
                             continue
@@ -324,7 +313,7 @@ class ShardSet:
                             self.clock.sleep(commit_latency)
                     span.set("stored", stored)
                     span.set("skipped", skipped)
-        except Exception as error:  # noqa: BLE001 - re-raised by stream()
+        except Exception as error:  # noqa: BLE001 - re-raised by store()
             errors[index] = error
         partition.stats.record(stored=stored, skipped=skipped)
         self.obs.metrics.inc("shard.reports_stored", stored, partition=str(index))

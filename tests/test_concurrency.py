@@ -405,12 +405,12 @@ class TestRepoModel:
         # extract stage, the inline one or the submitting one with its
         # settle step -- must still count as running on threads, or what
         # they write drops out of the guard map; so must the partition
-        # writers the store stream feeds
+        # writers of the store fan-out
         model, _ = analyze_package()
         for root in (
             "core/pipeline.py::Pipeline._hop",
             "core/pipeline.py::Pipeline._land",
-            "core/system.py::SecurityKG._processing.check",
+            "core/system.py::SecurityKG.process.check",
             "core/parsers.py::ParserDispatch.parse",
             "core/extractor.py::Extractor.extract",
             "core/extractor.py::ExtractorPool.submit",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import Codec, Pipeline, Stage
+from repro.core.pipeline import Pipeline, Stage
 from repro.obs import make_obs
 
 
@@ -88,20 +88,20 @@ class TestErrorIsolation:
         ]
 
     def test_a_failing_settle_or_encode_drops_its_item_only(self):
-        """A submitting stage's ``settle`` and output codec run on the
-        settling thread; what they raise is that item's error, and its
-        span's, as it would be inside the stage."""
-        codec = Codec(encode=json.dumps, decode=json.loads)
+        """A submitting stage's ``settle`` runs on the settling thread;
+        what it raises -- here its own error, or its result's failed
+        JSON round trip -- is that item's error, and its span's, as it
+        would be inside the stage."""
 
         def settle(_began, value, _span):
             if value == 2:
                 raise RuntimeError("bad settle")
-            return {"v": object()} if value == 3 else value
+            return json.loads(json.dumps({"v": object()} if value == 3 else value))
 
         obs = make_obs()
         with ThreadPoolExecutor(2, thread_name_prefix="elsewhere") as executor:
             result = Pipeline(
-                [Stage("sub", lambda x: executor.submit(abs, x), codec=codec, settle=settle)],
+                [Stage("sub", lambda x: executor.submit(abs, x), settle=settle)],
                 obs=obs,
             ).run([1, 2, 3, 4])
         assert result.outputs == [1, 4]
@@ -169,38 +169,6 @@ class TestParallelism:
             assert threading.active_count() == baseline
 
 
-class TestSerializationBoundaries:
-    def test_codec_round_trip(self):
-        codec = Codec(encode=json.dumps, decode=json.loads)
-        result = Pipeline(
-            [
-                Stage("wrap", lambda x: {"v": x}, codec=codec),
-                Stage("unwrap", lambda d: d["v"] + 1),
-            ]
-        ).run([1, 2, 3])
-        assert result.outputs == [2, 3, 4]
-
-    def test_final_stage_codec_decoded_in_outputs(self):
-        codec = Codec(encode=json.dumps, decode=json.loads)
-        result = Pipeline(
-            [Stage("wrap", lambda x: {"v": x}, codec=codec)]
-        ).run([7])
-        assert result.outputs == [{"v": 7}]
-
-    def test_codec_failures_are_stage_errors(self):
-        codec = Codec(encode=json.dumps, decode=json.loads)
-        obs = make_obs()
-        result = Pipeline(
-            [
-                Stage("bad", lambda x: {"v": object()}, codec=codec),
-            ],
-            obs=obs,
-        ).run([1])
-        assert result.outputs == []
-        assert items_counted(obs, "bad", "error") == 1
-        assert [stage for stage, _message in result.errors] == ["bad"]
-
-
 #: what a stage does to an item at a position: pass it on, filter it, raise
 FATES = st.sampled_from(["ok", "ok", "ok", "filtered", "raise"])
 #: how a stage hands its result back: as it is, as a future of it from an
@@ -220,16 +188,12 @@ class TestInputOrder:
             max_size=3,
         ),
         count=st.integers(0, 12),
-        with_codecs=st.booleans(),
         returns=st.lists(RETURNS, min_size=3, max_size=3),
     )
-    def test_outputs_and_errors_equal_the_serial_fold(
-        self, plan, count, with_codecs, returns
-    ):
+    def test_outputs_and_errors_equal_the_serial_fold(self, plan, count, returns):
         """1-3 stages, 1-8 workers each, any item filtered or raising at
         any stage, a stage's result handed back as it is or as a future:
         the run is the serial fold, in input order."""
-        codec = Codec(encode=json.dumps, decode=json.loads) if with_codecs else None
 
         def make_fn(depth, fates):
             def fn(item):
@@ -243,12 +207,11 @@ class TestInputOrder:
         def make_stage(depth, workers, fates, pool):
             fn = make_fn(depth, fates)
             if returns[depth] == "value":
-                return Stage(f"s{depth}", fn, workers=workers, codec=codec)
+                return Stage(f"s{depth}", fn, workers=workers)
             return Stage(
                 f"s{depth}",
                 lambda item: pool.submit(fn, item),
                 workers=workers,
-                codec=codec,
                 settle=lambda _began, value, _span: value,
             )
 

@@ -270,19 +270,6 @@ class TestOneDomPerPage:
         assert len(records) == 120
         assert len({record.to_json() for record in records}) == 3
 
-    def test_serialized_boundaries_yield_the_same_records(self, crawl_documents):
-        base = dict(recognizer="gazetteer", connectors=["graph"])
-        outputs = []
-        for serialize in (False, True):
-            kg = SecurityKG(SystemConfig(serialize_boundaries=serialize, **base))
-            passed = kg.checker.filter(kg.porter.port(crawl_documents)).passed
-            records, result = kg.process(passed)
-            assert not result.errors
-            outputs.append(sorted(r.to_json() for r in records))
-            kg.close()
-        assert outputs[0] == outputs[1] and outputs[0]
-
-
 class TestExtractor:
     def test_extract_fills_mentions_and_iocs(self):
         record = CTIRecord(

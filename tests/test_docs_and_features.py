@@ -189,17 +189,15 @@ class TestFeatureIdCache:
     def test_worker_counts_produce_the_same_records(self, small_recognizer, small_web):
         """The CRF in 2 or 3 forked extractor processes (each with its
         own copy of the recogniser and its cache) extracts exactly what
-        one pipeline thread does, in the same order, with and without
-        serialised stage boundaries."""
+        one pipeline thread does, in the same order."""
         from repro import SecurityKG, SystemConfig
 
-        def records(workers: int, serialize: bool) -> list[str]:
+        def records(workers: int) -> list[str]:
             with SecurityKG(
                 SystemConfig(
                     sources=["ThreatPedia", "SecureListing", "InfoSec Ledger"],
                     connectors=["graph"], clock="virtual",
                     parse_workers=workers, extract_workers=workers,
-                    serialize_boundaries=serialize,
                 ),
                 web=small_web, recognizer=small_recognizer,
             ) as kg:
@@ -208,11 +206,10 @@ class TestFeatureIdCache:
             assert not result.errors
             return [record.to_json() for record in processed]
 
-        serial = records(1, False)
+        serial = records(1)
         assert len(serial) > 5
         for workers in (1, 2, 3):
-            for serialize in (False, True):
-                assert records(workers, serialize) == serial, (workers, serialize)
+            assert records(workers) == serial, workers
 
 
 class TestCrfInFullPipeline:

@@ -189,18 +189,16 @@ class Recording(Connector):
 
 class TestShardSetStore:
     def test_stream_commits_each_partition_in_arrival_order(self, monkeypatch):
-        """Records queued before the writers start, then records put
-        while they run: every partition commits its own in the order
-        they arrived, and each lands on its router partition."""
+        """A batch streams through one writer per partition: each commits
+        its own records in the order they arrived in the batch, and each
+        lands on its router partition."""
         monkeypatch.setitem(registry.factories, Recording.name, Recording)
         shards = ShardSet(3, connectors=[Recording.name])
         records = _batch(24)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # more writers than cores, switching often
         try:
-            with shards.stream(records=records[:8]) as (put, outcome):
-                for record in records[8:]:
-                    put(record)
+            outcome = shards.store(records)
         finally:
             sys.setswitchinterval(interval)
         assert (outcome.stored, outcome.skipped) == (24, 0)
