@@ -18,7 +18,7 @@ from conftest import record_result
 
 from repro import SecurityKG, SystemConfig
 from repro.core import Checker, Extractor, ParserDispatch, Porter
-from repro.core.pipeline import Pipeline, Stage
+from repro.core.pipeline import Pipeline
 from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
 from repro.obs import make_obs
 from repro.runtime import VirtualClock, clock_from_name
@@ -32,10 +32,10 @@ NOISE_FLOOR_S = 0.05
 
 
 class UntracedPipeline(Pipeline):
-    """The pre-observability stage runner: no span, no metrics."""
+    """The pre-observability stage runner: no span."""
 
-    def _run_stage(self, stage, item, parent):
-        return stage.fn(item)
+    def _run_stage(self, name, fn, item, run_span):
+        return fn(item)
 
 
 def build_reports():
@@ -53,16 +53,7 @@ def make_pipeline(pipeline_cls=Pipeline, obs=None):
     parsers = ParserDispatch()
     extractor = Extractor(obs=obs)
     return pipeline_cls(
-        [
-            Stage(
-                "check",
-                lambda r: r if checker.why_rejected(r) is None else None,
-                workers=1,
-            ),
-            Stage("parse", parsers.parse, workers=4),
-            Stage("extract", extractor.extract, workers=4),
-        ],
-        obs=obs,
+        checker.why_rejected, parsers.parse, extractor, workers=4, obs=obs
     )
 
 

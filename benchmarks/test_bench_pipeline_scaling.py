@@ -5,21 +5,16 @@ improves throughput; intermediate representations are serialisable so
 steps can run on multiple hosts.
 
 Reproduction: process a fixed crawl batch through the
-check -> parse -> extract pipeline with a worker sweep.  Measured shape:
-parse and extract are CPU-bound Python, so under the GIL thread workers
-do not help -- throughput *falls* by a quarter to a third from 1 worker
-to 2 and stays there.  The ``extract`` stage alone is then swept over
-1 / 2 / 4 threads with each recogniser (ROADMAP 2(b)'s table): the
-gazetteer is pure Python; the CRF spends a third of its time in numpy,
-in calls short enough that the GIL hand-offs around them cost more than
-the calls.  Last, what ``extract_workers = N`` means in ``SecurityKG``,
-where each record crosses to a worker process serialised (pickled) and
-back: the CRF ``extract`` stage alone, the three stages together, and
-the four -- check -> parse -> extract, then store -- at 1 / 2 / 4
-extractor *processes*, through the same ``ExtractorPool`` -- the rows
-with a slope, each with the CPU seconds of parent and children it cost.
-The sweeps are reported, not gated: the outputs must be equal, in
-order, at every setting.
+check -> parse -> extract loop with a sweep of parse threads, extract
+inline.  Measured shape: parse is CPU-bound Python, so under the GIL
+more parse threads do not help.  Then what ``extract_workers = N``
+means in ``SecurityKG``, where each record crosses to a worker process
+serialised (pickled) and back: the CRF ``extract`` alone, the three
+stages together, and the four -- check -> parse -> extract, then store
+-- at 1 / 2 / 4 extractor *processes*, through the same
+``ExtractorPool`` -- the rows with a slope, each with the CPU seconds
+of parent and children it cost.  The sweeps are reported, not gated:
+the outputs must be equal, in order, at every setting.
 """
 
 import os
@@ -29,7 +24,7 @@ from conftest import record_result
 from repro import SecurityKG, SystemConfig
 from repro.core import Checker, Extractor, ParserDispatch, Porter
 from repro.core.extractor import ExtractorPool
-from repro.core.pipeline import Pipeline, Stage
+from repro.core.pipeline import Pipeline
 from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
 from repro.ontology import CTIRecord
 from repro.runtime import REAL_CLOCK, Stopwatch, VirtualClock
@@ -49,36 +44,15 @@ def build_reports():
     return Porter().port(engine.crawl().documents)
 
 
-def make_pipeline(workers: int, extract: Stage | None = None):
-    """Gazetteer ``extract`` on ``workers`` threads, or the ``extract``
-    stage given."""
+def make_pipeline(workers: int, extractor: Extractor | None = None, pool=None):
+    """check -> parse on ``workers`` threads -> extract: the gazetteer
+    inline, or the extractor and pool given."""
     checker = Checker()
     parsers = ParserDispatch()
     return Pipeline(
-        [
-            Stage(
-                "check",
-                lambda r: r if checker.why_rejected(r) is None else None,
-                workers=1,
-            ),
-            Stage("parse", parsers.parse, workers=workers),
-            extract or Stage("extract", Extractor().extract, workers=workers),
-        ]
+        checker.why_rejected, parsers.parse, extractor or Extractor(), pool,
+        workers=workers,
     )
-
-
-def extract_alone(recognizer, parsed: list[str]) -> tuple[list[dict], bool]:
-    """The extract stage on 1 / 2 / 4 threads over the same parsed
-    records (decoded afresh per run: ``extract`` refines in place)."""
-    series, payloads = [], []
-    for threads in (1, 2, 4):
-        extractor = Extractor(recognizer)
-        result = Pipeline([Stage("extract", extractor.extract, workers=threads)]).run(
-            [CTIRecord.from_json(payload) for payload in parsed]
-        )
-        payloads.append([record.to_json() for record in result.outputs])
-        series.append({"threads": threads, "elapsed_ms": round(result.elapsed * 1e3)})
-    return series, all(payload == payloads[0] for payload in payloads)
 
 
 def cpu_seconds() -> float:
@@ -107,16 +81,11 @@ def run_shape(shape: str, recognizer, parsed: list[str], reports, processes: int
     else:
         extractor = Extractor(recognizer)
         pool = ExtractorPool(extractor, processes) if processes > 1 else None
-        extract = (
-            Stage("extract", extractor.extract)
-            if pool is None
-            else Stage("extract", pool.submit, settle=extractor.emit)
-        )
-        if shape == "extract alone":
-            pipeline = Pipeline([extract])
+        if shape == "extract alone":  # parsed records pass check and parse as they are
+            pipeline = Pipeline(lambda _record: None, lambda record: record, extractor, pool)
             items = [CTIRecord.from_json(payload) for payload in parsed]
         else:
-            pipeline = make_pipeline(1, extract)
+            pipeline = make_pipeline(1, extractor, pool)
             items = reports
         result = pipeline.run(items)
         elapsed = result.elapsed
@@ -129,10 +98,10 @@ def run_shape(shape: str, recognizer, parsed: list[str], reports, processes: int
 
 def extractor_processes(recognizer, parsed: list[str], reports):
     """The CRF at 1 / 2 / 4 extractor processes, as ``SecurityKG`` runs
-    them (1: in the pipeline thread, no child; N: forked before the run,
-    one thread submitting to them): ``extract`` alone over the parsed
-    records, check -> parse -> extract with one parse thread, and those
-    three with the store after them."""
+    them (1: inline on the loop's thread, no child; N: forked before the
+    run, that thread submitting to them): ``extract`` alone over the
+    parsed records, check -> parse -> extract with one parse thread, and
+    those three with the store after them."""
     rows = []
     payloads = {"extract alone": [], "three stages": [], "store after": []}
     for processes in (1, 2, 4):
@@ -183,26 +152,15 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
         for report in reports
         if checker.why_rejected(report) is None
     ]
-    extract = {}
-    for name, recognizer in (("gazetteer", None), ("crf", trained_crf)):
-        extract[name], equal = extract_alone(recognizer, parsed)
-        outputs_equal = outputs_equal and equal
-
     processes, equal = extractor_processes(trained_crf, parsed, reports)
     outputs_equal = outputs_equal and equal
 
     print("\nE3: processing pipeline scaling "
           f"({len(reports)} reports, check->parse->extract)")
-    print(f"  {'workers':>8} {'reports/s':>10} {'elapsed (s)':>12}")
+    print(f"  {'parse threads':>13} {'reports/s':>10} {'elapsed (s)':>12}")
     for row in series:
-        print(f"  {row['workers']:>8} {row['reports_per_s']:>10} "
+        print(f"  {row['workers']:>13} {row['reports_per_s']:>10} "
               f"{row['elapsed_s']:>12}")
-    for name, rows in extract.items():
-        print(
-            f"  extract alone, {name}: "
-            + " / ".join(f"{row['elapsed_ms']} ms" for row in rows)
-            + " on 1 / 2 / 4 threads"
-        )
     print("  CRF at N extractor processes (forked before the run; cpu = parent + "
           "children):")
     print(f"  {'shape':>14} {'processes':>10} {'reports/s':>10} "
@@ -216,7 +174,6 @@ def test_bench_pipeline_scaling(benchmark, trained_crf):
         "E3",
         {
             "series": series,
-            "extract_alone": extract,
             "extractor_processes": processes,
             "outputs_equal": outputs_equal,
         },

@@ -34,7 +34,7 @@ from test_bench_observability import build_reports
 
 from repro import SecurityKG, SystemConfig
 from repro.core import Checker, Extractor, ParserDispatch
-from repro.core.pipeline import Pipeline, Stage
+from repro.core.pipeline import Pipeline
 from repro.obs import make_obs
 from repro.obs.profile import (
     aggregate,
@@ -87,26 +87,15 @@ def _records(count: int) -> list[CTIRecord]:
 def run_wall_profile(reports):
     """One live-traced pipeline run on the wall clock; returns spans.
 
-    Unlike E19's throughput pipeline this one runs every stage on a
-    single worker: per-span wall time on a GIL-contended stage measures
-    scheduling, not work.
+    Unlike E19's throughput pipeline this one parses on a single worker:
+    per-span wall time on a GIL-contended stage measures scheduling, not
+    work.
     """
     obs = make_obs()
     checker = Checker()
     parsers = ParserDispatch()
     extractor = Extractor(obs=obs)
-    pipeline = Pipeline(
-        [
-            Stage(
-                "check",
-                lambda r: r if checker.why_rejected(r) is None else None,
-            ),
-            Stage("parse", parsers.parse),
-            Stage("extract", extractor.extract),
-        ],
-        obs=obs,
-    )
-    pipeline.run(reports)
+    Pipeline(checker.why_rejected, parsers.parse, extractor, obs=obs).run(reports)
     return obs.tracer.export()
 
 

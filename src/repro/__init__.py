@@ -37,7 +37,7 @@ graphdb
 search
     Inverted index + BM25 full-text search.
 core
-    Pipeline engine (porters, checkers, parsers, extractors) and the
+    Processing loop (porters, checkers, parsers, extractors) and the
     SecurityKG facade.
 connectors
     Graph, SQL and search storage connectors.

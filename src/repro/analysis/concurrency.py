@@ -15,7 +15,7 @@ that gate.  It builds, from the ASTs of every analysed file:
    ``threading.Thread(target=...)``, every ``do_*`` handler of a
    ``BaseHTTPRequestHandler`` subclass, and -- generalising both --
    every bare function/method reference passed as a call argument
-   (``Stage(fn=...)``, ``JobSpec(run=...)``, ``on_finish`` hooks).
+   (``executor.submit(fn, ...)``, ``JobSpec(run=...)``, ``on_finish`` hooks).
    Reading a ``@property`` is a call of its getter.
 3. Lock identity from :func:`repro.runtime.named_lock` string
    literals, with alias sets for locks shared across components

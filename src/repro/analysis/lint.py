@@ -56,12 +56,12 @@ concurrency invariants the deterministic-replay pipeline depends on
     Dataclass fields in ``ontology/intermediate.py`` (the pipelined
     hand-off records) whose annotated type is not JSON-safe.
 ``obs/untraced-stage``
-    In ``core/pipeline.py``: a pipeline stage invocation (a call through
-    a ``.fn`` attribute) not lexically inside a ``with ...span...:``
-    block.  Every stage must run under a tracer span -- the no-op
-    tracer makes the span free, so there is no fast-path excuse -- or
-    operators lose the per-stage timing the observability layer
-    promises (OBSERVABILITY.md).
+    In ``core/pipeline.py``: a pipeline stage invocation (a call of
+    ``fn``, a name or a ``.fn`` attribute) not lexically inside a
+    ``with ...span...:`` block.  Every stage must run under a tracer
+    span -- the no-op tracer makes the span free, so there is no
+    fast-path excuse -- or operators lose the per-stage timing the
+    observability layer promises (OBSERVABILITY.md).
 ``store/raw-atomic-write``
     File renames outside ``repro/storage/`` -- ``Path.replace(target)``,
     ``os.replace`` / ``os.rename``, ``shutil.move``.  A bare
@@ -465,7 +465,7 @@ class _FileLint:
     # -- observability -----------------------------------------------------
 
     def _check_traced_stages(self, tree: ast.Module) -> None:
-        """Every ``stage.fn(...)`` call must sit under a span context."""
+        """Every ``fn(...)`` / ``stage.fn(...)`` call must sit under a span."""
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for stmt in node.body:
@@ -489,17 +489,15 @@ class _FileLint:
 
     def _flag_untraced_fn_calls(self, expr: ast.expr) -> None:
         for call in ast.walk(expr):
-            if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "fn"
+            if isinstance(call, ast.Call) and (
+                getattr(call.func, "attr", None) == "fn"
+                or getattr(call.func, "id", None) == "fn"
             ):
                 self.add(
                     "obs/untraced-stage",
                     "pipeline stage runs outside a tracer span; wrap the "
-                    "stage.fn(...) call in 'with "
-                    "obs.tracer.span(stage.name):' so per-stage timing "
-                    "reaches the trace",
+                    "fn(...) call in 'with obs.tracer.span(name):' so "
+                    "per-stage timing reaches the trace",
                     call,
                 )
 

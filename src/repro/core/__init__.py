@@ -10,7 +10,7 @@ from repro.core.checker import CheckReport, Checker, default_checks
 from repro.core.config import SystemConfig
 from repro.core.extractor import Extractor
 from repro.core.parsers import ParserDispatch, ParserError, SourceParser
-from repro.core.pipeline import Pipeline, PipelineResult, Stage
+from repro.core.pipeline import Pipeline, PipelineResult
 from repro.core.porter import Porter, report_id_for
 from repro.core.system import SecurityKG, SystemReport
 
@@ -25,7 +25,6 @@ __all__ = [
     "Porter",
     "SecurityKG",
     "SourceParser",
-    "Stage",
     "SystemConfig",
     "SystemReport",
     "default_checks",

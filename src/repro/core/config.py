@@ -33,13 +33,13 @@ class SystemConfig:
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
     parse_workers:
-        Threads of the pipeline's parse stage, at least 1.  CPU-bound
+        Threads that check then parse each report, at least 1.  CPU-bound
         Python beside the DOM memo: under the GIL more is a loss (E3).
     extract_workers:
-        ``1`` extracts in a pipeline thread; ``N > 1`` means N extractor
-        processes forked at construction (``ValueError`` on a platform
-        without ``fork``), records pickled in and out -- the serialized
-        stage crossing of section 2.1 -- never threads (E3).
+        ``1`` extracts on the processing loop's thread; ``N > 1`` means
+        N extractor processes forked at construction (``ValueError`` on
+        a platform without ``fork``), records pickled in and out -- the
+        serialized stage crossing of section 2.1 -- never threads (E3).
     connectors:
         Storage connectors to drive (names from the connector registry).
     recognizer:

@@ -7,54 +7,37 @@ serializable.  With such pipeline design, we can have multiple
 computing instances for a single step and pass serialized intermediate
 results across the network."
 
-This engine realises that design in-process on the standard library's
-executors: each stage owns a ``ThreadPoolExecutor`` of ``stage.workers``
-threads, and an item hops to the next stage's pool the moment its own
-stage finishes (so the stages overlap).  A stage may instead submit to
-another executor -- the ``extract`` stage hands each record, pickled,
-to a forked extractor process (``ExtractorPool``), the serialized
-crossing the paper describes.  Every item keeps the position it came in
-at: outputs and errors are in input order whatever the worker counts.
+One loop realises that design in-process: each report is checked, then
+parsed, on one ``ThreadPoolExecutor`` of ``workers`` threads, and the
+calling thread takes the parsed records in input order and extracts
+them -- inline, or by submitting each one, pickled, to a forked
+extractor process (``ExtractorPool``), the serialized crossing the
+paper describes, and settling the futures in input order.  Outputs and
+errors are in input order whatever the worker counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.obs import NO_OBS, NULL_TRACER, Obs
+from repro.core.extractor import Extractor, ExtractorPool
+from repro.obs import NO_OBS, Obs
+from repro.ontology.intermediate import CTIRecord, ReportRecord
 from repro.runtime import REAL_CLOCK, Clock, Stopwatch
-
-#: A stage function maps one item to one item, or None to filter it out.
-StageFn = Callable[[object], "object | None"]
-
-
-@dataclass
-class Stage:
-    """One pipeline step.
-
-    ``workers`` parallel threads run ``fn``.  With ``settle``, ``fn`` submits:
-    it returns a ``Future``, whose value the settling thread finishes
-    with ``settle(began, value, span)`` under the stage's span.
-    """
-
-    name: str
-    fn: StageFn
-    workers: int = 1
-    settle: Callable[[float, object, object], object] | None = None
 
 
 @dataclass
 class PipelineResult:
-    """Outputs and errors, both in input order, plus wall-clock time."""
+    """Outputs and errors, both in input order, plus wall-clock time and
+    how many reports the check rejected, by reason."""
 
-    outputs: list[object]
+    outputs: list[CTIRecord]
     elapsed: float
     errors: list[tuple[str, str]] = field(default_factory=list)
+    rejected: dict[str, int] = field(default_factory=dict)
 
     @property
     def throughput(self) -> float:
@@ -62,138 +45,150 @@ class PipelineResult:
         return len(self.outputs) / self.elapsed if self.elapsed > 0 else 0.0
 
 
-class Pipeline:
-    """Run items through a chain of parallel stages.
+def _outcome(stage: str, value) -> str:
+    """What a stage's function returned, as an outcome: only the check
+    filters, by returning its reason."""
+    return "filtered" if stage == "check" and value is not None else "ok"
 
-    Stage workers never sleep, so they are not registered with the
+
+class Pipeline:
+    """check -> parse on ``workers`` threads, then extract in input order.
+
+    ``check`` returns why it rejects a report (None to pass it) and
+    ``parse`` its record; with a ``pool`` a record is extracted in a
+    worker process, otherwise by ``extractor`` on the calling thread.
+
+    Parse workers never sleep, so they are not registered with the
     clock; under a virtual clock all timings read as ~0 (the stages are
     CPU-bound, and virtual time only models waiting).
 
     Every stage execution runs under a tracer span named after the
     stage (see :meth:`_run_stage`; the ``obs/untraced-stage`` lint rule
-    enforces this), carrying the item's correlation key when
-    ``item_key`` is given.  With the default :data:`~repro.obs.NO_OBS`
-    the span is a shared no-op.
+    enforces this), carrying the report id.  With the default
+    :data:`~repro.obs.NO_OBS` the span is a shared no-op.
     """
 
     def __init__(
         self,
-        stages: list[Stage],
+        check: Callable[[ReportRecord], "str | None"],
+        parse: Callable[[ReportRecord], CTIRecord],
+        extractor: Extractor,
+        pool: ExtractorPool | None = None,
+        *,
+        workers: int = 1,
         clock: Clock | None = None,
         obs: Obs | None = None,
-        item_key: Callable[[object], "str | None"] | None = None,
     ):
-        if not stages:
-            raise ValueError("pipeline needs at least one stage")
-        for stage in stages:
-            if stage.workers < 1:
-                raise ValueError(
-                    f"stage {stage.name!r} needs at least one worker, "
-                    f"got workers={stage.workers}"
-                )
-        self.stages = list(stages)
+        if workers < 1:
+            raise ValueError(f"parse needs at least one worker, got workers={workers}")
+        self.check = check
+        self.parse = parse
+        self.extractor = extractor
+        self.pool = pool
+        self.workers = workers
         self.clock = clock if clock is not None else REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS
-        self.item_key = item_key
 
-    def _run_stage(self, stage: Stage, item, parent):
-        """One item through one stage, under the stage's tracer span (a
-        submitting stage's is recorded when the item lands)."""
-        tracer = self.obs.tracer if stage.settle is None else NULL_TRACER
-        with tracer.span(stage.name, parent=parent) as span:
-            key = self.item_key(item) if self.item_key is not None else None
-            if key:
-                span.set("report", key)
-            result = stage.fn(item)
-            if stage.settle is not None:
-                return key, result
-            # lets per-stage unit costs (repro.obs.profile) count only
-            # the surviving items
-            span.set("outcome", "filtered" if result is None else "ok")
-            return result
-
-    def run(self, items: list[object]) -> PipelineResult:
-        """Process ``items``; blocks until every one has left the pipeline."""
+    def run(self, reports: list[ReportRecord]) -> PipelineResult:
+        """Process ``reports``; blocks until every one has left the pipeline."""
         watch = Stopwatch(self.clock)
-        run_span = self.obs.tracer.span("pipeline", items=len(items))
-        with run_span, ExitStack() as stack:
-            pools = [
-                stack.enter_context(
-                    ThreadPoolExecutor(stage.workers, thread_name_prefix=stage.name)
-                )
-                for stage in self.stages
-            ]
-            hops = deque(
-                pools[0].submit(self._hop, pools, 0, item, run_span)
-                for item in items
-            )
-            # popleft lets go of each chain of futures once it is
-            # followed, so what a run keeps alive is what is in flight
-            fates = []
-            while hops:
-                # follow one item's chain of hops and landings to its fate
-                fate = hops.popleft().result()
-                while not isinstance(fate, tuple):
-                    fate = fate() if callable(fate) else fate.result()
-                fates.append(fate)
+        rejected: dict[str, int] = {}
+        fates = []
+        with self.obs.tracer.span("pipeline", items=len(reports)) as run_span:
+            with ThreadPoolExecutor(self.workers, thread_name_prefix="parse") as parsing:
+                parsed = [
+                    parsing.submit(self._check_parse, report, run_span)
+                    for report in reports
+                ]
+                for future in parsed:
+                    record, error, reason = future.result()
+                    if reason is not None:
+                        rejected[reason] = rejected.get(reason, 0) + 1
+                        self.obs.metrics.inc("pipeline.reports_rejected", reason=reason)
+                    if record is None:
+                        fates.append((None, error))
+                    else:
+                        fates.append(self._extract(record, run_span))
+            fates = [fate() if callable(fate) else fate for fate in fates]
         outputs = [value for value, _error in fates if value is not None]
         errors = [error for _value, error in fates if error is not None]
-        return PipelineResult(outputs, watch.elapsed, errors)
+        return PipelineResult(outputs, watch.elapsed, errors, rejected)
 
-    def _hop(self, pools, index: int, item, run_span):
-        """``item`` through stage ``index``, on one of its workers: the
-        future of its next hop, its landing (:meth:`_land`), or its fate."""
-        stage = self.stages[index]
+    def _check_parse(self, report: ReportRecord, run_span):
+        """``report`` checked, then parsed, on a parse worker: its record,
+        its error and the check's rejection reason (one or none set)."""
+        reason, error = self._stage("check", self.check, report, run_span)
+        if reason is not None or error is not None:
+            return None, error, reason
+        record, error = self._stage("parse", self.parse, report, run_span)
+        return record, error, None
+
+    def _extract(self, record: CTIRecord, run_span):
+        """Inline, ``record``'s fate; with a pool, a call that settles it
+        (:meth:`_land`) once it is submitted -- or failed to be."""
+        if self.pool is None:
+            return self._stage("extract", self.extractor.extract, record, run_span)
+        began = self.clock.now()
+        try:
+            future = self.pool.submit(record)
+        except Exception as error:  # noqa: BLE001 - settled as it would fail in flight
+            future = Future()
+            future.set_exception(error)
+        return partial(self._land, began, record.report_id, future, run_span)
+
+    def _stage(self, name: str, fn, item, run_span):
+        """``fn(item)`` as stage ``name``, counted: (value, error)."""
         begin = self.clock.now()
         try:
-            result = self._run_stage(stage, item, run_span)
+            value = self._run_stage(name, fn, item, run_span)
         except Exception as error:  # noqa: BLE001 - stage isolation
-            return self._next(pools, index, begin, run_span, error=error)
-        if stage.settle is not None:
-            return partial(self._land, pools, index, begin, *result, run_span)
-        return self._next(pools, index, begin, run_span, result)
+            return self._fate(name, begin, error=error)
+        return self._fate(name, begin, value)
 
-    def _land(self, pools, index: int, began: float, key, future: Future, run_span):
-        """A submitted item back, on the settling thread: its span, then settle."""
-        stage = self.stages[index]
+    def _run_stage(self, name: str, fn, item, run_span):
+        """``fn(item)`` under the stage's tracer span."""
+        with self.obs.tracer.span(name, parent=run_span) as span:
+            if item.report_id:
+                span.set("report", item.report_id)
+            value = fn(item)
+            # lets per-stage unit costs (repro.obs.profile) count only
+            # the surviving items
+            span.set("outcome", _outcome(name, value))
+            return value
+
+    def _land(self, began: float, key: str, future: Future, run_span):
+        """A submitted record back, on the calling thread: its ``extract``
+        span, then :meth:`Extractor.emit` under it."""
         attrs = {"report": key} if key else {}
         span = None
         try:
-            value = future.result()
+            refined = future.result()
             span = self.obs.tracer.record(
-                stage.name, began, self.clock.now() - began, parent=run_span,
+                "extract", began, self.clock.now() - began, parent=run_span,
                 outcome="ok", **attrs,
             )
-            result = stage.settle(began, value, span)
+            record = self.extractor.emit(began, refined, span)
         except Exception as error:  # noqa: BLE001 - stage isolation
-            if span is not None:  # settle failed
+            if span is not None:  # emit failed
                 span.set("error", type(error).__name__)
             else:
                 self.obs.tracer.record(
-                    stage.name, began, self.clock.now() - began, parent=run_span,
+                    "extract", began, self.clock.now() - began, parent=run_span,
                     error=type(error).__name__, **attrs,
                 )
-            return self._next(pools, index, began, run_span, error=error)
-        return self._next(pools, index, began, run_span, result)
+            return self._fate("extract", began, error=error)
+        return self._fate("extract", began, record)
 
-    def _next(self, pools, index: int, begin: float, run_span, result=None, error=None):
-        """Count an item out of stage ``index``; its fate or next hop."""
-        stage = self.stages[index]
-        outcome, fate = "ok", (result, None)
-        if error is not None:
-            outcome = "error"
-            fate = (None, (stage.name, f"{type(error).__name__}: {error}"))
-        elif result is None:
-            outcome = "filtered"
-        elif index + 1 < len(self.stages):
-            fate = pools[index + 1].submit(
-                self._hop, pools, index + 1, result, run_span
-            )
+    def _fate(self, name: str, begin: float, value=None, error=None):
+        """Count an item out of stage ``name``: (value, error)."""
         self.obs.metrics.observe(
-            "pipeline.stage_seconds", self.clock.now() - begin, stage=stage.name
+            "pipeline.stage_seconds", self.clock.now() - begin, stage=name
         )
-        self.obs.metrics.inc("pipeline.items", stage=stage.name, outcome=outcome)
-        return fate
+        outcome = "error" if error is not None else _outcome(name, value)
+        self.obs.metrics.inc("pipeline.items", stage=name, outcome=outcome)
+        if error is not None:
+            return None, (name, f"{type(error).__name__}: {error}")
+        return value, None
 
 
-__all__ = ["Pipeline", "PipelineResult", "Stage", "StageFn"]
+__all__ = ["Pipeline", "PipelineResult"]

@@ -26,7 +26,7 @@ from repro.core.checker import Checker, make_min_text_check, default_checks
 from repro.core.config import SystemConfig
 from repro.core.extractor import Extractor, ExtractorPool
 from repro.core.parsers import ParserDispatch
-from repro.core.pipeline import Pipeline, Stage
+from repro.core.pipeline import Pipeline, PipelineResult
 from repro.core.porter import Porter
 from repro.crawlers.engine import CrawlEngine, CrawlResult
 from repro.crawlers.fetcher import Fetcher
@@ -222,7 +222,6 @@ class SecurityKG:
         )
         self.engine.add_checkpoint_step(self.feeds.snapshot)
         self._last_skipped = 0
-        self._last_rejected: dict[str, int] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -279,43 +278,26 @@ class SecurityKG:
         )
         return engine.crawl()
 
-    def process(self, reports: list[ReportRecord]) -> tuple[list[CTIRecord], object]:
+    def process(
+        self, reports: list[ReportRecord]
+    ) -> tuple[list[CTIRecord], PipelineResult]:
         """Processing stage: checker -> parsers -> extractors, pipelined.
 
-        The check stage is the cycle's one check; ``run_once`` reports
-        what it rejected (``pipeline.reports_rejected``, by reason).
+        The check is the cycle's one check; ``run_once`` reports what it
+        rejected (``PipelineResult.rejected``, by reason).  Outputs are
+        in input order, so what the store does with them (which mention
+        first creates a shared node, every node id) does not depend on
+        thread timing.
         """
-        # the check stage has one worker, so only that thread counts
-        rejected = self._last_rejected = {}
-
-        def check(record: ReportRecord):
-            reason = self.checker.why_rejected(record)
-            if reason is None:
-                return record
-            rejected[reason] = rejected.get(reason, 0) + 1
-            self.obs.metrics.inc("pipeline.reports_rejected", reason=reason)
-            return None
-
-        if self.extract_pool is None:
-            extract = Stage("extract", self.extractor.extract)
-        else:  # the stage's one thread only submits to the processes
-            extract = Stage(
-                "extract", self.extract_pool.submit, settle=self.extractor.emit
-            )
-        pipeline = Pipeline(
-            [
-                Stage("check", check, workers=1),
-                Stage("parse", self.parsers.parse, workers=self.config.parse_workers),
-                extract,
-            ],
+        result = Pipeline(
+            self.checker.why_rejected,
+            self.parsers.parse,
+            self.extractor,
+            self.extract_pool,
+            workers=self.config.parse_workers,
             clock=self.clock,
             obs=self.obs,
-            item_key=lambda item: getattr(item, "report_id", None),
-        )
-        # outputs are in input order, so what the store does with them
-        # (which mention first creates a shared node, every node id)
-        # does not depend on thread timing
-        result = pipeline.run(reports)
+        ).run(reports)
         return result.outputs, result
 
     def store(self, records: list[CTIRecord]) -> dict[str, IngestStats]:
@@ -345,7 +327,7 @@ class SecurityKG:
             ported = self.porter.port(crawl_result.documents)
             records, pipeline_result = self.process(ported)
             ingest = self.store(records)
-            reasons = self._last_rejected
+            reasons = pipeline_result.rejected
             skipped = self._last_skipped
             self._update_graph_gauges()
             run_span.set("reports_stored", len(records) - skipped)

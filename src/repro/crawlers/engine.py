@@ -88,6 +88,11 @@ class CrawlEngine:
         obs: Obs | None = None,
         health=None,
     ):
+        if num_threads < 1:
+            # no worker would take the frontier: the crawl would end empty
+            raise ValueError(
+                f"crawl needs at least one thread, got num_threads={num_threads}"
+            )
         self.crawlers = list(crawlers)
         self.fetcher = fetcher
         self.num_threads = num_threads

@@ -414,6 +414,10 @@ class HealthEngine:
     ):
         from repro.obs import NO_OBS  # local import: obs imports health
 
+        if not interval > 0:
+            # maybe_evaluate steps its deadline by the interval: it would
+            # never pass ``now``
+            raise ValueError(f"health interval must be > 0, got {interval}")
         self.rules = tuple(rules)
         self.clock = clock
         self.obs = obs if obs is not None else NO_OBS

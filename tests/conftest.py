@@ -5,7 +5,9 @@ is the most expensive setup in the suite; tests that need a trained
 model share one small instance.
 """
 
+import os
 import random
+import threading
 
 import pytest
 
@@ -42,6 +44,44 @@ def small_web():
     from repro.websim import build_default_web
 
     return build_default_web(scenario_count=12, reports_per_site=5)
+
+
+#: thread counts at each fork made beside another thread, since the last
+#: test's check
+_FORKS_BESIDE_THREADS: list[int] = []
+
+
+def _note_fork() -> None:
+    if threading.active_count() > 1:
+        _FORKS_BESIDE_THREADS.append(threading.active_count())
+
+
+os.register_at_fork(before=_note_fork)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "forks_beside_threads: the test forks while another thread runs, "
+        "on purpose; exempt from the fork-before-threads check",
+    )
+
+
+@pytest.fixture(autouse=True)
+def forks_only_before_threads(request):
+    """A forked child copies only the thread that forked, with every lock
+    in whatever state the other threads left it, so extractor processes
+    are forked before a system starts a thread.  Any fork made beside
+    another thread fails the test that made it (or the setup before it),
+    unless the test is marked ``forks_beside_threads``."""
+    yield
+    forks = list(_FORKS_BESIDE_THREADS)
+    _FORKS_BESIDE_THREADS.clear()
+    if request.node.get_closest_marker("forks_beside_threads") is None:
+        assert not forks, (
+            f"{len(forks)} fork(s) with other threads running "
+            f"(thread counts {forks}); fork before starting threads"
+        )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -536,85 +536,95 @@ class TestCLIEntry:
         assert "0 findings" in out.getvalue()
 
 
+#: the two call forms of a stage function: through a ``Stage``-like
+#: object, and as the loop calls it, a parameter named ``fn``
+STAGE_CALLS = ("stage.fn(item)", "fn(item)")
+UNTRACED = ["obs/untraced-stage"]
+
+
 class TestObsUntracedStageRule:
-    def scan(self, tmp_path, body):
-        return lint_source(tmp_path, body, name="core/pipeline.py")
+    def scan(self, tmp_path, body, name="core/pipeline.py"):
+        """The rules ``body`` trips with each stage call form as ``CALL``."""
+        return [
+            rules(lint_source(tmp_path / str(index), body.replace("CALL", call), name))
+            for index, call in enumerate(STAGE_CALLS)
+        ]
 
     def test_untraced_stage_call_flagged(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def worker(self, stage, item):
-                return stage.fn(item)
+            def worker(self, stage, fn, item):
+                return CALL
             """,
         )
-        assert rules(findings) == ["obs/untraced-stage"]
+        assert findings == [UNTRACED, UNTRACED]
 
     def test_stage_under_span_allowed(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def worker(self, stage, item):
+            def worker(self, stage, fn, item):
                 with self.obs.tracer.span(stage.name):
-                    return stage.fn(item)
+                    return CALL
             """,
         )
-        assert findings == []
+        assert findings == [[], []]
 
     def test_span_inside_branch_allowed(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def worker(self, stage, item, traced):
+            def worker(self, stage, fn, item, traced):
                 if traced:
                     with self.obs.tracer.span(stage.name):
-                        return stage.fn(item)
+                        return CALL
                 return None
             """,
         )
-        assert findings == []
+        assert findings == [[], []]
 
     def test_non_span_with_still_flagged(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def worker(self, stage, item):
+            def worker(self, stage, fn, item):
                 with self.lock:
-                    return stage.fn(item)
+                    return CALL
             """,
         )
-        assert rules(findings) == ["obs/untraced-stage"]
+        assert findings == [UNTRACED, UNTRACED]
 
     def test_nested_def_scanned_independently(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def outer(self, stage, item):
+            def outer(self, stage, fn, item):
                 with self.obs.tracer.span(stage.name):
                     def escape():
-                        return stage.fn(item)
+                        return CALL
                     return escape()
             """,
         )
-        assert rules(findings) == ["obs/untraced-stage"]
+        assert findings == [UNTRACED, UNTRACED]
 
     def test_other_files_out_of_scope(self, tmp_path):
-        findings = lint_source(
+        findings = self.scan(
             tmp_path,
             """
-            def worker(stage, item):
-                return stage.fn(item)
+            def worker(stage, fn, item):
+                return CALL
             """,
             name="crawlers/other.py",
         )
-        assert findings == []
+        assert findings == [[], []]
 
     def test_suppression_comment(self, tmp_path):
         findings = self.scan(
             tmp_path,
             """
-            def worker(self, stage, item):
-                return stage.fn(item)  # repro: allow[untraced-stage]
+            def worker(self, stage, fn, item):
+                return CALL  # repro: allow[untraced-stage]
             """,
         )
-        assert findings == []
+        assert findings == [[], []]

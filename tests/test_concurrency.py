@@ -400,21 +400,17 @@ class TestRepoModel:
         assert model.roots  # thread roots were discovered
 
     def test_stage_functions_are_roots_through_the_executor(self):
-        # the pipeline hands work to a ThreadPoolExecutor: the hop it
-        # submits and the stage functions SecurityKG wires in -- either
-        # extract stage, the inline one or the submitting one with its
-        # settle step -- must still count as running on threads, or what
-        # they write drops out of the guard map; so must the partition
-        # writers of the store fan-out
+        # the loop hands each report to a ThreadPoolExecutor: the method
+        # it submits and the check and parse functions SecurityKG wires
+        # in must still count as running on threads, or what they write
+        # drops out of the guard map; so must the inline extract and the
+        # partition writers of the store fan-out
         model, _ = analyze_package()
         for root in (
-            "core/pipeline.py::Pipeline._hop",
-            "core/pipeline.py::Pipeline._land",
-            "core/system.py::SecurityKG.process.check",
+            "core/pipeline.py::Pipeline._check_parse",
+            "core/checker.py::Checker.why_rejected",
             "core/parsers.py::ParserDispatch.parse",
             "core/extractor.py::Extractor.extract",
-            "core/extractor.py::ExtractorPool.submit",
-            "core/extractor.py::Extractor.emit",
             "sharding/shards.py::ShardSet._store_worker",
         ):
             assert root in model.roots

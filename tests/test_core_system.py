@@ -376,11 +376,28 @@ class TestExtractorProcesses:
         ``BrokenProcessPool`` error for every report then in flight or
         still to come, the system stays broken (it never forks beside its
         running threads) until it is reopened, and ``close`` returns."""
+        obs = make_obs()
         kg = SecurityKG(
             SystemConfig(**POOLED, extract_workers=2),
             recognizer=Hooked(target_text, "kill"),
+            obs=obs,
         )
         reports = passed_reports(kg)
+
+        def failed_spans(records):
+            """One ``extract`` span per failed report, with its error --
+            whether it failed in flight or at submission."""
+            spans = [
+                span["attrs"] for span in obs.tracer.export()
+                if span["name"] == "extract" and "error" in span["attrs"]
+            ]
+            obs.tracer.clear()
+            assert sorted(attrs["report"] for attrs in spans) == sorted(
+                {r.report_id for r in reports} - {r.report_id for r in records}
+            )
+            return {attrs["error"] for attrs in spans}
+
+        obs.tracer.clear()
         records, result = bounded(30, lambda: kg.process(reports))
         assert result.errors and len(records) + len(result.errors) == len(reports)
         assert {stage for stage, _message in result.errors} == {"extract"}
@@ -388,12 +405,18 @@ class TestExtractorProcesses:
             message.startswith("BrokenProcessPool: ")
             for _stage, message in result.errors
         )
+        assert failed_spans(records) == {"BrokenProcessPool"}
+        first_cycle = len(result.errors)
         # the next cycle does not rebuild the pool: every report fails, typed
         records, result = bounded(30, lambda: kg.process(reports))
         assert records == [] and len(result.errors) == len(reports)
         assert {message.split(":")[0] for _stage, message in result.errors} == {
             "BrokenProcessPool"
         }
+        assert failed_spans(records) == {"BrokenProcessPool"}
+        assert obs.metrics.counter(
+            "pipeline.items", stage="extract", outcome="error"
+        ) == first_cycle + len(reports)
         bounded(30, kg.close)
         assert multiprocessing.active_children() == []
         with SecurityKG(SystemConfig(**POOLED, extract_workers=2)) as reopened:
@@ -435,6 +458,7 @@ class TestExtractorProcesses:
             SecurityKG(SystemConfig(**POOLED, extract_workers=2))
         SecurityKG(SystemConfig(**POOLED)).close()  # one worker needs no fork
 
+    @pytest.mark.forks_beside_threads
     def test_forking_beside_a_thread_in_the_lock_witness(self, small_recognizer):
         """Another thread nests named locks (so the witness takes its own
         mutex all the time) while systems fork: a child copies that mutex

@@ -285,6 +285,21 @@ class TestCrawlEngine:
         assert result.article_count == 0
         assert reloaded.last_crawl("SecureListing") is not None
 
+    def test_no_threads_rejected(self, small_web):
+        """With no worker the crawl would end empty and report no error:
+        refused when built, directly or through the system's config."""
+        with pytest.raises(ValueError, match="num_threads=0"):
+            CrawlEngine(
+                build_all_crawlers(["SecureListing"]),
+                Fetcher(SimulatedTransport(small_web, time_scale=0.0)),
+                num_threads=0,
+            )
+        from repro import SecurityKG, SystemConfig
+
+        kg = SecurityKG(SystemConfig(crawl_threads=-1), web=small_web)
+        with pytest.raises(ValueError, match="num_threads=-1"):
+            kg.run_once()
+
 
 class TestScheduler:
     def test_ok_job(self):

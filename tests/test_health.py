@@ -153,6 +153,25 @@ def make_engine(**kwargs):
     return HealthEngine(rules, obs=make_obs(), **defaults)
 
 
+class TestInterval:
+    @pytest.mark.parametrize("interval", [0, -1.0])
+    def test_non_positive_interval_rejected(self, interval):
+        """``maybe_evaluate`` steps its deadline by the interval, so one
+        that is not positive would spin there forever, holding the
+        health lock: built directly or from ``health_rules``, refused."""
+        from test_core_system import bounded
+
+        with pytest.raises(ValueError, match="interval"):
+            bounded(10, lambda: HealthEngine(interval=interval))
+        with pytest.raises(ValueError, match="interval"):
+            bounded(10, lambda: HealthEngine.from_config(
+                {"engine": {"interval": interval}}
+            ))
+        config = SystemConfig(health=True, health_interval=interval)
+        with pytest.raises(ValueError, match="interval"):
+            bounded(10, lambda: SecurityKG(config))
+
+
 class TestHysteresis:
     def test_fire_after_needs_consecutive_breaches(self):
         engine = make_engine(

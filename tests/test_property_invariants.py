@@ -5,10 +5,12 @@ import random as stdlib_random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import Pipeline, Stage
+from repro.core.extractor import Extractor
+from repro.core.pipeline import Pipeline
 from repro.fusion import KnowledgeFusion
 from repro.graphdb import CypherEngine, GraphDatabase, PropertyGraph
 from repro.nlp.tokenize import tokenize_sentences
+from repro.ontology import CTIRecord, ReportRecord
 from repro.search import SearchIndex, analyze
 from repro.websim.scenario import generate_report_content, make_scenarios
 
@@ -227,16 +229,22 @@ class TestPipelineEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_parallel_equals_sequential(self, items, modulus, workers):
-        pipeline = Pipeline(
-            [
-                Stage("filter", lambda x: x if x % modulus == 0 else None,
-                      workers=workers),
-                Stage("scale", lambda x: x * 3, workers=workers),
-            ]
-        )
-        result = pipeline.run(list(items))
-        expected = sorted(x * 3 for x in items if x % modulus == 0)
-        assert sorted(result.outputs) == expected
+        def check(report):
+            return None if int(report.title) % modulus == 0 else "not a multiple"
+
+        def parse(report):
+            return CTIRecord(report.report_id, report.source, report.url,
+                             summary=str(int(report.title) * 3))
+
+        reports = [
+            ReportRecord(f"r{at}", "s", f"u{at}", title=str(x))
+            for at, x in enumerate(items)
+        ]
+        result = Pipeline(check, parse, Extractor(), workers=workers).run(reports)
+        assert [record.summary for record in result.outputs] == [
+            str(x * 3) for x in items if x % modulus == 0
+        ]
+        assert sum(result.rejected.values()) == len(reports) - len(result.outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ class TestEndToEndMalformedSource:
             ParserDispatch().parse(record)
 
     def test_pipeline_isolates_parser_error(self):
-        from repro.core import Checker, ParserDispatch
-        from repro.core.pipeline import Pipeline, Stage
+        from repro.core import Checker, Extractor, ParserDispatch
+        from repro.core.pipeline import Pipeline
         from repro.ontology import ReportRecord
 
         good_html = (
@@ -235,12 +235,7 @@ class TestEndToEndMalformedSource:
         ]
         checker = Checker()
         parsers = ParserDispatch()
-        result = Pipeline(
-            [
-                Stage("check", lambda r: r if checker.why_rejected(r) is None else None),
-                Stage("parse", parsers.parse),
-            ]
-        ).run(records)
+        result = Pipeline(checker.why_rejected, parsers.parse, Extractor()).run(records)
         assert len(result.outputs) == 1
         assert result.outputs[0].report_id == "good"
         assert [name for name, _e in result.errors] == ["parse"]
