@@ -104,12 +104,19 @@ def tokenize(markup: str) -> list[Token]:
 
     while pos < length:
         if rawtext_until is not None:
-            close = markup.lower().find(f"</{rawtext_until}", pos)
-            if close == -1:
+            # the close tag is found in the page itself, ASCII case
+            # folded: a lowercased copy can be longer than the page
+            # ("İ".lower() is two characters), so an offset into the
+            # copy is not an offset into the page
+            found = re.compile(
+                f"</{rawtext_until}", re.ASCII | re.IGNORECASE
+            ).search(markup, pos)
+            if found is None:
                 tokens.append(Token(TokenKind.TEXT, markup[pos:]))
                 pos = length
                 rawtext_until = None
                 continue
+            close = found.start()
             if close > pos:
                 tokens.append(Token(TokenKind.TEXT, markup[pos:close]))
             end = markup.find(">", close)

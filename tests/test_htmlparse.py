@@ -64,6 +64,35 @@ class TestTokenizer:
         tokens = tokenize("1 < 2")
         assert "".join(t.data for t in tokens if t.kind is TokenKind.TEXT) == "1 < 2"
 
+    def test_text_after_raw_text_survives_characters_that_lowercase_longer(self):
+        # "İ".lower() is two characters: an offset found in a lowercased
+        # copy of the page overshoots the page itself
+        markup = (
+            "<p>" + "İ" * 12 + "</p><script>x=1;</script>"
+            "<p>APT29 used Emotet</p><p>more</p>"
+        )
+        texts = [t.data for t in tokenize(markup) if t.kind is TokenKind.TEXT]
+        assert texts == ["İ" * 12, "x=1;", "APT29 used Emotet", "more"]
+        assert "APT29 used Emotet" in parse(markup).text()
+
+    @given(
+        page=st.lists(
+            st.sampled_from(
+                ["<script>", "</script>", "<STYLE>", "</Style >", "<p>", "</p>",
+                 "x=1;", "APT29", " ", "<", "İ", "K"]
+            ),
+            max_size=12,
+        ).map("".join),
+        prefix=st.text(alphabet="İẞK", min_size=1, max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_prefix_that_lowercases_longer_leaves_the_tokens_alone(
+        self, page, prefix
+    ):
+        wrapped = tokenize(f"<p>{prefix}</p>" + page)
+        assert wrapped[:3] == tokenize(f"<p>{prefix}</p>")
+        assert wrapped[3:] == tokenize(page)
+
     @given(st.text(alphabet=st.characters(blacklist_characters="<>"), max_size=50))
     def test_plain_text_round_trips(self, text):
         tokens = tokenize(text)
