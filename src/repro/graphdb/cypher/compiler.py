@@ -29,6 +29,9 @@ class CypherRuntimeError(ValueError):
 Bindings = dict[str, object]
 #: a compiled expression: bindings -> value
 Evaluator = Callable[[Bindings], object]
+#: hidden binding a counted hop sets: how many enumerated rows the one
+#: row it passes up stands for (``#``-prefixed, so never a result key)
+MULTIPLICITY = "#m"
 
 AGGREGATES = (ast.Count, ast.Collect, ast.NumAgg)
 _ELEMENT = (Node, Edge)
@@ -304,25 +307,50 @@ def _average(state: list, value: object) -> list:
     return state
 
 
-#: func -> (init, step, final).  sum() and avg() add left to right from
-#: 0 and min() / max() keep the first of equals, as the builtins do over
-#: a list of the values.
+def _is_count(state: object) -> bool:
+    return type(state) is int and state >= 0
+
+
+def _is_number(state: object) -> bool:
+    return type(state) in (int, float)
+
+
+def _is_list(state: object) -> bool:
+    return type(state) is list
+
+
+def _is_average(state: object) -> bool:
+    return (
+        _is_list(state)
+        and len(state) == 2
+        and _is_number(state[0])
+        and _is_count(state[1])
+    )
+
+
+#: func -> (init, step, final, valid).  sum() and avg() add left to
+#: right from 0 and min() / max() keep the first of equals, as the
+#: builtins do over a list of the values.  min() / max() hold any value:
+#: their step already turns an incomparable one into an error.
 _NUMERIC = {
-    "sum": (lambda: 0, _numeric(operator.add), _identity),
+    "sum": (lambda: 0, _numeric(operator.add), _identity, _is_number),
     "min": (
         lambda: None,
         _numeric(lambda s, v: v if s is None or v < s else s),
         _identity,
+        lambda _s: True,
     ),
     "max": (
         lambda: None,
         _numeric(lambda s, v: v if s is None or v > s else s),
         _identity,
+        lambda _s: True,
     ),
     "avg": (
         lambda: [0, 0],
         _numeric(_average),
         lambda s: s[0] / s[1] if s[1] else None,
+        _is_average,
     ),
 }
 
@@ -339,7 +367,9 @@ class Aggregate:
     continuation codec for values serialises it as it stands.
 
     With ``distinct`` the operator keeps the identities already folded
-    beside the state and never steps on a value it has seen.
+    beside the state and never steps on a value it has seen.  ``valid``
+    tells a state ``step`` and ``final`` can take from one they cannot,
+    for a state read back from a continuation.
     """
 
     operand: Evaluator
@@ -347,11 +377,22 @@ class Aggregate:
     init: Callable[[], object]
     step: Callable[[object, object], object]
     final: Callable[[object], object]
+    valid: Callable[[object], bool]
 
 
-def compile_aggregate(expr: ast.Expr) -> Aggregate:
+def compile_aggregate(expr: ast.Expr, counted: bool = False) -> Aggregate:
     """Lower ``count`` / ``collect`` / ``sum`` / ``min`` / ``max`` /
-    ``avg``.  Every one of them skips nulls; ``count(*)`` counts rows."""
+    ``avg``.  Every one of them skips nulls; ``count(*)`` counts rows.
+
+    ``counted``: the plan counts a hop instead of enumerating it, so a
+    row stands for the :data:`MULTIPLICITY` rows it carries.  The
+    planner only sets it when every aggregate is a non-``DISTINCT``
+    count over values no row lacks, which then adds that number."""
+    if counted:
+        return Aggregate(
+            operator.itemgetter(MULTIPLICITY), False, int, operator.add,
+            _identity, _is_count,
+        )
     if isinstance(expr, ast.Count):
         operand = (
             (lambda _bindings: True)
@@ -359,11 +400,13 @@ def compile_aggregate(expr: ast.Expr) -> Aggregate:
             else compile_expr(expr.operand)
         )
         return Aggregate(
-            operand, expr.distinct, int, lambda state, _value: state + 1, _identity
+            operand, expr.distinct, int, lambda state, _value: state + 1,
+            _identity, _is_count,
         )
     if isinstance(expr, ast.Collect):
         return Aggregate(
-            compile_expr(expr.operand), expr.distinct, list, _collect, _identity
+            compile_expr(expr.operand), expr.distinct, list, _collect,
+            _identity, _is_list,
         )
     if expr.func not in _NUMERIC:
         raise CypherRuntimeError(f"unknown aggregate function {expr.func!r}")
@@ -390,6 +433,7 @@ def contains_aggregate(expr: ast.Expr) -> bool:
 __all__ = [
     "AGGREGATES",
     "Aggregate",
+    "MULTIPLICITY",
     "Bindings",
     "CypherRuntimeError",
     "Evaluator",

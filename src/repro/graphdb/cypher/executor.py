@@ -524,7 +524,12 @@ class QueryTask:
             raise CypherRuntimeError(
                 "continuation does not match this query's plan"
             )
-        self.root.load(continuation["state"])
+        try:
+            self.root.load(continuation["state"])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError):
+            # a token that signs this plan but holds state no operator
+            # could have saved: refuse it here, not mid-query
+            raise CypherRuntimeError("malformed continuation") from None
 
 
 __all__ = [

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.compiler import (
+    MULTIPLICITY,
     Aggregate,
     Bindings,
     Evaluator,
@@ -97,6 +98,29 @@ class ExecutionContext:
         if self._deadline is not None and self.clock.now() >= self._deadline:
             raise QuantumExhausted()
 
+    def ticks(self, count: int) -> int:
+        """``count`` ticks charged as ``count`` calls of :meth:`tick`
+        would charge them, without a call each where nothing can move
+        per tick.  Returns how many passed: fewer than ``count`` means
+        the one after them suspended the slice, and the caller records
+        its progress and raises :class:`QuantumExhausted`."""
+        if self._unbudgeted:
+            return count
+        if self.step_cost or self._deadline is not None:
+            # the clock moves per tick: the deadline falls on one of them
+            for passed in range(count):
+                try:
+                    self.tick()
+                except QuantumExhausted:
+                    return passed
+            return count
+        room = self.steps_per_slice - self._steps
+        if count <= room:
+            self._steps += count
+            return count
+        self._steps = self.steps_per_slice + 1
+        return room
+
 
 # -- continuation value encoding ---------------------------------------------
 
@@ -132,7 +156,19 @@ def encode_bindings(bindings: Bindings | None) -> dict | None:
 def decode_bindings(graph: PropertyGraph, data: dict | None) -> Bindings | None:
     if data is None:
         return None
-    return {key: decode_value(graph, value) for key, value in data.items()}
+    bindings = {key: decode_value(graph, value) for key, value in data.items()}
+    if MULTIPLICITY in bindings and _position(bindings[MULTIPLICITY]) < 1:
+        raise ValueError("a counted row stands for at least one row")
+    return bindings
+
+
+def _position(value: object) -> int:
+    """A cursor, count or id read back from a continuation: a
+    non-negative int, or ``ValueError`` -- which ``QueryTask.load``
+    reports as a malformed continuation instead of a later crash."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"not a position: {value!r}")
+    return value
 
 
 def _freeze(value: object) -> object:
@@ -279,9 +315,17 @@ class ScanOp(PreemptableIterator):
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
         self._input = decode_bindings(self.graph, state["input"])
-        self._after = state["after"]
+        after = state["after"]
+        self._after = None if after is None else _position(after)
         self._ids = None
         self._pos = 0
+
+
+def _direction(rel: ast.RelPattern, forward: bool) -> str:
+    """The pattern's direction as seen from the node expanded from."""
+    if forward:
+        return rel.direction
+    return {"out": "in", "in": "out"}.get(rel.direction, "any")
 
 
 def _adjacent(
@@ -292,9 +336,7 @@ def _adjacent(
     Adjacency lists are append-only in the store, so the positional
     cursor an Expand continuation records stays valid across slices.
     """
-    direction = rel.direction
-    if not forward:
-        direction = {"out": "in", "in": "out"}.get(direction, "any")
+    direction = _direction(rel, forward)
     result: list[tuple[Edge, Node]] = []
     if direction in ("out", "any"):
         for edge in graph.out_edges(node.node_id, rel.rel_type):
@@ -379,7 +421,116 @@ class ExpandOp(PreemptableIterator):
         self.child.load(state["child"])
         self._input = decode_bindings(self.graph, state["input"])
         self._neighbours = None
-        self._pos = state["pos"]
+        self._pos = _position(state["pos"])
+
+
+class ExpandCountOp(PreemptableIterator):
+    """A single hop counted instead of enumerated.
+
+    The planner lowers a pattern's last hop to this when its far
+    endpoint (and relationship variable) is read by nothing but a
+    non-``DISTINCT`` count.  Per input row it counts the neighbours
+    :class:`ExpandOp` would emit -- ``_adjacent`` plus the target's
+    compiled test, or just the typed degree when there is no test --
+    and passes the row up once with that count multiplied into its
+    :data:`~repro.graphdb.cypher.compiler.MULTIPLICITY`; a row with no
+    neighbour is dropped, as :class:`ExpandOp` would drop it.
+
+    It ticks once per neighbour examined, as :class:`ExpandOp` does,
+    but through :meth:`ExecutionContext.ticks`, so a step budget
+    suspends at the same neighbour and an unbudgeted run pays no call
+    per neighbour.  The continuation holds the input row, the position
+    and the partial count.
+    """
+
+    def __init__(
+        self,
+        graph: PropertyGraph,
+        context: ExecutionContext,
+        child: PreemptableIterator,
+        source_var: str,
+        rel: ast.RelPattern,
+        matches,
+        forward: bool,
+    ):
+        self.graph = graph
+        self.context = context
+        self.child = child
+        self.source_var = source_var
+        self.rel = rel
+        #: the target pattern's compiled test; ``None`` counts the degree
+        self.matches = matches
+        self.forward = forward
+        direction = _direction(rel, forward)
+        #: the adjacency lists ``_adjacent`` reads, whose lengths add up
+        #: to the typed degree (an undirected self-loop is in both)
+        self._edge_lists = [
+            edges
+            for edges, side in ((graph.out_edges, "out"), (graph.in_edges, "in"))
+            if direction in (side, "any")
+        ]
+        self._input: Bindings | None = None
+        #: neighbours of the input row, listed only when there is a test
+        self._neighbours: list[tuple[Edge, Node]] | None = None
+        self._total: int | None = None
+        self._pos = 0
+        self._count = 0
+
+    def next(self) -> Bindings | None:
+        matches = self.matches
+        while True:
+            if self._input is None:
+                parent = self.child.next()
+                if parent is None:
+                    return None
+                self._input = parent
+                self._total = None
+                self._pos = 0
+                self._count = 0
+            bindings = self._input
+            if self._total is None:
+                source = bindings[self.source_var]
+                if matches is None:
+                    self._total = 0
+                    for edges in self._edge_lists:
+                        self._total += len(edges(source.node_id, self.rel.rel_type))
+                else:
+                    self._neighbours = _adjacent(
+                        self.graph, source, self.rel, self.forward
+                    )
+                    self._total = len(self._neighbours)
+            start = self._pos
+            wanted = max(0, self._total - start)
+            passed = self.context.ticks(wanted)
+            self._pos = start + passed
+            if matches is None:
+                self._count += passed
+            else:
+                for _edge, neighbour in self._neighbours[start:self._pos]:
+                    if matches(neighbour, bindings):
+                        self._count += 1
+            if passed < wanted:
+                raise QuantumExhausted()
+            self._input = None
+            if self._count:
+                out = dict(bindings)
+                out[MULTIPLICITY] = self._count * bindings.get(MULTIPLICITY, 1)
+                return out
+
+    def save(self) -> dict:
+        return {
+            "child": self.child.save(),
+            "input": encode_bindings(self._input),
+            "pos": self._pos,
+            "count": self._count,
+        }
+
+    def load(self, state: dict) -> None:
+        self.child.load(state["child"])
+        self._input = decode_bindings(self.graph, state["input"])
+        self._total = None
+        self._pos = _position(state["pos"])
+        self._count = _position(state["count"])
 
 
 class ExpandVarOp(PreemptableIterator):
@@ -476,7 +627,7 @@ class ExpandVarOp(PreemptableIterator):
         self.child.load(state["child"])
         self._input = decode_bindings(self.graph, state["input"])
         self._endpoints = None
-        self._pos = state["pos"]
+        self._pos = _position(state["pos"])
 
 
 class FilterOp(PreemptableIterator):
@@ -675,19 +826,26 @@ class AggregateOp(PreemptableIterator):
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
         self._consumed = bool(state["consumed"])
-        self._pos = state["pos"]
+        self._pos = _position(state["pos"])
         self._emit_order = None
         self._groups = {}
+        aggregates = [aggregate for _alias, aggregate in self.aggregates]
         for entry in state["groups"]:
             reps = [decode_value(self.graph, v) for v in entry["reps"]]
-            self._groups[_group_key(reps)] = (
-                reps,
-                [decode_value(self.graph, saved) for saved in entry["aggs"]],
-                [
-                    None if folded is None else dict.fromkeys(_freeze(folded))
-                    for folded in entry["seen"]
-                ],
-            )
+            states = [decode_value(self.graph, saved) for saved in entry["aggs"]]
+            seen = [
+                None if folded is None else dict.fromkeys(_freeze(folded))
+                for folded in entry["seen"]
+            ]
+            if len(reps) != len(self.group_columns) or not (
+                len(states) == len(seen) == len(aggregates)
+                and all(
+                    aggregate.valid(saved) and (folded is None) != aggregate.distinct
+                    for aggregate, saved, folded in zip(aggregates, states, seen)
+                )
+            ):
+                raise ValueError("group state does not fit its aggregates")
+            self._groups[_group_key(reps)] = (reps, states, seen)
 
 
 class OrderByOp(PreemptableIterator):
@@ -740,7 +898,7 @@ class OrderByOp(PreemptableIterator):
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
         self._sorted = bool(state["sorted"])
-        self._pos = state["pos"]
+        self._pos = _position(state["pos"])
         self._rows = [
             {k: decode_value(self.graph, v) for k, v in row.items()}
             for row in state["rows"]
@@ -794,7 +952,7 @@ class SkipOp(PreemptableIterator):
 
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
-        self._skipped = state["skipped"]
+        self._skipped = _position(state["skipped"])
 
 
 class LimitOp(PreemptableIterator):
@@ -819,7 +977,7 @@ class LimitOp(PreemptableIterator):
 
     def load(self, state: dict) -> None:
         self.child.load(state["child"])
-        self._emitted = state["emitted"]
+        self._emitted = _position(state["emitted"])
 
 
 class ProfiledOp(PreemptableIterator):
@@ -893,6 +1051,7 @@ __all__ = [
     "AggregateOp",
     "DistinctOp",
     "ExecutionContext",
+    "ExpandCountOp",
     "ExpandOp",
     "ExpandVarOp",
     "FilterOp",

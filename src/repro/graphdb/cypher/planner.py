@@ -16,6 +16,11 @@ into a tree of the resumable operators in
   the earliest operator where all its variables are bound.
 * **Limit pushdown** -- the lazy pull pipeline stops producing once
   LIMIT is satisfied, so upstream scans never run to completion.
+* **Count pushdown** -- a path's last hop whose far endpoint (and
+  relationship variable) nothing reads but a non-``DISTINCT`` count is
+  counted per row (``ExpandCount``), not enumerated row by row: the
+  aggregate adds the count instead of folding that many equal rows.
+  Among anchors of equal cost the one that leaves such a hop wins.
 * **Compilation** -- every pattern test, WHERE conjunct, RETURN item,
   aggregate and ORDER BY key is lowered to a closure
   (:mod:`repro.graphdb.cypher.compiler`) here, once; instantiating the
@@ -49,6 +54,7 @@ from repro.graphdb.cypher.iterators import (
     AggregateOp,
     DistinctOp,
     ExecutionContext,
+    ExpandCountOp,
     ExpandOp,
     ExpandVarOp,
     FilterOp,
@@ -188,7 +194,7 @@ class PlanNode:
         kind, p = self.kind, self.params
         if kind in _SCAN_KINDS:
             return _render_node(p["pattern"])
-        if kind in ("ExpandEdge", "ExpandVar"):
+        if kind in ("ExpandEdge", "ExpandCount", "ExpandVar"):
             source = p["source_var"]
             return (
                 f"({'' if source.startswith('#') else source})"
@@ -306,6 +312,11 @@ class PhysicalPlan:
                 graph, context, child, p["source_var"], p["rel"],
                 p["matches"], p["target_var"], p["forward"],
             )
+        if node.kind == "ExpandCount":
+            return ExpandCountOp(
+                graph, context, child, p["source_var"], p["rel"],
+                p["matches"], p["forward"],
+            )
         if node.kind == "ExpandVar":
             return ExpandVarOp(
                 graph, context, child, p["source_var"], p["rel"],
@@ -380,6 +391,74 @@ def _where_equalities(
     return out
 
 
+def _count_only(query: ast.MatchQuery) -> set[str]:
+    """Pattern variables a plan may count instead of binding.
+
+    Empty unless every RETURN aggregate is a non-``DISTINCT``
+    ``count(*)`` or ``count(v)`` of a variable every matched row binds
+    (so each row adds one, and only the number of rows matters).  Then
+    a variable qualifies when it occurs once among the patterns and
+    nowhere else -- no WHERE conjunct, grouping key or ORDER BY
+    expression reads it -- except as such a count's operand.
+    """
+    occurrences: dict[str, int] = {}
+    binding: set[str] = set()
+    for path in query.paths:
+        for node in path.nodes:
+            if node.variable:
+                occurrences[node.variable] = occurrences.get(node.variable, 0) + 1
+                binding.add(node.variable)
+        for rel in path.rels:
+            if rel.variable:
+                occurrences[rel.variable] = occurrences.get(rel.variable, 0) + 1
+                if not rel.is_variable_length:
+                    binding.add(rel.variable)
+    read = free_vars(query.where) if query.where is not None else set()
+    counts = False
+    for item in query.returns:
+        expr = item.expr
+        if isinstance(expr, AGGREGATES):
+            if not isinstance(expr, ast.Count) or expr.distinct:
+                return set()
+            operand = expr.operand
+            if operand is not None and not (
+                isinstance(operand, ast.Variable) and operand.name in binding
+            ):
+                return set()
+            counts = True
+        elif contains_aggregate(expr):
+            return set()
+        else:
+            read |= free_vars(expr)
+    if not counts:
+        return set()
+    for expr, _asc in query.order_by:
+        read |= free_vars(expr)
+    return {
+        name for name, seen in occurrences.items()
+        if seen == 1 and name not in read
+    }
+
+
+def _counted_hops(
+    path: ast.PathPattern, anchor: int, count_only: set[str]
+) -> set[int]:
+    """Endpoints of ``path`` anchored at ``anchor`` whose hop is counted:
+    the last one each way, when it is a single hop and neither the
+    endpoint's variable nor the relationship's is read elsewhere."""
+    last = len(path.nodes) - 1
+    ends = []
+    if anchor < last:
+        ends.append((last, path.rels[-1]))
+    if anchor > 0:
+        ends.append((0, path.rels[0]))
+    return {
+        end for end, rel in ends
+        if not rel.is_variable_length
+        and {rel.variable, path.nodes[end].variable} - {None} <= count_only
+    }
+
+
 def _anchor_cost(
     graph: PropertyGraph,
     pattern: ast.NodePattern,
@@ -429,6 +508,8 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
     placed = [False] * len(conjuncts)
     bound: set[str] = set()
     chain: list[PlanNode] = [PlanNode("Init", {})]
+    count_only = _count_only(query)
+    counts_hops = False
 
     def flush_filters() -> None:
         ready = []
@@ -440,9 +521,9 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
             chain.append(_filter_node(ready))
 
     # join reordering: connected-first, then the path holding the
-    # cheapest anchor (ties keep query order); the winning anchor's
-    # cost and scan source are reused, so each pattern is costed once
-    # per round
+    # cheapest anchor (ties go to the anchor leaving more hops to count,
+    # then keep query order); the winning anchor's cost and scan source
+    # are reused, so each pattern is costed once per round
     remaining = list(range(len(query.paths)))
     planned_vars: set[str] = set()
     while remaining:
@@ -452,16 +533,23 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
         ]
         best: tuple | None = None
         for p_index in connected or remaining:
-            for n_index, pattern in enumerate(query.paths[p_index].nodes):
+            path = query.paths[p_index]
+            for n_index, pattern in enumerate(path.nodes):
                 cost, source = _anchor_cost(
                     graph,
                     pattern,
                     bound,
                     equalities.get(pattern.variable or "", ()),
                 )
-                if best is None or cost < best[0]:
-                    best = (cost, source, p_index, n_index)
-        cost, source, p_index, anchor = best
+                counted = (
+                    _counted_hops(path, n_index, count_only)
+                    if count_only else set()
+                )
+                if best is None or (cost, -len(counted)) < (
+                    best[0], -len(best[4])
+                ):
+                    best = (cost, source, p_index, n_index, counted)
+        cost, source, p_index, anchor, counted = best
         remaining.remove(p_index)
         path = query.paths[p_index]
         planned_vars |= _pattern_vars(path)
@@ -496,7 +584,24 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
             (index, index - 1, path.rels[index - 1])
             for index in range(anchor, 0, -1)
         ]
+        # a counted hop runs after the path's other hops (stable sort)
+        steps.sort(key=lambda step: step[1] in counted)
         for src, dst, rel in steps:
+            if dst in counted:
+                chain.append(
+                    PlanNode(
+                        "ExpandCount",
+                        {
+                            "source_var": names[(p_index, src)],
+                            "rel": rel,
+                            "target": path.nodes[dst],
+                            "matches": compile_node_match(path.nodes[dst], False),
+                            "forward": dst > src,
+                        },
+                    )
+                )
+                counts_hops = True
+                continue
             target_var = names[(p_index, dst)]
             chain.append(
                 PlanNode(
@@ -539,7 +644,9 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
             if not contains_aggregate(item.expr):
                 group_columns.append((item.alias, compile_expr(item.expr)))
             elif isinstance(item.expr, AGGREGATES):
-                aggregates.append((item.alias, compile_aggregate(item.expr)))
+                aggregates.append(
+                    (item.alias, compile_aggregate(item.expr, counts_hops))
+                )
             else:
                 raise CypherRuntimeError(
                     f"unsupported aggregate expression: {item.expr}"

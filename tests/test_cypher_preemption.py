@@ -8,7 +8,9 @@ the brute-force evaluator in ``cypher_oracle`` (an eager nested-loop
 reference that shares nothing with the planner or the operators).
 """
 
+import ast
 import json
+from pathlib import Path
 
 import cypher_oracle
 import pytest
@@ -17,10 +19,14 @@ from hypothesis import strategies as st
 
 from repro import SecurityKG, SystemConfig
 from repro.graphdb import CypherEngine, CypherRuntimeError, PropertyGraph
-from repro.graphdb.cypher.iterators import ExecutionContext
+from repro.graphdb.cypher import planner
+from repro.graphdb.cypher.iterators import ExecutionContext, QuantumExhausted
 from repro.graphdb.cypher.parser import parse
 from repro.graphdb.cypher.planner import build_plan
+from repro.runtime.clock import VirtualClock
 from repro.ui import ExplorerAPI
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def build_graph() -> PropertyGraph:
@@ -51,6 +57,13 @@ def build_graph() -> PropertyGraph:
             )
     for actor, tech in zip(actors, techniques):
         graph.create_edge(actor.node_id, "USES", tech.node_id)
+    # RELATED_TO: self-loops (an undirected hop meets each twice) and
+    # parallel edges (each one a match of its own)
+    malware = graph.node_ids("Malware")
+    for i in range(0, 18, 4):
+        graph.create_edge(malware[i], "RELATED_TO", malware[i])
+        graph.create_edge(malware[i], "RELATED_TO", malware[i + 1])
+        graph.create_edge(malware[i], "RELATED_TO", malware[i + 1])
     return graph
 
 
@@ -65,9 +78,28 @@ def engine(graph):
 
 
 # Query shapes covering every physical operator: scans (all/label/
-# index), expansions (single and variable-length, both directions),
-# filters, projection, aggregation, ORDER BY, DISTINCT, SKIP/LIMIT.
-QUERIES = [
+# index), expansions (single and variable-length, both directions, and
+# counted), filters, projection, aggregation, ORDER BY, DISTINCT,
+# SKIP/LIMIT.
+COUNTED = [
+    # undirected over self-loops and parallel edges
+    "MATCH (m:Malware)-[:RELATED_TO]-(x) RETURN m.name, count(x) AS n "
+    "ORDER BY m.name",
+    # a labelled count target: actors' USES edges are not counted
+    "MATCH (t:Technique)<-[:USES]-(m:Malware) RETURN t.name, count(m) AS n "
+    "ORDER BY t.name",
+    # both ends of a three-node path counted
+    "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a:ThreatActor)-[:USES]->(t) "
+    "RETURN a.name, count(*) AS n ORDER BY a.name",
+    # count() of a named relationship
+    "MATCH (t:Technique)<-[r:USES]-(m:Malware) RETURN t.name, count(r) AS n "
+    "ORDER BY n DESC, t.name",
+    # count(*) beside count(x), and the one row a global count answers
+    "MATCH (a:ThreatActor)-[:USES]->(t) RETURN a.name, count(*) AS rows, "
+    "count(t) AS techniques ORDER BY a.name",
+    "MATCH (a:ThreatActor)-[:CONNECTS_TO]->(x) RETURN count(x) AS n",
+]
+QUERIES = COUNTED + [
     "MATCH (n) RETURN n.name",
     "MATCH (m:Malware) RETURN m.name",
     'MATCH (m:Malware {name: "mal-07"}) RETURN m.year',
@@ -514,3 +546,243 @@ class TestAggregateContinuations:
         assert rows[0]["c"] == n and len(rows[0]["v"]) == n
         # one comparison per repeat and aggregate, plus hash collisions
         assert Counted.compared <= 4 * n, Counted.compared
+
+
+def shipped_strings(relative: str) -> dict[str, str]:
+    """Module-level string constants of a shipped file, by name."""
+    tree = ast.parse((REPO / relative).read_text(encoding="utf-8"))
+    return {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def corpus_shaped_graph() -> PropertyGraph:
+    """The serve_query corpus in miniature: fewer actors than
+    techniques, fewer malware than malware reports, every report
+    mentioning and describing malware, plus nodes nothing mentions."""
+    graph = PropertyGraph()
+
+    def nodes(label, count):
+        return [
+            graph.create_node(label, {"name": f"{label.lower()}-{i}"}).node_id
+            for i in range(count)
+        ]
+
+    actors, techniques = nodes("ThreatActor", 3), nodes("Technique", 4)
+    malware, reports = nodes("Malware", 5), nodes("MalwareReport", 8)
+    nodes("Domain", 6)
+    for i, actor in enumerate(actors):
+        for technique in techniques[: i + 2]:
+            graph.create_edge(actor, "USES", technique)
+    for i, family in enumerate(malware):
+        graph.create_edge(family, "ATTRIBUTED_TO", actors[i % 3])
+        graph.create_edge(family, "SPREADS_VIA", techniques[i % 4])
+    for i, report in enumerate(reports):
+        graph.create_edge(report, "DESCRIBES", malware[i % 5])
+        graph.create_edge(report, "MENTIONS", malware[i % 5])
+        graph.create_edge(report, "MENTIONS", actors[i % 3])
+    return graph
+
+
+def hop_lines(engine, query) -> list[str]:
+    return [
+        row["plan"].strip()
+        for row in engine.run("EXPLAIN " + query)
+        if row["plan"].strip().startswith("Expand")
+    ]
+
+
+class TestCountPushdown:
+    """A count over a path's last hop reads the adjacency: one row per
+    source, carrying the count, instead of one row per neighbour."""
+
+    SERVE = shipped_strings("benchmarks/perf/wl_serve_query.py")
+    #: the walkthrough's ranking query (a literal inside ``main``)
+    DEMO = next(
+        node.value
+        for node in ast.walk(
+            ast.parse((REPO / "examples/demo_walkthrough.py").read_text("utf-8"))
+        )
+        if isinstance(node, ast.Constant)
+        and "count(t) AS techniques" in str(node.value)
+    )
+
+    @pytest.mark.parametrize(
+        "name,counted",
+        [
+            ("HEAVY_MENTIONS", ["ExpandCount (e)<-[:MENTIONS]-(r)"]),
+            ("TOP_DESCRIBED",
+             ["ExpandCount (m)<-[:DESCRIBES]-(r:MalwareReport)"]),
+            ("ATTRIBUTED", [
+                "ExpandCount (a)<-[:ATTRIBUTED_TO]-(m:Malware)",
+                "ExpandCount (a)-[:USES]->(t:Technique)",
+            ]),
+            ("AGG2HOP", []),
+            ("HEAVY_COMENTION", []),
+        ],
+    )
+    def test_serve_query_templates(self, name, counted):
+        graph = corpus_shaped_graph()
+        engine = CypherEngine(graph)
+        query = self.SERVE[name]
+        lines = hop_lines(engine, query)
+        assert [line for line in lines if "ExpandCount" in line] == counted
+        cypher_oracle.check(engine.run(query), graph, query)
+
+    def test_demo_query_counts(self):
+        graph = corpus_shaped_graph()
+        engine = CypherEngine(graph)
+        assert hop_lines(engine, self.DEMO) == [
+            "ExpandCount (a)-[:USES]->(t:Technique)"
+        ]
+        cypher_oracle.check(engine.run(self.DEMO), graph, self.DEMO)
+
+    def test_e22_long_query_is_still_enumerated(self):
+        """E22's storm needs its long queries long: a cartesian
+        ``count(*)`` has no hop to count."""
+        query = shipped_strings("benchmarks/test_bench_preemption.py")["LONG_QUERY"]
+        lines = CypherEngine(build_graph()).run("EXPLAIN " + query)
+        assert not any("ExpandCount" in row["plan"] for row in lines)
+
+    @pytest.mark.parametrize("query", COUNTED)
+    def test_counted_shapes_explain_expand_count(self, engine, query):
+        assert any("ExpandCount" in line for line in hop_lines(engine, query))
+
+    @pytest.mark.parametrize(
+        "query,enumerated",
+        [
+            ("MATCH (a:ThreatActor)-[:USES]->(b) "
+             "RETURN a.name, count(DISTINCT b) AS n",
+             "ExpandEdge (a)-[:USES]->(b)"),
+            ("MATCH (a:ThreatActor)-[:USES]->(b) RETURN a.name, collect(b) AS n",
+             "ExpandEdge (a)-[:USES]->(b)"),
+            ('MATCH (a:ThreatActor)-[:USES]->(b) WHERE b.name <> "tech-1" '
+             "RETURN a.name, count(b) AS n",
+             "ExpandEdge (a)-[:USES]->(b)"),
+            ("MATCH (a:ThreatActor)-[:USES]->(b), (m:Malware)-[:USES]->(b) "
+             "RETURN a.name, count(b) AS n",
+             "ExpandEdge (a)-[:USES]->(b)"),
+            ("MATCH (a:ThreatActor)-[:USES*1..2]->(b) RETURN a.name, count(b) AS n",
+             "ExpandVar (a)-[:USES*1..2]->(b)"),
+        ],
+    )
+    def test_near_misses_enumerate(self, engine, graph, query, enumerated):
+        assert enumerated in hop_lines(engine, query)
+        assert not any(
+            line.startswith("ExpandCount") and line.endswith("(b)")
+            for line in hop_lines(engine, query)
+        )
+        cypher_oracle.check(engine.run(query), graph, query)
+
+    def test_equal_cost_prefers_the_anchor_that_counts(self, engine):
+        # (r) and (e) are both full scans: the tie goes to e, leaving r
+        query = "MATCH (r)-[:USES]->(e) RETURN e.name, count(r) AS n"
+        assert hop_lines(engine, query) == ["ExpandCount (e)<-[:USES]-(r)"]
+
+    def test_never_a_costlier_anchor_to_count(self, engine, graph):
+        # 4 actors, 6 techniques: anchoring at t would count a, but the
+        # actors are the cheaper scan
+        query = (
+            "MATCH (a:ThreatActor)-[:USES]->(t:Technique) "
+            "RETURN t.name, count(a) AS n"
+        )
+        assert hop_lines(engine, query) == ["ExpandEdge (a)-[:USES]->(t:Technique)"]
+        cypher_oracle.check(engine.run(query), graph, query)
+
+    # COUNTED[2] counts two hops of one row: enumerating examines the
+    # second hop's neighbours once per first-hop row, counting once
+    @pytest.mark.parametrize("query", COUNTED[:2] + COUNTED[3:])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 50])
+    def test_slices_suspend_where_enumeration_does(
+        self, monkeypatch, graph, query, steps
+    ):
+        """One tick per neighbour examined, as ExpandEdge ticks: the
+        counted plan and the enumerating one take the same slices."""
+
+        def slices(engine):
+            task = engine.task(
+                query, context=ExecutionContext(steps_per_slice=steps)
+            )
+            count = 0
+            while not task.done:
+                task.step()
+                count += 1
+            return count
+
+        counted = slices(CypherEngine(graph))
+        monkeypatch.setattr(planner, "_count_only", lambda _query: set())
+        enumerating = CypherEngine(graph)
+        assert not any(
+            "ExpandCount" in line for line in hop_lines(enumerating, query)
+        )
+        assert slices(enumerating) == counted
+        assert values(run_sliced(CypherEngine(graph), query, steps)) == values(
+            enumerating.run(query)
+        )
+
+    def test_a_continuation_carries_the_partial_count(self):
+        graph = mentions_graph(30, entities=1)
+        query = "MATCH (r)-[:MENTIONS]->(e) RETURN e.name, count(r) AS n"
+        task = CypherEngine(graph).task(
+            query, context=ExecutionContext(steps_per_slice=10)
+        )
+        task.step()
+        state = task.save()["state"]["child"]  # Aggregate -> ExpandCount
+        assert state["input"] is not None and state["pos"] == state["count"] == 9
+        rows = run_sliced(CypherEngine(graph), query, 10)
+        assert values(rows) == [{"e.name": "mal-0", "n": 30}]
+
+    def test_run_to_completion_pays_nothing_per_neighbour(self, monkeypatch):
+        graph = mentions_graph(300, entities=2)
+        engine = CypherEngine(graph)
+        query = "MATCH (m:Malware)<-[:MENTIONS]-(r) RETURN m.name, count(r) AS n"
+        engine.run("EXPLAIN " + query)  # planned outside the counters
+        fetched, ticked = [], []
+        node = graph.node
+        monkeypatch.setattr(graph, "node", lambda i: fetched.append(i) or node(i))
+        tick = ExecutionContext.tick
+        monkeypatch.setattr(
+            ExecutionContext, "tick", lambda self: ticked.append(1) or tick(self)
+        )
+        rows = engine.run(query)
+        assert sorted(row["n"] for row in rows) == [300, 300]
+        # the two malware scanned; no report built, no tick per report
+        assert len(fetched) == 2 and len(ticked) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        budget=st.integers(1, 12),
+        spent=st.integers(0, 12),
+        count=st.integers(0, 30),
+        timed=st.booleans(),
+    )
+    def test_ticks_charge_as_many_ticks_would(self, budget, spent, count, timed):
+        def context():
+            clock = VirtualClock()
+            if timed:
+                made = ExecutionContext(clock=clock, quantum=0.01, step_cost=0.001)
+            else:
+                made = ExecutionContext(steps_per_slice=budget)
+            made.begin_slice()
+            for _ in range(min(spent, budget if not timed else 9)):
+                made.tick()
+            return made, clock
+
+        one_by_one, clock = context()
+        passed = 0
+        try:
+            for _ in range(count):
+                one_by_one.tick()
+                passed += 1
+        except QuantumExhausted:
+            pass
+        in_bulk, bulk_clock = context()
+        assert in_bulk.ticks(count) == passed
+        assert in_bulk._steps == one_by_one._steps
+        assert bulk_clock.now() == clock.now()

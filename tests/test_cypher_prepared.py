@@ -350,10 +350,14 @@ TEMPLATES = [
 ]
 
 _LABEL = st.sampled_from(["", ":Malware", ":ThreatActor", ":Tool", ":Widget"])
+# the count shapes a plan counts instead of enumerating -- count(b),
+# count(*), count(r) -- beside their near misses: count(DISTINCT b),
+# collect(b), b in WHERE or in a second path, and a *1..2 hop
 _ITEM = st.sampled_from(
     [
         "a.name", "b.name", "b", "count(b) AS c", "count(*) AS c",
-        "count(DISTINCT b.name) AS c", "collect(b.name) AS c",
+        "count(*) AS n", "count(r) AS k", "count(DISTINCT b) AS c",
+        "count(DISTINCT b.name) AS c", "collect(b) AS c", "collect(b.name) AS c",
         "collect(DISTINCT a.name) AS c", "min(b.name) AS c", "max(a.year) AS c",
         "sum(a.year) AS c", "avg(a.year) AS c",
     ]
@@ -366,7 +370,15 @@ _WHERE = st.sampled_from(
     ]
 )
 _TAIL = st.sampled_from(["", " ORDER BY a.name", " ORDER BY a.name DESC LIMIT 3"])
-_REL = st.sampled_from(["-[:USES]->", "<-[:MENTIONS]-", "-[:RELATED_TO]-", "-->"])
+_REL = st.sampled_from(
+    [
+        "-[:USES]->", "<-[:MENTIONS]-", "-[:RELATED_TO]-", "-->",
+        "-[r:USES]->", "-[r:RELATED_TO]-", "-[:USES*1..2]->",
+    ]
+)
+# a third node ahead of ``a``: with ``b`` both ends of the path count
+_HEAD = st.sampled_from(["", "(c)-[:MENTIONS]->", "(:AttackReport)-[:MENTIONS]->"])
+_MORE = st.sampled_from(["", ", (b)<-[:MENTIONS]-(d)"])
 
 
 @st.composite
@@ -379,7 +391,8 @@ def generated_query(draw) -> str:
         items.insert(0, "a.name")
     distinct = "DISTINCT " if draw(st.booleans()) else ""
     return (
-        f"MATCH (a{draw(_LABEL)}){rel}(b{draw(_LABEL)}){draw(_WHERE)} "
+        f"MATCH {draw(_HEAD)}(a{draw(_LABEL)}){rel}(b{draw(_LABEL)})"
+        f"{draw(_MORE)}{draw(_WHERE)} "
         f"RETURN {distinct}{', '.join(items)}{tail}"
     )
 
@@ -419,6 +432,19 @@ def apply_write(shards: ShardSet, kind: str, seed: int) -> None:
     elif kind == "delete":
         node_id = ids[seed % len(ids)]
         partition_of(node_id).graph.delete_node(node_id)
+    elif kind in ("loop", "parallel"):
+        # RELATED_TO onto the node itself, or twice onto another node of
+        # its partition: an undirected hop meets a loop twice, and each
+        # parallel edge is a match of its own
+        node_id = ids[seed % len(ids)]
+        partition = partition_of(node_id)
+        if kind == "loop":
+            targets = [node_id]
+        else:
+            local = partition.graph.node_ids()
+            targets = [local[(seed // 7) % len(local)]] * 2
+        for target in targets:
+            partition.database.create_edge(node_id, "RELATED_TO", target)
     elif kind == "merge":
         node = graph.node(ids[seed % len(ids)])
         partition = partition_of(node.node_id)
@@ -437,7 +463,9 @@ class TestCachedEqualsFresh:
         partitions=st.sampled_from([1, 3]),
         writes=st.lists(
             st.tuples(
-                st.sampled_from(["store", "create", "set", "delete", "merge"]),
+                st.sampled_from(
+                    ["store", "create", "set", "delete", "merge", "loop", "parallel"]
+                ),
                 st.integers(min_value=0, max_value=10_000),
             ),
             min_size=1,

@@ -189,6 +189,135 @@ class TestFeedCursorsAndEtagsAreHostileInput:
             assert status == 200 and payload["mode"] in ("delta", "full")
 
 
+def _leaves(value, path=()):
+    """Paths to every scalar inside a JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+    else:
+        yield path
+
+
+def _replaced(document, path, value):
+    """A deep copy of ``document`` with the leaf at ``path`` swapped."""
+    if not path:
+        return value
+    copy = dict(document) if isinstance(document, dict) else list(document)
+    copy[path[0]] = _replaced(document[path[0]], path[1:], value)
+    return copy
+
+
+class TestCypherCursorsAreHostileInput:
+    """A Cypher pagination cursor that signs the right plan but holds
+    state no operator saved is refused with a 400, whatever leaf of it
+    was changed to whatever value -- never an escaped exception."""
+
+    #: one query per operator: scans, both expansions and the counted
+    #: one, filter, projection, every aggregate state, order, distinct,
+    #: skip and limit
+    QUERIES = [
+        "MATCH (d:Domain) RETURN d.name",
+        "MATCH (r:MalwareReport)-[:MENTIONS]->(m:Malware) RETURN r.name, m.name",
+        "MATCH (r)-[:MENTIONS]->(e) RETURN e.name, count(r) AS n",
+        "MATCH (r:MalwareReport)-[:MENTIONS*1..2]-(x) RETURN DISTINCT x.name",
+        "MATCH (r:MalwareReport) WHERE r.size > 1 "
+        "RETURN r.name ORDER BY r.name SKIP 2 LIMIT 9",
+        "MATCH (r)-[:MENTIONS]->(m:Malware) RETURN m.name, count(DISTINCT r) AS d, "
+        "collect(r.name) AS c, sum(r.size) AS s, avg(r.size) AS a, "
+        "min(r.size) AS lo, max(r.name) AS hi",
+    ]
+
+    @pytest.fixture(scope="class")
+    def api(self):
+        from repro.core.config import SystemConfig
+        from repro.core.system import SecurityKG
+        from repro.ui.server import ExplorerAPI
+
+        kg = SecurityKG(SystemConfig(connectors=["graph"], clock="virtual"))
+        graph = kg.graph
+        malware = [
+            graph.create_node("Malware", {"name": f"mal-{i}"}) for i in range(3)
+        ]
+        for i in range(12):
+            report = graph.create_node(
+                "MalwareReport", {"name": f"report-{i:02d}", "size": i % 4}
+            )
+            graph.create_edge(report.node_id, "MENTIONS", malware[i % 3].node_id)
+            graph.create_node("Domain", {"name": f"d{i}.example"})
+        return ExplorerAPI(kg)
+
+    @pytest.fixture(scope="class")
+    def saved(self, api):
+        """``(query, continuation)`` after every slice of every query,
+        at a few step budgets: mid-scan, mid-count, mid-fold, mid-emit."""
+        from repro.graphdb.cypher.iterators import ExecutionContext
+
+        engine = api.system.shards.cypher
+        out = []
+        for query in self.QUERIES:
+            for steps in (1, 4, 9):
+                task = engine.task(
+                    query, context=ExecutionContext(steps_per_slice=steps)
+                )
+                while not task.done:
+                    task.step(max_rows=2)
+                    continuation = task.save()
+                    if continuation is not None:
+                        out.append((query, continuation))
+        return out
+
+    def test_saved_continuations_cover_a_partial_count(self, saved):
+        assert any(
+            '"count": 0' not in text and '"count"' in text
+            for text in (json.dumps(c) for _q, c in saved)
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_leaf_any_value_answers_200_or_400(self, api, saved, data):
+        from repro.ui.server import encode_cursor
+
+        query, continuation = data.draw(st.sampled_from(saved))
+        path = data.draw(st.sampled_from(list(_leaves(continuation))))
+        value = data.draw(
+            st.none() | st.booleans() | st.integers(-10, 10**12)
+            | st.floats() | st.text(max_size=4)
+        )
+        status, payload, _headers = api.handle_full(
+            "POST", "/api/cypher",
+            {"query": query, "page_size": 3,
+             "cursor": encode_cursor(query, _replaced(continuation, path, value))},
+        )
+        assert status in (200, 400), payload
+        if status == 400:
+            assert isinstance(payload["error"], str)
+
+    @pytest.mark.parametrize(
+        "query,path,value",
+        [
+            ("MATCH (d:Domain) RETURN d.name", ("state", "child", "after"), "x"),
+            (QUERIES[2], ("state", "child", "child", "input"), "x"),
+            (QUERIES[2], ("state", "groups", 0, "seen", 0), -5),
+        ],
+    )
+    def test_known_tampering_is_a_typed_400(self, api, query, path, value):
+        from repro.ui.server import decode_cursor, encode_cursor
+
+        _status, first = api.handle(
+            "POST", "/api/cypher", {"query": query, "page_size": 3}
+        )
+        continuation = decode_cursor(query, first["cursor"])
+        status, payload, _headers = api.handle_full(
+            "POST", "/api/cypher",
+            {"query": query, "page_size": 3,
+             "cursor": encode_cursor(query, _replaced(continuation, path, value))},
+        )
+        assert (status, payload) == (400, {"error": "malformed continuation"})
+
+
 class TestEndToEndMalformedSource:
     def test_parser_dispatch_survives_wrong_structure(self):
         """A source serving unexpected markup raises ParserError, which
