@@ -100,26 +100,18 @@ class ExecutionContext:
 
     def ticks(self, count: int) -> int:
         """``count`` ticks charged as ``count`` calls of :meth:`tick`
-        would charge them, without a call each where nothing can move
-        per tick.  Returns how many passed: fewer than ``count`` means
-        the one after them suspended the slice, and the caller records
-        its progress and raises :class:`QuantumExhausted`."""
+        would charge them, without a call each in a run to completion.
+        Returns how many passed: fewer than ``count`` means the one after
+        them suspended the slice, and the caller records its progress and
+        raises :class:`QuantumExhausted`."""
         if self._unbudgeted:
             return count
-        if self.step_cost or self._deadline is not None:
-            # the clock moves per tick: the deadline falls on one of them
-            for passed in range(count):
-                try:
-                    self.tick()
-                except QuantumExhausted:
-                    return passed
-            return count
-        room = self.steps_per_slice - self._steps
-        if count <= room:
-            self._steps += count
-            return count
-        self._steps = self.steps_per_slice + 1
-        return room
+        for passed in range(count):
+            try:
+                self.tick()
+            except QuantumExhausted:
+                return passed
+        return count
 
 
 # -- continuation value encoding ---------------------------------------------

@@ -391,15 +391,16 @@ def _where_equalities(
     return out
 
 
-def _count_only(query: ast.MatchQuery) -> set[str]:
+def _count_only(query: ast.MatchQuery) -> set[str] | None:
     """Pattern variables a plan may count instead of binding.
 
-    Empty unless every RETURN aggregate is a non-``DISTINCT``
+    ``None`` unless every RETURN aggregate is a non-``DISTINCT``
     ``count(*)`` or ``count(v)`` of a variable every matched row binds
     (so each row adds one, and only the number of rows matters).  Then
     a variable qualifies when it occurs once among the patterns and
     nowhere else -- no WHERE conjunct, grouping key or ORDER BY
-    expression reads it -- except as such a count's operand.
+    expression reads it -- except as such a count's operand.  The set
+    may be empty: an anonymous endpoint and relationship need no name.
     """
     occurrences: dict[str, int] = {}
     binding: set[str] = set()
@@ -419,19 +420,19 @@ def _count_only(query: ast.MatchQuery) -> set[str]:
         expr = item.expr
         if isinstance(expr, AGGREGATES):
             if not isinstance(expr, ast.Count) or expr.distinct:
-                return set()
+                return None
             operand = expr.operand
             if operand is not None and not (
                 isinstance(operand, ast.Variable) and operand.name in binding
             ):
-                return set()
+                return None
             counts = True
         elif contains_aggregate(expr):
-            return set()
+            return None
         else:
             read |= free_vars(expr)
     if not counts:
-        return set()
+        return None
     for expr, _asc in query.order_by:
         read |= free_vars(expr)
     return {
@@ -543,7 +544,7 @@ def build_plan(query: ast.MatchQuery, graph: PropertyGraph) -> PhysicalPlan:
                 )
                 counted = (
                     _counted_hops(path, n_index, count_only)
-                    if count_only else set()
+                    if count_only is not None else set()
                 )
                 if best is None or (cost, -len(counted)) < (
                     best[0], -len(best[4])

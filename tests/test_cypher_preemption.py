@@ -98,6 +98,9 @@ COUNTED = [
     "MATCH (a:ThreatActor)-[:USES]->(t) RETURN a.name, count(*) AS rows, "
     "count(t) AS techniques ORDER BY a.name",
     "MATCH (a:ThreatActor)-[:CONNECTS_TO]->(x) RETURN count(x) AS n",
+    # an anonymous endpoint: no name to read, so nothing but the count
+    "MATCH (a:ThreatActor)-[:USES]->() RETURN a.name, count(*) AS n "
+    "ORDER BY a.name",
 ]
 QUERIES = COUNTED + [
     "MATCH (n) RETURN n.name",
@@ -685,6 +688,13 @@ class TestCountPushdown:
         query = "MATCH (r)-[:USES]->(e) RETURN e.name, count(r) AS n"
         assert hop_lines(engine, query) == ["ExpandCount (e)<-[:USES]-(r)"]
 
+    def test_an_anonymous_endpoint_counts_alone(self, engine, graph):
+        # no named variable qualifies, yet the () hop is read only by
+        # count(*): counting it must not hinge on other parts of the query
+        query = "MATCH (a:ThreatActor)-[:USES]->() RETURN a.name, count(*) AS n"
+        assert hop_lines(engine, query) == ["ExpandCount (a)-[:USES]->()"]
+        cypher_oracle.check(engine.run(query), graph, query)
+
     def test_never_a_costlier_anchor_to_count(self, engine, graph):
         # 4 actors, 6 techniques: anchoring at t would count a, but the
         # actors are the cheaper scan
@@ -716,7 +726,7 @@ class TestCountPushdown:
             return count
 
         counted = slices(CypherEngine(graph))
-        monkeypatch.setattr(planner, "_count_only", lambda _query: set())
+        monkeypatch.setattr(planner, "_count_only", lambda _query: None)
         enumerating = CypherEngine(graph)
         assert not any(
             "ExpandCount" in line for line in hop_lines(enumerating, query)

@@ -376,8 +376,11 @@ _REL = st.sampled_from(
         "-[r:USES]->", "-[r:RELATED_TO]-", "-[:USES*1..2]->",
     ]
 )
-# a third node ahead of ``a``: with ``b`` both ends of the path count
-_HEAD = st.sampled_from(["", "(c)-[:MENTIONS]->", "(:AttackReport)-[:MENTIONS]->"])
+# a third node ahead of ``a``: with ``b`` both ends of the path count;
+# an anonymous one counts with no named variable to qualify
+_HEAD = st.sampled_from(
+    ["", "(c)-[:MENTIONS]->", "(:AttackReport)-[:MENTIONS]->", "()-[:RELATED_TO]-"]
+)
 _MORE = st.sampled_from(["", ", (b)<-[:MENTIONS]-(d)"])
 
 
