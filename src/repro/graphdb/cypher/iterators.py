@@ -314,10 +314,13 @@ class ScanOp(PreemptableIterator):
 
 
 def _direction(rel: ast.RelPattern, forward: bool) -> str:
-    """The pattern's direction as seen from the node expanded from."""
+    """The pattern's direction as seen from the node expanded from, in
+    the store's words: ``"out"``, ``"in"`` or ``"both"``."""
+    if rel.direction == "any":
+        return "both"
     if forward:
         return rel.direction
-    return {"out": "in", "in": "out"}.get(rel.direction, "any")
+    return "in" if rel.direction == "out" else "out"
 
 
 def _adjacent(
@@ -325,15 +328,18 @@ def _adjacent(
 ) -> list[tuple[Edge, Node]]:
     """Pattern-consistent single-hop neighbours, in stable edge order.
 
-    Adjacency lists are append-only in the store, so the positional
-    cursor an Expand continuation records stays valid across slices.
+    An Expand continuation records a position in this list.  That
+    position stays valid only while no edge of the node is deleted
+    between two slices: ``delete_edge`` removes from the adjacency lists
+    and ``merge_nodes`` moves edges.  How a continuation notices such a
+    change (the graph's ``version``) is ROADMAP item 4's rule.
     """
     direction = _direction(rel, forward)
     result: list[tuple[Edge, Node]] = []
-    if direction in ("out", "any"):
+    if direction in ("out", "both"):
         for edge in graph.out_edges(node.node_id, rel.rel_type):
             result.append((edge, graph.node(edge.dst)))
-    if direction in ("in", "any"):
+    if direction in ("in", "both"):
         for edge in graph.in_edges(node.node_id, rel.rel_type):
             result.append((edge, graph.node(edge.src)))
     return result
@@ -423,7 +429,7 @@ class ExpandCountOp(PreemptableIterator):
     endpoint (and relationship variable) is read by nothing but a
     non-``DISTINCT`` count.  Per input row it counts the neighbours
     :class:`ExpandOp` would emit -- ``_adjacent`` plus the target's
-    compiled test, or just the typed degree when there is no test --
+    compiled test, or just the store's typed degree without a test --
     and passes the row up once with that count multiplied into its
     :data:`~repro.graphdb.cypher.compiler.MULTIPLICITY`; a row with no
     neighbour is dropped, as :class:`ExpandOp` would drop it.
@@ -453,14 +459,9 @@ class ExpandCountOp(PreemptableIterator):
         #: the target pattern's compiled test; ``None`` counts the degree
         self.matches = matches
         self.forward = forward
-        direction = _direction(rel, forward)
-        #: the adjacency lists ``_adjacent`` reads, whose lengths add up
-        #: to the typed degree (an undirected self-loop is in both)
-        self._edge_lists = [
-            edges
-            for edges, side in ((graph.out_edges, "out"), (graph.in_edges, "in"))
-            if direction in (side, "any")
-        ]
+        #: the direction ``_adjacent`` reads; under ``"both"`` an
+        #: undirected self-loop counts twice, as ``_adjacent`` lists it twice
+        self._direction = _direction(rel, forward)
         self._input: Bindings | None = None
         #: neighbours of the input row, listed only when there is a test
         self._neighbours: list[tuple[Edge, Node]] | None = None
@@ -483,9 +484,9 @@ class ExpandCountOp(PreemptableIterator):
             if self._total is None:
                 source = bindings[self.source_var]
                 if matches is None:
-                    self._total = 0
-                    for edges in self._edge_lists:
-                        self._total += len(edges(source.node_id, self.rel.rel_type))
+                    self._total = self.graph.degree(
+                        source.node_id, self.rel.rel_type, self._direction
+                    )
                 else:
                     self._neighbours = _adjacent(
                         self.graph, source, self.rel, self.forward

@@ -3,8 +3,9 @@
 The Neo4j substitute at the heart of the storage stage: labelled
 nodes and typed, directed edges, both carrying free-form properties.
 The store maintains the indexes the workload needs -- label index,
-(label, property, value) index, and adjacency lists in both directions
--- and is safe for concurrent readers with single-writer semantics.
+(label, property, value) index, adjacency lists in both directions
+(untyped, and per edge type) and a per-type edge total -- and is safe
+for concurrent readers with single-writer semantics.
 
 Persistence (snapshot + write-ahead log) lives in
 :mod:`repro.graphdb.wal`; query processing in
@@ -109,8 +110,16 @@ class PropertyGraph:
     def __init__(self, id_base: int = 0):
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
+        # adjacency: node -> edge ids in insertion order, the order of
+        # record for untyped reads; and node -> edge type -> edge ids,
+        # which is by construction that list filtered by type, in the
+        # same order, so a typed hop reads only its own edges
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        self._out_typed: dict[int, dict[str, list[int]]] = {}
+        self._in_typed: dict[int, dict[str, list[int]]] = {}
+        # edge type -> live edge count; a type goes with its last edge
+        self._type_counts: dict[str, int] = {}
         self._label_index: dict[str, set[int]] = {}
         self._property_index: dict[tuple[str, str, object], set[int]] = {}
         # key -> python type names ever observed for it (node or edge
@@ -162,6 +171,8 @@ class PropertyGraph:
             self._nodes[node_id] = node
             self._out[node_id] = []
             self._in[node_id] = []
+            self._out_typed[node_id] = {}
+            self._in_typed[node_id] = {}
             self._label_index.setdefault(label, set()).add(node_id)
             self._index_node_properties(node)
             self.last_node_id = max(self.last_node_id, node_id)
@@ -218,6 +229,8 @@ class PropertyGraph:
             self._label_index.get(node.label, set()).discard(node_id)
             del self._out[node_id]
             del self._in[node_id]
+            del self._out_typed[node_id]
+            del self._in_typed[node_id]
             del self._nodes[node_id]
             self._touch_node(node_id)
 
@@ -260,8 +273,12 @@ class PropertyGraph:
             )
             self._observe_properties(edge.properties)
             self._edges[edge_id] = edge
+            edge_type = edge.type
             self._out[src].append(edge_id)
             self._in[dst].append(edge_id)
+            self._out_typed[src].setdefault(edge_type, []).append(edge_id)
+            self._in_typed[dst].setdefault(edge_type, []).append(edge_id)
+            self._type_counts[edge_type] = self._type_counts.get(edge_type, 0) + 1
             self.last_edge_id = max(self.last_edge_id, edge_id)
             self._touch_edge(edge_id)
             return edge
@@ -278,8 +295,19 @@ class PropertyGraph:
     def delete_edge(self, edge_id: int) -> None:
         with self._lock:
             edge = self.edge(edge_id)
+            edge_type = edge.type
             self._out[edge.src].remove(edge_id)
             self._in[edge.dst].remove(edge_id)
+            for typed in (self._out_typed[edge.src], self._in_typed[edge.dst]):
+                ids = typed[edge_type]
+                ids.remove(edge_id)
+                if not ids:
+                    del typed[edge_type]
+            remaining = self._type_counts[edge_type] - 1
+            if remaining:
+                self._type_counts[edge_type] = remaining
+            else:
+                del self._type_counts[edge_type]
             del self._edges[edge_id]
             self._touch_edge(edge_id)
 
@@ -483,19 +511,29 @@ class PropertyGraph:
 
     # -- adjacency ------------------------------------------------------------
 
+    @staticmethod
+    def _edge_ids(
+        untyped: dict[int, list[int]],
+        typed: dict[int, dict[str, list[int]]],
+        node_id: int,
+        edge_type: str | None,
+    ) -> list[int] | tuple[()]:
+        """One direction's edge ids of ``node_id``, in insertion order:
+        all of them, or only those of ``edge_type``."""
+        if edge_type is None:
+            return untyped.get(node_id, ())
+        by_type = typed.get(node_id)
+        return by_type.get(edge_type, ()) if by_type else ()
+
     def out_edges(self, node_id: int, edge_type: str | None = None) -> list[Edge]:
-        return [
-            self._edges[e]
-            for e in self._out.get(node_id, ())
-            if edge_type is None or self._edges[e].type == edge_type
-        ]
+        edges = self._edges
+        ids = self._edge_ids(self._out, self._out_typed, node_id, edge_type)
+        return [edges[e] for e in ids]
 
     def in_edges(self, node_id: int, edge_type: str | None = None) -> list[Edge]:
-        return [
-            self._edges[e]
-            for e in self._in.get(node_id, ())
-            if edge_type is None or self._edges[e].type == edge_type
-        ]
+        edges = self._edges
+        ids = self._edge_ids(self._in, self._in_typed, node_id, edge_type)
+        return [edges[e] for e in ids]
 
     def neighbors(
         self,
@@ -518,8 +556,19 @@ class PropertyGraph:
                     result.append(self._nodes[edge.src])
         return result
 
-    def degree(self, node_id: int) -> int:
-        return len(self._out.get(node_id, ())) + len(self._in.get(node_id, ()))
+    def degree(
+        self, node_id: int, edge_type: str | None = None, direction: str = "both"
+    ) -> int:
+        """How many edges of ``edge_type`` (any type when ``None``) leave
+        (``"out"``), enter (``"in"``) or touch (``"both"``) the node: the
+        length of :meth:`out_edges`, of :meth:`in_edges` or their sum, so
+        a self-loop counts once per direction and twice under ``"both"``."""
+        count = 0
+        if direction in ("out", "both"):
+            count += len(self._edge_ids(self._out, self._out_typed, node_id, edge_type))
+        if direction in ("in", "both"):
+            count += len(self._edge_ids(self._in, self._in_typed, node_id, edge_type))
+        return count
 
     # -- stats -------------------------------------------------------------------
 
@@ -540,10 +589,8 @@ class PropertyGraph:
         }
 
     def edge_type_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for edge in self._edges.values():
-            counts[edge.type] = counts.get(edge.type, 0) + 1
-        return dict(sorted(counts.items()))
+        """Edge count per type (types with no edge omitted)."""
+        return dict(sorted(self._type_counts.items()))
 
     def property_schema(self) -> dict[str, frozenset[str]]:
         """Property key -> python type names ever stored under it.

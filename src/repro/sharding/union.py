@@ -72,9 +72,11 @@ class GraphUnion:
         owner = self._owner(node_id)
         return [] if owner is None else owner.neighbors(node_id, edge_type, direction)
 
-    def degree(self, node_id: int) -> int:
+    def degree(
+        self, node_id: int, edge_type: str | None = None, direction: str = "both"
+    ) -> int:
         owner = self._owner(node_id)
-        return 0 if owner is None else owner.degree(node_id)
+        return 0 if owner is None else owner.degree(node_id, edge_type, direction)
 
     # -- scans: partition order is ascending id order -------------------
 

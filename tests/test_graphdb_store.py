@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from alias_corpus import graph_identity
 from repro.graphdb import GraphDatabase, PropertyGraph
+from repro.graphdb.cypher.ast import RelPattern
+from repro.graphdb.cypher.iterators import _adjacent
 from repro.graphdb.wal import GraphParticipant
+from repro.sharding import ID_STRIDE, GraphUnion
 
 
 @pytest.fixture
@@ -99,12 +102,46 @@ class TestEdges:
         assert graph.label_counts() == {"A": 1, "B": 1}
         assert graph.edge_type_counts() == {"R": 2}
 
-    def test_degree(self, graph):
-        a = graph.create_node("A")
-        b = graph.create_node("B")
-        graph.create_edge(a.node_id, "R", b.node_id)
-        graph.create_edge(b.node_id, "R", a.node_id)
-        assert graph.degree(a.node_id) == 2
+    #: ``(edges, edge_type, direction, degree of a)``, edges written
+    #: ``<src><dst>:<type>``
+    DEGREES = [
+        ("ab:R ba:R", None, "both", 2),
+        ("ab:R ba:R ab:S", None, "out", 2),
+        ("ab:R ba:R ab:S", None, "in", 1),
+        ("ab:R ba:R ab:S", "R", "out", 1),
+        ("ab:R ba:R ab:S", "R", "in", 1),
+        ("ab:R ba:R ab:S", "R", "both", 2),
+        ("ab:R ba:R ab:S", "S", "both", 1),
+        ("ab:R ba:R ab:S", "S", "in", 0),
+        ("ab:R ba:R ab:S", "X", "both", 0),
+        # a self-loop is in both lists: once per direction, twice in all
+        ("aa:R ab:R", "R", "out", 2),
+        ("aa:R ab:R", "R", "in", 1),
+        ("aa:R ab:R", "R", "both", 3),
+        ("aa:R ab:S", None, "both", 3),
+    ]
+
+    def test_degree(self):
+        """``degree`` of node ``a``, on a graph and on the partition
+        owning it in a two-partition union; under ``both`` it is what an
+        undirected hop lists."""
+        for edges, edge_type, direction, expected in self.DEGREES:
+            case = (edges, edge_type, direction)
+            partitions = [PropertyGraph(), PropertyGraph(id_base=ID_STRIDE)]
+            union = GraphUnion(partitions)
+            for graph in partitions:
+                ids = {name: graph.create_node("N").node_id for name in "ab"}
+                for edge in edges.split():
+                    ends, rel_type = edge.split(":")
+                    graph.create_edge(ids[ends[0]], rel_type, ids[ends[1]])
+                a = ids["a"]
+                assert graph.degree(a, edge_type, direction) == expected, case
+                assert union.degree(a, edge_type, direction) == expected, case
+            if direction == "both":
+                hop = RelPattern(None, edge_type, "any")
+                assert len(_adjacent(graph, graph.node(a), hop, True)) == expected
+            if (edge_type, direction) == (None, "both"):
+                assert graph.degree(a) == expected
 
 
 class TestTransactions:

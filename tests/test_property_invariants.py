@@ -1,6 +1,8 @@
 """Property-based invariant tests across the core data structures."""
 
+import json
 import random as stdlib_random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.core.extractor import Extractor
 from repro.core.pipeline import Pipeline
 from repro.fusion import KnowledgeFusion
 from repro.graphdb import CypherEngine, GraphDatabase, PropertyGraph
+from repro.graphdb.wal import GraphParticipant
 from repro.nlp.tokenize import tokenize_sentences
 from repro.ontology import CTIRecord, ReportRecord
 from repro.search import SearchIndex, analyze
@@ -17,6 +20,30 @@ from repro.websim.scenario import generate_report_content, make_scenarios
 
 # ---------------------------------------------------------------------------
 # graph store: random operation sequences keep every index consistent
+
+#: the edge types ops draw from, and one no edge ever has
+_EDGE_TYPES = ("R", "S")
+_UNUSED_TYPE = "T"
+
+
+def _merged_triples(edges, canonical, losers):
+    """The ``(src, type, dst)`` multiset ``merge_nodes`` leaves: an edge
+    between two members of the group goes, one touching a loser moves
+    to ``canonical`` and folds into an edge already there."""
+    group = {canonical, *losers}
+    moved = {loser: canonical for loser in losers}
+    kept = Counter(
+        triple for triple in edges.values()
+        if triple[0] not in moved and triple[2] not in moved
+    )
+    arrived = {
+        (moved.get(src, src), edge_type, moved.get(dst, dst))
+        for src, edge_type, dst in edges.values()
+        if (src in moved or dst in moved) and not {src, dst} <= group
+    }
+    for triple in arrived:
+        kept[triple] = kept[triple] or 1
+    return kept
 
 
 class GraphModel:
@@ -39,8 +66,9 @@ class GraphModel:
             node = self.graph.create_node(label, {"name": name})
             self.nodes[node.node_id] = (label, name)
             touched_nodes.add(node.node_id)
-        elif kind == "add_edge" and len(self.nodes) >= 2:
-            src, dst = rng.sample(sorted(self.nodes), 2)
+        elif kind == "add_edge" and self.nodes:
+            # a self-loop now and then: degree counts it once per direction
+            src, dst = rng.choice(sorted(self.nodes)), rng.choice(sorted(self.nodes))
             edge = self.graph.create_edge(src, op[1], dst)
             self.edges[edge.edge_id] = (src, op[1], dst)
             touched_edges.add(edge.edge_id)
@@ -70,8 +98,51 @@ class GraphModel:
                 for eid, e in self.edges.items()
                 if e[0] != node_id and e[2] != node_id
             }
+        elif kind == "merge" and len(self.nodes) >= 2:
+            group = rng.sample(sorted(self.nodes), min(len(self.nodes), 1 + op[1]))
+            self.merge(group[0], group[1:])
+        elif kind == "reload":
+            self.reload()
         elif kind == "drain":
             self.check_drain()
+
+    def merge(self, canonical, losers):
+        """``merge_nodes``: edges move through ``_migrate_edge``, whose
+        parallel-edge check folds a moved edge into an existing one."""
+        touched_nodes, touched_edges = self.touched
+        group = {canonical, *losers}
+        expected = _merged_triples(self.edges, canonical, losers)
+        last_edge_id = self.graph.last_edge_id
+        self.graph.merge_nodes(canonical, losers)
+        for loser in losers:
+            del self.nodes[loser]
+        touched_nodes.update(group)
+        before = self.edges
+        self.edges = {
+            edge.edge_id: (edge.src, edge.type, edge.dst)
+            for edge in self.graph.edges()
+        }
+        assert Counter(self.edges.values()) == expected
+        # deleted, folded into (an edge of ``canonical``), or created --
+        # some only to go again within the merge
+        touched_edges.update(
+            edge_id
+            for edges in (before, self.edges)
+            for edge_id, (src, _type, dst) in edges.items()
+            if src in group or dst in group
+        )
+        touched_edges.update(range(last_edge_id + 1, self.graph.last_edge_id + 1))
+
+    def reload(self):
+        """Restart: the graph rebuilt from its snapshot bytes, whose
+        first drain reports every live id."""
+        writer = GraphParticipant()
+        writer.graph = self.graph
+        reader = GraphParticipant()
+        reader.load_snapshot(json.loads(writer.snapshot_text()))
+        self.graph = reader.graph
+        self.drained = ({}, {})
+        self.touched = (set(self.nodes), set(self.edges))
 
     def check_drain(self):
         """``take_changes`` reports every id whose state differs from
@@ -104,6 +175,27 @@ class GraphModel:
         for edge in graph.edges():
             assert edge.edge_id in {e.edge_id for e in graph.out_edges(edge.src)}
             assert edge.edge_id in {e.edge_id for e in graph.in_edges(edge.dst)}
+        # typed adjacency: the untyped list filtered by type, in order,
+        # and the typed degree is its length
+        for node_id in self.nodes:
+            for edge_type in (None, *_EDGE_TYPES, _UNUSED_TYPE):
+                both = 0
+                for direction, listed in (
+                    ("out", graph.out_edges), ("in", graph.in_edges)
+                ):
+                    typed = [e.edge_id for e in listed(node_id, edge_type)]
+                    assert typed == [
+                        e.edge_id
+                        for e in listed(node_id)
+                        if edge_type in (None, e.type)
+                    ], (node_id, edge_type, direction)
+                    assert graph.degree(node_id, edge_type, direction) == len(typed)
+                    both += len(typed)
+                assert graph.degree(node_id, edge_type) == both
+        # per-type totals: a recount, with no zero-count type
+        assert graph.edge_type_counts() == dict(
+            sorted(Counter(t for _src, t, _dst in self.edges.values()).items())
+        )
         # property index: find by name returns exactly the right nodes
         for node_id, (label, name) in self.nodes.items():
             found = {n.node_id for n in graph.find_nodes(label, name=name)}
@@ -122,10 +214,12 @@ _OPS = st.lists(
             st.sampled_from(["A", "B", "C"]),
             st.text(alphabet="xyz", min_size=1, max_size=4),
         ),
-        st.tuples(st.just("add_edge"), st.sampled_from(["R", "S"])),
+        st.tuples(st.just("add_edge"), st.sampled_from(_EDGE_TYPES)),
         st.tuples(st.just("rename"), st.text(alphabet="pq", min_size=1, max_size=4)),
         st.tuples(st.just("del_edge")),
         st.tuples(st.just("del_node")),
+        st.tuples(st.just("merge"), st.integers(1, 3)),
+        st.tuples(st.just("reload")),
         st.tuples(st.just("drain")),
     ),
     max_size=40,
@@ -133,11 +227,19 @@ _OPS = st.lists(
 
 
 class TestGraphStoreInvariants:
-    @given(ops=_OPS, seed=st.integers(0, 1000))
+    @given(ops=_OPS, seed=st.integers(0, 1000), start_edges=st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
-    def test_random_op_sequences_keep_indexes_consistent(self, ops, seed):
+    def test_random_op_sequences_keep_indexes_consistent(
+        self, ops, seed, start_edges
+    ):
         rng = stdlib_random.Random(seed)
         model = GraphModel()
+        # a starting graph dense enough that the ops meet same-type and
+        # parallel edges on one node
+        for at in range(4 if start_edges else 0):
+            model.apply(("add_node", "ABC"[at % 3], "x"), rng)
+        for at in range(start_edges):
+            model.apply(("add_edge", _EDGE_TYPES[at % 2]), rng)
         for op in ops:
             model.apply(op, rng)
         model.check()
