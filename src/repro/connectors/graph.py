@@ -68,14 +68,9 @@ class GraphConnector(Connector):
             for relation in delta.relations:
                 src = node_ids[relation.head.key]
                 dst = node_ids[relation.tail.key]
-                existing = [
-                    edge
-                    for edge in self.graph.out_edges(src, relation.type.value)
-                    if edge.dst == dst
-                ]
+                edge = self.graph.parallel_edge(src, relation.type.value, dst)
                 report_id = str(relation.provenance.get("report_id", ""))
-                if existing:
-                    edge = existing[0]
+                if edge is not None:
                     reports = list(edge.properties.get("reports", []))
                     if report_id and report_id not in reports:
                         reports.append(report_id)

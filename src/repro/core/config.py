@@ -29,7 +29,7 @@ class SystemConfig:
     scenario_count / reports_per_site / seed:
         Shape of the simulated web backing the crawl.
     crawl_threads:
-        Worker pool size of the crawl engine.
+        Worker pool size of the crawl engine, at least 1.
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
     parse_workers:
@@ -117,7 +117,7 @@ class SystemConfig:
     feed_history: int = 64
 
     def __post_init__(self) -> None:
-        for key in ("parse_workers", "extract_workers"):
+        for key in ("crawl_threads", "parse_workers", "extract_workers"):
             count = getattr(self, key)
             if count < 1:
                 raise ValueError(f"{key} must be at least 1, got {count}")

@@ -380,7 +380,7 @@ class SecurityKG:
 
     # -- applications -----------------------------------------------------------
 
-    def cypher(self, query: str, strict: bool | None = None) -> list[ResultRow]:
+    def cypher(self, query: str, strict: bool = True) -> list[ResultRow]:
         """Cypher search over the knowledge graph (the Neo4j path).
 
         Queries are semantically analyzed before execution by default;
@@ -393,7 +393,7 @@ class SecurityKG:
         query: str,
         page_size: int,
         continuation: dict | None = None,
-        strict: bool | None = None,
+        strict: bool = True,
     ):
         """One page of a Cypher result plus a resume continuation.
 
@@ -409,7 +409,7 @@ class SecurityKG:
     def cypher_profile(
         self,
         query: str,
-        strict: bool | None = None,
+        strict: bool = True,
         step_cost: float = 0.0,
     ):
         """Execute a Cypher query with per-operator instrumentation.

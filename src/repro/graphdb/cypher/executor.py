@@ -167,7 +167,6 @@ class CypherEngine:
     def __init__(
         self,
         graph: PropertyGraph,
-        strict: bool = True,
         obs: Obs = NO_OBS,
         clock: Clock | None = None,
         database_for=None,
@@ -177,9 +176,6 @@ class CypherEngine:
         #: CREATE.  Without one the engine sits on a bare, unjournaled
         #: graph and writes to it directly.
         self._database_for = database_for
-        #: default-on semantic analysis: queries with ERROR-severity
-        #: findings raise :class:`CypherAnalysisError` before execution
-        self.strict = strict
         #: observability bundle (``cypher.plan`` / ``cypher.slice``
         #: spans, slice counters); the no-op default is free
         self.obs = obs
@@ -202,12 +198,14 @@ class CypherEngine:
 
     # -- public API -----------------------------------------------------
 
-    def run(self, query: str, strict: bool | None = None) -> list[ResultRow]:
+    def run(self, query: str, strict: bool = True) -> list[ResultRow]:
         """Parse, analyze (in strict mode) and execute.
 
-        Returns result rows (empty for CREATE).  ``strict=None`` uses
-        the engine default; pass ``strict=False`` for exploratory
-        queries that intentionally probe labels the graph lacks.
+        Returns result rows (empty for CREATE).  Strict semantic
+        analysis is on by default: a query with ERROR-severity findings
+        raises :class:`CypherAnalysisError` before execution.  Pass
+        ``strict=False`` for exploratory queries that intentionally
+        probe labels the graph lacks.
         ``EXPLAIN``-prefixed queries return the physical plan as one
         ``plan`` row per operator instead of executing.
         ``PROFILE``-prefixed queries execute with instrumentation and
@@ -240,7 +238,7 @@ class CypherEngine:
     def profile(
         self,
         query: str,
-        strict: bool | None = None,
+        strict: bool = True,
         step_cost: float = 0.0,
     ) -> QueryProfile:
         """Execute with per-operator instrumentation.
@@ -279,7 +277,7 @@ class CypherEngine:
         query: str,
         page_size: int,
         continuation: dict | None = None,
-        strict: bool | None = None,
+        strict: bool = True,
     ) -> CypherPage:
         """Execute returning at most ``page_size`` rows.
 
@@ -305,7 +303,7 @@ class CypherEngine:
         self,
         query: str,
         context=None,
-        strict: bool | None = None,
+        strict: bool = True,
     ) -> "QueryTask":
         """A suspendable query execution for a slice-at-a-time driver.
 
@@ -321,7 +319,7 @@ class CypherEngine:
             )
         return QueryTask(self, prepared.plan, context)
 
-    def _prepare(self, query: str, strict: bool | None) -> _Prepared:
+    def _prepare(self, query: str, strict: bool) -> _Prepared:
         """The entry preamble: the parsed query, analysed (in strict
         mode) and planned against the graph as it is now.
 
@@ -331,8 +329,6 @@ class CypherEngine:
         parse, analyse or plan raises and leaves no entry, so it is
         judged afresh next time.
         """
-        if strict is None:
-            strict = self.strict
         # read before anything is derived: a write landing meanwhile
         # leaves the entry stamped older than the graph, so it is rebuilt
         version = self.graph.version

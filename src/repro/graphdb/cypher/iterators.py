@@ -326,13 +326,18 @@ def _direction(rel: ast.RelPattern, forward: bool) -> str:
 def _adjacent(
     graph: PropertyGraph, node: Node, rel: ast.RelPattern, forward: bool
 ) -> list[tuple[Edge, Node]]:
-    """Pattern-consistent single-hop neighbours, in stable edge order.
+    """Pattern-consistent single-hop neighbours: the out-edges, then the
+    in-edges, each in ascending edge id -- the store's one adjacency
+    order, typed or not.
 
-    An Expand continuation records a position in this list.  That
-    position stays valid only while no edge of the node is deleted
-    between two slices: ``delete_edge`` removes from the adjacency lists
-    and ``merge_nodes`` moves edges.  How a continuation notices such a
-    change (the graph's ``version``) is ROADMAP item 4's rule.
+    An Expand continuation records a position in this list.  A new edge
+    takes the largest id, so it lands at the end of its direction's
+    part; the position stays valid only while no edge of the node is
+    deleted between two slices (``delete_edge`` removes from the
+    adjacency lists and ``merge_nodes`` moves edges) and, under an
+    undirected pattern, no out-edge is added.  How a continuation
+    notices such a change (the graph's ``version``) is ROADMAP item 4's
+    rule.
     """
     direction = _direction(rel, forward)
     result: list[tuple[Edge, Node]] = []

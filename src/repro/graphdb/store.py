@@ -3,9 +3,9 @@
 The Neo4j substitute at the heart of the storage stage: labelled
 nodes and typed, directed edges, both carrying free-form properties.
 The store maintains the indexes the workload needs -- label index,
-(label, property, value) index, adjacency lists in both directions
-(untyped, and per edge type) and a per-type edge total -- and is safe
-for concurrent readers with single-writer semantics.
+(label, property, value) index, per-type adjacency lists in both
+directions and a per-type edge total -- and is safe for concurrent
+readers with single-writer semantics.
 
 Persistence (snapshot + write-ahead log) lives in
 :mod:`repro.graphdb.wal`; query processing in
@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.runtime.locks import named_lock
@@ -81,6 +83,30 @@ def _encode_item(_: int, item: Node | Edge) -> str:
     return json.dumps(item.snapshot_data())
 
 
+def _edge_ids(
+    adjacency: dict[int, dict[str, list[int]]], node_id: int, edge_type: str | None
+) -> list[int] | tuple[()]:
+    """One direction's edge ids of ``node_id``, ascending: those of
+    ``edge_type``, or all of them -- the node's one list, or the sorted
+    union of its lists."""
+    by_type = adjacency.get(node_id, {})
+    if edge_type is not None:
+        return by_type.get(edge_type, ())
+    if len(by_type) > 1:
+        return sorted(chain.from_iterable(by_type.values()))
+    return next(iter(by_type.values()), ())
+
+
+def _degree(
+    adjacency: dict[int, dict[str, list[int]]], node_id: int, edge_type: str | None
+) -> int:
+    """The length of :func:`_edge_ids`, without building it."""
+    by_type = adjacency.get(node_id, {})
+    if edge_type is None:
+        return sum(map(len, by_type.values()))
+    return len(by_type.get(edge_type, ()))
+
+
 def _drain(
     touched: set[int], items: dict[int, object], mark: int, last: int
 ) -> list[int]:
@@ -110,14 +136,10 @@ class PropertyGraph:
     def __init__(self, id_base: int = 0):
         self._nodes: dict[int, Node] = {}
         self._edges: dict[int, Edge] = {}
-        # adjacency: node -> edge ids in insertion order, the order of
-        # record for untyped reads; and node -> edge type -> edge ids,
-        # which is by construction that list filtered by type, in the
-        # same order, so a typed hop reads only its own edges
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
-        self._out_typed: dict[int, dict[str, list[int]]] = {}
-        self._in_typed: dict[int, dict[str, list[int]]] = {}
+        # adjacency: node -> edge type -> ascending edge ids, so a typed
+        # hop reads only its own edges and an untyped one merges the lists
+        self._out: dict[int, dict[str, list[int]]] = {}
+        self._in: dict[int, dict[str, list[int]]] = {}
         # edge type -> live edge count; a type goes with its last edge
         self._type_counts: dict[str, int] = {}
         self._label_index: dict[str, set[int]] = {}
@@ -169,10 +191,8 @@ class PropertyGraph:
             label = sys.intern(label)
             node = Node(node_id, label, _interned_props(properties))
             self._nodes[node_id] = node
-            self._out[node_id] = []
-            self._in[node_id] = []
-            self._out_typed[node_id] = {}
-            self._in_typed[node_id] = {}
+            self._out[node_id] = {}
+            self._in[node_id] = {}
             self._label_index.setdefault(label, set()).add(node_id)
             self._index_node_properties(node)
             self.last_node_id = max(self.last_node_id, node_id)
@@ -222,15 +242,14 @@ class PropertyGraph:
         """Remove a node and every edge touching it."""
         with self._lock:
             node = self.node(node_id)
-            for edge_id in list(self._out[node_id]) + list(self._in[node_id]):
-                if edge_id in self._edges:
+            lists = (*self._out[node_id].values(), *self._in[node_id].values())
+            for edge_id in list(chain.from_iterable(lists)):
+                if edge_id in self._edges:  # a self-loop is listed twice
                     self.delete_edge(edge_id)
             self._deindex_node_properties(node)
             self._label_index.get(node.label, set()).discard(node_id)
             del self._out[node_id]
             del self._in[node_id]
-            del self._out_typed[node_id]
-            del self._in_typed[node_id]
             del self._nodes[node_id]
             self._touch_node(node_id)
 
@@ -274,10 +293,9 @@ class PropertyGraph:
             self._observe_properties(edge.properties)
             self._edges[edge_id] = edge
             edge_type = edge.type
-            self._out[src].append(edge_id)
-            self._in[dst].append(edge_id)
-            self._out_typed[src].setdefault(edge_type, []).append(edge_id)
-            self._in_typed[dst].setdefault(edge_type, []).append(edge_id)
+            # an append for every id the store hands out
+            insort(self._out[src].setdefault(edge_type, []), edge_id)
+            insort(self._in[dst].setdefault(edge_type, []), edge_id)
             self._type_counts[edge_type] = self._type_counts.get(edge_type, 0) + 1
             self.last_edge_id = max(self.last_edge_id, edge_id)
             self._touch_edge(edge_id)
@@ -296,13 +314,11 @@ class PropertyGraph:
         with self._lock:
             edge = self.edge(edge_id)
             edge_type = edge.type
-            self._out[edge.src].remove(edge_id)
-            self._in[edge.dst].remove(edge_id)
-            for typed in (self._out_typed[edge.src], self._in_typed[edge.dst]):
-                ids = typed[edge_type]
+            for by_type in (self._out[edge.src], self._in[edge.dst]):
+                ids = by_type[edge_type]
                 ids.remove(edge_id)
                 if not ids:
-                    del typed[edge_type]
+                    del by_type[edge_type]
             remaining = self._type_counts[edge_type] - 1
             if remaining:
                 self._type_counts[edge_type] = remaining
@@ -413,11 +429,8 @@ class PropertyGraph:
         if new_src == new_dst:
             self.delete_edge(edge_id)
             return
-        duplicates = [
-            e for e in self.out_edges(new_src, edge.type) if e.dst == new_dst
-        ]
-        if duplicates:
-            existing = duplicates[0]
+        existing = self.parallel_edge(new_src, edge.type, new_dst)
+        if existing is not None:
             weight = int(existing.properties.get("weight", 1)) + int(
                 edge.properties.get("weight", 1)
             )
@@ -511,29 +524,20 @@ class PropertyGraph:
 
     # -- adjacency ------------------------------------------------------------
 
-    @staticmethod
-    def _edge_ids(
-        untyped: dict[int, list[int]],
-        typed: dict[int, dict[str, list[int]]],
-        node_id: int,
-        edge_type: str | None,
-    ) -> list[int] | tuple[()]:
-        """One direction's edge ids of ``node_id``, in insertion order:
-        all of them, or only those of ``edge_type``."""
-        if edge_type is None:
-            return untyped.get(node_id, ())
-        by_type = typed.get(node_id)
-        return by_type.get(edge_type, ()) if by_type else ()
-
     def out_edges(self, node_id: int, edge_type: str | None = None) -> list[Edge]:
         edges = self._edges
-        ids = self._edge_ids(self._out, self._out_typed, node_id, edge_type)
-        return [edges[e] for e in ids]
+        return [edges[e] for e in _edge_ids(self._out, node_id, edge_type)]
 
     def in_edges(self, node_id: int, edge_type: str | None = None) -> list[Edge]:
         edges = self._edges
-        ids = self._edge_ids(self._in, self._in_typed, node_id, edge_type)
-        return [edges[e] for e in ids]
+        return [edges[e] for e in _edge_ids(self._in, node_id, edge_type)]
+
+    def parallel_edge(self, src: int, edge_type: str, dst: int) -> Edge | None:
+        """The first edge of ``edge_type`` from ``src`` to ``dst`` -- the
+        one a writer folds a parallel edge into -- or ``None``."""
+        edges = self._edges
+        candidates = (edges[e] for e in _edge_ids(self._out, src, edge_type))
+        return next((edge for edge in candidates if edge.dst == dst), None)
 
     def neighbors(
         self,
@@ -565,9 +569,9 @@ class PropertyGraph:
         a self-loop counts once per direction and twice under ``"both"``."""
         count = 0
         if direction in ("out", "both"):
-            count += len(self._edge_ids(self._out, self._out_typed, node_id, edge_type))
+            count += _degree(self._out, node_id, edge_type)
         if direction in ("in", "both"):
-            count += len(self._edge_ids(self._in, self._in_typed, node_id, edge_type))
+            count += _degree(self._in, node_id, edge_type)
         return count
 
     # -- stats -------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -126,6 +127,22 @@ def decode_cursor(query: str, token: str) -> dict:
     if not isinstance(continuation, dict):
         raise ValueError("malformed pagination cursor")
     return continuation
+
+
+def _number(body: dict, key: str, kind=int, required: bool = True):
+    """``body[key]`` as a finite ``kind``, or ``None`` for an optional key
+    that is absent or null.  Any other value raises ValueError, and a
+    missing required key KeyError: both answer 400."""
+    value = body[key] if required else body.get(key)
+    if value is None and not required:
+        return None
+    try:
+        number = kind(value)
+    except (TypeError, OverflowError):
+        number = None
+    if number is None or kind is float and not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _jsonable(value):
@@ -216,7 +233,10 @@ class ExplorerAPI:
     def _handle_locked(
         self, method: str, path: str, body: dict | None = None
     ) -> tuple[int, dict]:
-        body = body or {}
+        if body is None:
+            body = {}
+        if not isinstance(body, dict):
+            return 400, {"error": "request body must be a JSON object"}
         try:
             if method == "GET" and path == "/api/graph":
                 return 200, self.explorer.snapshot()
@@ -249,8 +269,8 @@ class ExplorerAPI:
             if method == "POST" and path == "/api/cypher":
                 query = str(body.get("query", ""))
                 strict = bool(body.get("strict", True))
-                if body.get("page_size") is not None:
-                    page_size = int(body["page_size"])
+                page_size = _number(body, "page_size", required=False)
+                if page_size is not None:
                     if page_size <= 0:
                         return 400, {"error": "page_size must be positive"}
                     continuation = None
@@ -283,14 +303,16 @@ class ExplorerAPI:
                     ]
                 }
             if method == "POST" and path == "/api/expand":
-                spawned = self.explorer.expand(int(body["id"]))
+                spawned = self.explorer.expand(_number(body, "id"))
                 return 200, {"spawned": spawned, "view": self.explorer.snapshot()}
             if method == "POST" and path == "/api/collapse":
-                hidden = self.explorer.collapse(int(body["id"]))
+                hidden = self.explorer.collapse(_number(body, "id"))
                 return 200, {"hidden": hidden, "view": self.explorer.snapshot()}
             if method == "POST" and path == "/api/drag":
                 self.explorer.drag(
-                    int(body["id"]), float(body["x"]), float(body["y"])
+                    _number(body, "id"),
+                    _number(body, "x", float),
+                    _number(body, "y", float),
                 )
                 return 200, {"view": self.explorer.snapshot()}
             if method == "POST" and path == "/api/back":
@@ -298,7 +320,8 @@ class ExplorerAPI:
                 return 200, {"moved": moved, "view": self.explorer.snapshot()}
             if method == "POST" and path == "/api/random":
                 self.explorer.show_random(
-                    size=body.get("size"), seed=body.get("seed")
+                    size=_number(body, "size", required=False),
+                    seed=_number(body, "seed", required=False),
                 )
                 return 200, {"view": self.explorer.snapshot()}
             return 404, {"error": f"no route {method} {path}"}
@@ -360,12 +383,18 @@ class ExplorerServer:
                 self._respond(status, payload, extra)
 
             def do_POST(self):  # noqa: N802 - stdlib naming
-                length = int(self.headers.get("Content-Length", "0"))
-                body = {}
+                try:
+                    length = int(self.headers.get("Content-Length", "0"))
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    self._respond(400, {"error": "invalid Content-Length"})
+                    return
+                body = None
                 if length:
                     try:
                         body = json.loads(self.rfile.read(length))
-                    except json.JSONDecodeError:
+                    except (ValueError, RecursionError):
                         self._respond(400, {"error": "invalid JSON body"})
                         return
                 status, payload, extra = outer.api.handle_full(

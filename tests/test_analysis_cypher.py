@@ -183,10 +183,6 @@ class TestEngineStrictMode:
         )
         assert rows == []
 
-    def test_engine_level_default_off(self):
-        engine = CypherEngine(PropertyGraph(), strict=False)
-        assert engine.run("MATCH (m:Malwear) RETURN m") == []
-
     def test_warnings_do_not_block(self, populated_engine):
         rows = populated_engine.run("MATCH (a)-[:USES*]->(b) RETURN b.name")
         assert [r["b.name"] for r in rows] == ["wannacry"]

@@ -26,10 +26,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig.from_dict({"no_such_option": 1})
 
-    @pytest.mark.parametrize("key", ["parse_workers", "extract_workers"])
+    @pytest.mark.parametrize(
+        "key", ["crawl_threads", "parse_workers", "extract_workers"]
+    )
     def test_worker_counts_below_one_rejected(self, key):
-        # a stage with no worker never runs: the cycle would hang; built
-        # directly or from a file, the config refuses it the same way
+        # a stage with no worker never runs: the cycle would hang or
+        # crawl nothing; built directly or from a file, the config
+        # refuses it the same way, before any worker is forked
         with pytest.raises(ValueError, match=key):
             SystemConfig.from_dict({key: 0})
         with pytest.raises(ValueError, match=key):

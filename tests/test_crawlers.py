@@ -287,18 +287,18 @@ class TestCrawlEngine:
 
     def test_no_threads_rejected(self, small_web):
         """With no worker the crawl would end empty and report no error:
-        refused when built, directly or through the system's config."""
+        refused when built, directly or through the system's config --
+        which refuses it before a system is built on it."""
         with pytest.raises(ValueError, match="num_threads=0"):
             CrawlEngine(
                 build_all_crawlers(["SecureListing"]),
                 Fetcher(SimulatedTransport(small_web, time_scale=0.0)),
                 num_threads=0,
             )
-        from repro import SecurityKG, SystemConfig
+        from repro import SystemConfig
 
-        kg = SecurityKG(SystemConfig(crawl_threads=-1), web=small_web)
-        with pytest.raises(ValueError, match="num_threads=-1"):
-            kg.run_once()
+        with pytest.raises(ValueError, match="crawl_threads must be at least 1"):
+            SystemConfig(crawl_threads=-1)
 
 
 class TestScheduler:

@@ -541,10 +541,10 @@ class TestAggregateContinuations:
         for i in range(n):
             graph.create_node("Sample", {"token": Counted(i)})
             graph.create_node("Sample", {"token": Counted(i)})  # a repeat
-        engine = CypherEngine(graph, strict=False)
-        rows = engine.run(
+        rows = CypherEngine(graph).run(
             "MATCH (s:Sample) RETURN count(DISTINCT s.token) AS c, "
-            "collect(DISTINCT s.token) AS v"
+            "collect(DISTINCT s.token) AS v",
+            strict=False,
         )
         assert rows[0]["c"] == n and len(rows[0]["v"]) == n
         # one comparison per repeat and aggregate, plus hash collisions

@@ -102,7 +102,7 @@ class GraphModel:
             group = rng.sample(sorted(self.nodes), min(len(self.nodes), 1 + op[1]))
             self.merge(group[0], group[1:])
         elif kind == "reload":
-            self.reload()
+            self.reload(rng)
         elif kind == "drain":
             self.check_drain()
 
@@ -133,13 +133,16 @@ class GraphModel:
         )
         touched_edges.update(range(last_edge_id + 1, self.graph.last_edge_id + 1))
 
-    def reload(self):
+    def reload(self, rng):
         """Restart: the graph rebuilt from its snapshot bytes, whose
-        first drain reports every live id."""
+        first drain reports every live id.  The edges are restored in
+        a shuffled order, which the adjacency order must not follow."""
         writer = GraphParticipant()
         writer.graph = self.graph
+        snapshot = json.loads(writer.snapshot_text())
+        rng.shuffle(snapshot["edges"])
         reader = GraphParticipant()
-        reader.load_snapshot(json.loads(writer.snapshot_text()))
+        reader.load_snapshot(snapshot)
         self.graph = reader.graph
         self.drained = ({}, {})
         self.touched = (set(self.nodes), set(self.edges))
@@ -171,26 +174,26 @@ class GraphModel:
         for label, _name in self.nodes.values():
             expected_labels[label] = expected_labels.get(label, 0) + 1
         assert graph.label_counts() == expected_labels
-        # adjacency symmetric
-        for edge in graph.edges():
-            assert edge.edge_id in {e.edge_id for e in graph.out_edges(edge.src)}
-            assert edge.edge_id in {e.edge_id for e in graph.in_edges(edge.dst)}
-        # typed adjacency: the untyped list filtered by type, in order,
-        # and the typed degree is its length
+        # adjacency: each direction's edges of a node, typed and untyped,
+        # are the model's in ascending edge id, and degree is their count
+        model = sorted(self.edges.items())
         for node_id in self.nodes:
             for edge_type in (None, *_EDGE_TYPES, _UNUSED_TYPE):
                 both = 0
-                for direction, listed in (
-                    ("out", graph.out_edges), ("in", graph.in_edges)
+                for direction, listed, end in (
+                    ("out", graph.out_edges, 0), ("in", graph.in_edges, 2)
                 ):
-                    typed = [e.edge_id for e in listed(node_id, edge_type)]
-                    assert typed == [
-                        e.edge_id
-                        for e in listed(node_id)
-                        if edge_type in (None, e.type)
-                    ], (node_id, edge_type, direction)
-                    assert graph.degree(node_id, edge_type, direction) == len(typed)
-                    both += len(typed)
+                    expected = [
+                        (edge_id, *triple)
+                        for edge_id, triple in model
+                        if triple[end] == node_id and edge_type in (None, triple[1])
+                    ]
+                    assert [
+                        (e.edge_id, e.src, e.type, e.dst)
+                        for e in listed(node_id, edge_type)
+                    ] == expected, (node_id, edge_type, direction)
+                    assert graph.degree(node_id, edge_type, direction) == len(expected)
+                    both += len(expected)
                 assert graph.degree(node_id, edge_type) == both
         # per-type totals: a recount, with no zero-count type
         assert graph.edge_type_counts() == dict(

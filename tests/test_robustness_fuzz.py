@@ -22,6 +22,7 @@ from repro.nlp.ioc import find_iocs
 from repro.nlp.pos import tag
 from repro.nlp.tokenize import tokenize_sentences
 from repro.search import SearchIndex, analyze
+from repro.ui.server import ROUTES
 
 _HTMLISH = st.text(
     alphabet=st.sampled_from(list("<>/='\"abc &;#!-\n\t")), max_size=120
@@ -316,6 +317,52 @@ class TestCypherCursorsAreHostileInput:
              "cursor": encode_cursor(query, _replaced(continuation, path, value))},
         )
         assert (status, payload) == (400, {"error": "malformed continuation"})
+
+
+class TestRequestBodiesAreHostileInput:
+    """Whatever JSON value a client posts -- an object whose keys hold
+    values of any type, or no object at all -- every route answers 200,
+    400 or 404, never an escaped exception."""
+
+    #: every body key some route reads
+    KEYS = (
+        "query", "strict", "page_size", "cursor", "id", "x", "y", "size", "seed",
+    )
+    BODIES = _JSON_VALUES | st.fixed_dictionaries(
+        {}, optional={key: st.integers(0, 40) | _JSON_VALUES for key in KEYS}
+    )
+
+    @pytest.fixture(scope="class")
+    def api(self):
+        from alias_corpus import alias_batch
+        from repro.core.config import SystemConfig
+        from repro.core.system import SecurityKG
+        from repro.ui.server import ExplorerAPI
+
+        kg = SecurityKG(SystemConfig(connectors=["graph", "search"], clock="virtual"))
+        kg.store(alias_batch(0))
+        return ExplorerAPI(kg)
+
+    @given(
+        route=st.sampled_from(
+            [(method, path.replace("<tier>", "public")) for method, path in ROUTES]
+        ),
+        body=BODIES,
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(route=("POST", "/api/search"), body=[1, 2])
+    @example(route=("POST", "/api/collapse"), body={"id": None})
+    @example(
+        route=("POST", "/api/cypher"),
+        body={"query": "MATCH (n) RETURN n", "page_size": [1]},
+    )
+    @example(route=("POST", "/api/drag"), body={"id": 1, "x": float("inf"), "y": 0})
+    @example(route=("POST", "/api/random"), body={"size": [3]})
+    def test_any_body_answers_200_400_or_404(self, api, route, body):
+        status, payload, _headers = api.handle_full(*route, body)
+        assert status in (200, 400, 404), (route, body, payload)
+        if status != 200:
+            assert isinstance(payload["error"], str)
 
 
 class TestEndToEndMalformedSource:

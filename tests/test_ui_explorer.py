@@ -1,5 +1,6 @@
 """Tests for the graph explorer and the JSON API."""
 
+import http.client
 import json
 import urllib.request
 
@@ -329,5 +330,25 @@ class TestExplorerAPI:
             with urllib.request.urlopen(request, timeout=5) as response:
                 payload = json.loads(response.read())
             assert payload["rows"][0]["c"] == api_system.graph.node_count
+        finally:
+            server.stop()
+
+    def test_http_malformed_post_is_400(self, api_system):
+        """A Content-Length that is no length, a body that is not JSON
+        text, or JSON that is not an object: a 400, not a dropped
+        connection."""
+        server = ExplorerServer(ExplorerAPI(api_system)).start()
+        try:
+            for length, data in (
+                ("abc", b""), ("-1", b""), ("2", b"\xff\xfe"), ("6", b"[1, 2]")
+            ):
+                connection = http.client.HTTPConnection(*server.address, timeout=5)
+                connection.putrequest("POST", "/api/search")
+                connection.putheader("Content-Length", length)
+                connection.endheaders(data)
+                response = connection.getresponse()
+                assert response.status == 400, (length, data)
+                assert isinstance(json.loads(response.read())["error"], str)
+                connection.close()
         finally:
             server.stop()
