@@ -1,21 +1,15 @@
-"""E21 -- multi-partition sharding: scaling and crashed-shard isolation.
+"""E21 -- multi-partition sharding: crashed-shard isolation.
 
-Two claims to quantify:
+Killing one partition at a seeded storage crash point loses only that
+partition's in-flight work: every *other* partition's durable graph /
+search / ingest-marker state is byte-identical to an uncrashed run the
+moment the deployment reopens, and a single converging re-run restores
+the killed partition too -- zero lost reports, zero duplicated ingests.
 
-1. **Near-linear ingest scaling.**  The store stage runs one worker per
-   partition, each committing to its own engine; with per-commit I/O
-   modelled on the virtual clock, doubling the partition count should
-   come close to halving the batch's (virtual) wall time.  Measured as
-   E1 measures crawl throughput: deterministic workload, virtual clock,
-   speedup = elapsed(1 partition) / elapsed(N partitions).
-2. **Crashed-shard isolation.**  Killing one partition at a seeded
-   storage crash point loses only that partition's in-flight work:
-   every *other* partition's durable graph / search / ingest-marker
-   state is byte-identical to an uncrashed run the moment the
-   deployment reopens, and a single converging re-run restores the
-   killed partition too -- zero lost reports, zero duplicated ingests.
-
-Runs entirely on the virtual clock; wall time is a few seconds.
+Partitions commit one after another on the caller's thread, so they
+add no ingest throughput; EXPERIMENTS.md records the host-clock
+measurement behind that.  Runs entirely on the virtual clock; wall time
+is a few seconds.
 """
 
 import json
@@ -24,14 +18,7 @@ from conftest import RESULTS_PATH, record_result
 
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
-from repro.ontology.entities import EntityType
-from repro.ontology.intermediate import CTIRecord, Mention
-from repro.runtime import clock_from_name
-from repro.sharding import ShardSet
 from repro.storage import CrashInjector, InjectedCrash
-
-#: per-commit modelled I/O latency (virtual seconds) for the scaling run
-COMMIT_LATENCY = 0.005
 
 WORKLOAD = dict(
     scenario_count=8,
@@ -47,77 +34,6 @@ def make_kg(path, partitions, faults=None):
     return SecurityKG(
         SystemConfig(storage_path=str(path), partitions=partitions, **WORKLOAD),
         faults=faults,
-    )
-
-
-def _corpus(count):
-    """Deterministic records with distinct anchor entities, so placement
-    spreads them the way a diverse real corpus would."""
-    return [
-        CTIRecord(
-            report_id=f"rpt-{index:04d}",
-            source="BenchSource",
-            url=f"https://bench.test/report/{index}",
-            title=f"analysis of sample-{index:04d}",
-            mentions=[
-                Mention(f"sample-{index:04d}", EntityType.MALWARE),
-            ],
-        )
-        for index in range(count)
-    ]
-
-
-def test_bench_shard_scaling():
-    """Virtual-time ingest throughput, 1 -> 2 -> 4 partitions."""
-    count = 200
-    series = []
-    for partitions in (1, 2, 4):
-        clock = clock_from_name("virtual")
-        shards = ShardSet(partitions, clock=clock)
-        records = _corpus(count)
-        started = clock.now()
-        outcome = shards.store(records, commit_latency=COMMIT_LATENCY)
-        elapsed = clock.now() - started
-        assert outcome.stored == count
-        loads = [p.engine.ingested_count for p in shards.partitions]
-        assert sum(loads) == count
-        series.append(
-            {
-                "partitions": partitions,
-                "virtual_elapsed_s": round(elapsed, 4),
-                "reports_per_s": round(count / elapsed, 1),
-                "partition_loads": loads,
-            }
-        )
-        shards.close()
-
-    base = series[0]["virtual_elapsed_s"]
-    for row in series:
-        row["speedup"] = round(base / row["virtual_elapsed_s"], 2)
-
-    print("\nE21: ingest scaling (200 reports, 5 ms modelled commit I/O)")
-    print(f"  {'partitions':>10} {'elapsed (s)':>12} {'rep/s':>8} "
-          f"{'speedup':>8}  loads")
-    for row in series:
-        print(
-            f"  {row['partitions']:>10} {row['virtual_elapsed_s']:>12} "
-            f"{row['reports_per_s']:>8} {row['speedup']:>8}  "
-            f"{row['partition_loads']}"
-        )
-
-    # near-linear: hash balance is the only loss (no coordination cost
-    # on the virtual clock), so 4 partitions must be >= 3x faster
-    assert series[1]["speedup"] >= 1.5
-    assert series[2]["speedup"] >= 3.0
-
-    record_result(
-        "E21",
-        {
-            "claim": "ingest throughput scales near-linearly with the "
-            "partition count; killing one shard leaves every other "
-            "shard byte-identical to an uncrashed run",
-            "scaling": series,
-        },
     )
 
 

@@ -232,30 +232,6 @@ def _ann_elem_names(node: ast.expr | None) -> frozenset[str]:
     return frozenset()
 
 
-def _lock_name_literal(node: ast.expr) -> str | None:
-    """The lock name at a ``named_lock`` call site.
-
-    Plain string literals are taken verbatim.  F-strings yield the
-    family's canonical wildcard name -- every interpolated piece
-    becomes ``*`` -- so ``named_lock(f"shard.{index}.stats")`` enters
-    the model as ``shard.*.stats``, the same name the runtime witness
-    canonicalizes instance names to.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        parts: list[str] = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                parts.append(value.value)
-            elif isinstance(value, ast.FormattedValue):
-                parts.append("*")
-            else:
-                return None
-        return "".join(parts)
-    return None
-
-
 def _named_lock_call(node: ast.expr) -> LockRef | None:
     """``named_lock("x"[, reentrant=True])`` -> LockRef, else None."""
     if not isinstance(node, ast.Call):
@@ -267,8 +243,8 @@ def _named_lock_call(node: ast.expr) -> LockRef | None:
     )
     if name != "named_lock" or not node.args:
         return None
-    lock_name = _lock_name_literal(node.args[0])
-    if lock_name is None:
+    first = node.args[0]
+    if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
         return None
     reentrant = any(
         kw.arg == "reentrant"
@@ -276,7 +252,7 @@ def _named_lock_call(node: ast.expr) -> LockRef | None:
         and bool(kw.value.value)
         for kw in node.keywords
     )
-    return LockRef(frozenset({lock_name}), reentrant)
+    return LockRef(frozenset({first.value}), reentrant)
 
 
 def _lock_in_field_default(node: ast.expr) -> LockRef | None:

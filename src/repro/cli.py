@@ -74,6 +74,17 @@ def _load_health_rules(path: str | None) -> dict | None:
     return load_rules_file(path)
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for a count: a usage error below 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_system(args: argparse.Namespace) -> SecurityKG:
     config = SystemConfig(
         scenario_count=args.scenarios,
@@ -91,7 +102,7 @@ def build_system(args: argparse.Namespace) -> SecurityKG:
             config.storage_path = args.state
         if getattr(args, "clock", None):
             config.clock = args.clock
-        if (getattr(args, "partitions", None) or 1) > 1:
+        if getattr(args, "partitions", None) is not None:
             config.partitions = args.partitions
     if getattr(args, "health", False) or getattr(args, "health_out", None):
         config.health = True
@@ -506,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--partitions",
-            type=int,
-            default=1,
+            type=_positive_int,
+            default=None,
             help="storage partition count (default 1); N > 1 "
             "hash-partitions the stores across N engines behind "
             "one graph and query surface.  A --state directory reopens "

@@ -57,13 +57,14 @@ class SystemConfig:
     partitions:
         Number of storage partitions.  The deployment is always a
         ``ShardSet`` of N >= 1 independent engines, each with its own
-        journal and checkpoint cycle, one store worker per partition
-        and fusion/Cypher/search served over all of them.  ``1`` (the
-        default) is a ``ShardSet`` of one whose engine files sit
-        directly under ``storage_path`` -- the same bytes on disk as
-        every earlier single-engine release; N > 1 hash-partitions
-        entities across ``storage_path/partition-<i>``.  A directory
-        written with one count cannot be opened with another.
+        journal and checkpoint cycle, committed in partition order on
+        the caller's thread, and fusion/Cypher/search served over all
+        of them.  ``1`` (the default) is a ``ShardSet`` of one whose
+        engine files sit directly under ``storage_path`` -- the same
+        bytes on disk as every earlier single-engine release; N > 1
+        hash-partitions entities across ``storage_path/partition-<i>``.
+        A directory written with one count cannot be opened with
+        another.
     checker_min_chars:
         Minimum rendered-text length accepted by the checker.
     clock:
@@ -117,7 +118,9 @@ class SystemConfig:
     feed_history: int = 64
 
     def __post_init__(self) -> None:
-        for key in ("crawl_threads", "parse_workers", "extract_workers"):
+        for key in (
+            "crawl_threads", "parse_workers", "extract_workers", "partitions"
+        ):
             count = getattr(self, key)
             if count < 1:
                 raise ValueError(f"{key} must be at least 1, got {count}")

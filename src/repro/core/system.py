@@ -174,8 +174,8 @@ class SecurityKG:
             ExtractorPool(self.extractor, workers) if workers > 1 else None
         )
         # The one deployment shape: N >= 1 partitions, each a complete
-        # storage engine (in memory without a storage_path), one store
-        # worker per partition, one graph view for every read path.
+        # storage engine (in memory without a storage_path), committed
+        # on the caller's thread, one graph view for every read path.
         try:
             self.shards = ShardSet(
                 self.config.partitions,
@@ -311,8 +311,8 @@ class SecurityKG:
         Leftover staged crawl state (rejected reports' URLs, crawl
         timestamps) is flushed at the end of the batch.
 
-        The batch fans out to one worker per partition, each committing
-        to its own engine (see :meth:`ShardSet.store`).
+        Each partition, in turn, commits its share of the batch to its
+        own engine (see :meth:`ShardSet.store`).
         """
         with self.obs.tracer.span("store", records=len(records)) as span:
             outcome = self.shards.store(records, parent_span=span)

@@ -102,7 +102,7 @@ class KnowledgeFusion:
 
         Alias groups are found read-only; every merge is a journaled
         ``merge_nodes`` op, and the whole pass is one engine transaction
-        -- one journal record, serialised with the store workers.  Each
+        -- one journal record, serialised with the store's commits.  Each
         group's canonical node is its highest-degree member (the richest
         one) at the time of its merge.
         """

@@ -75,9 +75,9 @@ def partition_breakdown(spans: list[dict]) -> dict:
     """Per-partition aggregation of a run's trace.
 
     Groups every span carrying a ``partition`` attribute (the
-    ``store.shard`` worker spans -- one per partition, also with a
+    ``store.shard`` spans -- one per partition and batch, also with a
     single partition) and aggregates span counts, durations and the
-    ``stored`` / ``skipped`` totals the workers stamp on their spans.
+    ``stored`` / ``skipped`` totals stamped on them.
     Returns an empty dict for a trace in which nothing was stored.
     """
     partitions: dict[str, dict] = {}

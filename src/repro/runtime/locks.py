@@ -29,30 +29,6 @@ class LockOrderViolation(RuntimeError):
     """An acquisition order contradicting the static lock hierarchy."""
 
 
-def canonical_lock_name(name: str) -> str:
-    """Collapse per-instance numeric segments to the family wildcard.
-
-    A sharded deployment creates one lock per partition with names like
-    ``shard.3.stats``; the static model names the *family*
-    ``shard.*.stats`` (the analyzer renders f-string interpolations as
-    ``*``).  Canonicalizing at the witness boundary lets every instance
-    share the family's hierarchy edges.  Names without purely-numeric
-    segments (every pre-sharding lock) are returned unchanged.
-    """
-    parts = name.split(".")
-    if not any(part.isdigit() for part in parts):
-        return name
-    return ".".join("*" if part.isdigit() else part for part in parts)
-
-
-def _instance_index(name: str) -> int | None:
-    """The first numeric dotted segment (the shard index), if any."""
-    for part in name.split("."):
-        if part.isdigit():
-            return int(part)
-    return None
-
-
 class LockOrderWitness:
     """Records runtime lock-acquisition order edges per thread.
 
@@ -62,13 +38,6 @@ class LockOrderWitness:
     static analysis, which treats re-entry as a no-op.  Edges between
     two holds of the *same* name (two instances of a per-object lock
     class) are skipped: the hierarchy orders lock *names*.
-
-    Per-instance lock families (``shard.0.stats``, ``shard.1.stats``,
-    ...) are recorded under their canonical family name
-    (``shard.*.stats``, see :func:`canonical_lock_name`), and nesting
-    two *different* instances of one family is allowed only in
-    ascending instance order -- the standard total-order discipline
-    that keeps same-family nesting deadlock-free.
 
     When a static hierarchy (transitive closure of allowed edges) is
     installed via :meth:`enable`, an acquisition that *reverses* a
@@ -127,49 +96,28 @@ class LockOrderWitness:
         if name in stack:  # re-entrant: no new ordering information
             stack.append(name)
             return
-        canon = canonical_lock_name(name)
-        thread_name = threading.current_thread().name
-        for item in stack:
-            # same family, different instance: ascending index only
-            if item == name or canonical_lock_name(item) != canon:
-                continue
-            held_index = _instance_index(item)
-            want_index = _instance_index(name)
-            if (
-                held_index is not None
-                and want_index is not None
-                and held_index > want_index
-            ):
-                raise LockOrderViolation(
-                    f"thread {thread_name!r} acquired {name!r} while "
-                    f"holding {item!r}; instances of the {canon!r} family "
-                    f"must be acquired in ascending instance order"
-                )
-        held = []
-        for item in stack:
-            item_canon = canonical_lock_name(item)
-            if item_canon != canon and item_canon not in held:
-                held.append(item_canon)
+        held = list(dict.fromkeys(stack))
         stack.append(name)
         if not held:
             return
+        thread_name = threading.current_thread().name
         with self._mutex:
             for item in held:
                 edge = self.edges.setdefault(
-                    (item, canon), {"count": 0, "threads": set()}
+                    (item, name), {"count": 0, "threads": set()}
                 )
                 edge["count"] = int(edge["count"]) + 1
                 edge["threads"].add(thread_name)  # type: ignore[union-attr]
         if self._closure is not None:
             for item in held:
-                if (canon, item) in self._closure and (
+                if (name, item) in self._closure and (
                     item,
-                    canon,
+                    name,
                 ) not in self._closure:
                     raise LockOrderViolation(
                         f"thread {thread_name!r} acquired {name!r} while "
                         f"holding {item!r}, reversing the static hierarchy "
-                        f"edge {canon!r} -> {item!r}"
+                        f"edge {name!r} -> {item!r}"
                     )
 
     def record_release(self, name: str) -> None:
@@ -314,6 +262,5 @@ __all__ = [
     "LockOrderWitness",
     "WITNESS",
     "WitnessLock",
-    "canonical_lock_name",
     "named_lock",
 ]

@@ -12,7 +12,6 @@ from repro.sharding.shards import (
     ShardPartition,
     ShardSet,
     ShardStoreOutcome,
-    ShardWorkerStats,
     ShardedCrawlState,
 )
 from repro.sharding.union import ID_STRIDE, GraphUnion
@@ -24,6 +23,5 @@ __all__ = [
     "ShardRouter",
     "ShardSet",
     "ShardStoreOutcome",
-    "ShardWorkerStats",
     "ShardedCrawlState",
 ]

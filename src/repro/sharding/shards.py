@@ -11,13 +11,13 @@ and connectors.  The :class:`ShardSet` owns N of them plus the
 :class:`~repro.sharding.router.ShardRouter` that decides placement, and
 exposes the operations every facade layer builds on:
 
-* ``store()`` fans a record batch out to one writer thread per
-  partition; each writer commits its records to *its* engine only, so a
-  crash injected on one partition loses in-flight work on that shard
-  alone while the others run to completion (the E21 isolation claim);
+* ``store()`` groups a record batch by partition and commits each
+  group, on the caller's thread, to *its* engine only, so a crash
+  injected on one partition loses in-flight work on that shard alone
+  while the others run to completion (the E21 isolation claim);
 * ``search()`` / ``fuse()`` / ``stats()`` scan every partition and
   merge with a canonical ordering, so seeded virtual-clock runs stay
-  byte-identical no matter how the OS scheduled the workers;
+  byte-identical;
 * ``graph`` is the one knowledge graph every reader sees, and
   ``cypher`` the one :class:`~repro.graphdb.cypher.executor.CypherEngine`
   over it.
@@ -34,7 +34,6 @@ a single partition, the live union view of several).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from repro.graphdb.store import PropertyGraph
 from repro.graphdb.wal import GraphDatabase, GraphParticipant
 from repro.obs import NO_OBS, Obs
 from repro.ontology.intermediate import CTIRecord
-from repro.runtime import Clock, clock_from_name, named_lock
+from repro.runtime import Clock, clock_from_name
 from repro.search.index import SearchHit, SearchIndexParticipant
 from repro.sharding.router import ShardRouter
 from repro.sharding.union import ID_STRIDE, GraphUnion
@@ -81,31 +80,6 @@ def partition_paths(root: str | Path | None, count: int) -> list[Path | None]:
     if count == 1:
         return [root]
     return [root / f"partition-{index}" for index in range(count)]
-
-
-class ShardWorkerStats:
-    """Per-partition ingest counters behind that partition's own lock.
-
-    The ``shard.<n>.stats`` locks are the per-partition tier of the
-    lock hierarchy: the analyzer records the family as the single
-    canonical name ``shard.*.stats``, and the runtime witness allows
-    same-family nesting only in ascending instance order.
-    """
-
-    def __init__(self, index: int):
-        self.index = index
-        self._lock = named_lock(f"shard.{index}.stats")
-        self.stored = 0
-        self.skipped = 0
-
-    def record(self, stored: int = 0, skipped: int = 0) -> None:
-        with self._lock:
-            self.stored += stored
-            self.skipped += skipped
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {"stored": self.stored, "skipped": self.skipped}
 
 
 @dataclass
@@ -147,7 +121,6 @@ class ShardPartition:
             connector = self._build_connector(name)
             connector.obs = obs
             self.connectors[name] = connector
-        self.stats = ShardWorkerStats(index)
 
     def _build_connector(self, name: str) -> Connector:
         if name == "graph":
@@ -183,8 +156,7 @@ class ShardSet:
         partition 0 only -- the deterministic "kill one shard" story
         the E21 isolation benchmark measures.
     clock:
-        Runtime clock; store workers register with it so a virtual
-        clock advances through modelled commit latency deterministically.
+        Runtime clock of the Cypher engine.
     """
 
     def __init__(
@@ -230,97 +202,72 @@ class ShardSet:
     # -- the store fan-out ---------------------------------------------
 
     def store(
-        self,
-        records: list[CTIRecord],
-        parent_span=None,
-        commit_latency: float = 0.0,
+        self, records: list[CTIRecord], parent_span=None
     ) -> ShardStoreOutcome:
-        """Commit a batch: one writer thread per partition, each committing
-        its records in batch order to its own engine only.
+        """Commit a batch: each partition, in index order, commits its
+        records in batch order to its own engine only.
 
         Exactly-once semantics hold per partition: each engine keeps its
         own ingest markers, so a replayed batch skips records its
-        partition already owns.  ``commit_latency`` models per-commit I/O
-        time on the injected clock (slept *outside* every lock).  Any
-        error a writer meets is re-raised, in partition order, once every
-        writer has finished -- the surviving partitions' commits are
-        already durable, but the batch flush is skipped, as in a killed
-        process.
+        partition already owns.  An error on one partition does not stop
+        the partitions after it; the first is re-raised, in partition
+        order, once every partition has run -- the surviving partitions'
+        commits are already durable, but the batch flush is skipped, as
+        in a killed process.
         """
         groups: list[list[CTIRecord]] = [[] for _ in self.partitions]
         for record in records:
             groups[self.router.partition_for_record(record)].append(record)
-        results: list[ShardStoreOutcome | None] = [None] * len(self.partitions)
-        errors: list[Exception | None] = [None] * len(self.partitions)
-        barrier = threading.Barrier(len(self.partitions))
-        threads = [
-            threading.Thread(
-                target=self._store_worker,
-                args=(
-                    partition, groups[partition.index], parent_span, barrier,
-                    commit_latency, results, errors,
-                ),
-                name=f"shard-worker-{partition.index}",
-                daemon=True,
-            )
-            for partition in self.partitions
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for error in errors:
-            if error is not None:
-                raise error
-        for partition in self.partitions:
-            partition.engine.flush()
         merged = ShardStoreOutcome(
             ingest={name: IngestStats() for name in self.connector_names}
         )
-        for result in results:
-            for name, stats in result.ingest.items():
-                merged.ingest[name] += stats
-            merged.stored += result.stored
-            merged.skipped += result.skipped
+        first_error: Exception | None = None
+        for partition in self.partitions:
+            try:
+                self._store_partition(
+                    partition, groups[partition.index], parent_span, merged
+                )
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                if first_error is None:
+                    first_error = error
+        if first_error is not None:
+            raise first_error
+        for partition in self.partitions:
+            partition.engine.flush()
         return merged
 
-    def _store_worker(
-        self, partition, records, parent, barrier, commit_latency,
-        results, errors,
+    def _store_partition(
+        self, partition, records, parent, merged: ShardStoreOutcome
     ) -> None:
+        """One partition's share of a batch, added into ``merged``; the
+        metrics count what it committed even when a record fails."""
         index = partition.index
-        totals = {name: IngestStats() for name in partition.connectors}
         stored = skipped = 0
         try:
-            with self.clock.worker():
-                # every worker must be registered before any of them
-                # sleeps, or the virtual clock would advance early
-                barrier.wait()
-                with self.obs.tracer.span(
-                    "store.shard", parent=parent, partition=index
-                ) as span:
-                    for record in records:
-                        if partition.engine.is_ingested(record.report_id):
-                            skipped += 1
-                            continue
-                        with partition.engine.transaction() as tx:
-                            for name, connector in partition.connectors.items():
-                                totals[name] += connector.ingest_one(record)
-                            tx.adopt_staged(CrawlParticipant.name, [record.url])
-                            tx.mark_ingested(record.report_id)
-                        stored += 1
-                        if commit_latency > 0.0:
-                            self.clock.sleep(commit_latency)
-                    span.set("stored", stored)
-                    span.set("skipped", skipped)
-        except Exception as error:  # noqa: BLE001 - re-raised by store()
-            errors[index] = error
-        partition.stats.record(stored=stored, skipped=skipped)
-        self.obs.metrics.inc("shard.reports_stored", stored, partition=str(index))
-        self.obs.metrics.inc("shard.reports_skipped", skipped, partition=str(index))
-        results[index] = ShardStoreOutcome(
-            ingest=totals, stored=stored, skipped=skipped
-        )
+            with self.obs.tracer.span(
+                "store.shard", parent=parent, partition=index
+            ) as span:
+                for record in records:
+                    if partition.engine.is_ingested(record.report_id):
+                        skipped += 1
+                        continue
+                    with partition.engine.transaction() as tx:
+                        for name, connector in partition.connectors.items():
+                            merged.ingest[name] += connector.ingest_one(record)
+                        tx.adopt_staged(CrawlParticipant.name, [record.url])
+                        tx.mark_ingested(record.report_id)
+                    stored += 1
+                span.set("stored", stored)
+                span.set("skipped", skipped)
+        finally:
+            merged.stored += stored
+            merged.skipped += skipped
+            self.obs.metrics.inc(
+                "shard.reports_stored", stored, partition=str(index)
+            )
+            self.obs.metrics.inc(
+                "shard.reports_skipped", skipped, partition=str(index)
+            )
 
     # -- reads over every partition --------------------------------------
 
@@ -480,7 +427,6 @@ __all__ = [
     "ShardPartition",
     "ShardSet",
     "ShardStoreOutcome",
-    "ShardWorkerStats",
     "ShardedCrawlState",
     "partition_paths",
 ]

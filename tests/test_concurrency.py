@@ -8,6 +8,7 @@ these are the proof the rules still bite.  The witness tests use
 orders never pollute the session-wide witness installed by conftest.
 """
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -367,6 +368,44 @@ class TestCanonicalModel:
         assert ("test.a", "test.c") in model.closure()
 
 
+class TestLockNameLiterals:
+    """The analyzer knows a lock only by the string literal at its
+    ``named_lock`` call, and the session witness judges only names the
+    static model knows -- so a computed name would go unchecked."""
+
+    def test_analyzer_reads_only_literal_lock_names(self, tmp_path):
+        model, _ = analyze_source(
+            tmp_path,
+            '''
+            from repro.runtime import named_lock
+
+            def run(index, a=named_lock("test.a")):
+                with a:
+                    with named_lock(f"test.{index}"):
+                        pass
+            ''',
+        )
+        assert model.lock_names() == ["test.a"]
+
+    def test_every_named_lock_call_passes_a_string_literal(self):
+        calls = 0
+        for path in sorted(DEFAULT_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name != "named_lock":
+                    continue
+                calls += 1
+                first = node.args[0] if node.args else None
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                assert isinstance(first, ast.Constant), where
+                assert isinstance(first.value, str), where
+        assert calls
+
+
 class TestRepoModel:
     """The analysed tree itself: zero findings, a sane hierarchy."""
 
@@ -403,15 +442,13 @@ class TestRepoModel:
         # the loop hands each report to a ThreadPoolExecutor: the method
         # it submits and the check and parse functions SecurityKG wires
         # in must still count as running on threads, or what they write
-        # drops out of the guard map; so must the inline extract and the
-        # partition writers of the store fan-out
+        # drops out of the guard map; so must the inline extract
         model, _ = analyze_package()
         for root in (
             "core/pipeline.py::Pipeline._check_parse",
             "core/checker.py::Checker.why_rejected",
             "core/parsers.py::ParserDispatch.parse",
             "core/extractor.py::Extractor.extract",
-            "sharding/shards.py::ShardSet._store_worker",
         ):
             assert root in model.roots
         assert model.guards["_Templates"]["words"] == ["nlp.feature_cache"]

@@ -38,6 +38,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=key):
             SystemConfig(**{key: 0})
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_partition_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="partitions"):
+            SystemConfig(partitions=count)
+        with pytest.raises(ValueError, match="partitions"):
+            SystemConfig.from_dict({"partitions": count})
+
     def test_file_round_trip(self, tmp_path):
         config = SystemConfig(recognizer="regex")
         path = tmp_path / "config.json"

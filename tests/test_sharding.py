@@ -4,16 +4,15 @@ Covers the placement properties the design leans on (stability, balance,
 insertion-order independence -- hypothesis-driven), the per-partition
 store semantics (exactly-once markers, crash isolation, disjoint id
 ranges), Cypher over the union view against a single-partition
-deployment and against the brute-force oracle, and the witness/analyzer
-support for per-partition lock families.
+deployment and against the brute-force oracle.
 """
 
 from __future__ import annotations
 
-import ast as pyast
 import json
 import random
 import sys
+import threading
 from io import StringIO
 
 import cypher_oracle
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.concurrency import _lock_name_literal
 from repro.connectors.base import Connector, IngestStats, registry
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
@@ -31,11 +29,6 @@ from repro.obs import make_obs
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention, RelationMention
 from repro.runtime import clock_from_name
-from repro.runtime.locks import (
-    LockOrderViolation,
-    LockOrderWitness,
-    canonical_lock_name,
-)
 from repro.sharding import (
     ID_STRIDE,
     GraphUnion,
@@ -174,7 +167,7 @@ class TestShardRouter:
 
 
 class Recording(Connector):
-    """Remembers the order its partition's writer handed records in."""
+    """Remembers the order its partition handed records in."""
 
     name = "recording"
 
@@ -189,18 +182,12 @@ class Recording(Connector):
 
 class TestShardSetStore:
     def test_stream_commits_each_partition_in_arrival_order(self, monkeypatch):
-        """A batch streams through one writer per partition: each commits
-        its own records in the order they arrived in the batch, and each
-        lands on its router partition."""
+        """Each partition commits its own records in the order they
+        arrived in the batch, and each lands on its router partition."""
         monkeypatch.setitem(registry.factories, Recording.name, Recording)
         shards = ShardSet(3, connectors=[Recording.name])
         records = _batch(24)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # more writers than cores, switching often
-        try:
-            outcome = shards.store(records)
-        finally:
-            sys.setswitchinterval(interval)
+        outcome = shards.store(records)
         assert (outcome.stored, outcome.skipped) == (24, 0)
         assert outcome.ingest[Recording.name].records == 24
         for partition in shards.partitions:
@@ -250,6 +237,22 @@ class TestShardSetStore:
         assert merged.edge_count == sum(
             p.graph.edge_count for p in shards.partitions
         )
+        shards.close()
+
+    def test_store_starts_no_thread(self, monkeypatch):
+        """Partitions commit on the caller's thread."""
+
+        def refuse(thread):
+            raise AssertionError(f"store() started thread {thread.name!r}")
+
+        shards = ShardSet(3)
+        records = _batch(18)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        outcome = shards.store(records)
+        monkeypatch.undo()
+        assert outcome.stored == len(records)
+        assert shards.ingested_count == len(records)
+        assert all(p.engine.ingested_count for p in shards.partitions)
         shards.close()
 
     def test_crash_on_one_partition_leaves_others_committed(self, tmp_path):
@@ -837,6 +840,31 @@ class TestShardingCLI:
         assert "partitions=2" in out.getvalue()
         assert "Traceback" not in out.getvalue()
 
+    @pytest.mark.parametrize("count", ["0", "-2", "two"])
+    def test_partitions_below_one_is_a_usage_error(self, count, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", "--partitions", count], out=StringIO())
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--partitions" in err
+        assert "Traceback" not in err
+
+    def test_partitions_flag_overrides_config_file(self, tmp_path):
+        from repro.cli import main
+
+        config = tmp_path / "config.json"
+        SystemConfig(partitions=2, clock="virtual").save(config)
+        state = tmp_path / "state"
+        small = ["--config", str(config), "--state", str(state),
+                 "--scenarios", "4", "--reports-per-site", "1"]
+        assert main(["run", *small, "--partitions", "1"], out=StringIO()) == 0
+        assert not list(state.glob("partition-*"))
+        out = StringIO()
+        assert main(["stats", *small], out=out) == 2  # the file's count: 2
+        assert "partitions=1" in out.getvalue()
+
     def test_run_and_by_partition_drilldown(self, tmp_path):
         from repro.cli import main
 
@@ -871,55 +899,6 @@ class TestShardingCLI:
         payload = json.loads(out.getvalue())
         assert set(payload) == {"0", "1"}
         assert all("stored" in entry for entry in payload.values())
-
-
-# -- lock families: analyzer + witness --------------------------------------
-
-
-class TestLockFamilies:
-    def test_canonical_lock_name(self):
-        assert canonical_lock_name("shard.3.stats") == "shard.*.stats"
-        assert canonical_lock_name("shard.12.stats") == "shard.*.stats"
-        assert canonical_lock_name("storage.engine") == "storage.engine"
-        assert canonical_lock_name("obs.metrics") == "obs.metrics"
-
-    def test_analyzer_reads_fstring_lock_names(self):
-        call = pyast.parse(
-            'named_lock(f"shard.{index}.stats")', mode="eval"
-        ).body
-        assert _lock_name_literal(call.args[0]) == "shard.*.stats"
-        call = pyast.parse('named_lock("a.b")', mode="eval").body
-        assert _lock_name_literal(call.args[0]) == "a.b"
-        call = pyast.parse("named_lock(name)", mode="eval").body
-        assert _lock_name_literal(call.args[0]) is None
-
-    def test_witness_allows_ascending_family_nesting(self):
-        witness = LockOrderWitness()
-        witness.enable()
-        witness.record_acquire("shard.0.stats")
-        witness.record_acquire("shard.1.stats")
-        witness.record_release("shard.1.stats")
-        witness.record_release("shard.0.stats")
-        # instances share the canonical family name: no self-edge
-        assert witness.observed_edges() == []
-
-    def test_witness_rejects_descending_family_nesting(self):
-        witness = LockOrderWitness()
-        witness.enable()
-        witness.record_acquire("shard.2.stats")
-        with pytest.raises(LockOrderViolation, match="ascending"):
-            witness.record_acquire("shard.1.stats")
-
-    def test_family_edges_record_canonical_names(self):
-        witness = LockOrderWitness()
-        witness.enable()
-        witness.record_acquire("outer.family")
-        witness.record_acquire("shard.4.stats")
-        witness.record_release("shard.4.stats")
-        witness.record_release("outer.family")
-        assert witness.observed_edges() == [
-            ("outer.family", "shard.*.stats")
-        ]
 
 
 # -- label / property-key interning -----------------------------------------
