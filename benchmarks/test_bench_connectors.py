@@ -16,9 +16,12 @@ import time
 from conftest import record_result
 
 from repro.connectors import GraphConnector, SQLConnector
+from repro.connectors.sql import SQLParticipant
 from repro.core import Checker, Extractor, ParserDispatch, Porter
 from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
-from repro.graphdb import CypherEngine
+from repro.graphdb import CypherEngine, GraphDatabase
+from repro.graphdb.wal import GraphParticipant
+from repro.storage import StorageEngine
 from repro.websim import SimulatedTransport, build_default_web
 
 
@@ -36,17 +39,26 @@ def build_records():
     return [extractor.extract(r) for r in records]
 
 
+def ingest_all(connector, records) -> None:
+    for record in records:
+        connector.ingest(record)
+
+
 def test_bench_connector_parity(benchmark):
     records = build_records()
 
-    graph_connector = GraphConnector()
+    graph_connector = GraphConnector(
+        GraphDatabase(StorageEngine(None, [GraphParticipant()]))
+    )
     started = time.perf_counter()
-    graph_connector.ingest(records)
+    ingest_all(graph_connector, records)
     graph_seconds = time.perf_counter() - started
 
-    sql_connector = SQLConnector()
+    sql_connector = SQLConnector(StorageEngine(None, [SQLParticipant()]))
     started = time.perf_counter()
-    benchmark.pedantic(sql_connector.ingest, args=(records,), rounds=1, iterations=1)
+    benchmark.pedantic(
+        ingest_all, args=(sql_connector, records), rounds=1, iterations=1
+    )
     sql_seconds = time.perf_counter() - started
 
     graph_labels = graph_connector.graph.label_counts()

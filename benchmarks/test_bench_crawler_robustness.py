@@ -26,7 +26,9 @@ from repro.crawlers import (
     PeriodicScheduler,
     build_all_crawlers,
 )
+from repro.crawlers.state import CrawlParticipant
 from repro.runtime import VirtualClock
+from repro.storage import StorageEngine
 from repro.websim import SimulatedTransport, build_default_web
 
 
@@ -46,7 +48,7 @@ def test_bench_robust_crawl(benchmark):
     stats = fetcher.stats.snapshot()
 
     # incremental re-crawl with shared state collects nothing new
-    state = CrawlState()
+    state = CrawlState(StorageEngine(None, [CrawlParticipant()]))
     first = CrawlEngine(
         build_all_crawlers(),
         Fetcher(SimulatedTransport(web, time_scale=1.0, clock=VirtualClock())),

@@ -28,8 +28,8 @@ from conftest import RESULTS_PATH, record_result
 
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
-from repro.graphdb.wal import GraphDatabase
-from repro.storage import CRASH_POINTS, CrashInjector, InjectedCrash
+from repro.graphdb.wal import GraphDatabase, GraphParticipant
+from repro.storage import CRASH_POINTS, CrashInjector, InjectedCrash, StorageEngine
 
 WORKLOAD = dict(
     scenario_count=6,
@@ -205,6 +205,10 @@ def test_bench_crash_matrix(tmp_path):
 WARM_COMMITS = 8
 
 
+def open_database(path) -> GraphDatabase:
+    return GraphDatabase(StorageEngine(path, [GraphParticipant()], fsync=False))
+
+
 def _timed_ms(action) -> float:
     started = time.perf_counter()
     action()
@@ -220,30 +224,30 @@ def test_bench_recovery_time_vs_journal_length(tmp_path):
     series = []
     for commits in (64, 256, 1024):
         path = tmp_path / f"journal-{commits}"
-        db = GraphDatabase(path, fsync=False)
+        db = open_database(path)
         for i in range(commits):
             db.create_node("N", {"name": f"n{i}", "i": i})
-        db.close()
+        db.engine.close()
 
         started = time.perf_counter()
-        reopened = GraphDatabase(path, fsync=False)
+        reopened = open_database(path)
         replay_ms = (time.perf_counter() - started) * 1000.0
         assert reopened.graph.node_count == commits
-        reopened.snapshot()
-        reopened.close()
+        reopened.engine.checkpoint()
+        reopened.engine.close()
 
         started = time.perf_counter()
-        compacted = GraphDatabase(path, fsync=False)
+        compacted = open_database(path)
         snapshot_ms = (time.perf_counter() - started) * 1000.0
         assert compacted.graph.node_count == commits
         # the checkpoint rows, after the reopen is timed: a store loaded
         # from its snapshot holds no encodings yet
-        cold_ms = _timed_ms(compacted.snapshot)
+        cold_ms = _timed_ms(compacted.engine.checkpoint)
         for i in range(commits, commits + WARM_COMMITS):
             compacted.create_node("N", {"name": f"n{i}", "i": i})
-        warm_ms = _timed_ms(compacted.snapshot)
+        warm_ms = _timed_ms(compacted.engine.checkpoint)
         snapshot_bytes = next(path.glob("snapshot-*.json")).stat().st_size
-        compacted.close()
+        compacted.engine.close()
         series.append(
             {
                 "commits": commits,

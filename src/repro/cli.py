@@ -85,7 +85,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_system(args: argparse.Namespace) -> SecurityKG:
+class ConfigError(Exception):
+    """A configuration the command cannot run with (exit 2)."""
+
+
+def _build_config(args: argparse.Namespace) -> SystemConfig:
     config = SystemConfig(
         scenario_count=args.scenarios,
         reports_per_site=args.reports_per_site,
@@ -109,6 +113,14 @@ def build_system(args: argparse.Namespace) -> SecurityKG:
         rules = _load_health_rules(getattr(args, "health_rules", None))
         if rules is not None:
             config.health_rules = rules
+    return config
+
+
+def build_system(args: argparse.Namespace) -> SecurityKG:
+    try:
+        config = _build_config(args)
+    except (OSError, TypeError, ValueError) as error:
+        raise ConfigError(str(error)) from error
     faults = None
     crash_at = getattr(args, "crash_at", None)
     if crash_at:
@@ -423,13 +435,13 @@ def cmd_hunt(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace, out) -> int:
+def _serve(system: SecurityKG, args: argparse.Namespace, out, banner) -> int:
+    """Serve the explorer API until interrupted (``--once``: start,
+    print the banner, stop); ``banner`` renders ``(host, port)``."""
     from repro.ui.server import ExplorerAPI, ExplorerServer
 
-    system = build_system(args)
     server = ExplorerServer(ExplorerAPI(system), port=args.port).start()
-    host, port = server.address
-    print(f"explorer API listening on http://{host}:{port}", file=out)
+    print(banner(*server.address), file=out)
     if args.once:  # test hook: start, report, stop
         server.stop()
         return 0
@@ -442,6 +454,13 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
     except KeyboardInterrupt:  # pragma: no cover
         server.stop()
     return 0
+
+
+def cmd_serve(args: argparse.Namespace, out) -> int:
+    return _serve(
+        build_system(args), args, out,
+        lambda host, port: f"explorer API listening on http://{host}:{port}",
+    )
 
 
 def cmd_feed(args: argparse.Namespace, out) -> int:
@@ -468,25 +487,11 @@ def cmd_feed(args: argparse.Namespace, out) -> int:
             )
         system.close()
         return 0
-    from repro.ui.server import ExplorerAPI, ExplorerServer
-
-    server = ExplorerServer(ExplorerAPI(system), port=args.port).start()
-    host, port = server.address
-    print(
-        f"feeds at http://{host}:{port}/feeds "
+    return _serve(
+        system, args, out,
+        lambda host, port: f"feeds at http://{host}:{port}/feeds "
         f"(tiers: {', '.join(TIERS)}; see DISSEMINATION.md)",
-        file=out,
     )
-    if args.once:  # test hook: start, report, stop
-        server.stop()
-        return 0
-    try:  # pragma: no cover - interactive loop
-        shutdown = threading.Event()
-        while not shutdown.is_set():
-            system.clock.wait_for(shutdown, 3600.0)
-    except KeyboardInterrupt:  # pragma: no cover
-        server.stop()
-    return 0
 
 
 def cmd_config(args: argparse.Namespace, out) -> int:
@@ -757,6 +762,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
+    except ConfigError as error:
+        print(f"config error: {error}", file=out)
+        return 2
     except StorageError as error:
         print(f"storage error: {error}", file=out)
         return 2

@@ -12,14 +12,13 @@ collapsed into one edge whose ``weight`` counts observations and whose
 
 from __future__ import annotations
 
-from repro.connectors.base import Connector, IngestStats, registry
+from repro.connectors.base import Connector, IngestStats
 from repro.graphdb.wal import GraphDatabase
 from repro.ontology.entities import Entity, merge_key_for
 from repro.ontology.intermediate import CTIRecord
 from repro.ontology.refactor import refactor_record
 
 
-@registry.register
 class GraphConnector(Connector):
     """Merge intermediate CTI representations into the property graph.
 
@@ -29,9 +28,8 @@ class GraphConnector(Connector):
 
     name = "graph"
 
-    def __init__(self, database: GraphDatabase | None = None):
-        super().__init__()
-        self.database = database or GraphDatabase()
+    def __init__(self, database: GraphDatabase):
+        self.database = database
 
     @property
     def graph(self):
@@ -58,41 +56,39 @@ class GraphConnector(Connector):
         stats.entities_created += 1
         return node.node_id
 
-    def ingest(self, records: list[CTIRecord]) -> IngestStats:
-        stats = IngestStats(records=len(records))
-        for record in records:
-            delta = refactor_record(record)
-            node_ids: dict[tuple[str, str], int] = {}
-            for entity in delta.entities:
-                node_ids[entity.key] = self._merge_entity(entity, stats)
-            for relation in delta.relations:
-                src = node_ids[relation.head.key]
-                dst = node_ids[relation.tail.key]
-                edge = self.graph.parallel_edge(src, relation.type.value, dst)
-                report_id = str(relation.provenance.get("report_id", ""))
-                if edge is not None:
-                    reports = list(edge.properties.get("reports", []))
-                    if report_id and report_id not in reports:
-                        reports.append(report_id)
-                    self.database.set_edge_properties(
-                        edge.edge_id,
-                        {
-                            "weight": int(edge.properties.get("weight", 1)) + 1,
-                            "reports": reports,
-                        },
-                    )
-                    stats.relations_merged += 1
-                else:
-                    properties = dict(relation.attributes)
-                    properties["weight"] = 1
-                    properties["reports"] = [report_id] if report_id else []
-                    if relation.provenance.get("sentence"):
-                        properties["sentence"] = relation.provenance["sentence"]
-                    self.database.create_edge(
-                        src, relation.type.value, dst, properties
-                    )
-                    stats.relations_created += 1
-        self.total += stats
+    def ingest(self, record: CTIRecord) -> IngestStats:
+        stats = IngestStats(records=1)
+        delta = refactor_record(record)
+        node_ids: dict[tuple[str, str], int] = {}
+        for entity in delta.entities:
+            node_ids[entity.key] = self._merge_entity(entity, stats)
+        for relation in delta.relations:
+            src = node_ids[relation.head.key]
+            dst = node_ids[relation.tail.key]
+            edge = self.graph.parallel_edge(src, relation.type.value, dst)
+            report_id = str(relation.provenance.get("report_id", ""))
+            if edge is not None:
+                reports = list(edge.properties.get("reports", []))
+                if report_id and report_id not in reports:
+                    reports.append(report_id)
+                self.database.set_edge_properties(
+                    edge.edge_id,
+                    {
+                        "weight": int(edge.properties.get("weight", 1)) + 1,
+                        "reports": reports,
+                    },
+                )
+                stats.relations_merged += 1
+            else:
+                properties = dict(relation.attributes)
+                properties["weight"] = 1
+                properties["reports"] = [report_id] if report_id else []
+                if relation.provenance.get("sentence"):
+                    properties["sentence"] = relation.provenance["sentence"]
+                self.database.create_edge(
+                    src, relation.type.value, dst, properties
+                )
+                stats.relations_created += 1
         return stats
 
 

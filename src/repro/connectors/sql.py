@@ -10,8 +10,8 @@ the graph connector, so the two backends stay row/node-comparable
 The database lives in memory as a participant of a
 :class:`~repro.storage.StorageEngine` and durability comes from the
 engine's journal: each record's ingest is one journal op replayed on
-recovery, with snapshots carrying a full SQL dump.  ``SQLConnector()``
-without an engine owns a private in-memory one.
+recovery, with snapshots carrying a full SQL dump.  The connector is
+built on its partition's engine and reads under that engine's lock.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import sqlite3
 
-from repro.connectors.base import Connector, IngestStats, registry
+from repro.connectors.base import Connector, IngestStats
 from repro.ontology.entities import Entity, merge_key_for
 from repro.ontology.intermediate import CTIRecord
 from repro.ontology.refactor import refactor_record
@@ -186,16 +186,12 @@ class SQLParticipant:
             self.connection.executescript(_SCHEMA)
 
 
-@registry.register
 class SQLConnector(Connector):
     """Merge intermediate CTI representations into sqlite."""
 
     name = "sql"
 
-    def __init__(self, engine: StorageEngine | None = None):
-        super().__init__()
-        if engine is None:
-            engine = StorageEngine(None, [SQLParticipant()])
+    def __init__(self, engine: StorageEngine):
         self.engine = engine
         self._participant = engine.participant(SQLParticipant.name)
         self._lock = engine.lock
@@ -204,11 +200,10 @@ class SQLConnector(Connector):
     def connection(self) -> sqlite3.Connection:
         return self._participant.connection
 
-    def ingest(self, records: list[CTIRecord]) -> IngestStats:
-        ops = [{"op": "ingest", "record": r.to_dict()} for r in records]
-        stats = self.engine.log(SQLParticipant.name, ops)
-        self.total += stats
-        return stats
+    def ingest(self, record: CTIRecord) -> IngestStats:
+        return self.engine.log(
+            SQLParticipant.name, [{"op": "ingest", "record": record.to_dict()}]
+        )
 
     # -- reading -------------------------------------------------------
 

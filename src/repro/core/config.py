@@ -17,6 +17,9 @@ from pathlib import Path
 
 from repro.storage.atomic import atomic_write_text
 
+#: the connectors a partition can build (see ``repro.connectors``)
+CONNECTORS = ("graph", "search", "sql")
+
 
 @dataclass
 class SystemConfig:
@@ -41,7 +44,8 @@ class SystemConfig:
         a platform without ``fork``), records pickled in and out -- the
         serialized stage crossing of section 2.1 -- never threads (E3).
     connectors:
-        Storage connectors to drive (names from the connector registry).
+        Storage connectors each partition builds on its engine, from
+        :data:`CONNECTORS`.
     recognizer:
         ``"crf"`` (the paper's extractor; trains at startup),
         ``"gazetteer"`` or ``"regex"`` (baselines).
@@ -122,14 +126,25 @@ class SystemConfig:
             "crawl_threads", "parse_workers", "extract_workers", "partitions"
         ):
             count = getattr(self, key)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"{key} must be an integer, got {count!r}")
             if count < 1:
                 raise ValueError(f"{key} must be at least 1, got {count}")
+        unknown = [name for name in self.connectors if name not in CONNECTORS]
+        if unknown:
+            raise ValueError(
+                f"unknown connectors {unknown}; known: {list(CONNECTORS)}"
+            )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a configuration is a JSON object, got {type(data).__name__}"
+            )
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416
         unknown = set(data) - known
         if unknown:
@@ -148,4 +163,4 @@ class SystemConfig:
         atomic_write_text(Path(path), self.to_json())
 
 
-__all__ = ["SystemConfig"]
+__all__ = ["CONNECTORS", "SystemConfig"]

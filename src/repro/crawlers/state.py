@@ -10,8 +10,9 @@ and has no persistence of its own: seen-URL deltas are *staged* --
 applied to memory immediately so the crawler's dedup works, but made
 durable only by the transaction that stores the matching report.  A
 crash between crawl and store therefore re-crawls the report instead
-of silently losing it.  ``CrawlState()`` without an engine owns a
-private in-memory one (a crawl that stores nothing).
+of silently losing it.  A state is built on its partition's engine
+(``StorageEngine(None, [CrawlParticipant()])`` for a crawl that stores
+nothing).
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ class CrawlParticipant:
 class CrawlState:
     """Thread-safe seen-URL set over a storage engine's crawl participant."""
 
-    def __init__(self, engine: StorageEngine | None = None):
-        if engine is None:
-            engine = StorageEngine(None, [CrawlParticipant()])
+    def __init__(self, engine: StorageEngine):
         self.engine = engine
         self._participant = engine.participant(CrawlParticipant.name)
         self._lock = engine.lock

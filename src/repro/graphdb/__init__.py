@@ -7,10 +7,12 @@ UI (:mod:`repro.graphdb.traversal`) and a Cypher-subset query engine
 (:mod:`repro.graphdb.cypher`).
 
 >>> from repro.graphdb import GraphDatabase, CypherEngine
->>> db = GraphDatabase()
+>>> from repro.graphdb.wal import GraphParticipant
+>>> from repro.storage import StorageEngine
+>>> db = GraphDatabase(StorageEngine(None, [GraphParticipant()]))
 >>> n = db.create_node("Malware", {"name": "wannacry"})
->>> engine = CypherEngine(db.graph)
->>> rows = engine.run('match (n) where n.name = "wannacry" return n')
+>>> cypher = CypherEngine(db.graph)
+>>> rows = cypher.run('match (n) where n.name = "wannacry" return n')
 >>> rows[0]["n"].properties["name"]
 'wannacry'
 """

@@ -1,20 +1,18 @@
 """Durable property graph on the storage engine.
 
 :class:`GraphDatabase` is the graph's mutation API (single mutations,
-each its own commit unless an ``engine.transaction()`` is open, and
-snapshot compaction); persistence lives in
-:class:`repro.storage.StorageEngine`: the graph registers a
-:class:`GraphParticipant` whose op batches are journalled alongside the
-search index's and crawl state's, so one pipeline batch commits across
-all stores atomically.  ``GraphDatabase(path)`` without an engine owns
-a one-participant engine (in memory when ``path`` is ``None``) -- the
-same single mutation path, not a second format.
+each its own commit unless an ``engine.transaction()`` is open);
+persistence lives in :class:`repro.storage.StorageEngine`: the graph
+registers a :class:`GraphParticipant` whose op batches are journalled
+alongside the search index's and crawl state's, so one pipeline batch
+commits across all stores atomically.  A database is always built on
+the engine it commits through; compaction and shutdown are that
+engine's ``checkpoint()`` and ``close()``.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from repro.graphdb.store import Edge, Node, PropertyGraph
 from repro.storage.engine import StorageEngine
@@ -130,42 +128,17 @@ class GraphDatabase:
     journal and snapshots.  Several mutations become one journal record
     inside ``with database.engine.transaction():``.
 
-    Parameters
-    ----------
-    path:
-        Directory for the storage engine's manifest/journal/snapshots.
-        ``None`` keeps the database purely in memory (tests, benchmarks).
-    engine:
-        An already-open :class:`~repro.storage.StorageEngine` with a
-        ``graph`` participant registered; the database attaches to it
-        instead of owning one (how every partition is wired).  Mutually
-        exclusive with ``path``.
+    ``engine`` is an open :class:`~repro.storage.StorageEngine` with a
+    ``graph`` participant registered.
     """
 
-    def __init__(
-        self,
-        path: str | Path | None = None,
-        engine: StorageEngine | None = None,
-        fsync: bool = True,
-    ):
-        if engine is not None:
-            if path is not None:
-                raise ValueError("pass either path or engine, not both")
-            self.engine = engine
-            self._owns_engine = False
-            self._participant = engine.participant(GraphParticipant.name)
-        else:
-            self._participant = GraphParticipant()
-            self.engine = StorageEngine(path, [self._participant], fsync=fsync)
-            self._owns_engine = True
+    def __init__(self, engine: StorageEngine):
+        self.engine = engine
+        self._participant = engine.participant(GraphParticipant.name)
 
     @property
     def graph(self) -> PropertyGraph:
         return self._participant.graph
-
-    @property
-    def path(self) -> Path | None:
-        return self.engine.path
 
     # -- mutation path ----------------------------------------------------
 
@@ -205,20 +178,6 @@ class GraphDatabase:
     def merge_nodes(self, canonical_id: int, losers: list[int]) -> None:
         """Auto-committed fold of alias nodes into ``canonical_id``."""
         self._log({"op": "merge_nodes", "canonical": canonical_id, "losers": losers})
-
-    def snapshot(self) -> None:
-        """Compact the engine's journal into a fresh snapshot generation."""
-        self.engine.checkpoint()
-
-    def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
-
-    def __enter__(self) -> "GraphDatabase":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
 
 __all__ = [

@@ -111,27 +111,21 @@ class ShardPartition:
         if "sql" in connector_names:
             participants.append(SQLParticipant())
         self.engine = StorageEngine(path, participants, faults=faults, obs=obs)
-        self.database = GraphDatabase(engine=self.engine)
-        self.state = CrawlState(engine=self.engine)
+        self.database = GraphDatabase(self.engine)
+        self.state = CrawlState(self.engine)
         self.search_index = self.engine.participant(
             SearchIndexParticipant.name
         ).index
+        builders = {
+            "graph": lambda: GraphConnector(self.database),
+            "search": lambda: SearchConnector(self.engine),
+            "sql": lambda: SQLConnector(self.engine),
+        }
         self.connectors: dict[str, Connector] = {}
         for name in connector_names:
-            connector = self._build_connector(name)
+            connector = builders[name]()
             connector.obs = obs
             self.connectors[name] = connector
-
-    def _build_connector(self, name: str) -> Connector:
-        if name == "graph":
-            return GraphConnector(self.database)
-        if name == "search":
-            return SearchConnector(engine=self.engine)
-        if name == "sql":
-            return SQLConnector(engine=self.engine)
-        from repro.connectors.base import registry
-
-        return registry.create(name)
 
     @property
     def graph(self) -> PropertyGraph:

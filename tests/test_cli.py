@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,3 +193,48 @@ class TestStandalone:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")
+
+
+BAD_CONFIGS = {
+    "zero-partitions": {"partitions": 0},
+    "zero-crawl-threads": {"crawl_threads": 0},
+    "unknown-connector": {"connectors": ["neo4j"]},
+    "not-an-object": [1],
+    "string-count": {"partitions": "2"},
+}
+
+
+class TestConfigErrors:
+    """A configuration file the system refuses is one ``config error:``
+    line and exit 2, with nothing written."""
+
+    @pytest.mark.parametrize("payload", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_bad_file_is_one_line_and_exit_2(self, tmp_path, payload):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(payload))
+        state = tmp_path / "state"
+        code, output = run_cli(
+            "stats", "--config", str(config_path), "--state", str(state)
+        )
+        assert code == 2
+        assert output.startswith("config error: ")
+        assert output.count("\n") == 1
+        assert not state.exists()
+
+    def test_missing_file_is_a_config_error(self, tmp_path):
+        code, output = run_cli("stats", "--config", str(tmp_path / "absent.json"))
+        assert code == 2
+        assert output.startswith("config error: ")
+
+    def test_process_prints_no_traceback(self, tmp_path):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(BAD_CONFIGS["unknown-connector"]))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", "--config", str(config_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 2
+        assert "Traceback" not in child.stdout + child.stderr
+        assert "known: ['graph', 'search', 'sql']" in child.stdout

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro import SecurityKG, SystemConfig
-from repro.connectors.base import Connector, registry
+from repro.connectors.base import Connector
 from repro.nlp.baselines import GazetteerRecognizer
 from repro.obs import make_obs
 from repro.obs.profile import unit_costs
@@ -44,6 +44,23 @@ class TestSystemConfig:
             SystemConfig(partitions=count)
         with pytest.raises(ValueError, match="partitions"):
             SystemConfig.from_dict({"partitions": count})
+
+    @pytest.mark.parametrize("count", ["2", 2.0, True, None])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="partitions must be an integer"):
+            SystemConfig.from_dict({"partitions": count})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object, got list"):
+            SystemConfig.from_dict([1])
+
+    def test_unknown_connector_rejected_before_any_file(self, tmp_path):
+        """The name is refused with the known ones, before a partition
+        engine opens its directory."""
+        root = tmp_path / "kg"
+        with pytest.raises(ValueError, match=r"\['neo4j'\]; known: \['graph'"):
+            SecurityKG(SystemConfig(connectors=["graph", "neo4j"], storage_path=str(root)))
+        assert not root.exists()
 
     def test_file_round_trip(self, tmp_path):
         config = SystemConfig(recognizer="regex")
@@ -504,29 +521,35 @@ class TestExtractorProcesses:
 
 
 class Refusing(Connector):
-    """A backend that refuses every record."""
+    """A search backend that refuses every record."""
 
-    name = "refusing"
+    name = "search"
 
-    def ingest(self, records):
+    def ingest(self, record):
         raise ValueError("backend refused the record")
+
+
+def refusing(kg):
+    """``kg`` with every partition's search connector refusing."""
+    for partition in kg.shards.partitions:
+        partition.connectors[Refusing.name] = Refusing()
+    return kg
 
 
 class TestStoreErrors:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_writer_error_is_raised_not_swallowed(self, monkeypatch, workers):
+    def test_a_writer_error_is_raised_not_swallowed(self, workers):
         """Any exception a partition writer meets -- not only an injected
         crash -- reaches the caller once the writers drain."""
-        monkeypatch.setitem(registry.factories, Refusing.name, Refusing)
         config = SystemConfig(
             **{**POOLED, "connectors": ["graph", Refusing.name]},
             extract_workers=workers,
         )
-        with SecurityKG(config) as kg:
+        with refusing(SecurityKG(config)) as kg:
             records, _result = kg.process(passed_reports(kg))
             with pytest.raises(ValueError, match="refused"):
                 kg.store(records)
-        with SecurityKG(config) as kg:
+        with refusing(SecurityKG(config)) as kg:
             with pytest.raises(ValueError, match="refused"):
                 kg.run_once()
 

@@ -12,6 +12,12 @@ from repro.fusion import (
     token_set_overlap,
 )
 from repro.graphdb import GraphDatabase
+from repro.graphdb.wal import GraphParticipant
+from repro.storage import StorageEngine
+
+
+def in_memory_database() -> GraphDatabase:
+    return GraphDatabase(StorageEngine(None, [GraphParticipant()]))
 
 
 class TestSimilarity:
@@ -50,7 +56,7 @@ class TestSimilarity:
 def seeded_database():
     """Three naming variants of one malware + an unrelated one, with
     edges, in an in-memory database (fusion commits through it)."""
-    db = GraphDatabase()
+    db = in_memory_database()
     a = db.create_node("Malware", {"name": "agent tesla", "merge_key": "agent tesla"})
     b = db.create_node("Malware", {"name": "AgentTesla", "merge_key": "agenttesla"})
     c = db.create_node("Malware", {"name": "agent_tesla", "merge_key": "agent_tesla"})
@@ -108,7 +114,7 @@ class TestKnowledgeFusion:
         assert db.graph.has_node(other.node_id)
 
     def test_ioc_labels_never_fused(self):
-        db = GraphDatabase()
+        db = in_memory_database()
         db.create_node("Hash", {"name": "a" * 64})
         db.create_node("Hash", {"name": "a" * 63 + "b"})
         report = KnowledgeFusion().run(db)

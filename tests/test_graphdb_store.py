@@ -1,5 +1,6 @@
 """Unit tests for the property graph store, WAL and transactions."""
 
+import contextlib
 import json
 import threading
 
@@ -13,6 +14,19 @@ from repro.graphdb.cypher.ast import RelPattern
 from repro.graphdb.cypher.iterators import _adjacent
 from repro.graphdb.wal import GraphParticipant
 from repro.sharding import ID_STRIDE, GraphUnion
+from repro.storage import StorageEngine
+
+
+def database(path=None) -> GraphDatabase:
+    """A graph database on its own one-participant engine."""
+    return GraphDatabase(StorageEngine(path, [GraphParticipant()]))
+
+
+@contextlib.contextmanager
+def opened(path):
+    """A graph database whose engine closes on exit."""
+    with StorageEngine(path, [GraphParticipant()]) as engine:
+        yield GraphDatabase(engine)
 
 
 @pytest.fixture
@@ -149,7 +163,7 @@ class TestTransactions:
     transaction -- the graph has no transaction of its own."""
 
     def test_commit_applies_batch(self, tmp_path):
-        db = GraphDatabase(tmp_path / "db")
+        db = database(tmp_path / "db")
         with db.engine.transaction():
             m = db.create_node("Malware", {"name": "emotet"})
             f = db.create_node("FileName", {"name": "x.exe"})
@@ -157,8 +171,8 @@ class TestTransactions:
         assert db.graph.node_count == 2
         assert db.graph.edge_count == 1
         assert db.engine.last_seq == 1  # one journal record
-        db.close()
-        with GraphDatabase(tmp_path / "db") as reopened:
+        db.engine.close()
+        with opened(tmp_path / "db") as reopened:
             assert reopened.graph.edge_count == 1
 
     def test_placeholder_mapping(self):
@@ -175,7 +189,7 @@ class TestTransactions:
         assert (outcome.edges[0].src, outcome.edges[0].dst) == (1, 2)
 
     def test_set_properties_in_transaction(self):
-        db = GraphDatabase()
+        db = database()
         node = db.create_node("A", {"name": "x"})
         with db.engine.transaction():
             db.set_node_properties(node.node_id, {"seen": 2})
@@ -185,42 +199,42 @@ class TestTransactions:
 class TestDurability:
     def test_wal_replay_after_reopen(self, tmp_path):
         path = tmp_path / "db"
-        with GraphDatabase(path) as db:
+        with opened(path) as db:
             m = db.create_node("Malware", {"name": "emotet"})
             f = db.create_node("FileName", {"name": "x.exe"})
             db.create_edge(m.node_id, "DROPS", f.node_id)
-        with GraphDatabase(path) as reopened:
+        with opened(path) as reopened:
             assert reopened.graph.node_count == 2
             assert reopened.graph.edge_count == 1
             assert reopened.graph.find_node("Malware", name="emotet")
 
     def test_snapshot_compacts_wal(self, tmp_path):
         path = tmp_path / "db"
-        with GraphDatabase(path) as db:
+        with opened(path) as db:
             for i in range(10):
                 db.create_node("N", {"name": f"n{i}"})
-            db.snapshot()
+            db.engine.checkpoint()
             # compaction starts a fresh (empty) journal generation
             assert db.engine.journal_path.read_text() == ""
             db.create_node("N", {"name": "post-snapshot"})
-        with GraphDatabase(path) as reopened:
+        with opened(path) as reopened:
             assert reopened.graph.node_count == 11
             assert reopened.graph.find_node("N", name="post-snapshot")
 
     def test_edges_after_snapshot_reference_stable_ids(self, tmp_path):
         path = tmp_path / "db"
-        with GraphDatabase(path) as db:
+        with opened(path) as db:
             a = db.create_node("A", {"name": "a"})
             b = db.create_node("B", {"name": "b"})
-            db.snapshot()
+            db.engine.checkpoint()
             db.create_edge(a.node_id, "R", b.node_id)
-        with GraphDatabase(path) as reopened:
+        with opened(path) as reopened:
             assert reopened.graph.edge_count == 1
 
     @staticmethod
     def _merged_database(path):
         """A store whose merge left gaps below both id high-water marks."""
-        db = GraphDatabase(path)
+        db = database(path)
         a = db.create_node("Malware", {"name": "agent tesla"})
         tool = db.create_node("Tool", {"name": "mimikatz"})
         b = db.create_node("Malware", {"name": "AgentTesla"})
@@ -239,29 +253,29 @@ class TestDurability:
     def test_merge_survives_reopen_with_its_id_gaps(self, tmp_path, snapshot):
         db = self._merged_database(tmp_path / "db")
         if snapshot:
-            db.snapshot()
+            db.engine.checkpoint()
         assert self._identity(db.graph)[1:] == (3, 3)
         assert [e.edge_id for e in db.graph.edges()] == [1]
         assert db.graph.edge(1).properties["weight"] == 3
-        with GraphDatabase(tmp_path / "db") as reopened:
+        with opened(tmp_path / "db") as reopened:
             assert self._identity(reopened.graph) == self._identity(db.graph)
             # both processes draw the same ids for what comes next
             for database in (db, reopened):
                 node = database.create_node("Tool", {"name": "psexec"})
                 edge = database.create_edge(1, "USES", node.node_id)
                 assert (node.node_id, edge.edge_id) == (4, 4)
-        db.close()
+        db.engine.close()
 
     def test_snapshot_without_edge_ids_loads_as_it_always_did(self, tmp_path):
         """Stores written before snapshots carried edge ids and id
         high-water marks number edges in file order and restart both
         counters after the largest id present."""
         path = tmp_path / "db"
-        with GraphDatabase(path) as db:
+        with opened(path) as db:
             nodes = [db.create_node("N", {"name": f"n{i}"}) for i in range(3)]
             for node in nodes[1:]:
                 db.create_edge(nodes[0].node_id, "R", node.node_id)
-            db.snapshot()
+            db.engine.checkpoint()
             snapshot_path = next(path.glob("snapshot-*.json"))
         data = json.loads(snapshot_path.read_text())
         graph_data = data["stores"]["graph"]
@@ -269,29 +283,29 @@ class TestDurability:
         for edge_data in graph_data["edges"]:
             del edge_data["id"]
         snapshot_path.write_text(json.dumps(data))
-        with GraphDatabase(path) as reopened:
+        with opened(path) as reopened:
             assert [e.edge_id for e in reopened.graph.edges()] == [1, 2]
             assert reopened.create_node("N", {"name": "next"}).node_id == 4
             assert reopened.create_edge(1, "R", 4).edge_id == 3
 
     def test_torn_wal_tail_recovered(self, tmp_path):
         path = tmp_path / "db"
-        with GraphDatabase(path) as db:
+        with opened(path) as db:
             db.create_node("N", {"name": "a"})
             db.create_node("N", {"name": "b"})
             journal = db.engine.journal_path
         # simulate a crash mid-append: half a JSON record at the tail
         with journal.open("a") as handle:
             handle.write('{"seq": 3, "ops": {"graph": [[{"op": "create_no')
-        with GraphDatabase(path) as reopened:
+        with opened(path) as reopened:
             assert reopened.graph.node_count == 2
             # the torn tail was truncated; new writes land cleanly
             reopened.create_node("N", {"name": "c"})
-        with GraphDatabase(path) as again:
+        with opened(path) as again:
             assert again.graph.node_count == 3
 
     def test_concurrent_writers_consistent(self, tmp_path):
-        db = GraphDatabase(tmp_path / "db")
+        db = database(tmp_path / "db")
 
         def writer(k):
             for i in range(25):
@@ -303,8 +317,8 @@ class TestDurability:
         for t in threads:
             t.join()
         assert db.graph.node_count == 100
-        db.close()
-        with GraphDatabase(tmp_path / "db") as reopened:
+        db.engine.close()
+        with opened(tmp_path / "db") as reopened:
             assert reopened.graph.node_count == 100
 
 

@@ -15,6 +15,7 @@ from repro.graphdb.wal import GraphParticipant
 from repro.nlp.tokenize import tokenize_sentences
 from repro.ontology import CTIRecord, ReportRecord
 from repro.search import SearchIndex, analyze
+from repro.storage import StorageEngine
 from repro.websim.scenario import generate_report_content, make_scenarios
 
 
@@ -398,7 +399,7 @@ class TestFusionInvariants:
     )
     @settings(max_examples=40, deadline=None)
     def test_fusion_monotone_and_label_safe(self, names):
-        database = GraphDatabase()
+        database = GraphDatabase(StorageEngine(None, [GraphParticipant()]))
         graph = database.graph
         for i, name in enumerate(names):
             label = "Malware" if i % 2 == 0 else "Tool"

@@ -287,6 +287,8 @@ class TestAgainstOracle:
         import random
 
         from repro.connectors.searchconn import SearchConnector
+        from repro.search.index import SearchIndexParticipant
+        from repro.storage import StorageEngine
         from repro.websim import build_default_web
 
         kg = SecurityKG(
@@ -298,8 +300,9 @@ class TestAgainstOracle:
         records, _result = kg.process(kg.checker.filter(kg.porter.port(crawl.documents)).passed)
         kg.close()
         assert len(records) > 75
-        connector = SearchConnector()
-        connector.ingest(records)
+        connector = SearchConnector(StorageEngine(None, [SearchIndexParticipant()]))
+        for record in records:
+            connector.ingest(record)
         index = connector.index
         oracle = search_oracle.OracleIndex(index.field_boosts)
         for record in records:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectors.base import Connector, IngestStats, registry
+from repro.connectors.base import Connector, IngestStats
 from repro.core.config import SystemConfig
 from repro.core.system import SecurityKG
 from repro.graphdb.cypher.executor import CypherRuntimeError
@@ -167,25 +167,26 @@ class TestShardRouter:
 
 
 class Recording(Connector):
-    """Remembers the order its partition handed records in."""
+    """Stands in for a partition's search connector and remembers the
+    order the partition handed it records in."""
 
-    name = "recording"
+    name = "search"
 
     def __init__(self):
-        super().__init__()
         self.order: list[str] = []
 
-    def ingest(self, records):
-        self.order.extend(record.report_id for record in records)
-        return IngestStats(records=len(records))
+    def ingest(self, record):
+        self.order.append(record.report_id)
+        return IngestStats(records=1)
 
 
 class TestShardSetStore:
-    def test_stream_commits_each_partition_in_arrival_order(self, monkeypatch):
+    def test_stream_commits_each_partition_in_arrival_order(self):
         """Each partition commits its own records in the order they
         arrived in the batch, and each lands on its router partition."""
-        monkeypatch.setitem(registry.factories, Recording.name, Recording)
         shards = ShardSet(3, connectors=[Recording.name])
+        for partition in shards.partitions:
+            partition.connectors[Recording.name] = Recording()
         records = _batch(24)
         outcome = shards.store(records)
         assert (outcome.stored, outcome.skipped) == (24, 0)
