@@ -150,8 +150,11 @@ class TestSearchConnector:
         assert connector.index.search("10.99.88.77")
 
 
-class TestConnectorNames:
-    def test_every_known_name_builds_on_the_partition_engine(self):
+class TestRegistry:
+    """The known connector names are ``CONNECTORS``; a partition builds them."""
+
+    def test_known_connectors_registered(self):
+        assert {"graph", "sql", "search"} <= set(CONNECTORS)
         partition = ShardPartition(0, None, list(CONNECTORS))
         connectors = partition.connectors
         assert {name: type(c) for name, c in connectors.items()} == {
@@ -162,6 +165,14 @@ class TestConnectorNames:
         assert connectors["graph"].database.engine is partition.engine
         assert connectors["search"].engine is partition.engine
         assert connectors["sql"].engine is partition.engine
+        partition.engine.close()
+
+    def test_create_by_name(self):
+        partition = ShardPartition(0, None, ["sql"])
+        connector = partition.connectors["sql"]
+        assert list(partition.connectors) == ["sql"]
+        assert isinstance(connector, SQLConnector)
+        assert connector.engine is partition.engine
         partition.engine.close()
 
     def test_unknown_name_raises(self):
