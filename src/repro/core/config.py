@@ -15,10 +15,13 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.runtime.clock import CLOCKS
 from repro.storage.atomic import atomic_write_text
 
 #: the connectors a partition can build (see ``repro.connectors``)
 CONNECTORS = ("graph", "search", "sql")
+#: the entity recognisers ``SecurityKG`` can build
+RECOGNIZERS = ("crf", "gazetteer", "regex")
 
 
 @dataclass
@@ -130,11 +133,27 @@ class SystemConfig:
                 raise ValueError(f"{key} must be an integer, got {count!r}")
             if count < 1:
                 raise ValueError(f"{key} must be at least 1, got {count}")
+        if isinstance(self.scenario_count, bool) or not isinstance(
+            self.scenario_count, int
+        ):
+            raise ValueError(
+                f"scenario_count must be an integer, got {self.scenario_count!r}"
+            )
+        rate = self.failure_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"failure_rate must be a number, got {rate!r}")
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"failure_rate must be within [0, 1], got {rate}")
         unknown = [name for name in self.connectors if name not in CONNECTORS]
         if unknown:
             raise ValueError(
                 f"unknown connectors {unknown}; known: {list(CONNECTORS)}"
             )
+        for key, known in (("recognizer", RECOGNIZERS), ("clock", CLOCKS)):
+            if getattr(self, key) not in known:
+                raise ValueError(
+                    f"unknown {key} {getattr(self, key)!r}; known: {list(known)}"
+                )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -163,4 +182,4 @@ class SystemConfig:
         atomic_write_text(Path(path), self.to_json())
 
 
-__all__ = ["CONNECTORS", "SystemConfig"]
+__all__ = ["CONNECTORS", "RECOGNIZERS", "SystemConfig"]

@@ -22,12 +22,16 @@ Every entry point starts with :meth:`CypherEngine._prepare`: a bounded
 map from query text to the parsed query (valid forever), the
 strict-analysis verdict and the compiled physical plan (both valid for
 one graph version), so a repeated query is parsed, analysed and planned
-once per state of the graph.
+once per state of the graph.  :meth:`CypherEngine.run` keeps a plain
+MATCH's rows in the same entry under the same rule, so a repeated query
+is also drained once per graph version: until a write moves the
+version, the next ``run`` of that text answers with copies of the kept
+rows and builds no :class:`QueryTask`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.graphdb.cypher import ast
@@ -48,6 +52,16 @@ if TYPE_CHECKING:
 #: a new one.  A serving mix repeats a few hundred texts (point lookups
 #: differ in one literal), so this holds a working set at a few KB each.
 PREPARED_CAP = 512
+
+#: Longest result :meth:`CypherEngine.run` keeps beside a prepared plan;
+#: a longer one is drained again on every run.  On the 291-report
+#: serving graph (1 246 nodes) a dashboard aggregation returns 10 rows,
+#: a point lookup 1, a one-hop expand at most 8, the malware names 53
+#: and the largest label scan (``Domain``) 123; a whole-graph listing
+#: returns one row per node.  256 keeps every one of those with room to
+#: spare and none of the last, so the kept rows are bounded by
+#: ``PREPARED_CAP`` x 256.
+RESULT_ROWS_CAP = 256
 
 #: Format of a :meth:`QueryTask.save` continuation.  2: an aggregation
 #: carries running state per group, not the operand values (1).
@@ -150,15 +164,19 @@ def _operator_stats(profilers) -> list[dict]:
 @dataclass(frozen=True)
 class _Prepared:
     """What the engine keeps per query text.  Never mutated: a newer
-    graph version replaces the entry."""
+    graph version, or the rows of a drain, replaces the entry."""
 
     parsed: ast.Query
-    #: the graph version ``checked`` and ``plan`` were derived at
+    #: the graph version ``checked``, ``plan`` and ``rows`` were derived at
     version: int
     #: strict analysis ran at ``version`` and found no error
     checked: bool
     #: the compiled physical plan; ``None`` for a CREATE
     plan: PhysicalPlan | None
+    #: a plain MATCH's result drained by :meth:`CypherEngine.run` at
+    #: ``version`` (row values, copied on the way in and out); ``None``
+    #: until such a drain is kept
+    rows: tuple[dict[str, object], ...] | None = None
 
 
 class CypherEngine:
@@ -211,12 +229,43 @@ class CypherEngine:
         ``PROFILE``-prefixed queries execute with instrumentation and
         return the data rows (row-identical to the plain query); reach
         the operator counters through :meth:`profile`.
+
+        A plain MATCH answered at the current graph version before is
+        not drained again: its kept rows are returned as new
+        :class:`ResultRow` objects, so mutating them changes nothing
+        the next caller sees.
         """
-        return self._execute(self._prepare(query, strict))
+        prepared = self._prepare(query, strict)
+        if not _is_plain_match(prepared.parsed):
+            return self._execute(prepared)
+        metrics = self.obs.metrics
+        if prepared.rows is not None:
+            metrics.inc("cypher.results", outcome="hit")
+            return [ResultRow(_copied(values)) for values in prepared.rows]
+        rows = QueryTask(self, prepared.plan).run_to_completion()
+        metrics.inc("cypher.results", outcome="miss")
+        if len(rows) <= RESULT_ROWS_CAP:
+            self._keep_rows(query, prepared, rows)
+        return rows
+
+    def _keep_rows(
+        self, query: str, prepared: _Prepared, rows: list[ResultRow]
+    ) -> None:
+        """Store a drained result beside its plan -- only while the graph
+        is still at the version the entry was prepared at (a write that
+        landed during the drain leaves nothing kept) and the map still
+        holds the entry that was drained."""
+        kept = replace(prepared, rows=tuple(_copied(row.values) for row in rows))
+        with self._prepared_lock:
+            if (
+                self.graph.version == prepared.version
+                and self._prepared.get(query) is prepared
+            ):
+                self._prepared[query] = kept
 
     def _execute(self, prepared: _Prepared) -> list[ResultRow]:
-        """CREATE / EXPLAIN / PROFILE dispatch; a plain MATCH is drained
-        as one :class:`QueryTask` slice with no quantum."""
+        """CREATE / EXPLAIN / PROFILE dispatch: what is not a plain
+        MATCH, executed afresh every time."""
         parsed = prepared.parsed
         if isinstance(parsed, ast.CreateQuery):
             self._execute_create(parsed)
@@ -226,9 +275,7 @@ class CypherEngine:
                 ResultRow({"plan": line})
                 for line in prepared.plan.explain_lines()
             ]
-        if parsed.profile:
-            return self._profile(prepared.plan).rows
-        return QueryTask(self, prepared.plan).run_to_completion()
+        return self._profile(prepared.plan).rows
 
     def plan(self, parsed: ast.MatchQuery) -> PhysicalPlan:
         """Lower an analyzed MATCH query into a compiled physical plan."""
@@ -347,7 +394,10 @@ class CypherEngine:
             plan = self.plan(parsed)
         else:
             plan = None
-        entry = _Prepared(parsed, version, strict, plan)
+        # the rows of a current entry stay; a stale entry's go with it
+        entry = _Prepared(
+            parsed, version, strict, plan, known.rows if current else None
+        )
         with self._prepared_lock:
             # asked of the map as it is now, not as ``known`` saw it: a
             # racing thread may have stored or evicted this text since
@@ -420,6 +470,18 @@ class CypherEngine:
                     )
                     target.create_edge(src, rel.rel_type or "RELATED_TO", dst)
                 previous = node
+
+
+def _copied(value):
+    """A row's values (or one value) with every dict and list rebuilt --
+    ``collect`` results and list properties -- so kept rows and returned
+    rows share no container a caller could mutate.  Nodes and edges are
+    the graph's own objects, as in a fresh drain."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
 
 
 def _is_plain_match(parsed: ast.Query) -> bool:
@@ -536,5 +598,6 @@ __all__ = [
     "CypherSyntaxError",
     "PREPARED_CAP",
     "QueryTask",
+    "RESULT_ROWS_CAP",
     "ResultRow",
 ]

@@ -279,6 +279,10 @@ class Stopwatch:
         return self.clock.now() - self.started_at
 
 
+#: the clock names :func:`clock_from_name` resolves
+CLOCKS = ("real", "virtual")
+
+
 def clock_from_name(name: str) -> Clock:
     """Resolve a configuration string to a clock instance.
 
@@ -290,10 +294,11 @@ def clock_from_name(name: str) -> Clock:
         return REAL_CLOCK
     if name == "virtual":
         return VirtualClock()
-    raise ValueError(f"unknown clock {name!r} (expected 'real' or 'virtual')")
+    raise ValueError(f"unknown clock {name!r}; known: {list(CLOCKS)}")
 
 
 __all__ = [
+    "CLOCKS",
     "Clock",
     "REAL_CLOCK",
     "RealClock",

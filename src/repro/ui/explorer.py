@@ -74,12 +74,19 @@ class GraphExplorer:
         ]
 
     def visible_edges(self) -> list[Edge]:
+        """Edges with both ends in view, ascending edge id: the visible
+        nodes' out-edges whose destination is visible too, read from
+        adjacency instead of a scan of every edge."""
         ids = self.state.node_ids
-        return [
+        graph = self.graph
+        edges = [
             edge
-            for edge in self.graph.edges()
-            if edge.src in ids and edge.dst in ids
+            for node_id in ids
+            for edge in graph.out_edges(node_id)
+            if edge.dst in ids
         ]
+        edges.sort(key=lambda edge: edge.edge_id)
+        return edges
 
     def _sync_layout(self, anchor: int | None = None) -> None:
         for node_id in self.state.node_ids:

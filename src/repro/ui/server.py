@@ -173,6 +173,9 @@ class ExplorerAPI:
         # each request on its own thread, and GraphExplorer's view
         # state (history, layout) is not internally synchronised.
         self._lock = named_lock("ui.explorer")
+        #: ``(graph version, [(lowered name, node id)])`` for the name
+        #: match of ``/api/search``
+        self._names: tuple[int, list[tuple[str, int]]] | None = None
 
     def handle(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
         """Dispatch one request; returns (status, payload)."""
@@ -337,15 +340,31 @@ class ExplorerAPI:
 
     def _nodes_for_query(self, query: str) -> list[int]:
         """Graph nodes whose name matches the keyword query."""
-        matches = []
         needle = query.strip().lower()
         if not needle:
             return []
-        for node in self.system.graph.nodes():
-            name = str(node.properties.get("name", "")).lower()
-            if needle in name:
-                matches.append((0 if name == needle else 1, node.node_id))
+        matches = [
+            (0 if name == needle else 1, node_id)
+            for name, node_id in self._lowered_names()
+            if needle in name
+        ]
         return [node_id for _rank, node_id in sorted(matches)]
+
+    def _lowered_names(self) -> list[tuple[str, int]]:
+        """Every node's lowercased name and id, built once per graph
+        version under the prepared-query rule: the version is read
+        before the scan, and a list a write raced is not kept."""
+        graph = self.system.graph
+        version = graph.version
+        if self._names is not None and self._names[0] == version:
+            return self._names[1]
+        names = [
+            (str(node.properties.get("name", "")).lower(), node.node_id)
+            for node in graph.nodes()
+        ]
+        if graph.version == version:
+            self._names = (version, names)
+        return names
 
 
 class ExplorerServer:

@@ -201,6 +201,11 @@ BAD_CONFIGS = {
     "unknown-connector": {"connectors": ["neo4j"]},
     "not-an-object": [1],
     "string-count": {"partitions": "2"},
+    "unknown-recognizer": {"recognizer": "bogus"},
+    "unknown-clock": {"clock": "bogus"},
+    "string-scenario-count": {"scenario_count": "3"},
+    "string-failure-rate": {"failure_rate": "x"},
+    "failure-rate-above-one": {"failure_rate": 1.5},
 }
 
 
@@ -238,3 +243,19 @@ class TestConfigErrors:
         assert child.returncode == 2
         assert "Traceback" not in child.stdout + child.stderr
         assert "known: ['graph', 'search', 'sql']" in child.stdout
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("recognizer", "bogus", "known: ['crf', 'gazetteer', 'regex']"),
+            ("clock", "bogus", "known: ['real', 'virtual']"),
+            ("scenario_count", "3", "scenario_count must be an integer"),
+            ("failure_rate", "x", "failure_rate must be a number"),
+        ],
+    )
+    def test_the_line_names_the_field(self, tmp_path, key, value, named):
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({key: value}))
+        code, output = run_cli("stats", "--config", str(config_path))
+        assert code == 2
+        assert output.startswith("config error: ") and named in output

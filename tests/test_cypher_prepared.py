@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import re
 import sys
+import tempfile
 import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
+from alias_corpus import alias_batch
 import cypher_oracle
 import pytest
 import test_analysis_sweep
@@ -29,6 +34,7 @@ from repro.graphdb import (
     CypherRuntimeError,
     PropertyGraph,
 )
+from repro.graphdb.cypher import ast
 from repro.graphdb.cypher.parser import parse
 from repro.obs import make_obs
 from repro.ontology.entities import EntityType
@@ -517,3 +523,305 @@ class TestCachedEqualsFresh:
             return  # refused by the planner; the oracle has no planner
         with pytest.raises(CypherRuntimeError, match=re.escape(kept[2])):
             cypher_oracle.evaluate(reference, parsed)
+
+
+# -- the rows a run keeps beside its plan -------------------------------------
+
+
+def results(obs) -> dict[str, int]:
+    series = obs.metrics.snapshot()["counters"].get("cypher.results", {})
+    return {key.split("=")[1]: value for key, value in series.items()}
+
+
+def slices(obs) -> int:
+    return sum(obs.metrics.snapshot()["counters"].get("cypher.slices", {}).values())
+
+
+@contextmanager
+def write_during_drain(write):
+    """Run ``write`` once, from inside the next query drain."""
+    original = executor.QueryTask.run_to_completion
+    pending = [write]
+
+    def drain(task):
+        rows = original(task)
+        while pending:
+            pending.pop()()
+        return rows
+
+    with mock.patch.object(executor.QueryTask, "run_to_completion", drain):
+        yield pending
+
+
+class TestKeptRows:
+    QUERY = (
+        "MATCH (m:Malware)-[:ATTRIBUTED_TO]->(a) "
+        "RETURN a.name, collect(m.name) AS names ORDER BY a.name"
+    )
+
+    def test_a_repeat_is_answered_without_a_drain(self):
+        obs = make_obs(VirtualClock())
+        engine = CypherEngine(small_graph(), obs=obs)
+        first = engine.run(self.QUERY)
+        drained = slices(obs)
+        for _ in range(3):
+            assert engine.run(self.QUERY) == first
+        assert results(obs) == {"miss": 1, "hit": 3}
+        assert slices(obs) == drained
+        assert engine._prepared[self.QUERY].rows is not None
+
+    def test_mutating_returned_rows_changes_no_later_answer(self):
+        engine = CypherEngine(small_graph())
+        expected = CypherEngine(engine.graph).run(self.QUERY)
+        for _ in range(3):
+            rows = engine.run(self.QUERY)
+            assert rows == expected
+            rows[0].values["names"].append("forged")
+            rows[1].values.clear()
+            rows.pop()
+        assert engine.run(self.QUERY) == expected
+
+    def test_only_a_plain_match_through_run_is_kept(self):
+        obs = make_obs(VirtualClock())
+        graph = small_graph()
+        engine = CypherEngine(graph, obs=obs)
+        for prefix in ("EXPLAIN ", "PROFILE "):
+            for _ in range(2):
+                engine.run(prefix + self.QUERY)
+            assert engine._prepared[prefix + self.QUERY].rows is None
+        engine.run_paginated(self.QUERY, 1)
+        engine.task(self.QUERY).run_to_completion()
+        engine.profile(self.QUERY)
+        assert engine._prepared[self.QUERY].rows is None
+        create = 'CREATE (t:Tool {name: "t"})'
+        engine.run(create)
+        engine.run(create)
+        assert len(list(graph.nodes("Tool"))) == 2
+        assert results(obs) == {}
+
+    def test_a_write_moves_the_answer(self):
+        graph = small_graph()
+        engine = CypherEngine(graph)
+        query = "MATCH (m:Malware) RETURN count(*) AS n"
+        assert engine.run(query)[0]["n"] == 9
+        assert engine.run(query)[0]["n"] == 9
+        engine.run('CREATE (m:Malware {name: "late"})')
+        assert engine._prepared[query].rows is not None  # stale, not yet dropped
+        assert engine.run(query)[0]["n"] == 10
+        assert engine.run(query) == CypherEngine(graph).run(query)
+
+    def test_a_stale_entry_drops_its_rows_when_prepared_again(self):
+        graph = small_graph()
+        engine = CypherEngine(graph)
+        engine.run(self.QUERY)
+        graph.create_node("Tool", {"name": "t"})
+        engine.run_paginated(self.QUERY, 2)  # prepares, drains no full result
+        assert engine._prepared[self.QUERY].rows is None
+
+    def test_a_write_during_the_drain_keeps_nothing(self):
+        obs = make_obs(VirtualClock())
+        graph = small_graph()
+        engine = CypherEngine(graph, obs=obs)
+        query = "MATCH (m:Malware) RETURN count(*) AS n"
+        with write_during_drain(lambda: graph.create_node("Malware", {"name": "x"})):
+            engine.run(query)
+        assert engine._prepared[query].rows is None
+        assert engine.run(query)[0]["n"] == 10
+        assert engine.run(query)[0]["n"] == 10
+        assert results(obs) == {"miss": 2, "hit": 1}
+
+    def test_an_entry_replaced_during_the_drain_is_not_overwritten(self):
+        graph = small_graph()
+        engine = CypherEngine(graph)
+        query = "MATCH (m:Malware) RETURN count(*) AS n"
+        with write_during_drain(lambda: engine._prepared.pop(query)):
+            engine.run(query)
+        assert query not in engine._prepared
+
+    def test_a_long_result_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(executor, "RESULT_ROWS_CAP", 9)
+        graph = small_graph()
+        engine = CypherEngine(graph)
+        engine.run("MATCH (m:Malware) RETURN m.name")
+        assert engine._prepared["MATCH (m:Malware) RETURN m.name"].rows is not None
+        engine.run("MATCH (n) RETURN n.name")
+        assert engine._prepared["MATCH (n) RETURN n.name"].rows is None
+
+    def test_a_non_strict_drain_serves_a_strict_run_after_its_check(self):
+        graph = small_graph()
+        engine = CypherEngine(graph)
+        expected = engine.run(self.QUERY, strict=False)
+        assert engine.run(self.QUERY) == expected
+        assert engine._prepared[self.QUERY].checked
+        assert engine._prepared[self.QUERY].rows is not None
+
+
+    def test_a_concurrent_run_never_answers_older_than_a_finished_write(self):
+        """More threads than cores and a tiny switch interval: a count
+        read by a run that starts after a write finished includes it,
+        however the kept rows of the racing runs were stored."""
+        graph = small_graph()
+        graph.create_node("Noise", {"name": "first"})
+        engine = CypherEngine(graph)
+        query = "MATCH (n:Noise) RETURN count(*) AS n"
+        finished = [1]
+        stale: list[object] = []
+
+        def read():
+            while finished[0] < 151:
+                floor = finished[0]
+                try:
+                    seen = engine.run(query)[0]["n"]
+                except Exception as error:  # noqa: BLE001 - reported below
+                    stale.append(error)
+                    return
+                if seen < floor:
+                    stale.append((seen, floor))
+
+        def write():
+            for i in range(150):
+                graph.create_node("Noise", {"name": f"noise-{i}"})
+                finished[0] = i + 2
+                time.sleep(0.0005)  # let the readers keep rows in between
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, name=f"reader-{i}") for i in range(4)
+            ] + [threading.Thread(target=write, name="writer-0")]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert stale == []
+        assert engine.run(query)[0]["n"] == 151
+
+
+#: the serving mix's Cypher templates, with names the corpus below has
+SERVE_QUERY = sorted(
+    {
+        query
+        for location, query in test_analysis_sweep.QUERIES
+        if "wl_serve_query" in location
+    }
+    | {
+        'MATCH (m:Malware {name: "agent tesla"}) RETURN m.name, m.aliases',
+        'MATCH (a:ThreatActor {name: "APT29"})-[:USES]->(t) '
+        "RETURN t.name ORDER BY t.name",
+    }
+)
+
+
+def ingest(shards: ShardSet, seed: int) -> None:
+    """Connector ingest of corpus records: a batch of alias-laden
+    reports (fusion has groups to merge) or one actor report."""
+    if seed % 2:
+        shards.store(alias_batch(1 + seed % 3))
+    else:
+        shards.store([record(100 + seed % 40)])
+
+
+class TestCachedEqualsFreshEqualsOracle:
+    """Writes interleaved with the serving mix and the oracle's grammar:
+    every ``run`` of the long-lived engine -- the miss, the hit after
+    it, the hit after its rows were mutated, and the run after a write
+    landed during its drain -- answers as a brand-new engine and as the
+    brute-force oracle do."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        partitions=st.sampled_from([1, 2]),
+        writes=st.lists(
+            st.tuples(
+                st.sampled_from(["ingest", "create", "fuse", "reopen"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        served=st.lists(
+            st.sampled_from(SERVE_QUERY), min_size=2, max_size=5, unique=True
+        ),
+        generated=st.lists(generated_query(), max_size=3, unique=True),
+    )
+    def test_interleaved(self, partitions, writes, served, generated):
+        queries = served + generated
+        with tempfile.TemporaryDirectory() as root:
+            shards = ShardSet(partitions, root=root)
+            try:
+                shards.store(alias_batch(0) + [record(1), record(2)])
+                for query in queries:
+                    self.check(shards, query)
+                for kind, seed, racing in writes:
+                    if kind == "ingest":
+                        ingest(shards, seed)
+                    elif kind == "create":
+                        shards.cypher.run(
+                            f'CREATE (m:Malware {{name: "m-{seed % 3}"}})'
+                            f'-[:USES]->(t:Tool {{name: "mimikatz"}})'
+                        )
+                    elif kind == "fuse":
+                        shards.fuse()
+                    else:
+                        shards.checkpoint()
+                        shards.close()
+                        shards = ShardSet(partitions, root=root)
+                    for index, query in enumerate(queries):
+                        if racing and index == seed % len(queries):
+                            self.race(shards, query, seed)
+                        self.check(shards, query)
+            finally:
+                shards.close()
+
+    @staticmethod
+    def check(shards: ShardSet, query: str) -> None:
+        engine = shards.cypher
+        fresh, _ = answer(CypherEngine(shards.graph), query, strict=False)
+        kept, rows = answer(engine, query, strict=False)
+        assert kept == fresh, query
+        for row in rows or ():
+            row.values.clear()
+        # a hit: copies of the kept rows, so even their lists are the
+        # caller's (a drained row may hold a graph-owned property list)
+        again, rows = answer(engine, query, strict=False)
+        assert again == fresh, query
+        for row in rows or ():
+            for value in row.values.values():
+                if isinstance(value, list):
+                    value.append("forged")
+        last, rows = answer(engine, query, strict=False)
+        assert last == fresh, query
+        TestCachedEqualsFresh.check_against_oracle(
+            last, rows, shards.merged_graph(), query
+        )
+
+    @staticmethod
+    def race(shards: ShardSet, query: str, seed: int) -> None:
+        """Run ``query`` with a journaled write landing inside its
+        drain: the rows it drained are not kept."""
+        engine = shards.cypher
+        engine.run(f'CREATE (n:Malware {{name: "before-{seed}"}})')
+        if not _drains(shards, query):
+            return
+        write = f'CREATE (n:Malware {{name: "race-{seed}"}})'
+        with write_during_drain(lambda: engine.run(write)) as pending:
+            engine.run(query, strict=False)
+        assert not pending, "the query was not drained"
+        assert engine._prepared[query].rows is None
+
+
+def _drains(shards: ShardSet, query: str) -> bool:
+    """The query is a plain MATCH that runs without an error."""
+    parsed = parse(query)
+    try:
+        CypherEngine(shards.graph).run(query, strict=False)
+    except CypherRuntimeError:
+        return False
+    return isinstance(parsed, ast.MatchQuery) and not (
+        parsed.explain or parsed.profile
+    )

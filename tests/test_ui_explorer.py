@@ -3,8 +3,11 @@
 import http.client
 import json
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SecurityKG, SystemConfig
 from repro.graphdb import PropertyGraph
@@ -352,3 +355,137 @@ class TestExplorerAPI:
                 connection.close()
         finally:
             server.stop()
+
+
+# -- the view read from adjacency is the view the full scans gave -------------
+
+
+class FullScanExplorer(GraphExplorer):
+    """The view's edges by a scan of every edge in the graph."""
+
+    def visible_edges(self):
+        ids = self.state.node_ids
+        return [e for e in self.graph.edges() if e.src in ids and e.dst in ids]
+
+
+class FullScanAPI(ExplorerAPI):
+    """``/api/search``'s name match by lowercasing every name per request."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.explorer = FullScanExplorer(system.graph)
+
+    def _nodes_for_query(self, query):
+        needle = query.strip().lower()
+        if not needle:
+            return []
+        matches = []
+        for node in self.system.graph.nodes():
+            name = str(node.properties.get("name", "")).lower()
+            if needle in name:
+                matches.append((0 if name == needle else 1, node.node_id))
+        return [node_id for _rank, node_id in sorted(matches)]
+
+
+WORDS = ["Emotet", "emotet loader", "APT29", "apt", "mimikatz", "Zeus Panda", ""]
+LABELS = ["Malware", "ThreatActor", "Tool", "IP"]
+SEARCH = st.tuples(st.just("search"), st.sampled_from(WORDS + ["e", "zeus", "29"]))
+REQUESTS = st.one_of(
+    SEARCH,
+    SEARCH,
+    st.tuples(st.sampled_from(["expand", "collapse", "drag"]), st.integers(0, 99)),
+    st.tuples(st.sampled_from(["back", "graph"]), st.just(0)),
+    st.tuples(st.just("random"), st.integers(0, 99)),
+)
+WRITES = st.none() | st.tuples(
+    st.sampled_from(["node", "edge", "rename", "drop-edge", "drop-node", "merge"]),
+    st.integers(0, 10_000),
+)
+
+
+def write(graph, kind, seed):
+    ids = graph.node_ids()
+    pick = ids[seed % len(ids)] if ids else None
+    if kind == "node" or pick is None:
+        graph.create_node(
+            LABELS[seed % len(LABELS)], {"name": WORDS[seed % len(WORDS)]}
+        )
+    elif kind == "edge":
+        other = ids[(seed // 7) % len(ids)]
+        graph.create_edge(pick, ["USES", "RELATED_TO"][seed % 2], other)
+    elif kind == "rename":
+        graph.set_node_properties(pick, {"name": WORDS[(seed // 3) % len(WORDS)]})
+    elif kind == "drop-edge":
+        edges = [edge.edge_id for edge in graph.edges()]
+        if edges:
+            graph.delete_edge(edges[seed % len(edges)])
+    elif kind == "drop-node":
+        graph.delete_node(pick)
+    else:
+        label = graph.node(pick).label
+        same = [n.node_id for n in graph.nodes(label) if n.node_id != pick]
+        if same:
+            graph.merge_nodes(pick, [same[seed % len(same)]])
+
+
+class TestViewFromAdjacency:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(
+            st.tuples(st.sampled_from(LABELS), st.sampled_from(WORDS)),
+            min_size=1,
+            max_size=25,
+        ),
+        edges=st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99))),
+        steps=st.lists(st.tuples(REQUESTS, WRITES), max_size=12),
+    )
+    def test_view_json_is_byte_identical_to_the_full_scan(
+        self, nodes, edges, steps
+    ):
+        graph = PropertyGraph()
+        made = [
+            graph.create_node(label, {"name": name}).node_id
+            for label, name in nodes
+        ]
+        for src, dst in edges:
+            graph.create_edge(made[src % len(made)], "MENTIONS", made[dst % len(made)])
+        system = SimpleNamespace(graph=graph, keyword_search=lambda query: [])
+        apis = [ExplorerAPI(system), FullScanAPI(system)]
+        # room for every match, so a stale name list shows in the view
+        config = ViewConfig(max_nodes=40, max_neighbors=4, layout_iterations=3)
+        for api in apis:
+            api.explorer.config = config
+        for (kind, arg), change in steps:
+            if kind == "search":
+                request = ("POST", "/api/search", {"query": arg})
+            elif kind in ("expand", "collapse", "drag"):
+                ids = graph.node_ids()
+                request = (
+                    "POST", f"/api/{kind}",
+                    {"id": ids[arg % len(ids)] if ids else 0, "x": 1.0, "y": 2.0},
+                )
+            elif kind == "random":
+                request = ("POST", "/api/random", {"size": 5, "seed": arg})
+            else:
+                request = (("GET" if kind == "graph" else "POST"), f"/api/{kind}", {})
+            answers = [
+                json.dumps(api.handle(*request), sort_keys=False) for api in apis
+            ]
+            assert answers[0] == answers[1], request
+            if change is not None:
+                write(graph, *change)
+
+    def test_a_search_after_a_write_finds_the_new_name(self):
+        graph = PropertyGraph()
+        graph.create_node("Malware", {"name": "Emotet"})
+        api = ExplorerAPI(SimpleNamespace(graph=graph, keyword_search=lambda q: []))
+
+        def found(word):
+            view = api.handle("POST", "/api/search", {"query": word})[1]["view"]
+            return [node["name"] for node in view["nodes"]]
+
+        assert found("emotet") == ["Emotet"]
+        late = graph.create_node("Tool", {"name": "emotet loader"})
+        assert found("emotet") == ["Emotet", "emotet loader"]
+        graph.set_node_properties(late.node_id, {"name": "loader"})
+        assert found("loader") == ["loader"]
