@@ -8,6 +8,8 @@ with transport failures injected, and tracks how the knowledge graph
 grows.  The crawls simulate realistic page latency on the system's
 virtual clock (``clock="virtual"``): the printed crawl seconds are
 what a real deployment would spend, but the example runs instantly.
+The scheduler reports into the system's observability bundle, so its
+``scheduler.*`` spans and counters sit beside the crawl's.
 
 Run:  python examples/continuous_collection.py
 """
@@ -15,6 +17,8 @@ Run:  python examples/continuous_collection.py
 from repro import SecurityKG, SystemConfig
 from repro.apps import GrowthTracker
 from repro.crawlers import JobSpec, PeriodicScheduler
+from repro.obs import make_obs
+from repro.runtime import clock_from_name
 
 
 def main() -> None:
@@ -30,7 +34,8 @@ def main() -> None:
         clock="virtual",  # ... simulated instantly on the virtual clock
         connectors=["graph", "search"],
     )
-    kg = SecurityKG(config)
+    clock = clock_from_name(config.clock)
+    kg = SecurityKG(config, clock=clock, obs=make_obs(clock))
     tracker = GrowthTracker(kg.graph)
     state = {"first": True}
 
@@ -53,11 +58,16 @@ def main() -> None:
     scheduler = PeriodicScheduler(
         [JobSpec(name="collect", run=collect_cycle, max_restarts=2)],
         interval=0.0,
+        clock=kg.clock,
+        obs=kg.obs,
     )
     scheduler.run_cycles(cycles=cycles)
     print(f"scheduler: {scheduler.stats.runs} runs, "
           f"{scheduler.stats.reboots} reboots, "
           f"{scheduler.stats.failures} permanent failures")
+    jobs = [s for s in kg.obs.tracer.export() if s["name"] == "scheduler.job"]
+    print(f"  {len(jobs)} scheduler.job spans, statuses "
+          f"{sorted({s['attrs']['status'] for s in jobs})}")
 
     print("\n== knowledge-graph growth ==")
     print(f"  {'reports':>8} {'nodes':>7} {'edges':>7}")

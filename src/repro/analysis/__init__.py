@@ -33,7 +33,6 @@ from repro.analysis.diagnostics import (
 _LAZY = {
     "CypherAnalyzer": "repro.analysis.cypher_check",
     "QuerySchema": "repro.analysis.cypher_check",
-    "analyze_query": "repro.analysis.cypher_check",
     "ontology_schema": "repro.analysis.cypher_check",
     "graph_schema": "repro.analysis.cypher_check",
     "schema_for": "repro.analysis.cypher_check",
@@ -69,7 +68,6 @@ __all__ = [
     "Span",
     "analyze_package",
     "analyze_paths",
-    "analyze_query",
     "caret_block",
     "concurrency_findings",
     "errors",

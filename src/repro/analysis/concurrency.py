@@ -51,6 +51,7 @@ a subgraph of the static hierarchy.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -1744,18 +1745,10 @@ def analyze_paths(
     return model, diagnostics
 
 
-_PACKAGE_CACHE: dict[str, tuple[ConcurrencyModel, list[Diagnostic]]] = {}
-
-
-def analyze_package(
-    root: Path | str | None = None,
-) -> tuple[ConcurrencyModel, list[Diagnostic]]:
+@functools.cache
+def analyze_package() -> tuple[ConcurrencyModel, list[Diagnostic]]:
     """Analyse (and memoise) the whole ``src/repro`` tree."""
-    base = Path(root).resolve() if root is not None else DEFAULT_ROOT
-    key = str(base)
-    if key not in _PACKAGE_CACHE:
-        _PACKAGE_CACHE[key] = analyze_paths([base], root=base)
-    return _PACKAGE_CACHE[key]
+    return analyze_paths([DEFAULT_ROOT], root=DEFAULT_ROOT)
 
 
 __all__ = [

@@ -97,20 +97,13 @@ class QuerySchema:
         )
 
 
-def ontology_schema(closed: bool = False) -> QuerySchema:
-    """The vocabulary of the security ontology.
-
-    ``closed=True`` treats the ontology as authoritative (unknown
-    labels/types become errors even without graph evidence) -- used by
-    the repo sweep test; runtime analysis leaves it open and lets the
-    graph close the vocabularies instead.
-    """
+def ontology_schema() -> QuerySchema:
+    """The vocabulary of the security ontology, left open: runtime
+    analysis lets the graph close the vocabularies."""
     return QuerySchema(
         labels=frozenset(entity.value for entity in EntityType),
         rel_types=frozenset(relation.value for relation in RelationType),
         property_keys=BASE_PROPERTY_KEYS,
-        closed_labels=closed,
-        closed_rel_types=closed,
     )
 
 
@@ -484,18 +477,10 @@ def _closest(name: str, candidates) -> str | None:
     return matches[0] if matches else None
 
 
-def analyze_query(
-    query: str, schema: QuerySchema | None = None
-) -> list[Diagnostic]:
-    """Convenience one-shot: parse and analyze ``query``."""
-    return CypherAnalyzer(schema).analyze(query)
-
-
 __all__ = [
     "BASE_PROPERTY_KEYS",
     "CypherAnalyzer",
     "QuerySchema",
-    "analyze_query",
     "graph_schema",
     "ontology_schema",
     "schema_for",

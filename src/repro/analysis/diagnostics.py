@@ -116,8 +116,9 @@ class Diagnostic:
         return head + "\n" + caret_block(source, self.span)
 
 
-def caret_block(source: str, span: Span, indent: str = "  ") -> str:
-    """The source line containing ``span`` with a ``^~~~`` underline."""
+def caret_block(source: str, span: Span) -> str:
+    """The source line containing ``span`` with a ``^~~~`` underline,
+    both indented two spaces."""
     start = min(span.start, max(0, len(source) - 1))
     line_start = source.rfind("\n", 0, start) + 1
     line_end = source.find("\n", start)
@@ -127,7 +128,7 @@ def caret_block(source: str, span: Span, indent: str = "  ") -> str:
     col = start - line_start
     width = min(span.length, max(1, line_end - start))
     underline = " " * col + "^" + "~" * (width - 1)
-    return f"{indent}{line}\n{indent}{underline}"
+    return f"  {line}\n  {underline}"
 
 
 def render(source: str | None, diagnostics: list[Diagnostic]) -> str:

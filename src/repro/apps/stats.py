@@ -58,7 +58,7 @@ class GraphStats:
             + ", ".join(f"{label}={count}" for label, count in self.labels.items()),
             "top entities by degree:",
         ]
-        for label, name, degree in self.top_entities[:10]:
+        for label, name, degree in self.top_entities:
             lines.append(f"  {degree:>4}  {label:<18} {name}")
         return "\n".join(lines)
 
@@ -70,10 +70,9 @@ def _gauge_labels(series: dict[str, float]) -> dict[str, int]:
     }
 
 
-def compute_stats(
-    graph: PropertyGraph, top_k: int = 10, metrics: dict | None = None
-) -> GraphStats:
-    """Compute the statistics snapshot for a graph.
+def compute_stats(graph: PropertyGraph, metrics: dict | None = None) -> GraphStats:
+    """Compute the statistics snapshot for a graph: sizes, tallies, the
+    degree histogram and the ten highest-degree entities.
 
     When a metrics snapshot (``SystemReport.metrics`` or the
     ``/metrics`` endpoint payload) carries the ``graph.*`` gauges, the
@@ -104,7 +103,7 @@ def compute_stats(
         edges=edges,
         labels=labels,
         edge_types=edge_types,
-        top_entities=degrees[:top_k],
+        top_entities=degrees[:10],
         degree_histogram=dict(sorted(histogram.items())),
     )
 

@@ -68,13 +68,13 @@ class ThreatSearchApp:
 
     # -- demo scenario 1: keyword search ------------------------------------
 
-    def investigate(self, query: str, hops: int = 1) -> Investigation:
-        """Keyword search a threat and collect its neighbourhood."""
+    def investigate(self, query: str) -> Investigation:
+        """Keyword search a threat and collect its one-hop neighbourhood."""
         reports = self.system.keyword_search(query, limit=10)
         focus = self.find_node(query)
         related: dict[str, list[str]] = {}
         if focus is not None:
-            subgraph = k_hop_subgraph(self.system.graph, focus.node_id, hops=hops)
+            subgraph = k_hop_subgraph(self.system.graph, focus.node_id, hops=1)
             for node in subgraph.nodes:
                 if node.node_id == focus.node_id:
                     continue

@@ -44,10 +44,12 @@ import json
 import re
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
-from repro.core.config import SystemConfig
+from repro.core.config import RECOGNIZERS, SystemConfig
 from repro.core.system import SecurityKG
+from repro.runtime.clock import CLOCKS
 from repro.storage.atomic import atomic_write_text
 from repro.storage.engine import StorageError
 from repro.storage.faults import CRASH_POINTS, CrashInjector, InjectedCrash
@@ -90,24 +92,28 @@ class ConfigError(Exception):
 
 
 def _build_config(args: argparse.Namespace) -> SystemConfig:
-    config = SystemConfig(
-        scenario_count=args.scenarios,
-        reports_per_site=args.reports_per_site,
-        seed=args.seed,
-        storage_path=args.state,
-        connectors=["graph", "search"],
-        recognizer=getattr(args, "recognizer", "gazetteer"),
-        clock=getattr(args, "clock", None) or "real",
-        partitions=getattr(args, "partitions", None) or 1,
-    )
+    """The ``--config`` file, or the CLI's smaller default world, with
+    every flag the user passed on top; ``--state`` only fills a file's
+    missing ``storage_path``."""
     if args.config:
         config = SystemConfig.from_file(args.config)
         if args.state and not config.storage_path:
             config.storage_path = args.state
-        if getattr(args, "clock", None):
-            config.clock = args.clock
-        if getattr(args, "partitions", None) is not None:
-            config.partitions = args.partitions
+    else:
+        config = SystemConfig(
+            scenario_count=12, reports_per_site=4, storage_path=args.state
+        )
+    flags = {
+        "scenario_count": args.scenarios,
+        "reports_per_site": args.reports_per_site,
+        "seed": args.seed,
+        "recognizer": getattr(args, "recognizer", None),
+        "clock": args.clock,
+        "partitions": args.partitions,
+    }
+    config = replace(
+        config, **{key: value for key, value in flags.items() if value is not None}
+    )
     if getattr(args, "health", False) or getattr(args, "health_out", None):
         config.health = True
         rules = _load_health_rules(getattr(args, "health_rules", None))
@@ -508,22 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--state", help="directory for persistent graph + index")
-        p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--scenarios", type=int, default=12,
-                       help="simulated-world scenario count")
-        p.add_argument("--reports-per-site", type=int, default=4)
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument(
+            "--config",
+            help="JSON configuration file; a flag given beside it "
+            "overrides the file's value",
+        )
+        # these flags default to None, so _build_config can tell a flag
+        # the user passed from one left to the file
+        p.add_argument("--scenarios", type=int,
+                       help="simulated-world scenario count (default 12)")
+        p.add_argument("--reports-per-site", type=int, help="(default 4)")
+        p.add_argument("--seed", type=int, help="(default 7)")
         p.add_argument(
             "--clock",
-            choices=("real", "virtual"),
-            default=None,
+            choices=CLOCKS,
             help="runtime clock: wall time (default) or discrete-event "
             "virtual time (instant, deterministic crawls)",
         )
         p.add_argument(
             "--partitions",
             type=_positive_int,
-            default=None,
             help="storage partition count (default 1); N > 1 "
             "hash-partitions the stores across N engines behind "
             "one graph and query surface.  A --state directory reopens "
@@ -565,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     obs_flags(p)
     p.add_argument("--max-articles", type=int, default=None)
-    p.add_argument("--recognizer", choices=("gazetteer", "regex", "crf"),
-                   default="gazetteer")
+    p.add_argument("--recognizer", choices=RECOGNIZERS,
+                   help="entity recognizer (default gazetteer)")
     # fault-injection hooks for recovery tests: die at a storage-engine
     # crash point (optionally its n-th occurrence), exit code 3
     p.add_argument("--crash-at", choices=CRASH_POINTS, default=None,

@@ -18,8 +18,6 @@ from repro.ontology.intermediate import CTIRecord
 from repro.search.index import SearchIndexParticipant
 from repro.storage.engine import StorageEngine
 
-_DEFAULT_BOOSTS = {"title": 3.0, "entities": 2.0, "body": 1.0}
-
 
 class SearchConnector(Connector):
     """Index intermediate CTI representations for keyword search."""
@@ -29,7 +27,6 @@ class SearchConnector(Connector):
     def __init__(self, engine: StorageEngine):
         self.engine = engine
         self.index = engine.participant(SearchIndexParticipant.name).index
-        self.index.field_boosts = dict(_DEFAULT_BOOSTS)
 
     def ingest(self, record: CTIRecord) -> IngestStats:
         entity_names = " ".join(

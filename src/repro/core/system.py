@@ -406,12 +406,7 @@ class SecurityKG:
             query, page_size, continuation=continuation, strict=strict
         )
 
-    def cypher_profile(
-        self,
-        query: str,
-        strict: bool = True,
-        step_cost: float = 0.0,
-    ):
+    def cypher_profile(self, query: str, strict: bool = True):
         """Execute a Cypher query with per-operator instrumentation.
 
         Returns a :class:`~repro.graphdb.cypher.executor.QueryProfile`
@@ -420,7 +415,7 @@ class SecurityKG:
         seconds on the injected clock) annotate the physical plan, the
         same operator chain at every partition count.
         """
-        return self.shards.cypher.profile(query, strict=strict, step_cost=step_cost)
+        return self.shards.cypher.profile(query, strict=strict)
 
     def keyword_search(self, query: str, limit: int = 10) -> list[SearchHit]:
         """Keyword search over collected reports (the Elasticsearch path)."""

@@ -80,9 +80,8 @@ class Fetcher:
         Additional attempts after the first failure.
     backoff:
         Base backoff in seconds; attempt *k* sleeps ``backoff * 2**k``.
-    respect_robots:
-        When true, robots.txt is fetched once per host and consulted
-        for every URL.
+
+    robots.txt is fetched once per host and consulted for every URL.
 
     Backoff sleeps and politeness waits run on the transport's clock,
     so injecting a virtual clock into the transport is enough to
@@ -94,7 +93,6 @@ class Fetcher:
         transport: SimulatedTransport,
         max_retries: int = 3,
         backoff: float = 0.01,
-        respect_robots: bool = True,
         obs: Obs | None = None,
     ):
         self.transport = transport
@@ -104,7 +102,6 @@ class Fetcher:
         self.retry = RetryPolicy(
             max_retries=max_retries, backoff=Backoff(base=backoff)
         )
-        self.respect_robots = respect_robots
         self.stats = FetchStats()
         self._robots: dict[str, RobotsPolicy] = {}
         self._robots_lock = named_lock("crawl.robots")
@@ -155,7 +152,7 @@ class Fetcher:
         (quarantine probes ask a yes/no question; retrying is waste).
         """
         host = self.host_of(url)
-        if self.respect_robots and not url.endswith("/robots.txt"):
+        if not url.endswith("/robots.txt"):
             policy = self._robots_for(host)
             if not policy.allowed(path_of(url), AGENT):
                 self.stats.bump(denied=1)

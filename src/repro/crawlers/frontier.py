@@ -47,22 +47,21 @@ class Frontier:
             self._available.notify()
             return True
 
-    def add_all(self, urls: list[str], priority: bool = False) -> int:
-        """Enqueue many URLs; returns how many were new."""
-        return sum(self.add(url, priority) for url in urls)
+    def add_all(self, urls: list[str]) -> int:
+        """Enqueue many URLs in the normal band; returns how many were new."""
+        return sum(self.add(url) for url in urls)
 
     def mark_seen(self, url: str) -> None:
         """Record a URL as seen without queueing it (incremental crawls)."""
         with self._lock:
             self._seen.add(url)
 
-    def take(self, timeout: float | None = None) -> str | None:
+    def take(self) -> str | None:
         """Block until a URL is available or the crawl is finished.
 
         Returns ``None`` when the frontier is drained *and* no worker is
-        mid-task (so no new URLs can appear), or on close/timeout.  The
-        drain/close wakeups make a timeout unnecessary for the engine;
-        it remains available for callers that want a bounded wait.
+        mid-task (so no new URLs can appear), or on close.  The
+        drain/close wakeups make a timeout unnecessary.
         """
         with self._lock:
             while True:
@@ -74,8 +73,7 @@ class Frontier:
                     return self._normal.popleft()
                 if self._closed or self._in_flight == 0:
                     return None
-                if not self._available.wait(timeout=timeout):
-                    return None
+                self._available.wait()
 
     def task_done(self) -> None:
         """Signal that a taken URL finished processing."""

@@ -1,7 +1,8 @@
 """Per-host politeness rate limiting.
 
-Enforces a minimum interval between requests to the same host (the
-larger of the framework default and the host's robots ``Crawl-delay``).
+Enforces a minimum interval between requests to the same host: the
+host's robots ``Crawl-delay``, stretched by health feedback; a host
+with neither is not throttled.
 ``acquire`` blocks the calling worker just long enough; hosts are
 independent, so a multi-threaded crawl of 40+ sites proceeds at full
 aggregate speed while each individual site sees a polite pace.  All
@@ -12,8 +13,6 @@ wall time.
 
 from __future__ import annotations
 
-import threading
-
 from repro.obs import NO_OBS, Obs
 from repro.runtime import REAL_CLOCK, Clock, named_lock
 
@@ -21,13 +20,7 @@ from repro.runtime import REAL_CLOCK, Clock, named_lock
 class HostRateLimiter:
     """Minimum-interval limiter keyed by host."""
 
-    def __init__(
-        self,
-        min_interval: float = 0.0,
-        clock: Clock | None = None,
-        obs: Obs | None = None,
-    ):
-        self.min_interval = min_interval
+    def __init__(self, clock: Clock | None = None, obs: Obs | None = None):
         self.clock = clock if clock is not None else REAL_CLOCK
         self.obs = obs if obs is not None else NO_OBS
         self._next_allowed: dict[str, float] = {}
@@ -49,8 +42,8 @@ class HostRateLimiter:
         """Health-feedback throttle: stretch one host's interval.
 
         The effective interval becomes ``max(base, floor) * multiplier``
-        -- the ``floor`` matters because the framework default interval
-        is 0, where a bare multiplier would change nothing.  A
+        -- the ``floor`` matters because a host without a Crawl-delay
+        has interval 0, where a bare multiplier would change nothing.  A
         multiplier <= 1 with no floor clears the policy.
         """
         with self._lock:
@@ -60,7 +53,7 @@ class HostRateLimiter:
                 self._policy[host] = (multiplier, floor)
 
     def _interval_for(self, host: str) -> float:
-        base = max(self.min_interval, self._host_delay.get(host, 0.0))
+        base = self._host_delay.get(host, 0.0)
         multiplier, floor = self._policy.get(host, (1.0, 0.0))
         return max(base, floor) * multiplier
 

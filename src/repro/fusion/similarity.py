@@ -61,15 +61,16 @@ def jaro(a: str, b: str) -> float:
     ) / 3
 
 
-def jaro_winkler(a: str, b: str, prefix_scale: float = 0.1) -> float:
-    """Jaro-Winkler similarity: Jaro with a common-prefix bonus."""
+def jaro_winkler(a: str, b: str) -> float:
+    """Jaro-Winkler similarity: Jaro with a common-prefix bonus (the
+    standard scale 0.1 per shared character, at most four)."""
     base = jaro(a, b)
     prefix = 0
     for char_a, char_b in zip(a[:4], b[:4]):
         if char_a != char_b:
             break
         prefix += 1
-    return base + prefix * prefix_scale * (1 - base)
+    return base + prefix * 0.1 * (1 - base)
 
 
 def token_set_overlap(a: str, b: str) -> float:

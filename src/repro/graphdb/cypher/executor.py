@@ -191,8 +191,8 @@ class CypherEngine:
     ):
         self.graph = graph
         #: ``CreateQuery -> GraphDatabase``: the store that journals a
-        #: CREATE.  Without one the engine sits on a bare, unjournaled
-        #: graph and writes to it directly.
+        #: CREATE.  Without one the engine only reads: the database is
+        #: the graph's one writer, so a CREATE raises.
         self._database_for = database_for
         #: observability bundle (``cypher.plan`` / ``cypher.slice``
         #: spans, slice counters); the no-op default is free
@@ -438,8 +438,9 @@ class CypherEngine:
 
     def _execute_create(self, query: ast.CreateQuery) -> None:
         if self._database_for is None:
-            self._write_create(query, self.graph)
-            return
+            raise CypherRuntimeError(
+                "CREATE needs a database: this engine reads a bare graph"
+            )
         # one transaction, one journal record: the created subgraph is
         # replayed on recovery like any connector write
         database = self._database_for(query)
@@ -447,18 +448,16 @@ class CypherEngine:
             self._write_create(query, database)
 
     @staticmethod
-    def _write_create(
-        query: ast.CreateQuery, target: "PropertyGraph | GraphDatabase"
-    ) -> None:
-        """Walk the CREATE paths, creating each node once per variable:
-        on the bare graph, or through the database that journals it."""
+    def _write_create(query: ast.CreateQuery, database: GraphDatabase) -> None:
+        """Walk the CREATE paths through the database that journals
+        them, creating each node once per variable."""
         bound: dict[str, int] = {}
         for path in query.paths:
             previous: int | None = None
             for index, pattern in enumerate(path.nodes):
                 node = bound.get(pattern.variable) if pattern.variable else None
                 if node is None:
-                    node = target.create_node(
+                    node = database.create_node(
                         pattern.label or "Node", dict(pattern.properties)
                     ).node_id
                     if pattern.variable:
@@ -468,15 +467,15 @@ class CypherEngine:
                     src, dst = (
                         (node, previous) if rel.direction == "in" else (previous, node)
                     )
-                    target.create_edge(src, rel.rel_type or "RELATED_TO", dst)
+                    database.create_edge(src, rel.rel_type or "RELATED_TO", dst)
                 previous = node
 
 
 def _copied(value):
     """A row's values (or one value) with every dict and list rebuilt --
-    ``collect`` results and list properties -- so kept rows and returned
-    rows share no container a caller could mutate.  Nodes and edges are
-    the graph's own objects, as in a fresh drain."""
+    ``collect`` results and list properties -- so a returned row shares
+    no container a caller could mutate with the graph, a kept row or
+    another caller's row.  Nodes and edges are the graph's own objects."""
     if isinstance(value, dict):
         return {key: _copied(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -546,7 +545,11 @@ class QueryTask:
                     if row is None:
                         self.done = True
                         break
-                    rows.append(ResultRow(row))
+                    # a row owns its lists and dicts: a list property
+                    # read by reference would hand the caller the
+                    # stored node's own value, writable behind the
+                    # graph's back
+                    rows.append(ResultRow(_copied(row)))
             except QuantumExhausted:
                 obs.metrics.inc("cypher.suspended")
         return rows

@@ -486,10 +486,8 @@ class PropertyGraph:
         """Number of nodes carrying ``label`` (0 for unknown labels)."""
         return len(self._label_index.get(label, ()))
 
-    def edges(self, edge_type: str | None = None) -> Iterator[Edge]:
-        for edge in list(self._edges.values()):
-            if edge_type is None or edge.type == edge_type:
-                yield edge
+    def edges(self) -> Iterator[Edge]:
+        yield from list(self._edges.values())
 
     def find_nodes(
         self, label: str | None = None, **properties: object

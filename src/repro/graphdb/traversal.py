@@ -27,13 +27,9 @@ class Subgraph:
 
 
 def bfs_nodes(
-    graph: PropertyGraph,
-    start: int,
-    max_depth: int = 2,
-    max_nodes: int | None = None,
-    edge_type: str | None = None,
+    graph: PropertyGraph, start: int, max_depth: int
 ) -> list[tuple[Node, int]]:
-    """Breadth-first nodes with their depth, up to the given bounds."""
+    """Breadth-first nodes with their depth, up to ``max_depth``."""
     if not graph.has_node(start):
         raise KeyError(f"no node {start}")
     visited = {start}
@@ -43,25 +39,18 @@ def bfs_nodes(
         node_id, depth = queue.popleft()
         if depth >= max_depth:
             continue
-        for neighbor in graph.neighbors(node_id, edge_type):
+        for neighbor in graph.neighbors(node_id):
             if neighbor.node_id in visited:
                 continue
             visited.add(neighbor.node_id)
             order.append((neighbor, depth + 1))
-            if max_nodes is not None and len(order) >= max_nodes:
-                return order
             queue.append((neighbor.node_id, depth + 1))
     return order
 
 
-def k_hop_subgraph(
-    graph: PropertyGraph,
-    start: int,
-    hops: int = 1,
-    max_nodes: int | None = None,
-) -> Subgraph:
+def k_hop_subgraph(graph: PropertyGraph, start: int, hops: int) -> Subgraph:
     """The induced subgraph of the k-hop neighbourhood of ``start``."""
-    reached = bfs_nodes(graph, start, max_depth=hops, max_nodes=max_nodes)
+    reached = bfs_nodes(graph, start, max_depth=hops)
     return induced_subgraph(graph, [node.node_id for node, _depth in reached])
 
 

@@ -94,14 +94,13 @@ def _nominal_head_right(
     return None
 
 
-def parse(tokens: Sequence[Token], tags: list[str] | None = None) -> ParsedSentence:
+def parse(tokens: Sequence[Token]) -> ParsedSentence:
     """Build the SVO-relevant dependency arcs of one sentence."""
     tokens = list(tokens)
-    if tags is None:
-        # a sentence the recogniser already tagged carries its tags
-        tags = [token.pos for token in tokens]
-        if None in tags:
-            tags = pos_tag(tokens)
+    # a sentence the recogniser already tagged carries its tags
+    tags = [token.pos for token in tokens]
+    if None in tags:
+        tags = pos_tag(tokens)
     arcs: list[Arc] = []
     n = len(tokens)
 

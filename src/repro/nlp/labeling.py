@@ -142,14 +142,14 @@ def cue_actor_lf(tokens: Sequence[Token]) -> list[Proposal]:
     return proposals
 
 
-def default_labeling_functions(gazetteer: Gazetteer | None = None) -> list[NamedLF]:
+def default_labeling_functions() -> list[NamedLF]:
     """The standard LF set: per-type gazetteers + contextual cue patterns.
 
     CVE identifiers are deliberately absent: IOC-protected tokenization
     already types them via the regex path, so the CRF never needs to
     label them (labeling them twice would double-count mentions).
     """
-    gazetteer = gazetteer or Gazetteer.load_default()
+    gazetteer = Gazetteer.load_default()
     lfs = [
         make_gazetteer_lf(gazetteer, entity_type)
         for entity_type in CRF_ENTITY_TYPES

@@ -14,7 +14,6 @@ and it synthesises labels, trains embeddings, and fits the CRF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from repro.nlp.crf import LinearChainCRF
@@ -199,28 +198,6 @@ class EntityRecognizer:
                     Mention(span.text, span.type, index, start, end, span.confidence)
                 )
         return sentences, mentions
-
-    # -- persistence --------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the CRF (feature extractor is reconstructed on load)."""
-        self.crf.save(path)
-
-    @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        gazetteer: Gazetteer | None = None,
-        embeddings: WordEmbeddings | None = None,
-    ) -> "EntityRecognizer":
-        crf = LinearChainCRF.load(path)
-        return cls(
-            crf=crf,
-            feature_extractor=FeatureExtractor(
-                gazetteer=gazetteer or Gazetteer.load_default(),
-                embeddings=embeddings,
-            ),
-        )
 
 
 __all__ = ["EntityRecognizer", "EntitySpan", "decode_bio"]

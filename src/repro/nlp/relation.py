@@ -65,20 +65,10 @@ def _np_range(tags: list[str], head: int) -> tuple[int, int]:
 class RelationExtractor:
     """Extract <entity, verb, entity> triples from tokenized sentences.
 
-    Parameters
-    ----------
-    schema_filter:
-        Drop triples whose endpoints violate the ontology schema.
-    drop_unknown_verbs:
-        Drop triples whose verb does not normalise into the relation
-        vocabulary (they would all collapse to ``RELATED_TO``).
+    A triple is dropped when its verb does not normalise into the
+    relation vocabulary (it would collapse to ``RELATED_TO``) or its
+    endpoints violate the ontology schema.
     """
-
-    def __init__(
-        self, schema_filter: bool = True, drop_unknown_verbs: bool = True
-    ):
-        self.schema_filter = schema_filter
-        self.drop_unknown_verbs = drop_unknown_verbs
 
     # -- argument resolution -------------------------------------------
 
@@ -97,19 +87,17 @@ class RelationExtractor:
             return min(overlapping, key=lambda s: abs(s.end - 1 - dep))
         return None
 
-    def _keep(self, relation: RelationMention) -> bool:
+    @staticmethod
+    def _keep(relation: RelationMention) -> bool:
         relation_type = normalize_verb(relation.verb)
-        if self.drop_unknown_verbs and relation_type == RelationType.RELATED_TO:
+        if relation_type == RelationType.RELATED_TO:
             return False
-        if self.schema_filter:
-            candidate = Relation(
-                head=Entity(relation.head_type, relation.head_text),
-                type=relation_type,
-                tail=Entity(relation.tail_type, relation.tail_text),
-            )
-            if check_relation(candidate) is not None:
-                return False
-        return True
+        candidate = Relation(
+            head=Entity(relation.head_type, relation.head_text),
+            type=relation_type,
+            tail=Entity(relation.tail_type, relation.tail_text),
+        )
+        return check_relation(candidate) is None
 
     # -- extraction ------------------------------------------------------
 

@@ -66,9 +66,9 @@ class Obs:
 NO_OBS = Obs(NULL_TRACER, NULL_METRICS)
 
 
-def make_obs(clock: Clock | None = None, ring: int = 8192) -> Obs:
+def make_obs(clock: Clock | None = None) -> Obs:
     """A live observability bundle timed on ``clock``."""
-    return Obs(Tracer(clock, ring=ring), MetricsRegistry())
+    return Obs(Tracer(clock), MetricsRegistry())
 
 
 # Re-exported after NO_OBS exists: repro.obs.profile lazily imports

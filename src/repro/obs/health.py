@@ -158,7 +158,7 @@ _ENGINE_KEYS = frozenset(
 
 
 def rules_from_config(
-    overrides: dict | None, base: tuple[HealthRule, ...] = DEFAULT_RULES
+    overrides: dict | None,
 ) -> tuple[tuple[HealthRule, ...], dict]:
     """Apply dict overrides to the default ruleset.
 
@@ -169,7 +169,7 @@ def rules_from_config(
     ``quarantine_after``, ``probe_backoff_base``, ...) and is returned
     separately.  Raises ``ValueError`` for unknown names or fields.
     """
-    rules = {rule.name: rule for rule in base}
+    rules = {rule.name: rule for rule in DEFAULT_RULES}
     engine: dict = {}
     for name, fields in (overrides or {}).items():
         if name == "engine":

@@ -8,9 +8,9 @@ type, journal bytes, checkpoint durations.  Design constraints:
   under one lock; identical seeded runs produce identical snapshots for
   every integer-valued series (histogram *sums* of measured durations
   are only as deterministic as the clock that produced them).
-* **Fixed buckets.**  Histograms use a fixed bucket ladder chosen at
-  registry construction -- no dynamic resizing, so bucket boundaries in
-  two snapshots are always comparable.
+* **Fixed buckets.**  Every histogram uses the one bucket ladder
+  :data:`DEFAULT_BUCKETS` -- no dynamic resizing, so bucket boundaries
+  in two snapshots are always comparable.
 * **Label keys.**  A series is keyed by its sorted ``k=v`` label string
   (``source=ThreatPedia``); the empty string keys the unlabelled
   series.
@@ -29,7 +29,7 @@ import threading
 
 from repro.runtime.locks import named_lock
 
-#: Default histogram bucket upper bounds (seconds); +Inf is implicit.
+#: Every histogram's bucket upper bounds (seconds); +Inf is implicit.
 DEFAULT_BUCKETS: tuple[float, ...] = (0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10.0)
 
 
@@ -39,17 +39,16 @@ def label_key(labels: dict) -> str:
 
 
 class _Histogram:
-    __slots__ = ("bounds", "counts", "count", "total")
+    __slots__ = ("counts", "count", "total")
 
-    def __init__(self, bounds: tuple[float, ...]):
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last slot = +Inf
+    def __init__(self):
+        self.counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # last slot = +Inf
         self.count = 0
         self.total = 0.0
 
     def observe(self, value: float) -> None:
-        slot = len(self.bounds)
-        for index, bound in enumerate(self.bounds):
+        slot = len(DEFAULT_BUCKETS)
+        for index, bound in enumerate(DEFAULT_BUCKETS):
             if value <= bound:
                 slot = index
                 break
@@ -60,30 +59,22 @@ class _Histogram:
     def to_dict(self) -> dict:
         buckets = {
             str(bound): self.counts[index]
-            for index, bound in enumerate(self.bounds)
+            for index, bound in enumerate(DEFAULT_BUCKETS)
         }
         buckets["+Inf"] = self.counts[-1]
         return {"buckets": buckets, "count": self.count, "sum": self.total}
 
 
 class MetricsRegistry:
-    """Thread-safe named counters, gauges and fixed-bucket histograms.
-
-    Parameters
-    ----------
-    buckets:
-        Optional per-histogram-name bucket-ladder overrides; histograms
-        not listed use :data:`DEFAULT_BUCKETS`.
-    """
+    """Thread-safe named counters, gauges and fixed-bucket histograms."""
 
     enabled = True
 
-    def __init__(self, buckets: dict[str, tuple[float, ...]] | None = None):
+    def __init__(self):
         self._lock = named_lock("obs.metrics")
         self._counters: dict[str, dict[str, int]] = {}
         self._gauges: dict[str, dict[str, float]] = {}
         self._histograms: dict[str, dict[str, _Histogram]] = {}
-        self._buckets = dict(buckets or {})
 
     def inc(self, name: str, value: int = 1, **labels) -> None:
         """Add to a counter (zero increments are dropped)."""
@@ -115,9 +106,7 @@ class MetricsRegistry:
             series = self._histograms.setdefault(name, {})
             histogram = series.get(key)
             if histogram is None:
-                histogram = series[key] = _Histogram(
-                    self._buckets.get(name, DEFAULT_BUCKETS)
-                )
+                histogram = series[key] = _Histogram()
             histogram.observe(value)
 
     # -- readout ----------------------------------------------------------

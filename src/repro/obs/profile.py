@@ -224,20 +224,7 @@ def render_profile(spans: list[dict], top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def export_folded(spans: list[dict], obs=None) -> str:
-    """The folded flamegraph text, under a ``profile.export`` span."""
-    if obs is None:
-        from repro.obs import NO_OBS
-
-        obs = NO_OBS
-    with obs.tracer.span("profile.export", format="folded") as span:
-        text = render_folded(spans)
-        span.set("lines", text.count("\n"))
-    obs.metrics.inc("profile.exports", format="folded")
-    return text
-
-
-def export_profile(spans: list[dict], obs=None, top: int = 10) -> dict:
+def export_profile(spans: list[dict], obs=None) -> dict:
     """The profile dict, under a ``profile.export`` span (the live
     ``GET /profile`` endpoint routes through here)."""
     if obs is None:
@@ -245,19 +232,19 @@ def export_profile(spans: list[dict], obs=None, top: int = 10) -> dict:
 
         obs = NO_OBS
     with obs.tracer.span("profile.export", format="json") as span:
-        payload = profile_dict(spans, top=top)
+        payload = profile_dict(spans)
         span.set("names", len(payload["names"]))
     obs.metrics.inc("profile.exports", format="json")
     return payload
 
 
-def write_folded(path, spans: list[dict], obs=None) -> None:
-    """Persist the folded export via the atomic-write helper."""
+def write_folded(path, spans: list[dict]) -> None:
+    """Persist the folded flamegraph text via the atomic-write helper."""
     # imported lazily: repro.storage imports repro.obs (see
     # Tracer.write_jsonl for the same cycle note)
     from repro.storage.atomic import atomic_write_text
 
-    atomic_write_text(path, export_folded(spans, obs=obs))
+    atomic_write_text(path, render_folded(spans))
 
 
 __all__ = [
@@ -265,7 +252,6 @@ __all__ = [
     "aggregate",
     "annotate",
     "collapsed_stacks",
-    "export_folded",
     "export_profile",
     "hotspots",
     "profile_dict",

@@ -102,16 +102,19 @@ class Tracer:
     clock:
         Timestamp source.  Inject the deployment's clock so virtual-time
         runs emit deterministic traces.
-    ring:
-        Maximum finished spans retained in memory; older spans are
-        evicted (their children export with ``parent: null``).
+
+    At most :attr:`RING` finished spans are retained in memory; older
+    spans are evicted (their children export with ``parent: null``).
     """
 
     enabled = True
+    RING = 8192
 
-    def __init__(self, clock: Clock | None = None, ring: int = 8192):
+    def __init__(self, clock: Clock | None = None):
         self.clock = clock if clock is not None else REAL_CLOCK
-        self._finished: collections.deque[Span] = collections.deque(maxlen=ring)
+        self._finished: collections.deque[Span] = collections.deque(
+            maxlen=self.RING
+        )
         self._open: dict[int, Span] = {}
         self._lock = named_lock("obs.tracer")
         self._local = threading.local()

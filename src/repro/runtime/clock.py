@@ -110,9 +110,9 @@ class VirtualClock:
     simulated latencies, never on OS scheduling.
     """
 
-    def __init__(self, start: float = 0.0):
+    def __init__(self) -> None:
         self._cond = threading.Condition()
-        self._now = float(start)
+        self._now = 0.0
         self._workers = 0  # registered worker threads
         self._parked = 0  # registered workers sleeping or condition-waiting
         self._pending_wakeups = 0  # notified waiters not yet resumed

@@ -1,7 +1,7 @@
 """Full-text search substrate (Elasticsearch substitute).
 
 An IOC-aware analyzer plus a positional inverted index with BM25
-ranking, boolean modes, filters, phrase queries and JSON persistence.
+ranking, phrase queries and JSON persistence.
 Backs the UI's multilingual keyword-search path (paper section 2.6).
 
 >>> from repro.search import SearchIndex

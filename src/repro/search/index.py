@@ -2,8 +2,8 @@
 
 The Elasticsearch substitute behind the UI's keyword search (paper
 section 2.6): documents with typed fields, an inverted index with
-positions (for phrase queries), Okapi BM25 scoring with per-field
-boosts, boolean AND/OR semantics and filters.  The index has no file
+positions (for phrase queries) and Okapi BM25 scoring with per-field
+boosts, any query term matching.  The index has no file
 format of its own: :class:`SearchIndexParticipant` journals its deltas
 through the storage engine.
 """
@@ -22,6 +22,11 @@ from repro.search.analyzer import analyze, analyze_query
 #: Okapi BM25 term-frequency saturation and length normalisation.
 BM25_K1 = 1.5
 BM25_B = 0.75
+
+#: Score multipliers per field (a title hit matters more than a body
+#: hit); unlisted fields get 1.0.  Snapshots carry the table as
+#: ``field_boosts``.
+FIELD_BOOSTS = {"title": 3.0, "entities": 2.0, "body": 1.0}
 
 
 @dataclass
@@ -47,17 +52,9 @@ class _Posting:
 
 
 class SearchIndex:
-    """BM25 inverted index over documents with string fields.
+    """BM25 inverted index over documents with string fields."""
 
-    Parameters
-    ----------
-    field_boosts:
-        Score multipliers per field (title hits matter more than body
-        hits).  Unlisted fields get boost 1.0.
-    """
-
-    def __init__(self, field_boosts: dict[str, float] | None = None):
-        self.field_boosts = dict(field_boosts or {"title": 2.5, "name": 3.0})
+    def __init__(self) -> None:
         self._postings: dict[str, list[_Posting]] = {}
         self._documents: dict[str, dict[str, str]] = {}
         self._doc_lengths: dict[tuple[str, str], int] = {}  # (doc, field) -> terms
@@ -135,18 +132,9 @@ class SearchIndex:
 
     # -- scoring -----------------------------------------------------------
 
-    def search(
-        self,
-        query: str,
-        limit: int = 10,
-        mode: str = "or",
-        filters: dict[str, str] | None = None,
-    ) -> list[SearchHit]:
-        """BM25-ranked search.
-
-        ``mode='and'`` requires every query term; ``filters`` restrict
-        results to documents whose stored field equals a value exactly.
-        """
+    def search(self, query: str, limit: int = 10) -> list[SearchHit]:
+        """BM25-ranked search: a document matching any query term
+        scores the sum of its terms' field-boosted BM25."""
         with self._lock:
             terms = analyze_query(query)
             if not terms:
@@ -156,7 +144,6 @@ class SearchIndex:
             # process's string hash seed.
             unique_terms = dict.fromkeys(terms)
             scores: dict[str, float] = {}
-            matched_terms: dict[str, set[str]] = {}
             n_docs = len(self._documents)
             averages = {
                 field_name: self._field_totals[field_name] / docs
@@ -174,27 +161,21 @@ class SearchIndex:
                     denom = frequency + BM25_K1 * (
                         1 - BM25_B + BM25_B * length / max(avg, 1e-9)
                     )
-                    boost = self.field_boosts.get(posting.field, 1.0)
+                    boost = FIELD_BOOSTS.get(posting.field, 1.0)
                     scores[posting.doc_id] = scores.get(posting.doc_id, 0.0) + (
                         idf * frequency * (BM25_K1 + 1) / denom * boost
                     )
-                    matched_terms.setdefault(posting.doc_id, set()).add(term)
 
-            hits = []
-            for doc_id, score in scores.items():
-                if mode == "and" and len(matched_terms[doc_id]) != len(unique_terms):
-                    continue
-                fields = self._documents[doc_id]
-                if filters and any(
-                    fields.get(k) != v for k, v in filters.items()
-                ):
-                    continue
-                hits.append(SearchHit(doc_id=doc_id, score=score, fields=fields))
+            hits = [
+                SearchHit(doc_id=doc_id, score=score, fields=self._documents[doc_id])
+                for doc_id, score in scores.items()
+            ]
             hits.sort(key=lambda h: (-h.score, h.doc_id))
             return hits[:limit]
 
-    def phrase_search(self, phrase: str, limit: int = 10) -> list[SearchHit]:
-        """Documents containing the exact term sequence in one field."""
+    def phrase_search(self, phrase: str) -> list[SearchHit]:
+        """The ten best documents containing the exact term sequence in
+        one field."""
         with self._lock:
             terms = analyze_query(phrase)
             if not terms:
@@ -225,7 +206,7 @@ class SearchIndex:
             # one hit per doc (a phrase may occur in several fields)
             seen: set[str] = set()
             unique = [h for h in hits if not (h.doc_id in seen or seen.add(h.doc_id))]
-            return unique[:limit]
+            return unique[:10]
 
     # -- snapshot state -------------------------------------------------------
 
@@ -255,7 +236,7 @@ class SearchIndex:
                     for (doc, field_name), length in self._doc_lengths.items()
                 ],
                 "field_totals": self._field_totals,
-                "field_boosts": self.field_boosts,
+                "field_boosts": FIELD_BOOSTS,
             }
 
     def to_state_text(self) -> str:
@@ -272,7 +253,7 @@ class SearchIndex:
                 f'"postings": {{{", ".join(postings)}}}, "doc_lengths": '
                 f'[{", ".join(items for _, items in docs if items)}], '
                 f'"field_totals": {json.dumps(self._field_totals)}, '
-                f'"field_boosts": {json.dumps(self.field_boosts)}}}'
+                f'"field_boosts": {json.dumps(FIELD_BOOSTS)}}}'
             )
 
     def _encode_doc(self, doc_id: str, fields: dict) -> tuple[str, str]:
@@ -282,9 +263,6 @@ class SearchIndex:
     def restore_state(self, data: dict) -> None:
         """Replace this index's contents with a :meth:`to_state` payload."""
         with self._lock:
-            self.field_boosts = dict(
-                data.get("field_boosts") or self.field_boosts
-            )
             self._documents = {k: dict(v) for k, v in data["documents"].items()}
             self._postings = {
                 term: [_Posting(doc_id, field_name, list(positions))
@@ -348,4 +326,4 @@ class SearchIndexParticipant:
         self.index.clear()
 
 
-__all__ = ["SearchHit", "SearchIndex", "SearchIndexParticipant"]
+__all__ = ["FIELD_BOOSTS", "SearchHit", "SearchIndex", "SearchIndexParticipant"]

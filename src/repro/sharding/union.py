@@ -83,8 +83,8 @@ class GraphUnion:
     def nodes(self, label: str | None = None) -> Iterator[Node]:
         return chain.from_iterable(g.nodes(label) for g in self._graphs)
 
-    def edges(self, edge_type: str | None = None) -> Iterator[Edge]:
-        return chain.from_iterable(g.edges(edge_type) for g in self._graphs)
+    def edges(self) -> Iterator[Edge]:
+        return chain.from_iterable(g.edges() for g in self._graphs)
 
     def node_ids(self, label: str | None = None) -> list[int]:
         return list(chain.from_iterable(g.node_ids(label) for g in self._graphs))

@@ -47,11 +47,10 @@ def atomic_write_bytes(path: str | Path, data: bytes, fsync: bool = True) -> Non
         fsync_directory(path.parent)
 
 
-def atomic_write_text(
-    path: str | Path, text: str, fsync: bool = True, encoding: str = "utf-8"
-) -> None:
-    """Atomically replace ``path`` with ``text`` (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, text.encode(encoding), fsync=fsync)
+def atomic_write_text(path: str | Path, text: str, fsync: bool = True) -> None:
+    """Atomically replace ``path`` with ``text`` as UTF-8 (see
+    :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
 __all__ = [

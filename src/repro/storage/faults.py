@@ -59,10 +59,10 @@ class CrashInjector:
         self.fired = False
 
     @classmethod
-    def seeded(cls, seed: int, max_hit: int = 4) -> "CrashInjector":
-        """Derive a reproducible (point, hit) pair from a seed."""
+    def seeded(cls, seed: int) -> "CrashInjector":
+        """Derive a reproducible (point, hit in 1..4) pair from a seed."""
         rng = random.Random(f"crash-injector-{seed}")
-        return cls(rng.choice(CRASH_POINTS), at_hit=rng.randint(1, max_hit))
+        return cls(rng.choice(CRASH_POINTS), at_hit=rng.randint(1, 4))
 
     def fire(self, point: str) -> bool:
         """Record reaching ``point``; True when the armed crash is due."""

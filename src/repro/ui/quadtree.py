@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Distances below this are clamped, so coincident bodies push apart
+#: with a large but finite force.
+MIN_DISTANCE = 0.01
+
 
 @dataclass
 class Body:
@@ -105,9 +109,7 @@ class QuadTree:
             root.insert(body)
         return cls(root=root, theta=theta, body_count=len(bodies))
 
-    def force_on(
-        self, body: Body, strength: float, min_distance: float = 0.01
-    ) -> tuple[float, float]:
+    def force_on(self, body: Body, strength: float) -> tuple[float, float]:
         """Approximate repulsive force on ``body`` from all others.
 
         Repulsion follows the Fruchterman-Reingold style
@@ -115,6 +117,7 @@ class QuadTree:
         nearby bodies and via cell centres of mass when the cell is
         small relative to its distance (``half*2 / d < theta``).
         """
+        min_distance = MIN_DISTANCE
         force_x = force_y = 0.0
         stack = [self.root]
         while stack:
@@ -163,10 +166,11 @@ def _contains(cell: _Cell, body: Body) -> bool:
 
 
 def exact_repulsion(
-    bodies: list[Body], body: Body, strength: float, min_distance: float = 0.01
+    bodies: list[Body], body: Body, strength: float
 ) -> tuple[float, float]:
     """O(n) exact repulsion on one body (O(n^2) overall); the baseline
     Barnes-Hut is benchmarked against (E11)."""
+    min_distance = MIN_DISTANCE
     force_x = force_y = 0.0
     for other in bodies:
         if other is body:

@@ -43,9 +43,9 @@ def make_url(rng: random.Random, domain: str | None = None) -> str:
     return f"{scheme}://{domain}/{path}{suffix}"
 
 
-def make_email(rng: random.Random, domain: str | None = None) -> str:
+def make_email(rng: random.Random) -> str:
     """A spearphishing-style sender address."""
-    domain = domain or make_domain(rng)
+    domain = make_domain(rng)
     user = rng.choice(seeds.EMAIL_USERS)
     if rng.random() < 0.4:
         user = f"{user}{rng.choice(['.', '_'])}{rng.randint(1, 99)}"
@@ -55,9 +55,9 @@ def make_email(rng: random.Random, domain: str | None = None) -> str:
 _HEX = "0123456789abcdef"
 
 
-def make_hash(rng: random.Random, algorithm: str | None = None) -> str:
-    """A hash digest; algorithm picked among md5/sha1/sha256 if unset."""
-    algorithm = algorithm or rng.choice(["md5", "sha1", "sha256"])
+def make_hash(rng: random.Random) -> str:
+    """A hash digest; algorithm picked among md5/sha1/sha256."""
+    algorithm = rng.choice(["md5", "sha1", "sha256"])
     length = {"md5": 32, "sha1": 40, "sha256": 64}[algorithm]
     return "".join(rng.choice(_HEX) for _ in range(length))
 

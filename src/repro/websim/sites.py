@@ -297,7 +297,6 @@ def build_default_web(
     scenario_count: int = 60,
     reports_per_site: int = 30,
     seed: int = 7,
-    site_specs: tuple[tuple[str, str], ...] = DEFAULT_SITE_SPECS,
 ) -> Web:
     """Construct the default 42-source web over a shared scenario pool.
 
@@ -307,7 +306,7 @@ def build_default_web(
     """
     scenarios = make_scenarios(scenario_count, seed=seed)
     sites: list[Site] = []
-    for index, (name, family) in enumerate(site_specs):
+    for index, (name, family) in enumerate(DEFAULT_SITE_SPECS):
         sites.append(
             Site(
                 name=name,

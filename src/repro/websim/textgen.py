@@ -347,13 +347,12 @@ def template_slots(template: Template) -> list[str]:
     return _SLOT_RE.findall(template.pattern)
 
 
-def pick_templates(
-    rng: random.Random, count: int, distractor_rate: float = 0.25
-) -> list[Template | str]:
-    """Choose a narrative plan: templates mixed with distractor strings."""
+def pick_templates(rng: random.Random, count: int) -> list[Template | str]:
+    """Choose a narrative plan: templates, a quarter of them swapped
+    for distractor strings."""
     plan: list[Template | str] = []
     for _ in range(count):
-        if rng.random() < distractor_rate:
+        if rng.random() < 0.25:
             plan.append(rng.choice(DISTRACTORS))
         else:
             plan.append(rng.choice(TEMPLATES))

@@ -98,11 +98,10 @@ class OracleIndex:
         ]
         return sum(lengths) / len(lengths) if lengths else 1.0
 
-    def search(self, query, limit=10, mode="or", filters=None):
+    def search(self, query, limit=10):
         """Ranked ``(doc_id, score)`` pairs."""
         terms = list(dict.fromkeys(analyze(query)))
         scores: dict[str, float] = {}
-        matched: dict[str, set[str]] = {}
         for term in terms:
             containing = sum(
                 any(term in field_terms for field_terms in fields.values())
@@ -127,21 +126,12 @@ class OracleIndex:
                     scores[doc_id] = scores.get(doc_id, 0.0) + (
                         idf * frequency * (self.k1 + 1) / denom * boost
                     )
-                    matched.setdefault(doc_id, set()).add(term)
-        hits = [
-            (doc_id, score)
-            for doc_id, score in scores.items()
-            if (mode != "and" or matched[doc_id] == set(terms))
-            and all(
-                self.documents[doc_id].get(key) == value
-                for key, value in (filters or {}).items()
-            )
-        ]
-        hits.sort(key=lambda hit: (-hit[1], hit[0]))
+        hits = sorted(scores.items(), key=lambda hit: (-hit[1], hit[0]))
         return hits[:limit]
 
-    def phrase_search(self, phrase, limit=10):
-        """``(doc_id, occurrences)``: the best field of each document."""
+    def phrase_search(self, phrase):
+        """``(doc_id, occurrences)``: the best field of each document,
+        the ten best documents."""
         terms = analyze(phrase)
         best: dict[str, float] = {}
         if terms:
@@ -154,7 +144,7 @@ class OracleIndex:
                     if count:
                         best[doc_id] = max(best.get(doc_id, 0.0), float(count))
         hits = sorted(best.items(), key=lambda hit: (-hit[1], hit[0]))
-        return hits[:limit]
+        return hits[:10]
 
     # -- snapshot state -------------------------------------------------------
 

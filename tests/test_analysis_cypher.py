@@ -1,6 +1,7 @@
 """Tests for the Cypher semantic analyzer and strict query mode."""
 
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,15 @@ from repro.graphdb import (
     CypherAnalysisError,
     CypherEngine,
     CypherRuntimeError,
-    PropertyGraph,
 )
 from repro.graphdb.cypher.parser import parse
+from test_graphdb_cypher import journaled_engine
 
 
 def closed_schema() -> QuerySchema:
-    return ontology_schema(closed=True)
+    """The ontology taken as authoritative: unknown labels and types
+    are errors even without graph evidence."""
+    return replace(ontology_schema(), closed_labels=True, closed_rel_types=True)
 
 
 def analyze(query: str, schema: QuerySchema | None = None):
@@ -60,7 +63,7 @@ class TestVocabularyRules:
 
     def test_open_vocabulary_downgrades_to_warning(self):
         diags = analyze(
-            "MATCH (m:Malwear) RETURN m.name", ontology_schema(closed=False)
+            "MATCH (m:Malwear) RETURN m.name", ontology_schema()
         )
         (diag,) = [d for d in diags if d.rule == "cypher/unknown-label"]
         assert diag.severity is Severity.WARNING
@@ -152,11 +155,12 @@ class TestPatternRules:
 
 @pytest.fixture()
 def populated_engine():
-    graph = PropertyGraph()
+    engine = journaled_engine()
+    graph = engine.graph
     malware = graph.create_node("Malware", {"name": "wannacry"})
     actor = graph.create_node("ThreatActor", {"name": "lazarus"})
     graph.create_edge(actor.node_id, "USES", malware.node_id, {"weight": 1.0})
-    return CypherEngine(graph)
+    return engine
 
 
 class TestEngineStrictMode:

@@ -259,3 +259,64 @@ class TestConfigErrors:
         code, output = run_cli("stats", "--config", str(config_path))
         assert code == 2
         assert output.startswith("config error: ") and named in output
+
+
+class TestFlagsOverTheConfigFile:
+    """Every flag the user passed overrides the ``--config`` file; a flag
+    left out keeps the file's value; ``--state`` only fills a file's
+    missing ``storage_path``."""
+
+    FILE = {
+        "scenario_count": 5,
+        "reports_per_site": 2,
+        "seed": 3,
+        "recognizer": "regex",
+        "clock": "virtual",
+        "partitions": 2,
+        "storage_path": "from-file",
+    }
+
+    @staticmethod
+    def config(*argv):
+        from repro.cli import _build_config, build_parser
+
+        return _build_config(build_parser().parse_args(list(argv)))
+
+    @pytest.fixture
+    def config_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(self.FILE))
+        return str(path)
+
+    def test_a_passed_seed_overrides_the_file(self, config_file):
+        assert self.config("stats", "--config", config_file, "--seed", "9").seed == 9
+
+    def test_every_passed_flag_overrides_the_file(self, config_file):
+        config = self.config(
+            "run", "--config", config_file, "--scenarios", "6",
+            "--reports-per-site", "3", "--seed", "9", "--recognizer", "crf",
+            "--clock", "real", "--partitions", "3", "--state", "from-flag",
+        )
+        assert (
+            config.scenario_count, config.reports_per_site, config.seed,
+            config.recognizer, config.clock, config.partitions,
+            config.storage_path,
+        ) == (6, 3, 9, "crf", "real", 3, "from-file")
+
+    def test_a_flag_left_out_keeps_the_file_value(self, config_file):
+        config = self.config("run", "--config", config_file)
+        assert {key: getattr(config, key) for key in self.FILE} == self.FILE
+
+    def test_state_fills_a_missing_storage_path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 3}))
+        config = self.config("stats", "--config", str(path), "--state", "d")
+        assert (config.storage_path, config.seed) == ("d", 3)
+
+    def test_without_a_file_the_cli_world(self):
+        config = self.config("run", "--state", "d")
+        assert (
+            config.scenario_count, config.reports_per_site, config.seed,
+            config.recognizer, config.clock, config.partitions,
+            config.storage_path,
+        ) == (12, 4, 7, "gazetteer", "real", 1, "d")

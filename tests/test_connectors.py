@@ -76,9 +76,7 @@ class TestGraphConnector:
         connector = graph_connector()
         connector.ingest(record_with(report_id="r1"))
         connector.ingest(record_with(report_id="r2"))
-        edges = [
-            e for e in connector.graph.edges("CONNECTS_TO")
-        ]
+        edges = [e for e in connector.graph.edges() if e.type == "CONNECTS_TO"]
         assert len(edges) == 1
         assert edges[0].properties["weight"] == 2
         assert set(edges[0].properties["reports"]) == {"r1", "r2"}

@@ -118,7 +118,7 @@ class TestFrontier:
             done.append(True)
 
         threading.Thread(target=finish).start()
-        assert frontier.take(timeout=2.0) is None
+        assert frontier.take() is None
         assert done
 
     def test_worker_can_enqueue_while_in_flight(self):
@@ -133,21 +133,23 @@ class TestFrontier:
 class TestRateLimiter:
     def test_enforces_interval(self):
         clock = VirtualClock()
-        limiter = HostRateLimiter(min_interval=1.0, clock=clock)
+        limiter = HostRateLimiter(clock=clock)
+        limiter.set_host_delay("h", 1.0)
         assert limiter.acquire("h") == 0.0
         assert limiter.acquire("h") == 1.0
         assert clock.now() == 1.0
 
     def test_hosts_are_independent(self):
         clock = VirtualClock()
-        limiter = HostRateLimiter(min_interval=1.0, clock=clock)
+        limiter = HostRateLimiter(clock=clock)
+        limiter.set_host_delay("a", 1.0)
         limiter.acquire("a")
         assert limiter.acquire("b") == 0.0
         assert clock.now() == 0.0
 
     def test_robots_delay_applies(self):
         clock = VirtualClock()
-        limiter = HostRateLimiter(min_interval=0.0, clock=clock)
+        limiter = HostRateLimiter(clock=clock)
         limiter.set_host_delay("h", 2.0)
         assert limiter.acquire("h") == 0.0
         assert limiter.acquire("h") == 2.0
@@ -175,13 +177,6 @@ class TestFetcher:
         with pytest.raises(FetchDenied):
             fetcher.fetch(f"{site.base_url}/private/internal")
         assert fetcher.stats.snapshot()["denied"] == 1
-
-    def test_robots_can_be_disabled(self, small_web):
-        site = small_web.sites[0]
-        fetcher = Fetcher(
-            SimulatedTransport(small_web, time_scale=0.0), respect_robots=False
-        )
-        assert fetcher.fetch(f"{site.base_url}/private/internal").ok
 
     def test_404_returned_not_retried(self, small_web):
         fetcher = Fetcher(SimulatedTransport(small_web, time_scale=0.0))
@@ -366,7 +361,7 @@ class TestTransportErrorsPropagate:
                 self.first = True
 
             def fetch(self, url):
-                if self.first:
+                if self.first and not url.endswith("/robots.txt"):
                     self.first = False
                     raise TransportError("reset")
                 return self.inner.fetch(url)
@@ -375,6 +370,6 @@ class TestTransportErrorsPropagate:
             FlakyOnce(SimulatedTransport(small_web, time_scale=0.0)),
             max_retries=2,
             backoff=0.0,
-            respect_robots=False,
         )
         assert fetcher.fetch(small_web.sites[0].index_url).ok
+        assert fetcher.stats.snapshot()["retries"] == 1

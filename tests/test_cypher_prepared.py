@@ -41,10 +41,11 @@ from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention, RelationMention
 from repro.runtime.clock import VirtualClock
 from repro.sharding import ID_STRIDE, ShardSet
+from test_graphdb_cypher import journaled_engine
 
 
-def small_graph() -> PropertyGraph:
-    graph = PropertyGraph()
+def small_graph(graph: PropertyGraph | None = None) -> PropertyGraph:
+    graph = graph if graph is not None else PropertyGraph()
     actors = [
         graph.create_node("ThreatActor", {"name": f"actor-{i}"}) for i in range(3)
     ]
@@ -583,8 +584,8 @@ class TestKeptRows:
 
     def test_only_a_plain_match_through_run_is_kept(self):
         obs = make_obs(VirtualClock())
-        graph = small_graph()
-        engine = CypherEngine(graph, obs=obs)
+        engine = journaled_engine(obs=obs)
+        graph = small_graph(engine.graph)
         for prefix in ("EXPLAIN ", "PROFILE "):
             for _ in range(2):
                 engine.run(prefix + self.QUERY)
@@ -600,8 +601,8 @@ class TestKeptRows:
         assert results(obs) == {}
 
     def test_a_write_moves_the_answer(self):
-        graph = small_graph()
-        engine = CypherEngine(graph)
+        engine = journaled_engine()
+        graph = small_graph(engine.graph)
         query = "MATCH (m:Malware) RETURN count(*) AS n"
         assert engine.run(query)[0]["n"] == 9
         assert engine.run(query)[0]["n"] == 9

@@ -24,15 +24,19 @@ name the same rules, and ROADMAP's standing invariants name every
 ``det/*`` and ``conc/*`` rule and no rule that does not exist.
 
 A fifth is the admission rule for ``src/`` itself: a public definition
-needs a caller that is not a test, and a constructor option a caller
-that sets it (:class:`TestCallerCount`).
+needs a caller that is not a test, and a constructor option or a
+defaulted parameter a caller that is not a test and sets it
+(:class:`TestCallerCount`).
 """
 
 import argparse
 import ast
 import re
+import textwrap
 from fnmatch import fnmatchcase
 from pathlib import Path
+
+import pytest
 
 import repro.cli as cli
 import repro.ui.server as server
@@ -243,10 +247,12 @@ class TestCallerCount:
     """Every non-underscore function, class and method defined under
     ``src/repro`` is loaded -- as an AST ``Name`` or ``Attribute``, so
     by name -- somewhere in ``src/``, ``benchmarks/`` or ``examples/``
-    outside its own definition, and every defaulted ``__init__``
-    parameter is passed by some caller, tests included.  What neither
-    holds for is deleted or listed here with the reason it stays; an
-    entry that excuses nothing fails too."""
+    outside its own definition.  Every defaulted ``__init__`` parameter
+    is passed by some shipped construction, and every defaulted
+    parameter of a public function or method by some shipped call of
+    that name; a test setting a knob does not make it one.  What none
+    of the three holds for is deleted or listed here with the reason it
+    stays; an entry that excuses nothing fails too."""
 
     WITNESS = (
         "pytest instrumentation: tests/conftest.py runs every session "
@@ -278,8 +284,29 @@ class TestCallerCount:
             "ships armed"
         ),
     }
+    #: Where a caller counts: the code that ships, not its tests.
+    SHIPPED = ("src", "benchmarks", "examples")
     ALLOWED_OPTIONS = {
         "ExplorerServer.host": "the bind address, a deployment setting",
+    }
+    ALLOWED_PARAMETERS = {
+        "main.out": (
+            "test seam: the output stream the CLI and lint tests read; "
+            "the console entry points write to stdout"
+        ),
+        "LockOrderWitness.enable.hierarchy": (
+            "test seam: the static lock hierarchy tests/conftest.py "
+            "installs for the session"
+        ),
+        "LockOrderWitness.violations.known_names": (
+            "test seam: the analyzer's lock names, outside which "
+            "tests/conftest.py ignores an observed edge"
+        ),
+        "WitnessLock.acquire.timeout": (
+            "interface conformance: a drop-in for threading.Lock.acquire"
+        ),
+        "ExplorerAPI.handle.body": "a data input: the request body",
+        "simulate.seed": "a data input: the audit log's seed",
     }
 
     @staticmethod
@@ -339,15 +366,14 @@ class TestCallerCount:
         }
         self.check(flagged, self.ALLOWED_DEFINITIONS, "definitions only tests call")
 
-    def test_every_constructor_option_is_set_by_some_caller(self):
-        trees = self.trees("src", "benchmarks", "examples", "tests")
-        classes = [
-            (path, node)
-            for path, _name, node in self.definitions(trees)
-            if isinstance(node, ast.ClassDef)
-        ]
+    @staticmethod
+    def calls(trees) -> dict[str, list[tuple[Path, ast.Call]]]:
+        """Every call made in a shipped file, keyed by the called name."""
+        shipped = [REPO_ROOT / root for root in TestCallerCount.SHIPPED]
         calls: dict[str, list[tuple[Path, ast.Call]]] = {}
         for path, tree in trees.items():
+            if not any(root in path.parents for root in shipped):
+                continue
             for node in ast.walk(tree):
                 if isinstance(node, ast.Call) and isinstance(
                     node.func, (ast.Name, ast.Attribute)
@@ -355,56 +381,201 @@ class TestCallerCount:
                     func = node.func
                     name = func.id if isinstance(func, ast.Name) else func.attr
                     calls.setdefault(name, []).append((path, node))
+        return calls
 
-        def inside(cls_path, cls_node, site):
-            path, call = site
-            return (
-                path == cls_path
-                and cls_node.lineno <= call.lineno <= cls_node.end_lineno
-            )
+    @staticmethod
+    def parameters(fn, bound: bool) -> tuple[list[str], list[str]]:
+        """``(positional, defaulted)`` parameter names of ``fn``, less a
+        bound ``self`` / ``cls``."""
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        return positional, defaulted
 
+    @staticmethod
+    def passed(sites, positional: list[str], defaulted: list[str]) -> set[str]:
+        """The parameters some call in ``sites`` passes; a ``*`` or
+        ``**`` argument may pass any of them."""
+        passed = set()
+        for _path, call in sites:
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                passed.update(defaulted)
+            passed.update(positional[: len(call.args)])
+            passed.update(k.arg for k in call.keywords)
+        return passed
+
+    @staticmethod
+    def inside(path: Path, node, site) -> bool:
+        where, call = site
+        return where == path and node.lineno <= call.lineno <= node.end_lineno
+
+    @classmethod
+    def unset_options(cls, trees) -> set[str]:
+        """``Class.option`` for every defaulted ``__init__`` parameter no
+        shipped construction passes."""
+        classes = [
+            (path, node)
+            for path, _name, node in cls.definitions(trees)
+            if isinstance(node, ast.ClassDef)
+        ]
+        calls = cls.calls(trees)
         flagged = set()
-        for path, cls in classes:
+        for path, klass in classes:
             init = next(
                 (
                     n
-                    for n in cls.body
+                    for n in klass.body
                     if isinstance(n, ast.FunctionDef) and n.name == "__init__"
                 ),
                 None,
             )
             if init is None:
                 continue
-            args = init.args
-            positional = [a.arg for a in args.posonlyargs + args.args][1:]
-            defaulted = positional[len(positional) - len(args.defaults):]
-            defaulted += [
-                a.arg
-                for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None
-            ]
+            positional, defaulted = cls.parameters(init, bound=True)
             # C(...), cls(...) inside C, and __init__(...) inside a subclass
-            sites = calls.get(cls.name, []) + [
-                site for site in calls.get("cls", []) if inside(path, cls, site)
+            sites = calls.get(klass.name, []) + [
+                site
+                for site in calls.get("cls", [])
+                if cls.inside(path, klass, site)
             ]
             for sub_path, sub in classes:
                 bases = {
                     b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
                     for b in sub.bases
                 }
-                if cls.name in bases:
+                if klass.name in bases:
                     sites += [
                         site
                         for site in calls.get("__init__", [])
-                        if inside(sub_path, sub, site)
+                        if cls.inside(sub_path, sub, site)
                     ]
-            passed = set()
-            for _path, call in sites:
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                    k.arg is None for k in call.keywords
-                ):
-                    passed.update(defaulted)
-                passed.update(positional[: len(call.args)])
-                passed.update(k.arg for k in call.keywords)
-            flagged.update(f"{cls.name}.{p}" for p in defaulted if p not in passed)
+            passed = cls.passed(sites, positional, defaulted)
+            flagged.update(f"{klass.name}.{p}" for p in defaulted if p not in passed)
+        return flagged
+
+    @classmethod
+    def unset_parameters(cls, trees) -> set[str]:
+        """``qualified.name.parameter`` for every defaulted parameter of a
+        public function or method that no shipped call of that name
+        passes.  A call from the function's own body (recursion, a
+        wrapper handing its argument on) does not count."""
+        methods = {
+            id(fn)
+            for _path, _name, node in cls.definitions(trees)
+            if isinstance(node, ast.ClassDef)
+            for fn in node.body
+        }
+        calls = cls.calls(trees)
+        flagged = set()
+        for path, qualified, node in cls.definitions(trees):
+            if isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            static = any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list
+            )
+            positional, defaulted = cls.parameters(
+                node, bound=id(node) in methods and not static
+            )
+            sites = [
+                site
+                for site in calls.get(node.name, [])
+                if not cls.inside(path, node, site)
+            ]
+            passed = cls.passed(sites, positional, defaulted)
+            flagged.update(f"{qualified}.{p}" for p in defaulted if p not in passed)
+        return flagged
+
+    def test_every_constructor_option_is_set_by_some_caller(self):
+        flagged = self.unset_options(self.trees(*self.SHIPPED))
         self.check(flagged, self.ALLOWED_OPTIONS, "options no caller sets")
+
+    def test_every_defaulted_parameter_is_passed_by_some_caller(self):
+        flagged = self.unset_parameters(self.trees(*self.SHIPPED))
+        self.check(flagged, self.ALLOWED_PARAMETERS, "parameters no caller passes")
+
+    def test_every_allow_list_entry_gives_a_reason(self):
+        for allowed in (
+            self.ALLOWED_DEFINITIONS,
+            self.ALLOWED_OPTIONS,
+            self.ALLOWED_PARAMETERS,
+        ):
+            assert all(
+                isinstance(reason, str) and reason.strip()
+                for reason in allowed.values()
+            ), allowed
+
+
+class TestCallerCountSweeps:
+    """The option and parameter sweeps on probe sources: only a shipped
+    call passes a knob, and the allow-list check fails on an unexcused
+    knob and on an entry that excuses nothing."""
+
+    sweep = TestCallerCount
+
+    @staticmethod
+    def probe(sources: dict[str, str]) -> dict[Path, ast.Module]:
+        return {
+            REPO_ROOT / name: ast.parse(textwrap.dedent(text))
+            for name, text in sources.items()
+        }
+
+    FUNCTION = """
+        def f(a, b=1, *, c=2):
+            return f(a, b, c=c)
+    """
+
+    def test_a_parameter_nothing_passes_is_flagged(self):
+        trees = self.probe({"src/probe.py": self.FUNCTION, "examples/use.py": "f(0)"})
+        assert self.sweep.unset_parameters(trees) == {"f.b", "f.c"}
+
+    def test_positional_keyword_and_starred_calls_pass(self):
+        for call in ("f(0, 1, c=3)", "f(*args, **kwargs)"):
+            trees = self.probe(
+                {"src/probe.py": self.FUNCTION, "benchmarks/use.py": call}
+            )
+            assert self.sweep.unset_parameters(trees) == set(), call
+
+    def test_a_test_caller_does_not_count(self):
+        trees = self.probe(
+            {"src/probe.py": self.FUNCTION, "tests/test_probe.py": "f(0, 1, c=3)"}
+        )
+        assert self.sweep.unset_parameters(trees) == {"f.b", "f.c"}
+
+    def test_methods_are_bound_and_static_methods_are_not(self):
+        source = """
+            class C:
+                def m(self, x=1):
+                    return self.m(x)
+
+                @staticmethod
+                def s(y=1):
+                    return y
+        """
+        trees = self.probe({"src/probe.py": source, "src/use.py": "C().m(); C.s()"})
+        assert self.sweep.unset_parameters(trees) == {"C.m.x", "C.s.y"}
+        trees = self.probe({"src/probe.py": source, "src/use.py": "C().m(2); C.s(2)"})
+        assert self.sweep.unset_parameters(trees) == set()
+
+    def test_an_option_only_a_test_sets_is_flagged(self):
+        source = """
+            class K:
+                def __init__(self, a=1):
+                    self.a = a
+        """
+        trees = self.probe({"src/probe.py": source, "tests/test_k.py": "K(a=2)"})
+        assert self.sweep.unset_options(trees) == {"K.a"}
+        trees = self.probe({"src/probe.py": source, "examples/k.py": "K(2)"})
+        assert self.sweep.unset_options(trees) == set()
+
+    def test_check_fails_on_an_unexcused_knob_and_on_a_stale_entry(self):
+        with pytest.raises(AssertionError, match="delete, or allow-list"):
+            self.sweep.check({"f.b"}, {}, "probe")
+        with pytest.raises(AssertionError, match="excuse nothing"):
+            self.sweep.check(set(), {"f.b": "a reason"}, "probe")
+        self.sweep.check({"f.b"}, {"f.*": "a reason"}, "probe")

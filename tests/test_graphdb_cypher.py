@@ -6,8 +6,20 @@ from repro.graphdb import (
     CypherEngine,
     CypherRuntimeError,
     CypherSyntaxError,
+    GraphDatabase,
     PropertyGraph,
 )
+from repro.graphdb.wal import GraphParticipant
+from repro.storage import StorageEngine
+
+
+def journaled_engine(**kwargs) -> CypherEngine:
+    """An engine whose CREATEs commit through a :class:`GraphDatabase`,
+    the graph's one writer, on an in-memory storage engine."""
+    database = GraphDatabase(StorageEngine(None, [GraphParticipant()]))
+    return CypherEngine(
+        database.graph, database_for=lambda _query: database, **kwargs
+    )
 
 
 @pytest.fixture(scope="module")
@@ -289,8 +301,8 @@ class TestVariableLengthPaths:
 
 class TestCreate:
     def test_create_node_and_edge(self):
-        graph = PropertyGraph()
-        engine = CypherEngine(graph)
+        engine = journaled_engine()
+        graph = engine.graph
         engine.run(
             'CREATE (a:Malware {name: "x"})-[:DROPS]->(b:FileName {name: "y.exe"})'
         )
@@ -299,13 +311,27 @@ class TestCreate:
         assert graph.edges().__next__().type == "DROPS"
 
     def test_create_reuses_variable(self):
-        graph = PropertyGraph()
-        engine = CypherEngine(graph)
+        engine = journaled_engine()
+        graph = engine.graph
         engine.run(
             'CREATE (a:X {name: "a"})-[:R]->(b:Y {name: "b"}), (a)-[:R]->(c:Y {name: "c"})'
         )
         assert graph.node_count == 3
         assert graph.edge_count == 2
+
+    def test_create_without_a_database_raises(self):
+        """An engine on a bare graph only reads: the database is the
+        graph's one writer."""
+        graph = PropertyGraph()
+        graph.create_node("Malware", {"name": "x"})
+        version = graph.version
+        engine = CypherEngine(graph)
+        with pytest.raises(CypherRuntimeError, match="CREATE needs a database"):
+            engine.run('CREATE (a:Malware {name: "y"})')
+        assert (graph.node_count, graph.version) == (1, version)
+        assert [r["m.name"] for r in engine.run("MATCH (m:Malware) RETURN m.name")] == [
+            "x"
+        ]
 
     @pytest.mark.parametrize("rel", ["-[:DROPS*1..3]->", "-[:DROPS]-"])
     def test_create_writes_nothing_it_was_not_asked_to(self, rel):
@@ -316,6 +342,35 @@ class TestCreate:
         with pytest.raises(CypherSyntaxError):
             CypherEngine(graph).run(query, strict=False)
         assert (graph.node_count, graph.edge_count) == (0, 0)
+
+
+class TestReturnedValuesAreCopies:
+    """A list property read into a row -- bare or inside ``collect`` --
+    is the row's own: a caller mutating it changes neither the stored
+    node nor the graph version, on every path a row leaves by."""
+
+    QUERIES = {
+        "property": ("MATCH (m:Malware) RETURN m.aliases AS a", lambda a: a),
+        "collect": ("MATCH (m:Malware) RETURN collect(m.aliases) AS a", lambda a: a[0]),
+    }
+    PATHS = {
+        "task": lambda engine, q: engine.task(q).run_to_completion(),
+        "run-miss": lambda engine, q: engine.run(q),
+        "run_paginated": lambda engine, q: engine.run_paginated(q, 1).rows,
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("shape", QUERIES)
+    def test_mutating_a_returned_list_changes_nothing(self, path, shape):
+        graph = PropertyGraph()
+        node = graph.create_node("Malware", {"name": "emotet", "aliases": ["geodo"]})
+        version = graph.version
+        query, aliases_of = self.QUERIES[shape]
+        rows = self.PATHS[path](CypherEngine(graph), query)
+        aliases_of(rows[0]["a"]).append("forged")
+        assert node.properties["aliases"] == ["geodo"]
+        assert graph.version == version
+        assert CypherEngine(graph).run(query)[0]["a"] != rows[0]["a"]
 
 
 class TestErrors:

@@ -39,15 +39,10 @@ class TestBfs:
         }
         assert depths == {"a": 0, "b": 1, "c": 2, "d": 3}
 
-    def test_max_nodes_cap(self, chain_graph):
-        graph, ids = chain_graph
-        reached = bfs_nodes(graph, ids["a"], max_depth=5, max_nodes=2)
-        assert len(reached) == 2
-
     def test_unknown_start_raises(self, chain_graph):
         graph, _ids = chain_graph
         with pytest.raises(KeyError):
-            bfs_nodes(graph, 12345)
+            bfs_nodes(graph, 12345, max_depth=2)
 
 
 class TestSubgraphs:

@@ -161,17 +161,6 @@ class TestEntityRecognizer:
                 hits += 1
         assert hits >= 2
 
-    def test_save_load_round_trip(self, small_recognizer, tmp_path):
-        path = tmp_path / "ner"
-        small_recognizer.save(path)
-        loaded = EntityRecognizer.load(
-            path, embeddings=small_recognizer.features.embeddings
-        )
-        text = "The wannacry ransomware encrypts files."
-        _s1, m1 = small_recognizer.extract(text)
-        _s2, m2 = loaded.extract(text)
-        assert [(m.text, m.type) for m in m1] == [(m.text, m.type) for m in m2]
-
     def test_end_to_end_f1_above_ninety(self, small_recognizer):
         """Smoke-level reproduction of the >92% F1 claim (scaled down)."""
         test_scen = make_scenarios(6, seed=77)

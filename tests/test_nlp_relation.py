@@ -141,32 +141,19 @@ class TestRelationExtractor:
         assert ("x.exe", "drop", "emotet") not in found
 
     def test_unknown_verb_dropped_by_default(self):
-        found = triples(
-            self.RX,
+        # neither verb is in the relation vocabulary ('monitor' is a
+        # verb form the tagger knows)
+        for sentence in (
             "emotet frobnicates x.exe entirely.",
-            ("emotet", EntityType.MALWARE),
-            ("x.exe", EntityType.FILE_NAME),
-        )
-        assert found == set()
-
-    def test_unknown_verb_kept_when_configured(self):
-        # 'monitor' is a known verb form but not in the relation
-        # vocabulary: dropped by default, kept when configured.
-        rx = RelationExtractor(drop_unknown_verbs=False, schema_filter=False)
-        found = triples(
-            rx,
             "emotet monitors x.exe continuously.",
-            ("emotet", EntityType.MALWARE),
-            ("x.exe", EntityType.FILE_NAME),
-        )
-        assert ("emotet", "monitor", "x.exe") in found
-        strict = triples(
-            self.RX,
-            "emotet monitors x.exe continuously.",
-            ("emotet", EntityType.MALWARE),
-            ("x.exe", EntityType.FILE_NAME),
-        )
-        assert strict == set()
+        ):
+            found = triples(
+                self.RX,
+                sentence,
+                ("emotet", EntityType.MALWARE),
+                ("x.exe", EntityType.FILE_NAME),
+            )
+            assert found == set(), sentence
 
     def test_fewer_than_two_spans(self):
         tokens = tokenize_words("emotet spreads quickly.")

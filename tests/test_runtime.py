@@ -80,10 +80,10 @@ class TestVirtualClockSingleThread:
         assert time.perf_counter() - start < 1.0
 
     def test_sleep_accumulates(self):
-        clock = VirtualClock(start=10.0)
+        clock = VirtualClock()
         clock.sleep(1.5)
         clock.sleep(0.5)
-        assert clock.now() == 12.0
+        assert clock.now() == 2.0
 
     def test_nonpositive_sleep_is_noop(self):
         clock = VirtualClock()
@@ -286,7 +286,8 @@ class TestClockFromName:
 class TestRateLimiterUnderVirtualClock:
     def test_exact_spacing_zero_wall_time(self):
         clock = VirtualClock()
-        limiter = HostRateLimiter(min_interval=2.0, clock=clock)
+        limiter = HostRateLimiter(clock=clock)
+        limiter.set_host_delay("h", 2.0)
         start = time.perf_counter()
         waits = [limiter.acquire("h") for _ in range(3)]
         assert waits == [0.0, 2.0, 2.0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import search_oracle
 from repro import SecurityKG, SystemConfig
 from repro.search import SearchIndex, analyze
+from repro.search.index import FIELD_BOOSTS
 
 
 class TestAnalyzer:
@@ -70,18 +71,9 @@ class TestSearch:
         assert hits[0].doc_id == "r1"  # title match outranks body-only
         assert {h.doc_id for h in hits} == {"r1", "r3"}
 
-    def test_and_mode(self, index):
-        hits = index.search("wannacry emotet", mode="and")
-        assert [h.doc_id for h in hits] == ["r3"]
-
     def test_or_mode_includes_partial(self, index):
-        hits = index.search("wannacry emotet", mode="or")
+        hits = index.search("wannacry emotet")
         assert {h.doc_id for h in hits} == {"r1", "r2", "r3"}
-
-    def test_filters(self, index):
-        hits = index.search("wannacry", filters={"source": "ThreatPedia"})
-        assert {h.doc_id for h in hits} == {"r1", "r3"}
-        assert index.search("emotet", filters={"source": "Nope"}) == []
 
     def test_limit(self, index):
         assert len(index.search("emotet", limit=1)) == 1
@@ -118,7 +110,7 @@ class TestPhraseSearch:
 class TestLifecycle:
     def test_reindex_replaces(self, index):
         index.add("r1", {"title": "totally different", "body": "nothing here"})
-        assert index.search("wannacry", mode="and") and all(
+        assert index.search("wannacry") and all(
             h.doc_id != "r1" for h in index.search("wannacry")
         )
 
@@ -198,8 +190,6 @@ class TestScoresDoNotDependOnTheHashSeed:
 
 # -- against the brute-force oracle ------------------------------------------
 
-BOOSTS = {"title": 3.0, "entities": 2.0, "body": 1.0}
-
 #: the shapes that broke the tokenizer: words glued to IOCs, literal
 #: placeholders, IOCs at sentence edges, abbreviations, non-ASCII
 _ADVERSARIAL = [
@@ -225,12 +215,11 @@ def oracle_ranked(hits):
 def same_answers(index, oracle, queries, limit=1000):
     assert index.to_state() == oracle.state()
     for query in queries:
-        for mode in ("or", "and"):
-            assert ranked(index.search(query, limit=limit, mode=mode)) == (
-                oracle_ranked(oracle.search(query, limit=limit, mode=mode))
-            ), (query, mode)
-        assert ranked(index.phrase_search(query, limit=limit)) == oracle_ranked(
-            oracle.phrase_search(query, limit=limit)
+        assert ranked(index.search(query, limit=limit)) == (
+            oracle_ranked(oracle.search(query, limit=limit))
+        ), query
+        assert ranked(index.phrase_search(query)) == oracle_ranked(
+            oracle.phrase_search(query)
         ), query
 
 
@@ -257,8 +246,8 @@ class TestAgainstOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_adds_re_adds_and_removes(self, operations, queries):
-        index = SearchIndex(BOOSTS)
-        oracle = search_oracle.OracleIndex(BOOSTS)
+        index = SearchIndex()
+        oracle = search_oracle.OracleIndex(FIELD_BOOSTS)
         for op, doc_id, fields in operations:
             if op == "add":
                 index.add(doc_id, fields)
@@ -268,7 +257,7 @@ class TestAgainstOracle:
         same_answers(index, oracle, queries)
         # nothing of a removed or replaced document is left behind:
         # the state is that of a fresh index given the survivors
-        fresh = SearchIndex(BOOSTS)
+        fresh = SearchIndex()
         for doc_id, fields in oracle.documents.items():
             fresh.add(doc_id, fields)
         assert index.to_state() == fresh.to_state()
@@ -278,7 +267,7 @@ class TestAgainstOracle:
         same_answers(restored, oracle, queries)
         for doc_id in list(oracle.documents):
             assert restored.remove(doc_id)
-        assert restored.to_state() == SearchIndex(BOOSTS).to_state()
+        assert restored.to_state() == SearchIndex().to_state()
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_websim_corpus(self, seed):
@@ -304,7 +293,7 @@ class TestAgainstOracle:
         for record in records:
             connector.ingest(record)
         index = connector.index
-        oracle = search_oracle.OracleIndex(index.field_boosts)
+        oracle = search_oracle.OracleIndex(FIELD_BOOSTS)
         for record in records:
             oracle.add(record.report_id, index.document(record.report_id))
         rng = random.Random(seed)
