@@ -3,7 +3,7 @@
 from repro.nlp.depparse import parse
 from repro.nlp.ner import EntitySpan
 from repro.nlp.relation import RelationExtractor
-from repro.ontology import EntityType
+from repro.ontology import EntityType, RelationType, VERB_TO_RELATION
 from search_oracle import tokenize_words
 
 
@@ -141,19 +141,26 @@ class TestRelationExtractor:
         assert ("x.exe", "drop", "emotet") not in found
 
     def test_unknown_verb_dropped_by_default(self):
-        # neither verb is in the relation vocabulary ('monitor' is a
-        # verb form the tagger knows)
-        for sentence in (
+        found = triples(
+            self.RX,
             "emotet frobnicates x.exe entirely.",
+            ("emotet", EntityType.MALWARE),
+            ("x.exe", EntityType.FILE_NAME),
+        )
+        assert found == set()
+
+    def test_unknown_verb_kept_when_configured(self, monkeypatch):
+        # 'monitor' is a known verb form but not in the relation
+        # vocabulary: dropped until the vocabulary maps it, kept after.
+        spec = (
+            self.RX,
             "emotet monitors x.exe continuously.",
-        ):
-            found = triples(
-                self.RX,
-                sentence,
-                ("emotet", EntityType.MALWARE),
-                ("x.exe", EntityType.FILE_NAME),
-            )
-            assert found == set(), sentence
+            ("emotet", EntityType.MALWARE),
+            ("x.exe", EntityType.FILE_NAME),
+        )
+        assert triples(*spec) == set()
+        monkeypatch.setitem(VERB_TO_RELATION, "monitor", RelationType.MODIFIES)
+        assert ("emotet", "monitor", "x.exe") in triples(*spec)
 
     def test_fewer_than_two_spans(self):
         tokens = tokenize_words("emotet spreads quickly.")
