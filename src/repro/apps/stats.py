@@ -63,22 +63,9 @@ class GraphStats:
         return "\n".join(lines)
 
 
-def _gauge_labels(series: dict[str, float]) -> dict[str, int]:
-    """``{"label=Malware": 12.0}`` -> ``{"Malware": 12}``."""
-    return {
-        key.split("=", 1)[1]: int(value) for key, value in series.items()
-    }
-
-
-def compute_stats(graph: PropertyGraph, metrics: dict | None = None) -> GraphStats:
+def compute_stats(graph: PropertyGraph) -> GraphStats:
     """Compute the statistics snapshot for a graph: sizes, tallies, the
-    degree histogram and the ten highest-degree entities.
-
-    When a metrics snapshot (``SystemReport.metrics`` or the
-    ``/metrics`` endpoint payload) carries the ``graph.*`` gauges, the
-    size/label/edge-type tallies are read from it instead of being
-    recomputed; only the degree rankings still walk the graph.
-    """
+    degree histogram and the ten highest-degree entities."""
     degrees = [
         (node.label, str(node.properties.get("name", "")), graph.degree(node.node_id))
         for node in graph.nodes()
@@ -87,22 +74,11 @@ def compute_stats(graph: PropertyGraph, metrics: dict | None = None) -> GraphSta
     histogram: dict[int, int] = {}
     for _label, _name, degree in degrees:
         histogram[degree] = histogram.get(degree, 0) + 1
-    gauges = (metrics or {}).get("gauges", {})
-    if "graph.nodes" in gauges:
-        nodes = int(gauges["graph.nodes"].get("", 0))
-        edges = int(gauges.get("graph.edges", {}).get("", 0))
-        labels = _gauge_labels(gauges.get("graph.nodes_by_label", {}))
-        edge_types = _gauge_labels(gauges.get("graph.edges_by_type", {}))
-    else:
-        nodes = graph.node_count
-        edges = graph.edge_count
-        labels = graph.label_counts()
-        edge_types = graph.edge_type_counts()
     return GraphStats(
-        nodes=nodes,
-        edges=edges,
-        labels=labels,
-        edge_types=edge_types,
+        nodes=graph.node_count,
+        edges=graph.edge_count,
+        labels=graph.label_counts(),
+        edge_types=graph.edge_type_counts(),
         top_entities=degrees[:10],
         degree_histogram=dict(sorted(histogram.items())),
     )

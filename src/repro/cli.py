@@ -49,6 +49,7 @@ from pathlib import Path
 
 from repro.core.config import RECOGNIZERS, SystemConfig
 from repro.core.system import SecurityKG
+from repro.obs.health import load_rules_file
 from repro.runtime.clock import CLOCKS
 from repro.storage.atomic import atomic_write_text
 from repro.storage.engine import StorageError
@@ -68,25 +69,6 @@ def _wants_obs(args: argparse.Namespace) -> bool:
     )
 
 
-def _load_health_rules(path: str | None) -> dict | None:
-    if not path:
-        return None
-    from repro.obs.health import load_rules_file
-
-    return load_rules_file(path)
-
-
-def _positive_int(text: str) -> int:
-    """argparse ``type=`` for a count: a usage error below 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 class ConfigError(Exception):
     """A configuration the command cannot run with (exit 2)."""
 
@@ -97,12 +79,8 @@ def _build_config(args: argparse.Namespace) -> SystemConfig:
     missing ``storage_path``."""
     if args.config:
         config = SystemConfig.from_file(args.config)
-        if args.state and not config.storage_path:
-            config.storage_path = args.state
     else:
-        config = SystemConfig(
-            scenario_count=12, reports_per_site=4, storage_path=args.state
-        )
+        config = SystemConfig(scenario_count=12, reports_per_site=4)
     flags = {
         "scenario_count": args.scenarios,
         "reports_per_site": args.reports_per_site,
@@ -110,22 +88,21 @@ def _build_config(args: argparse.Namespace) -> SystemConfig:
         "recognizer": getattr(args, "recognizer", None),
         "clock": args.clock,
         "partitions": args.partitions,
+        "storage_path": config.storage_path or args.state,
     }
-    config = replace(
+    if getattr(args, "health", False) or getattr(args, "health_out", None):
+        flags["health"] = True
+        rules = args.health_rules
+        flags["health_rules"] = load_rules_file(rules) if rules else None
+    return replace(
         config, **{key: value for key, value in flags.items() if value is not None}
     )
-    if getattr(args, "health", False) or getattr(args, "health_out", None):
-        config.health = True
-        rules = _load_health_rules(getattr(args, "health_rules", None))
-        if rules is not None:
-            config.health_rules = rules
-    return config
 
 
 def build_system(args: argparse.Namespace) -> SecurityKG:
     try:
         config = _build_config(args)
-    except (OSError, TypeError, ValueError) as error:
+    except (OSError, ValueError) as error:
         raise ConfigError(str(error)) from error
     faults = None
     crash_at = getattr(args, "crash_at", None)
@@ -324,9 +301,8 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
         return 0
     from repro.apps.stats import compute_stats
 
-    system = build_system(args)
-    metrics = system.obs.metrics.snapshot() if system.obs.enabled else None
-    stats = compute_stats(system.graph, metrics=metrics)
+    with build_system(args) as system:
+        stats = compute_stats(system.graph)
     if as_json:
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -370,8 +346,8 @@ def cmd_health(args: argparse.Namespace, out) -> int:
 
     spans = load_trace(Path(args.from_trace))
     try:
-        rules = _load_health_rules(getattr(args, "rules", None))
-        engine = replay_trace(spans, rules, interval=args.interval)
+        rules = load_rules_file(args.rules) if args.rules else None
+        engine = replay_trace(spans, rules)
     except ValueError as error:
         print(f"health rules error: {error}", file=out)
         return 2
@@ -533,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--partitions",
-            type=_positive_int,
+            type=int,
             help="storage partition count (default 1); N > 1 "
             "hash-partitions the stores across N engines behind "
             "one graph and query surface.  A --state directory reopens "
@@ -650,12 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rules",
         help="JSON file of rule overrides",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="evaluation interval in seconds (default 5)",
     )
     p.add_argument(
         "--json",

@@ -15,6 +15,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.crawlers.sources import CRAWLER_REGISTRY
+from repro.feeds.tlp import TIERS
+from repro.obs.health import rules_from_config
+from repro.runtime.checked import Bound, check_fields
 from repro.runtime.clock import CLOCKS
 from repro.storage.atomic import atomic_write_text
 
@@ -24,9 +28,12 @@ CONNECTORS = ("graph", "search", "sql")
 RECOGNIZERS = ("crf", "gazetteer", "regex")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Everything a SecurityKG deployment needs to know.
+
+    Frozen; each value is checked once, when built, against its
+    annotation and :data:`LIMITS` (one ``ValueError`` names the field).
 
     Attributes
     ----------
@@ -35,12 +42,12 @@ class SystemConfig:
     scenario_count / reports_per_site / seed:
         Shape of the simulated web backing the crawl.
     crawl_threads:
-        Worker pool size of the crawl engine, at least 1.
+        Worker pool size of the crawl engine.
     failure_rate / time_scale:
         Transport misbehaviour knobs (see the simulated network).
     parse_workers:
-        Threads that check then parse each report, at least 1.  CPU-bound
-        Python beside the DOM memo: under the GIL more is a loss (E3).
+        Threads that check then parse each report.  CPU-bound Python
+        beside the DOM memo: under the GIL more is a loss (E3).
     extract_workers:
         ``1`` extracts on the processing loop's thread; ``N > 1`` means
         N extractor processes forked at construction (``ValueError`` on
@@ -62,16 +69,11 @@ class SystemConfig:
         graph, search index, crawl state and SQL mirror of a partition
         all persist under that partition's one crash-consistent journal.
     partitions:
-        Number of storage partitions.  The deployment is always a
-        ``ShardSet`` of N >= 1 independent engines, each with its own
-        journal and checkpoint cycle, committed in partition order on
-        the caller's thread, and fusion/Cypher/search served over all
-        of them.  ``1`` (the default) is a ``ShardSet`` of one whose
-        engine files sit directly under ``storage_path`` -- the same
-        bytes on disk as every earlier single-engine release; N > 1
-        hash-partitions entities across ``storage_path/partition-<i>``.
-        A directory written with one count cannot be opened with
-        another.
+        Storage partitions, each an independent engine with its own
+        journal and checkpoint cycle: ``1`` keeps the engine files
+        directly under ``storage_path``, N > 1 hash-partitions entities
+        across ``storage_path/partition-<i>``.  A directory reopens only
+        with the count that wrote it.
     checker_min_chars:
         Minimum rendered-text length accepted by the checker.
     clock:
@@ -79,16 +81,13 @@ class SystemConfig:
         (discrete-event time: crawls replay simulated latency instantly
         and deterministically -- the benchmark/test mode).
     health:
-        Enable the online health engine (``repro.obs.health``): SLO
-        rules evaluated over the span/metric stream, with per-source
-        quarantine feedback into the crawl.  Implies a live
-        observability bundle.
+        Enable the online health engine (``repro.obs.health``) and with
+        it a live observability bundle.
     health_rules:
         Optional rule overrides, mapping rule name to field overrides
-        (plus an ``"engine"`` entry for engine parameters) -- see
-        ``repro.obs.health.rules_from_config``.
-    health_interval:
-        Seconds between health evaluations.
+        (plus an ``"engine"`` entry for engine parameters, the
+        evaluation ``interval`` among them: 5 s unless set there) --
+        see ``repro.obs.health.rules_from_config``.
     feed_keys:
         API keys for the protected dissemination feed tiers, e.g.
         ``{"partner": "...", "internal": "..."}``.  A key grants its
@@ -116,44 +115,14 @@ class SystemConfig:
     storage_path: str | None = None
     partitions: int = 1
     checker_min_chars: int = 120
-    max_articles: int | None = None
     clock: str = "real"
     health: bool = False
     health_rules: dict | None = None
-    health_interval: float = 5.0
-    feed_keys: dict | None = None
+    feed_keys: dict[str, str] | None = None
     feed_history: int = 64
 
     def __post_init__(self) -> None:
-        for key in (
-            "crawl_threads", "parse_workers", "extract_workers", "partitions"
-        ):
-            count = getattr(self, key)
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise ValueError(f"{key} must be an integer, got {count!r}")
-            if count < 1:
-                raise ValueError(f"{key} must be at least 1, got {count}")
-        if isinstance(self.scenario_count, bool) or not isinstance(
-            self.scenario_count, int
-        ):
-            raise ValueError(
-                f"scenario_count must be an integer, got {self.scenario_count!r}"
-            )
-        rate = self.failure_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            raise ValueError(f"failure_rate must be a number, got {rate!r}")
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"failure_rate must be within [0, 1], got {rate}")
-        unknown = [name for name in self.connectors if name not in CONNECTORS]
-        if unknown:
-            raise ValueError(
-                f"unknown connectors {unknown}; known: {list(CONNECTORS)}"
-            )
-        for key, known in (("recognizer", RECOGNIZERS), ("clock", CLOCKS)):
-            if getattr(self, key) not in known:
-                raise ValueError(
-                    f"unknown {key} {getattr(self, key)!r}; known: {list(known)}"
-                )
+        check_fields(self, LIMITS)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -164,8 +133,7 @@ class SystemConfig:
             raise ValueError(
                 f"a configuration is a JSON object, got {type(data).__name__}"
             )
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(data) - known
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
         return cls(**data)
@@ -182,4 +150,27 @@ class SystemConfig:
         atomic_write_text(Path(path), self.to_json())
 
 
-__all__ = ["CONNECTORS", "RECOGNIZERS", "SystemConfig"]
+#: What a field's annotation cannot say: the bounds of its numbers, the
+#: names it may hold, or the parser its section goes through.
+LIMITS = {
+    **dict.fromkeys(
+        (
+            "scenario_count", "reports_per_site", "crawl_threads",
+            "parse_workers", "extract_workers", "crf_training_scenarios",
+            "crf_max_iterations", "partitions", "feed_history",
+        ),
+        Bound(1),
+    ),
+    "failure_rate": Bound(0, 1),
+    "recognizer_min_confidence": Bound(0, 1),
+    "time_scale": Bound(0),
+    "checker_min_chars": Bound(0),
+    "sources": CRAWLER_REGISTRY,
+    "connectors": CONNECTORS,
+    "recognizer": RECOGNIZERS,
+    "clock": CLOCKS,
+    "feed_keys": TIERS,
+    "health_rules": rules_from_config,
+}
+
+__all__ = ["CONNECTORS", "LIMITS", "RECOGNIZERS", "SystemConfig"]

@@ -146,7 +146,6 @@ class SecurityKG:
                 self.config.health_rules,
                 clock=self.clock,
                 obs=self.obs,
-                interval=self.config.health_interval,
                 start=self.clock.now(),
             )
             self.obs.tracer.on_finish = self.health.observe_span
@@ -226,34 +225,28 @@ class SecurityKG:
     # -- wiring ----------------------------------------------------------
 
     def _build_recognizer(self):
-        choice = self.config.recognizer
-        if choice == "gazetteer":
-            return GazetteerRecognizer()
-        if choice == "regex":
-            return RegexRecognizer()
-        if choice == "crf":
-            from repro.nlp.ner import EntityRecognizer
+        baselines = {"gazetteer": GazetteerRecognizer, "regex": RegexRecognizer}
+        if self.config.recognizer in baselines:
+            return baselines[self.config.recognizer]()
+        from repro.nlp.ner import EntityRecognizer  # "crf", the one other name
 
-            scenarios = make_scenarios(
-                self.config.crf_training_scenarios,
-                seed=self.config.seed + 4,
-                known_only=True,
-            )
-            texts = []
-            for scenario in scenarios:
-                for k in range(2):
-                    content = generate_report_content(
-                        scenario,
-                        random.Random(f"train-{scenario.scenario_id}-{k}"),
-                        sentence_count=8,
-                    )
-                    texts.append(
-                        " ".join(gs.text for gs in content.truth.sentences)
-                    )
-            return EntityRecognizer.train(
-                texts, max_iterations=self.config.crf_max_iterations
-            )
-        raise ValueError(f"unknown recognizer {self.config.recognizer!r}")
+        scenarios = make_scenarios(
+            self.config.crf_training_scenarios,
+            seed=self.config.seed + 4,
+            known_only=True,
+        )
+        texts = []
+        for scenario in scenarios:
+            for k in range(2):
+                content = generate_report_content(
+                    scenario,
+                    random.Random(f"train-{scenario.scenario_id}-{k}"),
+                    sentence_count=8,
+                )
+                texts.append(" ".join(gs.text for gs in content.truth.sentences))
+        return EntityRecognizer.train(
+            texts, max_iterations=self.config.crf_max_iterations
+        )
 
     # -- the lifecycle ---------------------------------------------------------
 
@@ -271,7 +264,7 @@ class SecurityKG:
             Fetcher(self.transport, obs=self.obs),
             num_threads=self.config.crawl_threads,
             state=self.state,
-            max_articles=max_articles or self.config.max_articles,
+            max_articles=max_articles,
             clock=self.clock,
             obs=self.obs,
             health=self.health,

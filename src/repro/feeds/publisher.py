@@ -220,8 +220,8 @@ class FeedPublisher:
         Directory for persisted per-tier snapshots (``None`` keeps the
         views in memory only).
     history:
-        Change-log entries retained per tier; cursors older than the
-        window degrade to a full resync.
+        Change-log entries retained per tier (at least 1); cursors older
+        than the window degrade to a full resync.
     """
 
     def __init__(
@@ -235,9 +235,9 @@ class FeedPublisher:
     ):
         self._graph_source = graph_source
         self._stamp_source = stamp_source
-        self._keys = {k: str(v) for k, v in (keys or {}).items()}
+        self._keys = dict(keys or {})
         self._path = Path(path) if path is not None else None
-        self._history_limit = max(1, int(history))
+        self._history_limit = history
         self._obs = obs if obs is not None else NO_OBS
         self._lock = named_lock("feeds.publisher")
         self._stamp: tuple | None = None

@@ -14,10 +14,8 @@ serialisation, and probability output via posterior marginals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -371,35 +369,6 @@ class LinearChainCRF:
             ([self.labels[y] for y in paths.get(s, ())], confidences.get(s))
             for s in everyone
         ]
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Serialise the trained model to a JSON+NPZ pair."""
-        self._require_trained()
-        path = Path(path)
-        np.savez_compressed(
-            path.with_suffix(".npz"),
-            emission=self.emission,
-            transition=self.transition,
-        )
-        names = sorted(self.feature_index, key=self.feature_index.get)
-        meta = {"labels": self.labels, "features": names, "l2": self.l2}
-        path.with_suffix(".json").write_text(json.dumps(meta))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LinearChainCRF":
-        """Inverse of :meth:`save`."""
-        path = Path(path)
-        meta = json.loads(path.with_suffix(".json").read_text())
-        arrays = np.load(path.with_suffix(".npz"))
-        model = cls(l2=meta.get("l2", 0.1))
-        model.labels = list(meta["labels"])
-        model.label_index = {label: i for i, label in enumerate(model.labels)}
-        model.feature_index = {name: i for i, name in enumerate(meta["features"])}
-        model.emission = arrays["emission"]
-        model.transition = arrays["transition"]
-        return model
 
 
 __all__ = ["LinearChainCRF"]

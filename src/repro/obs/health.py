@@ -47,6 +47,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.runtime import Clock, named_lock
+from repro.runtime.checked import Bound, check_fields, check_value
 
 #: Source states, in escalation order.
 HEALTHY = "healthy"
@@ -122,8 +123,20 @@ class HealthRule:
     per_source: bool = True
     severity: str = DEGRADED
 
+    def __post_init__(self) -> None:
+        check_fields(self, _RULE_LIMITS)
+
     def to_dict(self) -> dict:
         return dict(sorted(asdict(self).items()))
+
+
+#: What a rule field's annotation cannot say: the signals, and bounds.
+_RULE_LIMITS = {
+    "signal": ("error_ratio", "fetch_p95", "check_reject_ratio",
+               "frontier_stall", "commit_p95"),
+    "window": Bound(0),
+    **dict.fromkeys(("min_samples", "fire_after", "resolve_after"), Bound(1)),
+}
 
 
 #: The default ruleset (override via ``SystemConfig.health_rules``).
@@ -144,16 +157,9 @@ DEFAULT_RULES: tuple[HealthRule, ...] = (
 )
 
 #: Reserved ``health_rules`` keys configuring the engine itself.
-_ENGINE_KEYS = frozenset(
-    {
-        "interval",
-        "quarantine_after",
-        "probe_backoff_base",
-        "probe_backoff_max",
-        "probe_timeout",
-        "degraded_rate_multiplier",
-        "degraded_min_interval",
-    }
+_ENGINE_KEYS = (
+    "interval", "quarantine_after", "probe_backoff_base", "probe_backoff_max",
+    "probe_timeout", "degraded_rate_multiplier", "degraded_min_interval",
 )
 
 
@@ -163,43 +169,44 @@ def rules_from_config(
     """Apply dict overrides to the default ruleset.
 
     ``overrides`` maps rule name to a dict of :class:`HealthRule`
-    fields (an unknown name with a ``signal`` key defines a new rule;
-    ``{"enabled": false}`` drops a rule).  An optional ``"engine"``
-    entry carries engine parameters (``interval``,
-    ``quarantine_after``, ``probe_backoff_base``, ...) and is returned
-    separately.  Raises ``ValueError`` for unknown names or fields.
+    fields (an unknown name with a ``signal`` and a ``threshold``
+    defines a new rule; ``{"enabled": false}`` drops a rule).  An
+    optional ``"engine"`` entry carries engine parameters (``interval``
+    > 0, ``quarantine_after``, ``probe_backoff_base``, ... >= 0) and is
+    returned separately.  Raises ``ValueError`` for unknown names or
+    fields and for a value a rule or the engine cannot take.
     """
     rules = {rule.name: rule for rule in DEFAULT_RULES}
+    known = [key for key in HealthRule.__dataclass_fields__ if key != "name"]
     engine: dict = {}
     for name, fields in (overrides or {}).items():
-        if name == "engine":
-            unknown = set(fields) - _ENGINE_KEYS
-            if unknown:
-                raise ValueError(
-                    f"unknown health engine keys: {sorted(unknown)}"
-                )
-            engine = dict(fields)
-            continue
         if not isinstance(fields, dict):
             raise ValueError(f"override for rule {name!r} must be a dict")
         fields = dict(fields)
+        if name == "engine":
+            check_value("health engine keys", fields, dict, _ENGINE_KEYS)
+            for key, value in fields.items():
+                check_value(f"health engine {key}", value, float, Bound(0))
+            if fields.get("interval") == 0:
+                raise ValueError("health interval must be > 0, got 0")
+            engine = fields
+            continue
         if fields.pop("enabled", True) is False:
             rules.pop(name, None)
             continue
-        if name in rules:
-            known = set(HealthRule.__dataclass_fields__)
-            unknown = set(fields) - known
-            if unknown:
-                raise ValueError(
-                    f"unknown fields for rule {name!r}: {sorted(unknown)}"
-                )
-            rules[name] = replace(rules[name], **fields)
-        elif "signal" in fields:
-            rules[name] = HealthRule(name=name, **fields)
-        else:
+        check_value(f"fields for rule {name!r}", fields, dict, known)
+        if name not in rules and not {"signal", "threshold"} <= set(fields):
             raise ValueError(
-                f"unknown health rule {name!r} (new rules need a 'signal')"
+                f"unknown health rule {name!r} "
+                "(new rules need a 'signal' and a 'threshold')"
             )
+        try:
+            if name in rules:
+                rules[name] = replace(rules[name], **fields)
+            else:
+                rules[name] = HealthRule(name=name, **fields)
+        except ValueError as error:
+            raise ValueError(f"rule {name!r}: {error}") from None
     return tuple(rules[name] for name in sorted(rules)), engine
 
 
@@ -701,22 +708,21 @@ class HealthEngine:
             if last is None:
                 return {}
             return {"": max(0.0, deadline - last)}
-        if rule.signal == "check_reject_ratio":
-            samples = [s for s in self._counter_samples if s[0] >= since]
-            if not samples:
-                return {}
-            base_rejected, base_passed = 0, 0
-            older = [s for s in self._counter_samples if s[0] < since]
-            if older:
-                _t, base_rejected, base_passed = older[-1]
-            _t, rejected, passed = samples[-1]
-            rejected -= base_rejected
-            passed -= base_passed
-            total = rejected + passed
-            if total < rule.min_samples:
-                return {}
-            return {"": rejected / total}
-        raise ValueError(f"unknown health signal {rule.signal!r}")
+        # check_reject_ratio
+        samples = [s for s in self._counter_samples if s[0] >= since]
+        if not samples:
+            return {}
+        base_rejected, base_passed = 0, 0
+        older = [s for s in self._counter_samples if s[0] < since]
+        if older:
+            _t, base_rejected, base_passed = older[-1]
+        _t, rejected, passed = samples[-1]
+        rejected -= base_rejected
+        passed -= base_passed
+        total = rejected + passed
+        if total < rule.min_samples:
+            return {}
+        return {"": rejected / total}
 
     @staticmethod
     def _percentile(values: list[float], q: float) -> float:
@@ -935,21 +941,15 @@ class HealthEngine:
         atomic_write_text(path, self.report_json())
 
 
-def replay_trace(
-    spans: list[dict],
-    overrides: dict | None = None,
-    interval: float | None = None,
-) -> HealthEngine:
+def replay_trace(spans: list[dict], overrides: dict | None = None) -> HealthEngine:
     """Offline health evaluation over an exported trace.
 
     Feeds the span records through a fresh engine and evaluates on the
-    interval grid spanned by the trace, exactly as the online engine
-    would have; returns the engine (call :meth:`HealthEngine.report`).
+    interval grid spanned by the trace (the rules' ``engine.interval``,
+    as online), exactly as the online engine would have; returns the
+    engine (call :meth:`HealthEngine.report`).
     """
-    kwargs: dict = {}
-    if interval is not None:
-        kwargs["interval"] = interval
-    engine = HealthEngine.from_config(overrides, **kwargs)
+    engine = HealthEngine.from_config(overrides)
     for span in spans:
         engine.observe_span(span)
     if spans:

@@ -5,11 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.config import CONNECTORS, RECOGNIZERS, SystemConfig
+from repro.feeds.tlp import TIERS
+from repro.runtime.clock import CLOCKS
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -259,6 +266,140 @@ class TestConfigErrors:
         code, output = run_cli("stats", "--config", str(config_path))
         assert code == 2
         assert output.startswith("config error: ") and named in output
+
+    @pytest.mark.parametrize(
+        "rules, named",
+        [
+            ({"no-such-rule": {"threshold": 1.0}}, "unknown health rule"),
+            ({"engine": {"interval": 0}}, "health interval must be > 0"),
+        ],
+        ids=["unknown-rule", "zero-interval"],
+    )
+    def test_bad_health_rules_file_is_one_line_and_exit_2(
+        self, tmp_path, rules, named
+    ):
+        """``--health-rules`` goes through the same construction check
+        as the ``--config`` file it rides on."""
+        rules_path = tmp_path / "rules.json"
+        rules_path.write_text(json.dumps(rules))
+        state = tmp_path / "state"
+        code, output = run_cli(
+            "run", "--health", "--health-rules", str(rules_path),
+            "--state", str(state), *SMALL,
+        )
+        assert code == 2
+        assert output.startswith("config error: health_rules: ")
+        assert named in output and output.count("\n") == 1
+        assert not state.exists()
+
+
+#: field names, the two retired fields and a stray key
+CONFIG_KEYS = [spec.name for spec in fields(SystemConfig)] + [
+    "max_articles", "health_interval", "stray",
+]
+#: names some field accepts, so draws reach the checks past the types
+NAMES = st.sampled_from(
+    list(CONNECTORS) + list(RECOGNIZERS) + list(CLOCKS) + list(TIERS)
+    + ["ThreatPedia", "engine", "interval", "source-error-ratio",
+       "threshold", "window", "signal", "commit_p95", "enabled"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats()
+    | NAMES | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+#: values of the default's type, so many draws are valid configs
+NEAR_DEFAULT = {
+    bool: st.booleans(),
+    int: st.integers(1, 3),
+    float: st.floats(0, 1),
+    str: NAMES,
+    list: st.lists(NAMES, max_size=3),
+}
+
+
+def _entry(key: str):
+    default = type(getattr(SystemConfig(), key, None))
+    return st.tuples(st.just(key), NEAR_DEFAULT.get(default, JSON_VALUES) | JSON_VALUES)
+
+
+CONFIG_OBJECTS = st.lists(
+    st.sampled_from(CONFIG_KEYS).flatmap(_entry), max_size=5
+).map(dict)
+#: the probes that ended in a traceback or were accepted before every
+#: field was checked at construction
+PROBES = [
+    {"seed": "x"},
+    {"feed_keys": [1]},
+    {"storage_path": 5},
+    {"reports_per_site": "3"},
+    {"sources": 5},
+    {"health_rules": 5},
+    {"time_scale": "x"},
+    {"checker_min_chars": "x"},
+    {"feed_history": 0},
+    {"health_rules": {"no-such-rule": {"threshold": 1.0}}},
+    {"health_rules": {"engine": {"interval": 0}}},
+]
+
+
+def _cheap(data: dict) -> dict:
+    """A draw a ``stats`` run can build in milliseconds: at most two
+    processes, partitions and threads, no CRF to train, and the state
+    directory the test names."""
+    data = dict(data)
+    for key in ("extract_workers", "partitions", "crawl_threads", "parse_workers"):
+        if isinstance(data.get(key), int) and data[key] > 2:
+            data[key] = 2
+    if data.get("recognizer") == "crf":
+        data["recognizer"] = "regex"
+    if isinstance(data.get("storage_path"), str):
+        del data["storage_path"]
+    return data
+
+
+def _with_probes(test):
+    for probe in PROBES:
+        test = example(probe)(test)
+    return test
+
+
+class TestAnyConfigObject:
+    """Whatever JSON object a configuration file holds, the system
+    either takes it or refuses it with one ``ValueError`` naming the
+    field -- never a traceback, never a silently kept bad value."""
+
+    @_with_probes
+    @given(CONFIG_OBJECTS)
+    @settings(max_examples=300, deadline=None)
+    def test_from_dict_returns_or_raises_value_error(self, data):
+        try:
+            SystemConfig.from_dict(data)
+        except ValueError as error:
+            assert any(key in str(error) for key in data), error
+
+    @_with_probes
+    @given(CONFIG_OBJECTS.map(_cheap))
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_stats_exits_0_or_one_config_error_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = Path(tmp) / "cfg.json"
+            config_path.write_text(json.dumps(data))
+            state = Path(tmp) / "state"
+            code, output = run_cli(
+                "stats", "--config", str(config_path), "--state", str(state)
+            )
+            if code == 0:
+                return
+            assert code == 2, output
+            assert output.startswith("config error: ") and output.count("\n") == 1
+            assert any(key in output for key in data), output
+            assert not state.exists()
 
 
 class TestFlagsOverTheConfigFile:

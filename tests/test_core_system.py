@@ -157,11 +157,10 @@ class TestConfigurationEffects:
                 scenario_count=6,
                 reports_per_site=5,
                 sources=["SecureListing"],
-                max_articles=2,
                 connectors=["graph"],
             )
         )
-        report = kg.run_once()
+        report = kg.run_once(max_articles=2)
         assert report.crawl.article_count == 2
 
     def test_run_once_checks_each_report_once(self):

@@ -133,6 +133,31 @@ class TestConfigKeys:
             )
 
 
+    def test_readme_config_table_matches_the_fields(self):
+        """README states the field count, and each row of its
+        configuration table names real fields with their defaults."""
+        import dataclasses
+
+        from repro.core.config import SystemConfig
+
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n### Configuration\n", 1)[1].split("\n#", 1)[0]
+        assert f"({len(dataclasses.fields(SystemConfig))} fields," in section
+        defaults = SystemConfig()
+        table = section.split("| field |", 1)[1].split("\n\n", 1)[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        assert rows
+        for row in rows:
+            names_cell, defaults_cell = row.split(" | ")[:2]
+            names = re.findall(r"`(\w+)`", names_cell)
+            shown = [cell.strip("` ") for cell in defaults_cell.split(" / ")]
+            expected = [
+                f'"{value}"' if isinstance(value, str) else str(value)
+                for value in (getattr(defaults, name) for name in names)
+            ]
+            assert shown == expected, row
+
+
 class TestCliDocstring:
     def test_every_subcommand_has_a_usage_example(self):
         documented = set(CLI_EXAMPLE.findall(cli.__doc__))

@@ -167,9 +167,10 @@ class TestInterval:
             bounded(10, lambda: HealthEngine.from_config(
                 {"engine": {"interval": interval}}
             ))
-        config = SystemConfig(health=True, health_interval=interval)
         with pytest.raises(ValueError, match="interval"):
-            bounded(10, lambda: SecurityKG(config))
+            bounded(10, lambda: SecurityKG(SystemConfig(
+                health=True, health_rules={"engine": {"interval": interval}}
+            )))
 
 
 class TestHysteresis:
@@ -410,8 +411,10 @@ class TestReplayTrace:
         spans = [fetch_span("S", t, ok=False) for t in (0.2, 0.3, 0.4, 0.5)]
         engine = replay_trace(
             spans,
-            {"source-error-ratio": {"window": 10.0, "min_samples": 2}},
-            interval=1.0,
+            {
+                "source-error-ratio": {"window": 10.0, "min_samples": 2},
+                "engine": {"interval": 1.0},
+            },
         )
         report = engine.report()
         assert report["sources"]["S"]["state"] != HEALTHY
@@ -419,8 +422,9 @@ class TestReplayTrace:
 
     def test_replay_deterministic(self):
         spans = [fetch_span("S", 0.1 * k, ok=k % 3 == 0) for k in range(1, 40)]
-        first = replay_trace(spans, interval=0.5).report_json()
-        second = replay_trace(spans, interval=0.5).report_json()
+        every_half_second = {"engine": {"interval": 0.5}}
+        first = replay_trace(spans, every_half_second).report_json()
+        second = replay_trace(spans, every_half_second).report_json()
         assert first == second
 
     def test_replay_empty_trace(self):

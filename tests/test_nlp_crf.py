@@ -112,17 +112,6 @@ class TestInference:
             LinearChainCRF().decode_many(EncodedBatch.from_ids([[[0]]]))
 
 
-class TestPersistence:
-    def test_save_load_round_trip(self, toy_crf, tmp_path):
-        path = tmp_path / "model"
-        toy_crf.save(path)
-        loaded = LinearChainCRF.load(path)
-        feats = [["w=ant", "p1=a"], ["w=bat", "p1=b"], ["w=cat", "p1=c"]]
-        assert decode(loaded, feats) == decode(toy_crf, feats)
-        np.testing.assert_allclose(loaded.emission, toy_crf.emission)
-        np.testing.assert_allclose(loaded.transition, toy_crf.transition)
-
-
 class TestGradient:
     def test_gradient_matches_finite_differences(self):
         """The analytic gradient must match numeric differentiation."""

@@ -842,15 +842,25 @@ class TestShardingCLI:
         assert "Traceback" not in out.getvalue()
 
     @pytest.mark.parametrize("count", ["0", "-2", "two"])
-    def test_partitions_below_one_is_a_usage_error(self, count, capsys):
+    def test_partitions_below_one_is_a_usage_error(self, count, capsys, tmp_path):
+        """Exit 2 and no traceback either way: argparse refuses a count
+        that is not an integer, the config check one below 1."""
         from repro.cli import main
 
-        with pytest.raises(SystemExit) as exit_info:
-            main(["stats", "--partitions", count], out=StringIO())
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "--partitions" in err
-        assert "Traceback" not in err
+        out, state = StringIO(), tmp_path / "state"
+        argv = ["stats", "--partitions", count, "--state", str(state)]
+        if count == "two":
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv, out=out)
+            assert exit_info.value.code == 2
+            assert "--partitions" in capsys.readouterr().err
+        else:
+            assert main(argv, out=out) == 2
+            assert out.getvalue() == (
+                f"config error: partitions must be at least 1, got {count}\n"
+            )
+        assert "Traceback" not in out.getvalue() + capsys.readouterr().err
+        assert not state.exists()
 
     def test_partitions_flag_overrides_config_file(self, tmp_path):
         from repro.cli import main
