@@ -5,7 +5,6 @@ Drives the whole system from a shell::
     python -m repro run --scenarios 12 --reports-per-site 4 --state ./kgdata
     python -m repro run --clock virtual --trace trace.jsonl --metrics
     python -m repro run --health --health-out health.json
-    python -m repro stats --from-trace trace.jsonl [--report rpt-...] [--json]
     python -m repro health --from-trace trace.jsonl [--json]
     python -m repro search  --state ./kgdata "agent tesla"
     python -m repro cypher  --state ./kgdata 'MATCH (m:Malware) RETURN m.name'
@@ -17,13 +16,14 @@ Drives the whole system from a shell::
         'PROFILE MATCH (m:Malware) RETURN m.name ORDER BY m.name'
     python -m repro profile --from-trace trace.jsonl --flame out.folded
     python -m repro profile --from-trace trace.jsonl --json --top 15
+    python -m repro profile --from-trace trace.jsonl --report rpt-...
+    python -m repro profile --from-trace trace.jsonl --by-partition [--json]
     python -m repro stats   --state ./kgdata
     python -m repro fuse    --state ./kgdata
     python -m repro export  --state ./kgdata --out bundle.json
     python -m repro hunt    --state ./kgdata --attacks 3
     python -m repro serve   --state ./kgdata --port 8750
     python -m repro feed export --state ./kgdata --out-dir ./bundles
-    python -m repro feed serve  --state ./kgdata --port 8750
     python -m repro config
     python -m repro lint
 
@@ -159,6 +159,9 @@ def cmd_run(args: argparse.Namespace, out) -> int:
             system.checkpoint()
             print(f"state saved under {args.state}", file=out)
     except InjectedCrash as crash:
+        # left unclosed on purpose: a killed process flushes nothing,
+        # while close() would flush what the partitions the crash did
+        # not hit still have staged
         print(
             f"simulated crash at {crash.point!r}; "
             "rerun with the same --state to resume",
@@ -173,8 +176,8 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def cmd_search(args: argparse.Namespace, out) -> int:
-    system = build_system(args)
-    hits = system.keyword_search(args.query, limit=args.limit)
+    with build_system(args) as system:
+        hits = system.keyword_search(args.query, limit=args.limit)
     if not hits:
         print("no results", file=out)
         return 1
@@ -191,7 +194,6 @@ def cmd_cypher(args: argparse.Namespace, out) -> int:
     from repro.graphdb.cypher import CypherAnalysisError
     from repro.graphdb.store import Edge, Node
 
-    system = build_system(args)
     strict = not getattr(args, "no_strict", False)
     page_size = getattr(args, "page_size", None)
 
@@ -216,94 +218,55 @@ def cmd_cypher(args: argparse.Namespace, out) -> int:
             count += 1
         return count
 
-    try:
-        if re.match(r"\s*PROFILE\b", args.query, re.IGNORECASE):
-            # Instrumented execution: annotated operator tree first
-            # (with per-partition sub-profiles when sharded), then the
-            # data rows, which are identical to the unprofiled query's.
-            prof = system.cypher_profile(args.query, strict=strict)
-            for line in prof.lines():
-                print(line, file=out)
-            print(f"({emit(prof.rows)} row(s))", file=out)
-            return 0
-        if page_size is not None:
-            # Preemptable path: fetch page by page, resuming each page
-            # from the previous continuation, and mark page boundaries.
-            total = 0
-            pages = 0
-            continuation = None
-            while True:
-                page = system.cypher_paginated(
-                    args.query, page_size, continuation=continuation, strict=strict
-                )
-                total += emit(page.rows)
-                pages += 1
-                continuation = page.continuation
-                if continuation is None:
-                    break
-                print(f"-- page {pages} --", file=out)
-            print(f"({total} row(s) in {pages} page(s))", file=out)
-            return 0
-        rows = system.cypher(args.query, strict=strict)
-    except CypherAnalysisError as error:
-        # Positioned diagnostics: rule id plus a caret under the span.
-        for diagnostic in error.diagnostics:
-            print(diagnostic.format(error.source), file=out)
-        return 2
-    except ValueError as error:
-        print(f"query error: {error}", file=out)
-        return 2
-
-    print(f"({emit(rows)} row(s))", file=out)
+    with build_system(args) as system:
+        try:
+            if re.match(r"\s*PROFILE\b", args.query, re.IGNORECASE):
+                # Instrumented execution: annotated operator tree first
+                # (with per-partition sub-profiles when sharded), then the
+                # data rows, which are identical to the unprofiled query's.
+                prof = system.cypher_profile(args.query, strict=strict)
+                for line in prof.lines():
+                    print(line, file=out)
+                print(f"({emit(prof.rows)} row(s))", file=out)
+                return 0
+            if page_size is not None:
+                # Preemptable path: fetch page by page, resuming each page
+                # from the previous continuation, and mark page boundaries.
+                total = 0
+                pages = 0
+                continuation = None
+                while True:
+                    page = system.cypher_paginated(
+                        args.query, page_size,
+                        continuation=continuation, strict=strict,
+                    )
+                    total += emit(page.rows)
+                    pages += 1
+                    continuation = page.continuation
+                    if continuation is None:
+                        break
+                    print(f"-- page {pages} --", file=out)
+                print(f"({total} row(s) in {pages} page(s))", file=out)
+                return 0
+            rows = system.cypher(args.query, strict=strict)
+        except CypherAnalysisError as error:
+            # Positioned diagnostics: rule id plus a caret under the span.
+            for diagnostic in error.diagnostics:
+                print(diagnostic.format(error.source), file=out)
+            return 2
+        except ValueError as error:
+            print(f"query error: {error}", file=out)
+            return 2
+        print(f"({emit(rows)} row(s))", file=out)
     return 0
 
 
-def cmd_lint(args: argparse.Namespace, out) -> int:
-    from repro.analysis.lint import main as lint_main
-
-    return lint_main(args.lint_args, out)
-
-
 def cmd_stats(args: argparse.Namespace, out) -> int:
-    as_json = getattr(args, "json", False)
-    if getattr(args, "from_trace", None):
-        # Offline path: summarise a trace written by ``run --trace``
-        # without opening any state directory.
-        from repro.obs.summary import (
-            load_trace,
-            partition_breakdown,
-            render_partitions,
-            render_report_trees,
-            summarize,
-            summarize_dict,
-        )
-
-        spans = load_trace(Path(args.from_trace))
-        if getattr(args, "by_partition", False):
-            if as_json:
-                print(
-                    json.dumps(
-                        partition_breakdown(spans), indent=2, sort_keys=True
-                    ),
-                    file=out,
-                )
-            else:
-                print(render_partitions(spans), file=out)
-        elif getattr(args, "report", None):
-            print(render_report_trees(spans, args.report), file=out)
-        elif as_json:
-            print(
-                json.dumps(summarize_dict(spans), indent=2, sort_keys=True),
-                file=out,
-            )
-        else:
-            print(summarize(spans), file=out)
-        return 0
     from repro.apps.stats import compute_stats
 
     with build_system(args) as system:
         stats = compute_stats(system.graph)
-    if as_json:
+    if args.json:
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True), file=out)
     else:
         print(stats.describe(), file=out)
@@ -311,30 +274,45 @@ def cmd_stats(args: argparse.Namespace, out) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, out) -> int:
-    """Offline self-time profile over a trace written by ``run --trace``.
+    """Offline views of a trace written by ``run --trace``: the self-time
+    profile, one report's span trees (``--report``) or the per-partition
+    drill-down (``--by-partition``).
 
     All output is a pure function of the canonical trace, so a seeded
     virtual-clock run produces byte-identical folded/JSON artifacts.
     """
     from repro.obs.profile import (
+        load_trace,
+        partition_breakdown,
         profile_dict,
+        render_partitions,
         render_profile,
+        render_report_trees,
         write_folded,
     )
-    from repro.obs.summary import load_trace
 
     spans = load_trace(Path(args.from_trace))
-    if getattr(args, "flame", None):
+    if args.flame:
         write_folded(Path(args.flame), spans)
         print(f"wrote collapsed stacks to {args.flame}", file=out)
-    if getattr(args, "json", False):
+    if args.by_partition:
+        if args.json:
+            print(
+                json.dumps(partition_breakdown(spans), indent=2, sort_keys=True),
+                file=out,
+            )
+        else:
+            print(render_partitions(spans), file=out)
+    elif args.report:
+        print(render_report_trees(spans, args.report), file=out)
+    elif args.json:
         print(
             json.dumps(
                 profile_dict(spans, top=args.top), indent=2, sort_keys=True
             ),
             file=out,
         )
-    elif not getattr(args, "flame", None):
+    elif not args.flame:
         print(render_profile(spans, top=args.top), file=out)
     return 0
 
@@ -342,7 +320,7 @@ def cmd_profile(args: argparse.Namespace, out) -> int:
 def cmd_health(args: argparse.Namespace, out) -> int:
     """Offline health evaluation over a trace written by ``run --trace``."""
     from repro.obs.health import render_health, replay_trace
-    from repro.obs.summary import load_trace
+    from repro.obs.profile import load_trace
 
     spans = load_trace(Path(args.from_trace))
     try:
@@ -363,8 +341,8 @@ def cmd_health(args: argparse.Namespace, out) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace, out) -> int:
-    system = build_system(args)
-    report = system.run_fusion()
+    with build_system(args) as system:
+        report = system.run_fusion()
     print(
         f"fused {report.groups_merged} alias groups "
         f"({report.nodes_before} -> {report.nodes_after} nodes)",
@@ -372,15 +350,14 @@ def cmd_fuse(args: argparse.Namespace, out) -> int:
     )
     for group in report.merged_groups:
         print("  " + " == ".join(group), file=out)
-    system.close()
     return 0
 
 
 def cmd_export(args: argparse.Namespace, out) -> int:
     from repro.ontology.stix import export_graph
 
-    system = build_system(args)
-    bundle = export_graph(system.graph)
+    with build_system(args) as system:
+        bundle = export_graph(system.graph)
     payload = bundle.to_json(indent=2)
     if args.out:
         atomic_write_text(Path(args.out), payload)
@@ -394,16 +371,16 @@ def cmd_hunt(args: argparse.Namespace, out) -> int:
     from repro.apps.threat_hunting import ThreatHunter
     from repro.audit import simulate
 
-    system = build_system(args)
-    if system.graph.node_count == 0:
-        print("knowledge graph is empty; run `repro run` first", file=out)
-        return 1
-    log = simulate(
-        system.web.scenarios,
-        attacks=args.attacks,
-        benign_events=args.benign_events,
-    )
-    incidents = ThreatHunter(system.graph).hunt(log.events)
+    with build_system(args) as system:
+        if system.graph.node_count == 0:
+            print("knowledge graph is empty; run `repro run` first", file=out)
+            return 1
+        log = simulate(
+            system.web.scenarios,
+            attacks=args.attacks,
+            benign_events=args.benign_events,
+        )
+        incidents = ThreatHunter(system.graph).hunt(log.events)
     confirmed = [i for i in incidents if i.confirmed]
     for incident in confirmed:
         print(incident.summary(), file=out)
@@ -417,43 +394,41 @@ def cmd_hunt(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _serve(system: SecurityKG, args: argparse.Namespace, out, banner) -> int:
-    """Serve the explorer API until interrupted (``--once``: start,
-    print the banner, stop); ``banner`` renders ``(host, port)``."""
+def cmd_serve(args: argparse.Namespace, out) -> int:
+    """Serve the explorer API -- the ``/feeds/*`` dissemination routes
+    among it -- until interrupted (``--once``: start, print the banner,
+    stop)."""
+    from repro.feeds import TIERS
     from repro.ui.server import ExplorerAPI, ExplorerServer
 
-    server = ExplorerServer(ExplorerAPI(system), port=args.port).start()
-    print(banner(*server.address), file=out)
-    if args.once:  # test hook: start, report, stop
-        server.stop()
-        return 0
-    try:  # pragma: no cover - interactive loop
-        # Park on the injected clock (never-set event) instead of a raw
-        # time.sleep, so the serve loop is virtual-clock clean.
-        shutdown = threading.Event()
-        while not shutdown.is_set():
-            system.clock.wait_for(shutdown, 3600.0)
-    except KeyboardInterrupt:  # pragma: no cover
-        server.stop()
+    with build_system(args) as system:
+        server = ExplorerServer(ExplorerAPI(system), port=args.port).start()
+        host, port = server.address
+        print(
+            f"explorer API listening on http://{host}:{port}; feeds at "
+            f"/feeds (tiers: {', '.join(TIERS)}; see DISSEMINATION.md)",
+            file=out,
+        )
+        if args.once:  # test hook: start, report, stop
+            server.stop()
+            return 0
+        try:  # pragma: no cover - interactive loop
+            # Park on the injected clock (never-set event) instead of a
+            # raw time.sleep, so the serve loop is virtual-clock clean.
+            shutdown = threading.Event()
+            while not shutdown.is_set():
+                system.clock.wait_for(shutdown, 3600.0)
+        except KeyboardInterrupt:  # pragma: no cover
+            server.stop()
     return 0
 
 
-def cmd_serve(args: argparse.Namespace, out) -> int:
-    return _serve(
-        build_system(args), args, out,
-        lambda host, port: f"explorer API listening on http://{host}:{port}",
-    )
-
-
 def cmd_feed(args: argparse.Namespace, out) -> int:
-    """``feed export``: write one sanitized bundle file per tier;
-    ``feed serve``: serve the ``/feeds/*`` endpoints (the same routes
-    ``serve`` exposes, with a dissemination-oriented banner)."""
+    """``feed export``: write one sanitized bundle file per tier."""
     from repro.feeds import TIERS
 
-    system = build_system(args)
-    if args.feed_command == "export":
-        tiers = [args.tier] if args.tier else list(TIERS)
+    with build_system(args) as system:
+        tiers = [args.tier] if args.tier else TIERS
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for tier in tiers:
@@ -467,13 +442,7 @@ def cmd_feed(args: argparse.Namespace, out) -> int:
                 f"(etag {etag})",
                 file=out,
             )
-        system.close()
-        return 0
-    return _serve(
-        system, args, out,
-        lambda host, port: f"feeds at http://{host}:{port}/feeds "
-        f"(tiers: {', '.join(TIERS)}; see DISSEMINATION.md)",
-    )
+    return 0
 
 
 def cmd_config(args: argparse.Namespace, out) -> int:
@@ -589,24 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="knowledge-graph statistics")
     common(p)
     p.add_argument(
-        "--from-trace",
-        dest="from_trace",
-        help="summarise a trace JSONL written by `run --trace` "
-        "instead of querying a graph",
-    )
-    p.add_argument(
-        "--report",
-        help="with --from-trace: show the span trees of spans whose "
-        "attributes match this substring (report id, URL, source)",
-    )
-    p.add_argument(
-        "--by-partition",
-        dest="by_partition",
-        action="store_true",
-        help="with --from-trace: per-partition drill-down of the "
-        "run (span counts, durations, stored/skipped)",
-    )
-    p.add_argument(
         "--json",
         action="store_true",
         help="emit machine-readable JSON instead of the text table",
@@ -660,7 +611,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the full profile (per-name aggregates, unit costs, "
-        "hotspots) as JSON instead of the text table",
+        "hotspots) as JSON instead of the text table; with "
+        "--by-partition, the drill-down as JSON",
+    )
+    p.add_argument(
+        "--report",
+        help="instead of the profile, show the span trees of spans whose "
+        "attributes match this substring (report id, URL, source)",
+    )
+    p.add_argument(
+        "--by-partition",
+        dest="by_partition",
+        action="store_true",
+        help="instead of the profile, the per-partition drill-down of "
+        "the run (span counts, durations, stored/skipped)",
     )
     p.set_defaults(func=cmd_profile)
 
@@ -679,7 +643,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benign-events", type=int, default=400)
     p.set_defaults(func=cmd_hunt)
 
-    p = sub.add_parser("serve", help="serve the explorer JSON API")
+    p = sub.add_parser(
+        "serve", help="serve the explorer JSON API and the /feeds endpoints"
+    )
     common(p)
     p.add_argument("--port", type=int, default=8750)
     p.add_argument("--once", action="store_true", help=argparse.SUPPRESS)
@@ -706,24 +672,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="export a single tier (default: all three)",
     )
     fp.set_defaults(func=cmd_feed)
-    fp = feed_sub.add_parser(
-        "serve", help="serve the /feeds endpoints over HTTP"
-    )
-    common(fp)
-    fp.add_argument("--port", type=int, default=8750)
-    fp.add_argument("--once", action="store_true", help=argparse.SUPPRESS)
-    fp.set_defaults(func=cmd_feed)
 
     p = sub.add_parser("config", help="print the default configuration")
     p.set_defaults(func=cmd_config)
 
+    # listed for --help only: main() hands `lint` to the lint CLI
+    # before argparse runs
     p = sub.add_parser(
         "lint",
         help="static lint of the repro determinism/concurrency invariants",
         add_help=False,
     )
     p.add_argument("lint_args", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_lint)
 
     return parser
 

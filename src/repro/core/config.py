@@ -20,7 +20,6 @@ from repro.feeds.tlp import TIERS
 from repro.obs.health import rules_from_config
 from repro.runtime.checked import Bound, check_fields
 from repro.runtime.clock import CLOCKS
-from repro.storage.atomic import atomic_write_text
 
 #: the connectors a partition can build (see ``repro.connectors``)
 CONNECTORS = ("graph", "search", "sql")
@@ -146,8 +145,11 @@ class SystemConfig:
     def from_file(cls, path: str | Path) -> "SystemConfig":
         return cls.from_json(Path(path).read_text())
 
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(Path(path), self.to_json())
+
+def _directory(path: str) -> None:
+    """An empty ``storage_path`` would open the working directory."""
+    if not path:
+        raise ValueError("must name a directory, got ''")
 
 
 #: What a field's annotation cannot say: the bounds of its numbers, the
@@ -171,6 +173,7 @@ LIMITS = {
     "clock": CLOCKS,
     "feed_keys": TIERS,
     "health_rules": rules_from_config,
+    "storage_path": _directory,
 }
 
 __all__ = ["CONNECTORS", "LIMITS", "RECOGNIZERS", "SystemConfig"]

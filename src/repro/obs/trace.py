@@ -252,17 +252,6 @@ class Tracer:
 
         atomic_write_text(path, self.export_jsonl())
 
-    def profile(self, top: int = 10) -> dict:
-        """Self-time profile of the ring buffer (``GET /profile``).
-
-        Delegates to :func:`repro.obs.profile.profile_dict` over the
-        canonical export, so the result is deterministic under a
-        virtual clock.
-        """
-        from repro.obs.profile import profile_dict
-
-        return profile_dict(self.export(), top=top)
-
 
 class NullTracer:
     """Disabled tracing: every ``span()`` is the shared no-op span."""
@@ -296,11 +285,6 @@ class NullTracer:
         from repro.storage.atomic import atomic_write_text
 
         atomic_write_text(path, "")
-
-    def profile(self, top: int = 10) -> dict:
-        from repro.obs.profile import profile_dict
-
-        return profile_dict([], top=top)
 
 
 NULL_TRACER = NullTracer()

@@ -199,11 +199,6 @@ class GraphExplorer:
         self.state.pinned.add(node_id)
         self._sync_layout()
 
-    def release(self, node_id: int) -> None:
-        """Unlock a previously dragged node."""
-        self.layout.unpin(node_id)
-        self.state.pinned.discard(node_id)
-
     def back(self) -> bool:
         """Return to the previous view; False when no history remains."""
         if not self._history:

@@ -95,9 +95,6 @@ class ForceLayout:
         self.positions[key] = (x, y)
         self.pinned.add(key)
 
-    def unpin(self, key: object) -> None:
-        self.pinned.discard(key)
-
     # -- simulation --------------------------------------------------------
 
     def step(self) -> float:

@@ -185,12 +185,14 @@ class TestStandalone:
         from repro.core.config import SystemConfig
 
         config_path = tmp_path / "cfg.json"
-        SystemConfig(
-            scenario_count=4,
-            reports_per_site=2,
-            sources=["OTX Mirror"],
-            connectors=["graph", "search"],
-        ).save(config_path)
+        config_path.write_text(
+            SystemConfig(
+                scenario_count=4,
+                reports_per_site=2,
+                sources=["OTX Mirror"],
+                connectors=["graph", "search"],
+            ).to_json()
+        )
         code, output = run_cli(
             "run", "--config", str(config_path), *SMALL, "--max-articles", "99"
         )
@@ -200,6 +202,88 @@ class TestStandalone:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             run_cli("frobnicate")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--from-trace", "trace.jsonl"],
+            ["stats", "--report", "rpt-1"],
+            ["stats", "--by-partition"],
+            ["feed", "serve", "--port", "0", "--once"],
+        ],
+        ids=["stats-from-trace", "stats-report", "stats-by-partition", "feed-serve"],
+    )
+    def test_retired_commands_are_usage_errors(self, argv, tmp_path):
+        """Trace tables live under `profile`, the server under `serve`."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--state", str(tmp_path / "state"))
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "state").exists()
+
+
+class TestCommandsRelease:
+    """Every command that builds a system closes it: no extractor
+    process outlives the command, and the read-only commands leave the
+    state directory's bytes as they found them."""
+
+    @pytest.fixture(scope="class")
+    def state_dir(self, tmp_path_factory):
+        state = tmp_path_factory.mktemp("releasestate")
+        code, output = run_cli("run", "--state", str(state), *SMALL)
+        assert code == 0, output
+        return state
+
+    @pytest.fixture
+    def pooled(self, tmp_path):
+        config = tmp_path / "pooled.json"
+        config.write_text(json.dumps({"extract_workers": 2}))
+        return str(config)
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            (["search"], ["ransomware"]),
+            (["cypher"], ["MATCH (m:Malware) RETURN m.name LIMIT 2"]),
+            (["export"], ["--out", "{tmp}/bundle.json"]),
+            (["hunt"], ["--attacks", "1", "--benign-events", "20"]),
+            (["serve"], ["--port", "0", "--once"]),
+            (["fuse"], []),
+            (["feed", "export"], ["--tier", "public", "--out-dir", "{tmp}"]),
+        ],
+        ids=["search", "cypher", "export", "hunt", "serve", "fuse", "feed-export"],
+    )
+    def test_no_extractor_process_outlives_the_command(
+        self, state_dir, pooled, tmp_path, command, args
+    ):
+        import multiprocessing
+
+        code, output = run_cli(
+            *command, "--state", str(state_dir), "--config", pooled, *SMALL,
+            *(arg.format(tmp=tmp_path) for arg in args),
+        )
+        assert code == 0, output
+        assert multiprocessing.active_children() == []
+
+    def test_read_only_commands_leave_the_state_bytes(self, state_dir, tmp_path):
+        def snapshot() -> dict[str, bytes]:
+            return {
+                str(path.relative_to(state_dir)): path.read_bytes()
+                for path in sorted(state_dir.rglob("*"))
+                if path.is_file()
+            }
+
+        before = snapshot()
+        for argv in (
+            ["search", "ransomware"],
+            ["cypher", "MATCH (m:Malware) RETURN m.name"],
+            ["export", "--out", str(tmp_path / "bundle.json")],
+            ["hunt", "--attacks", "1", "--benign-events", "20"],
+        ):
+            code, output = run_cli(
+                argv[0], "--state", str(state_dir), *SMALL, *argv[1:]
+            )
+            assert code in (0, 1), output
+            assert snapshot() == before, argv
 
 
 BAD_CONFIGS = {
@@ -213,6 +297,7 @@ BAD_CONFIGS = {
     "string-scenario-count": {"scenario_count": "3"},
     "string-failure-rate": {"failure_rate": "x"},
     "failure-rate-above-one": {"failure_rate": 1.5},
+    "empty-storage-path": {"storage_path": ""},
 }
 
 

@@ -65,7 +65,7 @@ class TestSystemConfig:
     def test_file_round_trip(self, tmp_path):
         config = SystemConfig(recognizer="regex")
         path = tmp_path / "config.json"
-        config.save(path)
+        path.write_text(config.to_json())
         assert SystemConfig.from_file(path) == config
 
 

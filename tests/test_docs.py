@@ -181,8 +181,10 @@ class TestCliDocstring:
             ["feed", "export", "--out-dir", "/tmp/x", "--tier", "public"]
         )
         assert args.feed_command == "export"
-        args = parser.parse_args(["feed", "serve", "--port", "0"])
-        assert args.feed_command == "serve"
+        # the /feeds routes are served by `serve`; `feed` only exports
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["feed", "serve", "--port", "0"])
+        assert exit_info.value.code == 2
 
 
 class TestProfilingDoc:

@@ -680,12 +680,15 @@ class TestCliHealth:
 
     def test_stats_from_trace_json(self, trace_file):
         code, output = self.run_cli(
-            "stats", "--from-trace", str(trace_file), "--json"
+            "profile", "--from-trace", str(trace_file), "--json"
         )
         assert code == 0
         summary = json.loads(output)
         assert summary["spans"] > 0
         assert "crawl.fetch" in summary["names"]
+        assert {"count", "total_s", "self_s", "max_s"} <= set(
+            summary["names"]["crawl.fetch"]
+        )
 
     def test_stats_graph_json(self):
         code, output = self.run_cli("stats", *SMALL_CLI, "--json")

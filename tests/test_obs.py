@@ -21,7 +21,7 @@ from repro.obs import (
     Tracer,
     make_obs,
 )
-from repro.obs.summary import load_trace, render_report_trees, summarize
+from repro.obs.profile import load_trace, render_report_trees
 from repro.runtime import clock_from_name
 from repro.storage import CrashInjector, InjectedCrash
 from repro.ui.server import ExplorerAPI
@@ -432,7 +432,7 @@ class TestCli:
         assert trace_file.stat().st_size > 0
 
     def test_stats_from_trace(self, trace_file):
-        code, output = self.run_cli("stats", "--from-trace", str(trace_file))
+        code, output = self.run_cli("profile", "--from-trace", str(trace_file))
         assert code == 0
         assert "distinct names" in output
         assert "crawl.fetch" in output
@@ -445,7 +445,7 @@ class TestCli:
             if "report" in span["attrs"]
         )
         code, output = self.run_cli(
-            "stats", "--from-trace", str(trace_file), "--report", report_id
+            "profile", "--from-trace", str(trace_file), "--report", report_id
         )
         assert code == 0
         assert "under " in output
@@ -454,7 +454,7 @@ class TestCli:
 
     def test_stats_from_trace_no_match(self, trace_file):
         code, output = self.run_cli(
-            "stats", "--from-trace", str(trace_file), "--report", "zzz-none"
+            "profile", "--from-trace", str(trace_file), "--report", "zzz-none"
         )
         assert code == 0
         assert "no spans matching" in output
@@ -476,8 +476,12 @@ class TestCli:
         assert set(snapshot) == {"counters", "gauges", "histograms"}
         assert snapshot["counters"]["storage.commits"][""] > 0
 
-    def test_summarize_empty(self):
-        assert summarize([]) == "trace is empty"
+    def test_summarize_empty(self, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, output = self.run_cli("profile", "--from-trace", str(empty))
+        assert code == 0
+        assert output == "trace is empty\n"
 
 
 class TestDocumentationSweep:

@@ -8,9 +8,9 @@ Three groups of guarantees:
   partition the tree's total (hypothesis-checked on random
   non-overlapping trees), and the collapsed-stack export is canonical;
 * the CLI/UI surfaces -- ``repro profile`` emits byte-identical folded
-  files across two seeded virtual-clock runs, ``stats --from-trace``
-  grew the ``self_s`` column, and ``GET /profile`` serves the live
-  aggregation;
+  files across two seeded virtual-clock runs, its per-name table carries
+  ``self_s`` and ``max_s`` beside ``total_s``, and ``GET /profile``
+  serves the live aggregation;
 * Cypher ``PROFILE`` -- profiled queries return exactly the rows of
   their unprofiled execution (1 and 4 partitions), the annotated tree
   renders per-operator counters, and the rejection surfaces (PROFILE
@@ -97,7 +97,8 @@ class TestSelfTime:
     def test_aggregate_and_hotspots(self):
         table = aggregate(TREE)
         assert table["crawl.fetch"] == {
-            "count": 2, "total_s": 4.0, "self_s": 4.0, "max_self_s": 2.0,
+            "count": 2, "total_s": 4.0, "self_s": 4.0,
+            "max_s": 2.0, "max_self_s": 2.0,
         }
         ranked = hotspots(TREE, top=2)
         assert [entry["name"] for entry in ranked] == ["crawl.fetch", "crawl"]
@@ -209,6 +210,35 @@ class TestSelfTimePartition:
         )
         assert total_self == pytest.approx(root_total, abs=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(span_trees())
+    def test_max_s_is_the_longest_span_of_its_name(self, spans):
+        longest: dict[str, float] = {}
+        for record in spans:
+            duration = record["end"] - record["start"]
+            longest[record["name"]] = max(
+                longest.get(record["name"], 0.0), duration
+            )
+        table = aggregate(spans)
+        assert {name: entry["max_s"] for name, entry in table.items()} == longest
+
+    @settings(max_examples=60, deadline=None)
+    @given(span_trees())
+    def test_the_three_tables_agree_per_name(self, spans):
+        """``aggregate``, ``unit_costs`` and ``hotspots`` fold the same
+        pass: every name has one count, one total and one self time."""
+        table = aggregate(spans)
+        costs = unit_costs(spans)
+        ranked = {entry["name"]: entry for entry in hotspots(spans, top=len(table))}
+        assert set(table) == set(costs) == set(ranked)
+        for name, entry in table.items():
+            for key in ("count", "total_s", "self_s"):
+                assert entry[key] == costs[name][key] == ranked[name][key]
+        payload = profile_dict(spans, top=len(table))
+        assert payload["names"] == table
+        assert payload["unit_costs"] == costs
+        assert payload["hotspots"] == hotspots(spans, top=len(table))
+
     @settings(max_examples=30, deadline=None)
     @given(span_trees())
     def test_folded_is_deterministic_and_nonnegative(self, spans):
@@ -278,12 +308,16 @@ class TestProfileCli:
         assert payload["unit_costs"]["extract.ner"]["units"]["tokens"] > 0
 
     def test_stats_gained_self_s_column(self, trace_file):
-        code, output = run_cli("stats", "--from-trace", str(trace_file))
-        assert code == 0
-        header = next(
-            line for line in output.splitlines() if "total_s" in line
+        """The one per-name table: ``self_s`` and ``max_s`` beside
+        ``total_s`` (the mean is ``total_s / count``)."""
+        code, output = run_cli(
+            "profile", "--from-trace", str(trace_file), "--json"
         )
-        assert "self_s" in header
+        assert code == 0
+        for entry in json.loads(output)["names"].values():
+            assert {"count", "total_s", "self_s", "max_s"} <= set(entry)
+            assert entry["self_s"] <= entry["total_s"] + 1e-9
+            assert entry["max_s"] <= entry["total_s"] + 1e-9
 
 
 # -- Cypher PROFILE ---------------------------------------------------------

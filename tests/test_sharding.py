@@ -866,7 +866,7 @@ class TestShardingCLI:
         from repro.cli import main
 
         config = tmp_path / "config.json"
-        SystemConfig(partitions=2, clock="virtual").save(config)
+        config.write_text(SystemConfig(partitions=2, clock="virtual").to_json())
         state = tmp_path / "state"
         small = ["--config", str(config), "--state", str(state),
                  "--scenarios", "4", "--reports-per-site", "1"]
@@ -892,7 +892,7 @@ class TestShardingCLI:
         assert code == 0, out.getvalue()
         out = StringIO()
         code = main(
-            ["stats", "--from-trace", str(trace), "--by-partition"],
+            ["profile", "--from-trace", str(trace), "--by-partition"],
             out=out,
         )
         assert code == 0
@@ -901,7 +901,7 @@ class TestShardingCLI:
         out = StringIO()
         code = main(
             [
-                "stats", "--from-trace", str(trace), "--by-partition",
+                "profile", "--from-trace", str(trace), "--by-partition",
                 "--json",
             ],
             out=out,

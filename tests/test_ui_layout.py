@@ -108,13 +108,6 @@ class TestForceLayout:
         layout.run(iterations=30)
         assert layout.positions["hub"] == (123.0, 77.0)
 
-    def test_unpin_releases(self):
-        layout = self._star_layout()
-        layout.pin("hub", 123.0, 77.0)
-        layout.unpin("hub")
-        layout.run(iterations=10)
-        assert layout.positions["hub"] != (123.0, 77.0)
-
     def test_add_near_places_close(self):
         layout = ForceLayout()
         layout.add_node("a")
