@@ -1,12 +1,13 @@
 """Static analysis for the reproduction: query checking and repo lint.
 
-Two analyzers share one diagnostics core (:mod:`.diagnostics`):
+Three analyzers share one diagnostics core (:mod:`.diagnostics`):
 
 * :mod:`.cypher_check` -- semantic analysis of parsed Cypher queries
   against the ontology/graph schema (unknown labels, unbound
   variables, type mismatches, ...).
 * :mod:`.lint` -- an ``ast`` pass over ``src/repro`` enforcing the
-  determinism/concurrency invariants from the ROADMAP.
+  determinism/concurrency invariants from the ROADMAP; each call is
+  resolved once through the file's imports and looked up in its tables.
 * :mod:`.concurrency` -- the interprocedural concurrency analyzer
   behind the ``conc/*`` lint rules: project-wide call graph with
   thread-root discovery, lock-set analysis per ``named_lock`` site,

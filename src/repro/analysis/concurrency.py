@@ -1,10 +1,9 @@
 """Interprocedural concurrency analysis over the repro package.
 
-The sharding arc (ROADMAP item 1) multiplies today's ~20 lock sites
-into N-way cross-shard acquisition patterns, so the repo needs a
-static gate strong enough that a lock-order cycle or an unguarded
-shared write *anywhere* in ``src/repro`` fails CI.  This module is
-that gate.  It builds, from the ASTs of every analysed file:
+Every lock in ``src/repro`` is a :func:`repro.runtime.named_lock`
+site (CONCURRENCY.md catalogues them), and a lock-order cycle or an
+unguarded shared write *anywhere* in the package must fail CI.  This
+module is that gate.  It builds, from the ASTs of every analysed file:
 
 1. A project index -- classes, methods, functions, closures and
    lambdas, with lightweight type inference (parameter annotations,
@@ -171,6 +170,15 @@ class _BlockRec:
 # annotation helpers
 
 
+def leaf_name(node: ast.AST) -> str | None:
+    """``x`` of a name ``x`` or an attribute ``a.b.x``; None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def _ann_names(node: ast.expr | None) -> frozenset[str]:
     """Class names mentioned by a type annotation (None/Optional dropped)."""
     if node is None:
@@ -189,12 +197,7 @@ def _ann_names(node: ast.expr | None) -> frozenset[str]:
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
         return _ann_names(node.left) | _ann_names(node.right)
     if isinstance(node, ast.Subscript):
-        base = node.value
-        base_name = (
-            base.id if isinstance(base, ast.Name)
-            else base.attr if isinstance(base, ast.Attribute) else None
-        )
-        if base_name == "Optional":
+        if leaf_name(node.value) == "Optional":
             return _ann_names(node.slice)
         return frozenset()
     return frozenset()
@@ -216,11 +219,7 @@ def _ann_elem_names(node: ast.expr | None) -> frozenset[str]:
             return frozenset()
     if not isinstance(node, ast.Subscript):
         return frozenset()
-    base = node.value
-    base_name = (
-        base.id if isinstance(base, ast.Name)
-        else base.attr if isinstance(base, ast.Attribute) else None
-    )
+    base_name = leaf_name(node.value)
     if base_name in _CONTAINER_DICTS:
         if isinstance(node.slice, ast.Tuple) and len(node.slice.elts) == 2:
             return _ann_names(node.slice.elts[1])
@@ -237,12 +236,7 @@ def _named_lock_call(node: ast.expr) -> LockRef | None:
     """``named_lock("x"[, reentrant=True])`` -> LockRef, else None."""
     if not isinstance(node, ast.Call):
         return None
-    func = node.func
-    name = (
-        func.id if isinstance(func, ast.Name)
-        else func.attr if isinstance(func, ast.Attribute) else None
-    )
-    if name != "named_lock" or not node.args:
+    if leaf_name(node.func) != "named_lock" or not node.args:
         return None
     first = node.args[0]
     if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
@@ -272,30 +266,19 @@ def _lock_in_field_default(node: ast.expr) -> LockRef | None:
 def _is_decorated(node: ast.AST, names: tuple[str, ...]) -> bool:
     if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return False
-    for dec in node.decorator_list:
-        name = (
-            dec.id if isinstance(dec, ast.Name)
-            else dec.attr if isinstance(dec, ast.Attribute) else None
-        )
-        if name in names:
-            return True
-    return False
+    return any(leaf_name(dec) in names for dec in node.decorator_list)
 
 
 def _is_contextmanager(node: ast.AST) -> bool:
     return _is_decorated(node, ("contextmanager", "asynccontextmanager"))
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = (
-            target.id if isinstance(target, ast.Name)
-            else target.attr if isinstance(target, ast.Attribute) else None
-        )
-        if name == "dataclass":
-            return True
-    return False
+def is_dataclass_def(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    return any(
+        leaf_name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in cls.decorator_list
+    )
 
 
 def _shallow_walk(body: list[ast.stmt]) -> Iterable[ast.AST]:
@@ -436,15 +419,12 @@ class _Analyzer:
             info = ClassInfo(name=node.name, module=display)
             self.classes[node.name] = info
         for base in node.bases:
-            name = (
-                base.id if isinstance(base, ast.Name)
-                else base.attr if isinstance(base, ast.Attribute) else None
-            )
+            name = leaf_name(base)
             if name is not None and name not in info.bases:
                 info.bases.append(name)
         if "Protocol" in info.bases:
             info.is_protocol = True
-        is_dc = _is_dataclass(node)
+        is_dc = is_dataclass_def(node)
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 key = self._index_function(
@@ -1258,9 +1238,7 @@ class _Analyzer:
             return
         attr = func.attr
         recv = func.value
-        recv_text = recv.attr if isinstance(recv, ast.Attribute) else (
-            recv.id if isinstance(recv, ast.Name) else ""
-        )
+        recv_text = leaf_name(recv) or ""
         if attr == "fsync" and recv_text == "os":
             if not sanctioned_io:
                 self.blockers.append(
@@ -1757,4 +1735,6 @@ __all__ = [
     "analyze_package",
     "analyze_paths",
     "collect_files",
+    "is_dataclass_def",
+    "leaf_name",
 ]

@@ -2,7 +2,19 @@
 
 An :mod:`ast` pass over ``src/repro`` enforcing the determinism and
 concurrency invariants the deterministic-replay pipeline depends on
-(ROADMAP north star).  Rules:
+(ROADMAP north star).
+
+A call rule is a table row, not a walk of its own.  One resolver turns
+every callee into the dotted name the file's imports bind it to:
+``time()`` after ``from time import time`` is ``time.time``, and
+``dt.date.today()`` after ``import datetime as dt`` is
+``datetime.date.today``.  Four module tables then decide:
+``_BANNED_CALLS`` (dotted call -> rule), ``_REQUIRED_KEYWORDS`` (callee
+-> the keywords one of which it must pass), ``_EXEMPT`` (rule -> the
+files it spares) and ``_MESSAGES`` (rule -> message).
+``Path.replace(target)`` is the one call matched by its shape instead
+of its name.  A file's findings come out in ``(line, col, rule)``
+order.  Rules:
 
 ``det/global-random``
     Direct calls into the global :mod:`random` module (``random.random()``,
@@ -11,7 +23,8 @@ concurrency invariants the deterministic-replay pipeline depends on
     (constructing ``random.Random(seed)`` is fine).
 ``det/wall-clock``
     ``time.time()`` / ``time.time_ns()`` / ``datetime.now()`` /
-    ``datetime.utcnow()`` / ``date.today()`` reads.  Wall-clock reads make
+    ``datetime.utcnow()`` / ``datetime.today()`` / ``date.today()``
+    reads.  Wall-clock reads make
     replays diverge; timestamps must come from the injected
     :class:`repro.runtime.Clock`.
 ``det/raw-sleep``
@@ -84,40 +97,119 @@ import json
 import os
 import re
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from dataclasses import replace
 
-from repro.analysis.concurrency import ConcurrencyModel, analyze_paths
+from repro.analysis.concurrency import (
+    ConcurrencyModel,
+    analyze_paths,
+    collect_files,
+    is_dataclass_def,
+    leaf_name,
+)
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.storage.atomic import atomic_write_text
 
 #: Root the default scan covers: the installed ``repro`` package source.
 DEFAULT_ROOT = Path(__file__).resolve().parents[1]
 
-#: Modules allowed to touch global randomness / wall clocks.
-SANCTIONED_SUFFIXES = ("websim/rnd.py",)
-#: The clock implementations: the one sanctioned home of raw sleeps.
-RAW_SLEEP_SANCTIONED = ("runtime/clock.py",)
 #: Files whose dataclasses must stay JSON-serialisable (pipeline hand-offs).
 SERIALIZABLE_SUFFIXES = ("ontology/intermediate.py",)
 #: Files whose stage invocations must run under a tracer span.
 OBS_STAGE_SUFFIXES = ("core/pipeline.py",)
-#: The sanctioned home of raw file renames: the atomic-write helpers.
-ATOMIC_WRITE_SANCTIONED = "repro/storage/"
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
 
-_WALL_CLOCK_TIME = frozenset({"time", "time_ns"})
-_WALL_CLOCK_DATETIME = frozenset({"now", "utcnow", "today"})
-_RAW_SLEEP_TIME = frozenset({"sleep", "monotonic"})
-_ITERATIVE_SOLVERS = frozenset({"svds", "eigsh", "eigs", "lobpcg"})
-_SOLVER_SEED_KEYWORDS = frozenset({"v0", "X", "random_state", "rng"})
-#: thread-spawning callable -> the keyword that names its threads
-_THREAD_NAME_KEYWORD = {
-    "Thread": "name",
-    "ThreadPoolExecutor": "thread_name_prefix",
+#: resolved dotted call -> the rule it breaks.  A row covers the name
+#: and every attribute under it, the longest covering row decides, and a
+#: ``None`` rule lets the call through: every ``random`` call is banned
+#: except ``random.Random``, the seeded generator
+_BANNED_CALLS: dict[str, str | None] = {
+    "random": "det/global-random",
+    "random.Random": None,
+    "time.time": "det/wall-clock",
+    "time.time_ns": "det/wall-clock",
+    "datetime.datetime.now": "det/wall-clock",
+    "datetime.datetime.utcnow": "det/wall-clock",
+    "datetime.datetime.today": "det/wall-clock",
+    "datetime.date.today": "det/wall-clock",
+    "time.sleep": "det/raw-sleep",
+    "time.monotonic": "det/raw-sleep",
+    "os.replace": "store/raw-atomic-write",
+    "os.rename": "store/raw-atomic-write",
+    "shutil.move": "store/raw-atomic-write",
+}
+_SOLVER_SEEDS = ("v0", "X", "random_state", "rng")
+#: callee -> (rule, the keywords one of which every call must pass)
+_REQUIRED_KEYWORDS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "svds": ("det/unseeded-solver", _SOLVER_SEEDS),
+    "eigsh": ("det/unseeded-solver", _SOLVER_SEEDS),
+    "eigs": ("det/unseeded-solver", _SOLVER_SEEDS),
+    "lobpcg": ("det/unseeded-solver", _SOLVER_SEEDS),
+    "Thread": ("conc/unnamed-thread", ("name",)),
+    "ThreadPoolExecutor": ("conc/unnamed-thread", ("thread_name_prefix",)),
+}
+#: rule -> path fragments of the files it does not apply to: the seeded
+#: RNG home, the clock implementations, the atomic-write helpers
+_EXEMPT: dict[str, tuple[str, ...]] = {
+    "det/global-random": ("websim/rnd.py",),
+    "det/wall-clock": ("websim/rnd.py",),
+    "det/unseeded-solver": ("websim/rnd.py",),
+    "det/raw-sleep": ("runtime/clock.py",),
+    "store/raw-atomic-write": ("repro/storage/",),
+}
+#: rule -> message; ``{callee}`` is the call as resolved and
+#: ``{keywords}`` the keywords it must pass one of
+_MESSAGES = {
+    "det/global-random": (
+        "{callee}() uses the shared global RNG; derive a seeded "
+        "random.Random via repro.websim.rnd instead"
+    ),
+    "det/wall-clock": (
+        "{callee}() reads the wall clock, which breaks deterministic "
+        "replay; thread a timestamp in from the caller or use the "
+        "injected repro.runtime clock"
+    ),
+    "det/raw-sleep": (
+        "{callee}() bypasses the injected repro.runtime clock; sleep "
+        "and measure elapsed time through a Clock so virtual-time "
+        "runs stay instant"
+    ),
+    "det/unseeded-solver": (
+        "{callee}() without {keywords} starts from numpy's global "
+        "RNG, so the result differs run to run; pass a seeded start "
+        "vector by keyword"
+    ),
+    "store/raw-atomic-write": (
+        "{callee}(...) renames a file without fsync, so the data can "
+        "vanish on a host crash; persist through the "
+        "repro.storage.atomic_write_* helpers"
+    ),
+    "conc/unnamed-thread": (
+        "{callee} created without {keywords}; witness reports, "
+        "traces and health alerts attribute events by thread name"
+    ),
+    "err/bare-except": (
+        "bare 'except:' catches SystemExit/KeyboardInterrupt; "
+        "name the exception type"
+    ),
+    "err/silent-swallow": (
+        "handler catches Exception and does nothing, hiding "
+        "failures; log or re-raise"
+    ),
+    "ser/unserializable-field": (
+        "field {field!r} of dataclass {cls!r} has a "
+        "non-JSON-serialisable type annotation; pipeline hand-off "
+        "records must round-trip through JSON"
+    ),
+    "obs/untraced-stage": (
+        "pipeline stage runs outside a tracer span; wrap the "
+        "fn(...) call in 'with obs.tracer.span(name):' so "
+        "per-stage timing reaches the trace"
+    ),
 }
 
 
@@ -138,6 +230,40 @@ def _suppressed(lines: list[str], lineno: int, rule: str) -> bool:
     return False
 
 
+def _import_origins(tree: ast.Module) -> dict[str, str]:
+    """Local name -> the dotted name a file's absolute imports bind it to."""
+    origins: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                origins[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                origins[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return origins
+
+
+def _banned_rule(dotted: str | None) -> str | None:
+    """The rule of the longest ``_BANNED_CALLS`` row covering ``dotted``."""
+    while dotted:
+        if dotted in _BANNED_CALLS:
+            return _BANNED_CALLS[dotted]
+        dotted = dotted.rpartition(".")[0]
+    return None
+
+
+def _resolve(func: ast.expr, origins: dict[str, str]) -> str | None:
+    """The dotted name an ``a.b.c`` callee reaches through the imports."""
+    attrs: list[str] = []
+    while isinstance(func, ast.Attribute):
+        attrs.append(func.attr)
+        func = func.value
+    if not isinstance(func, ast.Name) or func.id not in origins:
+        return None
+    return ".".join([origins[func.id], *reversed(attrs)])
+
+
 class _FileLint:
     """Collects diagnostics for one python source file."""
 
@@ -149,19 +275,23 @@ class _FileLint:
             self.display = os.path.relpath(path)
         except ValueError:  # different drive on windows
             self.display = str(path)
+        posix = path.resolve().as_posix()
+        self.exempt = {
+            rule
+            for rule, parts in _EXEMPT.items()
+            if any(part in posix for part in parts)
+        }
         self.findings: list[Diagnostic] = []
-        self._flag_det = True
-        self._flag_raw_sleep = True
 
-    def add(self, rule: str, message: str, node: ast.AST) -> None:
+    def add(self, rule: str, node: ast.AST, **fields: str) -> None:
         lineno = getattr(node, "lineno", 0)
-        if _suppressed(self.lines, lineno, rule):
+        if rule in self.exempt or _suppressed(self.lines, lineno, rule):
             return
         self.findings.append(
             Diagnostic(
                 rule=rule,
                 severity=Severity.ERROR,
-                message=message,
+                message=_MESSAGES[rule].format(**fields),
                 path=self.display,
                 line=lineno,
                 col=getattr(node, "col_offset", 0),
@@ -169,10 +299,11 @@ class _FileLint:
         )
 
     def run(self) -> list[Diagnostic]:
+        """Findings in ``(line, col, rule)`` order."""
         try:
             tree = ast.parse(self.source)
         except SyntaxError as error:
-            self.findings.append(
+            return [
                 Diagnostic(
                     rule="lint/syntax-error",
                     severity=Severity.ERROR,
@@ -181,220 +312,46 @@ class _FileLint:
                     line=error.lineno or 0,
                     col=error.offset or 0,
                 )
-            )
-            return self.findings
-        self._flag_det = not _has_suffix(self.path, SANCTIONED_SUFFIXES)
-        self._flag_raw_sleep = not _has_suffix(
-            self.path, RAW_SLEEP_SANCTIONED
-        )
-        if self._flag_det or self._flag_raw_sleep:
-            self._check_determinism(tree)
-        if self._flag_det:
-            self._check_solvers(tree)
-        if ATOMIC_WRITE_SANCTIONED not in self.path.resolve().as_posix():
-            self._check_atomic_writes(tree)
+            ]
+        self._check_calls(tree)
         self._check_exception_handling(tree)
-        self._check_threads(tree)
         if _has_suffix(self.path, SERIALIZABLE_SUFFIXES):
             self._check_serializability(tree)
         if _has_suffix(self.path, OBS_STAGE_SUFFIXES):
             self._check_traced_stages(tree)
-        return self.findings
+        return sorted(self.findings, key=attrgetter("line", "col", "rule"))
 
-    # -- determinism -------------------------------------------------------
+    # -- calls -------------------------------------------------------------
 
-    def _check_determinism(self, tree: ast.Module) -> None:
-        module_aliases: dict[str, str] = {}  # local name -> module
-        from_imports: dict[str, tuple[str, str]] = {}  # local -> (mod, name)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in ("random", "time", "datetime"):
-                        module_aliases[alias.asname or alias.name] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module in (
-                "random",
-                "time",
-                "datetime",
-            ):
-                for alias in node.names:
-                    from_imports[alias.asname or alias.name] = (
-                        node.module,
-                        alias.name,
-                    )
-
-        if not module_aliases and not from_imports:
-            return
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                self._check_nondeterministic_call(
-                    node, module_aliases, from_imports
-                )
-
-    def _check_nondeterministic_call(
-        self,
-        node: ast.Call,
-        module_aliases: dict[str, str],
-        from_imports: dict[str, tuple[str, str]],
-    ) -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            origin = from_imports.get(func.id)
-            if origin is None:
-                return
-            module, name = origin
-            if module == "random" and name not in ("Random",):
-                self._flag_global_random(node, f"random.{name}")
-            elif module == "time" and name in _WALL_CLOCK_TIME:
-                self._flag_wall_clock(node, f"time.{name}")
-            elif module == "time" and name in _RAW_SLEEP_TIME:
-                self._flag_raw_sleep_call(node, f"time.{name}")
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        base = func.value
-        if isinstance(base, ast.Name):
-            module = module_aliases.get(base.id)
-            if module == "random" and func.attr not in ("Random",):
-                self._flag_global_random(node, f"random.{func.attr}")
-                return
-            if module == "time" and func.attr in _WALL_CLOCK_TIME:
-                self._flag_wall_clock(node, f"time.{func.attr}")
-                return
-            if module == "time" and func.attr in _RAW_SLEEP_TIME:
-                self._flag_raw_sleep_call(node, f"time.{func.attr}")
-                return
-            # from datetime import datetime/date; datetime.now()
-            origin = from_imports.get(base.id)
-            if (
-                origin is not None
-                and origin[0] == "datetime"
-                and origin[1] in ("datetime", "date")
-                and func.attr in _WALL_CLOCK_DATETIME
-            ):
-                self._flag_wall_clock(node, f"{origin[1]}.{func.attr}")
-            return
-        # import datetime; datetime.datetime.now()
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and module_aliases.get(base.value.id) == "datetime"
-            and base.attr in ("datetime", "date")
-            and func.attr in _WALL_CLOCK_DATETIME
-        ):
-            self._flag_wall_clock(node, f"datetime.{base.attr}.{func.attr}")
-
-    def _flag_global_random(self, node: ast.Call, what: str) -> None:
-        if not self._flag_det:
-            return
-        self.add(
-            "det/global-random",
-            f"{what}() uses the shared global RNG; derive a seeded "
-            "random.Random via repro.websim.rnd instead",
-            node,
-        )
-
-    def _flag_wall_clock(self, node: ast.Call, what: str) -> None:
-        if not self._flag_det:
-            return
-        self.add(
-            "det/wall-clock",
-            f"{what}() reads the wall clock, which breaks deterministic "
-            "replay; thread a timestamp in from the caller or use the "
-            "injected repro.runtime clock",
-            node,
-        )
-
-    def _flag_raw_sleep_call(self, node: ast.Call, what: str) -> None:
-        if not self._flag_raw_sleep:
-            return
-        self.add(
-            "det/raw-sleep",
-            f"{what}() bypasses the injected repro.runtime clock; sleep "
-            "and measure elapsed time through a Clock so virtual-time "
-            "runs stay instant",
-            node,
-        )
-
-    def _check_solvers(self, tree: ast.Module) -> None:
-        """Iterative solvers must be handed their start vector or seed."""
+    def _check_calls(self, tree: ast.Module) -> None:
+        """Resolve every call once and look it up in the call tables."""
+        origins = _import_origins(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            if name not in _ITERATIVE_SOLVERS:
-                continue
-            if any(keyword.arg in _SOLVER_SEED_KEYWORDS for keyword in node.keywords):
-                continue
-            self.add(
-                "det/unseeded-solver",
-                f"{name}() without v0= / X= / random_state= / rng= starts "
-                "from numpy's global RNG, so the result differs run to "
-                "run; pass a seeded start vector by keyword",
-                node,
-            )
-
-    # -- atomic writes -----------------------------------------------------
-
-    def _check_atomic_writes(self, tree: ast.Module) -> None:
-        module_aliases: dict[str, str] = {}  # local name -> module
-        from_imports: dict[str, str] = {}  # local name -> "mod.attr"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name in ("os", "shutil"):
-                        module_aliases[alias.asname or alias.name] = alias.name
-            elif isinstance(node, ast.ImportFrom) and node.module in (
-                "os",
-                "shutil",
-            ):
-                for alias in node.names:
-                    if alias.name in ("replace", "rename", "move"):
-                        from_imports[alias.asname or alias.name] = (
-                            f"{node.module}.{alias.name}"
-                        )
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                what = from_imports.get(func.id)
-                if what is not None:
-                    self._flag_raw_rename(node, what)
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            if isinstance(base, ast.Name) and base.id in module_aliases:
-                module = module_aliases[base.id]
-                if (module == "os" and func.attr in ("replace", "rename")) or (
-                    module == "shutil" and func.attr == "move"
-                ):
-                    self._flag_raw_rename(node, f"{module}.{func.attr}")
-                continue
-            # Path.replace(target): one positional argument, no keywords
-            # (str.replace always takes two -- this cannot be it)
-            if (
-                func.attr == "replace"
+            dotted = _resolve(func, origins)
+            rule = _banned_rule(dotted)
+            if rule is not None:
+                self.add(rule, node, callee=dotted)
+            elif (
+                # Path.replace(target): one positional argument, no keywords
+                # (str.replace always takes two -- this cannot be it)
+                isinstance(func, ast.Attribute)
+                and func.attr == "replace"
                 and len(node.args) == 1
                 and not node.keywords
             ):
-                self._flag_raw_rename(node, ".replace")
-
-    def _flag_raw_rename(self, node: ast.Call, what: str) -> None:
-        self.add(
-            "store/raw-atomic-write",
-            f"{what}(...) renames a file without fsync, so the data can "
-            "vanish on a host crash; persist through the "
-            "repro.storage.atomic_write_* helpers",
-            node,
-        )
+                self.add("store/raw-atomic-write", node, callee=".replace")
+            callee = dotted.rpartition(".")[2] if dotted else leaf_name(func)
+            rule, keywords = _REQUIRED_KEYWORDS.get(callee, (None, ()))
+            if rule and not any(given.arg in keywords for given in node.keywords):
+                self.add(
+                    rule,
+                    node,
+                    callee=callee,
+                    keywords=" / ".join(f"{keyword}=" for keyword in keywords),
+                )
 
     # -- exception hygiene -------------------------------------------------
 
@@ -403,22 +360,12 @@ class _FileLint:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
-                self.add(
-                    "err/bare-except",
-                    "bare 'except:' catches SystemExit/KeyboardInterrupt; "
-                    "name the exception type",
-                    node,
-                )
+                self.add("err/bare-except", node)
                 continue
             if self._catches_everything(node.type) and all(
                 self._is_noop(stmt) for stmt in node.body
             ):
-                self.add(
-                    "err/silent-swallow",
-                    "handler catches Exception and does nothing, hiding "
-                    "failures; log or re-raise",
-                    node,
-                )
+                self.add("err/silent-swallow", node)
 
     @staticmethod
     def _catches_everything(expr: ast.expr) -> bool:
@@ -440,27 +387,6 @@ class _FileLint:
         return isinstance(stmt, ast.Expr) and isinstance(
             stmt.value, ast.Constant
         )
-
-    # -- concurrency -------------------------------------------------------
-
-    def _check_threads(self, tree: ast.Module) -> None:
-        """Every spawned thread or thread pool must carry a name."""
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            callee = getattr(func, "id", None) or getattr(func, "attr", None)
-            keyword = _THREAD_NAME_KEYWORD.get(callee)
-            if keyword is None:
-                continue
-            if any(given.arg == keyword for given in node.keywords):
-                continue
-            self.add(
-                "conc/unnamed-thread",
-                f"{callee} created without {keyword}=; witness reports, "
-                "traces and health alerts attribute events by thread name",
-                node,
-            )
 
     # -- observability -----------------------------------------------------
 
@@ -489,17 +415,8 @@ class _FileLint:
 
     def _flag_untraced_fn_calls(self, expr: ast.expr) -> None:
         for call in ast.walk(expr):
-            if isinstance(call, ast.Call) and (
-                getattr(call.func, "attr", None) == "fn"
-                or getattr(call.func, "id", None) == "fn"
-            ):
-                self.add(
-                    "obs/untraced-stage",
-                    "pipeline stage runs outside a tracer span; wrap the "
-                    "fn(...) call in 'with obs.tracer.span(name):' so "
-                    "per-stage timing reaches the trace",
-                    call,
-                )
+            if isinstance(call, ast.Call) and leaf_name(call.func) == "fn":
+                self.add("obs/untraced-stage", call)
 
     # -- serializability ---------------------------------------------------
 
@@ -507,7 +424,7 @@ class _FileLint:
         dataclasses = [
             node
             for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            if isinstance(node, ast.ClassDef) and is_dataclass_def(node)
         ]
         same_module = {cls.name for cls in dataclasses}
         safe_names = (
@@ -533,11 +450,9 @@ class _FileLint:
                 if not self._json_safe(stmt.annotation, safe_names):
                     self.add(
                         "ser/unserializable-field",
-                        f"field {stmt.target.id!r} of dataclass "
-                        f"{cls.name!r} has a non-JSON-serialisable type "
-                        f"annotation; pipeline hand-off records must "
-                        "round-trip through JSON",
                         stmt,
+                        field=stmt.target.id,
+                        cls=cls.name,
                     )
 
     def _json_safe(self, annotation: ast.expr, safe_names: set[str]) -> bool:
@@ -551,10 +466,8 @@ class _FileLint:
                     return False
                 return self._json_safe(parsed, safe_names)
             return False
-        if isinstance(annotation, ast.Name):
-            return annotation.id in safe_names
-        if isinstance(annotation, ast.Attribute):
-            return annotation.attr in safe_names
+        if isinstance(annotation, (ast.Name, ast.Attribute)):
+            return leaf_name(annotation) in safe_names
         if isinstance(annotation, ast.BinOp) and isinstance(
             annotation.op, ast.BitOr
         ):
@@ -562,14 +475,7 @@ class _FileLint:
                 annotation.right, safe_names
             )
         if isinstance(annotation, ast.Subscript):
-            container = annotation.value
-            container_name = (
-                container.id
-                if isinstance(container, ast.Name)
-                else container.attr
-                if isinstance(container, ast.Attribute)
-                else None
-            )
+            container_name = leaf_name(annotation.value)
             if container_name not in (
                 "list",
                 "List",
@@ -593,31 +499,8 @@ class _FileLint:
         return False
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for decorator in cls.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = (
-            target.id
-            if isinstance(target, ast.Name)
-            else target.attr
-            if isinstance(target, ast.Attribute)
-            else None
-        )
-        if name == "dataclass":
-            return True
-    return False
-
-
 def _mentions_span(expr: ast.expr) -> bool:
-    for node in ast.walk(expr):
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is not None and "span" in name.lower():
-            return True
-    return False
+    return any("span" in (leaf_name(node) or "").lower() for node in ast.walk(expr))
 
 
 # -- driver -----------------------------------------------------------------
@@ -631,15 +514,9 @@ def lint_file(path: Path) -> list[Diagnostic]:
 
 def lint_paths(paths: Iterable[Path]) -> list[Diagnostic]:
     """Findings across files and directories (``.py`` files, recursively)."""
-    findings: list[Diagnostic] = []
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            for file in sorted(path.rglob("*.py")):
-                findings.extend(lint_file(file))
-        else:
-            findings.extend(lint_file(path))
-    return findings
+    return [
+        finding for file in collect_files(paths) for finding in lint_file(file)
+    ]
 
 
 def concurrency_findings(
@@ -707,6 +584,9 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
         "(concurrency.json) to PATH",
     )
     args = parser.parse_args(argv)
+    missing = [str(path) for path in args.paths if not path.exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
 
     scan_paths = args.paths or [DEFAULT_ROOT]
     conc_root = DEFAULT_ROOT
@@ -720,16 +600,23 @@ def main(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     if args.concurrency_report is not None:
         atomic_write_text(args.concurrency_report, model.canonical_json())
 
-    if args.json:
-        payload = {
-            "findings": [diagnostic.to_dict() for diagnostic in findings],
-            "total": len(findings),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    else:
-        for diagnostic in findings:
-            print(diagnostic.format(), file=out)
-        print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}", file=out)
+    try:
+        if args.json:
+            payload = {
+                "findings": [diagnostic.to_dict() for diagnostic in findings],
+                "total": len(findings),
+            }
+            print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        else:
+            for diagnostic in findings:
+                print(diagnostic.format(), file=out)
+            print(f"{len(findings)} finding{'s' if len(findings) != 1 else ''}", file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): Python's SIGPIPE
+        # recipe, so the flush at exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 1 if findings else 0
 
 

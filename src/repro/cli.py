@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import threading
@@ -450,6 +451,17 @@ def cmd_config(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of a table size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -603,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--top",
-        type=int,
+        type=_at_least_one,
         default=10,
         help="hotspot table size (default 10)",
     )
@@ -698,10 +710,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
         from repro.analysis.lint import main as lint_main
 
         return lint_main(argv[1:], out)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        args = build_parser().parse_args(argv)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): Python's SIGPIPE
+        # recipe, so the flush at exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as error:
         print(f"config error: {error}", file=out)
         return 2

@@ -183,10 +183,6 @@ class Tracer:
         with self._lock:
             return len(self._open)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._finished.clear()
-
     # -- export -----------------------------------------------------------
 
     def export(self) -> list[dict]:
@@ -271,9 +267,6 @@ class NullTracer:
     @property
     def open_span_count(self) -> int:
         return 0
-
-    def clear(self) -> None:
-        return None
 
     def export(self) -> list[dict]:
         return []

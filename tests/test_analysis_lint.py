@@ -527,6 +527,13 @@ class TestCLIEntry:
         with pytest.raises(SystemExit):
             self.run_lint("--no-baseline")
 
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        """A mistyped path fails the run instead of linting nothing."""
+        with pytest.raises(SystemExit) as exit:
+            self.run_lint(str(tmp_path / "absent"))
+        assert exit.value.code == 2
+        assert "no such file or directory" in capsys.readouterr().err
+
     def test_module_subcommand(self):
         from repro.cli import main as cli_main
 
@@ -628,3 +635,99 @@ class TestObsUntracedStageRule:
             """,
         )
         assert findings == [[], []]
+
+#: One banned call per row of the call table, with the rule it trips;
+#: ``random.randint`` stands for the ``random`` row, and a ``None``
+#: rule marks a call the table lets through.
+BANNED_CALLS = [
+    ("random.randint", "det/global-random"),
+    ("random.Random", None),
+    ("time.time", "det/wall-clock"),
+    ("time.time_ns", "det/wall-clock"),
+    ("time.perf_counter", None),
+    ("datetime.datetime.now", "det/wall-clock"),
+    ("datetime.datetime.utcnow", "det/wall-clock"),
+    ("datetime.datetime.today", "det/wall-clock"),
+    ("datetime.date.today", "det/wall-clock"),
+    ("time.sleep", "det/raw-sleep"),
+    ("time.monotonic", "det/raw-sleep"),
+    ("os.replace", "store/raw-atomic-write"),
+    ("os.rename", "store/raw-atomic-write"),
+    ("shutil.move", "store/raw-atomic-write"),
+]
+
+
+def import_forms(dotted: str) -> dict[str, tuple[str, str]]:
+    """``form -> (import line, call expression)`` reaching ``dotted``."""
+    module, name, *rest = dotted.split(".")
+    tail = "".join(f".{part}" for part in rest)
+    return {
+        "import M": (f"import {module}", dotted),
+        "import M as A": (f"import {module} as alias", f"alias.{name}{tail}"),
+        "from M import N": (f"from {module} import {name}", f"{name}{tail}"),
+        "from M import N as B": (
+            f"from {module} import {name} as alias",
+            f"alias{tail}",
+        ),
+    }
+
+
+IMPORT_CASES = [
+    pytest.param(line, call, rule, id=f"{dotted}-{form}")
+    for dotted, rule in BANNED_CALLS
+    for form, (line, call) in import_forms(dotted).items()
+]
+
+
+class TestImportForms:
+    @pytest.mark.parametrize("line, call, rule", IMPORT_CASES)
+    def test_banned_call_through_every_import_form(self, tmp_path, line, call, rule):
+        findings = lint_source(
+            tmp_path, f"{line}\n\ndef use(a, b):\n    return {call}(a, b)\n"
+        )
+        assert rules(findings) == ([rule] if rule else [])
+
+    def test_cases_cover_every_table_row(self):
+        from repro.analysis.lint import _BANNED_CALLS, _banned_rule
+
+        covered = {dotted for dotted, _ in BANNED_CALLS} | {"random"}
+        assert set(_BANNED_CALLS) <= covered
+        for dotted, rule in BANNED_CALLS:
+            assert _banned_rule(dotted) == rule
+
+
+#: Each row of the required-keyword table: where the callee is
+#: imported from, and the keywords one of which it must pass.
+SOLVER_SEEDS = ("v0", "X", "random_state", "rng")
+REQUIRED_KEYWORDS = [
+    ("scipy.sparse.linalg.svds", "det/unseeded-solver", SOLVER_SEEDS),
+    ("scipy.sparse.linalg.eigsh", "det/unseeded-solver", SOLVER_SEEDS),
+    ("scipy.sparse.linalg.eigs", "det/unseeded-solver", SOLVER_SEEDS),
+    ("scipy.sparse.linalg.lobpcg", "det/unseeded-solver", SOLVER_SEEDS),
+    ("threading.Thread", "conc/unnamed-thread", ("name",)),
+    (
+        "concurrent.futures.ThreadPoolExecutor",
+        "conc/unnamed-thread",
+        ("thread_name_prefix",),
+    ),
+]
+
+
+def keyword_cases():
+    for dotted, rule, keywords in REQUIRED_KEYWORDS:
+        for form, (line, call) in import_forms(dotted).items():
+            name = f"{dotted}-{form}"
+            yield pytest.param(line, call, "", [rule], id=name)
+            for keyword in keywords:
+                yield pytest.param(
+                    line, call, f", {keyword}=seed", [], id=f"{name}-{keyword}"
+                )
+
+
+class TestRequiredKeywords:
+    @pytest.mark.parametrize("line, call, passed, expected", list(keyword_cases()))
+    def test_callee_must_pass_one_keyword(self, tmp_path, line, call, passed, expected):
+        findings = lint_source(
+            tmp_path, f"{line}\n\ndef use(a, seed):\n    return {call}(a{passed})\n"
+        )
+        assert rules(findings) == expected

@@ -417,13 +417,13 @@ class TestExtractorProcesses:
                 span["attrs"] for span in obs.tracer.export()
                 if span["name"] == "extract" and "error" in span["attrs"]
             ]
-            obs.tracer.clear()
+            obs.tracer = make_obs().tracer
             assert sorted(attrs["report"] for attrs in spans) == sorted(
                 {r.report_id for r in reports} - {r.report_id for r in records}
             )
             return {attrs["error"] for attrs in spans}
 
-        obs.tracer.clear()
+        obs.tracer = make_obs().tracer
         records, result = bounded(30, lambda: kg.process(reports))
         assert result.errors and len(records) + len(result.errors) == len(reports)
         assert {stage for stage, _message in result.errors} == {"extract"}

