@@ -355,7 +355,6 @@ class _Analyzer:
         self._yield_holds: dict[str, frozenset[frozenset[str]]] = {}
         self._protocol_impls: dict[str, frozenset[str]] = {}
         self._trees: dict[str, ast.Module] = {}
-        self._lambda_counter = 0
 
     # -- utilities -------------------------------------------------------
 
@@ -481,9 +480,17 @@ class _Analyzer:
         return key
 
     def _index_lambda(self, node: ast.Lambda, owner: FuncInfo) -> str:
-        self._lambda_counter += 1
-        qualname = f"{owner.qualname}.<lambda:{node.lineno}>"
-        key = f"{owner.module}::{qualname}#{self._lambda_counter}"
+        """Name a lambda by its owner and its place among the owner's
+        lambdas in source order, so an edit elsewhere keeps the name."""
+        body = owner.node.body
+        starts = sorted(
+            (sub.lineno, sub.col_offset)
+            for sub in _shallow_walk(body if isinstance(body, list) else [body])
+            if isinstance(sub, ast.Lambda)
+        )
+        ordinal = starts.index((node.lineno, node.col_offset)) + 1
+        qualname = f"{owner.qualname}.<lambda#{ordinal}>"
+        key = f"{owner.module}::{qualname}"
         info = FuncInfo(
             key=key, qualname=qualname, module=owner.module, node=node,
             cls=owner.cls, parent=owner.key,
@@ -1714,9 +1721,7 @@ def analyze_paths(
         {"from": src, "to": dst, "sites": sorted(sites)[:3]}
         for (src, dst), sites in sorted(edges.items())
     ]
-    roots = sorted(
-        {key.partition("#")[0] for key in analyzer.roots & set(analyzer.functions)}
-    )
+    roots = sorted(analyzer.roots & set(analyzer.functions))
     model = ConcurrencyModel(
         locks=locks, order=order, guards=guards, roots=roots
     )

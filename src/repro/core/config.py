@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.crawlers.sources import CRAWLER_REGISTRY
+from repro.crawlers.base import CRAWLER_REGISTRY
 from repro.feeds.tlp import TIERS
 from repro.obs.health import rules_from_config
 from repro.runtime.checked import Bound, check_fields
@@ -37,7 +37,8 @@ class SystemConfig:
     Attributes
     ----------
     sources:
-        Site names to collect from (``None`` = every registered source).
+        Site names to collect from (``None`` = every registered source;
+        an empty list is refused).
     scenario_count / reports_per_site / seed:
         Shape of the simulated web backing the crawl.
     crawl_threads:
@@ -54,7 +55,8 @@ class SystemConfig:
         serialized stage crossing of section 2.1 -- never threads (E3).
     connectors:
         Storage connectors each partition builds on its engine, from
-        :data:`CONNECTORS`.
+        :data:`CONNECTORS`; at least one, or every report would be
+        marked ingested with no fact stored.
     recognizer:
         ``"crf"`` (the paper's extractor; trains at startup),
         ``"gazetteer"`` or ``"regex"`` (baselines).

@@ -23,7 +23,7 @@ from repro.nlp.ioc import classify_ioc
 from repro.ontology.entities import EntityType
 from repro.ontology.intermediate import CTIRecord, Mention, ReportRecord
 from repro.websim.render import site_prefix
-from repro.crawlers.sources import CRAWLER_REGISTRY
+from repro.crawlers.base import CRAWLER_REGISTRY
 
 
 class ParserError(Exception):
@@ -330,10 +330,10 @@ class ParserDispatch:
     def parser_for(self, source: str) -> SourceParser:
         parser = self._parsers.get(source)
         if parser is None:
-            crawler_class = CRAWLER_REGISTRY.get(source)
-            if crawler_class is None:
+            family = CRAWLER_REGISTRY.get(source)
+            if family is None:
                 raise ParserError(f"no parser registered for source {source!r}")
-            parser = _PARSER_BY_FAMILY[crawler_class.family](source)
+            parser = _PARSER_BY_FAMILY[family](source)
             self._parsers[source] = parser
         return parser
 

@@ -30,7 +30,7 @@ from repro.core.pipeline import Pipeline, PipelineResult
 from repro.core.porter import Porter
 from repro.crawlers.engine import CrawlEngine, CrawlResult
 from repro.crawlers.fetcher import Fetcher
-from repro.crawlers.sources import build_all_crawlers
+from repro.crawlers.base import build_all_crawlers
 from repro.feeds import FeedPublisher
 from repro.fusion.fuse import FusionReport, KnowledgeFusion
 from repro.graphdb.cypher.executor import ResultRow

@@ -1,9 +1,10 @@
 """OSCTI collection: the crawler framework (paper section 2.2).
 
-40+ per-source crawlers run over a shared multi-threaded engine with a
-deduplicating frontier, per-host politeness, robots gating, retrying
-fetcher, incremental state and a periodic scheduler that reboots
-crashed crawlers.
+One :class:`Crawler` per source -- a row of the 42-source table --
+runs over a shared multi-threaded engine with a deduplicating
+frontier, per-host politeness, robots gating, retrying fetcher,
+incremental state and a periodic scheduler that reboots crashed
+crawlers.
 
 >>> from repro.crawlers import CrawlEngine, Fetcher, build_all_crawlers
 >>> from repro.websim import SimulatedTransport, build_default_web
@@ -18,13 +19,10 @@ crashed crawlers.
 """
 
 from repro.crawlers.base import (
-    AdvisoryCrawler,
-    BlogCrawler,
+    CRAWLER_REGISTRY,
     Crawler,
-    EncyclopediaCrawler,
-    FeedCrawler,
-    NewsCrawler,
     RawDocument,
+    build_all_crawlers,
     resolve_url,
 )
 from repro.crawlers.engine import CrawlEngine, CrawlResult
@@ -38,25 +36,14 @@ from repro.crawlers.scheduler import (
     PeriodicScheduler,
     SchedulerStats,
 )
-from repro.crawlers.sources import (
-    ALL_CRAWLER_CLASSES,
-    CRAWLER_REGISTRY,
-    build_all_crawlers,
-    crawler_for,
-)
 from repro.crawlers.state import CrawlState
 
 __all__ = [
-    "ALL_CRAWLER_CLASSES",
-    "AdvisoryCrawler",
-    "BlogCrawler",
     "CRAWLER_REGISTRY",
     "CrawlEngine",
     "CrawlResult",
     "CrawlState",
     "Crawler",
-    "EncyclopediaCrawler",
-    "FeedCrawler",
     "FetchDenied",
     "FetchFailed",
     "FetchStats",
@@ -65,13 +52,11 @@ __all__ = [
     "HostRateLimiter",
     "JobOutcome",
     "JobSpec",
-    "NewsCrawler",
     "PeriodicScheduler",
     "RawDocument",
     "RobotsPolicy",
     "SchedulerStats",
     "build_all_crawlers",
-    "crawler_for",
     "path_of",
     "resolve_url",
 ]

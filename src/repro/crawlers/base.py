@@ -1,20 +1,21 @@
-"""Crawler base classes: one crawler per data source.
+"""The crawler: one per data source, each built from a row of the
+source table.
 
 A :class:`Crawler` knows one site's URL layout: where the archive
 index lives, which links on it are articles, how pagination advances
 and whether articles continue onto extra pages.  The crawl engine is
-generic; everything source-specific lives in these classes (and their
-42 per-source subclasses in :mod:`repro.crawlers.sources`).
+generic; everything source-specific is the site's name and family
+(:data:`CRAWLER_REGISTRY`, read from websim's ``DEFAULT_SITE_SPECS``),
+so adding a source is adding a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 from repro.htmlparse import Document, parse
 from repro.websim.render import site_prefix
-from repro.websim.sites import host_for
+from repro.websim.sites import DEFAULT_SITE_SPECS, FAMILY_LAYOUT, host_for
 
 
 @dataclass
@@ -57,29 +58,29 @@ def resolve_url(base: str, href: str) -> str:
     return f"{directory}/{href}"
 
 
-class Crawler:
-    """Base crawler for one data source.
+#: site name -> family, for every source there is a crawler for
+CRAWLER_REGISTRY: dict[str, str] = dict(DEFAULT_SITE_SPECS)
 
-    Subclasses set ``site_name``, ``family`` and ``article_prefix``;
-    the default selector logic derives the site's CSS class prefix the
-    same way the renderer does, which is exactly the prior knowledge a
-    hand-written per-source crawler encodes.
+
+class Crawler:
+    """The crawler for one data source.
+
+    The site's family fixes its URL layout (websim's
+    :data:`~repro.websim.sites.FAMILY_LAYOUT`); its CSS class prefix is
+    derived the same way the renderer does, which is exactly the prior
+    knowledge a hand-written per-source crawler encodes.
     """
 
-    site_name: ClassVar[str] = ""
-    family: ClassVar[str] = ""
-    article_prefix: ClassVar[str] = ""
-    #: whether articles may continue onto extra pages (rel=next inside body)
-    multi_page: ClassVar[bool] = False
-
-    def __init__(self):
-        if not self.site_name or not self.family or not self.article_prefix:
-            raise TypeError(
-                f"{type(self).__name__} must define site_name, family and "
-                "article_prefix"
-            )
-        self.prefix = site_prefix(self.site_name)
-        self.host = host_for(self.site_name)
+    def __init__(self, site_name: str):
+        try:
+            self.family = CRAWLER_REGISTRY[site_name]
+        except KeyError:
+            raise KeyError(f"no crawler registered for site {site_name!r}") from None
+        self.site_name = site_name
+        article_path, self.multi_page = FAMILY_LAYOUT[self.family]
+        self.article_prefix = article_path.split("{", 1)[0]
+        self.prefix = site_prefix(site_name)
+        self.host = host_for(site_name)
         self.base_url = f"https://{self.host}"
 
     # -- URL space -------------------------------------------------------
@@ -141,49 +142,16 @@ class Crawler:
         return resolve_url(url, anchor.get("href"))
 
 
-class EncyclopediaCrawler(Crawler):
-    """Threat-encyclopedia sources: /threats/<slug>, two-page reports."""
-
-    family = "encyclopedia"
-    article_prefix = "/threats/"
-    multi_page = True
-
-
-class BlogCrawler(Crawler):
-    """Research-blog sources: /posts/<slug>."""
-
-    family = "blog"
-    article_prefix = "/posts/"
-
-
-class NewsCrawler(Crawler):
-    """Security-news sources: /news/<slug>.html."""
-
-    family = "news"
-    article_prefix = "/news/"
-
-
-class AdvisoryCrawler(Crawler):
-    """Advisory trackers: /advisories/<slug>."""
-
-    family = "advisory"
-    article_prefix = "/advisories/"
-
-
-class FeedCrawler(Crawler):
-    """Aggregator feeds: /items/<slug>."""
-
-    family = "feed"
-    article_prefix = "/items/"
+def build_all_crawlers(site_names: list[str] | None = None) -> list[Crawler]:
+    """One crawler per registered source (or per named source)."""
+    names = site_names if site_names is not None else list(CRAWLER_REGISTRY)
+    return [Crawler(name) for name in names]
 
 
 __all__ = [
-    "AdvisoryCrawler",
-    "BlogCrawler",
+    "CRAWLER_REGISTRY",
     "Crawler",
-    "EncyclopediaCrawler",
-    "FeedCrawler",
-    "NewsCrawler",
     "RawDocument",
+    "build_all_crawlers",
     "resolve_url",
 ]

@@ -66,7 +66,8 @@ def check_value(name: str, value, hint, limit=None) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` has the type
     ``hint`` and keeps to ``limit``: a :class:`Bound`, the names the
     value (a string, a list's items, a mapping's keys) may take, or a
-    parser that raises ``ValueError``.  ``None`` passes every limit."""
+    parser that raises ``ValueError``.  A list held to names must hold
+    at least one.  ``None`` passes every limit."""
     if not _conforms(value, hint):
         raise ValueError(f"{name} must be {_kind(hint)}, got {value!r}")
     if value is None or limit is None:
@@ -81,6 +82,8 @@ def check_value(name: str, value, hint, limit=None) -> None:
             raise ValueError(f"{name}: {error}") from None
     else:
         names = [value] if isinstance(value, str) else list(value)
+        if isinstance(value, (list, tuple)) and not names:
+            raise ValueError(f"{name} must name at least one, got []")
         unknown = [item for item in names if item not in limit]
         if unknown:
             shown = value if isinstance(value, str) else unknown

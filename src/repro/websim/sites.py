@@ -31,8 +31,7 @@ from repro.websim.scenario import (
 )
 from repro.websim import seeds
 
-#: (site name, family) for the default web.  8 encyclopedias, 12 blogs,
-#: 10 news outlets, 7 advisory trackers, 5 aggregator feeds = 42 sources.
+#: The source table: one (site name, family) row, one crawler, per source.
 DEFAULT_SITE_SPECS: tuple[tuple[str, str], ...] = (
     ("ThreatPedia", "encyclopedia"),
     ("MalwareVault", "encyclopedia"),
@@ -78,12 +77,13 @@ DEFAULT_SITE_SPECS: tuple[tuple[str, str], ...] = (
     ("IntelStream", "feed"),
 )
 
-_ARTICLE_PATH_BY_FAMILY: dict[str, str] = {
-    "encyclopedia": "/threats/{slug}",
-    "blog": "/posts/{slug}",
-    "news": "/news/{slug}.html",
-    "advisory": "/advisories/{slug}",
-    "feed": "/items/{slug}",
+#: family -> (article path, whether an article continues on ``?page=2``)
+FAMILY_LAYOUT: dict[str, tuple[str, bool]] = {
+    "encyclopedia": ("/threats/{slug}", True),
+    "blog": ("/posts/{slug}", False),
+    "news": ("/news/{slug}.html", False),
+    "advisory": ("/advisories/{slug}", False),
+    "feed": ("/items/{slug}", False),
 }
 
 
@@ -175,9 +175,9 @@ class Site:
                 ioc_fraction=rng.uniform(0.5, 1.0),
             )
             slug = f"{_slugify(content.title)}-{index}"
-            path = _ARTICLE_PATH_BY_FAMILY[self.family].format(slug=slug)
-            url = f"{self.base_url}{path}"
-            extra = f"{url}?page=2" if self.family == "encyclopedia" else None
+            path, continues = FAMILY_LAYOUT[self.family]
+            url = f"{self.base_url}{path.format(slug=slug)}"
+            extra = f"{url}?page=2" if continues else None
             articles.append(
                 Article(
                     index=index,
@@ -326,6 +326,7 @@ def build_default_web(
 __all__ = [
     "Article",
     "DEFAULT_SITE_SPECS",
+    "FAMILY_LAYOUT",
     "Site",
     "Web",
     "build_default_web",

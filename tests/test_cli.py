@@ -298,6 +298,8 @@ BAD_CONFIGS = {
     "string-failure-rate": {"failure_rate": "x"},
     "failure-rate-above-one": {"failure_rate": 1.5},
     "empty-storage-path": {"storage_path": ""},
+    "no-connectors": {"connectors": []},
+    "no-sources": {"sources": []},
 }
 
 
@@ -343,6 +345,8 @@ class TestConfigErrors:
             ("clock", "bogus", "known: ['real', 'virtual']"),
             ("scenario_count", "3", "scenario_count must be an integer"),
             ("failure_rate", "x", "failure_rate must be a number"),
+            ("connectors", [], "connectors must name at least one"),
+            ("sources", [], "sources must name at least one"),
         ],
     )
     def test_the_line_names_the_field(self, tmp_path, key, value, named):

@@ -341,6 +341,26 @@ class TestCanonicalModel:
             "version", "locks", "order", "guards", "thread_roots",
         }
 
+    def test_lambda_roots_are_named_by_source_order_not_line(self, tmp_path):
+        """The scan meets the right-hand lambda first; its name is still
+        its place in the source, and blank lines above keep both names."""
+        source = textwrap.dedent('''
+            def start(work):
+                return work
+
+            def run():
+                return start(lambda: 1) + start(lambda: 2)
+        ''')
+        moved = "\n" * 7 + source.replace(
+            "    return start", "\n\n    return start"
+        )
+        before, _ = analyze_source(tmp_path, source)
+        after, _ = analyze_source(tmp_path, moved)
+        assert before.report()["thread_roots"] == [
+            "mod.py::run.<lambda#1>", "mod.py::run.<lambda#2>",
+        ]
+        assert after.report()["thread_roots"] == before.report()["thread_roots"]
+
     def test_package_model_is_byte_stable(self):
         cached, _ = analyze_package()
         fresh, _ = analyze_paths([DEFAULT_ROOT], root=DEFAULT_ROOT)

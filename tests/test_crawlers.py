@@ -8,6 +8,7 @@ import pytest
 from repro.crawlers import (
     CRAWLER_REGISTRY,
     CrawlEngine,
+    Crawler,
     CrawlState,
     FetchDenied,
     FetchFailed,
@@ -18,14 +19,24 @@ from repro.crawlers import (
     PeriodicScheduler,
     RobotsPolicy,
     build_all_crawlers,
-    crawler_for,
     path_of,
     resolve_url,
 )
+from repro.core.parsers import (
+    AdvisoryParser,
+    BlogParser,
+    EncyclopediaParser,
+    FeedParser,
+    NewsParser,
+    ParserDispatch,
+)
+from repro.core.porter import Porter
 from repro.crawlers.state import CrawlParticipant
+from repro.htmlparse import parse
 from repro.runtime import VirtualClock
 from repro.storage import StorageEngine
 from repro.websim import SimulatedTransport, TransportError
+from repro.websim.sites import DEFAULT_SITE_SPECS
 
 
 class TestRobots:
@@ -190,7 +201,7 @@ class TestCrawlerClasses:
         assert {site.name for site in small_web.sites} == set(CRAWLER_REGISTRY)
 
     def test_classify(self):
-        crawler = crawler_for("ThreatPedia")
+        crawler = Crawler("ThreatPedia")
         base = crawler.base_url
         assert crawler.classify(f"{base}/index/1") == "index"
         assert crawler.classify(f"{base}/threats/x-1") == "article"
@@ -199,32 +210,87 @@ class TestCrawlerClasses:
         assert crawler.classify("https://elsewhere.example/threats/x") == "other"
 
     def test_group_url_and_page_no(self):
-        crawler = crawler_for("ThreatPedia")
+        crawler = Crawler("ThreatPedia")
         url = f"{crawler.base_url}/threats/x-1?page=2"
         assert crawler.group_url(url).endswith("/threats/x-1")
         assert crawler.page_no(url) == 2
 
     def test_unknown_site_raises(self):
         with pytest.raises(KeyError):
-            crawler_for("NoSuchSite")
+            Crawler("NoSuchSite")
 
     def test_link_extraction_from_live_index(self, small_web):
-        from repro.htmlparse import parse
-
         site = small_web.sites[0]
-        crawler = crawler_for(site.name)
+        crawler = Crawler(site.name)
         doc = parse(site.pages()[site.index_url])
         links = crawler.extract_article_links(site.index_url, doc)
         assert links
         assert all(crawler.classify(link) == "article" for link in links)
 
     def test_pagination_followed(self, small_web):
-        from repro.htmlparse import parse
-
         site = small_web.sites[0]  # 5 articles, page size 10 -> one page
-        crawler = crawler_for(site.name)
+        crawler = Crawler(site.name)
         doc = parse(site.pages()[site.index_url])
         assert crawler.extract_next_index(site.index_url, doc) is None
+
+
+PARSER_BY_FAMILY = {
+    "encyclopedia": EncyclopediaParser,
+    "blog": BlogParser,
+    "news": NewsParser,
+    "advisory": AdvisoryParser,
+    "feed": FeedParser,
+}
+
+
+@pytest.fixture(scope="module")
+def first_report_by_source(small_web):
+    """One crawled, ported report of every source."""
+    documents = CrawlEngine(
+        build_all_crawlers(),
+        Fetcher(SimulatedTransport(small_web, time_scale=0.0)),
+        num_threads=4,
+    ).crawl().documents
+    reports = {}
+    for report in Porter().port(documents):
+        reports.setdefault(report.source, report)
+    return reports
+
+
+@pytest.mark.parametrize(
+    "name, family", DEFAULT_SITE_SPECS, ids=[name for name, _ in DEFAULT_SITE_SPECS]
+)
+class TestSourceTable:
+    """Every row of the source table is crawled and parsed by its family."""
+
+    def test_index_links_are_articles(self, small_web, name, family):
+        site = small_web.site_by_name(name)
+        (crawler,) = build_all_crawlers([name])
+        doc = parse(site.pages()[site.index_url])
+        links = crawler.extract_article_links(site.index_url, doc)
+        assert links
+        assert all(crawler.classify(link) == "article" for link in links)
+
+    def test_only_encyclopedias_continue(self, small_web, name, family):
+        site = small_web.site_by_name(name)
+        (crawler,) = build_all_crawlers([name])
+        article = site.articles()[0].url
+        second = f"{article}?page=2"
+        continues = family == "encyclopedia"
+        assert (second in site.pages()) == continues
+        following = crawler.extract_continuation(
+            article, parse(site.pages()[article])
+        )
+        assert following == (second if continues else None)
+        if continues:
+            assert crawler.classify(second) == "continuation"
+
+    def test_family_parser_parses_a_crawled_report(
+        self, first_report_by_source, name, family
+    ):
+        parser = ParserDispatch().parser_for(name)
+        assert type(parser) is PARSER_BY_FAMILY[family]
+        assert parser.parse(first_report_by_source[name]).title
 
 
 class TestCrawlEngine:
